@@ -1,5 +1,8 @@
 """Numerical toolkit for exponential systems on finite-measure domains."""
 
+# The one version string: pyproject.toml and the command line read it from here.
+__version__ = "0.1.0"
+
 from .domain import (Box, Domain, MaskGrid, QuadratureRule, make_domain,
                      make_mask_domain, normalize, quadrature)
 from .gabor import VvOnbReport, gabor_gram, vv_onb_check
@@ -23,8 +26,6 @@ from .spectra import (BoundsReport, FrequencySet, GramMatrix, OnbVerdict,
 from .tiling import (CubeReport, GroupInstance, SearchResult, SpectrumVerdict,
                      TilingVerdict, cube_equivalence_check, cube_set,
                      is_spectrum, search_complements, search_spectra, tiles)
-
-__version__ = "0.1.0"
 
 __all__ = [
     "BandlimitedSignal", "BoundsReport", "Box", "CubeReport", "Domain",

@@ -12,21 +12,25 @@ from __future__ import annotations
 import argparse
 import csv
 import glob
+import inspect
 import io
 import json
 import os
 import sys
 import tempfile
 import time
+from collections import namedtuple
 from typing import Any, Optional
 
 import numpy as np
 
+from . import __version__
 from .domain import Box, Domain, MaskGrid, QuadratureRule, quadrature
 from .gabor import UNIT_MEASURE_RTOL, vv_onb_check
 from .numerics import Pcg32
-from .paley_wiener import (SUPPORT_TOL, affine_weight, bump_window,
-                           constant_weight, convolution_factorization_check,
+from .paley_wiener import (PERIODIZATION_KINDS, SUPPORT_TOL, BandlimitedSignal,
+                           affine_weight, bump_window, constant_weight,
+                           convolution_factorization_check,
                            indicator_signal, indicator_weight,
                            periodization_profile, random_signal,
                            shannon_reconstruct, smooth_random_signal,
@@ -37,8 +41,6 @@ from .spectra import (SYSTEM_SIZE_CAP, FrequencySet, exp_gram,
                       is_orthonormal_system, lattice_truncation, riesz_bounds)
 from .tiling import (GroupInstance, cube_equivalence_check, is_spectrum,
                      search_complements, search_spectra, tiles)
-
-TOOL_VERSION = "0.1.0"
 
 # Judgement scales echoed into every report: absolute for magnitudes at
 # or below one, relative otherwise.
@@ -60,213 +62,246 @@ class SchemaError(Exception):
         super().__init__("invalid scenario fields: " + "; ".join(self.paths))
 
 
-class _Reader:
-    # Accumulates offending paths so one rejection names all of them.
+# The scenario schema: specs are data, and _check walks a JSON value
+# against one. The forms are
+#   _Leaf(what, test, convert): a value that passes test, converted if a
+#     converter is given (_INT, _NUM for any number, _STR, _BOOL, _COMPLEX
+#     for a number or [re, im], _at_least(n) for an int of at least n);
+#   [item]: a nonempty list of items; (a, b, ...): a list, one spec per place;
+#   _Array(leaf, rank): a leaf, or nonempty lists nested at most rank deep
+#     around leaves (any depth when rank is None);
+#   _Map(item): an object with free keys, each value an item;
+#   _Obj(fields, build): an object with exactly the keys of fields, each
+#     mapped to (spec, default), where a default of None also accepts null;
+#     a function in place of (spec, default) computes a value from the
+#     fields before it and is never read from the scenario.
+#     build(values, scope) makes the object from its checked values;
+#   _Tagged(tag, variants): an _Obj whose tag key names the variant, given
+#     as name -> (fields, build).
+# scope maps the names of the values built so far in the enclosing objects
+# (the innermost wins), so a builder finds its domain, rule or seeded stream.
+_Leaf = namedtuple("_Leaf", "what test convert", defaults=(None,))
+_Array = namedtuple("_Array", "leaf rank")
+_Map = namedtuple("_Map", "item")
+_Obj = namedtuple("_Obj", "fields build", defaults=(None,))
+_Tagged = namedtuple("_Tagged", "tag variants")
+
+_BAD = object()
+_REQ = object()  # default of a field that must be given
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _at_least(lo: int) -> _Leaf:
+    return _Leaf(f"int >= {lo}", lambda v: _is_int(v) and v >= lo)
+
+
+_INT = _Leaf("int", _is_int)
+_NUM = _Leaf("number", _is_number)
+_STR = _Leaf("str", lambda v: isinstance(v, str))
+_BOOL = _Leaf("bool", lambda v: isinstance(v, bool))
+_COMPLEX = _Leaf(
+    "a number or [re, im]",
+    lambda v: _is_number(v) or (isinstance(v, list) and len(v) == 2
+                                and all(map(_is_number, v))),
+    lambda v: complex(*v) if isinstance(v, list) else complex(v))
+
+
+class _Walk:
+    """The offending paths of one scenario, collected so one rejection names all."""
 
     def __init__(self):
         self.errors: list[str] = []
 
-    def fail(self, path: str, why: str) -> None:
+    def fail(self, path: str, why: str):
         self.errors.append(f"{path} ({why})")
+        return _BAD
 
-    def done(self) -> None:
-        if self.errors:
-            raise SchemaError(self.errors)
+    def build(self, path: str, fn, *args):
+        try:
+            return fn(*args)
+        except KeyError:
+            # A value the builder needs was rejected, and is reported already.
+            if not self.errors:
+                raise
+            return _BAD
+        except (TypeError, ValueError) as exc:
+            return self.fail(path, str(exc))
 
-    def get(self, obj, key, path, kind, required=True, default=None):
-        checks = {
-            "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-            "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
-            "str": lambda v: isinstance(v, str),
-            "bool": lambda v: isinstance(v, bool),
-            "list": lambda v: isinstance(v, list),
-            "dict": lambda v: isinstance(v, dict),
-        }
-        if not isinstance(obj, dict):
-            self.fail(path, "expected an object")
-            return default
-        if key not in obj:
-            if required:
-                self.fail(f"{path}.{key}", "missing")
-            return default
-        value = obj[key]
-        if not checks[kind](value):
-            self.fail(f"{path}.{key}", f"expected {kind}")
-            return default
-        return value
 
-    def int_list(self, obj, key, path, required=True):
-        raw = self.get(obj, key, path, "list", required=required)
-        if raw is None:
-            return None
+def _check(spec, value, path: str, walk: _Walk, scope: dict):
+    """What value builds under spec, or _BAD once walk has recorded why not."""
+    if isinstance(spec, _Leaf):
+        if not spec.test(value):
+            return walk.fail(path, f"expected {spec.what}")
+        return value if spec.convert is None else spec.convert(value)
+    if isinstance(spec, _Array):
+        if not isinstance(value, list) or spec.rank == 0:
+            return _check(spec.leaf, value, path, walk, scope)
+        inner = [spec.leaf if spec.rank == 1 else
+                 _Array(spec.leaf, None if spec.rank is None else spec.rank - 1)]
+        return _BAD if _check(inner, value, path, walk, scope) is _BAD else value
+    if type(spec) in (list, tuple):
+        many = type(spec) is list
+        if not (isinstance(value, list) and value and (many or len(value) == len(spec))):
+            return walk.fail(path, "expected a nonempty list" if many
+                             else f"expected a list of {len(spec)} items")
         out = []
-        for i, v in enumerate(raw):
-            if isinstance(v, bool) or not isinstance(v, int):
-                self.fail(f"{path}.{key}[{i}]", "expected int")
-                return None
-            out.append(v)
+        for i, v in enumerate(value):
+            got = _check(spec[0] if many else spec[i], v, f"{path}[{i}]", walk, scope)
+            if got is _BAD:
+                return _BAD
+            out.append(got)
         return out
+    if not isinstance(value, dict):
+        return walk.fail(path, "expected an object")
+    if isinstance(spec, _Map):
+        out = {key: _check(spec.item, v, f"{path}.{key}", walk, scope)
+               for key, v in value.items()}
+        return _BAD if any(v is _BAD for v in out.values()) else out
+    if isinstance(spec, _Tagged):
+        name = value.get(spec.tag)
+        if not (isinstance(name, str) and name in spec.variants):
+            why = ("missing" if spec.tag not in value else f"unknown {spec.tag} {name!r}, "
+                   f"expected one of {', '.join(spec.variants)}")
+            return walk.fail(f"{path}.{spec.tag}", why)
+        fields, build = spec.variants[name]
+        spec = _Obj({spec.tag: (_STR, _REQ), **fields}, build)
+    # Computed fields are not keys a scenario may give.
+    unknown = sorted(key for key in value if not isinstance(spec.fields.get(key), tuple))
+    for key in unknown:
+        walk.fail(f"{path}.{key}", "unknown key")
+    out = {}
+    inner = dict(scope)
+    for key, field in spec.fields.items():
+        sub = f"{path}.{key}"
+        if callable(field):
+            got = walk.build(sub, field, inner)
+        elif key not in value:
+            got = walk.fail(sub, "missing") if field[1] is _REQ else field[1]
+        elif value[key] is None and field[1] is None:
+            got = None
+        else:
+            got = _check(field[0], value[key], sub, walk, inner)
+        if got is not _BAD:
+            out[key] = inner[key] = got
+    if unknown or len(out) < len(spec.fields):
+        return _BAD
+    return out if spec.build is None else walk.build(path, spec.build, out, scope)
 
 
-def _build_domain(r: _Reader, spec, path: str) -> Optional[Domain]:
-    if spec is None:
-        return None
-    if not isinstance(spec, dict):
-        r.fail(path, "expected an object")
-        return None
-    boxes = spec.get("boxes")
-    mask = spec.get("mask")
-    if boxes is None and mask is None:
-        r.fail(path, "needs boxes or mask")
-        return None
-    try:
-        box_objs = []
-        if boxes is not None:
-            if not isinstance(boxes, list) or not boxes:
-                r.fail(f"{path}.boxes", "expected a nonempty list")
-                return None
-            for i, pair in enumerate(boxes):
-                if not (isinstance(pair, list) and len(pair) == 2):
-                    r.fail(f"{path}.boxes[{i}]", "expected [lower, upper]")
-                    return None
-                box_objs.append(Box(pair[0], pair[1]))
-        grid = None
-        if mask is not None:
-            if not isinstance(mask, dict):
-                r.fail(f"{path}.mask", "expected an object")
-                return None
-            for key in ("origin", "counts", "widths", "included"):
-                if key not in mask:
-                    r.fail(f"{path}.mask.{key}", "missing")
-            if r.errors:
-                return None
-            grid = MaskGrid(mask["origin"], mask["counts"], mask["widths"],
-                            mask["included"])
-        return Domain(boxes=tuple(box_objs), mask=grid)
-    except (TypeError, ValueError) as exc:
-        r.fail(path, str(exc))
-        return None
+def _only(values) -> str:
+    # Variants keyed by name (freqs points or range): exactly one is given.
+    given = [key for key, value in values.items() if value is not None]
+    if len(given) != 1:
+        raise ValueError(f"needs exactly one of {' or '.join(values)}")
+    return given[0]
 
 
-def _build_freqs(r: _Reader, spec, path: str, dimension: int) -> Optional[FrequencySet]:
-    if spec is None:
-        return None
-    if not isinstance(spec, dict):
-        r.fail(path, "expected an object")
-        return None
-    try:
-        if "points" in spec:
-            return FrequencySet(spec["points"])
-        if "range" in spec:
-            rng = spec["range"]
-            if not (isinstance(rng, list) and len(rng) == 2
-                    and all(isinstance(v, int) and not isinstance(v, bool) for v in rng)):
-                r.fail(f"{path}.range", "expected [lo, hi] ints")
-                return None
-            return lattice_truncation(rng[0], rng[1], dimension)
-        r.fail(path, "needs points or range")
-        return None
-    except (TypeError, ValueError) as exc:
-        r.fail(path, str(exc))
-        return None
+def _domain(v, s) -> Domain:
+    if v["boxes"] is None and v["mask"] is None:
+        raise ValueError("needs boxes or mask")
+    return Domain(boxes=[Box(lo, hi) for lo, hi in v["boxes"] or ()], mask=v["mask"])
 
 
-def _complex_value(r: _Reader, raw, path: str):
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return complex(raw)
-    if (isinstance(raw, list) and len(raw) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw)):
-        return complex(raw[0], raw[1])
-    r.fail(path, "expected a number or [re, im]")
-    return None
+_VECTOR = _Array(_NUM, 1)  # a number, or one number per axis
+
+_DOMAIN = _Obj({
+    "boxes": ([(_VECTOR, _VECTOR)], None),
+    "mask": (_Obj({"origin": (_VECTOR, _REQ), "counts": (_Array(_at_least(1), 1), _REQ),
+                   "widths": (_VECTOR, _REQ), "included": (_Array(_BOOL, None), _REQ)},
+                  lambda v, s: MaskGrid(**v)), None),
+}, _domain)
 
 
-def _build_weight(r: _Reader, spec, path: str, domain: Domain,
-                  rule: Optional[QuadratureRule] = None):
-    if spec is None:
-        return None
-    profile = r.get(spec, "profile", path, "str")
-    if profile is None:
-        return None
-    nodes = spec.get("nodes_per_axis", 64 if profile == "bump" else 32)
-    if isinstance(nodes, bool) or not isinstance(nodes, int):
-        r.fail(f"{path}.nodes_per_axis", "expected int")
-        return None
-    try:
-        if profile == "indicator":
-            return indicator_weight(domain, nodes_per_axis=nodes, rule=rule)
-        if profile == "constant":
-            value = _complex_value(r, spec.get("value", 1.0), f"{path}.value")
-            if value is None:
-                return None
-            return constant_weight(domain, value, nodes_per_axis=nodes, rule=rule)
-        if profile == "affine":
-            offset = r.get(spec, "offset", path, "number")
-            gradient = spec.get("gradient")
-            if offset is None or gradient is None:
-                r.fail(f"{path}.gradient", "missing") if gradient is None else None
-                return None
-            return affine_weight(domain, offset, gradient, nodes_per_axis=nodes, rule=rule)
-        if profile == "bump":
-            steepness = spec.get("steepness", 1.0)
-            if isinstance(steepness, bool) or not isinstance(steepness, (int, float)):
-                r.fail(f"{path}.steepness", "expected number")
-                return None
-            return bump_window(domain, steepness=steepness, nodes_per_axis=nodes, rule=rule)
-        if profile == "table":
-            raw = r.get(spec, "values", path, "list")
-            if raw is None:
-                return None
-            values = []
-            for i, item in enumerate(raw):
-                value = _complex_value(r, item, f"{path}.values[{i}]")
-                if value is None:
-                    return None
-                values.append(value)
-            use_rule = rule if rule is not None else quadrature(domain, nodes)
-            return table_weight(domain, use_rule, values)
-        r.fail(f"{path}.profile", f"unknown profile {profile!r}")
-        return None
-    except (TypeError, ValueError) as exc:
-        r.fail(path, str(exc))
-        return None
+def _freqs(domain_of) -> _Obj:
+    """Frequencies as points or an integer range, on the domain domain_of(scope)."""
+    def build(v, s) -> FrequencySet:
+        variant = _only(v)
+        dimension = domain_of(s).dimension
+        if variant == "range":
+            freqs = lattice_truncation(v["range"][0], v["range"][1], dimension)
+        else:
+            freqs = FrequencySet(v["points"])
+        if freqs.dimension != dimension:
+            raise ValueError(f"{freqs.dimension}-dimensional frequencies on a "
+                             f"{dimension}-dimensional domain")
+        return freqs
+    return _Obj({"points": (_Array(_NUM, 2), None), "range": ((_INT, _INT), None)}, build)
 
 
-def _build_signal(r: _Reader, spec, path: str, domain: Domain,
-                  rule: QuadratureRule, rng: Pcg32):
-    if spec is None:
-        return None
-    kind = r.get(spec, "kind", path, "str")
-    if kind is None:
-        return None
-    try:
-        if kind == "indicator":
-            return indicator_signal(domain, rule)
-        if kind == "random":
-            return random_signal(domain, rule, rng)
-        if kind == "smooth_random":
-            max_order = spec.get("max_order", 3)
-            if isinstance(max_order, bool) or not isinstance(max_order, int):
-                r.fail(f"{path}.max_order", "expected int")
-                return None
-            return smooth_random_signal(domain, rule, rng, max_order=max_order)
-        if kind == "table":
-            raw = r.get(spec, "values", path, "list")
-            if raw is None:
-                return None
-            values = []
-            for i, item in enumerate(raw):
-                value = _complex_value(r, item, f"{path}.values[{i}]")
-                if value is None:
-                    return None
-                values.append(value)
-            from .paley_wiener import BandlimitedSignal
-            return BandlimitedSignal(domain, rule, values)
-        r.fail(f"{path}.kind", f"unknown signal kind {kind!r}")
-        return None
-    except (TypeError, ValueError) as exc:
-        r.fail(path, str(exc))
-        return None
+_FREQS = _freqs(lambda s: s["domain"])
+
+
+def _shared_rule(v, s) -> Optional[QuadratureRule]:
+    # A command with its own rule (factorization) samples the weight on it.
+    rule = s.get("rule")
+    if rule is not None and v["nodes_per_axis"] not in (None, s["nodes_per_axis"]):
+        raise ValueError(
+            f"nodes_per_axis {v['nodes_per_axis']} differs from "
+            f"scenario.parameters.nodes_per_axis {s['nodes_per_axis']}, "
+            "the rule weight and signal share")
+    return rule
+
+
+def _weight(nodes, bump_nodes) -> _Tagged:
+    """Spectral weights by profile, with these node-count defaults."""
+    n = (_at_least(1), nodes)
+    return _Tagged("profile", {
+        "indicator": ({"nodes_per_axis": n}, lambda v, s: indicator_weight(
+            s["domain"], v["nodes_per_axis"], _shared_rule(v, s))),
+        "constant": ({"value": (_COMPLEX, 1.0), "nodes_per_axis": n},
+                     lambda v, s: constant_weight(s["domain"], v["value"], v["nodes_per_axis"],
+                                                  _shared_rule(v, s))),
+        "affine": ({"offset": (_NUM, _REQ), "gradient": (_VECTOR, _REQ), "nodes_per_axis": n},
+                   lambda v, s: affine_weight(s["domain"], v["offset"], v["gradient"],
+                                              v["nodes_per_axis"], _shared_rule(v, s))),
+        "bump": ({"steepness": (_NUM, 1.0), "nodes_per_axis": (_at_least(1), bump_nodes)},
+                 lambda v, s: bump_window(s["domain"], v["steepness"], v["nodes_per_axis"],
+                                          _shared_rule(v, s))),
+        "table": ({"values": ([_COMPLEX], _REQ), "nodes_per_axis": n},
+                  lambda v, s: table_weight(s["domain"], _shared_rule(v, s)
+                                            or quadrature(s["domain"], v["nodes_per_axis"]),
+                                            v["values"])),
+    })
+
+
+_WEIGHT = _weight(32, 64)
+# On a shared rule the weight's node count is the rule's: given, it must match.
+_WEIGHT_ON_RULE = _weight(None, None)
+
+_SIGNAL = _Tagged("kind", {
+    "indicator": ({}, lambda v, s: indicator_signal(s["domain"], s["rule"])),
+    "random": ({}, lambda v, s: random_signal(s["domain"], s["rule"], s["rng"])),
+    "smooth_random": ({"max_order": (_at_least(0), 3)}, lambda v, s: smooth_random_signal(
+        s["domain"], s["rule"], s["rng"], max_order=v["max_order"])),
+    "table": ({"values": ([_COMPLEX], _REQ)},
+              lambda v, s: BandlimitedSignal(s["domain"], s["rule"], v["values"])),
+})
+
+# Each kind takes the keyword parameters, and defaults, of its constructor.
+_PERIODIZATION_PROFILE = _Tagged("kind", {
+    kind: ({name: (_VECTOR, _REQ if p.default is p.empty else p.default)
+            for name, p in inspect.signature(make).parameters.items()},
+           lambda v, s: periodization_profile(**v))
+    for kind, make in PERIODIZATION_KINDS.items()})
+
+
+def _eval_points(v, s) -> np.ndarray:
+    if _only(v) == "grid":
+        lo, hi, count = v["grid"]
+        return np.linspace(float(lo), float(hi), count)
+    return np.asarray(v["points"], dtype=float)
+
+
+def _command_rule(s) -> QuadratureRule:
+    return quadrature(s["domain"], s["nodes_per_axis"])
 
 
 def _hyp(name: str, passed: bool, measured, tolerance) -> dict:
@@ -274,28 +309,19 @@ def _hyp(name: str, passed: bool, measured, tolerance) -> dict:
             "tolerance": tolerance}
 
 
-def _nodes_param(r: _Reader, params, default: int) -> int:
-    nodes = params.get("nodes_per_axis", default)
-    if isinstance(nodes, bool) or not isinstance(nodes, int):
-        r.fail("parameters.nodes_per_axis", "expected int")
-        return default
-    return nodes
+def _nowhere_zero(weight) -> bool:
+    # Node samples can straddle a zero; the exact infimum, where the profile
+    # knows it, cannot.
+    floor = weight.exact_inf if weight.exact_inf is not None else weight.inf_mod
+    return floor > SUPPORT_TOL
 
 
-def _run_bounds(params, rng, tol, r: _Reader):
-    domain = _build_domain(r, r.get(params, "domain", "parameters", "dict"),
-                           "parameters.domain")
-    freq_spec = r.get(params, "freqs", "parameters", "dict")
-    nodes = _nodes_param(r, params, 32)
-    freqs = _build_freqs(r, freq_spec, "parameters.freqs", domain.dimension) if domain else None
-    weight = None
-    if domain is not None and "weight" in params:
-        weight = _build_weight(r, params["weight"], "parameters.weight", domain)
-    r.done()
-    if weight is not None:
-        gram = translation_gram(domain, freqs, weight)
+def _run_bounds(p, rng, tol):
+    domain, freqs = p["domain"], p["freqs"]
+    if p["weight"] is not None:
+        gram = translation_gram(domain, freqs, p["weight"])
     else:
-        gram = exp_gram(domain, freqs, nodes_per_axis=nodes)
+        gram = exp_gram(domain, freqs, nodes_per_axis=p["nodes_per_axis"])
     bounds = riesz_bounds(gram)
     onb = is_orthonormal_system(gram, tol if tol is not None else ABSOLUTE_TOL)
     hyps = [_hyp("system_size_within_cap", freqs.size <= SYSTEM_SIZE_CAP,
@@ -318,16 +344,10 @@ def _run_bounds(params, rng, tol, r: _Reader):
     return hyps, results, verdicts
 
 
-def _run_transfer(params, rng, tol, r: _Reader):
-    domain = _build_domain(r, r.get(params, "domain", "parameters", "dict"),
-                           "parameters.domain")
-    freq_spec = r.get(params, "freqs", "parameters", "dict")
-    weight_spec = r.get(params, "weight", "parameters", "dict")
-    freqs = _build_freqs(r, freq_spec, "parameters.freqs", domain.dimension) if domain else None
-    weight = _build_weight(r, weight_spec, "parameters.weight", domain) if domain else None
-    r.done()
-    report = verify_riesz_transfer(domain, freqs, weight)
-    hyps = [_hyp("weight_nowhere_zero", True, report.inf_mod, SUPPORT_TOL)]
+def _run_transfer(p, rng, tol):
+    report = verify_riesz_transfer(p["domain"], p["freqs"], p["weight"])
+    hyps = [_hyp("weight_nowhere_zero", _nowhere_zero(p["weight"]), report.inf_mod,
+                 SUPPORT_TOL)]
     results = {
         "exp_lower": report.exp_bounds.lower,
         "exp_upper": report.exp_bounds.upper,
@@ -348,15 +368,8 @@ def _run_transfer(params, rng, tol, r: _Reader):
     return hyps, results, verdicts
 
 
-def _run_frame_transfer(params, rng, tol, r: _Reader):
-    domain = _build_domain(r, r.get(params, "domain", "parameters", "dict"),
-                           "parameters.domain")
-    freq_spec = r.get(params, "freqs", "parameters", "dict")
-    weight_spec = r.get(params, "weight", "parameters", "dict")
-    freqs = _build_freqs(r, freq_spec, "parameters.freqs", domain.dimension) if domain else None
-    weight = _build_weight(r, weight_spec, "parameters.weight", domain) if domain else None
-    r.done()
-    report = verify_frame_transfer(domain, freqs, weight)
+def _run_frame_transfer(p, rng, tol):
+    report = verify_frame_transfer(p["domain"], p["freqs"], p["weight"])
     hyps = [
         _hyp("support_nonempty", report.space_dim >= 1, report.space_dim, 1),
         _hyp("support_within_cap", report.space_dim <= 512, report.space_dim, 512),
@@ -381,43 +394,24 @@ def _run_frame_transfer(params, rng, tol, r: _Reader):
     return hyps, results, verdicts
 
 
-_TILING_MODES = ("check_tiling", "check_spectrum", "search_complements", "search_spectra")
-
-
-def _run_tiling(params, rng, tol, r: _Reader):
-    moduli = r.int_list(params, "moduli", "parameters")
-    mode = r.get(params, "mode", "parameters", "str")
-    pattern = r.int_list(params, "pattern", "parameters")
-    if mode is not None and mode not in _TILING_MODES:
-        r.fail("parameters.mode", f"expected one of {', '.join(_TILING_MODES)}")
-        mode = None
-    candidate = None
-    if mode in ("check_tiling", "check_spectrum"):
-        candidate = r.int_list(params, "candidate", "parameters")
-    samples = params.get("samples")
-    if samples is not None and (isinstance(samples, bool) or not isinstance(samples, int)):
-        r.fail("parameters.samples", "expected int")
-        samples = None
-    force = params.get("force_exhaustive", False)
-    if not isinstance(force, bool):
-        r.fail("parameters.force_exhaustive", "expected bool")
-        force = False
-    r.done()
-    group = GroupInstance(moduli)
+def _run_tiling(p, rng, tol):
+    group = GroupInstance(p["moduli"])
+    mode, pattern = p["mode"], p["pattern"]
     hyps = [_hyp("pattern_within_group", max(pattern) < group.order,
                  max(pattern), group.order)]
     if mode == "check_tiling":
-        verdict = tiles(group, pattern, candidate)
+        verdict = tiles(group, pattern, p["candidate"])
         results = {"uncovered": verdict.uncovered, "collisions": verdict.collisions}
         verdicts = {"is_tiling": bool(verdict.is_tiling)}
     elif mode == "check_spectrum":
-        verdict = is_spectrum(group, pattern, candidate)
+        verdict = is_spectrum(group, pattern, p["candidate"])
         results = {"defect": verdict.defect, "tolerance": verdict.tolerance,
                    "sizes_match": verdict.sizes_match}
         verdicts = {"is_spectrum": bool(verdict.is_spectrum)}
     else:
         search = search_complements if mode == "search_complements" else search_spectra
-        found = search(group, pattern, force_exhaustive=force, samples=samples, rng=rng)
+        found = search(group, pattern, force_exhaustive=p["force_exhaustive"],
+                       samples=p["samples"], rng=rng)
         results = {
             "found": [list(s) for s in found.found],
             "n_found": len(found.found),
@@ -429,13 +423,14 @@ def _run_tiling(params, rng, tol, r: _Reader):
     return hyps, results, verdicts
 
 
-def _run_cube_check(params, rng, tol, r: _Reader):
-    moduli = r.int_list(params, "moduli", "parameters")
-    side = r.get(params, "side", "parameters", "int")
-    r.done()
-    group = GroupInstance(moduli)
-    report = cube_equivalence_check(group, side)
-    hyps = [_hyp("side_divides_moduli", True, side, min(group.moduli))]
+def _run_cube_check(p, rng, tol):
+    moduli, side = p["moduli"], p["side"]
+    divides = all(m % side == 0 for m in moduli)
+    hyps = [_hyp("side_divides_moduli", divides, side, min(moduli))]
+    if not divides:
+        # No dual cube exists, so neither family is searched.
+        return hyps, {}, {"families_equal": None}
+    report = cube_equivalence_check(GroupInstance(moduli), side)
     results = {
         "side": list(report.side),
         "dual_side": list(report.dual_side),
@@ -448,45 +443,12 @@ def _run_cube_check(params, rng, tol, r: _Reader):
     return hyps, results, verdicts
 
 
-def _run_sample(params, rng, tol, r: _Reader):
-    domain = _build_domain(r, r.get(params, "domain", "parameters", "dict"),
-                           "parameters.domain")
-    signal_spec = r.get(params, "signal", "parameters", "dict")
-    nodes = _nodes_param(r, params, 129)
-    raw_terms = params.get("n_terms")
-    if isinstance(raw_terms, int) and not isinstance(raw_terms, bool):
-        terms = [raw_terms]
-    elif isinstance(raw_terms, list) and raw_terms and all(
-            isinstance(v, int) and not isinstance(v, bool) for v in raw_terms):
-        terms = list(raw_terms)
-    else:
-        r.fail("parameters.n_terms", "expected int or nonempty int list")
-        terms = []
-    points_spec = r.get(params, "eval_points", "parameters", "dict")
-    pts = None
-    if isinstance(points_spec, dict):
-        if "grid" in points_spec:
-            g = points_spec["grid"]
-            if (isinstance(g, list) and len(g) == 3
-                    and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in g[:2])
-                    and isinstance(g[2], int) and not isinstance(g[2], bool) and g[2] >= 2):
-                pts = np.linspace(float(g[0]), float(g[1]), g[2])
-            else:
-                r.fail("parameters.eval_points.grid", "expected [lo, hi, count]")
-        elif "points" in points_spec and isinstance(points_spec["points"], list):
-            pts = np.asarray(points_spec["points"], dtype=float)
-        else:
-            r.fail("parameters.eval_points", "needs grid or points")
-    rule = None
-    signal = None
-    if domain is not None and not r.errors:
-        rule = quadrature(domain, nodes)
-        signal = _build_signal(r, signal_spec, "parameters.signal", domain, rule, rng)
-    r.done()
+def _run_sample(p, rng, tol):
+    terms = p["n_terms"] if isinstance(p["n_terms"], list) else [p["n_terms"]]
     truncations = []
     energies = []
     for n in terms:
-        rep = shannon_reconstruct(signal, n, pts)
+        rep = shannon_reconstruct(p["signal"], n, p["eval_points"])
         energies.append((n, rep.coeff_energy))
         truncations.append({
             "n_terms": n,
@@ -497,10 +459,11 @@ def _run_sample(params, rng, tol, r: _Reader):
     ordered = sorted(energies)
     monotone = all(b[1] >= a[1] - 1e-12 * max(1.0, abs(a[1]))
                    for a, b in zip(ordered, ordered[1:]))
-    hyps = [_hyp("nodes_resolve_truncation", rule.n_nodes > 2 * max(terms),
-                 rule.n_nodes, 2 * max(terms) + 1)]
+    n_nodes = p["rule"].n_nodes
+    hyps = [_hyp("nodes_resolve_truncation", n_nodes > 2 * max(terms),
+                 n_nodes, 2 * max(terms) + 1)]
     results = {
-        "signal_energy": signal.norm_sq,
+        "signal_energy": p["signal"].norm_sq,
         "truncations": truncations,
     }
     verdicts = {
@@ -510,28 +473,9 @@ def _run_sample(params, rng, tol, r: _Reader):
     return hyps, results, verdicts
 
 
-def _run_gabor(params, rng, tol, r: _Reader):
-    base = _build_domain(r, r.get(params, "base_domain", "parameters", "dict"),
-                         "parameters.base_domain")
-    window_spec = r.get(params, "window", "parameters", "dict")
-    window_domain = None
-    window = None
-    if isinstance(window_spec, dict):
-        window_domain = _build_domain(
-            r, r.get(window_spec, "domain", "parameters.window", "dict"),
-            "parameters.window.domain")
-        weight_spec = r.get(window_spec, "weight", "parameters.window", "dict")
-        if window_domain is not None and weight_spec is not None:
-            window = _build_weight(r, weight_spec, "parameters.window.weight",
-                                   window_domain)
-    mod_spec = r.get(params, "modulations", "parameters", "dict")
-    trans_spec = r.get(params, "translations", "parameters", "dict")
-    modulations = (_build_freqs(r, mod_spec, "parameters.modulations", base.dimension)
-                   if base else None)
-    translations = (_build_freqs(r, trans_spec, "parameters.translations",
-                                 window_domain.dimension) if window_domain else None)
-    r.done()
-    report = vv_onb_check(base, modulations, translations, window,
+def _run_gabor(p, rng, tol):
+    base, modulations, translations = p["base_domain"], p["modulations"], p["translations"]
+    report = vv_onb_check(base, modulations, translations, p["window"]["weight"],
                           tol if tol is not None else ABSOLUTE_TOL)
     order = modulations.size * translations.size
     hyps = [
@@ -557,30 +501,11 @@ def _run_gabor(params, rng, tol, r: _Reader):
     return hyps, results, verdicts
 
 
-def _run_periodization(params, rng, tol, r: _Reader):
-    profile_spec = r.get(params, "profile", "parameters", "dict")
-    resolution = params.get("resolution", 64)
-    if isinstance(resolution, bool) or not isinstance(resolution, int):
-        r.fail("parameters.resolution", "expected int")
-        resolution = 64
-    gram_nodes = params.get("gram_nodes")
-    if gram_nodes is not None and (isinstance(gram_nodes, bool)
-                                   or not isinstance(gram_nodes, int)):
-        r.fail("parameters.gram_nodes", "expected int")
-        gram_nodes = None
-    profile = None
-    if isinstance(profile_spec, dict):
-        kind = r.get(profile_spec, "kind", "parameters.profile", "str")
-        if kind is not None:
-            args = {k: v for k, v in profile_spec.items() if k != "kind"}
-            try:
-                profile = periodization_profile(kind, **args)
-            except (TypeError, ValueError, KeyError) as exc:
-                r.fail("parameters.profile", str(exc))
-    r.done()
-    report = zd_periodization(profile, resolution=resolution,
+def _run_periodization(p, rng, tol):
+    resolution = p["resolution"]
+    report = zd_periodization(p["profile"], resolution=resolution,
                               tol=tol if tol is not None else 1e-8,
-                              gram_nodes=gram_nodes)
+                              gram_nodes=p["gram_nodes"])
     hyps = [_hyp("resolution_sufficient", resolution >= 2, resolution, 2)]
     results = {
         "sup_deviation": report.sup_deviation,
@@ -597,21 +522,10 @@ def _run_periodization(params, rng, tol, r: _Reader):
     return hyps, results, verdicts
 
 
-def _run_factorization(params, rng, tol, r: _Reader):
-    domain = _build_domain(r, r.get(params, "domain", "parameters", "dict"),
-                           "parameters.domain")
-    weight_spec = r.get(params, "weight", "parameters", "dict")
-    signal_spec = r.get(params, "signal", "parameters", "dict")
-    nodes = _nodes_param(r, params, 64)
-    weight = None
-    signal = None
-    if domain is not None and not r.errors:
-        rule = quadrature(domain, nodes)
-        weight = _build_weight(r, weight_spec, "parameters.weight", domain, rule=rule)
-        signal = _build_signal(r, signal_spec, "parameters.signal", domain, rule, rng)
-    r.done()
-    report = convolution_factorization_check(domain, weight, signal)
-    hyps = [_hyp("weight_nowhere_zero", True, weight.inf_mod, SUPPORT_TOL)]
+def _run_factorization(p, rng, tol):
+    weight = p["weight"]
+    report = convolution_factorization_check(p["domain"], weight, p["signal"])
+    hyps = [_hyp("weight_nowhere_zero", _nowhere_zero(weight), weight.inf_mod, SUPPORT_TOL)]
     results = {
         "residual": report.residual,
         "quotient_norm": report.quotient_norm,
@@ -625,54 +539,97 @@ def _run_factorization(params, rng, tol, r: _Reader):
     return hyps, results, verdicts
 
 
+_PATTERN = {"moduli": ([_at_least(1)], _REQ), "pattern": ([_at_least(0)], _REQ)}
+_CHECK_CANDIDATE = {**_PATTERN, "candidate": ([_at_least(0)], _REQ)}
+_SEARCH = {**_PATTERN, "samples": (_at_least(1), None), "force_exhaustive": (_BOOL, False)}
+_TRANSFER = _Obj({"domain": (_DOMAIN, _REQ), "freqs": (_FREQS, _REQ), "weight": (_WEIGHT, _REQ)})
+
+# Each command: its runner and the spec of its parameters. README.md lists
+# the same keys.
 COMMANDS = {
-    "bounds": _run_bounds,
-    "transfer": _run_transfer,
-    "frame-transfer": _run_frame_transfer,
-    "tiling": _run_tiling,
-    "cube-check": _run_cube_check,
-    "sample": _run_sample,
-    "gabor": _run_gabor,
-    "periodization": _run_periodization,
-    "factorization": _run_factorization,
+    "bounds": (_run_bounds, _Obj({
+        "domain": (_DOMAIN, _REQ),
+        "freqs": (_FREQS, _REQ),
+        "weight": (_WEIGHT, None),
+        "nodes_per_axis": (_at_least(1), 32),
+    })),
+    "transfer": (_run_transfer, _TRANSFER),
+    "frame-transfer": (_run_frame_transfer, _TRANSFER),
+    "tiling": (_run_tiling, _Tagged("mode", {
+        "check_tiling": (_CHECK_CANDIDATE, None),
+        "check_spectrum": (_CHECK_CANDIDATE, None),
+        "search_complements": (_SEARCH, None),
+        "search_spectra": (_SEARCH, None),
+    })),
+    "cube-check": (_run_cube_check, _Obj({
+        "moduli": ([_at_least(1)], _REQ),
+        "side": (_at_least(1), _REQ),
+    })),
+    "sample": (_run_sample, _Obj({
+        "domain": (_DOMAIN, _REQ),
+        "nodes_per_axis": (_at_least(1), 129),
+        "rule": _command_rule,
+        "signal": (_SIGNAL, _REQ),
+        "n_terms": (_Array(_at_least(0), 1), _REQ),
+        "eval_points": (_Obj({"grid": ((_NUM, _NUM, _at_least(2)), None),
+                              "points": ([_NUM], None)}, _eval_points), _REQ),
+    })),
+    "gabor": (_run_gabor, _Obj({
+        "base_domain": (_DOMAIN, _REQ),
+        "window": (_Obj({"domain": (_DOMAIN, _REQ), "weight": (_WEIGHT, _REQ)}), _REQ),
+        "modulations": (_freqs(lambda s: s["base_domain"]), _REQ),
+        "translations": (_freqs(lambda s: s["window"]["domain"]), _REQ),
+    })),
+    "periodization": (_run_periodization, _Obj({
+        "profile": (_PERIODIZATION_PROFILE, _REQ),
+        "resolution": (_at_least(2), 64),
+        "gram_nodes": (_at_least(1), None),
+    })),
+    "factorization": (_run_factorization, _Obj({
+        "domain": (_DOMAIN, _REQ),
+        "nodes_per_axis": (_at_least(1), 64),
+        "rule": _command_rule,
+        "weight": (_WEIGHT_ON_RULE, _REQ),
+        "signal": (_SIGNAL, _REQ),
+    })),
 }
+
+_SCENARIO = _Tagged("command", {
+    command: ({
+        "name": (_STR, _REQ),
+        "seed": (_INT, 0),
+        "effective_seed": lambda s: (s["seed"] if s["seed_override"] is None
+                                     else s["seed_override"]),
+        "rng": lambda s: Pcg32(s["effective_seed"]),
+        "expect": (_Map(_BOOL), {}),
+        "parameters": (params, _REQ),
+    }, None)
+    for command, (_, params) in COMMANDS.items()})
 
 
 def run_scenario(scenario, command: str, seed_override: Optional[int] = None,
                  tol_override: Optional[float] = None) -> dict:
     """Validate and execute one scenario dict, returning the report dict."""
-    r = _Reader()
-    if not isinstance(scenario, dict):
-        raise SchemaError(["scenario (expected an object)"])
-    name = r.get(scenario, "name", "scenario", "str")
-    declared = r.get(scenario, "command", "scenario", "str")
-    params = r.get(scenario, "parameters", "scenario", "dict")
-    seed = r.get(scenario, "seed", "scenario", "int", required=False, default=0)
-    expect = r.get(scenario, "expect", "scenario", "dict", required=False, default={})
-    for key, value in (expect or {}).items():
-        if not isinstance(value, bool):
-            r.fail(f"scenario.expect.{key}", "expected bool")
-    r.done()
-    if declared not in COMMANDS:
-        raise SchemaError([f"scenario.command (unknown command {declared!r})"])
-    if declared != command:
-        raise SchemaError(
-            [f"scenario.command (declares {declared!r}, invoked as {command!r})"])
-    effective_seed = seed_override if seed_override is not None else seed
-    rng = Pcg32(effective_seed)
     started = time.perf_counter()
-    hyps, results, verdicts = COMMANDS[command](params, rng, tol_override, r)
+    walk = _Walk()
+    top = _check(_SCENARIO, scenario, "scenario", walk, {"seed_override": seed_override})
+    if top is not _BAD and top["command"] != command:
+        walk.fail("scenario.command", f"declares {top['command']!r}, invoked as {command!r}")
+    if walk.errors:
+        raise SchemaError(walk.errors)
+    hyps, results, verdicts = COMMANDS[command][0](top["parameters"], top["rng"], tol_override)
     wall = time.perf_counter() - started
+    expect = dict(top["expect"])
     unknown = [k for k in expect if k not in verdicts]
     if unknown:
         raise SchemaError([f"scenario.expect.{k} (unknown verdict)" for k in unknown])
     passed = (all(h["passed"] for h in hyps)
               and all(verdicts[k] == v for k, v in expect.items()))
     return {
-        "name": name,
+        "name": top["name"],
         "command": command,
-        "tool_version": TOOL_VERSION,
-        "seed": effective_seed,
+        "tool_version": __version__,
+        "seed": top["effective_seed"],
         "tolerance_policy": _TOLERANCE_POLICY,
         "scenario": scenario,
         "hypothesis_checks": hyps,
@@ -788,6 +745,11 @@ def write_text_atomic(path: str, text: str) -> None:
         raise
 
 
+# What rejects a scenario, or an invocation, before any verdict: exit
+# status 2, and an error row in a batch.
+_REJECTED = (SchemaError, ValueError, RuntimeError, OSError)
+
+
 def _load_json(path: str) -> Any:
     with open(path, "r") as handle:
         return json.load(handle)
@@ -818,7 +780,7 @@ def _main_batch(args) -> int:
             scenario = _load_json(path)
             declared = scenario.get("command") if isinstance(scenario, dict) else None
             report = run_scenario(scenario, declared, args.seed, args.tol)
-        except (SchemaError, ValueError, OSError, json.JSONDecodeError) as exc:
+        except _REJECTED as exc:
             rows.append([stem, "", "error", str(exc)])
             status = 2
             continue
@@ -841,7 +803,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="expbases",
         description="Scenario-driven checks for exponential and translation systems.")
     parser.add_argument("--version", action="version",
-                        version=f"%(prog)s {TOOL_VERSION}")
+                        version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for command in COMMANDS:
         sp = sub.add_parser(command, help=f"run a {command} scenario")
@@ -864,10 +826,7 @@ def main(argv=None) -> int:
         if args.command == "batch":
             return _main_batch(args)
         return _main_single(args)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, RuntimeError, OSError, json.JSONDecodeError) as exc:
+    except _REJECTED as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

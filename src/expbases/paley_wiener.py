@@ -526,51 +526,72 @@ class PeriodizationProfile:
     fn: Callable[[np.ndarray], np.ndarray]
 
 
+def _indicator_profile(lower, upper, scale=1.0) -> PeriodizationProfile:
+    lo = np.atleast_1d(np.asarray(lower, dtype=float))
+    hi = np.atleast_1d(np.asarray(upper, dtype=float))
+    scale = float(scale)
+    box = Box(lo, hi)
+
+    def fn(x: np.ndarray) -> np.ndarray:
+        inside = np.all((x >= lo) & (x < hi), axis=-1)
+        return scale * inside.astype(float)
+
+    return PeriodizationProfile("indicator", box, fn)
+
+
+def _triangle_profile(lower, upper, height=1.0) -> PeriodizationProfile:
+    lo = float(lower)
+    hi = float(upper)
+    height = float(height)
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    box = Box([lo], [hi])
+
+    def fn(x: np.ndarray) -> np.ndarray:
+        t = 1.0 - np.abs(x[..., 0] - mid) / half
+        return height * np.maximum(t, 0.0)
+
+    return PeriodizationProfile("triangle", box, fn)
+
+
+def _cosine_profile(center=0.5) -> PeriodizationProfile:
+    center = float(center)
+    box = Box([center - 1.0], [center + 1.0])
+
+    def fn(x: np.ndarray) -> np.ndarray:
+        t = x[..., 0] - center
+        return np.where(np.abs(t) <= 1.0, np.cos(0.5 * np.pi * t), 0.0)
+
+    return PeriodizationProfile("cosine", box, fn)
+
+
+def _bump_profile(steepness=1.0, scale=1.0) -> PeriodizationProfile:
+    steepness = float(steepness)
+    scale = float(scale)
+    box = Box([0.0], [1.0])
+
+    def fn(x: np.ndarray) -> np.ndarray:
+        return scale * bump_values(x[..., 0], steepness)
+
+    return PeriodizationProfile("bump", box, fn)
+
+
+# Constructor of each named profile; its keyword parameters and their
+# defaults are the profile's parameters, so the scenario schema reads them
+# from here.
+PERIODIZATION_KINDS = {
+    "indicator": _indicator_profile,
+    "triangle": _triangle_profile,
+    "cosine": _cosine_profile,
+    "bump": _bump_profile,
+}
+
+
 def periodization_profile(kind: str, **params) -> PeriodizationProfile:
     """Named profiles for the integer-translate orthonormality criterion."""
-    if kind == "indicator":
-        lo = np.atleast_1d(np.asarray(params["lower"], dtype=float))
-        hi = np.atleast_1d(np.asarray(params["upper"], dtype=float))
-        scale = float(params.get("scale", 1.0))
-        box = Box(lo, hi)
-
-        def fn(x: np.ndarray) -> np.ndarray:
-            inside = np.all((x >= lo) & (x < hi), axis=-1)
-            return scale * inside.astype(float)
-
-        return PeriodizationProfile(kind, box, fn)
-    if kind == "triangle":
-        lo = float(params["lower"])
-        hi = float(params["upper"])
-        height = float(params.get("height", 1.0))
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        box = Box([lo], [hi])
-
-        def fn(x: np.ndarray) -> np.ndarray:
-            t = 1.0 - np.abs(x[..., 0] - mid) / half
-            return height * np.maximum(t, 0.0)
-
-        return PeriodizationProfile(kind, box, fn)
-    if kind == "cosine":
-        center = float(params.get("center", 0.5))
-        box = Box([center - 1.0], [center + 1.0])
-
-        def fn(x: np.ndarray) -> np.ndarray:
-            t = x[..., 0] - center
-            return np.where(np.abs(t) <= 1.0, np.cos(0.5 * np.pi * t), 0.0)
-
-        return PeriodizationProfile(kind, box, fn)
-    if kind == "bump":
-        steepness = float(params.get("steepness", 1.0))
-        scale = float(params.get("scale", 1.0))
-        box = Box([0.0], [1.0])
-
-        def fn(x: np.ndarray) -> np.ndarray:
-            return scale * bump_values(x[..., 0], steepness)
-
-        return PeriodizationProfile(kind, box, fn)
-    raise ValueError(f"unknown periodization profile {kind!r}")
+    if kind not in PERIODIZATION_KINDS:
+        raise ValueError(f"unknown periodization profile {kind!r}")
+    return PERIODIZATION_KINDS[kind](**params)
 
 
 @dataclass(frozen=True)

@@ -222,6 +222,7 @@ def search_complements(group: GroupInstance, pattern, *,
             chosen.pop()
 
     descend(0, [])
+    del descend  # the recursive closure is a cycle that would keep cover alive
     return SearchResult(tuple(sorted(found)), True, examined, "")
 
 
@@ -281,6 +282,7 @@ def search_spectra(group: GroupInstance, pattern, *,
     else:
         base = [c for c in range(1, order) if diff_ok[c, 0]]
         extend([0], base)
+    del extend  # the recursive closure is a cycle that would keep diff_ok alive
     return SearchResult(tuple(sorted(found)), True, examined, "")
 
 
@@ -329,6 +331,8 @@ def cube_equivalence_check(group: GroupInstance, side) -> CubeReport:
     sides = tuple(int(s) for s in np.broadcast_to(
         np.atleast_1d(np.asarray(side, dtype=int)), (group.dimension,)))
     for s, m in zip(sides, group.moduli):
+        if not 1 <= s <= m:
+            raise ValueError(f"cube side {s} must lie in [1, {m}]")
         if m % s != 0:
             raise ValueError(f"cube side {s} must divide the modulus {m}")
     dual = tuple(m // s for s, m in zip(sides, group.moduli))

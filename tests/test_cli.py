@@ -1,13 +1,17 @@
 """Scenario runner: schema rejection, serialization, exit codes, determinism."""
 
+import copy
 import json
 import math
 import os
+import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import expbases
 from expbases.cli import (
     SchemaError,
     dumps_report,
@@ -56,6 +60,13 @@ def test_run_scenario_reports_pass():
     assert all(h["passed"] for h in report["hypothesis_checks"])
 
 
+def test_version_comes_from_the_package(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["--version"])
+    assert stop.value.code == 0
+    assert capsys.readouterr().out == f"expbases {expbases.__version__}\n"
+
+
 def test_run_scenario_failed_expectation_is_not_schema_error():
     report = run_scenario(tiling_scenario(True), "tiling")
     assert report["passed"] is False
@@ -68,6 +79,11 @@ def test_run_scenario_failed_expectation_is_not_schema_error():
     (lambda s: s.update(parameters=[]), "scenario.parameters"),
     (lambda s: s["expect"].update(no_such_verdict=True), "unknown verdict"),
     (lambda s: s["expect"].update(is_onb="yes"), "expected bool"),
+    (lambda s: s.update(bogus=1), r"scenario\.bogus \(unknown key"),
+    (lambda s: s["parameters"].update(nodes_per_axes=3),
+     r"scenario\.parameters\.nodes_per_axes \(unknown key"),
+    (lambda s: s["parameters"].update(freqs={"points": [[0, 0], [1, 1]]}),
+     r"scenario\.parameters\.freqs \(2-dimensional frequencies on a 1-dimensional"),
 ])
 def test_schema_errors_name_the_offending_path(mutate, fragment):
     scenario = bounds_scenario()
@@ -218,9 +234,167 @@ def test_scenario_weight_and_signal_commands(tmp_path):
             "weight": {"profile": "constant", "value": [2.0, 0.0],
                        "nodes_per_axis": 16},
             "signal": {"kind": "random"},
+            "nodes_per_axis": 16,
         },
         "expect": {"roundtrip_exact": True, "bound_holds": True},
     }
     report = run_scenario(scenario, "factorization")
     assert report["passed"] is True
     assert report["results"]["residual"] <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_main_batch_survives_a_solver_failure(tmp_path):
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    diverging = bounds_scenario()
+    diverging["parameters"]["domain"] = {"boxes": [[-0.5, 1e308]]}
+    write_scenario(runs / "01_ok.json", bounds_scenario())
+    write_scenario(runs / "02_diverging.json", diverging)
+    write_scenario(runs / "03_ok.json", bounds_scenario())
+    out_dir = tmp_path / "out"
+    assert main(["batch", "--dir", str(runs), "--out-dir", str(out_dir)]) == 2
+    rows = (out_dir / "summary.csv").read_text().splitlines()
+    assert rows[2].startswith("02_diverging,,error,") and "did not converge" in rows[2]
+    assert rows[3].startswith("03_ok,bounds,true")
+    assert (out_dir / "03_ok.json").exists()
+
+
+def run_main(tmp_path, capsys, scenario, command):
+    path = tmp_path / "scenario.json"
+    write_scenario(path, scenario)
+    code = main([command, "--scenario", str(path), "--out", str(tmp_path / "report.json")])
+    return code, capsys.readouterr().err
+
+
+def test_cube_check_side_zero_is_rejected_with_its_path(tmp_path, capsys):
+    scenario = {"name": "c", "command": "cube-check",
+                "parameters": {"moduli": [6], "side": 0}}
+    code, err = run_main(tmp_path, capsys, scenario, "cube-check")
+    assert code == 2
+    assert "scenario.parameters.side (" in err
+
+
+def test_cube_check_side_that_does_not_divide_fails_its_check(tmp_path, capsys, monkeypatch):
+    def no_search(*args):
+        raise AssertionError("searched without a dual cube")
+    monkeypatch.setattr("expbases.cli.cube_equivalence_check", no_search)
+    scenario = {"name": "c", "command": "cube-check",
+                "parameters": {"moduli": [6], "side": 4},
+                "expect": {"families_equal": True}}
+    code, err = run_main(tmp_path, capsys, scenario, "cube-check")
+    assert code == 1 and err == ""
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["hypothesis_checks"] == [
+        {"name": "side_divides_moduli", "passed": False, "measured": 4, "tolerance": 6}]
+    assert report["results"] == {} and report["verdicts"] == {"families_equal": None}
+
+
+def test_tiling_rejects_keys_of_other_modes_and_empty_patterns(tmp_path, capsys):
+    search = {"name": "t", "command": "tiling",
+              "parameters": {"moduli": [4], "mode": "search_complements",
+                             "pattern": [0, 1], "candidate": [0, 2]}}
+    code, err = run_main(tmp_path, capsys, search, "tiling")
+    assert code == 2 and "scenario.parameters.candidate (unknown key)" in err
+    check = tiling_scenario(True)
+    check["parameters"]["pattern"] = []
+    code, err = run_main(tmp_path, capsys, check, "tiling")
+    assert code == 2 and "scenario.parameters.pattern (" in err
+
+
+def factorization_scenario(weight, **parameters):
+    return {"name": "f", "command": "factorization",
+            "parameters": {"domain": {"boxes": [[0.0, 1.0]]}, "weight": weight,
+                           "signal": {"kind": "random"}, **parameters}}
+
+
+def test_factorization_weight_nodes_must_match_the_shared_rule(tmp_path, capsys):
+    weight = {"profile": "affine", "offset": 2.0, "gradient": [1.0], "nodes_per_axis": 32}
+    assert run_scenario(factorization_scenario(weight, nodes_per_axis=32),
+                        "factorization")["passed"]
+    code, err = run_main(tmp_path, capsys, factorization_scenario(weight), "factorization")
+    assert code == 2
+    assert "scenario.parameters.weight (" in err
+    assert "scenario.parameters.nodes_per_axis 64" in err
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("factorization", {"signal": {"kind": "random"}}),
+    ("transfer", {"freqs": {"range": [-2, 2]}}),
+])
+def test_weight_nowhere_zero_is_judged_on_the_exact_infimum(command, extra):
+    # offset 0 and gradient 1 vanish at the left end of [0, 1]; no node sits there.
+    weight = {"profile": "affine", "offset": 0.0, "gradient": [1.0]}
+    scenario = {"name": "w", "command": command,
+                "parameters": {"domain": {"boxes": [[0.0, 1.0]]}, "weight": weight, **extra}}
+    report = run_scenario(scenario, command)
+    check = next(h for h in report["hypothesis_checks"]
+                 if h["name"] == "weight_nowhere_zero")
+    assert check["passed"] is False
+    assert check["measured"] > 0.0
+    assert report["passed"] is False
+
+
+SHIPPED = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.json"))
+
+# Keys with a default; dropping one leaves a valid scenario.
+OPTIONAL_KEYS = {"seed", "expect", "nodes_per_axis", "value", "steepness", "resolution"}
+
+# Replacements that no field holding a value of the key's type accepts.
+WRONG_TYPES = {
+    str: [1, True, [1], {"a": 1}],
+    bool: ["x", 1, [True]],
+    int: ["x", True, {"a": 1}],
+    float: ["x", True, {"a": 1}],
+    list: ["x", True, {"a": 1}],
+    dict: ["x", 1, [1]],
+}
+
+
+def object_paths(value, path="scenario"):
+    """(path, keys) of every object in a scenario, outermost first."""
+    if isinstance(value, dict):
+        yield path, ()
+        for key, item in value.items():
+            for sub, keys in object_paths(item, f"{path}.{key}"):
+                yield sub, (key,) + keys
+
+
+def mutations(scenario, rng):
+    """(mutant, paths the rejection must name one of) at every object level."""
+    for path, keys in object_paths(scenario):
+        def copy_at():
+            mutant = copy.deepcopy(scenario)
+            target = mutant
+            for key in keys:
+                target = target[key]
+            return mutant, target
+
+        mutant, target = copy_at()
+        target["bogus_key"] = 1
+        yield mutant, (f"{path}.bogus_key (",)
+        for key, value in copy_at()[1].items():
+            if key not in OPTIONAL_KEYS and path != "scenario.expect":
+                mutant, target = copy_at()
+                del target[key]
+                yield mutant, (f"{path}.{key} (", f"{path} (")
+            mutant, target = copy_at()
+            target[key] = rng.choice(WRONG_TYPES[type(value)])
+            yield mutant, (f"{path}.{key} (",)
+            if isinstance(value, list):
+                mutant, target = copy_at()
+                target[key] = []
+                yield mutant, (f"{path}.{key} (",)
+
+
+@pytest.mark.parametrize("shipped", SHIPPED, ids=lambda p: p.stem)
+def test_malformed_scenarios_exit_2_and_name_the_path(shipped, tmp_path, capsys):
+    scenario = json.loads(shipped.read_text())
+    rng = random.Random(f"{shipped.stem}-20261017")
+    cases = list(mutations(scenario, rng))
+    assert len(cases) >= 10
+    for mutant, paths in cases:
+        code, err = run_main(tmp_path, capsys, mutant, scenario["command"])
+        assert code == 2, (paths, mutant)
+        assert any(path in err for path in paths), (paths, err)
+        assert "Traceback" not in err

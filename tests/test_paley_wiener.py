@@ -324,3 +324,8 @@ def test_periodization_resolution_validated():
         zd_periodization(prof, resolution=1)
     with pytest.raises(ValueError, match="unknown periodization profile"):
         periodization_profile("gaussian")
+
+
+def test_periodization_profile_rejects_parameters_of_other_kinds():
+    with pytest.raises(TypeError, match="scale"):
+        periodization_profile("triangle", lower=0.0, upper=2.0, scale=2.0)

@@ -1,5 +1,7 @@
 """Finite abelian group translational covers and orthogonal character sets."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -165,8 +167,26 @@ def test_cube_equivalence_requires_divisor_side():
         cube_equivalence_check(GroupInstance([6]), 4)
 
 
+def test_cube_equivalence_rejects_side_out_of_range():
+    with pytest.raises(ValueError, match="lie in"):
+        cube_equivalence_check(GroupInstance([6]), 0)
+
+
 def test_cube_equivalence_z6_families():
     rep = cube_equivalence_check(GroupInstance([6]), 2)
     assert rep.dual_side == (3,)
     assert rep.equal
     assert set(rep.complements.found) == {(0, 2, 4)}
+
+
+def test_searches_leave_no_cycles_holding_their_tables():
+    # A table kept alive until the next full collection raises peak memory
+    # by its size (16 MB for the Z64^2 spectrum search).
+    gc.collect()
+    gc.disable()
+    try:
+        search_spectra(GroupInstance([8]), (0, 1))
+        search_complements(GroupInstance([8]), (0, 1))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
