@@ -7,7 +7,7 @@ from .domain import (Box, Domain, MaskGrid, QuadratureRule, make_domain,
                      make_mask_domain, normalize, quadrature)
 from .gabor import VvOnbReport, gabor_gram, vv_onb_check
 from .numerics import (EigenBounds, Pcg32, eigen_bounds, hermitian_defect,
-                       kron_residual, seeded_rng)
+                       kron_residual)
 from .paley_wiener import (BandlimitedSignal, FactorizationReport,
                            FrameTransferReport, PeriodizationProfile,
                            PeriodizationReport, SpectralWeight, TransferReport,
@@ -21,8 +21,7 @@ from .paley_wiener import (BandlimitedSignal, FactorizationReport,
                            zd_periodization)
 from .spectra import (BoundsReport, FrequencySet, GramMatrix, OnbVerdict,
                       exp_gram, exp_inner_closed, frame_bounds_of_operator,
-                      freq_set, is_orthonormal_system, lattice_truncation,
-                      riesz_bounds)
+                      is_orthonormal_system, lattice_truncation, riesz_bounds)
 from .tiling import (CubeReport, GroupInstance, SearchResult, SpectrumVerdict,
                      TilingVerdict, cube_equivalence_check, cube_set,
                      is_spectrum, search_complements, search_spectra, tiles)
@@ -37,12 +36,12 @@ __all__ = [
     "WskReport", "affine_weight", "bump_window", "constant_weight",
     "convolution_factorization_check", "cube_equivalence_check", "cube_set",
     "eigen_bounds", "exp_gram", "exp_inner_closed",
-    "frame_bounds_of_operator", "freq_set",
+    "frame_bounds_of_operator",
     "gabor_gram", "hermitian_defect", "indicator_signal", "indicator_weight",
     "is_orthonormal_system", "is_spectrum", "kron_residual",
     "lattice_truncation", "make_domain", "make_mask_domain", "normalize",
     "periodization_profile", "quadrature", "random_signal", "riesz_bounds",
-    "search_complements", "search_spectra", "seeded_rng",
+    "search_complements", "search_spectra",
     "shannon_reconstruct", "smooth_random_signal", "table_weight", "tiles",
     "translation_gram", "verify_frame_transfer", "verify_riesz_transfer",
     "vv_onb_check", "zd_periodization",

@@ -220,11 +220,21 @@ _DOMAIN = _Obj({
 }, _domain)
 
 
-def _freqs(domain_of) -> _Obj:
-    """Frequencies as points or an integer range, on the domain domain_of(scope)."""
+def _freqs(domain_of, cap: Optional[int] = SYSTEM_SIZE_CAP) -> _Obj:
+    """Frequencies as points or an integer range, on the domain domain_of(scope).
+
+    A set of more than cap points (None: no cap) is rejected before it is
+    built, because building it compares every pair of points.
+    """
     def build(v, s) -> FrequencySet:
         variant = _only(v)
         dimension = domain_of(s).dimension
+        if variant == "range":
+            count = max(v["range"][1] - v["range"][0] + 1, 0) ** dimension
+        else:
+            count = len(v["points"]) if isinstance(v["points"], list) else 1
+        if cap is not None and count > cap:
+            raise ValueError(f"{count} points exceed the system cap {cap}")
         if variant == "range":
             freqs = lattice_truncation(v["range"][0], v["range"][1], dimension)
         else:
@@ -237,6 +247,8 @@ def _freqs(domain_of) -> _Obj:
 
 
 _FREQS = _freqs(lambda s: s["domain"])
+# A frame may be overcomplete, so its vector count has no cap.
+_FRAME_FREQS = _freqs(lambda s: s["domain"], cap=None)
 
 
 def _shared_rule(v, s) -> Optional[QuadratureRule]:
@@ -302,6 +314,17 @@ def _eval_points(v, s) -> np.ndarray:
 
 def _command_rule(s) -> QuadratureRule:
     return quadrature(s["domain"], s["nodes_per_axis"])
+
+
+def _bounds_parameters(v, s) -> dict:
+    # exp_gram reads a node count only for an unweighted Gram on a domain
+    # without boxes; anywhere else a given one would be ignored.
+    if v["nodes_per_axis"] is None:
+        return {**v, "nodes_per_axis": 32}
+    if v["domain"].boxes or v["weight"] is not None:
+        raise ValueError("scenario.parameters.nodes_per_axis applies only to an "
+                         "unweighted Gram on a mask domain")
+    return v
 
 
 def _hyp(name: str, passed: bool, measured, tolerance) -> dict:
@@ -542,7 +565,11 @@ def _run_factorization(p, rng, tol):
 _PATTERN = {"moduli": ([_at_least(1)], _REQ), "pattern": ([_at_least(0)], _REQ)}
 _CHECK_CANDIDATE = {**_PATTERN, "candidate": ([_at_least(0)], _REQ)}
 _SEARCH = {**_PATTERN, "samples": (_at_least(1), None), "force_exhaustive": (_BOOL, False)}
-_TRANSFER = _Obj({"domain": (_DOMAIN, _REQ), "freqs": (_FREQS, _REQ), "weight": (_WEIGHT, _REQ)})
+
+
+def _transfer(freqs) -> _Obj:
+    return _Obj({"domain": (_DOMAIN, _REQ), "freqs": (freqs, _REQ), "weight": (_WEIGHT, _REQ)})
+
 
 # Each command: its runner and the spec of its parameters. README.md lists
 # the same keys.
@@ -551,10 +578,10 @@ COMMANDS = {
         "domain": (_DOMAIN, _REQ),
         "freqs": (_FREQS, _REQ),
         "weight": (_WEIGHT, None),
-        "nodes_per_axis": (_at_least(1), 32),
-    })),
-    "transfer": (_run_transfer, _TRANSFER),
-    "frame-transfer": (_run_frame_transfer, _TRANSFER),
+        "nodes_per_axis": (_at_least(1), None),
+    }, _bounds_parameters)),
+    "transfer": (_run_transfer, _transfer(_FREQS)),
+    "frame-transfer": (_run_frame_transfer, _transfer(_FRAME_FREQS)),
     "tiling": (_run_tiling, _Tagged("mode", {
         "check_tiling": (_CHECK_CANDIDATE, None),
         "check_spectrum": (_CHECK_CANDIDATE, None),

@@ -2,7 +2,9 @@
 
 Every inner product in the toolkit is an integral over one of these
 domains, evaluated either in closed form (box unions) or with the
-midpoint quadrature rules constructed here.
+midpoint quadrature rules constructed here. Domain.cells is the one walk
+over a domain's pieces (its boxes, else its included mask cells) that the
+quadrature rule and the exact weight extremes share.
 """
 
 from __future__ import annotations
@@ -155,6 +157,22 @@ class Domain:
         object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "measure", float(measure))
 
+    def cells(self) -> list[tuple[np.ndarray, np.ndarray, float]]:
+        """(lower, widths, volume) of every piece an integral walks.
+
+        The pieces are the boxes in their stored order when there are any,
+        else the included mask cells in lexicographic order.
+        """
+        if self.boxes:
+            lowers = [np.asarray(b.lower) for b in self.boxes]
+            return [(lo, np.asarray(b.upper) - lo, b.volume)
+                    for lo, b in zip(lowers, self.boxes)]
+        mask = self.mask
+        origin = np.asarray(mask.origin)
+        widths = np.asarray(mask.widths)
+        volume = mask.cell_volume
+        return [(origin + idx * widths, widths, volume) for idx in mask.included_cells()]
+
 
 def make_domain(boxes: Sequence[Box]) -> Domain:
     """Domain from a finite union of pairwise disjoint boxes."""
@@ -222,35 +240,20 @@ def _cell_nodes(lower: np.ndarray, widths: np.ndarray, n: int) -> np.ndarray:
 
 
 def quadrature(domain: Domain, nodes_per_axis: int) -> QuadratureRule:
-    """Midpoint rule over every box, or over every included mask cell.
+    """Midpoint rule over every piece of Domain.cells, in its order.
 
-    Boxes are traversed in their stored order and cells lexicographically,
-    so node ordering is deterministic. The weight attached to each node is
-    the volume of its subcell.
+    Node ordering is deterministic, and the weight attached to each node
+    is the volume of its subcell.
     """
     n = int(nodes_per_axis)
     if n < 1:
         raise ValueError(f"nodes_per_axis must be at least 1, got {nodes_per_axis}")
-    d = domain.dimension
     chunks = []
     wchunks = []
-    if domain.boxes:
-        for box in domain.boxes:
-            lo = np.asarray(box.lower)
-            widths = np.asarray(box.upper) - lo
-            pts = _cell_nodes(lo, widths, n)
-            chunks.append(pts)
-            wchunks.append(np.full(pts.shape[0], box.volume / n ** d))
-    else:
-        mask = domain.mask
-        widths = np.asarray(mask.widths)
-        origin = np.asarray(mask.origin)
-        subweight = mask.cell_volume / n ** d
-        for idx in mask.included_cells():
-            lo = origin + idx * widths
-            pts = _cell_nodes(lo, widths, n)
-            chunks.append(pts)
-            wchunks.append(np.full(pts.shape[0], subweight))
+    for lower, widths, volume in domain.cells():
+        pts = _cell_nodes(lower, widths, n)
+        chunks.append(pts)
+        wchunks.append(np.full(pts.shape[0], volume / n ** domain.dimension))
     rule = QuadratureRule(np.concatenate(chunks), np.concatenate(wchunks))
     if abs(rule.total_weight - domain.measure) > WEIGHT_SUM_RTOL * domain.measure:
         raise RuntimeError(

@@ -25,13 +25,9 @@ _TRUNCATION_NOTE = ("orthonormality is certified for the listed modulations and 
                     "translations only; nothing is claimed beyond this truncation")
 
 
-def gabor_gram(base_domain: Domain, modulations: FrequencySet,
-               translations: FrequencySet, window: SpectralWeight) -> GramMatrix:
-    """Gram of the product system, one row per (translation, modulation) pair.
-
-    Row r pairs translation r % n_translations with modulation
-    r // n_translations, matching np.kron(modulation_gram, translation_gram).
-    """
+def _product_grams(base_domain: Domain, modulations: FrequencySet,
+                   translations: FrequencySet, window: SpectralWeight):
+    # The modulation Gram, the translation Gram and their Kronecker product.
     order = modulations.size * translations.size
     if order > SYSTEM_SIZE_CAP:
         raise ValueError(f"system order {order} exceeds the cap {SYSTEM_SIZE_CAP}")
@@ -43,8 +39,18 @@ def gabor_gram(base_domain: Domain, modulations: FrequencySet,
          tuple(modulations.points[r // translations.size]))
         for r in range(order))
     closed = mod_gram.provenance == "closed_form" and trans_gram.provenance == "closed_form"
-    return GramMatrix(matrix, pair_labels=labels,
-                      provenance="closed_form" if closed else "quadrature")
+    return mod_gram, trans_gram, GramMatrix(
+        matrix, pair_labels=labels, provenance="closed_form" if closed else "quadrature")
+
+
+def gabor_gram(base_domain: Domain, modulations: FrequencySet,
+               translations: FrequencySet, window: SpectralWeight) -> GramMatrix:
+    """Gram of the product system, one row per (translation, modulation) pair.
+
+    Row r pairs translation r % n_translations with modulation
+    r // n_translations, matching np.kron(modulation_gram, translation_gram).
+    """
+    return _product_grams(base_domain, modulations, translations, window)[2]
 
 
 @dataclass(frozen=True)
@@ -73,9 +79,8 @@ def vv_onb_check(base_domain: Domain, modulations: FrequencySet,
         raise ValueError(
             f"base domain measure {base_domain.measure} is not 1; "
             "normalize the domain before an orthonormality check")
-    mod_gram = exp_gram(base_domain, modulations)
-    trans_gram = translation_gram(window.domain, translations, window)
-    full = gabor_gram(base_domain, modulations, translations, window)
+    mod_gram, trans_gram, full = _product_grams(base_domain, modulations,
+                                                translations, window)
     mod_v = is_orthonormal_system(mod_gram, tol)
     trans_v = is_orthonormal_system(trans_gram, tol)
     gabor_v = is_orthonormal_system(full, tol)

@@ -170,8 +170,3 @@ class Pcg32:
                 seen.add(x)
                 out.append(x)
         return out
-
-
-def seeded_rng(seed: int) -> Pcg32:
-    """Stream factory; equal seeds give identical streams everywhere."""
-    return Pcg32(seed)

@@ -38,7 +38,7 @@ def _sandwich_slack(predicted: float) -> float:
 # Node-sample versus exact profile extremes are flagged above this gap.
 PROFILE_MISMATCH_TOL = 1e-9
 
-_NAMED_PROFILES = ("indicator", "constant", "affine", "bump", "table")
+_NAMED_PROFILES = ("affine", "bump", "constant", "indicator", "table")
 
 
 @dataclass(frozen=True, init=False)
@@ -127,18 +127,8 @@ def _affine_extremes(domain: Domain, offset: float, gradient: np.ndarray) -> tup
     # infimum is zero whenever a single convex piece changes sign.
     inf_abs = np.inf
     sup_abs = 0.0
-    pieces = []
-    if domain.boxes:
-        pieces = [(np.asarray(b.lower), np.asarray(b.upper)) for b in domain.boxes]
-    else:
-        mask = domain.mask
-        origin = np.asarray(mask.origin)
-        widths = np.asarray(mask.widths)
-        for idx in mask.included_cells():
-            lo = origin + idx * widths
-            pieces.append((lo, lo + widths))
-    for lo, hi in pieces:
-        vals = _box_corner_values(lo, hi, offset, gradient)
+    for lower, widths, _ in domain.cells():
+        vals = _box_corner_values(lower, lower + widths, offset, gradient)
         if vals.min() <= 0.0 <= vals.max():
             inf_abs = 0.0
         else:
@@ -172,27 +162,14 @@ def bump_values(x, steepness: float = 1.0) -> np.ndarray:
 
 
 def _bump_extremes(domain: Domain, steepness: float) -> tuple[float, float]:
-    def piece(lo: float, hi: float) -> tuple[float, float]:
-        edge = bump_values(np.array([lo, hi]), steepness)
-        low = float(edge.min())
-        if lo <= 0.5 <= hi:
-            high = float(bump_values(np.array([0.5]), steepness)[0])
-        else:
-            high = float(edge.max())
-        return low, high
-
     inf_abs = np.inf
     sup_abs = 0.0
-    if domain.boxes:
-        intervals = [(b.lower[0], b.upper[0]) for b in domain.boxes]
-    else:
-        mask = domain.mask
-        intervals = [(mask.origin[0] + i * mask.widths[0], mask.origin[0] + (i + 1) * mask.widths[0])
-                     for (i,) in mask.included_cells()]
-    for lo, hi in intervals:
-        low, high = piece(lo, hi)
-        inf_abs = min(inf_abs, low)
-        sup_abs = max(sup_abs, high)
+    for lower, widths, _ in domain.cells():
+        lo, hi = lower[0], lower[0] + widths[0]
+        edge = bump_values(np.array([lo, hi]), steepness)
+        inf_abs = min(inf_abs, float(edge.min()))
+        peak = bump_values(np.array([0.5]), steepness) if lo <= 0.5 <= hi else edge
+        sup_abs = max(sup_abs, float(peak.max()))
     return float(inf_abs), float(sup_abs)
 
 
@@ -208,7 +185,6 @@ def bump_window(domain: Domain, steepness: float = 1.0, nodes_per_axis: int = 64
         raise ValueError("bump windows are one-dimensional")
     if steepness <= 0:
         raise ValueError(f"steepness must be positive, got {steepness}")
-    pieces = domain.boxes if domain.boxes else [None]
     lo = min(b.lower[0] for b in domain.boxes) if domain.boxes else domain.mask.origin[0]
     if domain.boxes:
         hi = max(b.upper[0] for b in domain.boxes)
@@ -235,16 +211,9 @@ def table_weight(domain: Domain, rule: QuadratureRule, values) -> SpectralWeight
 def translation_gram(domain: Domain, freqs: FrequencySet, weight: SpectralWeight) -> GramMatrix:
     """Gram of the translation system: the |weight|^2-weighted exponential Gram.
 
-    Indicator and constant profiles on box domains keep the closed form;
-    everything else is assembled on the weight's quadrature rule.
+    exp_gram picks the route: the closed form for indicator and constant
+    profiles on box domains, the weight's quadrature rule otherwise.
     """
-    if weight.domain != domain:
-        raise ValueError("weight was sampled on a different domain")
-    if domain.boxes and weight.profile in ("indicator", "constant"):
-        base = exp_gram(domain, freqs)
-        scale = weight.sup_mod ** 2
-        matrix = base.matrix if scale == 1.0 else base.matrix * scale
-        return GramMatrix(matrix, freqs=freqs, provenance="closed_form")
     return exp_gram(domain, freqs, weight=weight)
 
 
@@ -280,12 +249,9 @@ def verify_riesz_transfer(domain: Domain, freqs: FrequencySet,
         raise ValueError(
             f"spectral weight vanishes at {missing} of {weight.rule.n_nodes} nodes; "
             "the Riesz transfer needs a nowhere-zero weight, use verify_frame_transfer")
-    closed = bool(domain.boxes) and weight.profile in ("indicator", "constant")
-    if closed:
-        g_exp = exp_gram(domain, freqs)
-    else:
-        g_exp = exp_gram(domain, freqs, rule=weight.rule)
     g_trans = translation_gram(domain, freqs, weight)
+    g_exp = exp_gram(domain, freqs,
+                     rule=None if g_trans.provenance == "closed_form" else weight.rule)
     exp_b = riesz_bounds(g_exp)
     trans_b = riesz_bounds(g_trans)
     predicted_lower = weight.inf_mod ** 2 * exp_b.lower

@@ -2,8 +2,10 @@
 
 The exponential attached to a frequency a is x -> exp(-2 pi i <x, a>), and
 all Gram entries are integrals of products of such exponentials over the
-domain, optionally against a spectral weight. Box domains get a closed
-form per axis; everything else goes through midpoint quadrature.
+domain, optionally against a spectral weight. exp_gram alone decides how a
+Gram is integrated: box domains get a product of closed-form axis
+factors (one routine, _closed_form, for a single pair or a whole matrix);
+everything else goes through midpoint quadrature.
 """
 
 from __future__ import annotations
@@ -66,10 +68,6 @@ class FrequencySet:
         return self.points.shape[0]
 
 
-def freq_set(points) -> FrequencySet:
-    return FrequencySet(points)
-
-
 def lattice_truncation(lo: int, hi: int, dimension: int = 1) -> FrequencySet:
     """Integer lattice points of [lo, hi]^dimension, lexicographic order."""
     if hi < lo:
@@ -130,6 +128,19 @@ def _axis_factor(delta: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return np.where(small, hi - lo, out)
 
 
+def _closed_form(domain: Domain, delta) -> np.ndarray:
+    # Integral of exp(-2 pi i <delta, x>) over the box union, one axis
+    # factor per box and axis, for delta of any shape (..., d).
+    delta = np.asarray(delta, dtype=float)
+    total = np.zeros(delta.shape[:-1], dtype=complex)
+    for box in domain.boxes:
+        factor = np.ones(delta.shape[:-1], dtype=complex)
+        for j in range(domain.dimension):
+            factor = factor * _axis_factor(delta[..., j], box.lower[j], box.upper[j])
+        total += factor
+    return total
+
+
 def exp_inner_closed(domain: Domain, a, b) -> complex:
     """Closed-form inner product of two exponentials over a box union."""
     if not domain.boxes:
@@ -139,26 +150,7 @@ def exp_inner_closed(domain: Domain, a, b) -> complex:
     if av.shape != (domain.dimension,) or bv.shape != (domain.dimension,):
         raise ValueError(
             f"frequencies must have dimension {domain.dimension}, got {av.shape} and {bv.shape}")
-    delta = av - bv
-    total = 0.0 + 0.0j
-    for box in domain.boxes:
-        factor = 1.0 + 0.0j
-        for j in range(domain.dimension):
-            factor = factor * _axis_factor(delta[j], box.lower[j], box.upper[j])
-        total += factor
-    return complex(total)
-
-
-def _closed_form_gram(domain: Domain, freqs: FrequencySet) -> np.ndarray:
-    pts = freqs.points
-    delta = pts[:, np.newaxis, :] - pts[np.newaxis, :, :]
-    total = np.zeros((freqs.size, freqs.size), dtype=complex)
-    for box in domain.boxes:
-        factor = np.ones((freqs.size, freqs.size), dtype=complex)
-        for j in range(domain.dimension):
-            factor = factor * _axis_factor(delta[..., j], box.lower[j], box.upper[j])
-        total += factor
-    return total
+    return complex(_closed_form(domain, av - bv))
 
 
 def _quadrature_gram(rule: QuadratureRule, freqs: FrequencySet,
@@ -173,32 +165,39 @@ def exp_gram(domain: Domain, freqs: FrequencySet, weight=None,
              nodes_per_axis: int = 32) -> GramMatrix:
     """Gram matrix of the exponential system, optionally weighted.
 
-    A weight contributes |weight|^2 inside the integral and forces the
-    quadrature path on the weight's own rule. Without a weight, box
-    domains use the closed form; mask domains (or an explicit rule) use
-    midpoint quadrature.
+    A weight contributes |weight|^2 inside the integral. This is the one
+    place that picks how a Gram is integrated: a box domain with no
+    explicit rule, unweighted or under a weight of constant modulus
+    (indicator or constant profile), gets the closed form scaled by
+    sup|weight|^2; every other case uses midpoint quadrature, on the
+    weight's rule when there is a weight, else on rule or a fresh
+    nodes_per_axis rule.
     """
     if freqs.size > SYSTEM_SIZE_CAP:
         raise ValueError(f"{freqs.size} frequencies exceed the system cap {SYSTEM_SIZE_CAP}")
     if freqs.dimension != domain.dimension:
         raise ValueError(
             f"frequency dimension {freqs.dimension} does not match domain dimension {domain.dimension}")
-    if weight is not None:
-        if weight.domain != domain:
-            raise ValueError("weight was sampled on a different domain")
-        wsq = np.abs(weight.values) ** 2
-        matrix = _quadrature_gram(weight.rule, freqs, wsq)
-        cap = domain.measure * float(np.max(wsq))
-        if float(np.max(np.diagonal(matrix).real)) > cap * (1.0 + 1e-9):
-            raise RuntimeError("weighted Gram diagonal exceeds measure * sup|weight|^2")
-        return GramMatrix(matrix, freqs=freqs, provenance="quadrature")
-    if rule is None and domain.boxes:
-        return GramMatrix(_closed_form_gram(domain, freqs), freqs=freqs,
-                          provenance="closed_form")
-    if rule is None:
-        rule = quadrature(domain, nodes_per_axis)
-    return GramMatrix(_quadrature_gram(rule, freqs, None), freqs=freqs,
-                      provenance="quadrature")
+    if weight is not None and weight.domain != domain:
+        raise ValueError("weight was sampled on a different domain")
+    if (rule is None and domain.boxes
+            and (weight is None or weight.profile in ("indicator", "constant"))):
+        pts = freqs.points
+        matrix = _closed_form(domain, pts[:, np.newaxis, :] - pts[np.newaxis, :, :])
+        scale = 1.0 if weight is None else weight.sup_mod ** 2
+        if scale != 1.0:
+            matrix = matrix * scale
+        return GramMatrix(matrix, freqs=freqs, provenance="closed_form")
+    if weight is None:
+        rule = rule if rule is not None else quadrature(domain, nodes_per_axis)
+        return GramMatrix(_quadrature_gram(rule, freqs, None), freqs=freqs,
+                          provenance="quadrature")
+    wsq = np.abs(weight.values) ** 2
+    matrix = _quadrature_gram(weight.rule, freqs, wsq)
+    cap = domain.measure * float(np.max(wsq))
+    if float(np.max(np.diagonal(matrix).real)) > cap * (1.0 + 1e-9):
+        raise RuntimeError("weighted Gram diagonal exceeds measure * sup|weight|^2")
+    return GramMatrix(matrix, freqs=freqs, provenance="quadrature")
 
 
 @dataclass(frozen=True)

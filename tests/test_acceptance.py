@@ -16,6 +16,7 @@ import generators
 import oracles
 from expbases import (
     Box,
+    FrequencySet,
     GroupInstance,
     Pcg32,
     bump_window,
@@ -25,7 +26,6 @@ from expbases import (
     eigen_bounds,
     exp_gram,
     exp_inner_closed,
-    freq_set,
     gabor_gram,
     indicator_signal,
     indicator_weight,
@@ -83,7 +83,7 @@ def test_03_constant_weight_transfer_is_tight():
     cases = [
         (make_domain([Box(-0.5, 0.5)]), lattice_truncation(-4, 4), 2.0),
         (make_domain([Box(0.0, 0.6), Box(1.0, 1.5)]),
-         freq_set([-3.0, -1.0, 0.0, 2.0, 4.5]), 1.5 - 2.0j),
+         FrequencySet([-3.0, -1.0, 0.0, 2.0, 4.5]), 1.5 - 2.0j),
         (make_domain([Box([0.0, 0.0], [1.0, 1.0])]),
          lattice_truncation(-1, 1, dimension=2), 0.5j),
     ]

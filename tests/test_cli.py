@@ -36,6 +36,10 @@ def bounds_scenario(**extra):
     return scenario
 
 
+MASK_BAND = {"mask": {"origin": [-0.5], "counts": [2], "widths": [0.5],
+                      "included": [True, True]}}
+
+
 def tiling_scenario(expect_tiling):
     return {
         "name": "interval cover",
@@ -84,6 +88,11 @@ def test_run_scenario_failed_expectation_is_not_schema_error():
      r"scenario\.parameters\.nodes_per_axes \(unknown key"),
     (lambda s: s["parameters"].update(freqs={"points": [[0, 0], [1, 1]]}),
      r"scenario\.parameters\.freqs \(2-dimensional frequencies on a 1-dimensional"),
+    pytest.param(lambda s: s["parameters"].update(nodes_per_axis=1),
+                 r"scenario\.parameters\.nodes_per_axis applies only", id="nodes-on-boxes"),
+    pytest.param(lambda s: s["parameters"].update(
+        domain=MASK_BAND, nodes_per_axis=8, weight={"profile": "constant", "value": 2.0}),
+                 r"scenario\.parameters\.nodes_per_axis applies only", id="nodes-with-weight"),
 ])
 def test_schema_errors_name_the_offending_path(mutate, fragment):
     scenario = bounds_scenario()
@@ -316,6 +325,62 @@ def test_factorization_weight_nodes_must_match_the_shared_rule(tmp_path, capsys)
     assert code == 2
     assert "scenario.parameters.weight (" in err
     assert "scenario.parameters.nodes_per_axis 64" in err
+
+
+UNIT_BAND = {"boxes": [[-0.5, 0.5]]}
+
+
+def gabor_parameters(modulations, translations):
+    return {"base_domain": UNIT_BAND, "modulations": modulations,
+            "translations": translations,
+            "window": {"domain": UNIT_BAND, "weight": {"profile": "indicator"}}}
+
+
+@pytest.mark.parametrize("command,parameters,path", [
+    ("bounds", {"domain": UNIT_BAND, "freqs": {"range": [-1500, 1500]}}, "freqs"),
+    ("transfer", {"domain": UNIT_BAND, "freqs": {"points": list(range(513))},
+                  "weight": {"profile": "constant"}}, "freqs"),
+    ("gabor", gabor_parameters({"range": [-300, 300]}, {"range": [0, 0]}), "modulations"),
+    ("gabor", gabor_parameters({"range": [0, 0]}, {"range": [-300, 300]}), "translations"),
+])
+def test_oversize_frequency_sets_are_rejected_before_they_are_built(
+        command, parameters, path, tmp_path, capsys, monkeypatch):
+    def small_only(build, count):
+        def guarded(*args):
+            assert count(*args) <= 512, "built an oversize frequency set"
+            return build(*args)
+        return guarded
+    monkeypatch.setattr("expbases.cli.FrequencySet", small_only(expbases.FrequencySet, len))
+    monkeypatch.setattr("expbases.cli.lattice_truncation", small_only(
+        expbases.lattice_truncation, lambda lo, hi, d: (hi - lo + 1) ** d))
+    scenario = {"name": "big", "command": command, "parameters": parameters}
+    code, err = run_main(tmp_path, capsys, scenario, command)
+    assert code == 2
+    assert f"scenario.parameters.{path} (" in err and "system cap 512" in err
+    assert "Traceback" not in err
+
+
+def test_frame_transfer_vector_count_has_no_cap(tmp_path, capsys):
+    scenario = {"name": "overcomplete", "command": "frame-transfer",
+                "parameters": {"domain": {"boxes": [[0.0, 1.0]]},
+                               "freqs": {"range": [-300, 299]},
+                               "weight": {"profile": "constant", "nodes_per_axis": 16}}}
+    code, err = run_main(tmp_path, capsys, scenario, "frame-transfer")
+    assert code == 0 and err == ""
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["results"]["n_vectors"] == 600
+
+
+def test_bounds_reads_the_node_count_on_an_unweighted_mask():
+    scenario = bounds_scenario()
+    scenario["parameters"]["domain"] = MASK_BAND
+    default = run_scenario(scenario, "bounds")["results"]
+    scenario["parameters"]["nodes_per_axis"] = 32
+    assert run_scenario(scenario, "bounds")["results"] == default
+    scenario["parameters"]["nodes_per_axis"] = 2
+    coarse = run_scenario(scenario, "bounds")["results"]
+    assert coarse["provenance"] == "quadrature"
+    assert coarse["lower"] != default["lower"]
 
 
 @pytest.mark.parametrize("command,extra", [

@@ -119,6 +119,25 @@ def test_quadrature_covers_mask_cells():
     assert rule.total_weight == pytest.approx(domain.measure, rel=1e-12)
 
 
+def test_cells_of_a_box_union_keep_the_stored_order():
+    domain = make_domain([Box([2.0, 0.0], [3.0, 0.5]), Box([0.0, 0.0], [1.5, 2.0])])
+    cells = domain.cells()
+    assert [c[0].tolist() for c in cells] == [[2.0, 0.0], [0.0, 0.0]]
+    assert [c[1].tolist() for c in cells] == [[1.0, 0.5], [1.5, 2.0]]
+    assert [c[2] for c in cells] == [0.5, 3.0]
+
+
+def test_cells_of_a_mask_skip_excluded_cells_lexicographically():
+    included = [[True, False], [False, True], [True, True]]
+    domain = make_mask_domain([1.0, -1.0], [3, 2], [0.5, 0.25], included)
+    cells = domain.cells()
+    assert [c[0].tolist() for c in cells] == [
+        [1.0, -1.0], [1.5, -0.75], [2.0, -1.0], [2.0, -0.75]]
+    assert all(c[1].tolist() == [0.5, 0.25] for c in cells)
+    assert [c[2] for c in cells] == [0.125] * 4
+    assert sum(c[2] for c in cells) == domain.measure
+
+
 def test_quadrature_rejects_zero_nodes():
     with pytest.raises(ValueError, match="nodes_per_axis"):
         quadrature(make_domain([Box(0.0, 1.0)]), 0)

@@ -5,9 +5,9 @@ import pytest
 
 from expbases import (
     Box,
+    FrequencySet,
     constant_weight,
     exp_gram,
-    freq_set,
     gabor_gram,
     indicator_weight,
     lattice_truncation,
@@ -35,8 +35,8 @@ def entrywise_product_gram(base_domain, modulations, translations, window):
 
 
 def test_gram_matches_entrywise_oracle():
-    mods = freq_set([0.0, 0.5])
-    trans = freq_set([-1.0, 0.0, 1.0])
+    mods = FrequencySet([0.0, 0.5])
+    trans = FrequencySet([-1.0, 0.0, 1.0])
     window = indicator_weight(BASE, nodes_per_axis=8)
     gram = gabor_gram(BASE, mods, trans, window)
     oracle = entrywise_product_gram(BASE, mods, trans, window)
@@ -45,8 +45,8 @@ def test_gram_matches_entrywise_oracle():
 
 
 def test_gram_labels_cycle_translations_fastest():
-    mods = freq_set([0.0, 1.0])
-    trans = freq_set([2.0, 3.0, 4.0])
+    mods = FrequencySet([0.0, 1.0])
+    trans = FrequencySet([2.0, 3.0, 4.0])
     window = indicator_weight(BASE, nodes_per_axis=8)
     gram = gabor_gram(BASE, mods, trans, window)
     labels = [tuple(np.asarray(pair).ravel()) for pair in gram.pair_labels]
@@ -55,8 +55,8 @@ def test_gram_labels_cycle_translations_fastest():
 
 
 def test_gram_provenance_tracks_factors():
-    mods = freq_set([0.0])
-    trans = freq_set([0.0, 1.0])
+    mods = FrequencySet([0.0])
+    trans = FrequencySet([0.0, 1.0])
     closed = gabor_gram(BASE, mods, trans, indicator_weight(BASE))
     assert closed.provenance == "closed_form"
     mixed = gabor_gram(BASE, mods, trans,
@@ -96,7 +96,7 @@ def test_unnormalized_window_breaks_onb_but_not_equivalence():
 
 def test_fractional_translations_break_onb_consistently():
     mods = lattice_truncation(-1, 1)
-    trans = freq_set([0.0, 0.5])
+    trans = FrequencySet([0.0, 0.5])
     rep = vv_onb_check(BASE, mods, trans, indicator_weight(BASE))
     assert not rep.translation.is_onb
     assert not rep.gabor.is_onb
@@ -106,5 +106,5 @@ def test_fractional_translations_break_onb_consistently():
 def test_non_unit_measure_base_rejected():
     wide = make_domain([Box(0.0, 2.0)])
     with pytest.raises(ValueError, match="measure"):
-        vv_onb_check(wide, freq_set([0.0]), freq_set([0.0]),
+        vv_onb_check(wide, FrequencySet([0.0]), FrequencySet([0.0]),
                      indicator_weight(wide))

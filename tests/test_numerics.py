@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from expbases import Pcg32, eigen_bounds, hermitian_defect, kron_residual, seeded_rng
+from expbases import Pcg32, eigen_bounds, hermitian_defect, kron_residual
 
 # First four 32-bit outputs, frozen from evaluating the 64/32 xorshift-rotate
 # recipe step by step with integer arithmetic outside the library.
@@ -119,8 +119,8 @@ def test_next_u64_packs_high_word_first():
 
 
 def test_uniforms_deterministic_and_in_range():
-    xs = seeded_rng(7).uniforms(200, -2.0, 5.0)
-    ys = seeded_rng(7).uniforms(200, -2.0, 5.0)
+    xs = Pcg32(7).uniforms(200, -2.0, 5.0)
+    ys = Pcg32(7).uniforms(200, -2.0, 5.0)
     assert np.array_equal(xs, ys)
     assert np.all((xs >= -2.0) & (xs < 5.0))
 
@@ -137,9 +137,9 @@ def test_randint_rejects_bad_bound():
 
 
 def test_distinct_indices_exhaust_and_sample():
-    full = seeded_rng(3).distinct_indices(10, 10)
+    full = Pcg32(3).distinct_indices(10, 10)
     assert sorted(full) == list(range(10))
-    part = seeded_rng(3).distinct_indices(50, 5)
+    part = Pcg32(3).distinct_indices(50, 5)
     assert len(set(part)) == 5
     with pytest.raises(ValueError, match="distinct"):
-        seeded_rng(3).distinct_indices(4, 5)
+        Pcg32(3).distinct_indices(4, 5)

@@ -7,20 +7,21 @@ import generators
 from expbases import (
     BandlimitedSignal,
     Box,
+    FrequencySet,
+    Pcg32,
     affine_weight,
     bump_window,
     constant_weight,
     convolution_factorization_check,
     exp_gram,
-    freq_set,
     indicator_signal,
     indicator_weight,
     lattice_truncation,
     make_domain,
+    make_mask_domain,
     periodization_profile,
     quadrature,
     random_signal,
-    seeded_rng,
     shannon_reconstruct,
     smooth_random_signal,
     table_weight,
@@ -115,18 +116,34 @@ def test_table_weight_validation():
 
 
 def test_translation_gram_constant_weight_scales_exactly():
-    freqs = freq_set([-1.0, 0.0, 2.5])
+    freqs = FrequencySet([-1.0, 0.0, 2.5])
     base = exp_gram(UNIT, freqs)
     gram = translation_gram(UNIT, freqs, constant_weight(UNIT, 2.0j))
     assert gram.provenance == "closed_form"
     assert np.allclose(gram.matrix, 4.0 * base.matrix, atol=1e-14)
 
 
+# A modulus of 2.5 scales the closed form; a modulus of 2 keeps the scaling
+# exact on the quadrature route, where |value|^2 enters each node weight.
+@pytest.mark.parametrize("domain,value,provenance", [
+    (make_domain([Box(0.0, 0.5), Box(1.0, 1.75)]), 1.5 - 2.0j, "closed_form"),
+    (make_mask_domain([0.0], [4], [0.25], [True, False, True, True]), -2.0j, "quadrature"),
+])
+def test_translation_gram_is_the_scaled_exponential_gram_bitwise(domain, value, provenance):
+    freqs = FrequencySet([-1.0, 0.0, 2.5])
+    weight = constant_weight(domain, value, nodes_per_axis=8)
+    gram = translation_gram(domain, freqs, weight)
+    rule = None if provenance == "closed_form" else weight.rule
+    base = exp_gram(domain, freqs, rule=rule)
+    assert gram.provenance == base.provenance == provenance
+    assert np.array_equal(gram.matrix, abs(value) ** 2 * base.matrix)
+
+
 def test_translation_gram_matches_direct_quadrature():
     rule = quadrature(UNIT, 40)
-    rng = seeded_rng(11)
+    rng = Pcg32(11)
     w = generators.random_nonvanishing_weight(rng, UNIT, rule)
-    freqs = freq_set([0.0, 1.0, -2.0])
+    freqs = FrequencySet([0.0, 1.0, -2.0])
     gram = translation_gram(UNIT, freqs, w)
     phases = np.exp(-2j * np.pi * rule.nodes[:, 0][:, None] * freqs.points[:, 0][None, :])
     coeff = rule.weights * np.abs(w.values) ** 2
@@ -140,7 +157,7 @@ def test_riesz_transfer_requires_nowhere_zero_weight():
     vals[3] = 0.0
     w = table_weight(UNIT, rule, vals)
     with pytest.raises(ValueError, match="verify_frame_transfer"):
-        verify_riesz_transfer(UNIT, freq_set([0.0, 1.0]), w)
+        verify_riesz_transfer(UNIT, FrequencySet([0.0, 1.0]), w)
 
 
 def test_riesz_transfer_constant_weight_is_tight():
@@ -166,14 +183,14 @@ def test_riesz_transfer_rejects_foreign_weight():
     other = make_domain([Box(0.0, 2.0)])
     w = indicator_weight(other, nodes_per_axis=8)
     with pytest.raises(ValueError, match="different domain"):
-        verify_riesz_transfer(UNIT, freq_set([0.0]), w)
+        verify_riesz_transfer(UNIT, FrequencySet([0.0]), w)
 
 
 def test_frame_transfer_on_vanishing_weight():
     rule = quadrature(UNIT, 24)
     vals = np.where(rule.nodes[:, 0] < 0.5, 1.0, 0.0)
     w = table_weight(UNIT, rule, vals)
-    rep = verify_frame_transfer(UNIT, freq_set([-1.0, 0.0, 1.0]), w)
+    rep = verify_frame_transfer(UNIT, FrequencySet([-1.0, 0.0, 1.0]), w)
     assert rep.support_is_proper
     assert rep.space_dim == int(w.support_mask.sum())
     assert rep.n_vectors == 3
@@ -185,7 +202,7 @@ def test_frame_transfer_on_vanishing_weight():
 def test_frame_transfer_full_support_flagged():
     rule = quadrature(UNIT, 16)
     w = indicator_weight(UNIT, rule=rule)
-    rep = verify_frame_transfer(UNIT, freq_set([0.0, 1.0]), w)
+    rep = verify_frame_transfer(UNIT, FrequencySet([0.0, 1.0]), w)
     assert not rep.support_is_proper
     assert rep.sandwich_holds
     assert rep.weight_floor_sq == pytest.approx(1.0)
@@ -204,12 +221,12 @@ def test_smooth_random_signal_one_dimensional_only():
     square = make_domain([Box([0.0, 0.0], [1.0, 1.0])])
     rule = quadrature(square, 4)
     with pytest.raises(ValueError, match="one-dimensional"):
-        smooth_random_signal(square, rule, seeded_rng(0))
+        smooth_random_signal(square, rule, Pcg32(0))
 
 
 def test_factorization_constant_weight_norms():
     rule = quadrature(UNIT, 32)
-    sig = random_signal(UNIT, rule, seeded_rng(5))
+    sig = random_signal(UNIT, rule, Pcg32(5))
     rep = convolution_factorization_check(UNIT, constant_weight(UNIT, 2.0, rule=rule), sig)
     assert rep.residual < 1e-15
     assert rep.bound_holds
@@ -269,7 +286,7 @@ def test_shannon_flat_spectrum_reconstructs_sinc():
 
 def test_shannon_energy_grows_with_truncation():
     rule = quadrature(BAND, 257)
-    sig = smooth_random_signal(BAND, rule, seeded_rng(9))
+    sig = smooth_random_signal(BAND, rule, Pcg32(9))
     energies = [shannon_reconstruct(sig, n, [0.1]).coeff_energy for n in (2, 8, 32)]
     assert energies[0] <= energies[1] + 1e-12
     assert energies[1] <= energies[2] + 1e-12

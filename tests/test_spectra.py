@@ -9,7 +9,6 @@ from expbases import (
     FrequencySet,
     exp_gram,
     exp_inner_closed,
-    freq_set,
     is_orthonormal_system,
     lattice_truncation,
     make_domain,
@@ -26,19 +25,19 @@ TWO_OVER_PI = 0.6366197723675814
 
 
 def test_frequency_set_shapes():
-    fs = freq_set([[0.0, 1.0], [1.0, 0.0]])
+    fs = FrequencySet([[0.0, 1.0], [1.0, 0.0]])
     assert fs.size == 2
     assert fs.dimension == 2
-    flat = freq_set([0.0, 1.0, 2.0])
+    flat = FrequencySet([0.0, 1.0, 2.0])
     assert flat.size == 3
     assert flat.dimension == 1
 
 
 def test_frequency_set_rejects_empty_and_nonfinite():
     with pytest.raises(ValueError):
-        freq_set(np.zeros((0, 1)))
+        FrequencySet(np.zeros((0, 1)))
     with pytest.raises(ValueError, match="finite"):
-        freq_set([0.0, float("nan")])
+        FrequencySet([0.0, float("nan")])
 
 
 def test_lattice_truncation_range():
@@ -57,7 +56,7 @@ def test_closed_inner_unit_interval_frozen():
 
 
 def test_closed_gram_eigenvalues_frozen():
-    gram = exp_gram(UNIT, freq_set([0.0, 0.5]))
+    gram = exp_gram(UNIT, FrequencySet([0.0, 0.5]))
     rep = riesz_bounds(gram)
     assert rep.lower == pytest.approx(1.0 - TWO_OVER_PI, rel=1e-12)
     assert rep.upper == pytest.approx(1.0 + TWO_OVER_PI, rel=1e-12)
@@ -75,7 +74,7 @@ def test_integer_lattice_gram_is_identity():
 
 
 def test_quadrature_gram_approaches_closed_form():
-    freqs = freq_set([-1.5, 0.0, 0.5, 2.0])
+    freqs = FrequencySet([-1.5, 0.0, 0.5, 2.0])
     closed = exp_gram(UNIT, freqs)
     sampled = exp_gram(UNIT, freqs, rule=quadrature(UNIT, 2000))
     assert sampled.provenance == "quadrature"
@@ -84,11 +83,20 @@ def test_quadrature_gram_approaches_closed_form():
 
 def test_mask_domain_uses_quadrature_route():
     domain = make_mask_domain([0.0], [4], [0.25], [True, True, False, True])
-    gram = exp_gram(domain, freq_set([0.0, 1.0]), nodes_per_axis=200)
+    gram = exp_gram(domain, FrequencySet([0.0, 1.0]), nodes_per_axis=200)
     assert gram.provenance == "quadrature"
     with pytest.raises(ValueError, match="quadrature path"):
         exp_inner_closed(make_mask_domain([0.0], [2], [0.5], [True, True]),
                          [0.0], [1.0])
+
+
+def test_gram_entries_are_the_pairwise_closed_form_exactly():
+    union = make_domain([Box([0.0, 0.0], [1.0, 0.5]), Box([1.25, -0.3], [2.0, 0.7])])
+    a, b = [0.3, -1.7], [2.25, 0.4]
+    gram = exp_gram(union, FrequencySet([a, b]))
+    assert gram.provenance == "closed_form"
+    assert gram.matrix[0, 1] == exp_inner_closed(union, a, b)
+    assert gram.matrix[1, 0] == exp_inner_closed(union, b, a)
 
 
 def test_two_dim_gram_factorizes_over_axes():
@@ -104,7 +112,7 @@ def test_two_dim_gram_factorizes_over_axes():
 def test_near_duplicate_frequencies_read_degenerate():
     # the pair is legal (gap above the coincidence tolerance) but the
     # resulting Gram is numerically singular
-    gram = exp_gram(UNIT, freq_set([0.0, 1e-7]))
+    gram = exp_gram(UNIT, FrequencySet([0.0, 1e-7]))
     rep = riesz_bounds(gram)
     assert rep.verdict == "degenerate"
     assert rep.upper == pytest.approx(2.0, rel=1e-9)
@@ -112,7 +120,7 @@ def test_near_duplicate_frequencies_read_degenerate():
 
 def test_coinciding_frequencies_rejected_at_construction():
     with pytest.raises(ValueError, match="coincide"):
-        freq_set([0.0, 1e-14])
+        FrequencySet([0.0, 1e-14])
 
 
 def test_system_cap_enforced():
@@ -131,5 +139,5 @@ def test_closed_inner_is_conjugate_symmetric(a, b):
 
 def test_gram_diagonal_equals_measure():
     domain = make_domain([Box(0.0, 0.75), Box(1.0, 1.5)])
-    gram = exp_gram(domain, freq_set([-2.0, 0.0, 1.25]))
+    gram = exp_gram(domain, FrequencySet([-2.0, 0.0, 1.25]))
     assert np.allclose(np.diag(gram.matrix).real, domain.measure, atol=1e-12)
