@@ -231,14 +231,6 @@ class QuadratureRule:
         return float(self.weights.sum())
 
 
-def _cell_nodes(lower: np.ndarray, widths: np.ndarray, n: int) -> np.ndarray:
-    # Midpoints of an n-per-axis subdivision, lexicographic multi-index order.
-    d = lower.size
-    axes = [lower[j] + (np.arange(n) + 0.5) * (widths[j] / n) for j in range(d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.reshape(-1) for m in mesh], axis=-1)
-
-
 def quadrature(domain: Domain, nodes_per_axis: int) -> QuadratureRule:
     """Midpoint rule over every piece of Domain.cells, in its order.
 
@@ -248,13 +240,13 @@ def quadrature(domain: Domain, nodes_per_axis: int) -> QuadratureRule:
     n = int(nodes_per_axis)
     if n < 1:
         raise ValueError(f"nodes_per_axis must be at least 1, got {nodes_per_axis}")
-    chunks = []
-    wchunks = []
-    for lower, widths, volume in domain.cells():
-        pts = _cell_nodes(lower, widths, n)
-        chunks.append(pts)
-        wchunks.append(np.full(pts.shape[0], volume / n ** domain.dimension))
-    rule = QuadratureRule(np.concatenate(chunks), np.concatenate(wchunks))
+    lower, widths, volume = (np.array(part) for part in zip(*domain.cells()))
+    # Subcell multi-indices in lexicographic order, one row per node of a piece.
+    sub = np.stack(np.unravel_index(np.arange(n ** domain.dimension),
+                                    (n,) * domain.dimension), axis=-1)
+    nodes = lower[:, np.newaxis, :] + (sub + 0.5) * (widths[:, np.newaxis, :] / n)
+    rule = QuadratureRule(nodes.reshape(-1, domain.dimension),
+                          np.repeat(volume / n ** domain.dimension, sub.shape[0]))
     if abs(rule.total_weight - domain.measure) > WEIGHT_SUM_RTOL * domain.measure:
         raise RuntimeError(
             f"weight sum {rule.total_weight} drifted from measure {domain.measure}")

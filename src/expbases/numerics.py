@@ -17,8 +17,9 @@ import numpy as np
 # Largest matrix order the dense solver accepts.
 ORDER_CAP = 512
 
-# Absolute ceiling on |M - M*| entries before a matrix counts as Hermitian.
-HERMITICITY_ATOL = 1e-12
+# Ceiling on |M - M*| entries before a matrix counts as Hermitian: absolute
+# while max |M| is at most one, relative to max |M| above that.
+HERMITICITY_TOL = 1e-12
 
 # Ceiling on the reported eigen residual, max_i ||M v_i - w_i v_i|| scaled
 # by (max |M| entry) * order.
@@ -50,23 +51,30 @@ def hermitian_defect(matrix) -> tuple[float, tuple[int, int]]:
     return float(diff[i, j]), (int(i), int(j))
 
 
+def hermiticity_ceiling(matrix: np.ndarray, tol: float) -> float:
+    """tol scaled to the matrix: absolute below unit magnitude, relative otherwise."""
+    return tol * max(1.0, float(np.max(np.abs(matrix), initial=0.0)))
+
+
 def eigen_bounds(matrix) -> EigenBounds:
     """Extreme eigenvalues via a dense symmetric eigendecomposition.
 
     Rejects non-square input, orders above ORDER_CAP, and matrices whose
-    Hermitian defect exceeds HERMITICITY_ATOL (the offending entry is
-    named). A decomposition that fails to converge, or whose residual
-    exceeds RESIDUAL_CAP, raises instead of returning a partial answer.
+    Hermitian defect exceeds HERMITICITY_TOL * max(1, max |M|) (the
+    offending entry is named). A decomposition that fails to converge, or
+    whose residual exceeds RESIDUAL_CAP, raises instead of returning a
+    partial answer.
     """
     m = _as_square(matrix)
     n = m.shape[0]
     if n > ORDER_CAP:
         raise ValueError(f"order {n} exceeds the dense-solver cap {ORDER_CAP}; shrink the truncation")
     defect, (i, j) = hermitian_defect(m)
-    if defect > HERMITICITY_ATOL:
+    ceiling = hermiticity_ceiling(m, HERMITICITY_TOL)
+    if defect > ceiling:
         raise ValueError(
             f"matrix is not Hermitian: |M[{i},{j}] - conj(M[{j},{i}])| = {defect:.3e} "
-            f"exceeds {HERMITICITY_ATOL}")
+            f"exceeds {ceiling:g}")
     herm = 0.5 * (m + m.conj().T)
     try:
         w, v = np.linalg.eigh(herm)

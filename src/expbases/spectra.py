@@ -16,13 +16,17 @@ from typing import Optional
 import numpy as np
 
 from .domain import Domain, QuadratureRule, quadrature
-from .numerics import eigen_bounds, hermitian_defect
+from .numerics import eigen_bounds, hermitian_defect, hermiticity_ceiling
 
 # Largest frequency-set size a Gram matrix will be assembled for.
 SYSTEM_SIZE_CAP = 512
 
 # Frequencies closer than this in sup norm count as duplicates.
 DISTINCTNESS_TOL = 1e-12
+
+# Pairwise gaps per block of the distinctness check; a set within
+# SYSTEM_SIZE_CAP is one block.
+_GAP_BLOCK_ENTRIES = SYSTEM_SIZE_CAP ** 2
 
 # Below this phase scale the closed-form axis factor switches to its
 # zero-frequency branch.
@@ -49,15 +53,23 @@ class FrequencySet:
             raise ValueError(f"frequencies must form a nonempty (n, d) array, got shape {pts.shape}")
         if not np.all(np.isfinite(pts)):
             raise ValueError("frequencies must be finite")
-        if pts.shape[0] > 1:
-            gaps = np.max(np.abs(pts[:, np.newaxis, :] - pts[np.newaxis, :, :]), axis=-1)
-            gaps[np.diag_indices_from(gaps)] = np.inf
+        # Closest pair by blocks of rows, so memory stays linear in n; a
+        # strict comparison keeps the first pair in row-major order on ties.
+        n = pts.shape[0]
+        rows = max(1, _GAP_BLOCK_ENTRIES // n)
+        closest, i, j = np.inf, 0, 0
+        for start in range(0, n, rows):
+            gaps = np.max(np.abs(pts[start:start + rows, np.newaxis, :] - pts[np.newaxis, :, :]),
+                          axis=-1)
+            local = np.arange(gaps.shape[0])
+            gaps[local, start + local] = np.inf
             k = int(np.argmin(gaps))
-            i, j = np.unravel_index(k, gaps.shape)
-            if gaps[i, j] <= DISTINCTNESS_TOL:
-                raise ValueError(
-                    f"frequencies {i} and {j} coincide within {DISTINCTNESS_TOL}: "
-                    f"{pts[i].tolist()} vs {pts[j].tolist()}")
+            if gaps.flat[k] < closest:
+                closest, i, j = gaps.flat[k], start + k // n, k % n
+        if closest <= DISTINCTNESS_TOL:
+            raise ValueError(
+                f"frequencies {i} and {j} coincide within {DISTINCTNESS_TOL}: "
+                f"{pts[i].tolist()} vs {pts[j].tolist()}")
         pts = np.ascontiguousarray(pts)
         pts.setflags(write=False)
         object.__setattr__(self, "dimension", int(pts.shape[1]))
@@ -93,13 +105,11 @@ class GramMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"Gram matrix must be square, got shape {m.shape}")
         defect, (i, j) = hermitian_defect(m)
-        tol = _HERMITICITY_TOL[provenance]
+        tol = hermiticity_ceiling(m, _HERMITICITY_TOL[provenance])
         if defect > tol:
             raise ValueError(
-                f"Gram matrix is not Hermitian within {tol}: defect {defect:.3e} at ({i},{j})")
+                f"Gram matrix is not Hermitian within {tol:g}: defect {defect:.3e} at ({i},{j})")
         diag = np.diagonal(m)
-        if np.max(np.abs(diag.imag), initial=0.0) > tol:
-            raise ValueError("Gram diagonal has a non-real entry")
         if np.min(diag.real) <= 0.0:
             k = int(np.argmin(diag.real))
             raise ValueError(f"Gram diagonal entry {k} is not positive: {diag.real[k]}")

@@ -2,15 +2,15 @@
 
 Elements of Z_{n_1} x ... x Z_{n_d} are addressed by C-order linear
 index. Verdicts are exact (integer coverage counts, character sums
-judged against a size-scaled tolerance); searches are exhaustive
-depth-first enumerations up to the documented caps, with a seeded
-sampling fallback beyond them.
+judged against a size-scaled tolerance). Searches are exhaustive
+depth-first walks of an explicit stack up to the documented caps and a
+work budget, with a seeded sampling fallback beyond the caps; the
+spectrum search tabulates differences among admissible elements only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -23,6 +23,11 @@ PATTERN_SIZE_CAP = 12
 
 # Character sums below this fraction of the pattern size count as zero.
 CHARACTER_TOL = 1e-9
+
+# Work an exhaustive walk may spend: one unit per node, plus n * n // 16
+# per found set of n members (its canonicalization table; 16 entries cost
+# about one node). The caps bound the group and pattern, not the work.
+SEARCH_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True, init=False)
@@ -144,14 +149,22 @@ class SearchResult:
 
 
 def _canonical(group: GroupInstance, indices: np.ndarray) -> tuple[int, ...]:
+    # Each row is the set translated so that one member sits at 0; the
+    # orbit minimum is the least sorted row. Rows come in blocks of 256 so
+    # the broadcast stays linear in the set size.
     coords = group.coords(indices)
-    best = None
-    for i in range(coords.shape[0]):
-        shifted = np.sort(group.index(coords - coords[i]))
-        key = tuple(int(v) for v in shifted)
-        if best is None or key < best:
-            best = key
-    return best
+    keys = []
+    for start in range(0, coords.shape[0], 256):
+        origins = coords[start:start + 256, np.newaxis, :]
+        rows = np.sort(group.index(coords[np.newaxis, :, :] - origins), axis=1)
+        keys.append(tuple(rows[np.lexsort(rows.T[::-1])[0]].tolist()))
+    return min(keys)
+
+
+def _spend(work: int, cost: int, what: str) -> int:
+    if work + cost > SEARCH_BUDGET:
+        raise ValueError(f"{what} passed its budget of {SEARCH_BUDGET} work units unfinished")
+    return work + cost
 
 
 def _check_caps(group: GroupInstance, size: int, force: bool, samples,
@@ -178,7 +191,7 @@ def search_complements(group: GroupInstance, pattern, *,
 
     Exact-cover depth-first search keyed on the least uncovered element;
     every complement is enumerated, then canonicalized to its orbit
-    minimum.
+    minimum. A walk past SEARCH_BUDGET raises ValueError.
     """
     pat_idx = _distinct_indices(group, pattern, "pattern")
     order = group.order
@@ -192,37 +205,28 @@ def search_complements(group: GroupInstance, pattern, *,
     pat_coords = group.coords(pat_idx)
     all_coords = group.coords(np.arange(order))
     shifted = group.index(pat_coords[np.newaxis, :, :] + all_coords[:, np.newaxis, :])
-    cover = []
     full = (1 << order) - 1
-    for b in range(order):
-        mask = 0
-        for s in shifted[b].tolist():
-            mask |= 1 << s
-        cover.append(mask)
+    # Translates are bijections, so a sum of distinct bits is their union.
+    cover = [sum(1 << s for s in row) for row in shifted.tolist()]
     # starters[e] lists the b values whose translate reaches element e.
     starters = group.index(all_coords[:, np.newaxis, :] - pat_coords[np.newaxis, :, :]).tolist()
 
     found: set[tuple[int, ...]] = set()
-    examined = 0
-
-    def descend(covered: int, chosen: list[int]) -> None:
-        nonlocal examined
+    examined = work = 0
+    stack = [(0, ())]
+    while stack:
+        work = _spend(work, 1, "complement search")
+        covered, chosen = stack.pop()
         if covered == full:
             examined += 1
+            work = _spend(work, len(chosen) ** 2 // 16, "complement search")
             found.add(_canonical(group, np.asarray(chosen)))
-            return
+            continue
         free = (~covered) & full
         least = (free & -free).bit_length() - 1
         for b in starters[least]:
-            c = cover[b]
-            if c & covered:
-                continue
-            chosen.append(b)
-            descend(covered | c, chosen)
-            chosen.pop()
-
-    descend(0, [])
-    del descend  # the recursive closure is a cycle that would keep cover alive
+            if not cover[b] & covered:
+                stack.append((covered | cover[b], chosen + (b,)))
     return SearchResult(tuple(sorted(found)), True, examined, "")
 
 
@@ -235,7 +239,8 @@ def search_spectra(group: GroupInstance, pattern, *,
 
     Differences within a spectrum must annihilate the pattern's character
     sum, so the search extends index-ascending cliques of the admissible
-    difference set, anchored at zero.
+    difference set, anchored at zero. A walk past SEARCH_BUDGET raises
+    ValueError.
     """
     pat_idx = _distinct_indices(group, pattern, "pattern")
     order = group.order
@@ -250,39 +255,33 @@ def search_spectra(group: GroupInstance, pattern, *,
     ok = sums <= tol * k
     ok[0] = False
 
-    # Axis-wise build keeps the difference table at one int32 temp per axis.
-    diff_lin = np.zeros((order, order), dtype=np.int32)
-    for axis, m in enumerate(group.moduli):
-        col = all_coords[:, axis].astype(np.int32)
-        diff_lin = diff_lin * m + (col[:, np.newaxis] - col[np.newaxis, :]) % m
-    diff_ok = ok[diff_lin]
-    del diff_lin
+    # Every member of a spectrum anchored at 0 is admissible, so the table
+    # needs admissible elements only; bit r of extends[c] is set when
+    # admissible[r] - admissible[c] is admissible.
+    admissible = np.flatnonzero(ok).tolist()
+    adm_coords = all_coords[admissible]
+    diff_ok = ok[group.index(adm_coords[:, np.newaxis, :] - adm_coords[np.newaxis, :, :])]
+    extends = [int.from_bytes(np.packbits(col, bitorder="little").tobytes(), "little")
+               for col in diff_ok.T]
 
     found: set[tuple[int, ...]] = set()
-    examined = 0
-
-    def extend(members: list[int], candidates: list[int]) -> None:
-        nonlocal examined
-        if len(members) == k:
-            examined += 1
-            found.add(_canonical(group, np.asarray(members)))
-            return
+    examined = work = 0
+    # Each entry is a clique and the bitset of admissible positions that may
+    # extend it: the lowest is tried first, then the clique without it.
+    stack = [((0,), (1 << len(admissible)) - 1)]
+    while stack:
+        work = _spend(work, 1, "spectrum search")
+        members, candidates = stack.pop()
         needed = k - len(members)
-        for pos, c in enumerate(candidates):
-            remaining = candidates[pos + 1:]
-            if 1 + len(remaining) < needed:
-                break
-            members.append(c)
-            extend(members, [r for r in remaining if diff_ok[r, c]])
-            members.pop()
-
-    if k == 1:
-        found.add((0,))
-        examined = 1
-    else:
-        base = [c for c in range(1, order) if diff_ok[c, 0]]
-        extend([0], base)
-    del extend  # the recursive closure is a cycle that would keep diff_ok alive
+        if needed == 0:
+            examined += 1
+            work = _spend(work, k * k // 16, "spectrum search")
+            found.add(_canonical(group, np.asarray(members)))
+        elif candidates.bit_count() >= needed:
+            low = candidates & -candidates
+            c = low.bit_length() - 1
+            stack.append((members, candidates ^ low))
+            stack.append((members + (admissible[c],), (candidates ^ low) & extends[c]))
     return SearchResult(tuple(sorted(found)), True, examined, "")
 
 

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import time
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from expbases.cli import (
     run_scenario,
     write_text_atomic,
 )
+from expbases.tiling import SEARCH_BUDGET
 
 
 def bounds_scenario(**extra):
@@ -369,6 +371,46 @@ def test_frame_transfer_vector_count_has_no_cap(tmp_path, capsys):
     assert code == 0 and err == ""
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["results"]["n_vectors"] == 600
+
+
+def test_transfer_with_a_large_weight_passes_the_hermiticity_gates(tmp_path, capsys):
+    # Entries reach 4e4, so an absolute 1e-12 gate would refuse rounding noise.
+    scenario = {"name": "heavy", "command": "transfer",
+                "parameters": {"domain": {"boxes": [[[0.0, 0.0], [1.0, 1.0]]]},
+                               "freqs": {"range": [-10, 11]},
+                               "weight": {"profile": "affine", "offset": 200.0,
+                                          "gradient": [0.5, -0.3], "nodes_per_axis": 45}}}
+    code, err = run_main(tmp_path, capsys, scenario, "transfer")
+    assert code == 0 and err == ""
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["verdicts"]["sandwich_holds"] is True
+
+
+def test_complement_search_deeper_than_the_recursion_limit(tmp_path, capsys):
+    scenario = {"name": "deep", "command": "tiling",
+                "parameters": {"moduli": [2048], "mode": "search_complements",
+                               "pattern": [0, 1]}}
+    code, err = run_main(tmp_path, capsys, scenario, "tiling")
+    assert code == 0 and err == ""
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["verdicts"]["exhaustive"] is True
+    assert report["results"]["found"] == [list(range(0, 2048, 2))]
+
+
+@pytest.mark.parametrize("command, parameters", [
+    ("tiling", {"moduli": [64, 64], "mode": "search_complements", "pattern": [0, 1, 64, 65]}),
+    ("cube-check", {"moduli": [64, 64], "side": 2}),
+])
+def test_search_past_its_work_budget_exits_promptly(tmp_path, capsys, command, parameters):
+    # The 2x2 cube in Z64^2 is within the caps but has astronomically many
+    # complements; the walk must stop at its budget, not run until killed.
+    start = time.perf_counter()
+    code, err = run_main(tmp_path, capsys, {"name": "huge", "command": command,
+                                           "parameters": parameters}, command)
+    assert time.perf_counter() - start < 30.0
+    assert code == 2
+    assert f"complement search passed its budget of {SEARCH_BUDGET} work units" in err
+    assert "Traceback" not in err
 
 
 def test_bounds_reads_the_node_count_on_an_unweighted_mask():

@@ -119,6 +119,37 @@ def test_quadrature_covers_mask_cells():
     assert rule.total_weight == pytest.approx(domain.measure, rel=1e-12)
 
 
+def _per_cell_quadrature(domain, n):
+    # Reference: one meshgrid of subcell midpoints per piece, concatenated.
+    nodes, weights = [], []
+    for lower, widths, volume in domain.cells():
+        axes = [lower[j] + (np.arange(n) + 0.5) * (widths[j] / n) for j in range(lower.size)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        nodes.append(np.stack([m.reshape(-1) for m in mesh], axis=-1))
+        weights.append(np.full(n ** lower.size, volume / n ** lower.size))
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+QUADRATURE_DOMAINS = [
+    make_domain([Box(-1.0, -0.3), Box(0.1, 0.35), Box(0.5, 1.4)]),
+    make_domain([Box([2.0, 0.0], [3.0, 0.5]), Box([0.0, 0.0], [1.5, 2.0])]),
+    make_domain([Box([0.0, 0.0, 0.0], [0.3, 0.7, 1.1]), Box([1.0, 0.0, 0.0], [1.9, 0.2, 0.4])]),
+    make_mask_domain([0.1], [5], [0.3], [True, False, True, True, False]),
+    make_mask_domain([1.0, -1.0], [3, 2], [0.5, 0.25], [[True, False], [False, True], [True, True]]),
+    make_mask_domain([0.0, 0.0, -0.5], [2, 2, 2], [0.5, 0.3, 0.7],
+                     [[[True, False], [True, True]], [[False, True], [True, False]]]),
+]
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 24, 45])
+@pytest.mark.parametrize("domain", QUADRATURE_DOMAINS)
+def test_quadrature_matches_the_per_cell_midpoints_bitwise(domain, n):
+    rule = quadrature(domain, n)
+    nodes, weights = _per_cell_quadrature(domain, n)
+    assert np.array_equal(rule.nodes, nodes)
+    assert np.array_equal(rule.weights, weights)
+
+
 def test_cells_of_a_box_union_keep_the_stored_order():
     domain = make_domain([Box([2.0, 0.0], [3.0, 0.5]), Box([0.0, 0.0], [1.5, 2.0])])
     cells = domain.cells()

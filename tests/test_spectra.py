@@ -1,5 +1,7 @@
 """Exponential Gram matrices: closed form, quadrature, and the bounds verdicts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,7 @@ from expbases import (
     quadrature,
     riesz_bounds,
 )
+from expbases.spectra import _GAP_BLOCK_ENTRIES
 
 UNIT = make_domain([Box(0.0, 1.0)])
 
@@ -121,6 +124,28 @@ def test_near_duplicate_frequencies_read_degenerate():
 def test_coinciding_frequencies_rejected_at_construction():
     with pytest.raises(ValueError, match="coincide"):
         FrequencySet([0.0, 1e-14])
+
+
+def test_coinciding_pair_across_a_block_boundary_is_named():
+    n = 1000
+    rows = _GAP_BLOCK_ENTRIES // n
+    assert rows < n
+    points = np.arange(n, dtype=float)
+    points[rows] = points[rows - 1] + 1e-13
+    with pytest.raises(ValueError, match=rf"frequencies {rows - 1} and {rows} coincide"):
+        FrequencySet(points)
+
+
+def test_distinctness_check_memory_is_linear_in_the_set_size():
+    # The full (n, n) gap array for 3,001 points alone would take 72 MB.
+    tracemalloc.start()
+    try:
+        fs = lattice_truncation(-1500, 1500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fs.size == 3001
+    assert peak < 16e6
 
 
 def test_system_cap_enforced():

@@ -1,6 +1,7 @@
 """Finite abelian group translational covers and orthogonal character sets."""
 
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import oracles
 from expbases import (
     GroupInstance,
+    Pcg32,
     cube_equivalence_check,
     cube_set,
     is_spectrum,
@@ -24,6 +26,17 @@ KNOWN_CASES = [
     ((8,), (0, 1, 4, 5), {(0, 2)}, {(0, 1, 4, 5)}),
     ((2, 2), (0, 1), {(0, 2), (0, 3)}, {(0, 1), (0, 3)}),
 ]
+
+
+def _seeded_cases():
+    # Seeded patterns with no frozen answer: the oracle alone decides them.
+    rng = Pcg32(2024)
+    cases = []
+    for moduli in ((4, 4), (2, 6), (3, 3)):
+        order = int(np.prod(moduli))
+        for size in (3, 3, 4, 4):
+            cases.append((moduli, tuple(sorted(rng.distinct_indices(order, size))), None, None))
+    return cases
 
 
 def test_group_instance_validation_and_indexing():
@@ -72,16 +85,19 @@ def test_is_spectrum_verdicts():
     assert not short.sizes_match
 
 
-@pytest.mark.parametrize("moduli,pattern,complements,spectra", KNOWN_CASES)
+@pytest.mark.parametrize("moduli,pattern,complements,spectra", KNOWN_CASES + _seeded_cases())
 def test_searches_match_enumeration_oracle(moduli, pattern, complements, spectra):
     g = GroupInstance(moduli)
     comp = search_complements(g, pattern)
     spec = search_spectra(g, pattern)
     assert comp.exhaustive and spec.exhaustive
-    assert set(comp.found) == complements
-    assert set(spec.found) == spectra
-    assert oracles.brute_force_complements(g, pattern) == complements
-    assert oracles.brute_force_spectra(g, pattern) == spectra
+    oracle_complements = oracles.brute_force_complements(g, pattern)
+    oracle_spectra = oracles.brute_force_spectra(g, pattern)
+    assert set(comp.found) == oracle_complements
+    assert set(spec.found) == oracle_spectra
+    if complements is not None:
+        assert oracle_complements == complements
+        assert oracle_spectra == spectra
 
 
 def test_found_sets_verify_under_direct_checks():
@@ -177,6 +193,20 @@ def test_cube_equivalence_z6_families():
     assert rep.dual_side == (3,)
     assert rep.equal
     assert set(rep.complements.found) == {(0, 2, 4)}
+
+
+def test_spectrum_search_table_covers_admissible_differences_only():
+    # The full difference table of Z64^2 would be 4,096^2 entries.
+    g = GroupInstance([64, 64])
+    pattern = cube_set(g, 2)
+    tracemalloc.start()
+    try:
+        res = search_spectra(g, pattern)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.exhaustive and len(res.found) == 33
+    assert peak < 8e6
 
 
 def test_searches_leave_no_cycles_holding_their_tables():
