@@ -1,11 +1,12 @@
 """Dense Hermitian eigenvalue bounds, Kronecker residuals, and a portable
 random stream.
 
-The eigensolver route is a full symmetric eigendecomposition behind a
-fixed contract: order cap, Hermiticity rejection with the offending entry
-named, and a relative residual that must clear a hard ceiling before any
+The eigensolver route computes eigenvalues only, behind a fixed contract:
+order cap, Hermiticity rejection with the offending entry named, and an
+inertia certificate whose margin must clear a hard ceiling before any
 bounds are reported. Test suites hold it against an independent power
-iteration oracle, so the two routes never share code.
+iteration oracle and an eigenvector residual oracle, so the routes never
+share code.
 """
 
 from __future__ import annotations
@@ -21,18 +22,20 @@ ORDER_CAP = 512
 # while max |M| is at most one, relative to max |M| above that.
 HERMITICITY_TOL = 1e-12
 
-# Ceiling on the reported eigen residual, max_i ||M v_i - w_i v_i|| scaled
-# by (max |M| entry) * order.
+# Ceiling on the certificate margin scaled by (max |M| entry) * order.
 RESIDUAL_CAP = 1e-8
 
 
 @dataclass(frozen=True)
 class EigenBounds:
-    """Extreme eigenvalues of a Hermitian matrix plus the achieved residual."""
+    """Extreme eigenvalues of a Hermitian matrix and their certificate margin.
+
+    Every eigenvalue lies in [lambda_min - margin, lambda_max + margin].
+    """
 
     lambda_min: float
     lambda_max: float
-    residual: float
+    margin: float
 
 
 def _as_square(matrix) -> np.ndarray:
@@ -56,14 +59,27 @@ def hermiticity_ceiling(matrix: np.ndarray, tol: float) -> float:
     return tol * max(1.0, float(np.max(np.abs(matrix), initial=0.0)))
 
 
+def _positive_definite(matrix: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def eigen_bounds(matrix) -> EigenBounds:
-    """Extreme eigenvalues via a dense symmetric eigendecomposition.
+    """Extreme eigenvalues, certified by Sylvester's law of inertia.
 
     Rejects non-square input, orders above ORDER_CAP, and matrices whose
     Hermitian defect exceeds HERMITICITY_TOL * max(1, max |M|) (the
-    offending entry is named). A decomposition that fails to converge, or
-    whose residual exceeds RESIDUAL_CAP, raises instead of returning a
-    partial answer.
+    offending entry is named). eigvalsh gives lambda_min and lambda_max;
+    Cholesky factorizations of M - (lambda_min - margin) I and
+    (lambda_max + margin) I - M then show that no eigenvalue lies outside
+    the reported range by more than margin. The margin starts at
+    order * eps * max(|lambda_min|, |lambda_max|) and doubles after a
+    failed factorization. An eigensolver that fails to converge, or a
+    margin that would exceed RESIDUAL_CAP * max |M| * order, raises
+    instead of returning a partial answer.
     """
     m = _as_square(matrix)
     n = m.shape[0]
@@ -75,20 +91,35 @@ def eigen_bounds(matrix) -> EigenBounds:
         raise ValueError(
             f"matrix is not Hermitian: |M[{i},{j}] - conj(M[{j},{i}])| = {defect:.3e} "
             f"exceeds {ceiling:g}")
-    herm = 0.5 * (m + m.conj().T)
-    try:
-        w, v = np.linalg.eigh(herm)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"eigendecomposition did not converge: {exc}") from exc
-    scale = float(np.max(np.abs(m))) * n
+    top = float(np.max(np.abs(m)))
+    scale = top * n
     if scale == 0.0:
         return EigenBounds(0.0, 0.0, 0.0)
-    resid_vectors = m @ v - v * w[np.newaxis, :]
-    residual = float(np.max(np.linalg.norm(resid_vectors, axis=0))) / scale
-    if residual > RESIDUAL_CAP:
-        raise RuntimeError(
-            f"eigen residual {residual:.3e} exceeds the ceiling {RESIDUAL_CAP}")
-    return EigenBounds(float(w[0]), float(w[-1]), residual)
+    # The eigensolver and both certificates read this one matrix.
+    herm = 0.5 * (m + m.conj().T)
+    try:
+        w = np.linalg.eigvalsh(herm)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"eigenvalue solver did not converge: {exc}") from exc
+    lo, hi = float(w[0]), float(w[-1])
+    # max |M| <= max |lambda| for a Hermitian M; top only keeps the margin
+    # positive should the solver return zeros for a nonzero M. np.max
+    # propagates a NaN, which the gate below then rejects.
+    margin = float(n * np.finfo(float).eps * np.max(np.abs([lo, hi, top])))
+    identity = np.eye(n)
+    below = above = False
+    while True:
+        # Written so that NaN or infinite values fail the gate too.
+        if not margin <= RESIDUAL_CAP * scale < np.inf:
+            raise RuntimeError(
+                f"eigen certificate margin {margin / scale:.3e} exceeds the ceiling "
+                f"{RESIDUAL_CAP}")
+        # A factorization that succeeds at one margin succeeds at any larger one.
+        below = below or _positive_definite(herm - (lo - margin) * identity)
+        above = above or _positive_definite((hi + margin) * identity - herm)
+        if below and above:
+            return EigenBounds(lo, hi, margin)
+        margin *= 2.0
 
 
 def kron_residual(big, left, right) -> float:

@@ -5,7 +5,10 @@ all Gram entries are integrals of products of such exponentials over the
 domain, optionally against a spectral weight. exp_gram alone decides how a
 Gram is integrated: box domains get a product of closed-form axis
 factors (one routine, _closed_form, for a single pair or a whole matrix);
-everything else goes through midpoint quadrature.
+everything else goes through midpoint quadrature. On an axis whose
+frequencies are integers the closed-form factor depends only on the
+integer difference, so it is evaluated once per difference and gathered
+(the Gram is Toeplitz along that axis).
 """
 
 from __future__ import annotations
@@ -31,6 +34,9 @@ _GAP_BLOCK_ENTRIES = SYSTEM_SIZE_CAP ** 2
 # Below this phase scale the closed-form axis factor switches to its
 # zero-frequency branch.
 DELTA_ZERO_TOL = 1e-12
+
+# Integer coordinates below this magnitude have exact float differences.
+_EXACT_INTEGER_BOUND = 2.0 ** 52
 
 # A lower bound at or below this fraction of the upper bound is degenerate.
 DEGENERACY_RTOL = 1e-9
@@ -138,17 +144,45 @@ def _axis_factor(delta: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return np.where(small, hi - lo, out)
 
 
-def _closed_form(domain: Domain, delta) -> np.ndarray:
-    # Integral of exp(-2 pi i <delta, x>) over the box union, one axis
-    # factor per box and axis, for delta of any shape (..., d).
-    delta = np.asarray(delta, dtype=float)
-    total = np.zeros(delta.shape[:-1], dtype=complex)
+def _closed_form(domain: Domain, shape, axis_factor) -> np.ndarray:
+    # Integral of exp(-2 pi i <delta, x>) over the box union for an array
+    # of differences delta of the given shape: per box, the product of
+    # axis_factor(j, lo, hi), the axis-j factor on [lo, hi].
+    total = np.zeros(shape, dtype=complex)
     for box in domain.boxes:
-        factor = np.ones(delta.shape[:-1], dtype=complex)
+        factor = np.ones(shape, dtype=complex)
         for j in range(domain.dimension):
-            factor = factor * _axis_factor(delta[..., j], box.lower[j], box.upper[j])
+            factor = factor * axis_factor(j, box.lower[j], box.upper[j])
         total += factor
     return total
+
+
+def _gram_axis_factor(points: np.ndarray):
+    """axis_factor for the Gram differences points[r] - points[c], shape (n, n).
+
+    An axis of integers below _EXACT_INTEGER_BOUND whose difference range
+    -span..span has no more values than the Gram has entries gets a table
+    over that range, gathered by index; the table holds the same floats the
+    broadcast differences would, so the Gram is bitwise the same.
+    """
+    n = points.shape[0]
+    axes = []
+    for col in points.T:
+        span = np.max(col) - np.min(col)
+        if (np.all(col == np.round(col)) and np.max(np.abs(col)) < _EXACT_INTEGER_BOUND
+                and 2 * span + 1 <= n * n):
+            ic = col.astype(np.int64)
+            span = int(span)
+            axes.append((np.arange(-span, span + 1, dtype=float),
+                         ic[:, np.newaxis] - ic[np.newaxis, :] + span))
+        else:
+            axes.append((col[:, np.newaxis] - col[np.newaxis, :], None))
+
+    def axis_factor(j, lo, hi):
+        delta, index = axes[j]
+        factor = _axis_factor(delta, lo, hi)
+        return factor if index is None else factor[index]
+    return axis_factor
 
 
 def exp_inner_closed(domain: Domain, a, b) -> complex:
@@ -160,7 +194,8 @@ def exp_inner_closed(domain: Domain, a, b) -> complex:
     if av.shape != (domain.dimension,) or bv.shape != (domain.dimension,):
         raise ValueError(
             f"frequencies must have dimension {domain.dimension}, got {av.shape} and {bv.shape}")
-    return complex(_closed_form(domain, av - bv))
+    delta = av - bv
+    return complex(_closed_form(domain, (), lambda j, lo, hi: _axis_factor(delta[j], lo, hi)))
 
 
 def _quadrature_gram(rule: QuadratureRule, freqs: FrequencySet,
@@ -192,8 +227,8 @@ def exp_gram(domain: Domain, freqs: FrequencySet, weight=None,
         raise ValueError("weight was sampled on a different domain")
     if (rule is None and domain.boxes
             and (weight is None or weight.profile in ("indicator", "constant"))):
-        pts = freqs.points
-        matrix = _closed_form(domain, pts[:, np.newaxis, :] - pts[np.newaxis, :, :])
+        matrix = _closed_form(domain, (freqs.size, freqs.size),
+                              _gram_axis_factor(freqs.points))
         scale = 1.0 if weight is None else weight.sup_mod ** 2
         if scale != 1.0:
             matrix = matrix * scale
@@ -215,13 +250,16 @@ class BoundsReport:
     """Two-sided bounds with the condition ratio and a verdict string.
 
     verdict is one of riesz_basis, frame_only_not_tested, degenerate.
-    condition is None when the lower bound vanishes.
+    condition is None when the lower bound vanishes. margin is the eigen
+    certificate margin (EigenBounds.margin) of the matrix the bounds
+    come from.
     """
 
     lower: float
     upper: float
     condition: Optional[float]
     verdict: str
+    margin: float
 
 
 def _bounds_from_matrix(matrix: np.ndarray, frame_route: bool) -> BoundsReport:
@@ -238,7 +276,7 @@ def _bounds_from_matrix(matrix: np.ndarray, frame_route: bool) -> BoundsReport:
     else:
         verdict = "frame_only_not_tested" if frame_route else "riesz_basis"
     condition = (upper / lower) if lower > 0.0 else None
-    return BoundsReport(lower, upper, condition, verdict)
+    return BoundsReport(lower, upper, condition, verdict, eb.margin)
 
 
 def riesz_bounds(gram: GramMatrix) -> BoundsReport:

@@ -1,8 +1,9 @@
 """Slow reference routes, deliberately independent of the library solvers.
 
-The eigenvalue oracle uses plain power iteration with a fixed seeded start
+The eigenvalue oracles are plain power iteration with a fixed seeded start
 vector, so disagreements with the dense solver point at the library, not at
-randomness in the test.
+randomness in the test, and a full eigendecomposition whose eigenpairs
+must pass a residual test.
 """
 
 from itertools import combinations
@@ -47,6 +48,26 @@ def extreme_eigenvalues(matrix, seed: int = 123) -> tuple[float, float]:
     flipped = shift * np.eye(m.shape[0]) - m
     lam_min = shift - dominant_eigenvalue(flipped, seed=seed + 1)
     return lam_min, lam_max
+
+
+# Ceiling on max_i ||M v_i - w_i v_i|| scaled by (max |M| entry) * order.
+EIGH_RESIDUAL_CAP = 1e-8
+
+
+def eigh_extreme_eigenvalues(matrix) -> tuple[float, float]:
+    """(smallest, largest) eigenvalues from a full eigendecomposition.
+
+    Every computed eigenpair must leave a residual below EIGH_RESIDUAL_CAP,
+    so the pairs are accurate; the eigenvalue-only library route shares
+    neither the eigenvectors nor this test.
+    """
+    m = np.asarray(matrix, dtype=complex)
+    w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
+    scale = float(np.max(np.abs(m))) * m.shape[0]
+    residual = float(np.max(np.linalg.norm(m @ v - v * w, axis=0))) / scale
+    if residual > EIGH_RESIDUAL_CAP:
+        raise AssertionError(f"eigh residual {residual:.3e} exceeds {EIGH_RESIDUAL_CAP}")
+    return float(w[0]), float(w[-1])
 
 
 def brute_force_complements(group, pattern) -> set[tuple[int, ...]]:

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import runpy
 import time
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import expbases
 from expbases.cli import (
+    COMMANDS,
     SchemaError,
     dumps_report,
     main,
@@ -101,6 +103,88 @@ def test_schema_errors_name_the_offending_path(mutate, fragment):
     mutate(scenario)
     with pytest.raises(SchemaError, match=fragment):
         run_scenario(scenario, scenario.get("command", "bounds"))
+
+
+def test_unknown_expect_names_are_rejected_before_the_solve(tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a scenario with a misspelt expect key")
+    monkeypatch.setattr("expbases.cli.exp_gram", no_solve)
+    monkeypatch.setattr("expbases.cli.riesz_bounds", no_solve)
+    scenario = bounds_scenario(expect={"is_onbb": True, "is_riesz_basis": True})
+    scenario["parameters"]["freqs"] = {"range": [-256, 255]}
+    code, err = run_main(tmp_path, capsys, scenario, "bounds")
+    assert code == 2
+    assert "scenario.expect.is_onbb (unknown verdict, expected one of is_onb," in err
+    assert "scenario.expect.is_riesz_basis" not in err
+
+
+def test_tiling_expect_names_depend_on_the_mode():
+    scenario = tiling_scenario(True)
+    scenario["expect"] = {"is_spectrum": True}
+    with pytest.raises(SchemaError, match=r"scenario\.expect\.is_spectrum \(unknown verdict, "
+                       r"expected one of is_tiling\)"):
+        run_scenario(scenario, "tiling")
+    scenario["parameters"]["mode"] = "check_spectrum"
+    assert run_scenario(scenario, "tiling")["verdicts"] == {"is_spectrum": False}
+    # With no readable mode the names cannot be known; the mode is what is named.
+    scenario["parameters"]["mode"] = ["check_spectrum"]
+    with pytest.raises(SchemaError) as rejected:
+        run_scenario(scenario, "tiling")
+    assert rejected.value.paths == (
+        "scenario.parameters.mode (unknown mode ['check_spectrum'], expected one of "
+        "check_tiling, check_spectrum, search_complements, search_spectra)",)
+
+
+def declared_verdicts(scenario):
+    names = COMMANDS[scenario["command"]].verdicts
+    return names[scenario["parameters"]["mode"]] if isinstance(names, dict) else names
+
+
+def benchmark_scenarios():
+    """The shipped scenarios and one round of every benchmark workload, seed 1."""
+    root = Path(__file__).resolve().parent.parent
+    workloads = runpy.run_path(str(root / "perfbench" / "workloads.py"))
+    out = workloads["small_scenarios"](random.Random("small_scenarios:1"),
+                                       str(root / "scenarios"))
+    for name in ("dense_grams", "tiling_search"):
+        out += workloads[name](random.Random(f"{name}:1"))
+    return out
+
+
+def test_every_runner_returns_exactly_its_declared_verdicts():
+    scenarios = benchmark_scenarios()
+    assert {s["name"] for s in scenarios} >= {json.loads(p.read_text())["name"] for p in SHIPPED}
+    kinds = set()
+    for scenario in scenarios:
+        kind = (scenario["command"], scenario["parameters"].get("mode"))
+        # Verdict names depend only on the command and the tiling mode, so
+        # one solve of each kind the benchmark runs is enough.
+        if kind in kinds:
+            continue
+        kinds.add(kind)
+        report = run_scenario(scenario, scenario["command"])
+        assert tuple(report["verdicts"]) == declared_verdicts(scenario), scenario["name"]
+    assert kinds == {(c, None) for c in COMMANDS if c != "tiling"} | {
+        ("tiling", mode) for mode in COMMANDS["tiling"].verdicts}
+
+
+def test_reports_carry_the_certificate_margins():
+    band = {"boxes": [[-0.5, 0.5]]}
+    weight = {"profile": "affine", "offset": 2.0, "gradient": [1.0], "nodes_per_axis": 16}
+    cases = [
+        ("bounds", bounds_scenario(), ["certificate_margin"]),
+        ("transfer", {"name": "t", "command": "transfer", "parameters": {
+            "domain": band, "freqs": {"range": [-3, 3]}, "weight": weight}},
+         ["exp_certificate_margin", "translation_certificate_margin"]),
+        ("frame-transfer", {"name": "f", "command": "frame-transfer", "parameters": {
+            "domain": band, "freqs": {"range": [-3, 3]}, "weight": weight}},
+         ["weighted_certificate_margin", "unweighted_certificate_margin"]),
+    ]
+    for command, scenario, keys in cases:
+        report = run_scenario(scenario, command)
+        for key in keys:
+            assert 0.0 < report["results"][key] < 1e-12, (command, key)
+        assert all(h["name"] != "system_size_within_cap" for h in report["hypothesis_checks"])
 
 
 def test_declared_command_must_match_invocation():

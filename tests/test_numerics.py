@@ -1,11 +1,18 @@
 """Eigen solver contract, Kronecker layout residual, and the seeded stream."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import generators
 import oracles
-from expbases import Pcg32, eigen_bounds, hermitian_defect, kron_residual
+from expbases import (Box, FrequencySet, Pcg32, bump_window, eigen_bounds, exp_gram,
+                      hermitian_defect, kron_residual, lattice_truncation, make_domain,
+                      make_mask_domain)
+from expbases.cli import main
+from expbases.numerics import RESIDUAL_CAP
 
 # First four 32-bit outputs, frozen from evaluating the 64/32 xorshift-rotate
 # recipe step by step with integer arithmetic outside the library.
@@ -17,12 +24,12 @@ def test_eigen_bounds_diagonal():
     bounds = eigen_bounds(np.diag([1.0, 3.0, 2.0]))
     assert bounds.lambda_min == pytest.approx(1.0, rel=1e-14)
     assert bounds.lambda_max == pytest.approx(3.0, rel=1e-14)
-    assert bounds.residual <= 1e-12
+    assert bounds.margin <= 1e-12
 
 
 def test_eigen_bounds_zero_matrix():
     bounds = eigen_bounds(np.zeros((4, 4)))
-    assert (bounds.lambda_min, bounds.lambda_max, bounds.residual) == (0.0, 0.0, 0.0)
+    assert (bounds.lambda_min, bounds.lambda_max, bounds.margin) == (0.0, 0.0, 0.0)
 
 
 def test_non_hermitian_rejected_with_named_entry():
@@ -61,6 +68,108 @@ def test_eigen_bounds_match_power_iteration(seed):
     lo, hi = oracles.extreme_eigenvalues(m, seed=seed + 10)
     assert bounds.lambda_max == pytest.approx(hi, rel=1e-8)
     assert bounds.lambda_min == pytest.approx(lo, rel=1e-8, abs=1e-10)
+
+
+def assert_certified_like_the_eigh_oracle(matrix):
+    bounds = eigen_bounds(matrix)
+    lo, hi = oracles.eigh_extreme_eigenvalues(matrix)
+    tol = 1e-12 * max(1.0, abs(hi))
+    assert abs(bounds.lambda_min - lo) <= tol
+    assert abs(bounds.lambda_max - hi) <= tol
+    m = np.asarray(matrix)
+    assert 0.0 < bounds.margin <= RESIDUAL_CAP * np.max(np.abs(m)) * m.shape[0]
+
+
+def test_eigen_bounds_match_the_eigh_oracle_on_planted_spectra():
+    for seed in range(50):
+        matrix, _, _ = generators.random_psd_with_known_spectrum(seed)
+        assert_certified_like_the_eigh_oracle(matrix)
+
+
+def frame_operator(domain, freqs, weight):
+    # The weighted frame operator on the weight's support, as the frame
+    # transfer builds it.
+    mask = weight.support_mask
+    phases = np.exp(-2j * np.pi * (weight.rule.nodes[mask] @ freqs.points.T))
+    v = (np.sqrt(weight.rule.weights[mask]) * weight.values[mask])[:, np.newaxis] * phases
+    return v @ v.conj().T
+
+
+# One matrix of each kind the dense benchmark solves, at its sizes.
+DENSE_SHAPES = {
+    "1d-lattice-512": lambda: exp_gram(make_domain([Box(0.125, 1.125)]),
+                                       lattice_truncation(-300, 211)).matrix,
+    "1d-union-512": lambda: exp_gram(make_domain([Box(-0.25, 0.75), Box(1.0, 1.375)]),
+                                     lattice_truncation(-256, 255)).matrix,
+    "1d-kadec-448": lambda: exp_gram(make_domain([Box(0.0, 1.0)]), FrequencySet(
+        np.arange(-224, 224) + Pcg32(5).uniforms(448, -0.2, 0.2))).matrix,
+    "1d-mask-quadrature-512": lambda: exp_gram(
+        make_mask_domain([-0.375], [5], [0.25], [True] * 5), lattice_truncation(-256, 255),
+        nodes_per_axis=256).matrix,
+    "2d-lattice-484": lambda: exp_gram(make_domain([Box([-0.125, 0.5], [0.875, 1.5])]),
+                                       lattice_truncation(-11, 10, 2)).matrix,
+    "2d-union-484": lambda: exp_gram(
+        make_domain([Box([0.0, 0.0], [1.0, 1.0]), Box([1.25, 0.0], [1.75, 0.5])]),
+        lattice_truncation(-11, 10, 2)).matrix,
+    "degenerate-half-interval-81": lambda: exp_gram(make_domain([Box(0.0, 0.5)]),
+                                                    lattice_truncation(-40, 40)).matrix,
+    "frame-operator-bump-400": lambda: frame_operator(
+        make_domain([Box(0.1, 0.9)]), lattice_truncation(-160, 159),
+        bump_window(make_domain([Box(0.1, 0.9)]), 1.0, 400)),
+}
+
+
+@pytest.mark.parametrize("shape", DENSE_SHAPES)
+def test_eigen_bounds_match_the_eigh_oracle_on_dense_gram_shapes(shape):
+    assert_certified_like_the_eigh_oracle(DENSE_SHAPES[shape]())
+
+
+def move_extreme(monkeypatch, end=0, shift=None, order=None):
+    """Make eigvalsh move its extreme eigenvalue w[end] inward by shift
+    (default: a tenth of the spread), for matrices of the given order."""
+    true_eigvalsh = np.linalg.eigvalsh
+
+    def eigvalsh(a, *args, **kwargs):
+        w = true_eigvalsh(a, *args, **kwargs)
+        if order is None or a.shape[0] == order:
+            step = 0.1 * (w[-1] - w[0]) if shift is None else shift
+            w[end] += step if end == 0 else -step
+        return w
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+
+
+@pytest.mark.parametrize("end", [0, -1], ids=["lambda_min", "lambda_max"])
+def test_a_wrong_extreme_eigenvalue_fails_the_certificate(monkeypatch, end):
+    matrix, _, _ = generators.random_psd_with_known_spectrum(3)
+    move_extreme(monkeypatch, end)
+    with pytest.raises(RuntimeError, match="certificate margin"):
+        eigen_bounds(matrix)
+
+
+def test_the_margin_doubles_until_it_covers_the_error(monkeypatch):
+    matrix, lo, hi = generators.random_psd_with_known_spectrum(3)
+    shift = 1e-9 * hi
+    move_extreme(monkeypatch, shift=shift)
+    bounds = eigen_bounds(matrix)
+    assert bounds.lambda_min == pytest.approx(lo + shift, abs=1e-12)
+    assert shift <= bounds.margin <= 2.5 * shift
+    assert bounds.lambda_min - bounds.margin <= lo
+
+
+def test_a_failed_certificate_is_an_error_row_in_a_batch(tmp_path, monkeypatch):
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    for stem, hi in (("01_ok", 2), ("02_wrong", 3), ("03_ok", 2)):
+        (runs / f"{stem}.json").write_text(json.dumps({
+            "name": stem, "command": "bounds",
+            "parameters": {"domain": {"boxes": [[0.0, 0.75]]}, "freqs": {"range": [-2, hi]}},
+            "expect": {"is_riesz_basis": True}}))
+    move_extreme(monkeypatch, order=6)
+    assert main(["batch", "--dir", str(runs), "--out-dir", str(tmp_path / "out")]) == 2
+    rows = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+    assert rows[1].startswith("01_ok,bounds,true")
+    assert rows[2].startswith("02_wrong,,error,") and "certificate margin" in rows[2]
+    assert rows[3].startswith("03_ok,bounds,true")
 
 
 def test_kron_residual_exact_and_perturbed():

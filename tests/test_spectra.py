@@ -18,6 +18,7 @@ from expbases import (
     quadrature,
     riesz_bounds,
 )
+from expbases import spectra
 from expbases.spectra import _GAP_BLOCK_ENTRIES
 
 UNIT = make_domain([Box(0.0, 1.0)])
@@ -100,6 +101,55 @@ def test_gram_entries_are_the_pairwise_closed_form_exactly():
     assert gram.provenance == "closed_form"
     assert gram.matrix[0, 1] == exp_inner_closed(union, a, b)
     assert gram.matrix[1, 0] == exp_inner_closed(union, b, a)
+
+
+def broadcast_gram(domain, points):
+    """The closed-form Gram from every pairwise difference, one axis factor
+    per box and axis, multiplied and summed in the library's order."""
+    delta = points[:, np.newaxis, :] - points[np.newaxis, :, :]
+    total = np.zeros(delta.shape[:-1], dtype=complex)
+    for box in domain.boxes:
+        factor = np.ones(delta.shape[:-1], dtype=complex)
+        for j in range(domain.dimension):
+            factor = factor * spectra._axis_factor(delta[..., j], box.lower[j], box.upper[j])
+        total += factor
+    return total
+
+
+TWO_BOX_SQUARE = make_domain([Box([0.0, 0.0], [1.0, 1.0]), Box([1.25, -0.5], [1.75, 0.25])])
+
+
+@pytest.mark.parametrize("domain,points,tables", [
+    pytest.param(make_domain([Box(0.125, 1.125)]), lattice_truncation(-300, 211).points,
+                 [True], id="1d-lattice"),
+    pytest.param(make_domain([Box(-0.25, 0.75), Box(1.0, 1.375)]),
+                 lattice_truncation(1000, 1100).points, [True], id="1d-union-offset"),
+    pytest.param(make_domain([Box(-3.5, -2.25)]), -np.arange(0.0, 300.0, 3.0)[:, None],
+                 [True], id="1d-negative-stride-3"),
+    pytest.param(TWO_BOX_SQUARE, lattice_truncation(-11, 10, 2).points, [True, True],
+                 id="2d-union-lattice"),
+    pytest.param(TWO_BOX_SQUARE, np.stack([np.repeat(np.arange(-10.0, 10.0), 20),
+                                           np.tile(np.arange(20) * 0.37 + 0.1, 20)], -1),
+                 [True, False], id="2d-integer-and-scattered"),
+    pytest.param(make_domain([Box(0.0, 1.0)]), 2.0 ** 52 + np.arange(5.0)[:, None], [False],
+                 id="integers-at-2^52"),
+    pytest.param(make_domain([Box(0.0, 1.0)]), np.array([[-7.0], [5.0], [2.0 ** 52 - 1]]),
+                 [False], id="span-beyond-the-gram"),
+])
+def test_integer_axes_gather_a_difference_table_bitwise(monkeypatch, domain, points, tables):
+    shapes = []
+    axis_factor = spectra._axis_factor
+
+    def recording(delta, lo, hi):
+        shapes.append(np.shape(delta))
+        return axis_factor(delta, lo, hi)
+    monkeypatch.setattr(spectra, "_axis_factor", recording)
+    gram = exp_gram(domain, FrequencySet(points))
+    # A table is a 1-D array of differences; the broadcast is (n, n).
+    assert [len(shape) == 1 for shape in shapes[:domain.dimension]] == tables
+    monkeypatch.undo()
+    want = broadcast_gram(domain, np.asarray(points, dtype=float))
+    assert gram.matrix.tobytes() == want.tobytes()
 
 
 def test_two_dim_gram_factorizes_over_axes():
