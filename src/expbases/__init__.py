@@ -6,8 +6,7 @@ __version__ = "0.1.0"
 from .domain import (Box, Domain, MaskGrid, QuadratureRule, make_domain,
                      make_mask_domain, normalize, quadrature)
 from .gabor import VvOnbReport, gabor_gram, vv_onb_check
-from .numerics import (EigenBounds, Pcg32, eigen_bounds, hermitian_defect,
-                       kron_residual)
+from .numerics import EigenBounds, Pcg32, eigen_bounds, hermitian_defect
 from .paley_wiener import (BandlimitedSignal, FactorizationReport,
                            FrameTransferReport, PeriodizationProfile,
                            PeriodizationReport, SpectralWeight, TransferReport,
@@ -38,7 +37,7 @@ __all__ = [
     "eigen_bounds", "exp_gram", "exp_inner_closed",
     "frame_bounds_of_operator",
     "gabor_gram", "hermitian_defect", "indicator_signal", "indicator_weight",
-    "is_orthonormal_system", "is_spectrum", "kron_residual",
+    "is_orthonormal_system", "is_spectrum",
     "lattice_truncation", "make_domain", "make_mask_domain", "normalize",
     "periodization_profile", "quadrature", "random_signal", "riesz_bounds",
     "search_complements", "search_spectra",

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .domain import Box, Domain, MaskGrid, QuadratureRule, quadrature
-from .gabor import UNIT_MEASURE_RTOL, vv_onb_check
+from .gabor import vv_onb_check
 from .numerics import Pcg32
 from .paley_wiener import (PERIODIZATION_KINDS, SUPPORT_TOL, BandlimitedSignal,
                            affine_weight, bump_window, constant_weight,
@@ -34,8 +34,7 @@ from .paley_wiener import (PERIODIZATION_KINDS, SUPPORT_TOL, BandlimitedSignal,
                            indicator_signal, indicator_weight,
                            periodization_profile, random_signal,
                            shannon_reconstruct, smooth_random_signal,
-                           table_weight, translation_gram,
-                           verify_frame_transfer, verify_riesz_transfer,
+                           table_weight, verify_frame_transfer, verify_riesz_transfer,
                            zd_periodization)
 from .spectra import (SYSTEM_SIZE_CAP, FrequencySet, exp_gram,
                       is_orthonormal_system, lattice_truncation, riesz_bounds)
@@ -349,10 +348,7 @@ def _nowhere_zero(weight) -> bool:
 
 def _run_bounds(p, rng, tol):
     domain, freqs = p["domain"], p["freqs"]
-    if p["weight"] is not None:
-        gram = translation_gram(domain, freqs, p["weight"])
-    else:
-        gram = exp_gram(domain, freqs, nodes_per_axis=p["nodes_per_axis"])
+    gram = exp_gram(domain, freqs, weight=p["weight"], nodes_per_axis=p["nodes_per_axis"])
     bounds = riesz_bounds(gram)
     onb = is_orthonormal_system(gram, tol if tol is not None else ABSOLUTE_TOL)
     results = {
@@ -402,10 +398,6 @@ def _run_transfer(p, rng, tol):
 
 def _run_frame_transfer(p, rng, tol):
     report = verify_frame_transfer(p["domain"], p["freqs"], p["weight"])
-    hyps = [
-        _hyp("support_nonempty", report.space_dim >= 1, report.space_dim, 1),
-        _hyp("support_within_cap", report.space_dim <= 512, report.space_dim, 512),
-    ]
     results = {
         "weighted_lower": report.weighted_bounds.lower,
         "weighted_upper": report.weighted_bounds.upper,
@@ -425,14 +417,12 @@ def _run_frame_transfer(p, rng, tol):
         "note": report.note,
     }
     verdicts = {"sandwich_holds": bool(report.sandwich_holds)}
-    return hyps, results, verdicts
+    return [], results, verdicts
 
 
 def _run_tiling(p, rng, tol):
     group = GroupInstance(p["moduli"])
     mode, pattern = p["mode"], p["pattern"]
-    hyps = [_hyp("pattern_within_group", max(pattern) < group.order,
-                 max(pattern), group.order)]
     if mode == "check_tiling":
         verdict = tiles(group, pattern, p["candidate"])
         results = {"uncovered": verdict.uncovered, "collisions": verdict.collisions}
@@ -454,7 +444,7 @@ def _run_tiling(p, rng, tol):
         }
         verdicts = {"exhaustive": bool(found.exhaustive),
                     "found_any": len(found.found) > 0}
-    return hyps, results, verdicts
+    return [], results, verdicts
 
 
 def _run_cube_check(p, rng, tol):
@@ -493,9 +483,6 @@ def _run_sample(p, rng, tol):
     ordered = sorted(energies)
     monotone = all(b[1] >= a[1] - 1e-12 * max(1.0, abs(a[1]))
                    for a, b in zip(ordered, ordered[1:]))
-    n_nodes = p["rule"].n_nodes
-    hyps = [_hyp("nodes_resolve_truncation", n_nodes > 2 * max(terms),
-                 n_nodes, 2 * max(terms) + 1)]
     results = {
         "signal_energy": p["signal"].norm_sq,
         "truncations": truncations,
@@ -504,20 +491,17 @@ def _run_sample(p, rng, tol):
         "parseval_ok": all(t["parseval_ok"] for t in truncations),
         "energy_monotone": bool(monotone),
     }
-    return hyps, results, verdicts
+    return [], results, verdicts
 
 
 def _run_gabor(p, rng, tol):
     base, modulations, translations = p["base_domain"], p["modulations"], p["translations"]
     report = vv_onb_check(base, modulations, translations, p["window"]["weight"],
                           tol if tol is not None else ABSOLUTE_TOL)
-    hyps = [_hyp("unit_base_measure", abs(base.measure - 1.0) <= UNIT_MEASURE_RTOL,
-                 base.measure, UNIT_MEASURE_RTOL)]
     results = {
         "gabor_deviation": report.gabor.deviation,
         "modulation_deviation": report.modulation.deviation,
         "translation_deviation": report.translation.deviation,
-        "kron_defect": report.kron_defect,
         "window_normalized": report.window_normalized,
         "system_order": modulations.size * translations.size,
         "note": report.note,
@@ -528,15 +512,13 @@ def _run_gabor(p, rng, tol):
         "translation_is_onb": bool(report.translation.is_onb),
         "equivalent": bool(report.equivalent),
     }
-    return hyps, results, verdicts
+    return [], results, verdicts
 
 
 def _run_periodization(p, rng, tol):
-    resolution = p["resolution"]
-    report = zd_periodization(p["profile"], resolution=resolution,
+    report = zd_periodization(p["profile"], resolution=p["resolution"],
                               tol=tol if tol is not None else 1e-8,
                               gram_nodes=p["gram_nodes"])
-    hyps = [_hyp("resolution_sufficient", resolution >= 2, resolution, 2)]
     results = {
         "sup_deviation": report.sup_deviation,
         "gram_deviation": report.gram_deviation,
@@ -549,7 +531,7 @@ def _run_periodization(p, rng, tol):
         "gram_is_onb": bool(report.gram_is_onb),
         "routes_agree": bool(report.agree),
     }
-    return hyps, results, verdicts
+    return [], results, verdicts
 
 
 def _run_factorization(p, rng, tol):

@@ -1,5 +1,4 @@
-"""Dense Hermitian eigenvalue bounds, Kronecker residuals, and a portable
-random stream.
+"""Dense Hermitian eigenvalue bounds and a portable random stream.
 
 The eigensolver route computes eigenvalues only, behind a fixed contract:
 order cap, Hermiticity rejection with the offending entry named, and an
@@ -120,23 +119,6 @@ def eigen_bounds(matrix) -> EigenBounds:
         if below and above:
             return EigenBounds(lo, hi, margin)
         margin *= 2.0
-
-
-def kron_residual(big, left, right) -> float:
-    """Max-abs deviation of ``big`` from the Kronecker product left (x) right.
-
-    Row convention: row = left_index * order(right) + right_index, the
-    C-order identification, and the same for columns. GramMatrix-like
-    objects may be passed directly; their ``matrix`` attribute is used.
-    """
-    big = _as_square(getattr(big, "matrix", big))
-    left = _as_square(getattr(left, "matrix", left))
-    right = _as_square(getattr(right, "matrix", right))
-    expected = left.shape[0] * right.shape[0]
-    if big.shape[0] != expected:
-        raise ValueError(
-            f"order mismatch: big has order {big.shape[0]}, factors give {expected}")
-    return float(np.max(np.abs(big - np.kron(left, right))))
 
 
 class Pcg32:

@@ -185,12 +185,9 @@ def bump_window(domain: Domain, steepness: float = 1.0, nodes_per_axis: int = 64
         raise ValueError("bump windows are one-dimensional")
     if steepness <= 0:
         raise ValueError(f"steepness must be positive, got {steepness}")
-    lo = min(b.lower[0] for b in domain.boxes) if domain.boxes else domain.mask.origin[0]
-    if domain.boxes:
-        hi = max(b.upper[0] for b in domain.boxes)
-    else:
-        m = domain.mask
-        hi = m.origin[0] + m.counts[0] * m.widths[0]
+    cells = domain.cells()
+    lo = min(lower[0] for lower, _, _ in cells)
+    hi = max(lower[0] + widths[0] for lower, widths, _ in cells)
     if lo < -SUPPORT_TOL or hi > 1.0 + SUPPORT_TOL:
         raise ValueError(f"bump support is [0, 1]; domain spans [{lo}, {hi}]")
     rule = _default_rule(domain, rule, nodes_per_axis)
@@ -321,8 +318,6 @@ def verify_frame_transfer(domain: Domain, freqs: FrequencySet,
     v_weighted = (droot * vals)[:, np.newaxis] * phases
     s_plain = v_plain @ v_plain.conj().T
     s_weighted = v_weighted @ v_weighted.conj().T
-    s_plain = 0.5 * (s_plain + s_plain.conj().T)
-    s_weighted = 0.5 * (s_weighted + s_weighted.conj().T)
     unweighted = frame_bounds_of_operator(s_plain)
     weighted = frame_bounds_of_operator(s_weighted)
     mods_sq = np.abs(vals) ** 2

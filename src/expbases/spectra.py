@@ -97,14 +97,12 @@ def lattice_truncation(lo: int, hi: int, dimension: int = 1) -> FrequencySet:
 
 @dataclass(frozen=True, init=False)
 class GramMatrix:
-    """Hermitian Gram matrix with row labels and a provenance tag."""
+    """Hermitian Gram matrix with a provenance tag."""
 
     matrix: np.ndarray
-    freqs: Optional[FrequencySet]
-    pair_labels: Optional[np.ndarray]
     provenance: str
 
-    def __init__(self, matrix, freqs=None, pair_labels=None, provenance="closed_form"):
+    def __init__(self, matrix, provenance="closed_form"):
         if provenance not in _HERMITICITY_TOL:
             raise ValueError(f"unknown provenance {provenance!r}")
         m = np.asarray(matrix, dtype=complex)
@@ -121,12 +119,7 @@ class GramMatrix:
             raise ValueError(f"Gram diagonal entry {k} is not positive: {diag.real[k]}")
         m = np.ascontiguousarray(m)
         m.setflags(write=False)
-        if pair_labels is not None:
-            pair_labels = np.ascontiguousarray(np.asarray(pair_labels, dtype=float))
-            pair_labels.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "freqs", freqs)
-        object.__setattr__(self, "pair_labels", pair_labels)
         object.__setattr__(self, "provenance", provenance)
 
     @property
@@ -232,17 +225,16 @@ def exp_gram(domain: Domain, freqs: FrequencySet, weight=None,
         scale = 1.0 if weight is None else weight.sup_mod ** 2
         if scale != 1.0:
             matrix = matrix * scale
-        return GramMatrix(matrix, freqs=freqs, provenance="closed_form")
+        return GramMatrix(matrix, provenance="closed_form")
     if weight is None:
         rule = rule if rule is not None else quadrature(domain, nodes_per_axis)
-        return GramMatrix(_quadrature_gram(rule, freqs, None), freqs=freqs,
-                          provenance="quadrature")
+        return GramMatrix(_quadrature_gram(rule, freqs, None), provenance="quadrature")
     wsq = np.abs(weight.values) ** 2
     matrix = _quadrature_gram(weight.rule, freqs, wsq)
     cap = domain.measure * float(np.max(wsq))
     if float(np.max(np.diagonal(matrix).real)) > cap * (1.0 + 1e-9):
         raise RuntimeError("weighted Gram diagonal exceeds measure * sup|weight|^2")
-    return GramMatrix(matrix, freqs=freqs, provenance="quadrature")
+    return GramMatrix(matrix, provenance="quadrature")
 
 
 @dataclass(frozen=True)

@@ -93,6 +93,23 @@ def random_nonvanishing_weight(rng: Pcg32, domain, rule):
     return table_weight(domain, rule, mods * np.exp(1j * phases))
 
 
+def random_product_system(seed: int):
+    """(modulations, translations, window) of one seeded product system.
+
+    Two to four jittered integer modulations and translations, and a
+    nowhere-vanishing window on a random interval union, sampled on a
+    24-node rule per piece.
+    """
+    rng = Pcg32(seed)
+    n_mod = 2 + rng.randint(3)
+    n_trans = 2 + rng.randint(3)
+    modulations = jittered_integer_freqs(rng, 1, n_mod, reach=4)
+    translations = jittered_integer_freqs(rng, 1, n_trans, reach=4)
+    window_domain = random_interval_domain(rng)
+    rule = quadrature(window_domain, 24)
+    return modulations, translations, random_nonvanishing_weight(rng, window_domain, rule)
+
+
 def random_psd_with_known_spectrum(seed: int, max_order: int = 32):
     """(matrix, lambda_min, lambda_max) with a planted, well-separated spectrum.
 

@@ -6,6 +6,8 @@ import math
 import os
 import random
 import runpy
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -444,6 +446,54 @@ def test_oversize_frequency_sets_are_rejected_before_they_are_built(
     assert code == 2
     assert f"scenario.parameters.{path} (" in err and "system cap 512" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,parameters,rejection", [
+    pytest.param("tiling", {"moduli": [4], "mode": "check_tiling", "pattern": [0, 7],
+                            "candidate": [0, 2]},
+                 "pattern indices must lie in [0, 4)", id="pattern_within_group"),
+    pytest.param("sample", {"domain": UNIT_BAND, "nodes_per_axis": 100,
+                            "signal": {"kind": "indicator"}, "n_terms": 64,
+                            "eval_points": {"points": [0.0]}},
+                 "100 nodes cannot resolve 129 series terms", id="nodes_resolve_truncation"),
+    pytest.param("gabor", {**gabor_parameters({"range": [0, 1]}, {"range": [0, 1]}),
+                           "base_domain": {"boxes": [[0.0, 2.0]]}},
+                 "base domain measure 2.0 is not 1", id="unit_base_measure"),
+    pytest.param("frame-transfer", {"domain": {"boxes": [[0.0, 1.0]]}, "freqs": {"range": [0, 1]},
+                                    "weight": {"profile": "constant", "nodes_per_axis": 513}},
+                 "513 support nodes exceed the dense-solver cap 512", id="support_within_cap"),
+    pytest.param("periodization", {"profile": {"kind": "indicator", "lower": [0.0],
+                                               "upper": [1.0]}, "resolution": 1},
+                 "scenario.parameters.resolution (expected int >= 2)",
+                 id="resolution_sufficient"),
+    pytest.param("frame-transfer", {"domain": {"boxes": [[0.0, 1.0]]}, "freqs": {"range": [0, 1]},
+                                    "weight": {"profile": "table", "values": [0, 0, 0, 0],
+                                               "nodes_per_axis": 4}},
+                 "scenario.parameters.weight (weight vanishes at every node)",
+                 id="support_nonempty"),
+])
+def test_inputs_outside_a_hypothesis_are_rejected_before_a_report(
+        command, parameters, rejection, tmp_path, capsys):
+    # Each input would have failed a hypothesis check that reports no longer
+    # carry: the schema or the library rejects it first.
+    scenario = {"name": "outside", "command": command, "parameters": parameters}
+    code, err = run_main(tmp_path, capsys, scenario, command)
+    assert code == 2
+    assert rejection in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_the_runtime_does_not_import_scipy():
+    # numpy is the one runtime dependency; scipy may be installed all the same.
+    src = Path(expbases.__file__).resolve().parent.parent
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    probe = ("import sys, expbases, expbases.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_frame_transfer_vector_count_has_no_cap(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Eigen solver contract, Kronecker layout residual, and the seeded stream."""
+"""Eigen solver contract and the seeded stream."""
 
 import json
 
@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import generators
 import oracles
 from expbases import (Box, FrequencySet, Pcg32, bump_window, eigen_bounds, exp_gram,
-                      hermitian_defect, kron_residual, lattice_truncation, make_domain,
+                      hermitian_defect, lattice_truncation, make_domain,
                       make_mask_domain)
 from expbases.cli import main
 from expbases.numerics import RESIDUAL_CAP
@@ -170,31 +170,6 @@ def test_a_failed_certificate_is_an_error_row_in_a_batch(tmp_path, monkeypatch):
     assert rows[1].startswith("01_ok,bounds,true")
     assert rows[2].startswith("02_wrong,,error,") and "certificate margin" in rows[2]
     assert rows[3].startswith("03_ok,bounds,true")
-
-
-def test_kron_residual_exact_and_perturbed():
-    left = np.array([[1.0, 0.5], [0.5, 2.0]])
-    right = np.diag([1.0, 3.0])
-    big = np.kron(left, right)
-    assert kron_residual(big, left, right) == 0.0
-    bumped = big.copy()
-    bumped[3, 0] += 2e-7
-    assert kron_residual(bumped, left, right) == pytest.approx(2e-7)
-
-
-def test_kron_residual_row_convention():
-    # row = left_index * order(right) + right_index
-    left = np.array([[0.0, 1.0], [0.0, 0.0]])
-    right = np.eye(2)
-    big = np.zeros((4, 4))
-    big[0, 2] = 1.0
-    big[1, 3] = 1.0
-    assert kron_residual(big, left, right) == 0.0
-
-
-def test_kron_residual_order_mismatch():
-    with pytest.raises(ValueError, match="order mismatch"):
-        kron_residual(np.eye(5), np.eye(2), np.eye(2))
 
 
 def test_pcg32_frozen_streams():

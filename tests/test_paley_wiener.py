@@ -93,9 +93,20 @@ def test_bump_window_boundary_trims_support():
     assert bool(w.support_mask.any())
 
 
+def test_bump_window_measures_a_mask_by_its_included_cells():
+    # The grid spans [0, 2], but only its cells in [0, 1] belong to the domain.
+    domain = make_mask_domain([0.0], [4], [0.5], [True, True, False, False])
+    with pytest.warns(UserWarning, match="trimmed"):
+        w = bump_window(domain, nodes_per_axis=8)
+    assert w.rule.n_nodes == 16
+    assert bool(w.support_mask.any())
+
+
 @pytest.mark.parametrize("domain,err", [
     (make_domain([Box([0.0, 0.0], [1.0, 1.0])]), "one-dimensional"),
     (make_domain([Box(-0.5, 0.5)]), r"support is \[0, 1\]"),
+    (make_mask_domain([0.0], [4], [0.5], [True, False, False, True]),
+     r"domain spans \[0.0, 2.0\]"),
 ])
 def test_bump_window_domain_validation(domain, err):
     with pytest.raises(ValueError, match=err):
