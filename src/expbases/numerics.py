@@ -24,6 +24,9 @@ HERMITICITY_TOL = 1e-12
 # Ceiling on the certificate margin scaled by (max |M| entry) * order.
 RESIDUAL_CAP = 1e-8
 
+# Entries per block of rows in the Hermitian defect scan.
+_DEFECT_BLOCK_ENTRIES = 2 ** 16
+
 
 @dataclass(frozen=True)
 class EigenBounds:
@@ -45,17 +48,41 @@ def _as_square(matrix) -> np.ndarray:
 
 
 def hermitian_defect(matrix) -> tuple[float, tuple[int, int]]:
-    """Largest deviation |M[i,j] - conj(M[j,i])| and where it occurs."""
+    """Largest deviation |M[i,j] - conj(M[j,i])| and where it occurs.
+
+    The deviation is symmetric in (i, j), so its first maximum in row-major
+    order lies on or above the diagonal. One pass over rows i and columns
+    j >= i, in blocks of rows and with no conjugate copy of M, finds the
+    same value and entry as a row-major argmax over the whole matrix.
+    """
     m = _as_square(matrix)
-    diff = np.abs(m - m.conj().T)
-    flat = int(np.argmax(diff))
-    i, j = np.unravel_index(flat, diff.shape)
-    return float(diff[i, j]), (int(i), int(j))
+    n = m.shape[0]
+    if n == 0:
+        raise ValueError("an empty matrix has no Hermitian defect")
+    rows = max(1, _DEFECT_BLOCK_ENTRIES // n)
+    defect, at = -np.inf, (0, 0)
+    for start in range(0, n, rows):
+        upper = m[start:start + rows, start:]
+        lower = m[start:, start:start + rows].T
+        # M[i,j] - conj(M[j,i]), formed part by part without conjugating.
+        block = np.empty(upper.shape, dtype=complex)
+        np.subtract(upper.real, lower.real, out=block.real)
+        np.add(upper.imag, lower.imag, out=block.imag)
+        block = np.abs(block)
+        k = int(np.argmax(block))
+        value = block.flat[k]
+        # A strict comparison keeps the earliest row; a NaN wins as in argmax.
+        if value > defect or np.isnan(value):
+            defect, at = float(value), (start + k // block.shape[1], start + k % block.shape[1])
+            if np.isnan(value):
+                break
+    return defect, at
 
 
-def hermiticity_ceiling(matrix: np.ndarray, tol: float) -> float:
-    """tol scaled to the matrix: absolute below unit magnitude, relative otherwise."""
-    return tol * max(1.0, float(np.max(np.abs(matrix), initial=0.0)))
+def hermiticity_ceiling(top: float, tol: float) -> float:
+    """tol scaled to a matrix whose largest entry has modulus top: absolute
+    below unit magnitude, relative otherwise."""
+    return tol * max(1.0, top)
 
 
 def _positive_definite(matrix: np.ndarray) -> bool:
@@ -84,13 +111,13 @@ def eigen_bounds(matrix) -> EigenBounds:
     n = m.shape[0]
     if n > ORDER_CAP:
         raise ValueError(f"order {n} exceeds the dense-solver cap {ORDER_CAP}; shrink the truncation")
+    top = float(np.max(np.abs(m)))
     defect, (i, j) = hermitian_defect(m)
-    ceiling = hermiticity_ceiling(m, HERMITICITY_TOL)
+    ceiling = hermiticity_ceiling(top, HERMITICITY_TOL)
     if defect > ceiling:
         raise ValueError(
             f"matrix is not Hermitian: |M[{i},{j}] - conj(M[{j},{i}])| = {defect:.3e} "
             f"exceeds {ceiling:g}")
-    top = float(np.max(np.abs(m)))
     scale = top * n
     if scale == 0.0:
         return EigenBounds(0.0, 0.0, 0.0)
@@ -105,7 +132,6 @@ def eigen_bounds(matrix) -> EigenBounds:
     # positive should the solver return zeros for a nonzero M. np.max
     # propagates a NaN, which the gate below then rejects.
     margin = float(n * np.finfo(float).eps * np.max(np.abs([lo, hi, top])))
-    identity = np.eye(n)
     below = above = False
     while True:
         # Written so that NaN or infinite values fail the gate too.
@@ -113,9 +139,16 @@ def eigen_bounds(matrix) -> EigenBounds:
             raise RuntimeError(
                 f"eigen certificate margin {margin / scale:.3e} exceeds the ceiling "
                 f"{RESIDUAL_CAP}")
-        # A factorization that succeeds at one margin succeeds at any larger one.
-        below = below or _positive_definite(herm - (lo - margin) * identity)
-        above = above or _positive_definite((hi + margin) * identity - herm)
+        # A factorization that succeeds at one margin succeeds at any larger
+        # one. Each operand is a copy of herm with its diagonal shifted.
+        if not below:
+            shifted = herm.copy()
+            shifted.flat[::n + 1] -= lo - margin
+            below = _positive_definite(shifted)
+        if not above:
+            shifted = -herm
+            shifted.flat[::n + 1] += hi + margin
+            above = _positive_definite(shifted)
         if below and above:
             return EigenBounds(lo, hi, margin)
         margin *= 2.0

@@ -10,7 +10,6 @@ support otherwise.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Optional
@@ -178,8 +177,8 @@ def bump_window(domain: Domain, steepness: float = 1.0, nodes_per_axis: int = 64
     """Compactly supported smooth window on a one-dimensional domain in [0, 1].
 
     A domain touching 0 or 1 is allowed but the window vanishes there, so
-    the effective support drops the nodes below the modulus threshold; a
-    warning points that out.
+    the weight's support_mask drops the nodes below the modulus threshold
+    (a frame transfer reports that as support_is_proper).
     """
     if domain.dimension != 1:
         raise ValueError("bump windows are one-dimensional")
@@ -193,9 +192,6 @@ def bump_window(domain: Domain, steepness: float = 1.0, nodes_per_axis: int = 64
     rule = _default_rule(domain, rule, nodes_per_axis)
     values = bump_values(rule.nodes[:, 0], steepness)
     exact_inf, exact_sup = _bump_extremes(domain, steepness)
-    if exact_inf <= SUPPORT_TOL:
-        warnings.warn("bump vanishes at the domain boundary; support is trimmed "
-                      "to the nodes above the modulus threshold", stacklevel=2)
     return SpectralWeight(domain, rule, values.astype(complex), profile="bump",
                           exact_inf=exact_inf, exact_sup=exact_sup)
 

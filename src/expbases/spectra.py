@@ -8,7 +8,11 @@ factors (one routine, _closed_form, for a single pair or a whole matrix);
 everything else goes through midpoint quadrature. On an axis whose
 frequencies are integers the closed-form factor depends only on the
 integer difference, so it is evaluated once per difference and gathered
-(the Gram is Toeplitz along that axis).
+(the Gram is Toeplitz along that axis). A quadrature Gram of integer
+frequencies is Toeplitz too: when every axis is integer and the box of
+differences has at most n^2 points, the node sum is evaluated once per
+difference vector and gathered; any other set takes the product of the
+node-by-frequency phase matrix with its weighted conjugate.
 """
 
 from __future__ import annotations
@@ -30,6 +34,9 @@ DISTINCTNESS_TOL = 1e-12
 # Pairwise gaps per block of the distinctness check; a set within
 # SYSTEM_SIZE_CAP is one block.
 _GAP_BLOCK_ENTRIES = SYSTEM_SIZE_CAP ** 2
+
+# Entries per block of nodes in a Toeplitz quadrature Gram's folded table.
+_TABLE_BLOCK_ENTRIES = SYSTEM_SIZE_CAP ** 2
 
 # Below this phase scale the closed-form axis factor switches to its
 # zero-frequency branch.
@@ -109,7 +116,7 @@ class GramMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"Gram matrix must be square, got shape {m.shape}")
         defect, (i, j) = hermitian_defect(m)
-        tol = hermiticity_ceiling(m, _HERMITICITY_TOL[provenance])
+        tol = hermiticity_ceiling(float(np.max(np.abs(m))), _HERMITICITY_TOL[provenance])
         if defect > tol:
             raise ValueError(
                 f"Gram matrix is not Hermitian within {tol:g}: defect {defect:.3e} at ({i},{j})")
@@ -150,22 +157,31 @@ def _closed_form(domain: Domain, shape, axis_factor) -> np.ndarray:
     return total
 
 
+def _integer_span(col: np.ndarray) -> Optional[int]:
+    """max - min of an axis of integers below _EXACT_INTEGER_BOUND, else None.
+
+    On such an axis every difference of two coordinates is an exact float
+    integer in -span..span, so a Gram factor can be tabled by difference.
+    """
+    if np.all(col == np.round(col)) and np.max(np.abs(col)) < _EXACT_INTEGER_BOUND:
+        return int(np.max(col) - np.min(col))
+    return None
+
+
 def _gram_axis_factor(points: np.ndarray):
     """axis_factor for the Gram differences points[r] - points[c], shape (n, n).
 
-    An axis of integers below _EXACT_INTEGER_BOUND whose difference range
-    -span..span has no more values than the Gram has entries gets a table
-    over that range, gathered by index; the table holds the same floats the
-    broadcast differences would, so the Gram is bitwise the same.
+    An integer axis (_integer_span) whose difference range -span..span has
+    no more values than the Gram has entries gets a table over that range,
+    gathered by index; the table holds the same floats the broadcast
+    differences would, so the Gram is bitwise the same.
     """
     n = points.shape[0]
     axes = []
     for col in points.T:
-        span = np.max(col) - np.min(col)
-        if (np.all(col == np.round(col)) and np.max(np.abs(col)) < _EXACT_INTEGER_BOUND
-                and 2 * span + 1 <= n * n):
+        span = _integer_span(col)
+        if span is not None and 2 * span + 1 <= n * n:
             ic = col.astype(np.int64)
-            span = int(span)
             axes.append((np.arange(-span, span + 1, dtype=float),
                          ic[:, np.newaxis] - ic[np.newaxis, :] + span))
         else:
@@ -191,10 +207,77 @@ def exp_inner_closed(domain: Domain, a, b) -> complex:
     return complex(_closed_form(domain, (), lambda j, lo, hi: _axis_factor(delta[j], lo, hi)))
 
 
+def _coarse_fine(size: int) -> tuple[int, int]:
+    """(q, b) with q * b >= size and b about sqrt(size)."""
+    b = int(np.sqrt(size - 1)) + 1
+    return -(-size // b), b
+
+
+def _phase_factors(x: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
+    """exp(-2 pi i delta x) for delta = -span..span, as coarse[q] * fine[m].
+
+    With delta + span = q * b + m (_coarse_fine), the two factors take
+    q + b exponentials per node instead of 2 span + 1; rows are indexed by
+    q and by m, columns by node.
+    """
+    q, b = _coarse_fine(2 * span + 1)
+    turn = -2.0 * np.pi * x
+    coarse = np.exp(1j * np.multiply.outer(np.arange(q) * b - span, turn))
+    fine = np.exp(1j * np.multiply.outer(np.arange(b), turn))
+    return coarse, fine
+
+
+def _toeplitz_quadrature_gram(nodes: np.ndarray, coeff: np.ndarray, points: np.ndarray,
+                              spans: list[int]) -> np.ndarray:
+    """The quadrature Gram of integer frequencies from its difference table.
+
+    G[r, c] = f(points[r] - points[c]) with f(delta) = sum_k coeff[k]
+    exp(-2 pi i <delta, nodes[k]>), evaluated on the whole box of
+    differences prod_j [-span_j, span_j]. coeff, the phase table of every
+    axis but the last and the last axis's coarse factor fold into one
+    array; its product with the last axis's fine factor is the table,
+    whose last axis is padded to q * b. Nodes go in blocks, so the folded
+    array stays near _TABLE_BLOCK_ENTRIES entries. The Gram is gathered
+    from the table with a mixed-radix index.
+    """
+    sizes = [2 * span + 1 for span in spans]
+    q, b = _coarse_fine(sizes[-1])
+    radices = sizes[:-1] + [q * b]
+    rows = int(np.prod(sizes[:-1])) * q
+    block = max(1, _TABLE_BLOCK_ENTRIES // rows)
+    table = np.zeros((rows, b), dtype=complex)
+    for start in range(0, nodes.shape[0], block):
+        x = nodes[start:start + block]
+        folded = coeff[np.newaxis, start:start + block].astype(complex)
+        for j, size in enumerate(sizes[:-1]):
+            coarse, fine = _phase_factors(x[:, j], spans[j])
+            phases = (coarse[:, np.newaxis, :] * fine).reshape(-1, x.shape[0])[:size]
+            folded = (folded[:, np.newaxis, :] * phases).reshape(-1, x.shape[0])
+        coarse, fine = _phase_factors(x[:, -1], spans[-1])
+        folded = (folded[:, np.newaxis, :] * coarse).reshape(-1, x.shape[0])
+        table += folded @ fine.T
+    # Table index of delta: sum_j strides[j] * (delta_j + span_j).
+    strides = np.cumprod([1] + radices[:0:-1])[::-1]
+    key = (points - np.min(points, axis=0)).astype(np.int64) @ strides
+    index = np.subtract.outer(key, key)
+    index += int(np.dot(strides, spans))
+    return table.reshape(-1)[index]
+
+
 def _quadrature_gram(rule: QuadratureRule, freqs: FrequencySet,
                      weight_sq: Optional[np.ndarray]) -> np.ndarray:
-    phases = np.exp(-2j * np.pi * (rule.nodes @ freqs.points.T))
+    # Integer frequencies whose box of differences has at most n^2 points
+    # take the Toeplitz route; every other set, the phase-matrix product.
     coeff = rule.weights if weight_sq is None else rule.weights * weight_sq
+    points = freqs.points
+    spans = [_integer_span(col) for col in points.T]
+    if None not in spans:
+        box = 1
+        for span in spans:
+            box *= 2 * span + 1
+        if box <= freqs.size ** 2:
+            return _toeplitz_quadrature_gram(rule.nodes, coeff, points, spans)
+    phases = np.exp(-2j * np.pi * (rule.nodes @ points.T))
     return phases.T @ (coeff[:, np.newaxis] * np.conj(phases))
 
 
@@ -209,7 +292,10 @@ def exp_gram(domain: Domain, freqs: FrequencySet, weight=None,
     (indicator or constant profile), gets the closed form scaled by
     sup|weight|^2; every other case uses midpoint quadrature, on the
     weight's rule when there is a weight, else on rule or a fresh
-    nodes_per_axis rule.
+    nodes_per_axis rule. A quadrature Gram of integer frequencies whose
+    box of differences has at most n^2 points is gathered from a table of
+    the node sum over that box (_toeplitz_quadrature_gram); other sets
+    use the phase-matrix product.
     """
     if freqs.size > SYSTEM_SIZE_CAP:
         raise ValueError(f"{freqs.size} frequencies exceed the system cap {SYSTEM_SIZE_CAP}")

@@ -6,7 +6,9 @@ randomness in the test, and a full eigendecomposition whose eigenpairs
 must pass a residual test. The product-system Gram is assembled one member
 pair at a time from the library's single-pair closed form
 (exp_inner_closed) or a plain node sum, so it shares neither the Gram
-assembly nor the Kronecker layout of gabor_gram.
+assembly nor the Kronecker layout of gabor_gram. The quadrature Gram is
+one product of the full node-by-frequency phase matrix with its weighted
+conjugate, with no table of frequency differences.
 """
 
 from itertools import combinations
@@ -104,6 +106,15 @@ def product_system_gram(base_domain, modulations, translations, window) -> np.nd
             out[r, c] = mod * translation_entry(translations.points[r % n_t],
                                                 translations.points[c % n_t])
     return out
+
+
+def dense_quadrature_gram(rule, freqs, weight_sq=None) -> np.ndarray:
+    """Quadrature Gram sum_k c_k exp(-2 pi i <a_r - a_c, x_k>) with
+    c_k = rule weight times weight_sq, from an N x n phase matrix and one
+    n x N x n product."""
+    phases = np.exp(-2j * np.pi * (rule.nodes @ freqs.points.T))
+    coeff = rule.weights if weight_sq is None else rule.weights * weight_sq
+    return phases.T @ (coeff[:, np.newaxis] * np.conj(phases))
 
 
 def brute_force_complements(group, pattern) -> set[tuple[int, ...]]:

@@ -496,6 +496,27 @@ def test_the_runtime_does_not_import_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def test_a_bump_touching_the_boundary_leaves_stderr_empty(tmp_path):
+    # The trimmed support is in the report; a Python warning on stderr
+    # would only be noise outside the "error: ..." form.
+    scenario = {"name": "bump-boundary", "command": "frame-transfer",
+                "parameters": {"domain": {"boxes": [[0.0, 1.0]]},
+                               "freqs": {"range": [-8, 8]},
+                               "weight": {"profile": "bump", "nodes_per_axis": 64}}}
+    path = tmp_path / "scenario.json"
+    write_scenario(path, scenario)
+    out = tmp_path / "report.json"
+    src = Path(expbases.__file__).resolve().parent.parent
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "expbases.cli", "frame-transfer",
+                           "--scenario", str(path), "--out", str(out)],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert json.loads(out.read_text())["results"]["support_is_proper"] is True
+
+
 def test_frame_transfer_vector_count_has_no_cap(tmp_path, capsys):
     scenario = {"name": "overcomplete", "command": "frame-transfer",
                 "parameters": {"domain": {"boxes": [[0.0, 1.0]]},

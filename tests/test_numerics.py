@@ -58,6 +58,23 @@ def test_hermitian_defect_locates_worst_entry():
     assert {i, j} == {1, 2}
 
 
+def first_row_major_defect(m):
+    diff = np.abs(m - m.conj().T)
+    k = int(np.argmax(diff))
+    return float(diff.flat[k]), divmod(k, m.shape[0])
+
+
+@pytest.mark.parametrize("n", [1, 7, 130, 300])
+def test_hermitian_defect_is_the_first_row_major_maximum(n):
+    rng = np.random.default_rng(n)
+    # Entries on a half-integer grid tie often.
+    m = np.round(2 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))) / 2
+    assert hermitian_defect(m) == first_row_major_defect(m)
+    h = 0.5 * (m + m.conj().T)
+    h[n - 1, n - 2] += 1e-3j  # for n = 300, a maximum in the second block of rows
+    assert hermitian_defect(h) == first_row_major_defect(h)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_eigen_bounds_match_power_iteration(seed):
     rng = np.random.default_rng(seed)

@@ -87,8 +87,7 @@ def test_bump_window_interior_support():
 
 
 def test_bump_window_boundary_trims_support():
-    with pytest.warns(UserWarning, match="trimmed"):
-        w = bump_window(UNIT, nodes_per_axis=64)
+    w = bump_window(UNIT, nodes_per_axis=64)
     assert not bool(w.support_mask.all())
     assert bool(w.support_mask.any())
 
@@ -96,8 +95,7 @@ def test_bump_window_boundary_trims_support():
 def test_bump_window_measures_a_mask_by_its_included_cells():
     # The grid spans [0, 2], but only its cells in [0, 1] belong to the domain.
     domain = make_mask_domain([0.0], [4], [0.5], [True, True, False, False])
-    with pytest.warns(UserWarning, match="trimmed"):
-        w = bump_window(domain, nodes_per_axis=8)
+    w = bump_window(domain, nodes_per_axis=8)
     assert w.rule.n_nodes == 16
     assert bool(w.support_mask.any())
 

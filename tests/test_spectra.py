@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from expbases import (
     Box,
     FrequencySet,
+    Pcg32,
+    affine_weight,
     exp_gram,
     exp_inner_closed,
     is_orthonormal_system,
@@ -150,6 +153,85 @@ def test_integer_axes_gather_a_difference_table_bitwise(monkeypatch, domain, poi
     monkeypatch.undo()
     want = broadcast_gram(domain, np.asarray(points, dtype=float))
     assert gram.matrix.tobytes() == want.tobytes()
+
+
+def seeded_rows(points, seed, k=None):
+    """k rows of points (all by default) in a seeded random order."""
+    order = np.random.default_rng(seed).permutation(len(points))
+    return np.asarray(points, dtype=float)[order[:k]]
+
+
+MASK_1D = make_mask_domain([-0.375], [5], [0.25], [True, True, False, True, True])
+MASK_2D = make_mask_domain([-0.5, 0.25], [3, 2], [0.5, 0.5],
+                           [True, False, True, True, True, False])
+
+# (domain, nodes per axis, integer frequencies whose box of differences
+# has at most n^2 points): the Toeplitz route.
+TABLE_ROUTE = {
+    "1d-box-negative-shuffled": (make_domain([Box(-1.25, 0.5)]), 40,
+                                 seeded_rows(lattice_truncation(-70, -11).points, 1)),
+    "1d-mask-sparse": (MASK_1D, 64, seeded_rows(np.arange(-400.0, 501.0)[:, None], 2, 60)),
+    "2d-union-shuffled": (TWO_BOX_SQUARE, 12,
+                          seeded_rows(lattice_truncation(-9, 2, 2).points, 3)),
+    "2d-mask-sparse": (MASK_2D, 10, seeded_rows(lattice_truncation(-16, 6, 2).points, 4, 60)),
+    "3d-box-shuffled": (make_domain([Box([-0.5, 0.0, 0.25], [0.5, 0.75, 1.0])]), 6,
+                        seeded_rows(lattice_truncation(-3, 1, 3).points, 5)),
+}
+
+
+def quadrature_gram_and_oracle(domain, nodes, freqs, weighted):
+    if weighted:
+        weight = affine_weight(domain, 3.0, [0.5, -0.25, 0.75][:domain.dimension],
+                               nodes_per_axis=nodes)
+        want = oracles.dense_quadrature_gram(weight.rule, freqs, np.abs(weight.values) ** 2)
+        return exp_gram(domain, freqs, weight=weight), want
+    rule = quadrature(domain, nodes)
+    return exp_gram(domain, freqs, rule=rule), oracles.dense_quadrature_gram(rule, freqs)
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "affine"])
+@pytest.mark.parametrize("case", TABLE_ROUTE)
+def test_integer_quadrature_grams_match_the_phase_matrix_product(case, weighted):
+    domain, nodes, points = TABLE_ROUTE[case]
+    freqs = FrequencySet(points)
+    assert np.prod(2 * np.ptp(points, axis=0) + 1) <= freqs.size ** 2
+    gram, want = quadrature_gram_and_oracle(domain, nodes, freqs, weighted)
+    assert gram.provenance == "quadrature"
+    assert np.max(np.abs(gram.matrix - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+# Sets the Toeplitz route must leave to the phase-matrix product.
+DENSE_ROUTE = {
+    "kadec": (UNIT, 64, np.arange(-20.0, 20.0) + Pcg32(3).uniforms(40, -0.2, 0.2)),
+    "integer-and-scattered-axes": (MASK_2D, 8, np.stack(
+        [np.repeat(np.arange(-3.0, 3.0), 6), np.tile(np.arange(6) * 0.37 + 0.1, 6)], -1)),
+    "integers-2^40-apart": (MASK_1D, 16, [0.0, 2.0 ** 40]),
+    "difference-box-beyond-n^2": (UNIT, 16, [0.0, 1.0, 5.0]),
+}
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "affine"])
+@pytest.mark.parametrize("case", DENSE_ROUTE)
+def test_other_frequency_sets_keep_the_phase_matrix_product(case, weighted):
+    domain, nodes, points = DENSE_ROUTE[case]
+    gram, want = quadrature_gram_and_oracle(domain, nodes, FrequencySet(points), weighted)
+    assert gram.matrix.tobytes() == want.tobytes()
+
+
+def test_a_lattice_quadrature_gram_never_forms_the_phase_matrix():
+    # The N x n phase matrix of a 512-lattice on a 4,096-node rule alone
+    # takes 32 MB, and the phase-matrix product holds two of them.
+    rule = quadrature(UNIT, 4096)
+    freqs = lattice_truncation(-256, 255)
+    tracemalloc.start()
+    try:
+        gram = exp_gram(UNIT, freqs, rule=rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gram.provenance == "quadrature"
+    assert is_orthonormal_system(gram).is_onb
+    assert peak < 16e6
 
 
 def test_two_dim_gram_factorizes_over_axes():
