@@ -6,6 +6,13 @@ inertia certificate whose margin must clear a hard ceiling before any
 bounds are reported. Test suites hold it against an independent power
 iteration oracle and an eigenvector residual oracle, so the routes never
 share code.
+
+A caller that knows a unimodular diagonal D under which D* M D should be
+real (the centre phase of a Gram, see spectra.exp_gram) passes it as
+phase. The rotated matrix is solved in real arithmetic when its measured
+imaginary part clears the Hermiticity ceiling; Weyl's inequality then
+widens the margin by the dropped part's Frobenius norm and the rotation's
+own rounding. Any other matrix keeps the complex solve.
 """
 
 from __future__ import annotations
@@ -24,8 +31,12 @@ HERMITICITY_TOL = 1e-12
 # Ceiling on the certificate margin scaled by (max |M| entry) * order.
 RESIDUAL_CAP = 1e-8
 
-# Entries per block of rows in the Hermitian defect scan.
+# Entries per block of rows in the Hermitian defect and rotation scans.
 _DEFECT_BLOCK_ENTRIES = 2 ** 16
+
+# Rounding of one rotated entry, conj(d_i) * M[i,j] * d_j, and of the
+# symmetrization after it, in units of eps * |M[i,j]|.
+_ROTATION_ROUNDING = 4
 
 
 @dataclass(frozen=True)
@@ -93,19 +104,52 @@ def _positive_definite(matrix: np.ndarray) -> bool:
     return True
 
 
-def eigen_bounds(matrix) -> EigenBounds:
+def _real_rotation(m: np.ndarray, phase: np.ndarray, ceiling: float):
+    """R = conj(d_i) M[i,j] d_j as (Re R, ||Im R||_F), or None as soon as an
+    entry of Im R exceeds ceiling (or is NaN).
+
+    One pass over blocks of rows, like hermitian_defect; only Re R is kept
+    whole, so no n x n complex array is formed, and a matrix that is not
+    real under the phase stops at its first failing block.
+    """
+    n = m.shape[0]
+    rows = max(1, _DEFECT_BLOCK_ENTRIES // n)
+    real = np.empty((n, n))
+    dropped_sq = 0.0
+    for start in range(0, n, rows):
+        block = m[start:start + rows] * np.multiply.outer(phase[start:start + rows].conj(), phase)
+        imag = np.abs(block.imag).ravel()
+        if not np.max(imag) <= ceiling:
+            return None
+        dropped_sq += float(np.dot(imag, imag))
+        real[start:start + rows] = block.real
+    return real, float(np.sqrt(dropped_sq))
+
+
+def eigen_bounds(matrix, phase=None) -> EigenBounds:
     """Extreme eigenvalues, certified by Sylvester's law of inertia.
 
     Rejects non-square input, orders above ORDER_CAP, and matrices whose
     Hermitian defect exceeds HERMITICITY_TOL * max(1, max |M|) (the
     offending entry is named). eigvalsh gives lambda_min and lambda_max;
-    Cholesky factorizations of M - (lambda_min - margin) I and
-    (lambda_max + margin) I - M then show that no eigenvalue lies outside
-    the reported range by more than margin. The margin starts at
-    order * eps * max(|lambda_min|, |lambda_max|) and doubles after a
-    failed factorization. An eigensolver that fails to converge, or a
-    margin that would exceed RESIDUAL_CAP * max |M| * order, raises
-    instead of returning a partial answer.
+    Cholesky factorizations of H - (lambda_min - margin) I and
+    (lambda_max + margin) I - H then show that no eigenvalue of the solved
+    matrix H lies outside the reported range by more than margin. The
+    margin starts at order * eps * max(|lambda_min|, |lambda_max|) and
+    doubles after a failed factorization. An eigensolver that fails to
+    converge, or a margin that would exceed RESIDUAL_CAP * max |M| * order,
+    raises instead of returning a partial answer.
+
+    H is the Hermitian part (M + M*) / 2, solved in complex arithmetic,
+    unless phase is given: a length-order vector d of unimodular entries.
+    Then R = conj(d_i) M[i,j] d_j = D* M D, whose Hermitian part has the
+    spectrum of M's. If every |Im R[i,j]| is within the Hermiticity
+    ceiling above, H is the real symmetric (Re R + Re R^T) / 2, solved in
+    float64. By Weyl's inequality the Hermitian parts of R and of M differ
+    from H in each eigenvalue by at most ||Im R||_F plus the rotation's
+    rounding (_ROTATION_ROUNDING * eps, and 2 delta + delta^2 for
+    delta = max ||d_j| - 1|, times order * max |M|), so that sum is added
+    to the certified margin. Otherwise the complex solve runs unchanged.
     """
     m = _as_square(matrix)
     n = m.shape[0]
@@ -118,11 +162,26 @@ def eigen_bounds(matrix) -> EigenBounds:
         raise ValueError(
             f"matrix is not Hermitian: |M[{i},{j}] - conj(M[{j},{i}])| = {defect:.3e} "
             f"exceeds {ceiling:g}")
+    if phase is not None:
+        phase = np.asarray(phase, dtype=complex)
+        if phase.shape != (n,):
+            raise ValueError(f"phase must have shape ({n},), got {phase.shape}")
     scale = top * n
     if scale == 0.0:
         return EigenBounds(0.0, 0.0, 0.0)
-    # The eigensolver and both certificates read this one matrix.
-    herm = 0.5 * (m + m.conj().T)
+    eps = np.finfo(float).eps
+    # The eigensolver and both certificates read this one matrix; slack is
+    # the Weyl distance from its spectrum to that of M's Hermitian part.
+    slack = 0.0
+    rotated = None if phase is None else _real_rotation(m, phase, ceiling)
+    if rotated is None:
+        herm = 0.5 * (m + m.conj().T)
+    else:
+        herm, dropped = rotated
+        herm += herm.T
+        herm *= 0.5
+        delta = float(np.max(np.abs(np.abs(phase) - 1.0)))
+        slack = dropped + (_ROTATION_ROUNDING * eps + delta * (2.0 + delta)) * scale
     try:
         w = np.linalg.eigvalsh(herm)
     except np.linalg.LinAlgError as exc:
@@ -131,13 +190,13 @@ def eigen_bounds(matrix) -> EigenBounds:
     # max |M| <= max |lambda| for a Hermitian M; top only keeps the margin
     # positive should the solver return zeros for a nonzero M. np.max
     # propagates a NaN, which the gate below then rejects.
-    margin = float(n * np.finfo(float).eps * np.max(np.abs([lo, hi, top])))
+    margin = float(n * eps * np.max(np.abs([lo, hi, top])))
     below = above = False
     while True:
         # Written so that NaN or infinite values fail the gate too.
-        if not margin <= RESIDUAL_CAP * scale < np.inf:
+        if not margin + slack <= RESIDUAL_CAP * scale < np.inf:
             raise RuntimeError(
-                f"eigen certificate margin {margin / scale:.3e} exceeds the ceiling "
+                f"eigen certificate margin {(margin + slack) / scale:.3e} exceeds the ceiling "
                 f"{RESIDUAL_CAP}")
         # A factorization that succeeds at one margin succeeds at any larger
         # one. Each operand is a copy of herm with its diagonal shifted.
@@ -150,7 +209,7 @@ def eigen_bounds(matrix) -> EigenBounds:
             shifted.flat[::n + 1] += hi + margin
             above = _positive_definite(shifted)
         if below and above:
-            return EigenBounds(lo, hi, margin)
+            return EigenBounds(lo, hi, margin + slack)
         margin *= 2.0
 
 
@@ -199,8 +258,37 @@ class Pcg32:
         unit = (a * 67108864.0 + b) * (1.0 / 9007199254740992.0)
         return lo + (hi - lo) * unit
 
+    def _states(self, count: int) -> np.ndarray:
+        """The next count states as uint64; the stream moves past them.
+
+        Doubling by LCG jump-ahead: with the first k states known, the next
+        k are state * MULT^k + INC * (MULT^(k-1) + ... + 1) mod 2^64, with
+        the jump coefficients in exact integer arithmetic.
+        """
+        states = np.empty(count, dtype=np.uint64)
+        if count == 0:
+            return states
+        states[0] = self._state
+        mult, inc, k = self._MULT, self._INC, 1
+        while k < count:
+            take = min(k, count - k)
+            states[k:k + take] = states[:take] * np.uint64(mult) + np.uint64(inc)
+            mult, inc, k = (mult * mult) & self._M64, (inc * (mult + 1)) & self._M64, 2 * k
+        self._state = int(states[-1])
+        self._advance()
+        return states
+
     def uniforms(self, n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-        return np.array([self.uniform(lo, hi) for _ in range(n)])
+        """n values of uniform(lo, hi), bitwise, with the same state after."""
+        s = self._states(2 * max(n, 0))
+        xorshifted = ((s >> np.uint64(18)) ^ s) >> np.uint64(27) & np.uint64(0xFFFFFFFF)
+        rot = s >> np.uint64(59)
+        out = ((xorshifted >> rot) | (xorshifted << ((np.uint64(32) - rot) & np.uint64(31)))
+               ) & np.uint64(0xFFFFFFFF)
+        a = (out[0::2] >> np.uint64(5)).astype(float)
+        b = (out[1::2] >> np.uint64(6)).astype(float)
+        unit = (a * 67108864.0 + b) * (1.0 / 9007199254740992.0)
+        return lo + (hi - lo) * unit
 
     def randint(self, bound: int) -> int:
         """Uniform integer in [0, bound) via rejection, so no modulo bias."""

@@ -19,8 +19,8 @@ import numpy as np
 from .domain import Box, Domain, QuadratureRule, quadrature
 from .numerics import ORDER_CAP
 from .spectra import (BoundsReport, FrequencySet, GramMatrix, OnbVerdict,
-                      exp_gram, frame_bounds_of_operator, is_orthonormal_system,
-                      riesz_bounds)
+                      centre_phase, exp_gram, frame_bounds_of_operator,
+                      is_orthonormal_system, riesz_bounds)
 
 # Node values at or below this modulus count as outside the support.
 SUPPORT_TOL = 1e-12
@@ -295,7 +295,10 @@ def verify_frame_transfer(domain: Domain, freqs: FrequencySet,
     The model space keeps only the quadrature nodes inside the support.
     Both frame operators (weighted and unweighted exponentials) act there,
     and the weighted bounds must sit inside the unweighted ones scaled by
-    the extreme squared moduli over the support.
+    the extreme squared moduli over the support. Both are solved under the
+    node phase exp(-2 pi i <x_k, m>), m the centre of the frequencies'
+    bounding box (spectra.centre_phase), which makes them real when the
+    frequencies are symmetric about m and the weight is real.
     """
     if weight.domain != domain:
         raise ValueError("weight was sampled on a different domain")
@@ -314,8 +317,11 @@ def verify_frame_transfer(domain: Domain, freqs: FrequencySet,
     v_weighted = (droot * vals)[:, np.newaxis] * phases
     s_plain = v_plain @ v_plain.conj().T
     s_weighted = v_weighted @ v_weighted.conj().T
-    unweighted = frame_bounds_of_operator(s_plain)
-    weighted = frame_bounds_of_operator(s_weighted)
+    # Translating the frequencies by the centre of their bounding box
+    # rotates both operators by the same node phase.
+    phase = centre_phase(nodes, freqs.points)
+    unweighted = frame_bounds_of_operator(s_plain, phase)
+    weighted = frame_bounds_of_operator(s_weighted, phase)
     mods_sq = np.abs(vals) ** 2
     floor_sq = float(mods_sq.min())
     ceil_sq = float(mods_sq.max())

@@ -13,6 +13,15 @@ frequencies is Toeplitz too: when every axis is integer and the box of
 differences has at most n^2 points, the node sum is evaluated once per
 difference vector and gathered; any other set takes the product of the
 node-by-frequency phase matrix with its weighted conjugate.
+
+Every Gram also carries its centre phase (centre_phase): with c the
+centre of the domain's bounding box, G = D G_0 D* for the unimodular
+D = diag(exp(-2 pi i <a_j, c>)) and G_0 the Gram of the domain moved to
+the origin. G_0 is real when the domain and |weight|^2 are symmetric
+about c, and riesz_bounds hands the phase to eigen_bounds, which measures
+the imaginary part of D* G D and solves in real arithmetic when it is
+within the Hermiticity ceiling. Distinct frequencies are proved by a sort
+(one axis, or integer coordinates) before any pairwise scan runs.
 """
 
 from __future__ import annotations
@@ -66,23 +75,12 @@ class FrequencySet:
             raise ValueError(f"frequencies must form a nonempty (n, d) array, got shape {pts.shape}")
         if not np.all(np.isfinite(pts)):
             raise ValueError("frequencies must be finite")
-        # Closest pair by blocks of rows, so memory stays linear in n; a
-        # strict comparison keeps the first pair in row-major order on ties.
-        n = pts.shape[0]
-        rows = max(1, _GAP_BLOCK_ENTRIES // n)
-        closest, i, j = np.inf, 0, 0
-        for start in range(0, n, rows):
-            gaps = np.max(np.abs(pts[start:start + rows, np.newaxis, :] - pts[np.newaxis, :, :]),
-                          axis=-1)
-            local = np.arange(gaps.shape[0])
-            gaps[local, start + local] = np.inf
-            k = int(np.argmin(gaps))
-            if gaps.flat[k] < closest:
-                closest, i, j = gaps.flat[k], start + k // n, k % n
-        if closest <= DISTINCTNESS_TOL:
-            raise ValueError(
-                f"frequencies {i} and {j} coincide within {DISTINCTNESS_TOL}: "
-                f"{pts[i].tolist()} vs {pts[j].tolist()}")
+        if not _distinct_by_sorting(pts):
+            closest, i, j = _closest_pair(pts)
+            if closest <= DISTINCTNESS_TOL:
+                raise ValueError(
+                    f"frequencies {i} and {j} coincide within {DISTINCTNESS_TOL}: "
+                    f"{pts[i].tolist()} vs {pts[j].tolist()}")
         pts = np.ascontiguousarray(pts)
         pts.setflags(write=False)
         object.__setattr__(self, "dimension", int(pts.shape[1]))
@@ -91,6 +89,47 @@ class FrequencySet:
     @property
     def size(self) -> int:
         return self.points.shape[0]
+
+
+def _distinct_by_sorting(pts: np.ndarray) -> bool:
+    """True when a sort proves every sup-norm gap exceeds DISTINCTNESS_TOL.
+
+    One axis: the adjacent gaps of the sorted values. Integer coordinates
+    below _EXACT_INTEGER_BOUND: no two int64 rows are equal after a
+    lexsort, so every gap is at least one. Any other set, or a failed
+    proof, is left to _closest_pair.
+    """
+    if pts.shape[1] == 1:
+        return pts.shape[0] < 2 or float(np.min(np.diff(np.sort(pts[:, 0])))) > DISTINCTNESS_TOL
+    if all(_integer_span(col) is not None for col in pts.T):
+        rows = pts.astype(np.int64)
+        rows = rows[np.lexsort(rows.T)]
+        return not bool(np.any(np.all(rows[1:] == rows[:-1], axis=1)))
+    return False
+
+
+def _closest_pair(pts: np.ndarray) -> tuple[float, int, int]:
+    """Smallest sup-norm gap between two rows and the first pair, in
+    row-major order, that attains it.
+
+    Blocks of rows keep memory linear in n; the per-axis gaps of a block
+    are folded with np.maximum. A strict comparison keeps the first pair
+    on ties.
+    """
+    n = pts.shape[0]
+    rows = max(1, _GAP_BLOCK_ENTRIES // n)
+    closest, i, j = np.inf, 0, 0
+    for start in range(0, n, rows):
+        block = pts[start:start + rows]
+        gaps = np.abs(block[:, 0, np.newaxis] - pts[:, 0])
+        for axis in range(1, pts.shape[1]):
+            np.maximum(gaps, np.abs(block[:, axis, np.newaxis] - pts[:, axis]), out=gaps)
+        local = np.arange(gaps.shape[0])
+        gaps[local, start + local] = np.inf
+        k = int(np.argmin(gaps))
+        if gaps.flat[k] < closest:
+            closest, i, j = float(gaps.flat[k]), start + k // n, k % n
+    return closest, i, j
 
 
 def lattice_truncation(lo: int, hi: int, dimension: int = 1) -> FrequencySet:
@@ -104,12 +143,18 @@ def lattice_truncation(lo: int, hi: int, dimension: int = 1) -> FrequencySet:
 
 @dataclass(frozen=True, init=False)
 class GramMatrix:
-    """Hermitian Gram matrix with a provenance tag."""
+    """Hermitian Gram matrix with a provenance tag.
+
+    phase, when set, is the unimodular diagonal under which the matrix is
+    expected to be real (centre_phase); riesz_bounds passes it to
+    eigen_bounds, which measures whether it is.
+    """
 
     matrix: np.ndarray
     provenance: str
+    phase: Optional[np.ndarray]
 
-    def __init__(self, matrix, provenance="closed_form"):
+    def __init__(self, matrix, provenance="closed_form", phase=None):
         if provenance not in _HERMITICITY_TOL:
             raise ValueError(f"unknown provenance {provenance!r}")
         m = np.asarray(matrix, dtype=complex)
@@ -124,10 +169,16 @@ class GramMatrix:
         if np.min(diag.real) <= 0.0:
             k = int(np.argmin(diag.real))
             raise ValueError(f"Gram diagonal entry {k} is not positive: {diag.real[k]}")
+        if phase is not None:
+            phase = np.array(phase, dtype=complex)
+            if phase.shape != (m.shape[0],):
+                raise ValueError(f"phase must have shape ({m.shape[0]},), got {phase.shape}")
+            phase.setflags(write=False)
         m = np.ascontiguousarray(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "provenance", provenance)
+        object.__setattr__(self, "phase", phase)
 
     @property
     def order(self) -> int:
@@ -281,6 +332,18 @@ def _quadrature_gram(rule: QuadratureRule, freqs: FrequencySet,
     return phases.T @ (coeff[:, np.newaxis] * np.conj(phases))
 
 
+def centre_phase(points: np.ndarray, corners: np.ndarray) -> np.ndarray:
+    """exp(-2 pi i <p, c>) for each row p of points, with c the centre of
+    the bounding box of the rows of corners.
+
+    Translating by c multiplies each exponential by its entry, so a Gram
+    of a system centred at c is D G_0 D* with G_0 the Gram of the system
+    centred at 0: real when that system is symmetric about 0.
+    """
+    centre = 0.5 * (np.min(corners, axis=0) + np.max(corners, axis=0))
+    return np.exp(-2j * np.pi * (points @ centre))
+
+
 def exp_gram(domain: Domain, freqs: FrequencySet, weight=None,
              rule: Optional[QuadratureRule] = None,
              nodes_per_axis: int = 32) -> GramMatrix:
@@ -296,6 +359,12 @@ def exp_gram(domain: Domain, freqs: FrequencySet, weight=None,
     box of differences has at most n^2 points is gathered from a table of
     the node sum over that box (_toeplitz_quadrature_gram); other sets
     use the phase-matrix product.
+
+    Every route sets the Gram's phase to centre_phase of the frequencies
+    about the centre c of the bounding box of domain.cells(): translating
+    the domain by -c rotates the Gram by that diagonal, so a domain and
+    weight symmetric about c give a Gram that is real after rotation, and
+    eigen_bounds solves it in real arithmetic.
     """
     if freqs.size > SYSTEM_SIZE_CAP:
         raise ValueError(f"{freqs.size} frequencies exceed the system cap {SYSTEM_SIZE_CAP}")
@@ -304,6 +373,8 @@ def exp_gram(domain: Domain, freqs: FrequencySet, weight=None,
             f"frequency dimension {freqs.dimension} does not match domain dimension {domain.dimension}")
     if weight is not None and weight.domain != domain:
         raise ValueError("weight was sampled on a different domain")
+    phase = centre_phase(freqs.points, np.concatenate(
+        [(lower, lower + widths) for lower, widths, _ in domain.cells()]))
     if (rule is None and domain.boxes
             and (weight is None or weight.profile in ("indicator", "constant"))):
         matrix = _closed_form(domain, (freqs.size, freqs.size),
@@ -311,16 +382,17 @@ def exp_gram(domain: Domain, freqs: FrequencySet, weight=None,
         scale = 1.0 if weight is None else weight.sup_mod ** 2
         if scale != 1.0:
             matrix = matrix * scale
-        return GramMatrix(matrix, provenance="closed_form")
+        return GramMatrix(matrix, provenance="closed_form", phase=phase)
     if weight is None:
         rule = rule if rule is not None else quadrature(domain, nodes_per_axis)
-        return GramMatrix(_quadrature_gram(rule, freqs, None), provenance="quadrature")
+        return GramMatrix(_quadrature_gram(rule, freqs, None), provenance="quadrature",
+                          phase=phase)
     wsq = np.abs(weight.values) ** 2
     matrix = _quadrature_gram(weight.rule, freqs, wsq)
     cap = domain.measure * float(np.max(wsq))
     if float(np.max(np.diagonal(matrix).real)) > cap * (1.0 + 1e-9):
         raise RuntimeError("weighted Gram diagonal exceeds measure * sup|weight|^2")
-    return GramMatrix(matrix, provenance="quadrature")
+    return GramMatrix(matrix, provenance="quadrature", phase=phase)
 
 
 @dataclass(frozen=True)
@@ -340,8 +412,8 @@ class BoundsReport:
     margin: float
 
 
-def _bounds_from_matrix(matrix: np.ndarray, frame_route: bool) -> BoundsReport:
-    eb = eigen_bounds(matrix)
+def _bounds_from_matrix(matrix: np.ndarray, frame_route: bool, phase) -> BoundsReport:
+    eb = eigen_bounds(matrix, phase)
     upper = max(eb.lambda_max, 0.0)
     lower = eb.lambda_min
     if lower < -DEGENERACY_RTOL * max(upper, 1.0):
@@ -358,13 +430,15 @@ def _bounds_from_matrix(matrix: np.ndarray, frame_route: bool) -> BoundsReport:
 
 
 def riesz_bounds(gram: GramMatrix) -> BoundsReport:
-    """Riesz bounds of the finite section: extreme Gram eigenvalues."""
-    return _bounds_from_matrix(gram.matrix, frame_route=False)
+    """Riesz bounds of the finite section: extreme Gram eigenvalues, solved
+    under the Gram's phase (eigen_bounds)."""
+    return _bounds_from_matrix(gram.matrix, frame_route=False, phase=gram.phase)
 
 
-def frame_bounds_of_operator(matrix) -> BoundsReport:
-    """Frame bounds from a frame operator; Riesz property is not examined."""
-    return _bounds_from_matrix(np.asarray(matrix, dtype=complex), frame_route=True)
+def frame_bounds_of_operator(matrix, phase=None) -> BoundsReport:
+    """Frame bounds from a frame operator; Riesz property is not examined.
+    phase goes to eigen_bounds as for a Gram."""
+    return _bounds_from_matrix(np.asarray(matrix, dtype=complex), frame_route=True, phase=phase)
 
 
 @dataclass(frozen=True)

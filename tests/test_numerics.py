@@ -8,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 import generators
 import oracles
-from expbases import (Box, FrequencySet, Pcg32, bump_window, eigen_bounds, exp_gram,
-                      hermitian_defect, lattice_truncation, make_domain,
-                      make_mask_domain)
+from expbases import (Box, FrequencySet, Pcg32, bump_window, constant_weight,
+                      eigen_bounds, exp_gram, hermitian_defect, lattice_truncation,
+                      make_domain, make_mask_domain)
 from expbases.cli import main
-from expbases.numerics import RESIDUAL_CAP
+from expbases.numerics import HERMITICITY_TOL, RESIDUAL_CAP
+from expbases.spectra import centre_phase
 
 # First four 32-bit outputs, frozen from evaluating the 64/32 xorshift-rotate
 # recipe step by step with integer arithmetic outside the library.
@@ -141,6 +142,112 @@ def test_eigen_bounds_match_the_eigh_oracle_on_dense_gram_shapes(shape):
     assert_certified_like_the_eigh_oracle(DENSE_SHAPES[shape]())
 
 
+def phased_gram(domain, freqs, **kwargs):
+    gram = exp_gram(domain, freqs, **kwargs)
+    return gram.matrix, gram.phase
+
+
+def phased_frame_operator(domain, freqs, weight):
+    nodes = weight.rule.nodes[weight.support_mask]
+    return frame_operator(domain, freqs, weight), centre_phase(nodes, freqs.points)
+
+
+# (matrix, phase) of each dense benchmark shape whose domain, weight or
+# frequencies are symmetric about a centre, at the benchmark's sizes.
+CENTRED_SHAPES = {
+    "1d-lattice-512": lambda: phased_gram(make_domain([Box(0.125, 1.125)]),
+                                          lattice_truncation(-300, 211)),
+    "2d-lattice-484": lambda: phased_gram(make_domain([Box([-0.125, 0.5], [0.875, 1.5])]),
+                                          lattice_truncation(-11, 10, 2)),
+    "1d-kadec-448": lambda: phased_gram(make_domain([Box(-0.375, 0.625)]), FrequencySet(
+        np.arange(-230, 218) + Pcg32(5).uniforms(448, -0.2, 0.2))),
+    "2d-kadec-400": lambda: phased_gram(make_domain([Box([0.25, -0.5], [1.25, 0.5])]),
+                                        FrequencySet(np.stack(np.meshgrid(
+                                            np.arange(-12.0, 8.0), np.arange(-9.0, 11.0)),
+                                            -1).reshape(-1, 2)
+                                            + Pcg32(6).uniforms(800, -0.08, 0.08).reshape(-1, 2))),
+    "1d-full-mask-512": lambda: phased_gram(
+        make_mask_domain([-0.375], [5], [0.25], [True] * 5), lattice_truncation(-256, 255),
+        nodes_per_axis=256),
+    "2d-full-mask-484": lambda: phased_gram(
+        make_mask_domain([-0.625, 0.0], [2, 2], [0.5, 0.5], [True] * 4),
+        lattice_truncation(-12, 9, 2), nodes_per_axis=24),
+    "1d-constant-transfer-512": lambda: phased_gram(
+        make_domain([Box(0.5, 1.5)]), lattice_truncation(-290, 221),
+        weight=constant_weight(make_domain([Box(0.5, 1.5)]), 1.25 - 0.75j)),
+    "frame-operator-bump-400": lambda: phased_frame_operator(
+        make_domain([Box(0.1, 0.9)]), lattice_truncation(-160, 159),
+        bump_window(make_domain([Box(0.1, 0.9)]), 1.0, 400)),
+}
+
+
+@pytest.mark.parametrize("shape", CENTRED_SHAPES)
+def test_the_real_route_agrees_with_the_complex_route(shape, eigvalsh_dtypes):
+    matrix, phase = CENTRED_SHAPES[shape]()
+    real = eigen_bounds(matrix, phase)
+    assert eigvalsh_dtypes == [np.float64]
+    cplx = eigen_bounds(matrix)
+    assert eigvalsh_dtypes[1].kind == "c"
+    tol = 1e-12 * max(1.0, abs(cplx.lambda_max))
+    assert abs(real.lambda_min - cplx.lambda_min) <= tol
+    assert abs(real.lambda_max - cplx.lambda_max) <= tol
+    assert real.lambda_min - real.margin <= cplx.lambda_min
+    assert cplx.lambda_max <= real.lambda_max + real.margin
+    assert real.margin < 1e-11 * max(1.0, abs(cplx.lambda_max))
+
+
+def planted_rotation(coupling=0.9 * HERMITICITY_TOL, n=64, seed=8):
+    """(M, phase, lambda_min, lambda_max, B) with M = D (A + iB) D*.
+
+    A is real symmetric with its top eigenvalue 1 doubled on e_0, e_1, and
+    B couples e_0 and e_1 antisymmetrically (B[0,1] = coupling, by default
+    just under the Hermiticity ceiling), so the top eigenvalue of A + iB is
+    1 + ||B||_2: the dropped imaginary part moves it to first order.
+    """
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n - 2, n - 2)))
+    a = np.zeros((n, n))
+    a[0, 0] = a[1, 1] = 1.0
+    a[2:, 2:] = (q * rng.uniform(0.1, 0.5, n - 2)) @ q.T
+    b = np.zeros((n, n))
+    b[0, 1], b[1, 0] = coupling, -coupling
+    phase = np.exp(2j * np.pi * rng.uniform(size=n))
+    m = phase[:, np.newaxis] * (a + 1j * b) * phase.conj()
+    m = 0.5 * (m + m.conj().T)
+    lo, hi = oracles.eigh_extreme_eigenvalues(m)
+    return m, phase, lo, hi, b
+
+
+def test_the_dropped_imaginary_part_is_in_the_margin(eigvalsh_dtypes):
+    m, phase, lo, hi, b = planted_rotation()
+    bounds = eigen_bounds(m, phase)
+    assert eigvalsh_dtypes == [np.float64]
+    assert bounds.lambda_max < hi - 0.5 * np.linalg.norm(b, 2)
+    assert bounds.margin >= np.linalg.norm(b, 2)
+    assert bounds.lambda_min - bounds.margin <= lo
+    assert hi <= bounds.lambda_max + bounds.margin
+
+
+@pytest.mark.parametrize("wrong", ["conjugated", "random"])
+def test_a_wrong_phase_falls_back_to_the_complex_route(wrong, eigvalsh_dtypes):
+    matrix, centre = CENTRED_SHAPES["1d-kadec-448"]()
+    phase = (centre.conj() if wrong == "conjugated"
+             else np.exp(2j * np.pi * Pcg32(4).uniforms(centre.size)))
+    assert eigen_bounds(matrix, phase) == eigen_bounds(matrix)
+    assert [dtype.kind for dtype in eigvalsh_dtypes] == ["c", "c"]
+
+
+def test_an_imaginary_part_above_the_ceiling_keeps_the_complex_route(eigvalsh_dtypes):
+    m, phase, _, _, _ = planted_rotation(coupling=1.1 * HERMITICITY_TOL)
+    assert eigen_bounds(m, phase) == eigen_bounds(m)
+    assert [dtype.kind for dtype in eigvalsh_dtypes] == ["c", "c"]
+
+
+def test_a_phase_of_the_wrong_length_is_rejected():
+    with pytest.raises(ValueError, match="phase must have shape"):
+        eigen_bounds(np.eye(3), np.ones(2))
+
+
 def move_extreme(monkeypatch, end=0, shift=None, order=None):
     """Make eigvalsh move its extreme eigenvalue w[end] inward by shift
     (default: a tenth of the spread), for matrices of the given order."""
@@ -224,6 +331,25 @@ def test_uniforms_deterministic_and_in_range():
     ys = Pcg32(7).uniforms(200, -2.0, 5.0)
     assert np.array_equal(xs, ys)
     assert np.all((xs >= -2.0) & (xs < 5.0))
+
+
+def test_uniforms_start_from_the_pinned_outputs():
+    # 53 bits from two consecutive outputs, high word first.
+    for seed, words in ((0, PCG_SEED0_FIRST), (42, PCG_SEED42_FIRST)):
+        want = [((hi >> 5) * 2.0 ** 26 + (lo >> 6)) / 2.0 ** 53
+                for hi, lo in (words[0:2], words[2:4])]
+        assert Pcg32(seed).uniforms(2).tolist() == want
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 257, 10 ** 4])
+def test_uniforms_equal_the_scalar_loop_bitwise(n):
+    for seed in (0, 42, 2 ** 64 - 1):
+        fast, loop = Pcg32(seed), Pcg32(seed)
+        got = fast.uniforms(n, -1.0, 3.0)
+        want = np.array([loop.uniform(-1.0, 3.0) for _ in range(n)])
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        # The generator state after the call is the loop's too.
+        assert [fast.next_u32() for _ in range(3)] == [loop.next_u32() for _ in range(3)]
 
 
 @given(seed=st.integers(0, 2**32 - 1), bound=st.integers(1, 1000))

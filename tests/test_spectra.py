@@ -12,6 +12,8 @@ from expbases import (
     FrequencySet,
     Pcg32,
     affine_weight,
+    bump_window,
+    constant_weight,
     exp_gram,
     exp_inner_closed,
     is_orthonormal_system,
@@ -20,6 +22,9 @@ from expbases import (
     make_mask_domain,
     quadrature,
     riesz_bounds,
+    translation_gram,
+    verify_frame_transfer,
+    verify_riesz_transfer,
 )
 from expbases import spectra
 from expbases.spectra import _GAP_BLOCK_ENTRIES
@@ -298,3 +303,92 @@ def test_gram_diagonal_equals_measure():
     domain = make_domain([Box(0.0, 0.75), Box(1.0, 1.5)])
     gram = exp_gram(domain, FrequencySet([-2.0, 0.0, 1.25]))
     assert np.allclose(np.diag(gram.matrix).real, domain.measure, atol=1e-12)
+
+
+def first_closest_pair(points):
+    """The (n, n, d) broadcast scan: smallest sup-norm gap, first pair in
+    row-major order."""
+    pts = np.asarray(points, dtype=float).reshape(len(points), -1)
+    gaps = np.max(np.abs(pts[:, np.newaxis, :] - pts[np.newaxis, :, :]), axis=-1)
+    np.fill_diagonal(gaps, np.inf)
+    k = int(np.argmin(gaps))
+    return float(gaps.flat[k]), divmod(k, len(pts))
+
+
+@pytest.mark.parametrize("points", [
+    pytest.param(seeded_rows(np.arange(-50.0, 50.0)[:, None], 1), id="1d-lattice"),
+    pytest.param(seeded_rows(lattice_truncation(-6, 5, 2).points, 2), id="2d-lattice"),
+    pytest.param(seeded_rows(lattice_truncation(-2, 2, 3).points, 3), id="3d-lattice"),
+    pytest.param(np.arange(-20.0, 20.0) + Pcg32(3).uniforms(40, -0.2, 0.2), id="1d-kadec"),
+])
+def test_sorting_proves_distinctness_without_the_pairwise_scan(monkeypatch, points):
+    def scan(pts):
+        raise AssertionError("pairwise scan ran")
+    monkeypatch.setattr(spectra, "_closest_pair", scan)
+    assert FrequencySet(points).size == len(points)
+
+
+@pytest.mark.parametrize("points", [
+    pytest.param([3.0, -1.0, 2.0, 3.0, -1.0], id="1d-integers"),
+    pytest.param([0.5, 0.25, 0.5 + 1e-13, 0.25 + 1e-14], id="1d-near"),
+    pytest.param([[1.0, 2.0], [0.0, 0.0], [1.0, 2.0], [0.0, 0.0]], id="2d-integers"),
+    pytest.param([[0.5, 2.0], [0.0, 0.25], [0.5, 2.0 + 1e-13], [0.0, 0.25]], id="2d-near"),
+    pytest.param([[1.0, 2.0, 0.0], [1.0, 2.0, 1e-12]], id="3d-at-the-tolerance"),
+])
+def test_coinciding_frequencies_name_the_first_pair_of_the_scan(points):
+    closest, (i, j) = first_closest_pair(points)
+    assert closest <= spectra.DISTINCTNESS_TOL
+    pts = np.asarray(points, dtype=float).reshape(len(points), -1)
+    want = (f"frequencies {i} and {j} coincide within {spectra.DISTINCTNESS_TOL}: "
+            f"{pts[i].tolist()} vs {pts[j].tolist()}")
+    with pytest.raises(ValueError) as info:
+        FrequencySet(points)
+    assert str(info.value) == want
+
+
+def test_every_gram_route_carries_the_centre_phase():
+    freqs = FrequencySet([[-2.0, 1.0], [0.5, 3.0], [4.0, -1.5]])
+    union = make_domain([Box([0.0, -1.0], [1.0, 0.5]), Box([1.5, 0.0], [2.5, 2.0])])
+    centre = np.array([1.25, 0.5])
+    want = np.exp(-2j * np.pi * (freqs.points @ centre))
+    weight = affine_weight(union, 3.0, [0.5, -0.25], nodes_per_axis=6)
+    for gram in (exp_gram(union, freqs), exp_gram(union, freqs, nodes_per_axis=6),
+                 exp_gram(union, freqs, weight=weight)):
+        assert np.array_equal(gram.phase, want)
+    mask = make_mask_domain([-0.5, 0.25], [3, 2], [0.5, 0.5],
+                            [False, True, True, True, True, False])
+    assert np.array_equal(exp_gram(mask, freqs, nodes_per_axis=4).phase,
+                          np.exp(-2j * np.pi * (freqs.points @ np.array([0.25, 0.75]))))
+
+
+def test_a_gram_phase_of_the_wrong_length_is_rejected():
+    with pytest.raises(ValueError, match="phase must have shape"):
+        spectra.GramMatrix(np.eye(3), phase=np.ones(2))
+
+
+SHIFTED_UNIT = make_domain([Box(0.375, 1.375)])
+
+
+@pytest.mark.parametrize("solve,kinds", [
+    pytest.param(lambda: riesz_bounds(exp_gram(SHIFTED_UNIT, lattice_truncation(-40, 23))),
+                 "f", id="single-box"),
+    pytest.param(lambda: riesz_bounds(exp_gram(
+        make_mask_domain([0.25, -0.5], [2, 2], [0.5, 0.5], [True] * 4),
+        lattice_truncation(-5, 3, 2), nodes_per_axis=12)), "f", id="full-mask"),
+    pytest.param(lambda: verify_riesz_transfer(
+        SHIFTED_UNIT, lattice_truncation(-40, 23), constant_weight(SHIFTED_UNIT, 0.6 + 0.8j)),
+        "ff", id="constant-transfer"),
+    pytest.param(lambda: verify_frame_transfer(
+        make_domain([Box(0.1, 0.9)]), lattice_truncation(-30, 9),
+        bump_window(make_domain([Box(0.1, 0.9)]), 1.0, 60)), "ff", id="bump-frame-operators"),
+    pytest.param(lambda: riesz_bounds(exp_gram(
+        make_domain([Box(-0.25, 0.75), Box(1.0, 1.375)]), lattice_truncation(-40, 23))),
+        "c", id="box-union"),
+    pytest.param(lambda: riesz_bounds(translation_gram(
+        SHIFTED_UNIT, lattice_truncation(-40, 23),
+        affine_weight(SHIFTED_UNIT, 2.0, [1.0], nodes_per_axis=128))), "c",
+        id="affine-translation-gram"),
+])
+def test_the_solve_route_follows_the_measured_imaginary_part(eigvalsh_dtypes, solve, kinds):
+    solve()
+    assert "".join(dtype.kind for dtype in eigvalsh_dtypes) == kinds
