@@ -15,6 +15,7 @@ import glob
 import inspect
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -843,6 +844,14 @@ def _main_batch(args) -> int:
     return status
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of --tol: a finite number at or above zero."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="expbases",
@@ -856,12 +865,12 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help="report path (stdout when omitted)")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--seed", type=int, help="override the scenario seed")
-        sp.add_argument("--tol", type=float, help="override the judgement tolerance")
+        sp.add_argument("--tol", type=_tolerance, help="override the judgement tolerance")
     batch = sub.add_parser("batch", help="run every scenario in a directory")
     batch.add_argument("--dir", required=True, help="directory of scenario files")
     batch.add_argument("--out-dir", required=True, help="directory for reports")
     batch.add_argument("--seed", type=int, help="override every scenario seed")
-    batch.add_argument("--tol", type=float, help="override the judgement tolerance")
+    batch.add_argument("--tol", type=_tolerance, help="override the judgement tolerance")
     return parser
 
 

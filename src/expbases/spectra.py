@@ -4,15 +4,13 @@ The exponential attached to a frequency a is x -> exp(-2 pi i <x, a>), and
 all Gram entries are integrals of products of such exponentials over the
 domain, optionally against a spectral weight. exp_gram alone decides how a
 Gram is integrated: box domains get a product of closed-form axis
-factors (one routine, _closed_form, for a single pair or a whole matrix);
-everything else goes through midpoint quadrature. On an axis whose
-frequencies are integers the closed-form factor depends only on the
-integer difference, so it is evaluated once per difference and gathered
-(the Gram is Toeplitz along that axis). A quadrature Gram of integer
-frequencies is Toeplitz too: when every axis is integer and the box of
-differences has at most n^2 points, the node sum is evaluated once per
-difference vector and gathered; any other set takes the product of the
-node-by-frequency phase matrix with its weighted conjugate.
+factors (one routine, _closed_form, for a single pair, a whole matrix or
+a table); everything else goes through midpoint quadrature. Either way an
+entry depends only on the difference of two frequencies, so integer
+frequencies whose box of differences has at most n^2 points
+(_difference_box) are integrated once per difference vector and gathered
+(_gather): the Gram is Toeplitz. Other sets take every pairwise
+difference, or the node-by-frequency phase-matrix product.
 
 Every Gram also carries its centre phase (centre_phase): with c the
 centre of the domain's bounding box, G = D G_0 D* for the unimodular
@@ -26,6 +24,7 @@ within the Hermiticity ceiling. Distinct frequencies are proved by a sort
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -195,15 +194,18 @@ def _axis_factor(delta: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return np.where(small, hi - lo, out)
 
 
-def _closed_form(domain: Domain, shape, axis_factor) -> np.ndarray:
-    # Integral of exp(-2 pi i <delta, x>) over the box union for an array
-    # of differences delta of the given shape: per box, the product of
-    # axis_factor(j, lo, hi), the axis-j factor on [lo, hi].
+def _closed_form(domain: Domain, deltas) -> np.ndarray:
+    # Integral of exp(-2 pi i <delta, x>) over the box union, for per-axis
+    # arrays of differences deltas[j] that broadcast together: per box, the
+    # product of the axis factors. The new factor is the left operand, as
+    # in numpy's in-place product on a large temporary: a complex product
+    # rounds by operand order, and tables and pairwise arrays must agree.
+    shape = np.broadcast_shapes(*(np.shape(delta) for delta in deltas))
     total = np.zeros(shape, dtype=complex)
     for box in domain.boxes:
         factor = np.ones(shape, dtype=complex)
-        for j in range(domain.dimension):
-            factor = factor * axis_factor(j, box.lower[j], box.upper[j])
+        for j, delta in enumerate(deltas):
+            factor = _axis_factor(delta, box.lower[j], box.upper[j]) * factor
         total += factor
     return total
 
@@ -212,37 +214,32 @@ def _integer_span(col: np.ndarray) -> Optional[int]:
     """max - min of an axis of integers below _EXACT_INTEGER_BOUND, else None.
 
     On such an axis every difference of two coordinates is an exact float
-    integer in -span..span, so a Gram factor can be tabled by difference.
+    integer in -span..span.
     """
     if np.all(col == np.round(col)) and np.max(np.abs(col)) < _EXACT_INTEGER_BOUND:
         return int(np.max(col) - np.min(col))
     return None
 
 
-def _gram_axis_factor(points: np.ndarray):
-    """axis_factor for the Gram differences points[r] - points[c], shape (n, n).
+def _difference_box(points: np.ndarray) -> Optional[list[int]]:
+    """The spans of the box of differences when the Gram is Toeplitz, else None.
 
-    An integer axis (_integer_span) whose difference range -span..span has
-    no more values than the Gram has entries gets a table over that range,
-    gathered by index; the table holds the same floats the broadcast
-    differences would, so the Gram is bitwise the same.
+    Every axis must be integer (_integer_span) and the box of differences
+    prod_j [-span_j, span_j] may have at most n^2 points, counted in Python
+    ints: spans near 2^52 overflow int64.
     """
-    n = points.shape[0]
-    axes = []
-    for col in points.T:
-        span = _integer_span(col)
-        if span is not None and 2 * span + 1 <= n * n:
-            ic = col.astype(np.int64)
-            axes.append((np.arange(-span, span + 1, dtype=float),
-                         ic[:, np.newaxis] - ic[np.newaxis, :] + span))
-        else:
-            axes.append((col[:, np.newaxis] - col[np.newaxis, :], None))
+    spans = [_integer_span(col) for col in points.T]
+    if None in spans or math.prod(2 * span + 1 for span in spans) > points.shape[0] ** 2:
+        return None
+    return spans
 
-    def axis_factor(j, lo, hi):
-        delta, index = axes[j]
-        factor = _axis_factor(delta, lo, hi)
-        return factor if index is None else factor[index]
-    return axis_factor
+
+def _gather(table: np.ndarray, points: np.ndarray, spans: list[int]) -> np.ndarray:
+    """G[r, c] = table[points[r] - points[c] + spans] from a C-order table
+    of shape 2 spans + 1."""
+    key = np.ravel_multi_index((points - np.min(points, axis=0)).astype(np.int64).T, table.shape)
+    zero = np.ravel_multi_index(spans, table.shape)
+    return table.reshape(-1)[np.subtract.outer(key, key) + zero]
 
 
 def exp_inner_closed(domain: Domain, a, b) -> complex:
@@ -254,8 +251,7 @@ def exp_inner_closed(domain: Domain, a, b) -> complex:
     if av.shape != (domain.dimension,) or bv.shape != (domain.dimension,):
         raise ValueError(
             f"frequencies must have dimension {domain.dimension}, got {av.shape} and {bv.shape}")
-    delta = av - bv
-    return complex(_closed_form(domain, (), lambda j, lo, hi: _axis_factor(delta[j], lo, hi)))
+    return complex(_closed_form(domain, av - bv))
 
 
 def _coarse_fine(size: int) -> tuple[int, int]:
@@ -278,23 +274,19 @@ def _phase_factors(x: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
     return coarse, fine
 
 
-def _toeplitz_quadrature_gram(nodes: np.ndarray, coeff: np.ndarray, points: np.ndarray,
-                              spans: list[int]) -> np.ndarray:
-    """The quadrature Gram of integer frequencies from its difference table.
+def _quadrature_table(nodes: np.ndarray, coeff: np.ndarray, spans: list[int]) -> np.ndarray:
+    """f(delta) = sum_k coeff[k] exp(-2 pi i <delta, nodes[k]>) on the box
+    of differences prod_j [-span_j, span_j], as a C-order table.
 
-    G[r, c] = f(points[r] - points[c]) with f(delta) = sum_k coeff[k]
-    exp(-2 pi i <delta, nodes[k]>), evaluated on the whole box of
-    differences prod_j [-span_j, span_j]. coeff, the phase table of every
-    axis but the last and the last axis's coarse factor fold into one
-    array; its product with the last axis's fine factor is the table,
-    whose last axis is padded to q * b. Nodes go in blocks, so the folded
-    array stays near _TABLE_BLOCK_ENTRIES entries. The Gram is gathered
-    from the table with a mixed-radix index.
+    coeff, the phase table of every axis but the last and the last axis's
+    coarse factor fold into one array; its product with the last axis's
+    fine factor is the table, whose last axis is padded to q * b and then
+    trimmed. Nodes go in blocks, so the folded array stays near
+    _TABLE_BLOCK_ENTRIES entries.
     """
     sizes = [2 * span + 1 for span in spans]
     q, b = _coarse_fine(sizes[-1])
-    radices = sizes[:-1] + [q * b]
-    rows = int(np.prod(sizes[:-1])) * q
+    rows = math.prod(sizes[:-1]) * q
     block = max(1, _TABLE_BLOCK_ENTRIES // rows)
     table = np.zeros((rows, b), dtype=complex)
     for start in range(0, nodes.shape[0], block):
@@ -307,29 +299,7 @@ def _toeplitz_quadrature_gram(nodes: np.ndarray, coeff: np.ndarray, points: np.n
         coarse, fine = _phase_factors(x[:, -1], spans[-1])
         folded = (folded[:, np.newaxis, :] * coarse).reshape(-1, x.shape[0])
         table += folded @ fine.T
-    # Table index of delta: sum_j strides[j] * (delta_j + span_j).
-    strides = np.cumprod([1] + radices[:0:-1])[::-1]
-    key = (points - np.min(points, axis=0)).astype(np.int64) @ strides
-    index = np.subtract.outer(key, key)
-    index += int(np.dot(strides, spans))
-    return table.reshape(-1)[index]
-
-
-def _quadrature_gram(rule: QuadratureRule, freqs: FrequencySet,
-                     weight_sq: Optional[np.ndarray]) -> np.ndarray:
-    # Integer frequencies whose box of differences has at most n^2 points
-    # take the Toeplitz route; every other set, the phase-matrix product.
-    coeff = rule.weights if weight_sq is None else rule.weights * weight_sq
-    points = freqs.points
-    spans = [_integer_span(col) for col in points.T]
-    if None not in spans:
-        box = 1
-        for span in spans:
-            box *= 2 * span + 1
-        if box <= freqs.size ** 2:
-            return _toeplitz_quadrature_gram(rule.nodes, coeff, points, spans)
-    phases = np.exp(-2j * np.pi * (rule.nodes @ points.T))
-    return phases.T @ (coeff[:, np.newaxis] * np.conj(phases))
+    return table.reshape(sizes[:-1] + [q * b])[..., :sizes[-1]]
 
 
 def centre_phase(points: np.ndarray, corners: np.ndarray) -> np.ndarray:
@@ -355,10 +325,10 @@ def exp_gram(domain: Domain, freqs: FrequencySet, weight=None,
     (indicator or constant profile), gets the closed form scaled by
     sup|weight|^2; every other case uses midpoint quadrature, on the
     weight's rule when there is a weight, else on rule or a fresh
-    nodes_per_axis rule. A quadrature Gram of integer frequencies whose
-    box of differences has at most n^2 points is gathered from a table of
-    the node sum over that box (_toeplitz_quadrature_gram); other sets
-    use the phase-matrix product.
+    nodes_per_axis rule. Either way a set with a small box of integer
+    differences (_difference_box) is integrated once per difference and
+    gathered (_gather); any other set takes every pairwise difference or
+    the phase-matrix product.
 
     Every route sets the Gram's phase to centre_phase of the frequencies
     about the centre c of the bounding box of domain.cells(): translating
@@ -373,26 +343,40 @@ def exp_gram(domain: Domain, freqs: FrequencySet, weight=None,
             f"frequency dimension {freqs.dimension} does not match domain dimension {domain.dimension}")
     if weight is not None and weight.domain != domain:
         raise ValueError("weight was sampled on a different domain")
-    phase = centre_phase(freqs.points, np.concatenate(
+    points = freqs.points
+    phase = centre_phase(points, np.concatenate(
         [(lower, lower + widths) for lower, widths, _ in domain.cells()]))
+    spans = _difference_box(points)
+    wsq = None
     if (rule is None and domain.boxes
             and (weight is None or weight.profile in ("indicator", "constant"))):
-        matrix = _closed_form(domain, (freqs.size, freqs.size),
-                              _gram_axis_factor(freqs.points))
-        scale = 1.0 if weight is None else weight.sup_mod ** 2
-        if scale != 1.0:
-            matrix = matrix * scale
-        return GramMatrix(matrix, provenance="closed_form", phase=phase)
-    if weight is None:
-        rule = rule if rule is not None else quadrature(domain, nodes_per_axis)
-        return GramMatrix(_quadrature_gram(rule, freqs, None), provenance="quadrature",
-                          phase=phase)
-    wsq = np.abs(weight.values) ** 2
-    matrix = _quadrature_gram(weight.rule, freqs, wsq)
-    cap = domain.measure * float(np.max(wsq))
-    if float(np.max(np.diagonal(matrix).real)) > cap * (1.0 + 1e-9):
-        raise RuntimeError("weighted Gram diagonal exceeds measure * sup|weight|^2")
-    return GramMatrix(matrix, provenance="quadrature", phase=phase)
+        provenance = "closed_form"
+        if spans is None:
+            deltas = [col[:, np.newaxis] - col[np.newaxis, :] for col in points.T]
+        else:
+            deltas = np.meshgrid(*(np.arange(-span, span + 1, dtype=float) for span in spans),
+                                 indexing="ij")
+        table = _closed_form(domain, deltas)
+        if weight is not None and weight.sup_mod != 1.0:
+            table = table * weight.sup_mod ** 2
+    else:
+        provenance = "quadrature"
+        if weight is not None:
+            rule, wsq = weight.rule, np.abs(weight.values) ** 2
+        elif rule is None:
+            rule = quadrature(domain, nodes_per_axis)
+        coeff = rule.weights if wsq is None else rule.weights * wsq
+        if spans is None:
+            phases = np.exp(-2j * np.pi * (rule.nodes @ points.T))
+            table = phases.T @ (coeff[:, np.newaxis] * np.conj(phases))
+        else:
+            table = _quadrature_table(rule.nodes, coeff, spans)
+    matrix = table if spans is None else _gather(table, points, spans)
+    if wsq is not None:
+        cap = domain.measure * float(np.max(wsq))
+        if float(np.max(np.diagonal(matrix).real)) > cap * (1.0 + 1e-9):
+            raise RuntimeError("weighted Gram diagonal exceeds measure * sup|weight|^2")
+    return GramMatrix(matrix, provenance=provenance, phase=phase)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ spectrum search tabulates differences among admissible elements only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -40,11 +41,15 @@ class GroupInstance:
         mods = tuple(int(m) for m in np.atleast_1d(moduli))
         if not mods or any(m < 1 for m in mods):
             raise ValueError(f"moduli must be positive integers, got {mods}")
+        order = math.prod(mods)
+        if order > np.iinfo(np.intp).max:
+            raise ValueError(f"moduli {list(mods)} give group order {order}, "
+                             f"above the largest index {np.iinfo(np.intp).max}")
         object.__setattr__(self, "moduli", mods)
 
     @property
     def order(self) -> int:
-        return int(np.prod(self.moduli))
+        return math.prod(self.moduli)
 
     @property
     def dimension(self) -> int:
@@ -99,8 +104,8 @@ def tiles(group: GroupInstance, pattern, candidate) -> TilingVerdict:
     pat = group.coords(_distinct_indices(group, pattern, "pattern"))
     cand = group.coords(_distinct_indices(group, candidate, "candidate"))
     sums = group.index((pat[:, np.newaxis, :] + cand[np.newaxis, :, :]).reshape(-1, group.dimension))
-    counts = np.bincount(sums, minlength=group.order)
-    uncovered = int((counts == 0).sum())
+    counts = np.unique(sums, return_counts=True)[1]
+    uncovered = group.order - counts.size
     collisions = int((counts > 1).sum())
     return TilingVerdict(uncovered == 0 and collisions == 0, uncovered, collisions)
 

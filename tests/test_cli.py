@@ -289,6 +289,32 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["bounds", "--scenario", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("command", ["bounds", "batch"])
+def test_tol_must_be_finite_and_not_negative(tmp_path, capsys, command, tol):
+    scenario = tmp_path / "runs" / "a.json"
+    scenario.parent.mkdir()
+    write_scenario(scenario, bounds_scenario())
+    out = tmp_path / "out"
+    where = (["--dir", str(scenario.parent), "--out-dir", str(out)] if command == "batch"
+             else ["--scenario", str(scenario), "--out", str(out)])
+    with pytest.raises(SystemExit) as stop:
+        main([command, *where, "--tol", tol])
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --tol: must be a finite number >= 0, got '{tol}'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_a_zero_tol_is_accepted(tmp_path):
+    scenario = tmp_path / "a.json"
+    write_scenario(scenario, bounds_scenario())
+    out = tmp_path / "report.json"
+    assert main(["bounds", "--scenario", str(scenario), "--out", str(out), "--tol", "0"]) in (0, 1)
+    assert json.loads(out.read_text())["results"]["system_size"] == 5
+
+
 def test_main_batch_mixed_results(tmp_path, capsys):
     runs = tmp_path / "runs"
     runs.mkdir()
@@ -550,6 +576,29 @@ def test_complement_search_deeper_than_the_recursion_limit(tmp_path, capsys):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["verdicts"]["exhaustive"] is True
     assert report["results"]["found"] == [list(range(0, 2048, 2))]
+
+
+@pytest.mark.parametrize("command,parameters,code", [
+    pytest.param("tiling", {"moduli": [2 ** 32, 2 ** 32], "mode": "check_tiling",
+                            "pattern": [0], "candidate": [0]}, 2, id="tiling-order-past-an-index"),
+    pytest.param("cube-check", {"moduli": [2 ** 32, 2 ** 32], "side": 2 ** 32}, 2,
+                 id="cube-order-past-an-index"),
+    pytest.param("tiling", {"moduli": [2 ** 40], "mode": "check_tiling",
+                            "pattern": [0], "candidate": [0]}, 0, id="tiling-order-2^40"),
+])
+def test_huge_groups_end_promptly_without_a_traceback(tmp_path, capsys, command, parameters,
+                                                      code):
+    start = time.perf_counter()
+    got, err = run_main(tmp_path, capsys, {"name": "huge", "command": command,
+                                          "parameters": parameters}, command)
+    assert time.perf_counter() - start < 1.0
+    assert got == code
+    assert "Traceback" not in err
+    if code == 2:
+        assert f"moduli {parameters['moduli']} give group order {2 ** 64}" in err
+    else:
+        results = json.loads((tmp_path / "report.json").read_text())["results"]
+        assert results == {"uncovered": 2 ** 40 - 1, "collisions": 0}
 
 
 @pytest.mark.parametrize("command, parameters", [

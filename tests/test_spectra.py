@@ -119,7 +119,7 @@ def broadcast_gram(domain, points):
     for box in domain.boxes:
         factor = np.ones(delta.shape[:-1], dtype=complex)
         for j in range(domain.dimension):
-            factor = factor * spectra._axis_factor(delta[..., j], box.lower[j], box.upper[j])
+            factor = spectra._axis_factor(delta[..., j], box.lower[j], box.upper[j]) * factor
         total += factor
     return total
 
@@ -127,37 +127,81 @@ def broadcast_gram(domain, points):
 TWO_BOX_SQUARE = make_domain([Box([0.0, 0.0], [1.0, 1.0]), Box([1.25, -0.5], [1.75, 0.25])])
 
 
-@pytest.mark.parametrize("domain,points,tables", [
+def gathered_grams(monkeypatch, build):
+    """build()'s result and the number of _gather calls it made."""
+    calls = []
+    gather = spectra._gather
+
+    def recording(table, points, spans):
+        calls.append(spans)
+        return gather(table, points, spans)
+    monkeypatch.setattr(spectra, "_gather", recording)
+    result = build()
+    monkeypatch.undo()
+    return result, len(calls)
+
+
+SPARSE_2D = np.random.default_rng(7).choice(401, size=(20, 2), replace=False) - 200.0
+
+
+@pytest.mark.parametrize("domain,points,table", [
     pytest.param(make_domain([Box(0.125, 1.125)]), lattice_truncation(-300, 211).points,
-                 [True], id="1d-lattice"),
+                 True, id="1d-lattice"),
     pytest.param(make_domain([Box(-0.25, 0.75), Box(1.0, 1.375)]),
-                 lattice_truncation(1000, 1100).points, [True], id="1d-union-offset"),
+                 lattice_truncation(1000, 1100).points, True, id="1d-union-offset"),
     pytest.param(make_domain([Box(-3.5, -2.25)]), -np.arange(0.0, 300.0, 3.0)[:, None],
-                 [True], id="1d-negative-stride-3"),
-    pytest.param(TWO_BOX_SQUARE, lattice_truncation(-11, 10, 2).points, [True, True],
+                 True, id="1d-negative-stride-3"),
+    pytest.param(TWO_BOX_SQUARE, lattice_truncation(-11, 10, 2).points, True,
                  id="2d-union-lattice"),
     pytest.param(TWO_BOX_SQUARE, np.stack([np.repeat(np.arange(-10.0, 10.0), 20),
                                            np.tile(np.arange(20) * 0.37 + 0.1, 20)], -1),
-                 [True, False], id="2d-integer-and-scattered"),
-    pytest.param(make_domain([Box(0.0, 1.0)]), 2.0 ** 52 + np.arange(5.0)[:, None], [False],
+                 False, id="2d-integer-and-scattered"),
+    pytest.param(make_domain([Box(0.0, 1.0)]), 2.0 ** 52 + np.arange(5.0)[:, None], False,
                  id="integers-at-2^52"),
     pytest.param(make_domain([Box(0.0, 1.0)]), np.array([[-7.0], [5.0], [2.0 ** 52 - 1]]),
-                 [False], id="span-beyond-the-gram"),
+                 False, id="span-beyond-the-gram"),
+    pytest.param(TWO_BOX_SQUARE, np.unique(SPARSE_2D, axis=0), False,
+                 id="2d-sparse-box-beyond-n^2"),
+    # (2^32 - 1) * (2^32 + 1) points: -1 in int64, which a wrapped count
+    # would take for at most n^2.
+    pytest.param(TWO_BOX_SQUARE, [[0.0, 0.0], [2.0 ** 31 - 1, 2.0 ** 31], [1.0, 1.0]], False,
+                 id="box-count-past-int64"),
 ])
-def test_integer_axes_gather_a_difference_table_bitwise(monkeypatch, domain, points, tables):
-    shapes = []
-    axis_factor = spectra._axis_factor
+def test_integer_axes_gather_a_difference_table_bitwise(monkeypatch, domain, points, table):
+    points = np.asarray(points, dtype=float)
+    gram, gathers = gathered_grams(monkeypatch, lambda: exp_gram(domain, FrequencySet(points)))
+    assert gathers == int(table)
+    assert gram.matrix.tobytes() == broadcast_gram(domain, points).tobytes()
 
-    def recording(delta, lo, hi):
-        shapes.append(np.shape(delta))
-        return axis_factor(delta, lo, hi)
-    monkeypatch.setattr(spectra, "_axis_factor", recording)
-    gram = exp_gram(domain, FrequencySet(points))
-    # A table is a 1-D array of differences; the broadcast is (n, n).
-    assert [len(shape) == 1 for shape in shapes[:domain.dimension]] == tables
-    monkeypatch.undo()
-    want = broadcast_gram(domain, np.asarray(points, dtype=float))
-    assert gram.matrix.tobytes() == want.tobytes()
+
+@pytest.mark.parametrize("points,table", [
+    pytest.param([0.0, 1.0, 4.0], True, id="1d-n^2"),
+    pytest.param([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], True, id="2d-n^2"),
+    pytest.param([0.0, 1.0, 2.0, 8.0], False, id="1d-n^2+1"),
+    pytest.param([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [8.0, 0.0]], False, id="2d-n^2+1"),
+])
+def test_the_table_holds_at_most_n_squared_differences(monkeypatch, points, table):
+    freqs = FrequencySet(points)
+    assert (np.prod(2 * np.ptp(freqs.points, axis=0) + 1) <= freqs.size ** 2) == table
+    domain = TWO_BOX_SQUARE if freqs.dimension == 2 else make_domain([Box(-0.25, 0.75)])
+    rule = quadrature(domain, 8)
+    for build, want in ((lambda: exp_gram(domain, freqs), broadcast_gram(domain, freqs.points)),
+                        (lambda: exp_gram(domain, freqs, rule=rule),
+                         oracles.dense_quadrature_gram(rule, freqs))):
+        gram, gathers = gathered_grams(monkeypatch, build)
+        assert gathers == int(table)
+        assert np.max(np.abs(gram.matrix - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_a_table_gram_is_byte_identical_across_rebuilds():
+    # Report bytes must not depend on where the allocator puts the table.
+    freqs = lattice_truncation(-11, 10, 2)
+    first = exp_gram(TWO_BOX_SQUARE, freqs).matrix.tobytes()
+    rng = np.random.default_rng(11)
+    for size in rng.integers(1, 200_000, size=50):
+        churn = [np.empty(int(size) + k, dtype=complex) for k in range(3)]
+        assert exp_gram(TWO_BOX_SQUARE, freqs).matrix.tobytes() == first
+        del churn
 
 
 def seeded_rows(points, seed, k=None):

@@ -72,6 +72,33 @@ def test_tiles_counts_cover_defects():
     assert bad.collisions == 2
 
 
+def test_group_orders_past_an_index_are_rejected():
+    with pytest.raises(ValueError, match=r"moduli \[8589934592, 8589934593\] give group order "
+                                         r"73786976303428141056"):
+        GroupInstance([2 ** 33, 2 ** 33 + 1])
+    assert GroupInstance([2 ** 31, 2 ** 31 - 1]).order == 2 ** 62 - 2 ** 31
+
+
+def bincount_tiles(group, pattern, candidate):
+    """The coverage counts of every group element, one bincount entry each."""
+    pat = group.coords(np.asarray(pattern))
+    cand = group.coords(np.asarray(candidate))
+    sums = group.index((pat[:, None, :] + cand[None, :, :]).reshape(-1, group.dimension))
+    counts = np.bincount(sums, minlength=group.order)
+    return int((counts == 0).sum()), int((counts > 1).sum())
+
+
+@pytest.mark.parametrize("moduli", [(12,), (4, 6), (3, 3, 2)])
+def test_tiles_counts_match_a_count_per_element(moduli):
+    group = GroupInstance(moduli)
+    rng = Pcg32(17)
+    for trial in range(40):
+        pattern = rng.distinct_indices(group.order, 1 + trial % 4)
+        candidate = rng.distinct_indices(group.order, 1 + trial % 6)
+        verdict = tiles(group, pattern, candidate)
+        assert (verdict.uncovered, verdict.collisions) == bincount_tiles(group, pattern, candidate)
+
+
 def test_is_spectrum_verdicts():
     g = GroupInstance([6])
     yes = is_spectrum(g, (0, 1, 2), (0, 2, 4))

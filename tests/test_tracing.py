@@ -1,0 +1,52 @@
+"""The per-layer tracer in perfbench/tracing.py against the library it wraps.
+
+The tracer binds exp_gram's arguments by position and wraps functions by
+name, so a renamed function or a reordered signature would break a
+traced benchmark run; these tests catch that here first.
+"""
+
+import runpy
+import sys
+from pathlib import Path
+
+import expbases
+from expbases import cli, spectra
+
+# run_path compiles the file itself and writes no bytecode next to it.
+TRACING = runpy.run_path(str(Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"))
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def bindings():
+    """Every name bound in an expbases module, with the object it is bound to."""
+    modules = [m for n, m in sorted(sys.modules.items())
+               if n == "expbases" or n.startswith("expbases.")]
+    bound = {(m.__name__, attr): obj for m in modules for attr, obj in vars(m).items()}
+    for cls, attr in ((spectra.FrequencySet, "__init__"), (expbases.Pcg32, "uniforms"),
+                      (expbases.Pcg32, "distinct_indices")):
+        bound[(cls.__name__, attr)] = cls.__dict__[attr]
+    return bound
+
+
+def test_a_traced_run_records_the_benchmark_spans_and_restores_the_library(tmp_path):
+    before = bindings()
+    tracer = TRACING["Tracer"]()
+    tracer.install()
+    try:
+        for command, name in (("bounds", "01_wsk_orthonormal.json"),
+                              ("transfer", "05_transfer_constant.json")):
+            code = cli.main([command, "--scenario", str(SCENARIOS / name),
+                             "--out", str(tmp_path / f"{command}.json")])
+            assert code == 0
+    finally:
+        tracer.uninstall()
+    after = bindings()
+    assert after.keys() == before.keys()
+    assert all(after[key] is obj for key, obj in before.items())
+    names = {span[0] for span in tracer.spans}
+    assert {"spectra.exp_gram", "numerics.eigen_bounds", "paley_wiener.verify_riesz_transfer",
+            "cli.dumps_report"} <= names
+    grams = [span[5] for span in tracer.spans if span[0] == "spectra.exp_gram"]
+    assert grams and all({"n", "lattice"} <= attrs.keys() for attrs in grams)
+    assert grams[0]["n"] == 17 and grams[0]["lattice"] is True
