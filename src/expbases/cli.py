@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import glob
 import inspect
 import io
@@ -78,7 +79,8 @@ class SchemaError(Exception):
 #     fields before it and is never read from the scenario.
 #     build(values, scope) makes the object from its checked values;
 #   _Tagged(tag, variants): an _Obj whose tag key names the variant, given
-#     as name -> (fields, build).
+#     as name -> (fields, build);
+#   _Built(spec, build): a value that passes spec, made into build(value).
 # scope maps the names of the values built so far in the enclosing objects
 # (the innermost wins), so a builder finds its domain, rule or seeded stream;
 # it starts with the seed override and the scenario as given.
@@ -87,6 +89,7 @@ _Array = namedtuple("_Array", "leaf rank")
 _Verdicts = namedtuple("_Verdicts", "names")
 _Obj = namedtuple("_Obj", "fields build", defaults=(None,))
 _Tagged = namedtuple("_Tagged", "tag variants")
+_Built = namedtuple("_Built", "spec build")
 
 _BAD = object()
 _REQ = object()  # default of a field that must be given
@@ -143,6 +146,9 @@ def _check(spec, value, path: str, walk: _Walk, scope: dict):
         if not spec.test(value):
             return walk.fail(path, f"expected {spec.what}")
         return value if spec.convert is None else spec.convert(value)
+    if isinstance(spec, _Built):
+        got = _check(spec.spec, value, path, walk, scope)
+        return _BAD if got is _BAD else walk.build(path, spec.build, got)
     if isinstance(spec, _Array):
         if not isinstance(value, list) or spec.rank == 0:
             return _check(spec.leaf, value, path, walk, scope)
@@ -422,7 +428,7 @@ def _run_frame_transfer(p, rng, tol):
 
 
 def _run_tiling(p, rng, tol):
-    group = GroupInstance(p["moduli"])
+    group = p["moduli"]
     mode, pattern = p["mode"], p["pattern"]
     if mode == "check_tiling":
         verdict = tiles(group, pattern, p["candidate"])
@@ -449,13 +455,13 @@ def _run_tiling(p, rng, tol):
 
 
 def _run_cube_check(p, rng, tol):
-    moduli, side = p["moduli"], p["side"]
-    divides = all(m % side == 0 for m in moduli)
-    hyps = [_hyp("side_divides_moduli", divides, side, min(moduli))]
+    group, side = p["moduli"], p["side"]
+    divides = all(m % side == 0 for m in group.moduli)
+    hyps = [_hyp("side_divides_moduli", divides, side, min(group.moduli))]
     if not divides:
         # No dual cube exists, so neither family is searched.
         return hyps, {}, {"families_equal": None}
-    report = cube_equivalence_check(GroupInstance(moduli), side)
+    report = cube_equivalence_check(group, side)
     results = {
         "side": list(report.side),
         "dual_side": list(report.dual_side),
@@ -552,7 +558,9 @@ def _run_factorization(p, rng, tol):
     return hyps, results, verdicts
 
 
-_PATTERN = {"moduli": ([_at_least(1)], _REQ), "pattern": ([_at_least(0)], _REQ)}
+# The group is built, and its order checked, where its moduli are read.
+_GROUP = (_Built([_at_least(1)], GroupInstance), _REQ)
+_PATTERN = {"moduli": _GROUP, "pattern": ([_at_least(0)], _REQ)}
 _CHECK_CANDIDATE = {**_PATTERN, "candidate": ([_at_least(0)], _REQ)}
 _SEARCH = {**_PATTERN, "samples": (_at_least(1), None), "force_exhaustive": (_BOOL, False)}
 
@@ -591,7 +599,7 @@ COMMANDS = {
         "search_spectra": _SEARCH_VERDICTS,
     }),
     "cube-check": _Command(_run_cube_check, _Obj({
-        "moduli": ([_at_least(1)], _REQ),
+        "moduli": _GROUP,
         "side": (_at_least(1), _REQ),
     }), ("families_equal",)),
     "sample": _Command(_run_sample, _Obj({
@@ -853,6 +861,7 @@ def _tolerance(text: str) -> float:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the expbases command line; callers may extend it."""
     parser = argparse.ArgumentParser(
         prog="expbases",
         description="Scenario-driven checks for exponential and translation systems.")
@@ -874,8 +883,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # main's own parser, built on the first call rather than at import.
+    # parse_args keeps no state between calls (each gets a fresh Namespace,
+    # and errors leave through SystemExit), so one serves every call.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "batch":
             return _main_batch(args)

@@ -18,6 +18,7 @@ own rounding. Any other matrix keeps the complex solve.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -90,6 +91,14 @@ def hermitian_defect(matrix) -> tuple[float, tuple[int, int]]:
     return defect, at
 
 
+def hermitian_scan(matrix) -> tuple[float, float, tuple[int, int]]:
+    """(max |M|, defect, (i, j)): what every Hermiticity gate reads, the
+    largest entry modulus and hermitian_defect, from one call."""
+    m = _as_square(matrix)
+    defect, at = hermitian_defect(m)
+    return float(np.max(np.abs(m))), defect, at
+
+
 def hermiticity_ceiling(top: float, tol: float) -> float:
     """tol scaled to a matrix whose largest entry has modulus top: absolute
     below unit magnitude, relative otherwise."""
@@ -126,7 +135,7 @@ def _real_rotation(m: np.ndarray, phase: np.ndarray, ceiling: float):
     return real, float(np.sqrt(dropped_sq))
 
 
-def eigen_bounds(matrix, phase=None) -> EigenBounds:
+def eigen_bounds(matrix, phase=None, *, scan: Optional[tuple] = None) -> EigenBounds:
     """Extreme eigenvalues, certified by Sylvester's law of inertia.
 
     Rejects non-square input, orders above ORDER_CAP, and matrices whose
@@ -150,13 +159,16 @@ def eigen_bounds(matrix, phase=None) -> EigenBounds:
     rounding (_ROTATION_ROUNDING * eps, and 2 delta + delta^2 for
     delta = max ||d_j| - 1|, times order * max |M|), so that sum is added
     to the certified margin. Otherwise the complex solve runs unchanged.
+
+    scan is hermitian_scan(matrix) when the caller already holds it for
+    this very matrix (a GramMatrix carries its own), so the matrix is not
+    scanned twice; without it the scan runs here. The gate is the same.
     """
     m = _as_square(matrix)
     n = m.shape[0]
     if n > ORDER_CAP:
         raise ValueError(f"order {n} exceeds the dense-solver cap {ORDER_CAP}; shrink the truncation")
-    top = float(np.max(np.abs(m)))
-    defect, (i, j) = hermitian_defect(m)
+    top, defect, (i, j) = hermitian_scan(m) if scan is None else scan
     ceiling = hermiticity_ceiling(top, HERMITICITY_TOL)
     if defect > ceiling:
         raise ValueError(

@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .domain import Domain, QuadratureRule, quadrature
-from .numerics import eigen_bounds, hermitian_defect, hermiticity_ceiling
+from .numerics import eigen_bounds, hermitian_scan, hermiticity_ceiling
 
 # Largest frequency-set size a Gram matrix will be assembled for.
 SYSTEM_SIZE_CAP = 512
@@ -146,12 +146,15 @@ class GramMatrix:
 
     phase, when set, is the unimodular diagonal under which the matrix is
     expected to be real (centre_phase); riesz_bounds passes it to
-    eigen_bounds, which measures whether it is.
+    eigen_bounds, which measures whether it is. scan is the matrix's one
+    hermitian_scan, taken for the provenance gate here and handed to
+    eigen_bounds' own gate; the matrix is read-only, so it cannot go stale.
     """
 
     matrix: np.ndarray
     provenance: str
     phase: Optional[np.ndarray]
+    scan: tuple[float, float, tuple[int, int]]
 
     def __init__(self, matrix, provenance="closed_form", phase=None):
         if provenance not in _HERMITICITY_TOL:
@@ -159,8 +162,9 @@ class GramMatrix:
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"Gram matrix must be square, got shape {m.shape}")
-        defect, (i, j) = hermitian_defect(m)
-        tol = hermiticity_ceiling(float(np.max(np.abs(m))), _HERMITICITY_TOL[provenance])
+        scan = hermitian_scan(m)
+        top, defect, (i, j) = scan
+        tol = hermiticity_ceiling(top, _HERMITICITY_TOL[provenance])
         if defect > tol:
             raise ValueError(
                 f"Gram matrix is not Hermitian within {tol:g}: defect {defect:.3e} at ({i},{j})")
@@ -178,6 +182,7 @@ class GramMatrix:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "provenance", provenance)
         object.__setattr__(self, "phase", phase)
+        object.__setattr__(self, "scan", scan)
 
     @property
     def order(self) -> int:
@@ -396,8 +401,9 @@ class BoundsReport:
     margin: float
 
 
-def _bounds_from_matrix(matrix: np.ndarray, frame_route: bool, phase) -> BoundsReport:
-    eb = eigen_bounds(matrix, phase)
+def _bounds_from_matrix(matrix: np.ndarray, frame_route: bool, phase,
+                        scan: Optional[tuple] = None) -> BoundsReport:
+    eb = eigen_bounds(matrix, phase, scan=scan)
     upper = max(eb.lambda_max, 0.0)
     lower = eb.lambda_min
     if lower < -DEGENERACY_RTOL * max(upper, 1.0):
@@ -415,8 +421,8 @@ def _bounds_from_matrix(matrix: np.ndarray, frame_route: bool, phase) -> BoundsR
 
 def riesz_bounds(gram: GramMatrix) -> BoundsReport:
     """Riesz bounds of the finite section: extreme Gram eigenvalues, solved
-    under the Gram's phase (eigen_bounds)."""
-    return _bounds_from_matrix(gram.matrix, frame_route=False, phase=gram.phase)
+    under the Gram's phase (eigen_bounds), with the scan the Gram carries."""
+    return _bounds_from_matrix(gram.matrix, frame_route=False, phase=gram.phase, scan=gram.scan)
 
 
 def frame_bounds_of_operator(matrix, phase=None) -> BoundsReport:

@@ -6,6 +6,7 @@ import math
 import os
 import random
 import runpy
+import shutil
 import subprocess
 import sys
 import time
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import expbases
+from expbases import cli
 from expbases.cli import (
     COMMANDS,
     SchemaError,
@@ -307,6 +309,81 @@ def test_tol_must_be_finite_and_not_negative(tmp_path, capsys, command, tol):
     assert not out.exists()
 
 
+def without_wall_time(text):
+    return [line for line in text.splitlines() if "wall_time_s" not in line]
+
+
+def run_calls(calls, out_dir, capsys):
+    """(exit status, stdout, stderr, files written to out_dir) of each call
+    to main in turn, with wall_time_s lines dropped."""
+    seen = []
+    for argv in calls:
+        shutil.rmtree(out_dir, ignore_errors=True)
+        try:
+            code = main(argv)
+        except SystemExit as stop:
+            code = stop.code
+        out, err = capsys.readouterr()
+        files = {path.name: without_wall_time(path.read_text())
+                 for path in sorted(out_dir.glob("*"))}
+        seen.append((code, without_wall_time(out), err, files))
+    return seen
+
+
+def test_main_answers_as_with_a_fresh_parser_on_every_call(tmp_path, capsys, monkeypatch):
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    write_scenario(runs / "01_ok.json", bounds_scenario())
+    write_scenario(runs / "02_ok.json", tiling_scenario(False))
+    scenario, out = str(runs / "01_ok.json"), tmp_path / "out"
+    calls = [
+        ["bounds", "--scenario", scenario, "--out", str(out / "report.json")],
+        ["bounds", "--scenario", scenario, "--out", str(out / "report.json"), "--tol", "-1"],
+        ["bounds", "--scenario", scenario, "--format", "csv"],
+        ["batch", "--dir", str(runs), "--out-dir", str(out)],
+        ["--version"],
+        ["bounds", "--scenario", scenario],
+    ]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_parser", cli.build_parser)
+        fresh = run_calls(calls, out, capsys)
+    shared = run_calls(calls, out, capsys)
+    assert shared == fresh
+    assert [code for code, *_ in shared] == [0, 2, 0, 0, 0, 0]
+    assert "argument --tol" in shared[1][2]
+    assert shared[4][1] == [f"expbases {expbases.__version__}"]
+    assert shared[3][3].keys() == {"01_ok.json", "02_ok.json", "summary.csv"}
+
+
+def test_main_builds_one_parser_for_many_calls(tmp_path, capsys, monkeypatch):
+    built = []
+    true_build = cli.build_parser
+
+    def build_parser():
+        built.append(True)
+        return true_build()
+    monkeypatch.setattr(cli, "build_parser", build_parser)
+    cli._parser.cache_clear()
+    scenario = tmp_path / "a.json"
+    write_scenario(scenario, bounds_scenario())
+    for _ in range(4):
+        assert main(["bounds", "--scenario", str(scenario), "--format", "csv"]) == 0
+    assert len(built) == 1
+
+
+def test_build_parser_returns_a_new_parser_that_main_does_not_share(capsys):
+    first, second = cli.build_parser(), cli.build_parser()
+    assert first is not second
+    first.add_argument("--extra")
+    argv = ["--extra=1", "bounds", "--scenario", "missing.json"]
+    assert first.parse_args(argv).extra == "1"
+    for parse in (second.parse_args, main):
+        with pytest.raises(SystemExit) as stop:
+            parse(argv)
+        assert stop.value.code == 2
+        assert "unrecognized arguments: --extra=1" in capsys.readouterr().err
+
+
 def test_a_zero_tol_is_accepted(tmp_path):
     scenario = tmp_path / "a.json"
     write_scenario(scenario, bounds_scenario())
@@ -595,7 +672,8 @@ def test_huge_groups_end_promptly_without_a_traceback(tmp_path, capsys, command,
     assert got == code
     assert "Traceback" not in err
     if code == 2:
-        assert f"moduli {parameters['moduli']} give group order {2 ** 64}" in err
+        assert (f"scenario.parameters.moduli (moduli {parameters['moduli']} "
+                f"give group order {2 ** 64}") in err
     else:
         results = json.loads((tmp_path / "report.json").read_text())["results"]
         assert results == {"uncovered": 2 ** 40 - 1, "collisions": 0}

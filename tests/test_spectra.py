@@ -26,7 +26,7 @@ from expbases import (
     verify_frame_transfer,
     verify_riesz_transfer,
 )
-from expbases import spectra
+from expbases import numerics, spectra
 from expbases.spectra import _GAP_BLOCK_ENTRIES
 
 UNIT = make_domain([Box(0.0, 1.0)])
@@ -413,7 +413,9 @@ def test_a_gram_phase_of_the_wrong_length_is_rejected():
 SHIFTED_UNIT = make_domain([Box(0.375, 1.375)])
 
 
-@pytest.mark.parametrize("solve,kinds", [
+# Solves, each with the kind of every matrix eigvalsh receives: f on the
+# real route, c on the complex one.
+SOLVES = [
     pytest.param(lambda: riesz_bounds(exp_gram(SHIFTED_UNIT, lattice_truncation(-40, 23))),
                  "f", id="single-box"),
     pytest.param(lambda: riesz_bounds(exp_gram(
@@ -432,7 +434,46 @@ SHIFTED_UNIT = make_domain([Box(0.375, 1.375)])
         SHIFTED_UNIT, lattice_truncation(-40, 23),
         affine_weight(SHIFTED_UNIT, 2.0, [1.0], nodes_per_axis=128))), "c",
         id="affine-translation-gram"),
-])
+]
+
+
+@pytest.mark.parametrize("solve,kinds", SOLVES)
 def test_the_solve_route_follows_the_measured_imaginary_part(eigvalsh_dtypes, solve, kinds):
     solve()
     assert "".join(dtype.kind for dtype in eigvalsh_dtypes) == kinds
+
+
+@pytest.mark.parametrize("solve,kinds", SOLVES)
+def test_each_solved_matrix_is_scanned_for_hermiticity_once(monkeypatch, solve, kinds):
+    # A Gram is scanned when it is built and carries the scan to its solve;
+    # a frame operator is scanned by eigen_bounds. Every binding of
+    # hermitian_defect is counted, wherever a module imported the name.
+    scanned = []
+    true_defect = numerics.hermitian_defect
+
+    def hermitian_defect(matrix):
+        scanned.append(np.shape(matrix))
+        return true_defect(matrix)
+    for module in (numerics, spectra):
+        monkeypatch.setattr(module, "hermitian_defect", hermitian_defect, raising=False)
+    solve()
+    assert len(scanned) == len(kinds)
+
+
+def test_a_quadrature_gram_between_the_two_ceilings_is_rejected_by_the_eigen_gate():
+    # A defect of 1e-10 passes the quadrature ceiling of GramMatrix (1e-8)
+    # but not the eigen route's (1e-12): the carried scan must keep it out,
+    # with the message of a direct eigen_bounds call.
+    matrix = np.eye(4, dtype=complex)
+    matrix[0, 1] = 1e-10
+    gram = spectra.GramMatrix(matrix, provenance="quadrature")
+    assert gram.scan == numerics.hermitian_scan(matrix)
+    with pytest.raises(ValueError, match="Gram matrix is not Hermitian within 1e-12"):
+        spectra.GramMatrix(matrix, provenance="closed_form")
+    with pytest.raises(ValueError) as direct:
+        numerics.eigen_bounds(matrix)
+    with pytest.raises(ValueError) as carried:
+        riesz_bounds(gram)
+    assert str(carried.value) == str(direct.value)
+    assert str(direct.value) == ("matrix is not Hermitian: |M[0,1] - conj(M[1,0])| = 1.000e-10 "
+                                 "exceeds 1e-12")

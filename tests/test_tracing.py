@@ -44,6 +44,13 @@ def test_a_traced_run_records_the_benchmark_spans_and_restores_the_library(tmp_p
     after = bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is obj for key, obj in before.items())
+    # main builds its parser once per process, so two calls build at most
+    # one, and the parser it keeps records nothing once the tracer is gone.
+    assert sum(span[0] == "cli.build_parser" for span in tracer.spans) <= 1
+    recorded = len(tracer.spans)
+    assert cli.main(["bounds", "--scenario", str(SCENARIOS / "01_wsk_orthonormal.json"),
+                     "--out", str(tmp_path / "untraced.json")]) == 0
+    assert len(tracer.spans) == recorded
     names = {span[0] for span in tracer.spans}
     assert {"spectra.exp_gram", "numerics.eigen_bounds", "paley_wiener.verify_riesz_transfer",
             "cli.dumps_report"} <= names
