@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .domain import Box, Domain, MaskGrid, QuadratureRule, quadrature
-from .gabor import vv_onb_check
+from .gabor import _unit_measure, vv_onb_check
 from .numerics import Pcg32
 from .paley_wiener import (PERIODIZATION_KINDS, SUPPORT_TOL, BandlimitedSignal,
                            affine_weight, bump_window, constant_weight,
@@ -40,8 +40,8 @@ from .paley_wiener import (PERIODIZATION_KINDS, SUPPORT_TOL, BandlimitedSignal,
                            zd_periodization)
 from .spectra import (SYSTEM_SIZE_CAP, FrequencySet, exp_gram,
                       is_orthonormal_system, lattice_truncation, riesz_bounds)
-from .tiling import (GroupInstance, cube_equivalence_check, is_spectrum,
-                     search_complements, search_spectra, tiles)
+from .tiling import (GroupInstance, _distinct_indices, cube_equivalence_check,
+                     is_spectrum, search_complements, search_spectra, tiles)
 
 # Judgement scales echoed into every report: absolute for magnitudes at
 # or below one, relative otherwise.
@@ -80,7 +80,7 @@ class SchemaError(Exception):
 #     build(values, scope) makes the object from its checked values;
 #   _Tagged(tag, variants): an _Obj whose tag key names the variant, given
 #     as name -> (fields, build);
-#   _Built(spec, build): a value that passes spec, made into build(value).
+#   _Built(spec, build): a value that passes spec, made into build(value, scope).
 # scope maps the names of the values built so far in the enclosing objects
 # (the innermost wins), so a builder finds its domain, rule or seeded stream;
 # it starts with the seed override and the scenario as given.
@@ -148,7 +148,7 @@ def _check(spec, value, path: str, walk: _Walk, scope: dict):
         return value if spec.convert is None else spec.convert(value)
     if isinstance(spec, _Built):
         got = _check(spec.spec, value, path, walk, scope)
-        return _BAD if got is _BAD else walk.build(path, spec.build, got)
+        return _BAD if got is _BAD else walk.build(path, spec.build, got, scope)
     if isinstance(spec, _Array):
         if not isinstance(value, list) or spec.rank == 0:
             return _check(spec.leaf, value, path, walk, scope)
@@ -219,9 +219,9 @@ def _only(values) -> str:
 
 
 def _domain(v, s) -> Domain:
-    if v["boxes"] is None and v["mask"] is None:
-        raise ValueError("needs boxes or mask")
-    return Domain(boxes=[Box(lo, hi) for lo, hi in v["boxes"] or ()], mask=v["mask"])
+    if _only(v) == "boxes":
+        return Domain(boxes=[Box(lo, hi) for lo, hi in v["boxes"]])
+    return Domain(mask=v["mask"])
 
 
 _VECTOR = _Array(_NUM, 1)  # a number, or one number per axis
@@ -339,6 +339,17 @@ def _bounds_parameters(v, s) -> dict:
         raise ValueError("scenario.parameters.nodes_per_axis applies only to an "
                          "unweighted Gram on a mask domain")
     return v
+
+
+def _sample_parameters(v, s) -> dict:
+    # shannon_reconstruct needs more nodes than series terms; rejected here,
+    # the message names the key that sets the node count.
+    terms = v["n_terms"] if isinstance(v["n_terms"], list) else [v["n_terms"]]
+    nodes = v["rule"].n_nodes
+    if nodes <= 2 * max(terms):
+        raise ValueError(f"scenario.parameters.nodes_per_axis {v['nodes_per_axis']}: "
+                         f"{nodes} nodes cannot resolve {2 * max(terms) + 1} series terms")
+    return {**v, "n_terms": terms}
 
 
 def _hyp(name: str, passed: bool, measured, tolerance) -> dict:
@@ -475,10 +486,9 @@ def _run_cube_check(p, rng, tol):
 
 
 def _run_sample(p, rng, tol):
-    terms = p["n_terms"] if isinstance(p["n_terms"], list) else [p["n_terms"]]
     truncations = []
     energies = []
-    for n in terms:
+    for n in p["n_terms"]:
         rep = shannon_reconstruct(p["signal"], n, p["eval_points"])
         energies.append((n, rep.coeff_energy))
         truncations.append({
@@ -558,10 +568,17 @@ def _run_factorization(p, rng, tol):
     return hyps, results, verdicts
 
 
+def _group_indices(label: str):
+    """Distinct indices of the group built from moduli, checked where read."""
+    def build(v, s) -> list:
+        return _distinct_indices(s["moduli"], v, label).tolist()
+    return (_Built([_at_least(0)], build), _REQ)
+
+
 # The group is built, and its order checked, where its moduli are read.
-_GROUP = (_Built([_at_least(1)], GroupInstance), _REQ)
-_PATTERN = {"moduli": _GROUP, "pattern": ([_at_least(0)], _REQ)}
-_CHECK_CANDIDATE = {**_PATTERN, "candidate": ([_at_least(0)], _REQ)}
+_GROUP = (_Built([_at_least(1)], lambda v, s: GroupInstance(v)), _REQ)
+_PATTERN = {"moduli": _GROUP, "pattern": _group_indices("pattern")}
+_CHECK_CANDIDATE = {**_PATTERN, "candidate": _group_indices("candidate")}
 _SEARCH = {**_PATTERN, "samples": (_at_least(1), None), "force_exhaustive": (_BOOL, False)}
 
 
@@ -610,9 +627,9 @@ COMMANDS = {
         "n_terms": (_Array(_at_least(0), 1), _REQ),
         "eval_points": (_Obj({"grid": ((_NUM, _NUM, _at_least(2)), None),
                               "points": ([_NUM], None)}, _eval_points), _REQ),
-    }), ("parseval_ok", "energy_monotone")),
+    }, _sample_parameters), ("parseval_ok", "energy_monotone")),
     "gabor": _Command(_run_gabor, _Obj({
-        "base_domain": (_DOMAIN, _REQ),
+        "base_domain": (_Built(_DOMAIN, lambda v, s: _unit_measure(v)), _REQ),
         "window": (_Obj({"domain": (_DOMAIN, _REQ), "weight": (_WEIGHT, _REQ)}), _REQ),
         "modulations": (_freqs(lambda s: s["base_domain"]), _REQ),
         "translations": (_freqs(lambda s: s["window"]["domain"]), _REQ),

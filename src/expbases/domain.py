@@ -3,7 +3,7 @@
 Every inner product in the toolkit is an integral over one of these
 domains, evaluated either in closed form (box unions) or with the
 midpoint quadrature rules constructed here. Domain.cells is the one walk
-over a domain's pieces (its boxes, else its included mask cells) that the
+over a domain's pieces (its boxes, or its included mask cells) that the
 quadrature rule and the exact weight extremes share.
 """
 
@@ -13,10 +13,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-
-# Relative agreement required between the box and mask measures when a
-# domain carries both representations.
-MEASURE_AGREEMENT_RTOL = 1e-10
 
 # Relative tolerance for the quadrature weight sum against the measure.
 WEIGHT_SUM_RTOL = 1e-8
@@ -119,7 +115,7 @@ class MaskGrid:
 
 @dataclass(frozen=True, init=False)
 class Domain:
-    """Finite-measure domain carrying a box union, a grid mask, or both."""
+    """Finite-measure domain: a box union or a grid mask, never both."""
 
     dimension: int
     boxes: tuple[Box, ...]
@@ -130,9 +126,9 @@ class Domain:
         boxes = tuple(boxes)
         if not boxes and mask is None:
             raise ValueError("a domain needs at least one box or a grid mask")
-        dims = {b.dimension for b in boxes}
-        if mask is not None:
-            dims.add(mask.dimension)
+        if boxes and mask is not None:
+            raise ValueError("a domain is a box union or a grid mask, not both")
+        dims = {b.dimension for b in boxes} if boxes else {mask.dimension}
         if len(dims) != 1:
             raise ValueError(f"mixed dimensions in domain parts: {sorted(dims)}")
         dim = dims.pop()
@@ -142,14 +138,7 @@ class Domain:
                     raise ValueError(
                         f"boxes {i} and {j} have overlapping interiors: "
                         f"{boxes[i].lower}..{boxes[i].upper} vs {boxes[j].lower}..{boxes[j].upper}")
-        box_measure = sum(b.volume for b in boxes)
-        mask_measure = mask.n_included * mask.cell_volume if mask is not None else None
-        measure = box_measure if boxes else mask_measure
-        if boxes and mask_measure is not None:
-            if abs(box_measure - mask_measure) > MEASURE_AGREEMENT_RTOL * measure:
-                raise ValueError(
-                    f"box measure {box_measure} and mask measure {mask_measure} disagree "
-                    f"beyond {MEASURE_AGREEMENT_RTOL} relative")
+        measure = sum(b.volume for b in boxes) if boxes else mask.n_included * mask.cell_volume
         if not (np.isfinite(measure) and measure > 0):
             raise ValueError(f"domain measure must be positive and finite, got {measure}")
         object.__setattr__(self, "dimension", dim)
@@ -160,8 +149,8 @@ class Domain:
     def cells(self) -> list[tuple[np.ndarray, np.ndarray, float]]:
         """(lower, widths, volume) of every piece an integral walks.
 
-        The pieces are the boxes in their stored order when there are any,
-        else the included mask cells in lexicographic order.
+        The pieces are the boxes in their stored order, or the included
+        mask cells in lexicographic order.
         """
         if self.boxes:
             lowers = [np.asarray(b.lower) for b in self.boxes]
@@ -190,13 +179,12 @@ def make_mask_domain(origin, counts, widths, included) -> Domain:
 def normalize(domain: Domain) -> Domain:
     """Rescale all coordinates isotropically so the measure becomes one."""
     scale = domain.measure ** (-1.0 / domain.dimension)
-    boxes = tuple(Box([x * scale for x in b.lower], [x * scale for x in b.upper])
-                  for b in domain.boxes)
     mask = domain.mask
-    if mask is not None:
-        mask = MaskGrid([x * scale for x in mask.origin], mask.counts,
-                        [w * scale for w in mask.widths], mask.included)
-    return Domain(boxes=boxes, mask=mask)
+    if mask is None:
+        return Domain(boxes=[Box([x * scale for x in b.lower], [x * scale for x in b.upper])
+                             for b in domain.boxes])
+    return Domain(mask=MaskGrid([x * scale for x in mask.origin], mask.counts,
+                                [w * scale for w in mask.widths], mask.included))
 
 
 @dataclass(frozen=True, init=False)

@@ -3,8 +3,9 @@
 A system member carries a modulation on the base domain and a translate
 of a bandlimited window. Inner products split into a product of the two
 component inner products, so the full Gram is the Kronecker product of
-the modulation Gram with the translation Gram. Rows follow the kron
-layout: the translation index cycles fastest.
+the modulation Gram with the translation Gram, and its centred Gram and
+phase are the Kronecker products of theirs. Rows follow the kron layout:
+the translation index cycles fastest.
 """
 
 from __future__ import annotations
@@ -25,9 +26,19 @@ _TRUNCATION_NOTE = ("orthonormality is certified for the listed modulations and 
                     "translations only; nothing is claimed beyond this truncation")
 
 
+def _unit_measure(base_domain: Domain) -> Domain:
+    # Orthonormal exponentials need a base domain of unit measure.
+    if abs(base_domain.measure - 1.0) > UNIT_MEASURE_RTOL:
+        raise ValueError(
+            f"base domain measure {base_domain.measure} is not 1; "
+            "normalize the domain before an orthonormality check")
+    return base_domain
+
+
 def _product_grams(base_domain: Domain, modulations: FrequencySet,
                    translations: FrequencySet, window: SpectralWeight):
-    # The modulation Gram, the translation Gram and their Kronecker product.
+    # The modulation Gram, the translation Gram and their Kronecker product:
+    # (D1 G1 D1*) kron (D2 G2 D2*) = (D1 kron D2)(G1 kron G2)(D1 kron D2)*.
     order = modulations.size * translations.size
     if order > SYSTEM_SIZE_CAP:
         raise ValueError(f"system order {order} exceeds the cap {SYSTEM_SIZE_CAP}")
@@ -35,8 +46,9 @@ def _product_grams(base_domain: Domain, modulations: FrequencySet,
     trans_gram = translation_gram(window.domain, translations, window)
     closed = mod_gram.provenance == "closed_form" and trans_gram.provenance == "closed_form"
     return mod_gram, trans_gram, GramMatrix(
-        np.kron(mod_gram.matrix, trans_gram.matrix),
-        provenance="closed_form" if closed else "quadrature")
+        np.kron(mod_gram.centred, trans_gram.centred),
+        provenance="closed_form" if closed else "quadrature",
+        phase=np.kron(mod_gram.phase, trans_gram.phase))
 
 
 def gabor_gram(base_domain: Domain, modulations: FrequencySet,
@@ -70,16 +82,12 @@ def vv_onb_check(base_domain: Domain, modulations: FrequencySet,
     impossible otherwise); the window's normalization is reported, not
     required.
     """
-    if abs(base_domain.measure - 1.0) > UNIT_MEASURE_RTOL:
-        raise ValueError(
-            f"base domain measure {base_domain.measure} is not 1; "
-            "normalize the domain before an orthonormality check")
-    mod_gram, trans_gram, full = _product_grams(base_domain, modulations,
-                                                translations, window)
+    mod_gram, trans_gram, full = _product_grams(_unit_measure(base_domain), modulations,
+                                                 translations, window)
     mod_v = is_orthonormal_system(mod_gram, tol)
     trans_v = is_orthonormal_system(trans_gram, tol)
     gabor_v = is_orthonormal_system(full, tol)
-    diag = np.real(np.diag(trans_gram.matrix))
+    diag = np.real(np.diag(trans_gram.centred))
     window_normalized = bool(np.max(np.abs(diag - 1.0)) <= tol)
     return VvOnbReport(
         gabor=gabor_v,

@@ -7,12 +7,12 @@ bounds are reported. Test suites hold it against an independent power
 iteration oracle and an eigenvector residual oracle, so the routes never
 share code.
 
-A caller that knows a unimodular diagonal D under which D* M D should be
-real (the centre phase of a Gram, see spectra.exp_gram) passes it as
-phase. The rotated matrix is solved in real arithmetic when its measured
-imaginary part clears the Hermiticity ceiling; Weyl's inequality then
-widens the margin by the dropped part's Frobenius norm and the rotation's
-own rounding. Any other matrix keeps the complex solve.
+A matrix whose imaginary part is within the Hermiticity ceiling is solved
+in real arithmetic, with the dropped part's Frobenius norm added to the
+margin (Weyl's inequality); any other matrix is solved in complex. Which
+matrices are real is settled where they are built: spectra integrates
+every Gram about its domain's centre, and paley_wiener centres the
+frequencies of its frame operators.
 """
 
 from __future__ import annotations
@@ -32,12 +32,8 @@ HERMITICITY_TOL = 1e-12
 # Ceiling on the certificate margin scaled by (max |M| entry) * order.
 RESIDUAL_CAP = 1e-8
 
-# Entries per block of rows in the Hermitian defect and rotation scans.
+# Entries per block of rows in the Hermitian defect scan.
 _DEFECT_BLOCK_ENTRIES = 2 ** 16
-
-# Rounding of one rotated entry, conj(d_i) * M[i,j] * d_j, and of the
-# symmetrization after it, in units of eps * |M[i,j]|.
-_ROTATION_ROUNDING = 4
 
 
 @dataclass(frozen=True)
@@ -113,29 +109,7 @@ def _positive_definite(matrix: np.ndarray) -> bool:
     return True
 
 
-def _real_rotation(m: np.ndarray, phase: np.ndarray, ceiling: float):
-    """R = conj(d_i) M[i,j] d_j as (Re R, ||Im R||_F), or None as soon as an
-    entry of Im R exceeds ceiling (or is NaN).
-
-    One pass over blocks of rows, like hermitian_defect; only Re R is kept
-    whole, so no n x n complex array is formed, and a matrix that is not
-    real under the phase stops at its first failing block.
-    """
-    n = m.shape[0]
-    rows = max(1, _DEFECT_BLOCK_ENTRIES // n)
-    real = np.empty((n, n))
-    dropped_sq = 0.0
-    for start in range(0, n, rows):
-        block = m[start:start + rows] * np.multiply.outer(phase[start:start + rows].conj(), phase)
-        imag = np.abs(block.imag).ravel()
-        if not np.max(imag) <= ceiling:
-            return None
-        dropped_sq += float(np.dot(imag, imag))
-        real[start:start + rows] = block.real
-    return real, float(np.sqrt(dropped_sq))
-
-
-def eigen_bounds(matrix, phase=None, *, scan: Optional[tuple] = None) -> EigenBounds:
+def eigen_bounds(matrix, *, scan: Optional[tuple] = None) -> EigenBounds:
     """Extreme eigenvalues, certified by Sylvester's law of inertia.
 
     Rejects non-square input, orders above ORDER_CAP, and matrices whose
@@ -149,16 +123,11 @@ def eigen_bounds(matrix, phase=None, *, scan: Optional[tuple] = None) -> EigenBo
     converge, or a margin that would exceed RESIDUAL_CAP * max |M| * order,
     raises instead of returning a partial answer.
 
-    H is the Hermitian part (M + M*) / 2, solved in complex arithmetic,
-    unless phase is given: a length-order vector d of unimodular entries.
-    Then R = conj(d_i) M[i,j] d_j = D* M D, whose Hermitian part has the
-    spectrum of M's. If every |Im R[i,j]| is within the Hermiticity
-    ceiling above, H is the real symmetric (Re R + Re R^T) / 2, solved in
-    float64. By Weyl's inequality the Hermitian parts of R and of M differ
-    from H in each eigenvalue by at most ||Im R||_F plus the rotation's
-    rounding (_ROTATION_ROUNDING * eps, and 2 delta + delta^2 for
-    delta = max ||d_j| - 1|, times order * max |M|), so that sum is added
-    to the certified margin. Otherwise the complex solve runs unchanged.
+    If every |Im M[i,j]| is within that Hermiticity ceiling, H is the real
+    symmetric (Re M + Re M^T) / 2, solved in float64; by Weyl's inequality
+    the Hermitian part of M differs from H in each eigenvalue by at most
+    ||Im M||_F, which is added to the certified margin. Otherwise H is the
+    Hermitian part (M + M*) / 2, solved in complex arithmetic.
 
     scan is hermitian_scan(matrix) when the caller already holds it for
     this very matrix (a GramMatrix carries its own), so the matrix is not
@@ -174,26 +143,20 @@ def eigen_bounds(matrix, phase=None, *, scan: Optional[tuple] = None) -> EigenBo
         raise ValueError(
             f"matrix is not Hermitian: |M[{i},{j}] - conj(M[{j},{i}])| = {defect:.3e} "
             f"exceeds {ceiling:g}")
-    if phase is not None:
-        phase = np.asarray(phase, dtype=complex)
-        if phase.shape != (n,):
-            raise ValueError(f"phase must have shape ({n},), got {phase.shape}")
     scale = top * n
     if scale == 0.0:
         return EigenBounds(0.0, 0.0, 0.0)
     eps = np.finfo(float).eps
     # The eigensolver and both certificates read this one matrix; slack is
     # the Weyl distance from its spectrum to that of M's Hermitian part.
-    slack = 0.0
-    rotated = None if phase is None else _real_rotation(m, phase, ceiling)
-    if rotated is None:
-        herm = 0.5 * (m + m.conj().T)
-    else:
-        herm, dropped = rotated
-        herm += herm.T
+    dropped = np.abs(m.imag).ravel()
+    if np.max(dropped) <= ceiling:
+        herm = m.real + m.real.T
         herm *= 0.5
-        delta = float(np.max(np.abs(np.abs(phase) - 1.0)))
-        slack = dropped + (_ROTATION_ROUNDING * eps + delta * (2.0 + delta)) * scale
+        slack = float(np.sqrt(np.dot(dropped, dropped)))
+    else:
+        herm = 0.5 * (m + m.conj().T)
+        slack = 0.0
     try:
         w = np.linalg.eigvalsh(herm)
     except np.linalg.LinAlgError as exc:
@@ -258,11 +221,6 @@ class Pcg32:
         xorshifted = (((s >> 18) ^ s) >> 27) & 0xFFFFFFFF
         rot = s >> 59
         return ((xorshifted >> rot) | (xorshifted << ((32 - rot) & 31))) & 0xFFFFFFFF
-
-    def next_u64(self) -> int:
-        hi = self.next_u32()
-        lo = self.next_u32()
-        return (hi << 32) | lo
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
         a = self.next_u32() >> 5

@@ -19,7 +19,7 @@ import numpy as np
 from .domain import Box, Domain, QuadratureRule, quadrature
 from .numerics import ORDER_CAP
 from .spectra import (BoundsReport, FrequencySet, GramMatrix, OnbVerdict,
-                      centre_phase, exp_gram, frame_bounds_of_operator,
+                      box_centre, exp_gram, frame_bounds_of_operator,
                       is_orthonormal_system, riesz_bounds)
 
 # Node values at or below this modulus count as outside the support.
@@ -295,10 +295,11 @@ def verify_frame_transfer(domain: Domain, freqs: FrequencySet,
     The model space keeps only the quadrature nodes inside the support.
     Both frame operators (weighted and unweighted exponentials) act there,
     and the weighted bounds must sit inside the unweighted ones scaled by
-    the extreme squared moduli over the support. Both are solved under the
-    node phase exp(-2 pi i <x_k, m>), m the centre of the frequencies'
-    bounding box (spectra.centre_phase), which makes them real when the
-    frequencies are symmetric about m and the weight is real.
+    the extreme squared moduli over the support. Both are built from the
+    frequencies moved by -m, m the centre of their bounding box
+    (spectra.box_centre): that only rotates each operator by a unimodular
+    diagonal, and makes it real when the frequencies are symmetric about m
+    and the weight is real.
     """
     if weight.domain != domain:
         raise ValueError("weight was sampled on a different domain")
@@ -312,16 +313,12 @@ def verify_frame_transfer(domain: Domain, freqs: FrequencySet,
     wts = weight.rule.weights[mask]
     vals = weight.values[mask]
     droot = np.sqrt(wts)
-    phases = np.exp(-2j * np.pi * (nodes @ freqs.points.T))
+    centred = freqs.points - box_centre(freqs.points)
+    phases = np.exp(-2j * np.pi * (nodes @ centred.T))
     v_plain = droot[:, np.newaxis] * phases
     v_weighted = (droot * vals)[:, np.newaxis] * phases
-    s_plain = v_plain @ v_plain.conj().T
-    s_weighted = v_weighted @ v_weighted.conj().T
-    # Translating the frequencies by the centre of their bounding box
-    # rotates both operators by the same node phase.
-    phase = centre_phase(nodes, freqs.points)
-    unweighted = frame_bounds_of_operator(s_plain, phase)
-    weighted = frame_bounds_of_operator(s_weighted, phase)
+    unweighted = frame_bounds_of_operator(v_plain @ v_plain.conj().T)
+    weighted = frame_bounds_of_operator(v_weighted @ v_weighted.conj().T)
     mods_sq = np.abs(vals) ** 2
     floor_sq = float(mods_sq.min())
     ceil_sq = float(mods_sq.max())
@@ -579,14 +576,14 @@ def _integer_cover(support: Box) -> list[np.ndarray]:
 
 
 def zd_periodization(profile: PeriodizationProfile, resolution: int = 64,
-                     tol: float = 1e-8, gram_nodes: Optional[int] = None,
-                     gram_tol: Optional[float] = None) -> PeriodizationReport:
+                     tol: float = 1e-8,
+                     gram_nodes: Optional[int] = None) -> PeriodizationReport:
     """Sum |profile|^2 over integer shifts on a grid of the unit cube.
 
     The verdict (sup deviation from one within tol) is cross-checked
     against the orthonormality of the integer-translate Gram built by
-    quadrature on the profile support, judged at a resolution-scaled
-    tolerance.
+    quadrature on the profile support, judged at the tolerance
+    max(1e-8, h^2) of the rule's node spacing h.
     """
     resolution = int(resolution)
     if resolution < 2:
@@ -610,10 +607,9 @@ def zd_periodization(profile: PeriodizationProfile, resolution: int = 64,
     lattice_mesh = np.meshgrid(*lattice_axes, indexing="ij")
     lattice = FrequencySet(np.stack([m.reshape(-1) for m in lattice_mesh], axis=-1))
     gram = translation_gram(support_domain, lattice, weight)
-    if gram_tol is None:
-        span = max(hi - lo for lo, hi in zip(profile.support.lower, profile.support.upper))
-        h = span / gram_nodes
-        gram_tol = max(1e-8, h * h)
+    span = max(hi - lo for lo, hi in zip(profile.support.lower, profile.support.upper))
+    h = span / gram_nodes
+    gram_tol = max(1e-8, h * h)
     gram_verdict: OnbVerdict = is_orthonormal_system(gram, gram_tol)
     return PeriodizationReport(
         sup_deviation=sup_dev,
@@ -623,5 +619,5 @@ def zd_periodization(profile: PeriodizationProfile, resolution: int = 64,
         agree=verdict == gram_verdict.is_onb,
         resolution=resolution,
         tol=tol,
-        gram_tol=float(gram_tol),
+        gram_tol=gram_tol,
     )

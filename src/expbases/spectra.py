@@ -12,14 +12,14 @@ frequencies whose box of differences has at most n^2 points
 (_gather): the Gram is Toeplitz. Other sets take every pairwise
 difference, or the node-by-frequency phase-matrix product.
 
-Every Gram also carries its centre phase (centre_phase): with c the
-centre of the domain's bounding box, G = D G_0 D* for the unimodular
-D = diag(exp(-2 pi i <a_j, c>)) and G_0 the Gram of the domain moved to
-the origin. G_0 is real when the domain and |weight|^2 are symmetric
-about c, and riesz_bounds hands the phase to eigen_bounds, which measures
-the imaginary part of D* G D and solves in real arithmetic when it is
-within the Hermiticity ceiling. Distinct frequencies are proved by a sort
-(one axis, or integer coordinates) before any pairwise scan runs.
+Every Gram is integrated about its centre c, the centre of the bounding
+box of the domain's cells: moving the domain by -c multiplies each
+exponential by exp(-2 pi i <a, c>), so G = D G_0 D* with G_0 the centred
+Gram and D that unimodular diagonal. G_0 has G's spectrum and the same
+|G_ij - delta_ij|, so every reader here works on G_0; it is real when the
+domain and |weight|^2 are symmetric about c, and eigen_bounds then solves
+it in real arithmetic. Distinct frequencies are proved by a sort (one
+axis, or integer coordinates) before any pairwise scan runs.
 """
 
 from __future__ import annotations
@@ -142,24 +142,26 @@ def lattice_truncation(lo: int, hi: int, dimension: int = 1) -> FrequencySet:
 
 @dataclass(frozen=True, init=False)
 class GramMatrix:
-    """Hermitian Gram matrix with a provenance tag.
+    """Hermitian Gram matrix G = D G_0 D*, held as G_0, with a provenance tag.
 
-    phase, when set, is the unimodular diagonal under which the matrix is
-    expected to be real (centre_phase); riesz_bounds passes it to
-    eigen_bounds, which measures whether it is. scan is the matrix's one
-    hermitian_scan, taken for the provenance gate here and handed to
-    eigen_bounds' own gate; the matrix is read-only, so it cannot go stale.
+    centred is G_0, the Gram integrated about the domain's centre, and
+    phase the unimodular diagonal of D (none: D = I). G_0 has G's
+    spectrum and the same |G_ij - delta_ij|, so the library reads only
+    G_0; matrix forms G on demand for callers that want the Gram of the
+    domain where it sits. scan is G_0's one hermitian_scan, taken for the
+    provenance gate here and handed to eigen_bounds' own gate; G_0 is
+    read-only, so it cannot go stale.
     """
 
-    matrix: np.ndarray
+    centred: np.ndarray
     provenance: str
     phase: Optional[np.ndarray]
     scan: tuple[float, float, tuple[int, int]]
 
-    def __init__(self, matrix, provenance="closed_form", phase=None):
+    def __init__(self, centred, provenance="closed_form", phase=None):
         if provenance not in _HERMITICITY_TOL:
             raise ValueError(f"unknown provenance {provenance!r}")
-        m = np.asarray(matrix, dtype=complex)
+        m = np.asarray(centred, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"Gram matrix must be square, got shape {m.shape}")
         scan = hermitian_scan(m)
@@ -179,14 +181,21 @@ class GramMatrix:
             phase.setflags(write=False)
         m = np.ascontiguousarray(m)
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "centred", m)
         object.__setattr__(self, "provenance", provenance)
         object.__setattr__(self, "phase", phase)
         object.__setattr__(self, "scan", scan)
 
     @property
+    def matrix(self) -> np.ndarray:
+        """G = D G_0 D*, formed on every call."""
+        if self.phase is None:
+            return self.centred
+        return self.phase[:, np.newaxis] * self.centred * self.phase.conj()
+
+    @property
     def order(self) -> int:
-        return self.matrix.shape[0]
+        return self.centred.shape[0]
 
 
 def _axis_factor(delta: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -199,18 +208,20 @@ def _axis_factor(delta: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return np.where(small, hi - lo, out)
 
 
-def _closed_form(domain: Domain, deltas) -> np.ndarray:
-    # Integral of exp(-2 pi i <delta, x>) over the box union, for per-axis
-    # arrays of differences deltas[j] that broadcast together: per box, the
-    # product of the axis factors. The new factor is the left operand, as
-    # in numpy's in-place product on a large temporary: a complex product
-    # rounds by operand order, and tables and pairwise arrays must agree.
+def _closed_form(domain: Domain, deltas, centre) -> np.ndarray:
+    # Integral of exp(-2 pi i <delta, x>) over the box union moved by
+    # -centre, for per-axis arrays of differences deltas[j] that broadcast
+    # together: per box, the product of the axis factors. The new factor is
+    # the left operand, as in numpy's in-place product on a large
+    # temporary: a complex product rounds by operand order, and tables and
+    # pairwise arrays must agree.
     shape = np.broadcast_shapes(*(np.shape(delta) for delta in deltas))
     total = np.zeros(shape, dtype=complex)
     for box in domain.boxes:
+        lower, upper = np.subtract(box.lower, centre), np.subtract(box.upper, centre)
         factor = np.ones(shape, dtype=complex)
         for j, delta in enumerate(deltas):
-            factor = _axis_factor(delta, box.lower[j], box.upper[j]) * factor
+            factor = _axis_factor(delta, lower[j], upper[j]) * factor
         total += factor
     return total
 
@@ -256,7 +267,7 @@ def exp_inner_closed(domain: Domain, a, b) -> complex:
     if av.shape != (domain.dimension,) or bv.shape != (domain.dimension,):
         raise ValueError(
             f"frequencies must have dimension {domain.dimension}, got {av.shape} and {bv.shape}")
-    return complex(_closed_form(domain, av - bv))
+    return complex(_closed_form(domain, av - bv, 0.0))
 
 
 def _coarse_fine(size: int) -> tuple[int, int]:
@@ -307,16 +318,15 @@ def _quadrature_table(nodes: np.ndarray, coeff: np.ndarray, spans: list[int]) ->
     return table.reshape(sizes[:-1] + [q * b])[..., :sizes[-1]]
 
 
-def centre_phase(points: np.ndarray, corners: np.ndarray) -> np.ndarray:
-    """exp(-2 pi i <p, c>) for each row p of points, with c the centre of
-    the bounding box of the rows of corners.
+def box_centre(points: np.ndarray) -> np.ndarray:
+    """Centre of the bounding box of the rows of points.
 
-    Translating by c multiplies each exponential by its entry, so a Gram
-    of a system centred at c is D G_0 D* with G_0 the Gram of the system
-    centred at 0: real when that system is symmetric about 0.
+    Moving a system by this centre multiplies each exponential by a
+    unimodular factor and leaves the spectrum of its Gram or frame
+    operator alone; about it, a system symmetric in its bounding box has
+    a real Gram or operator.
     """
-    centre = 0.5 * (np.min(corners, axis=0) + np.max(corners, axis=0))
-    return np.exp(-2j * np.pi * (points @ centre))
+    return 0.5 * (np.min(points, axis=0) + np.max(points, axis=0))
 
 
 def exp_gram(domain: Domain, freqs: FrequencySet, weight=None,
@@ -335,11 +345,12 @@ def exp_gram(domain: Domain, freqs: FrequencySet, weight=None,
     gathered (_gather); any other set takes every pairwise difference or
     the phase-matrix product.
 
-    Every route sets the Gram's phase to centre_phase of the frequencies
-    about the centre c of the bounding box of domain.cells(): translating
-    the domain by -c rotates the Gram by that diagonal, so a domain and
-    weight symmetric about c give a Gram that is real after rotation, and
-    eigen_bounds solves it in real arithmetic.
+    Every route integrates about the centre c of the bounding box of
+    domain.cells(): box bounds and quadrature nodes are moved by -c (the
+    weight keeps its samples), which gives the centred Gram G_0. The
+    result holds G_0 and the phase exp(-2 pi i <a, c>) of each frequency
+    a, under which G_0 rotates to the Gram of the domain where it sits. A
+    domain and |weight|^2 symmetric about c give a real G_0.
     """
     if freqs.size > SYSTEM_SIZE_CAP:
         raise ValueError(f"{freqs.size} frequencies exceed the system cap {SYSTEM_SIZE_CAP}")
@@ -349,7 +360,7 @@ def exp_gram(domain: Domain, freqs: FrequencySet, weight=None,
     if weight is not None and weight.domain != domain:
         raise ValueError("weight was sampled on a different domain")
     points = freqs.points
-    phase = centre_phase(points, np.concatenate(
+    centre = box_centre(np.concatenate(
         [(lower, lower + widths) for lower, widths, _ in domain.cells()]))
     spans = _difference_box(points)
     wsq = None
@@ -361,7 +372,7 @@ def exp_gram(domain: Domain, freqs: FrequencySet, weight=None,
         else:
             deltas = np.meshgrid(*(np.arange(-span, span + 1, dtype=float) for span in spans),
                                  indexing="ij")
-        table = _closed_form(domain, deltas)
+        table = _closed_form(domain, deltas, centre)
         if weight is not None and weight.sup_mod != 1.0:
             table = table * weight.sup_mod ** 2
     else:
@@ -371,17 +382,23 @@ def exp_gram(domain: Domain, freqs: FrequencySet, weight=None,
         elif rule is None:
             rule = quadrature(domain, nodes_per_axis)
         coeff = rule.weights if wsq is None else rule.weights * wsq
+        nodes = rule.nodes - centre
         if spans is None:
-            phases = np.exp(-2j * np.pi * (rule.nodes @ points.T))
+            phases = np.exp(-2j * np.pi * (nodes @ points.T))
             table = phases.T @ (coeff[:, np.newaxis] * np.conj(phases))
         else:
-            table = _quadrature_table(rule.nodes, coeff, spans)
-    matrix = table if spans is None else _gather(table, points, spans)
+            table = _quadrature_table(nodes, coeff, spans)
+    centred = table if spans is None else _gather(table, points, spans)
     if wsq is not None:
         cap = domain.measure * float(np.max(wsq))
-        if float(np.max(np.diagonal(matrix).real)) > cap * (1.0 + 1e-9):
+        if float(np.max(np.diagonal(centred).real)) > cap * (1.0 + 1e-9):
             raise RuntimeError("weighted Gram diagonal exceeds measure * sup|weight|^2")
-    return GramMatrix(matrix, provenance=provenance, phase=phase)
+    # <a, c> turns, less the nearest whole turn: 2 pi times a large <a, c>
+    # would round by |<a, c>| eps, and matrix would carry that into every
+    # entry.
+    turns = points @ centre
+    return GramMatrix(centred, provenance=provenance,
+                      phase=np.exp(-2j * np.pi * (turns - np.round(turns))))
 
 
 @dataclass(frozen=True)
@@ -401,9 +418,9 @@ class BoundsReport:
     margin: float
 
 
-def _bounds_from_matrix(matrix: np.ndarray, frame_route: bool, phase,
+def _bounds_from_matrix(matrix: np.ndarray, frame_route: bool,
                         scan: Optional[tuple] = None) -> BoundsReport:
-    eb = eigen_bounds(matrix, phase, scan=scan)
+    eb = eigen_bounds(matrix, scan=scan)
     upper = max(eb.lambda_max, 0.0)
     lower = eb.lambda_min
     if lower < -DEGENERACY_RTOL * max(upper, 1.0):
@@ -420,15 +437,14 @@ def _bounds_from_matrix(matrix: np.ndarray, frame_route: bool, phase,
 
 
 def riesz_bounds(gram: GramMatrix) -> BoundsReport:
-    """Riesz bounds of the finite section: extreme Gram eigenvalues, solved
-    under the Gram's phase (eigen_bounds), with the scan the Gram carries."""
-    return _bounds_from_matrix(gram.matrix, frame_route=False, phase=gram.phase, scan=gram.scan)
+    """Riesz bounds of the finite section: extreme eigenvalues of the
+    centred Gram, with the scan the Gram carries."""
+    return _bounds_from_matrix(gram.centred, frame_route=False, scan=gram.scan)
 
 
-def frame_bounds_of_operator(matrix, phase=None) -> BoundsReport:
-    """Frame bounds from a frame operator; Riesz property is not examined.
-    phase goes to eigen_bounds as for a Gram."""
-    return _bounds_from_matrix(np.asarray(matrix, dtype=complex), frame_route=True, phase=phase)
+def frame_bounds_of_operator(matrix) -> BoundsReport:
+    """Frame bounds from a frame operator; Riesz property is not examined."""
+    return _bounds_from_matrix(np.asarray(matrix, dtype=complex), frame_route=True)
 
 
 @dataclass(frozen=True)
@@ -439,5 +455,5 @@ class OnbVerdict:
 
 def is_orthonormal_system(gram: GramMatrix, tol: float = 1e-10) -> OnbVerdict:
     """Max-abs deviation of the Gram from the identity, judged against tol."""
-    dev = float(np.max(np.abs(gram.matrix - np.eye(gram.order))))
+    dev = float(np.max(np.abs(gram.centred - np.eye(gram.order))))
     return OnbVerdict(dev <= tol, dev)

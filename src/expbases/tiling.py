@@ -124,13 +124,12 @@ def _character_table(group: GroupInstance, freq_coords: np.ndarray,
     return np.exp(2j * np.pi * (freq_coords @ scaled.T))
 
 
-def is_spectrum(group: GroupInstance, pattern, candidate,
-                tol: float = CHARACTER_TOL) -> SpectrumVerdict:
+def is_spectrum(group: GroupInstance, pattern, candidate) -> SpectrumVerdict:
     """Check that the candidate characters are orthogonal and complete on the pattern.
 
     Completeness is by counting: the candidate must match the pattern's
     size. Orthogonality defect is the largest off-diagonal character sum
-    modulus, judged against tol times the pattern size.
+    modulus, judged against CHARACTER_TOL times the pattern size.
     """
     pat = group.coords(_distinct_indices(group, pattern, "pattern"))
     cand = group.coords(_distinct_indices(group, candidate, "candidate"))
@@ -138,7 +137,7 @@ def is_spectrum(group: GroupInstance, pattern, candidate,
     gram = table @ table.conj().T
     off = np.abs(gram - np.diag(np.diag(gram)))
     defect = float(off.max()) if off.size else 0.0
-    tolerance = tol * pat.shape[0]
+    tolerance = CHARACTER_TOL * pat.shape[0]
     sizes_match = cand.shape[0] == pat.shape[0]
     return SpectrumVerdict(sizes_match and defect <= tolerance, defect, tolerance, sizes_match)
 
@@ -236,7 +235,6 @@ def search_complements(group: GroupInstance, pattern, *,
 
 
 def search_spectra(group: GroupInstance, pattern, *,
-                   tol: float = CHARACTER_TOL,
                    force_exhaustive: bool = False,
                    samples: Optional[int] = None,
                    rng: Optional[Pcg32] = None) -> SearchResult:
@@ -252,12 +250,12 @@ def search_spectra(group: GroupInstance, pattern, *,
     k = pat_idx.size
     reason = _check_caps(group, k, force_exhaustive, samples, "spectrum search")
     if reason is not None:
-        return _sampled_search(group, pat_idx, samples, rng, reason, mode="spectrum", tol=tol)
+        return _sampled_search(group, pat_idx, samples, rng, reason, mode="spectrum")
 
     pat_coords = group.coords(pat_idx)
     all_coords = group.coords(np.arange(order))
     sums = np.abs(_character_table(group, all_coords, pat_coords).sum(axis=1))
-    ok = sums <= tol * k
+    ok = sums <= CHARACTER_TOL * k
     ok[0] = False
 
     # Every member of a spectrum anchored at 0 is admissible, so the table
@@ -292,7 +290,7 @@ def search_spectra(group: GroupInstance, pattern, *,
 
 def _sampled_search(group: GroupInstance, pat_idx: np.ndarray,
                     samples: int, rng: Optional[Pcg32], reason: str,
-                    mode: str, tol: float = CHARACTER_TOL) -> SearchResult:
+                    mode: str) -> SearchResult:
     if samples < 1:
         raise ValueError(f"sample budget must be positive, got {samples}")
     rng = rng if rng is not None else Pcg32(0)
@@ -305,7 +303,7 @@ def _sampled_search(group: GroupInstance, pat_idx: np.ndarray,
         if mode == "tiling":
             hit = tiles(group, pattern, candidate).is_tiling
         else:
-            hit = is_spectrum(group, pattern, candidate, tol=tol).is_spectrum
+            hit = is_spectrum(group, pattern, candidate).is_spectrum
         if hit:
             found.add(_canonical(group, np.asarray(candidate)))
     note = f"{reason}; sampled {int(samples)} candidate sets, no exhaustive guarantee"

@@ -4,18 +4,16 @@ The eigenvalue oracles are plain power iteration with a fixed seeded start
 vector, so disagreements with the dense solver point at the library, not at
 randomness in the test, and a full eigendecomposition whose eigenpairs
 must pass a residual test. The product-system Gram is assembled one member
-pair at a time from the library's single-pair closed form
-(exp_inner_closed) or a plain node sum, so it shares neither the Gram
-assembly nor the Kronecker layout of gabor_gram. The quadrature Gram is
-one product of the full node-by-frequency phase matrix with its weighted
-conjugate, with no table of frequency differences.
+pair at a time from its own per-axis integral (box_integral) or a plain
+node sum, so it shares no code with the closed form in spectra, nor the
+Gram assembly, the centring or the Kronecker layout of gabor_gram. The
+quadrature Gram is one product of the full node-by-frequency phase matrix
+with its weighted conjugate, with no table of frequency differences.
 """
 
 from itertools import combinations
 
 import numpy as np
-
-from expbases import exp_inner_closed
 
 POWER_MAX_ITERS = 50000
 POWER_INCREMENT_TOL = 1e-14
@@ -77,13 +75,25 @@ def eigh_extreme_eigenvalues(matrix) -> tuple[float, float]:
     return float(w[0]), float(w[-1])
 
 
+def box_integral(boxes, delta) -> complex:
+    """Integral of exp(-2 pi i <delta, x>) over a union of boxes, each a
+    product over axes of (hi - lo) exp(-pi i d (lo + hi)) sinc(d (hi - lo))."""
+    total = 0j
+    for box in boxes:
+        term = 1.0 + 0j
+        for lo, hi, d in zip(box.lower, box.upper, delta):
+            term *= (hi - lo) * np.exp(-1j * np.pi * d * (lo + hi)) * np.sinc(d * (hi - lo))
+        total += term
+    return total
+
+
 def product_system_gram(base_domain, modulations, translations, window) -> np.ndarray:
     """Gram of the product system, one entry per pair of members.
 
     Row r is modulation r // n_translations with translation
-    r % n_translations. The modulation entry is the closed-form inner
-    product on the base domain. The translation entry is sup|window|^2
-    times the closed form for an indicator or constant window on boxes,
+    r % n_translations. The modulation entry is box_integral on the base
+    domain. The translation entry is sup|window|^2 times box_integral for
+    an indicator or constant window on boxes,
     else an explicit sum over the window's nodes. No Kronecker product
     and no factor matrix is formed.
     """
@@ -95,14 +105,14 @@ def product_system_gram(base_domain, modulations, translations, window) -> np.nd
 
     def translation_entry(a, b):
         if closed:
-            return window.sup_mod ** 2 * exp_inner_closed(window.domain, a, b)
+            return window.sup_mod ** 2 * box_integral(window.domain.boxes, a - b)
         return complex(np.sum(coeff * np.exp(-2j * np.pi * (nodes @ (a - b)))))
 
     out = np.empty((order, order), dtype=complex)
     for r in range(order):
         for c in range(order):
-            mod = exp_inner_closed(base_domain, modulations.points[r // n_t],
-                                   modulations.points[c // n_t])
+            mod = box_integral(base_domain.boxes,
+                               modulations.points[r // n_t] - modulations.points[c // n_t])
             out[r, c] = mod * translation_entry(translations.points[r % n_t],
                                                 translations.points[c % n_t])
     return out

@@ -587,6 +587,32 @@ def test_inputs_outside_a_hypothesis_are_rejected_before_a_report(
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("command,parameters,path", [
+    pytest.param("tiling", {"moduli": [4], "mode": "check_tiling", "pattern": [0, 7],
+                            "candidate": [0, 2]}, "pattern", id="pattern-outside-the-group"),
+    pytest.param("tiling", {"moduli": [4], "mode": "check_spectrum", "pattern": [0, 1],
+                            "candidate": [0, 4]}, "candidate", id="candidate-outside-the-group"),
+    pytest.param("tiling", {"moduli": [4], "mode": "search_spectra", "pattern": [1, 1]},
+                 "pattern", id="repeated-pattern"),
+    pytest.param("gabor", {**gabor_parameters({"range": [0, 1]}, {"range": [0, 1]}),
+                           "base_domain": {"boxes": [[0.0, 2.0]]}},
+                 "base_domain", id="base-measure-not-one"),
+    pytest.param("sample", {"domain": UNIT_BAND, "nodes_per_axis": 100,
+                            "signal": {"kind": "indicator"}, "n_terms": [8, 64],
+                            "eval_points": {"points": [0.0]}},
+                 "nodes_per_axis", id="nodes-below-the-truncation"),
+])
+def test_runtime_rejections_name_their_scenario_path(command, parameters, path, tmp_path,
+                                                     capsys):
+    start = time.perf_counter()
+    code, err = run_main(tmp_path, capsys, {"name": "named", "command": command,
+                                           "parameters": parameters}, command)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert f"scenario.parameters.{path}" in err
+    assert "Traceback" not in err
+
+
 def test_the_runtime_does_not_import_scipy():
     # numpy is the one runtime dependency; scipy may be installed all the same.
     src = Path(expbases.__file__).resolve().parent.parent

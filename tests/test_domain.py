@@ -1,5 +1,7 @@
 """Domain construction, masks, and midpoint quadrature."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,7 @@ from expbases import (
     normalize,
     quadrature,
 )
+from expbases.cli import main
 
 
 def test_box_coerces_scalars_to_one_dim():
@@ -94,6 +97,9 @@ def test_normalize_rescales_to_unit_measure():
     scaled = normalize(domain)
     assert scaled.measure == pytest.approx(1.0, abs=1e-12)
     assert scaled.dimension == 2
+    mask = normalize(make_mask_domain([1.0], [4], [0.5], [True, False, True, True]))
+    assert mask.measure == pytest.approx(1.0, abs=1e-12)
+    assert not mask.boxes and mask.mask.origin == (1.0 / 1.5,)
 
 
 @given(lo=st.floats(-4.0, 4.0), width=st.floats(0.1, 3.0), n=st.integers(1, 7))
@@ -184,7 +190,19 @@ def test_rule_rejects_shape_mismatch():
         QuadratureRule(np.zeros((2, 1)), np.array([0.5, 0.25, 0.25]))
 
 
-def test_box_and_mask_measures_must_agree():
-    with pytest.raises(ValueError, match="disagree"):
-        Domain(boxes=[Box(0.0, 1.0)],
-               mask=MaskGrid([0.0], [2], [0.5], [True, False]))
+def test_a_domain_given_both_boxes_and_a_mask_is_rejected(tmp_path, capsys):
+    # The closed form and the cells read only the boxes, so a mask given
+    # beside them would be ignored.
+    with pytest.raises(ValueError, match="not both"):
+        Domain(boxes=[Box(0.0, 1.0)], mask=MaskGrid([5.0], [2], [0.5], [True, True]))
+    scenario = {"name": "both", "command": "bounds",
+                "parameters": {"domain": {"boxes": [[0.0, 1.0]],
+                                          "mask": {"origin": [5.0], "counts": [2],
+                                                   "widths": [0.5], "included": [True, True]}},
+                               "freqs": {"range": [-2, 2]}}}
+    path = tmp_path / "both.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["bounds", "--scenario", str(path), "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert "scenario.parameters.domain (needs exactly one of boxes or mask)" in err
+    assert not (tmp_path / "r.json").exists()

@@ -13,7 +13,7 @@ from expbases import (Box, FrequencySet, Pcg32, bump_window, constant_weight,
                       make_domain, make_mask_domain)
 from expbases.cli import main
 from expbases.numerics import HERMITICITY_TOL, RESIDUAL_CAP
-from expbases.spectra import centre_phase
+from expbases.spectra import box_centre
 
 # First four 32-bit outputs, frozen from evaluating the 64/32 xorshift-rotate
 # recipe step by step with integer arithmetic outside the library.
@@ -142,62 +142,79 @@ def test_eigen_bounds_match_the_eigh_oracle_on_dense_gram_shapes(shape):
     assert_certified_like_the_eigh_oracle(DENSE_SHAPES[shape]())
 
 
-def phased_gram(domain, freqs, **kwargs):
+def centred_gram(domain, freqs, **kwargs):
+    # G_0 and the Gram G = D G_0 D* of the domain where it sits.
     gram = exp_gram(domain, freqs, **kwargs)
-    return gram.matrix, gram.phase
+    return gram.centred, gram.matrix
 
 
-def phased_frame_operator(domain, freqs, weight):
-    nodes = weight.rule.nodes[weight.support_mask]
-    return frame_operator(domain, freqs, weight), centre_phase(nodes, freqs.points)
+def centred_frame_operator(domain, freqs, weight):
+    # The frame operator of the frequencies moved to the centre of their
+    # bounding box, as the frame transfer builds it, and of the frequencies
+    # where they sit.
+    centred = FrequencySet(freqs.points - box_centre(freqs.points))
+    return frame_operator(domain, centred, weight), frame_operator(domain, freqs, weight)
 
 
-# (matrix, phase) of each dense benchmark shape whose domain, weight or
+KADEC_448 = FrequencySet(np.arange(-230, 218) + Pcg32(5).uniforms(448, -0.2, 0.2))
+
+# (centred, placed) of each dense benchmark shape whose domain, weight or
 # frequencies are symmetric about a centre, at the benchmark's sizes.
 CENTRED_SHAPES = {
-    "1d-lattice-512": lambda: phased_gram(make_domain([Box(0.125, 1.125)]),
-                                          lattice_truncation(-300, 211)),
-    "2d-lattice-484": lambda: phased_gram(make_domain([Box([-0.125, 0.5], [0.875, 1.5])]),
-                                          lattice_truncation(-11, 10, 2)),
-    "1d-kadec-448": lambda: phased_gram(make_domain([Box(-0.375, 0.625)]), FrequencySet(
-        np.arange(-230, 218) + Pcg32(5).uniforms(448, -0.2, 0.2))),
-    "2d-kadec-400": lambda: phased_gram(make_domain([Box([0.25, -0.5], [1.25, 0.5])]),
-                                        FrequencySet(np.stack(np.meshgrid(
-                                            np.arange(-12.0, 8.0), np.arange(-9.0, 11.0)),
-                                            -1).reshape(-1, 2)
-                                            + Pcg32(6).uniforms(800, -0.08, 0.08).reshape(-1, 2))),
-    "1d-full-mask-512": lambda: phased_gram(
+    "1d-lattice-512": lambda: centred_gram(make_domain([Box(0.125, 1.125)]),
+                                           lattice_truncation(-300, 211)),
+    "2d-lattice-484": lambda: centred_gram(make_domain([Box([-0.125, 0.5], [0.875, 1.5])]),
+                                           lattice_truncation(-11, 10, 2)),
+    "1d-kadec-448": lambda: centred_gram(make_domain([Box(-0.375, 0.625)]), KADEC_448),
+    "2d-kadec-400": lambda: centred_gram(make_domain([Box([0.25, -0.5], [1.25, 0.5])]),
+                                         FrequencySet(np.stack(np.meshgrid(
+                                             np.arange(-12.0, 8.0), np.arange(-9.0, 11.0)),
+                                             -1).reshape(-1, 2)
+                                             + Pcg32(6).uniforms(800, -0.08, 0.08).reshape(-1, 2))),
+    "1d-full-mask-512": lambda: centred_gram(
         make_mask_domain([-0.375], [5], [0.25], [True] * 5), lattice_truncation(-256, 255),
         nodes_per_axis=256),
-    "2d-full-mask-484": lambda: phased_gram(
+    "2d-full-mask-484": lambda: centred_gram(
         make_mask_domain([-0.625, 0.0], [2, 2], [0.5, 0.5], [True] * 4),
         lattice_truncation(-12, 9, 2), nodes_per_axis=24),
-    "1d-constant-transfer-512": lambda: phased_gram(
+    "1d-constant-transfer-512": lambda: centred_gram(
         make_domain([Box(0.5, 1.5)]), lattice_truncation(-290, 221),
         weight=constant_weight(make_domain([Box(0.5, 1.5)]), 1.25 - 0.75j)),
-    "frame-operator-bump-400": lambda: phased_frame_operator(
+    "frame-operator-bump-400": lambda: centred_frame_operator(
         make_domain([Box(0.1, 0.9)]), lattice_truncation(-160, 159),
         bump_window(make_domain([Box(0.1, 0.9)]), 1.0, 400)),
 }
 
+# The closed-form shapes above: symmetric boxes, whose centred axis factors
+# are real to the last bit.
+CLOSED_FORM_SHAPES = ["1d-lattice-512", "2d-lattice-484", "1d-kadec-448", "2d-kadec-400",
+                      "1d-constant-transfer-512"]
+
 
 @pytest.mark.parametrize("shape", CENTRED_SHAPES)
 def test_the_real_route_agrees_with_the_complex_route(shape, eigvalsh_dtypes):
-    matrix, phase = CENTRED_SHAPES[shape]()
-    real = eigen_bounds(matrix, phase)
+    # The complex route is the eigh oracle on the Gram or operator where it
+    # sits, which has the spectrum of the centred one.
+    centred, placed = CENTRED_SHAPES[shape]()
+    real = eigen_bounds(centred)
     assert eigvalsh_dtypes == [np.float64]
-    cplx = eigen_bounds(matrix)
-    assert eigvalsh_dtypes[1].kind == "c"
-    tol = 1e-12 * max(1.0, abs(cplx.lambda_max))
-    assert abs(real.lambda_min - cplx.lambda_min) <= tol
-    assert abs(real.lambda_max - cplx.lambda_max) <= tol
-    assert real.lambda_min - real.margin <= cplx.lambda_min
-    assert cplx.lambda_max <= real.lambda_max + real.margin
-    assert real.margin < 1e-11 * max(1.0, abs(cplx.lambda_max))
+    lo, hi = oracles.eigh_extreme_eigenvalues(placed)
+    tol = 1e-12 * max(1.0, abs(hi))
+    assert abs(real.lambda_min - lo) <= tol
+    assert abs(real.lambda_max - hi) <= tol
+    assert real.lambda_min - real.margin <= lo
+    assert hi <= real.lambda_max + real.margin
+    assert real.margin < 1e-11 * max(1.0, abs(hi))
 
 
-def planted_rotation(coupling=0.9 * HERMITICITY_TOL, n=64, seed=8):
-    """(M, phase, lambda_min, lambda_max, B) with M = D (A + iB) D*.
+@pytest.mark.parametrize("shape", CLOSED_FORM_SHAPES)
+def test_a_symmetric_box_gives_an_exactly_real_centred_gram(shape):
+    centred, _ = CENTRED_SHAPES[shape]()
+    assert not np.any(centred.imag)
+
+
+def planted(coupling=0.9 * HERMITICITY_TOL, n=64, seed=8):
+    """(A + iB, lambda_min, lambda_max, B) for a Hermitian A + iB.
 
     A is real symmetric with its top eigenvalue 1 doubled on e_0, e_1, and
     B couples e_0 and e_1 antisymmetrically (B[0,1] = coupling, by default
@@ -211,16 +228,14 @@ def planted_rotation(coupling=0.9 * HERMITICITY_TOL, n=64, seed=8):
     a[2:, 2:] = (q * rng.uniform(0.1, 0.5, n - 2)) @ q.T
     b = np.zeros((n, n))
     b[0, 1], b[1, 0] = coupling, -coupling
-    phase = np.exp(2j * np.pi * rng.uniform(size=n))
-    m = phase[:, np.newaxis] * (a + 1j * b) * phase.conj()
-    m = 0.5 * (m + m.conj().T)
+    m = a + 1j * b
     lo, hi = oracles.eigh_extreme_eigenvalues(m)
-    return m, phase, lo, hi, b
+    return m, lo, hi, b
 
 
 def test_the_dropped_imaginary_part_is_in_the_margin(eigvalsh_dtypes):
-    m, phase, lo, hi, b = planted_rotation()
-    bounds = eigen_bounds(m, phase)
+    m, lo, hi, b = planted()
+    bounds = eigen_bounds(m)
     assert eigvalsh_dtypes == [np.float64]
     assert bounds.lambda_max < hi - 0.5 * np.linalg.norm(b, 2)
     assert bounds.margin >= np.linalg.norm(b, 2)
@@ -230,22 +245,26 @@ def test_the_dropped_imaginary_part_is_in_the_margin(eigvalsh_dtypes):
 
 @pytest.mark.parametrize("wrong", ["conjugated", "random"])
 def test_a_wrong_phase_falls_back_to_the_complex_route(wrong, eigvalsh_dtypes):
-    matrix, centre = CENTRED_SHAPES["1d-kadec-448"]()
-    phase = (centre.conj() if wrong == "conjugated"
-             else np.exp(2j * np.pi * Pcg32(4).uniforms(centre.size)))
-    assert eigen_bounds(matrix, phase) == eigen_bounds(matrix)
-    assert [dtype.kind for dtype in eigvalsh_dtypes] == ["c", "c"]
+    # A centred Gram rotated by any phase but the one that undoes it has an
+    # imaginary part far above the ceiling: it is solved in complex, to the
+    # bounds of the real solve.
+    gram = exp_gram(make_domain([Box(-0.375, 0.625)]), KADEC_448)
+    phase = (gram.phase.conj() if wrong == "conjugated"
+             else np.exp(2j * np.pi * Pcg32(4).uniforms(gram.order)))
+    real = eigen_bounds(gram.centred)
+    rotated = eigen_bounds(phase[:, np.newaxis] * gram.centred * phase.conj())
+    assert [dtype.kind for dtype in eigvalsh_dtypes] == ["f", "c"]
+    tol = 1e-12 * max(1.0, abs(real.lambda_max))
+    assert abs(rotated.lambda_min - real.lambda_min) <= tol
+    assert abs(rotated.lambda_max - real.lambda_max) <= tol
 
 
 def test_an_imaginary_part_above_the_ceiling_keeps_the_complex_route(eigvalsh_dtypes):
-    m, phase, _, _, _ = planted_rotation(coupling=1.1 * HERMITICITY_TOL)
-    assert eigen_bounds(m, phase) == eigen_bounds(m)
-    assert [dtype.kind for dtype in eigvalsh_dtypes] == ["c", "c"]
-
-
-def test_a_phase_of_the_wrong_length_is_rejected():
-    with pytest.raises(ValueError, match="phase must have shape"):
-        eigen_bounds(np.eye(3), np.ones(2))
+    m, lo, hi, _ = planted(coupling=1.1 * HERMITICITY_TOL)
+    bounds = eigen_bounds(m)
+    assert [dtype.kind for dtype in eigvalsh_dtypes] == ["c"]
+    assert bounds.lambda_min - bounds.margin <= lo
+    assert hi <= bounds.lambda_max + bounds.margin
 
 
 def move_extreme(monkeypatch, end=0, shift=None, order=None):
@@ -317,13 +336,6 @@ def test_pcg32_first_output_rederived():
     expected = ((xorshifted >> rot) | (xorshifted << ((32 - rot) & 31))) & 0xFFFFFFFF
     assert expected == PCG_SEED42_FIRST[0]
     assert Pcg32(42).next_u32() == expected
-
-
-def test_next_u64_packs_high_word_first():
-    a = Pcg32(7)
-    b = Pcg32(7)
-    hi, lo = b.next_u32(), b.next_u32()
-    assert a.next_u64() == (hi << 32) | lo
 
 
 def test_uniforms_deterministic_and_in_range():

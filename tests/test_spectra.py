@@ -11,6 +11,7 @@ from expbases import (
     Box,
     FrequencySet,
     Pcg32,
+    QuadratureRule,
     affine_weight,
     bump_window,
     constant_weight,
@@ -102,13 +103,29 @@ def test_mask_domain_uses_quadrature_route():
                          [0.0], [1.0])
 
 
+def centre_of(domain):
+    """Centre of the bounding box of the domain's cells."""
+    return spectra.box_centre(np.concatenate([(lower, lower + widths)
+                                              for lower, widths, _ in domain.cells()]))
+
+
+def moved_to_its_centre(domain):
+    """The box union moved by minus its centre."""
+    centre = centre_of(domain)
+    return make_domain([Box(np.subtract(b.lower, centre), np.subtract(b.upper, centre))
+                        for b in domain.boxes])
+
+
 def test_gram_entries_are_the_pairwise_closed_form_exactly():
     union = make_domain([Box([0.0, 0.0], [1.0, 0.5]), Box([1.25, -0.3], [2.0, 0.7])])
+    centred = moved_to_its_centre(union)
     a, b = [0.3, -1.7], [2.25, 0.4]
     gram = exp_gram(union, FrequencySet([a, b]))
     assert gram.provenance == "closed_form"
-    assert gram.matrix[0, 1] == exp_inner_closed(union, a, b)
-    assert gram.matrix[1, 0] == exp_inner_closed(union, b, a)
+    assert gram.centred[0, 1] == exp_inner_closed(centred, a, b)
+    assert gram.centred[1, 0] == exp_inner_closed(centred, b, a)
+    assert abs(gram.matrix[0, 1] - exp_inner_closed(union, a, b)) <= 1e-13
+    assert abs(gram.matrix[1, 0] - exp_inner_closed(union, b, a)) <= 1e-13
 
 
 def broadcast_gram(domain, points):
@@ -171,7 +188,7 @@ def test_integer_axes_gather_a_difference_table_bitwise(monkeypatch, domain, poi
     points = np.asarray(points, dtype=float)
     gram, gathers = gathered_grams(monkeypatch, lambda: exp_gram(domain, FrequencySet(points)))
     assert gathers == int(table)
-    assert gram.matrix.tobytes() == broadcast_gram(domain, points).tobytes()
+    assert gram.centred.tobytes() == broadcast_gram(moved_to_its_centre(domain), points).tobytes()
 
 
 @pytest.mark.parametrize("points,table", [
@@ -228,14 +245,20 @@ TABLE_ROUTE = {
 }
 
 
-def quadrature_gram_and_oracle(domain, nodes, freqs, weighted):
+def quadrature_gram_and_oracle(domain, nodes, freqs, weighted, centred=False):
+    """The library's quadrature Gram and the phase-matrix oracle's, on the
+    rule moved by minus the domain's centre when centred is set."""
     if weighted:
         weight = affine_weight(domain, 3.0, [0.5, -0.25, 0.75][:domain.dimension],
                                nodes_per_axis=nodes)
-        want = oracles.dense_quadrature_gram(weight.rule, freqs, np.abs(weight.values) ** 2)
-        return exp_gram(domain, freqs, weight=weight), want
-    rule = quadrature(domain, nodes)
-    return exp_gram(domain, freqs, rule=rule), oracles.dense_quadrature_gram(rule, freqs)
+        rule, weight_sq = weight.rule, np.abs(weight.values) ** 2
+        gram = exp_gram(domain, freqs, weight=weight)
+    else:
+        rule, weight_sq = quadrature(domain, nodes), None
+        gram = exp_gram(domain, freqs, rule=rule)
+    if centred:
+        rule = QuadratureRule(rule.nodes - centre_of(domain), rule.weights)
+    return gram, oracles.dense_quadrature_gram(rule, freqs, weight_sq)
 
 
 @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "affine"])
@@ -263,8 +286,9 @@ DENSE_ROUTE = {
 @pytest.mark.parametrize("case", DENSE_ROUTE)
 def test_other_frequency_sets_keep_the_phase_matrix_product(case, weighted):
     domain, nodes, points = DENSE_ROUTE[case]
-    gram, want = quadrature_gram_and_oracle(domain, nodes, FrequencySet(points), weighted)
-    assert gram.matrix.tobytes() == want.tobytes()
+    gram, want = quadrature_gram_and_oracle(domain, nodes, FrequencySet(points), weighted,
+                                            centred=True)
+    assert gram.centred.tobytes() == want.tobytes()
 
 
 def test_a_lattice_quadrature_gram_never_forms_the_phase_matrix():
@@ -398,11 +422,21 @@ def test_every_gram_route_carries_the_centre_phase():
     weight = affine_weight(union, 3.0, [0.5, -0.25], nodes_per_axis=6)
     for gram in (exp_gram(union, freqs), exp_gram(union, freqs, nodes_per_axis=6),
                  exp_gram(union, freqs, weight=weight)):
-        assert np.array_equal(gram.phase, want)
+        assert np.max(np.abs(gram.phase - want)) <= 1e-14
     mask = make_mask_domain([-0.5, 0.25], [3, 2], [0.5, 0.5],
                             [False, True, True, True, True, False])
-    assert np.array_equal(exp_gram(mask, freqs, nodes_per_axis=4).phase,
-                          np.exp(-2j * np.pi * (freqs.points @ np.array([0.25, 0.75]))))
+    want = np.exp(-2j * np.pi * (freqs.points @ np.array([0.25, 0.75])))
+    assert np.max(np.abs(exp_gram(mask, freqs, nodes_per_axis=4).phase - want)) <= 1e-14
+
+
+def test_the_phase_keeps_the_gram_of_far_frequencies_accurate():
+    # <a, c> reaches about 620 turns here, so 2 pi <a, c> would round by up
+    # to about 2e-13; the phase is reduced by whole turns first, so the
+    # formed Gram stays at the accuracy of the pairwise closed form.
+    union = make_domain([Box(-0.25, 0.75), Box(1.0, 1.375)])
+    freqs = lattice_truncation(1000, 1100)
+    want = broadcast_gram(union, freqs.points)
+    assert np.max(np.abs(exp_gram(union, freqs).matrix - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_a_gram_phase_of_the_wrong_length_is_rejected():

@@ -5,6 +5,8 @@ name, so a renamed function or a reordered signature would break a
 traced benchmark run; these tests catch that here first.
 """
 
+import inspect
+import json
 import runpy
 import sys
 from pathlib import Path
@@ -57,3 +59,56 @@ def test_a_traced_run_records_the_benchmark_spans_and_restores_the_library(tmp_p
     grams = [span[5] for span in tracer.spans if span[0] == "spectra.exp_gram"]
     assert grams and all({"n", "lattice"} <= attrs.keys() for attrs in grams)
     assert grams[0]["n"] == 17 and grams[0]["lattice"] is True
+
+
+def test_every_function_the_tracer_names_is_still_a_public_function():
+    # A span name the library no longer defines would read as zero time in
+    # every traced benchmark run instead of failing.
+    named = set(TRACING["_ATTRS"])
+    for metric, _unit in TRACING["PER_LAYER"]:
+        layer, *rest = metric.split(".")
+        if layer in TRACING["LAYERS"] and len(rest) == 2:
+            named.add(f"{layer}.{rest[0]}")
+    # Metrics summed over several functions or methods.
+    named -= {"numerics.pcg32", "paley_wiener.weight", "paley_wiener.signal"}
+    named |= {f"paley_wiener.{name}"
+              for name in TRACING["_WEIGHT_BUILDERS"] + TRACING["_SIGNAL_BUILDERS"]}
+    for name in sorted(named):
+        layer, attr, *method = name.split(".")
+        module = sys.modules[f"expbases.{layer}"]
+        obj = getattr(module, attr, None)
+        if inspect.isclass(obj):
+            # The wrapped methods: FrequencySet.__init__, Pcg32's draws.
+            assert set(method) <= vars(obj).keys(), name
+        else:
+            assert not method and not attr.startswith("_"), name
+            assert inspect.isfunction(obj) and obj.__module__ == module.__name__, name
+
+
+def traced_spans(tmp_path, command, scenario):
+    tracer = TRACING["Tracer"]()
+    tracer.install()
+    try:
+        code = cli.main([command, "--scenario", str(SCENARIOS / scenario),
+                         "--out", str(tmp_path / "report.json")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    return tracer.spans
+
+
+def test_a_traced_frame_transfer_records_its_eigen_solves_with_their_order(tmp_path):
+    spans = traced_spans(tmp_path, "frame-transfer", "06_frame_bump.json")
+    report = json.loads((tmp_path / "report.json").read_text())
+    solves = [span[5] for span in spans if span[0] == "numerics.eigen_bounds"]
+    assert solves == [{"n": report["results"]["space_dim"]}] * 2
+
+
+def test_a_traced_gabor_records_its_grams_and_solves_nothing(tmp_path):
+    # vv_onb_check judges orthonormality from the Grams' entries: the
+    # factor Grams are traced with their sizes, and no eigen solve runs.
+    spans = traced_spans(tmp_path, "gabor", "11_gabor_wsk.json")
+    # The modulation and translation Grams of the ranges -1..1.
+    assert [span[5]["n"] for span in spans if span[0] == "spectra.exp_gram"] == [3, 3]
+    assert "gabor.vv_onb_check" in {span[0] for span in spans}
+    assert not any(span[0] == "numerics.eigen_bounds" for span in spans)
