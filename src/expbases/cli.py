@@ -31,7 +31,7 @@ from .domain import Box, Domain, MaskGrid, QuadratureRule, quadrature
 from .gabor import _unit_measure, vv_onb_check
 from .numerics import Pcg32
 from .paley_wiener import (PERIODIZATION_KINDS, SUPPORT_TOL, BandlimitedSignal,
-                           affine_weight, bump_window, constant_weight,
+                           _cardinal_band, _truncation, affine_weight, bump_window, constant_weight,
                            convolution_factorization_check,
                            indicator_signal, indicator_weight,
                            periodization_profile, random_signal,
@@ -344,12 +344,12 @@ def _bounds_parameters(v, s) -> dict:
 def _sample_parameters(v, s) -> dict:
     # shannon_reconstruct needs more nodes than series terms; rejected here,
     # the message names the key that sets the node count.
-    terms = v["n_terms"] if isinstance(v["n_terms"], list) else [v["n_terms"]]
+    terms = v["n_terms"]
     nodes = v["rule"].n_nodes
     if nodes <= 2 * max(terms):
         raise ValueError(f"scenario.parameters.nodes_per_axis {v['nodes_per_axis']}: "
                          f"{nodes} nodes cannot resolve {2 * max(terms) + 1} series terms")
-    return {**v, "n_terms": terms}
+    return v
 
 
 def _hyp(name: str, passed: bool, measured, tolerance) -> dict:
@@ -620,11 +620,12 @@ COMMANDS = {
         "side": (_at_least(1), _REQ),
     }), ("families_equal",)),
     "sample": _Command(_run_sample, _Obj({
-        "domain": (_DOMAIN, _REQ),
+        "domain": (_Built(_DOMAIN, lambda v, s: _cardinal_band(v)), _REQ),
         "nodes_per_axis": (_at_least(1), 129),
         "rule": _command_rule,
         "signal": (_SIGNAL, _REQ),
-        "n_terms": (_Array(_at_least(0), 1), _REQ),
+        "n_terms": (_Built(_Array(_at_least(0), 1), lambda v, s: [
+            _truncation(n) for n in (v if isinstance(v, list) else [v])]), _REQ),
         "eval_points": (_Obj({"grid": ((_NUM, _NUM, _at_least(2)), None),
                               "points": ([_NUM], None)}, _eval_points), _REQ),
     }, _sample_parameters), ("parseval_ok", "energy_monotone")),

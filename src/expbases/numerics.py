@@ -12,11 +12,18 @@ in real arithmetic, with the dropped part's Frobenius norm added to the
 margin (Weyl's inequality); any other matrix is solved in complex. Which
 matrices are real is settled where they are built: spectra integrates
 every Gram about its domain's centre, and paley_wiener centres the
-frequencies of its frame operators.
+frequencies of its frame operators. A matrix may come with a reflection
+P, an involution of its indices with P M P = conj(M): a Gram carries
+its frequencies' reflection through the centre of their bounding box
+(spectra.FrequencySet.reflection). In P's even/odd basis the matrix is
+real, so it is solved in real arithmetic, and in two halves when the
+halves do not couple; every part that must vanish is measured, never
+assumed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -101,7 +108,10 @@ def hermiticity_ceiling(top: float, tol: float) -> float:
     return tol * max(1.0, top)
 
 
-def _positive_definite(matrix: np.ndarray) -> bool:
+def _positive_definite(matrix: np.ndarray, shift: float) -> bool:
+    """Whether matrix - shift I has a Cholesky factor; matrix is a fresh
+    array, shifted in place."""
+    matrix.flat[::matrix.shape[0] + 1] -= shift
     try:
         np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError:
@@ -109,25 +119,112 @@ def _positive_definite(matrix: np.ndarray) -> bool:
     return True
 
 
-def eigen_bounds(matrix, *, scan: Optional[tuple] = None) -> EigenBounds:
+def _pairing(reflection, n: int) -> tuple[Optional[np.ndarray], int]:
+    """(order, pairs) for an involution P of range(n) with at most one fixed
+    point: in the order, P is the reversal, pairing index k with n - 1 - k
+    for k < pairs and fixing the middle index when n is odd. order is None
+    when P already is the reversal.
+    """
+    p = np.asarray(reflection)
+    index = np.arange(n)
+    if p.shape == (n,) and p.dtype.kind in "iu":
+        if (p == index[::-1]).all():
+            return None, n // 2
+        if (np.all((0 <= p) & (p < n)) and np.array_equal(p[p], index)
+                and np.count_nonzero(p == index) <= 1):
+            first = np.flatnonzero(p > index)
+            return np.concatenate([first, np.flatnonzero(p == index), p[first][::-1]]), first.size
+    raise ValueError(
+        f"reflection must be an involution of range({n}) with at most one fixed point")
+
+
+def _turned(m: np.ndarray, reflection) -> tuple[np.ndarray, int, float]:
+    """(U, pairs, scale): M in the even/odd basis of the reflection P,
+    T = scale U, with the even half first; pairs is the order of the odd
+    half.
+
+    The basis is (e_k + e_Pk)/sqrt(2) for the pairs k < Pk and e_f for a
+    fixed point f, then i (e_k - e_Pk)/sqrt(2): sums and differences of
+    paired rows, then of paired columns, the odd ones turned by -i and i.
+    With no reflection (P = I) the basis is the standard one: T = M.
+    """
+    n = m.shape[0]
+    if reflection is None:
+        return m, 0, 1.0
+    order, pairs = _pairing(reflection, n)
+    if order is not None:
+        m = m[np.ix_(order, order)]
+    q = n - pairs
+    rows, u = np.empty_like(m), np.empty_like(m)
+    np.add(m[:q], m[::-1][:q], out=rows[:q])
+    # -i (a - b) = (Im a - Im b) + i (Re b - Re a)
+    np.subtract(m.imag[:pairs], m.imag[::-1][:pairs], out=rows.real[q:])
+    np.subtract(m.real[::-1][:pairs], m.real[:pairs], out=rows.imag[q:])
+    np.add(rows[:, :q], rows[:, ::-1][:, :q], out=u[:, :q])
+    # i (a - b) = (Im b - Im a) + i (Re a - Re b)
+    np.subtract(rows.imag[:, ::-1][:, :pairs], rows.imag[:, :pairs], out=u.real[:, q:])
+    np.subtract(rows.real[:, :pairs], rows.real[:, ::-1][:, :pairs], out=u.imag[:, q:])
+    if q > pairs:
+        # The fixed point's row and column were added to themselves.
+        u[pairs] *= np.sqrt(0.5)
+        u[:, pairs] *= np.sqrt(0.5)
+    return u, pairs, 0.5
+
+
+def _real_halves(m: np.ndarray, reflection, ceiling: float) -> Optional[tuple[list, float]]:
+    """The real symmetric matrices whose joint spectrum stands for that of
+    M's Hermitian part, and the Frobenius norm of what was dropped to get
+    them; None when M must be solved in complex.
+
+    T = _turned(M) is real when P M P = conj(M). Its imaginary part is
+    measured, gated at the Hermiticity ceiling and dropped, and the
+    symmetric real part of T is solved: its even and odd halves apart when
+    the coupling between them is within the ceiling too (and is dropped),
+    else whole. Each dropped part moves no eigenvalue by more than its
+    Frobenius norm (Weyl).
+    """
+    u, pairs, scale = _turned(m, reflection)
+    dropped = np.abs(u.imag).ravel()
+    # Written so that a NaN takes the complex route, as it always has.
+    if not scale * float(dropped.max()) <= ceiling:
+        return None
+    slack = scale ** 2 * float(np.dot(dropped, dropped))
+    herm = u.real + u.real.T
+    herm *= 0.5 * scale
+    q = u.shape[0] - pairs
+    coupling = herm[:q, q:]
+    if not pairs or not float(np.abs(coupling).max()) <= ceiling:
+        return [herm], math.sqrt(slack)
+    # The coupling sits above and below the diagonal.
+    slack += 2.0 * float(np.vdot(coupling, coupling))
+    return [herm[:q, :q], herm[q:, q:]], math.sqrt(slack)
+
+
+def eigen_bounds(matrix, *, scan: Optional[tuple] = None, reflection=None) -> EigenBounds:
     """Extreme eigenvalues, certified by Sylvester's law of inertia.
 
     Rejects non-square input, orders above ORDER_CAP, and matrices whose
     Hermitian defect exceeds HERMITICITY_TOL * max(1, max |M|) (the
     offending entry is named). eigvalsh gives lambda_min and lambda_max;
     Cholesky factorizations of H - (lambda_min - margin) I and
-    (lambda_max + margin) I - H then show that no eigenvalue of the solved
-    matrix H lies outside the reported range by more than margin. The
-    margin starts at order * eps * max(|lambda_min|, |lambda_max|) and
+    (lambda_max + margin) I - H then show that no eigenvalue of each
+    solved matrix H lies outside the reported range by more than margin.
+    The margin starts at order * eps * max(|lambda_min|, |lambda_max|) and
     doubles after a failed factorization. An eigensolver that fails to
     converge, or a margin that would exceed RESIDUAL_CAP * max |M| * order,
     raises instead of returning a partial answer.
 
-    If every |Im M[i,j]| is within that Hermiticity ceiling, H is the real
-    symmetric (Re M + Re M^T) / 2, solved in float64; by Weyl's inequality
-    the Hermitian part of M differs from H in each eigenvalue by at most
-    ||Im M||_F, which is added to the certified margin. Otherwise H is the
-    Hermitian part (M + M*) / 2, solved in complex arithmetic.
+    The solved matrices are real (_real_halves) whenever the parts of M
+    that its reflection makes vanish are within that Hermiticity ceiling:
+    with reflection P, an involution of range(n) with at most one fixed
+    point such that P M P = conj(M), two real symmetric halves of orders
+    about n / 2, or one real matrix of order n when the halves couple;
+    with none, (Re M + Re M^T) / 2. By Weyl's inequality the Hermitian
+    part of M differs from the solved matrices in each eigenvalue by at
+    most the Frobenius norm of the dropped parts, which is added to the
+    certified margin, as is 3 n eps max |M| for the rounding of the basis
+    change (none without P). Otherwise the Hermitian part (M + M*) / 2 is
+    solved in complex arithmetic.
 
     scan is hermitian_scan(matrix) when the caller already holds it for
     this very matrix (a GramMatrix carries its own), so the matrix is not
@@ -147,26 +244,31 @@ def eigen_bounds(matrix, *, scan: Optional[tuple] = None) -> EigenBounds:
     if scale == 0.0:
         return EigenBounds(0.0, 0.0, 0.0)
     eps = np.finfo(float).eps
-    # The eigensolver and both certificates read this one matrix; slack is
-    # the Weyl distance from its spectrum to that of M's Hermitian part.
-    dropped = np.abs(m.imag).ravel()
-    if np.max(dropped) <= ceiling:
-        herm = m.real + m.real.T
-        herm *= 0.5
-        slack = float(np.sqrt(np.dot(dropped, dropped)))
+    # The eigensolver and both certificates read the same matrices; slack
+    # is the Weyl distance from their joint spectrum to that of M's
+    # Hermitian part.
+    real = _real_halves(m, reflection, ceiling)
+    if real is None:
+        halves, slack = [0.5 * (m + m.conj().T)], 0.0
     else:
-        herm = 0.5 * (m + m.conj().T)
-        slack = 0.0
+        halves, slack = real
+        if reflection is not None:
+            # The basis change rounds: an entry of T is half a sum of four
+            # entries of M, within 2 sqrt(2) eps max |M| of its value, or in
+            # the fixed point's row or column within 3 eps max |M|; so T
+            # is within 3 n eps max |M| in Frobenius norm.
+            slack += 3.0 * n * eps * top
     try:
-        w = np.linalg.eigvalsh(herm)
+        spectra = [np.linalg.eigvalsh(h) for h in halves]
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigenvalue solver did not converge: {exc}") from exc
-    lo, hi = float(w[0]), float(w[-1])
+    lo = min(float(w[0]) for w in spectra)
+    hi = max(float(w[-1]) for w in spectra)
     # max |M| <= max |lambda| for a Hermitian M; top only keeps the margin
     # positive should the solver return zeros for a nonzero M. np.max
     # propagates a NaN, which the gate below then rejects.
     margin = float(n * eps * np.max(np.abs([lo, hi, top])))
-    below = above = False
+    below, above = halves, halves
     while True:
         # Written so that NaN or infinite values fail the gate too.
         if not margin + slack <= RESIDUAL_CAP * scale < np.inf:
@@ -174,16 +276,10 @@ def eigen_bounds(matrix, *, scan: Optional[tuple] = None) -> EigenBounds:
                 f"eigen certificate margin {(margin + slack) / scale:.3e} exceeds the ceiling "
                 f"{RESIDUAL_CAP}")
         # A factorization that succeeds at one margin succeeds at any larger
-        # one. Each operand is a copy of herm with its diagonal shifted.
-        if not below:
-            shifted = herm.copy()
-            shifted.flat[::n + 1] -= lo - margin
-            below = _positive_definite(shifted)
-        if not above:
-            shifted = -herm
-            shifted.flat[::n + 1] += hi + margin
-            above = _positive_definite(shifted)
-        if below and above:
+        # one, so only the matrices not yet certified are factored again.
+        below = [h for h in below if not _positive_definite(h.copy(), lo - margin)]
+        above = [h for h in above if not _positive_definite(-h, -(hi + margin))]
+        if not below and not above:
             return EigenBounds(lo, hi, margin + slack)
         margin *= 2.0
 

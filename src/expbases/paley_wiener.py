@@ -443,6 +443,25 @@ class WskReport:
     parseval_ok: bool
 
 
+def _cardinal_band(domain: Domain) -> Domain:
+    """domain, if it is the band [-1/2, 1/2] of the cardinal series."""
+    if domain.dimension != 1 or len(domain.boxes) != 1:
+        raise ValueError("cardinal reconstruction needs a single interval band")
+    box = domain.boxes[0]
+    if abs(box.lower[0] + 0.5) > 1e-12 or abs(box.upper[0] - 0.5) > 1e-12:
+        raise ValueError(
+            f"band must be [-1/2, 1/2] within 1e-12, got [{box.lower[0]}, {box.upper[0]}]")
+    return domain
+
+
+def _truncation(n_terms) -> int:
+    """n_terms as an int, if the cardinal series can be truncated there."""
+    n_terms = int(n_terms)
+    if not 0 <= n_terms <= 512:
+        raise ValueError(f"truncation must lie in [0, 512], got {n_terms}")
+    return n_terms
+
+
 def shannon_reconstruct(signal: BandlimitedSignal, n_terms: int,
                         eval_points) -> WskReport:
     """Reconstruct from integer samples with a truncated cardinal series.
@@ -451,16 +470,8 @@ def shannon_reconstruct(signal: BandlimitedSignal, n_terms: int,
     inverse transform on the signal's own rule, which must oversample the
     truncation (more nodes than series terms).
     """
-    domain = signal.domain
-    if domain.dimension != 1 or len(domain.boxes) != 1:
-        raise ValueError("cardinal reconstruction needs a single interval band")
-    box = domain.boxes[0]
-    if abs(box.lower[0] + 0.5) > 1e-12 or abs(box.upper[0] - 0.5) > 1e-12:
-        raise ValueError(
-            f"band must be [-1/2, 1/2] within 1e-12, got [{box.lower[0]}, {box.upper[0]}]")
-    n_terms = int(n_terms)
-    if not 0 <= n_terms <= 512:
-        raise ValueError(f"truncation must lie in [0, 512], got {n_terms}")
+    _cardinal_band(signal.domain)
+    n_terms = _truncation(n_terms)
     if signal.rule.n_nodes <= 2 * n_terms:
         raise ValueError(
             f"{signal.rule.n_nodes} nodes cannot resolve {2 * n_terms + 1} series terms")

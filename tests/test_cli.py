@@ -601,6 +601,14 @@ def test_inputs_outside_a_hypothesis_are_rejected_before_a_report(
                             "signal": {"kind": "indicator"}, "n_terms": [8, 64],
                             "eval_points": {"points": [0.0]}},
                  "nodes_per_axis", id="nodes-below-the-truncation"),
+    pytest.param("sample", {"domain": UNIT_BAND, "nodes_per_axis": 2000,
+                            "signal": {"kind": "indicator"}, "n_terms": 600,
+                            "eval_points": {"points": [0.0]}},
+                 "n_terms", id="truncation-above-its-cap"),
+    pytest.param("sample", {"domain": {"boxes": [[0.0, 1.0]]}, "nodes_per_axis": 100,
+                            "signal": {"kind": "indicator"}, "n_terms": [8],
+                            "eval_points": {"points": [0.0]}},
+                 "domain", id="band-not-the-unit-band"),
 ])
 def test_runtime_rejections_name_their_scenario_path(command, parameters, path, tmp_path,
                                                      capsys):

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 import generators
 import oracles
-from expbases import (Box, FrequencySet, Pcg32, bump_window, constant_weight,
+from expbases import (Box, FrequencySet, Pcg32, affine_weight, bump_window, constant_weight,
                       eigen_bounds, exp_gram, hermitian_defect, lattice_truncation,
-                      make_domain, make_mask_domain)
+                      make_domain, make_mask_domain, riesz_bounds, translation_gram)
 from expbases.cli import main
 from expbases.numerics import HERMITICITY_TOL, RESIDUAL_CAP
 from expbases.spectra import box_centre
@@ -267,6 +267,116 @@ def test_an_imaginary_part_above_the_ceiling_keeps_the_complex_route(eigvalsh_dt
     assert hi <= bounds.lambda_max + bounds.margin
 
 
+def symmetric_subset(seed):
+    """Integer points of [-4, 4] x [-3, 3], symmetric through the origin and
+    no range: a seeded half of the points below the origin in
+    lexicographic order, their reflections, and the origin itself for odd
+    seeds. The rows are shuffled and moved by an integer offset."""
+    rng = np.random.default_rng(seed)
+    below = [(i, j) for i in range(-4, 5) for j in range(-3, 4) if (i, j) < (0, 0)]
+    half = [point for point in below if rng.random() < 0.5]
+    half += [(-4, -3)]  # the corners fix the bounding box
+    points = half + [(-i, -j) for i, j in half] + ([(0, 0)] if seed % 2 else [])
+    points = np.array(sorted(set(points)), dtype=float)
+    return FrequencySet(rng.permutation(points) + [7.0, -2.0])
+
+
+UNION_2D = make_domain([Box([0.0, 0.0], [1.0, 1.0]), Box([1.25, 0.0], [1.75, 0.5])])
+SQUARE = make_domain([Box([0.25, -0.5], [1.25, 0.5])])
+
+# Grams of a symmetric set, each with the kinds of the matrices eigvalsh
+# receives: two real halves when the domain and weight are symmetric too,
+# else one real matrix.
+REFLECTED_GRAMS = {
+    "box-union": (lambda freqs: exp_gram(UNION_2D, freqs), "f"),
+    "mask": (lambda freqs: exp_gram(
+        make_mask_domain([-0.5, 0.0], [3, 2], [0.5, 0.5], [True, True, False, True, True, True]),
+        freqs, nodes_per_axis=8), "f"),
+    "affine-weight": (lambda freqs: translation_gram(
+        SQUARE, freqs, affine_weight(SQUARE, 2.5, [0.75, -0.5], nodes_per_axis=12)), "f"),
+    "symmetric-box": (lambda freqs: exp_gram(SQUARE, freqs), "ff"),
+}
+
+
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("kind", REFLECTED_GRAMS)
+def test_a_reflected_solve_matches_the_eigh_oracle(seed, kind, eigvalsh_dtypes):
+    freqs = symmetric_subset(seed)
+    assert freqs.size % 2 == seed % 2
+    reflection = freqs.reflection
+    assert reflection is not None
+    assert np.array_equal(freqs.points[reflection], np.array([14.0, -4.0]) - freqs.points)
+    build, kinds = REFLECTED_GRAMS[kind]
+    gram = build(freqs)
+    bounds = eigen_bounds(gram.centred, reflection=reflection)
+    assert "".join(dtype.kind for dtype in eigvalsh_dtypes) == kinds
+    lo, hi = oracles.eigh_extreme_eigenvalues(gram.matrix)
+    assert abs(bounds.lambda_min - lo) <= 1e-12 * max(1.0, abs(lo))
+    assert abs(bounds.lambda_max - hi) <= 1e-12 * max(1.0, abs(hi))
+    assert bounds.lambda_min - bounds.margin <= lo
+    assert hi <= bounds.lambda_max + bounds.margin
+    report = riesz_bounds(gram)
+    assert (report.upper, report.margin) == (bounds.lambda_max, bounds.margin)
+
+
+def centrohermitian(n, seed):
+    """A Hermitian matrix M with J M J = conj(M), J the reversal."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a = a + a.conj().T
+    return 0.5 * (a + a[::-1, ::-1].conj())
+
+
+@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("broken", [0.0, 0.5, 4.0])
+def test_a_broken_reflection_above_the_ceiling_takes_the_complex_route(n, broken,
+                                                                       eigvalsh_dtypes):
+    # An imaginary entry pair that the reflection does not map to its
+    # conjugate, at a multiple of the ceiling; the basis change spreads it
+    # over entries of half its size. Below the ceiling the real route drops
+    # it into the margin, above it the matrix is solved in complex.
+    m = centrohermitian(n, seed=n)
+    ceiling = HERMITICITY_TOL * np.max(np.abs(m))
+    m[0, 1] += 1j * broken * ceiling
+    m[1, 0] -= 1j * broken * ceiling
+    bounds = eigen_bounds(m, reflection=np.arange(n)[::-1])
+    kinds = "".join(dtype.kind for dtype in eigvalsh_dtypes)
+    assert kinds == ("c" if broken > 2.0 else "f")
+    lo, hi = oracles.eigh_extreme_eigenvalues(m)
+    assert bounds.lambda_min - bounds.margin <= lo
+    assert hi <= bounds.lambda_max + bounds.margin
+    assert abs(bounds.lambda_max - hi) <= 1e-12 * max(1.0, abs(hi))
+
+
+def test_without_a_reflection_the_solved_matrix_is_the_symmetric_real_part(monkeypatch):
+    # The route that has always been: (Re M + Re M^T) / 2, to the last bit.
+    gram = exp_gram(SQUARE, symmetric_subset(3))
+    solved = []
+    true_eigvalsh = np.linalg.eigvalsh
+
+    def eigvalsh(a, *args, **kwargs):
+        solved.append(np.array(a))
+        return true_eigvalsh(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    eigen_bounds(gram.centred)
+    want = gram.centred.real + gram.centred.real.T
+    want *= 0.5
+    assert len(solved) == 1 and solved[0].dtype == want.dtype
+    assert solved[0].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("reflection", [
+    pytest.param([1, 0, 2, 3], id="two-fixed-points"),
+    pytest.param([1, 2, 3, 0], id="not-an-involution"),
+    pytest.param([3, 2, 1], id="wrong-length"),
+    pytest.param([3.0, 2.0, 1.0, 0.0], id="not-integer"),
+    pytest.param([4, 2, 1, 0], id="out-of-range"),
+])
+def test_a_reflection_that_is_not_one_is_rejected(reflection):
+    with pytest.raises(ValueError, match="reflection must be an involution"):
+        eigen_bounds(np.eye(4), reflection=np.array(reflection))
+
+
 def move_extreme(monkeypatch, end=0, shift=None, order=None):
     """Make eigvalsh move its extreme eigenvalue w[end] inward by shift
     (default: a tenth of the spread), for matrices of the given order."""
@@ -300,14 +410,17 @@ def test_the_margin_doubles_until_it_covers_the_error(monkeypatch):
 
 
 def test_a_failed_certificate_is_an_error_row_in_a_batch(tmp_path, monkeypatch):
+    # The symmetric frequency ranges solve in two halves: orders 2 and 2 for
+    # the four members of the good scenarios, 3 and 3 for the six of the
+    # poisoned one.
     runs = tmp_path / "runs"
     runs.mkdir()
-    for stem, hi in (("01_ok", 2), ("02_wrong", 3), ("03_ok", 2)):
+    for stem, hi in (("01_ok", 1), ("02_wrong", 3), ("03_ok", 1)):
         (runs / f"{stem}.json").write_text(json.dumps({
             "name": stem, "command": "bounds",
             "parameters": {"domain": {"boxes": [[0.0, 0.75]]}, "freqs": {"range": [-2, hi]}},
             "expect": {"is_riesz_basis": True}}))
-    move_extreme(monkeypatch, order=6)
+    move_extreme(monkeypatch, order=3)
     assert main(["batch", "--dir", str(runs), "--out-dir", str(tmp_path / "out")]) == 2
     rows = (tmp_path / "out" / "summary.csv").read_text().splitlines()
     assert rows[1].startswith("01_ok,bounds,true")

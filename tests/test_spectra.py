@@ -447,38 +447,44 @@ def test_a_gram_phase_of_the_wrong_length_is_rejected():
 SHIFTED_UNIT = make_domain([Box(0.375, 1.375)])
 
 
-# Solves, each with the kind of every matrix eigvalsh receives: f on the
-# real route, c on the complex one.
+# Solves, each with the kind of every matrix eigvalsh receives (f on a real
+# route, c on the complex one) and the number of matrices it solves. A
+# Gram on a symmetric frequency range is solved in its reflection's
+# even/odd basis: as two real halves when its domain and weight are
+# symmetric too, else as one real matrix. Frame operators carry no
+# reflection.
 SOLVES = [
     pytest.param(lambda: riesz_bounds(exp_gram(SHIFTED_UNIT, lattice_truncation(-40, 23))),
-                 "f", id="single-box"),
+                 "ff", 1, id="single-box"),
     pytest.param(lambda: riesz_bounds(exp_gram(
         make_mask_domain([0.25, -0.5], [2, 2], [0.5, 0.5], [True] * 4),
-        lattice_truncation(-5, 3, 2), nodes_per_axis=12)), "f", id="full-mask"),
+        lattice_truncation(-5, 3, 2), nodes_per_axis=12)), "ff", 1, id="full-mask"),
     pytest.param(lambda: verify_riesz_transfer(
         SHIFTED_UNIT, lattice_truncation(-40, 23), constant_weight(SHIFTED_UNIT, 0.6 + 0.8j)),
-        "ff", id="constant-transfer"),
+        "ffff", 2, id="constant-transfer"),
     pytest.param(lambda: verify_frame_transfer(
         make_domain([Box(0.1, 0.9)]), lattice_truncation(-30, 9),
-        bump_window(make_domain([Box(0.1, 0.9)]), 1.0, 60)), "ff", id="bump-frame-operators"),
+        bump_window(make_domain([Box(0.1, 0.9)]), 1.0, 60)), "ff", 2,
+        id="bump-frame-operators"),
     pytest.param(lambda: riesz_bounds(exp_gram(
         make_domain([Box(-0.25, 0.75), Box(1.0, 1.375)]), lattice_truncation(-40, 23))),
-        "c", id="box-union"),
+        "f", 1, id="box-union"),
     pytest.param(lambda: riesz_bounds(translation_gram(
         SHIFTED_UNIT, lattice_truncation(-40, 23),
-        affine_weight(SHIFTED_UNIT, 2.0, [1.0], nodes_per_axis=128))), "c",
+        affine_weight(SHIFTED_UNIT, 2.0, [1.0], nodes_per_axis=128))), "f", 1,
         id="affine-translation-gram"),
 ]
 
 
-@pytest.mark.parametrize("solve,kinds", SOLVES)
-def test_the_solve_route_follows_the_measured_imaginary_part(eigvalsh_dtypes, solve, kinds):
+@pytest.mark.parametrize("solve,kinds,solved", SOLVES)
+def test_the_solve_route_follows_the_measured_imaginary_part(eigvalsh_dtypes, solve, kinds,
+                                                             solved):
     solve()
     assert "".join(dtype.kind for dtype in eigvalsh_dtypes) == kinds
 
 
-@pytest.mark.parametrize("solve,kinds", SOLVES)
-def test_each_solved_matrix_is_scanned_for_hermiticity_once(monkeypatch, solve, kinds):
+@pytest.mark.parametrize("solve,kinds,solved", SOLVES)
+def test_each_solved_matrix_is_scanned_for_hermiticity_once(monkeypatch, solve, kinds, solved):
     # A Gram is scanned when it is built and carries the scan to its solve;
     # a frame operator is scanned by eigen_bounds. Every binding of
     # hermitian_defect is counted, wherever a module imported the name.
@@ -491,7 +497,7 @@ def test_each_solved_matrix_is_scanned_for_hermiticity_once(monkeypatch, solve, 
     for module in (numerics, spectra):
         monkeypatch.setattr(module, "hermitian_defect", hermitian_defect, raising=False)
     solve()
-    assert len(scanned) == len(kinds)
+    assert len(scanned) == solved
 
 
 def test_a_quadrature_gram_between_the_two_ceilings_is_rejected_by_the_eigen_gate():

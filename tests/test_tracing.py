@@ -112,3 +112,24 @@ def test_a_traced_gabor_records_its_grams_and_solves_nothing(tmp_path):
     assert [span[5]["n"] for span in spans if span[0] == "spectra.exp_gram"] == [3, 3]
     assert "gabor.vv_onb_check" in {span[0] for span in spans}
     assert not any(span[0] == "numerics.eigen_bounds" for span in spans)
+
+
+def test_a_traced_box_union_records_one_solve_of_the_full_order(tmp_path):
+    # The union's Gram on a symmetric range is solved as one real matrix in
+    # the even/odd basis of the range's reflection: one eigen_bounds span,
+    # with the order of the Gram, not of a half.
+    scenario = tmp_path / "union.json"
+    scenario.write_text(json.dumps({
+        "name": "union", "command": "bounds",
+        "parameters": {"domain": {"boxes": [[-0.25, 0.75], [1.0, 1.375]]},
+                       "freqs": {"range": [-6, 8]}}}))
+    tracer = TRACING["Tracer"]()
+    tracer.install()
+    try:
+        code = cli.main(["bounds", "--scenario", str(scenario),
+                         "--out", str(tmp_path / "report.json")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    solves = [span[5] for span in tracer.spans if span[0] == "numerics.eigen_bounds"]
+    assert solves == [{"n": 15}]
