@@ -40,8 +40,9 @@ from .paley_wiener import (PERIODIZATION_KINDS, SUPPORT_TOL, BandlimitedSignal,
                            zd_periodization)
 from .spectra import (SYSTEM_SIZE_CAP, FrequencySet, exp_gram,
                       is_orthonormal_system, lattice_truncation, riesz_bounds)
-from .tiling import (GroupInstance, _distinct_indices, cube_equivalence_check,
-                     is_spectrum, search_complements, search_spectra, tiles)
+from .tiling import (GROUP_ORDER_CAP, GroupInstance, _distinct_indices,
+                     cube_equivalence_check, is_spectrum, search_complements,
+                     search_spectra, tiles)
 
 # Judgement scales echoed into every report: absolute for magnitudes at
 # or below one, relative otherwise.
@@ -577,6 +578,18 @@ def _group_indices(label: str):
 
 # The group is built, and its order checked, where its moduli are read.
 _GROUP = (_Built([_at_least(1)], lambda v, s: GroupInstance(v)), _REQ)
+
+
+def _cube_group(v, s) -> GroupInstance:
+    """The cube-check group: its searches override the exhaustive caps and
+    allocate per group element, so its order is bounded here instead."""
+    group = GroupInstance(v)
+    if group.order > GROUP_ORDER_CAP:
+        raise ValueError(f"moduli {v} give group order {group.order}, "
+                         f"above the cube-check cap {GROUP_ORDER_CAP}")
+    return group
+
+
 _PATTERN = {"moduli": _GROUP, "pattern": _group_indices("pattern")}
 _CHECK_CANDIDATE = {**_PATTERN, "candidate": _group_indices("candidate")}
 _SEARCH = {**_PATTERN, "samples": (_at_least(1), None), "force_exhaustive": (_BOOL, False)}
@@ -616,7 +629,7 @@ COMMANDS = {
         "search_spectra": _SEARCH_VERDICTS,
     }),
     "cube-check": _Command(_run_cube_check, _Obj({
-        "moduli": _GROUP,
+        "moduli": (_Built([_at_least(1)], _cube_group), _REQ),
         "side": (_at_least(1), _REQ),
     }), ("families_equal",)),
     "sample": _Command(_run_sample, _Obj({

@@ -7,18 +7,18 @@ bounds are reported. Test suites hold it against an independent power
 iteration oracle and an eigenvector residual oracle, so the routes never
 share code.
 
-A matrix whose imaginary part is within the Hermiticity ceiling is solved
-in real arithmetic, with the dropped part's Frobenius norm added to the
-margin (Weyl's inequality); any other matrix is solved in complex. Which
+A matrix that is real within the Hermiticity ceiling is solved in real
+arithmetic, with the dropped part's Frobenius norm added to the margin
+(Weyl's inequality); any other matrix is solved in complex. Which
 matrices are real is settled where they are built: spectra integrates
 every Gram about its domain's centre, and paley_wiener centres the
-frequencies of its frame operators. A matrix may come with a reflection
-P, an involution of its indices with P M P = conj(M): a Gram carries
-its frequencies' reflection through the centre of their bounding box
-(spectra.FrequencySet.reflection). In P's even/odd basis the matrix is
-real, so it is solved in real arithmetic, and in two halves when the
-halves do not couple; every part that must vanish is measured, never
-assumed.
+frequencies of its frame operators. A centrohermitian matrix,
+J M J = conj(M) with J the reversal (a Gram on an integer range in
+lexicographic order; a frame operator whose nodes and weight are
+symmetric in their order), is real in J's even/odd basis, and is solved
+there, in two halves when the halves do not couple. No caller says that
+a matrix has this structure: eigen_bounds screens one row against its
+mirror, and measures every part that must vanish.
 """
 
 from __future__ import annotations
@@ -119,41 +119,30 @@ def _positive_definite(matrix: np.ndarray, shift: float) -> bool:
     return True
 
 
-def _pairing(reflection, n: int) -> tuple[Optional[np.ndarray], int]:
-    """(order, pairs) for an involution P of range(n) with at most one fixed
-    point: in the order, P is the reversal, pairing index k with n - 1 - k
-    for k < pairs and fixing the middle index when n is odd. order is None
-    when P already is the reversal.
-    """
-    p = np.asarray(reflection)
-    index = np.arange(n)
-    if p.shape == (n,) and p.dtype.kind in "iu":
-        if (p == index[::-1]).all():
-            return None, n // 2
-        if (np.all((0 <= p) & (p < n)) and np.array_equal(p[p], index)
-                and np.count_nonzero(p == index) <= 1):
-            first = np.flatnonzero(p > index)
-            return np.concatenate([first, np.flatnonzero(p == index), p[first][::-1]]), first.size
-    raise ValueError(
-        f"reflection must be an involution of range({n}) with at most one fixed point")
-
-
-def _turned(m: np.ndarray, reflection) -> tuple[np.ndarray, int, float]:
-    """(U, pairs, scale): M in the even/odd basis of the reflection P,
-    T = scale U, with the even half first; pairs is the order of the odd
-    half.
-
-    The basis is (e_k + e_Pk)/sqrt(2) for the pairs k < Pk and e_f for a
-    fixed point f, then i (e_k - e_Pk)/sqrt(2): sums and differences of
-    paired rows, then of paired columns, the odd ones turned by -i and i.
-    With no reflection (P = I) the basis is the standard one: T = M.
+def _mirrored(m: np.ndarray, ceiling: float) -> bool:
+    """Whether M may satisfy J M J = conj(M), J the reversal: the row
+    through its largest diagonal entry matches the conjugate of its mirror
+    within the ceiling, in O(n). Row 0 would not do: under a window that
+    vanishes at the edges it is nearly zero and matches anything. This is
+    only a screen; _real_halves measures the whole of what it assumes.
     """
     n = m.shape[0]
-    if reflection is None:
-        return m, 0, 1.0
-    order, pairs = _pairing(reflection, n)
-    if order is not None:
-        m = m[np.ix_(order, order)]
+    r = int(np.argmax(m.diagonal().real))
+    return float(np.max(np.abs(m[n - 1 - r, ::-1] - m[r].conj()))) <= ceiling
+
+
+def _turned(m: np.ndarray) -> tuple[np.ndarray, int, float]:
+    """(U, pairs, scale): M in the even/odd basis of the reversal J,
+    T = scale U, with the even half first; pairs = n // 2 is the order of
+    the odd half.
+
+    The basis is (e_k + e_Jk)/sqrt(2) for k < Jk = n - 1 - k and e_f for
+    the middle index f when n is odd, then i (e_k - e_Jk)/sqrt(2): sums
+    and differences of mirrored rows, then of mirrored columns, the odd
+    ones turned by -i and i. T is real when J M J = conj(M).
+    """
+    n = m.shape[0]
+    pairs = n // 2
     q = n - pairs
     rows, u = np.empty_like(m), np.empty_like(m)
     np.add(m[:q], m[::-1][:q], out=rows[:q])
@@ -165,25 +154,25 @@ def _turned(m: np.ndarray, reflection) -> tuple[np.ndarray, int, float]:
     np.subtract(rows.imag[:, ::-1][:, :pairs], rows.imag[:, :pairs], out=u.real[:, q:])
     np.subtract(rows.real[:, :pairs], rows.real[:, ::-1][:, :pairs], out=u.imag[:, q:])
     if q > pairs:
-        # The fixed point's row and column were added to themselves.
+        # The middle row and column were added to themselves.
         u[pairs] *= np.sqrt(0.5)
         u[:, pairs] *= np.sqrt(0.5)
     return u, pairs, 0.5
 
 
-def _real_halves(m: np.ndarray, reflection, ceiling: float) -> Optional[tuple[list, float]]:
+def _real_halves(u: np.ndarray, pairs: int, scale: float,
+                 ceiling: float) -> Optional[tuple[list, float]]:
     """The real symmetric matrices whose joint spectrum stands for that of
-    M's Hermitian part, and the Frobenius norm of what was dropped to get
-    them; None when M must be solved in complex.
+    the Hermitian part of T = scale U, and the Frobenius norm of what was
+    dropped to get them; None when T is not real within the ceiling.
 
-    T = _turned(M) is real when P M P = conj(M). Its imaginary part is
-    measured, gated at the Hermiticity ceiling and dropped, and the
-    symmetric real part of T is solved: its even and odd halves apart when
-    the coupling between them is within the ceiling too (and is dropped),
-    else whole. Each dropped part moves no eigenvalue by more than its
-    Frobenius norm (Weyl).
+    T is M itself (pairs = 0, scale = 1) or M turned by _turned. Its
+    imaginary part is measured, gated at the Hermiticity ceiling and
+    dropped, and the symmetric real part of T is solved: its even and odd
+    halves apart when the coupling between them is within the ceiling too
+    (and is dropped), else whole. Each dropped part moves no eigenvalue by
+    more than its Frobenius norm (Weyl).
     """
-    u, pairs, scale = _turned(m, reflection)
     dropped = np.abs(u.imag).ravel()
     # Written so that a NaN takes the complex route, as it always has.
     if not scale * float(dropped.max()) <= ceiling:
@@ -200,7 +189,7 @@ def _real_halves(m: np.ndarray, reflection, ceiling: float) -> Optional[tuple[li
     return [herm[:q, :q], herm[q:, q:]], math.sqrt(slack)
 
 
-def eigen_bounds(matrix, *, scan: Optional[tuple] = None, reflection=None) -> EigenBounds:
+def eigen_bounds(matrix, *, scan: Optional[tuple] = None) -> EigenBounds:
     """Extreme eigenvalues, certified by Sylvester's law of inertia.
 
     Rejects non-square input, orders above ORDER_CAP, and matrices whose
@@ -215,16 +204,18 @@ def eigen_bounds(matrix, *, scan: Optional[tuple] = None, reflection=None) -> Ei
     raises instead of returning a partial answer.
 
     The solved matrices are real (_real_halves) whenever the parts of M
-    that its reflection makes vanish are within that Hermiticity ceiling:
-    with reflection P, an involution of range(n) with at most one fixed
-    point such that P M P = conj(M), two real symmetric halves of orders
-    about n / 2, or one real matrix of order n when the halves couple;
-    with none, (Re M + Re M^T) / 2. By Weyl's inequality the Hermitian
-    part of M differs from the solved matrices in each eigenvalue by at
-    most the Frobenius norm of the dropped parts, which is added to the
-    certified margin, as is 3 n eps max |M| for the rounding of the basis
-    change (none without P). Otherwise the Hermitian part (M + M*) / 2 is
-    solved in complex arithmetic.
+    that must vanish are within that Hermiticity ceiling, measured on the
+    routes below in turn. When M passes the O(n) screen for
+    J M J = conj(M), J the reversal (_mirrored), M is turned into J's
+    even/odd basis: two real symmetric halves of orders about n / 2, or
+    one real matrix of order n when the halves couple; the margin also
+    carries 3 n eps max |M| for the rounding of the basis change. When M
+    fails the screen, or the turned matrix is not real, the route is
+    (Re M + Re M^T) / 2. By Weyl's inequality the Hermitian part of M
+    differs from the solved matrices in each eigenvalue by at most the
+    Frobenius norm of the dropped parts, which is added to the certified
+    margin. Otherwise the Hermitian part (M + M*) / 2 is solved in
+    complex arithmetic.
 
     scan is hermitian_scan(matrix) when the caller already holds it for
     this very matrix (a GramMatrix carries its own), so the matrix is not
@@ -247,17 +238,18 @@ def eigen_bounds(matrix, *, scan: Optional[tuple] = None, reflection=None) -> Ei
     # The eigensolver and both certificates read the same matrices; slack
     # is the Weyl distance from their joint spectrum to that of M's
     # Hermitian part.
-    real = _real_halves(m, reflection, ceiling)
-    if real is None:
-        halves, slack = [0.5 * (m + m.conj().T)], 0.0
-    else:
-        halves, slack = real
-        if reflection is not None:
+    real = None
+    if _mirrored(m, ceiling):
+        real = _real_halves(*_turned(m), ceiling)
+        if real is not None:
             # The basis change rounds: an entry of T is half a sum of four
             # entries of M, within 2 sqrt(2) eps max |M| of its value, or in
-            # the fixed point's row or column within 3 eps max |M|; so T
-            # is within 3 n eps max |M| in Frobenius norm.
-            slack += 3.0 * n * eps * top
+            # the middle row or column within 3 eps max |M|; so T is within
+            # 3 n eps max |M| in Frobenius norm.
+            real = real[0], real[1] + 3.0 * n * eps * top
+    if real is None:
+        real = _real_halves(m, 0, 1.0, ceiling)
+    halves, slack = real if real is not None else ([0.5 * (m + m.conj().T)], 0.0)
     try:
         spectra = [np.linalg.eigvalsh(h) for h in halves]
     except np.linalg.LinAlgError as exc:

@@ -18,13 +18,12 @@ exponential by exp(-2 pi i <a, c>), so G = D G_0 D* with G_0 the centred
 Gram and D that unimodular diagonal. G_0 has G's spectrum and the same
 |G_ij - delta_ij|, so every reader here works on G_0; it is real when the
 domain and |weight|^2 are symmetric about c, and eigen_bounds then solves
-it in real arithmetic. Distinct frequencies are proved by a sort (one
-axis, or integer coordinates) before any pairwise scan runs. The same
-sort finds the set's reflection through the centre of its bounding box,
-when the set has one (every integer range does): a Gram's entries depend
-only on differences, so the reflection maps G_0 to its conjugate, and
-the Gram hands it to eigen_bounds, which solves G_0 in the reflection's
-real even/odd halves.
+it in real arithmetic. Entries that depend only on differences make the
+Gram of a set symmetric through its centre, listed in lexicographic order
+(every integer range), centrohermitian: eigen_bounds finds that in G_0
+itself and solves it in real even/odd halves. Distinct frequencies are
+proved by a sort (one axis, or integer coordinates) before any pairwise
+scan runs.
 """
 
 from __future__ import annotations
@@ -66,18 +65,10 @@ _HERMITICITY_TOL = {"closed_form": 1e-12, "quadrature": 1e-8}
 
 @dataclass(frozen=True, init=False)
 class FrequencySet:
-    """Finite set of pairwise distinct frequency vectors, shape (n, d).
-
-    reflection is the permutation P taking each point to its reflection
-    through the centre of the set's bounding box, points[P[r]] =
-    lo + hi - points[r] with lo and hi the per-axis minimum and maximum,
-    when that reflection maps the set onto itself (every integer range
-    does), else None.
-    """
+    """Finite set of pairwise distinct frequency vectors, shape (n, d)."""
 
     dimension: int
     points: np.ndarray
-    reflection: Optional[np.ndarray]
 
     def __init__(self, points):
         pts = np.asarray(points, dtype=float)
@@ -87,8 +78,7 @@ class FrequencySet:
             raise ValueError(f"frequencies must form a nonempty (n, d) array, got shape {pts.shape}")
         if not np.all(np.isfinite(pts)):
             raise ValueError("frequencies must be finite")
-        distinct, order, ranked = _sort_rows(pts)
-        if not distinct:
+        if not _distinct_by_sorting(pts):
             closest, i, j = _closest_pair(pts)
             if closest <= DISTINCTNESS_TOL:
                 raise ValueError(
@@ -98,17 +88,14 @@ class FrequencySet:
         pts.setflags(write=False)
         object.__setattr__(self, "dimension", int(pts.shape[1]))
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "reflection", _reflection(ranked, order))
 
     @property
     def size(self) -> int:
         return self.points.shape[0]
 
 
-def _sort_rows(pts: np.ndarray) -> tuple[bool, np.ndarray, np.ndarray]:
-    """(proved, order, ranked): whether a sort proves every sup-norm gap
-    exceeds DISTINCTNESS_TOL, a lexicographic order of the rows, and the
-    rows in that order.
+def _distinct_by_sorting(pts: np.ndarray) -> bool:
+    """True when a sort proves every sup-norm gap exceeds DISTINCTNESS_TOL.
 
     One axis: the adjacent gaps of the sorted values. Integer coordinates
     below _EXACT_INTEGER_BOUND: no two int64 rows are equal after a
@@ -116,34 +103,12 @@ def _sort_rows(pts: np.ndarray) -> tuple[bool, np.ndarray, np.ndarray]:
     proof, is left to _closest_pair.
     """
     if pts.shape[1] == 1:
-        order = np.argsort(pts[:, 0])
-        ranked = pts[order]
-        return (pts.shape[0] < 2
-                or float(np.min(np.diff(ranked[:, 0]))) > DISTINCTNESS_TOL), order, ranked
+        return pts.shape[0] < 2 or float(np.min(np.diff(np.sort(pts[:, 0])))) > DISTINCTNESS_TOL
     if all(_integer_span(col) is not None for col in pts.T):
         rows = pts.astype(np.int64)
-        order = np.lexsort(rows.T)
-        ranked = rows[order]
-        return not bool(np.any(np.all(ranked[1:] == ranked[:-1], axis=1))), order, ranked
-    order = np.lexsort(pts.T)
-    return False, order, pts[order]
-
-
-def _reflection(ranked: np.ndarray, order: np.ndarray) -> Optional[np.ndarray]:
-    """The permutation P with pts[P[r]] = lo + hi - pts[r], or None, from
-    the rows pts[order] = ranked in lexicographic order.
-
-    Reflecting through the centre of the bounding box reverses a
-    lexicographic order: it takes the first row to the last, so their sum
-    is lo + hi, and the set is symmetric exactly when the rows reversed
-    are the reflections of the rows.
-    """
-    if not (ranked[::-1] == ranked[0] + ranked[-1] - ranked).all():
-        return None
-    reflection = np.empty_like(order)
-    reflection[order] = order[::-1]
-    reflection.setflags(write=False)
-    return reflection
+        rows = rows[np.lexsort(rows.T)]
+        return not bool(np.any(np.all(rows[1:] == rows[:-1], axis=1)))
+    return False
 
 
 def _closest_pair(pts: np.ndarray) -> tuple[float, int, int]:
@@ -189,18 +154,15 @@ class GramMatrix:
     G_0; matrix forms G on demand for callers that want the Gram of the
     domain where it sits. scan is G_0's one hermitian_scan, taken for the
     provenance gate here and handed to eigen_bounds' own gate; G_0 is
-    read-only, so it cannot go stale. reflection is the frequencies'
-    (FrequencySet.reflection), under which G_0 is centrohermitian, handed
-    to eigen_bounds as well.
+    read-only, so it cannot go stale.
     """
 
     centred: np.ndarray
     provenance: str
     phase: Optional[np.ndarray]
     scan: tuple[float, float, tuple[int, int]]
-    reflection: Optional[np.ndarray]
 
-    def __init__(self, centred, provenance="closed_form", phase=None, reflection=None):
+    def __init__(self, centred, provenance="closed_form", phase=None):
         if provenance not in _HERMITICITY_TOL:
             raise ValueError(f"unknown provenance {provenance!r}")
         m = np.asarray(centred, dtype=complex)
@@ -221,16 +183,12 @@ class GramMatrix:
             if phase.shape != (m.shape[0],):
                 raise ValueError(f"phase must have shape ({m.shape[0]},), got {phase.shape}")
             phase.setflags(write=False)
-        if reflection is not None and np.shape(reflection) != (m.shape[0],):
-            raise ValueError(
-                f"reflection must have shape ({m.shape[0]},), got {np.shape(reflection)}")
         m = np.ascontiguousarray(m)
         m.setflags(write=False)
         object.__setattr__(self, "centred", m)
         object.__setattr__(self, "provenance", provenance)
         object.__setattr__(self, "phase", phase)
         object.__setattr__(self, "scan", scan)
-        object.__setattr__(self, "reflection", reflection)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -396,9 +354,7 @@ def exp_gram(domain: Domain, freqs: FrequencySet, weight=None,
     weight keeps its samples), which gives the centred Gram G_0. The
     result holds G_0 and the phase exp(-2 pi i <a, c>) of each frequency
     a, under which G_0 rotates to the Gram of the domain where it sits. A
-    domain and |weight|^2 symmetric about c give a real G_0. The result
-    also holds freqs.reflection, under which G_0 is centrohermitian on
-    every route.
+    domain and |weight|^2 symmetric about c give a real G_0.
     """
     if freqs.size > SYSTEM_SIZE_CAP:
         raise ValueError(f"{freqs.size} frequencies exceed the system cap {SYSTEM_SIZE_CAP}")
@@ -446,8 +402,7 @@ def exp_gram(domain: Domain, freqs: FrequencySet, weight=None,
     # entry.
     turns = points @ centre
     return GramMatrix(centred, provenance=provenance,
-                      phase=np.exp(-2j * np.pi * (turns - np.round(turns))),
-                      reflection=freqs.reflection)
+                      phase=np.exp(-2j * np.pi * (turns - np.round(turns))))
 
 
 @dataclass(frozen=True)
@@ -467,9 +422,9 @@ class BoundsReport:
     margin: float
 
 
-def _bounds_from_matrix(matrix: np.ndarray, frame_route: bool, scan: Optional[tuple] = None,
-                        reflection: Optional[np.ndarray] = None) -> BoundsReport:
-    eb = eigen_bounds(matrix, scan=scan, reflection=reflection)
+def _bounds_from_matrix(matrix: np.ndarray, frame_route: bool,
+                        scan: Optional[tuple] = None) -> BoundsReport:
+    eb = eigen_bounds(matrix, scan=scan)
     upper = max(eb.lambda_max, 0.0)
     lower = eb.lambda_min
     if lower < -DEGENERACY_RTOL * max(upper, 1.0):
@@ -487,9 +442,8 @@ def _bounds_from_matrix(matrix: np.ndarray, frame_route: bool, scan: Optional[tu
 
 def riesz_bounds(gram: GramMatrix) -> BoundsReport:
     """Riesz bounds of the finite section: extreme eigenvalues of the
-    centred Gram, with the scan and the reflection the Gram carries."""
-    return _bounds_from_matrix(gram.centred, frame_route=False, scan=gram.scan,
-                               reflection=gram.reflection)
+    centred Gram, with the scan the Gram carries."""
+    return _bounds_from_matrix(gram.centred, frame_route=False, scan=gram.scan)
 
 
 def frame_bounds_of_operator(matrix) -> BoundsReport:

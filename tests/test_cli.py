@@ -27,7 +27,7 @@ from expbases.cli import (
     run_scenario,
     write_text_atomic,
 )
-from expbases.tiling import SEARCH_BUDGET
+from expbases.tiling import GROUP_ORDER_CAP, SEARCH_BUDGET
 
 
 def bounds_scenario(**extra):
@@ -711,6 +711,24 @@ def test_huge_groups_end_promptly_without_a_traceback(tmp_path, capsys, command,
     else:
         results = json.loads((tmp_path / "report.json").read_text())["results"]
         assert results == {"uncovered": 2 ** 40 - 1, "collisions": 0}
+
+
+@pytest.mark.parametrize("moduli, side", [([2 ** 31], 2 ** 31), ([64, 65], 1)])
+def test_a_cube_check_group_above_the_order_cap_is_rejected_before_a_search(tmp_path, capsys,
+                                                                            moduli, side):
+    # Both searches override the exhaustive caps and allocate per group
+    # element, so the order is bounded where the moduli are read: Z_{2^31}
+    # would need 16 GiB before either search examined anything.
+    start = time.perf_counter()
+    code, err = run_main(tmp_path, capsys, {"name": "huge", "command": "cube-check",
+                                           "parameters": {"moduli": moduli, "side": side}},
+                         "cube-check")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    order = math.prod(moduli)
+    assert (f"scenario.parameters.moduli (moduli {moduli} give group order {order}, "
+            f"above the cube-check cap {GROUP_ORDER_CAP})") in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command, parameters", [

@@ -10,7 +10,7 @@ import generators
 import oracles
 from expbases import (Box, FrequencySet, Pcg32, affine_weight, bump_window, constant_weight,
                       eigen_bounds, exp_gram, hermitian_defect, lattice_truncation,
-                      make_domain, make_mask_domain, riesz_bounds, translation_gram)
+                      make_domain, make_mask_domain, numerics, riesz_bounds, translation_gram)
 from expbases.cli import main
 from expbases.numerics import HERMITICITY_TOL, RESIDUAL_CAP
 from expbases.spectra import box_centre
@@ -190,6 +190,11 @@ CENTRED_SHAPES = {
 CLOSED_FORM_SHAPES = ["1d-lattice-512", "2d-lattice-484", "1d-kadec-448", "2d-kadec-400",
                       "1d-constant-transfer-512"]
 
+# The shapes above whose frequencies (or, for the frame operator, nodes)
+# are symmetric in their order: real and persymmetric, so they split.
+PERSYMMETRIC_SHAPES = ["1d-lattice-512", "2d-lattice-484", "1d-full-mask-512",
+                       "2d-full-mask-484", "1d-constant-transfer-512", "frame-operator-bump-400"]
+
 
 @pytest.mark.parametrize("shape", CENTRED_SHAPES)
 def test_the_real_route_agrees_with_the_complex_route(shape, eigvalsh_dtypes):
@@ -197,7 +202,7 @@ def test_the_real_route_agrees_with_the_complex_route(shape, eigvalsh_dtypes):
     # sits, which has the spectrum of the centred one.
     centred, placed = CENTRED_SHAPES[shape]()
     real = eigen_bounds(centred)
-    assert eigvalsh_dtypes == [np.float64]
+    assert eigvalsh_dtypes == [np.float64] * (2 if shape in PERSYMMETRIC_SHAPES else 1)
     lo, hi = oracles.eigh_extreme_eigenvalues(placed)
     tol = 1e-12 * max(1.0, abs(hi))
     assert abs(real.lambda_min - lo) <= tol
@@ -267,18 +272,19 @@ def test_an_imaginary_part_above_the_ceiling_keeps_the_complex_route(eigvalsh_dt
     assert hi <= bounds.lambda_max + bounds.margin
 
 
-def symmetric_subset(seed):
+def symmetric_subset(seed, shuffled=False):
     """Integer points of [-4, 4] x [-3, 3], symmetric through the origin and
     no range: a seeded half of the points below the origin in
     lexicographic order, their reflections, and the origin itself for odd
-    seeds. The rows are shuffled and moved by an integer offset."""
+    seeds. The rows are in lexicographic order, which the reflection
+    reverses, or shuffled, and are moved by an integer offset."""
     rng = np.random.default_rng(seed)
     below = [(i, j) for i in range(-4, 5) for j in range(-3, 4) if (i, j) < (0, 0)]
     half = [point for point in below if rng.random() < 0.5]
     half += [(-4, -3)]  # the corners fix the bounding box
     points = half + [(-i, -j) for i, j in half] + ([(0, 0)] if seed % 2 else [])
     points = np.array(sorted(set(points)), dtype=float)
-    return FrequencySet(rng.permutation(points) + [7.0, -2.0])
+    return FrequencySet((rng.permutation(points) if shuffled else points) + [7.0, -2.0])
 
 
 UNION_2D = make_domain([Box([0.0, 0.0], [1.0, 1.0]), Box([1.25, 0.0], [1.75, 0.5])])
@@ -298,25 +304,40 @@ REFLECTED_GRAMS = {
 }
 
 
+def assert_bracketed_like_the_eigh_oracle(bounds, matrix):
+    lo, hi = oracles.eigh_extreme_eigenvalues(matrix)
+    assert abs(bounds.lambda_min - lo) <= 1e-12 * max(1.0, abs(lo))
+    assert abs(bounds.lambda_max - hi) <= 1e-12 * max(1.0, abs(hi))
+    assert bounds.lambda_min - bounds.margin <= lo
+    assert hi <= bounds.lambda_max + bounds.margin
+
+
 @pytest.mark.parametrize("seed", range(20))
 @pytest.mark.parametrize("kind", REFLECTED_GRAMS)
 def test_a_reflected_solve_matches_the_eigh_oracle(seed, kind, eigvalsh_dtypes):
     freqs = symmetric_subset(seed)
     assert freqs.size % 2 == seed % 2
-    reflection = freqs.reflection
-    assert reflection is not None
-    assert np.array_equal(freqs.points[reflection], np.array([14.0, -4.0]) - freqs.points)
+    assert np.array_equal(freqs.points[::-1], np.array([14.0, -4.0]) - freqs.points)
     build, kinds = REFLECTED_GRAMS[kind]
     gram = build(freqs)
-    bounds = eigen_bounds(gram.centred, reflection=reflection)
+    bounds = eigen_bounds(gram.centred)
     assert "".join(dtype.kind for dtype in eigvalsh_dtypes) == kinds
-    lo, hi = oracles.eigh_extreme_eigenvalues(gram.matrix)
-    assert abs(bounds.lambda_min - lo) <= 1e-12 * max(1.0, abs(lo))
-    assert abs(bounds.lambda_max - hi) <= 1e-12 * max(1.0, abs(hi))
-    assert bounds.lambda_min - bounds.margin <= lo
-    assert hi <= bounds.lambda_max + bounds.margin
+    assert_bracketed_like_the_eigh_oracle(bounds, gram.matrix)
     report = riesz_bounds(gram)
     assert (report.upper, report.margin) == (bounds.lambda_max, bounds.margin)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("kind", ["box-union", "mask", "affine-weight"])
+def test_a_shuffled_symmetric_set_is_solved_unsplit(seed, kind, eigvalsh_dtypes):
+    # The reflection no longer reverses the order, so the Gram is not
+    # centrohermitian as it stands: one matrix is solved. (On the unit
+    # square the Gram of integer frequencies is I, which splits in any
+    # order.)
+    gram = REFLECTED_GRAMS[kind][0](symmetric_subset(seed, shuffled=True))
+    bounds = eigen_bounds(gram.centred)
+    assert len(eigvalsh_dtypes) == 1
+    assert_bracketed_like_the_eigh_oracle(bounds, gram.matrix)
 
 
 def centrohermitian(n, seed):
@@ -339,7 +360,7 @@ def test_a_broken_reflection_above_the_ceiling_takes_the_complex_route(n, broken
     ceiling = HERMITICITY_TOL * np.max(np.abs(m))
     m[0, 1] += 1j * broken * ceiling
     m[1, 0] -= 1j * broken * ceiling
-    bounds = eigen_bounds(m, reflection=np.arange(n)[::-1])
+    bounds = eigen_bounds(m)
     kinds = "".join(dtype.kind for dtype in eigvalsh_dtypes)
     assert kinds == ("c" if broken > 2.0 else "f")
     lo, hi = oracles.eigh_extreme_eigenvalues(m)
@@ -348,9 +369,8 @@ def test_a_broken_reflection_above_the_ceiling_takes_the_complex_route(n, broken
     assert abs(bounds.lambda_max - hi) <= 1e-12 * max(1.0, abs(hi))
 
 
-def test_without_a_reflection_the_solved_matrix_is_the_symmetric_real_part(monkeypatch):
-    # The route that has always been: (Re M + Re M^T) / 2, to the last bit.
-    gram = exp_gram(SQUARE, symmetric_subset(3))
+def solved_matrices(monkeypatch):
+    """Copies of the operands np.linalg.eigvalsh receives, in call order."""
     solved = []
     true_eigvalsh = np.linalg.eigvalsh
 
@@ -358,23 +378,75 @@ def test_without_a_reflection_the_solved_matrix_is_the_symmetric_real_part(monke
         solved.append(np.array(a))
         return true_eigvalsh(a, *args, **kwargs)
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
-    eigen_bounds(gram.centred)
-    want = gram.centred.real + gram.centred.real.T
+    return solved
+
+
+def assert_solved_as_the_symmetric_real_part(solved, m):
+    # The route that has always been: (Re M + Re M^T) / 2, to the last bit.
+    want = m.real + m.real.T
     want *= 0.5
     assert len(solved) == 1 and solved[0].dtype == want.dtype
     assert solved[0].tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("reflection", [
-    pytest.param([1, 0, 2, 3], id="two-fixed-points"),
-    pytest.param([1, 2, 3, 0], id="not-an-involution"),
-    pytest.param([3, 2, 1], id="wrong-length"),
-    pytest.param([3.0, 2.0, 1.0, 0.0], id="not-integer"),
-    pytest.param([4, 2, 1, 0], id="out-of-range"),
-])
-def test_a_reflection_that_is_not_one_is_rejected(reflection):
-    with pytest.raises(ValueError, match="reflection must be an involution"):
-        eigen_bounds(np.eye(4), reflection=np.array(reflection))
+def test_without_a_reflection_the_solved_matrix_is_the_symmetric_real_part(monkeypatch):
+    # A real Gram on a Kadec set, which no reflection maps onto itself,
+    # fails the screen for J M J = conj(M).
+    gram = exp_gram(make_domain([Box(-0.375, 0.625)]),
+                    FrequencySet(np.arange(-8, 8) + Pcg32(3).uniforms(16, -0.2, 0.2)))
+    solved = solved_matrices(monkeypatch)
+    eigen_bounds(gram.centred)
+    assert_solved_as_the_symmetric_real_part(solved, gram.centred)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8])
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_a_centrohermitian_matrix_is_solved_in_real_halves_unasked(n, real, eigvalsh_dtypes):
+    # J M J = conj(M) in the order M comes in: a real (centrosymmetric) M
+    # splits into two real halves, a complex one is solved as one real
+    # matrix, since its imaginary part couples the halves. The margin
+    # carries the basis change's rounding term.
+    m = centrohermitian(n, seed=n)
+    if real:
+        m = m.real
+    bounds = eigen_bounds(m)
+    kinds = "".join(dtype.kind for dtype in eigvalsh_dtypes)
+    assert kinds == ("f" if n == 1 or not real else "ff")
+    assert_bracketed_like_the_eigh_oracle(bounds, m)
+    assert bounds.margin >= 3.0 * n * np.finfo(float).eps * np.max(np.abs(m))
+
+
+def test_a_matrix_that_passes_the_screen_only_takes_the_unturned_real_route(monkeypatch):
+    # Real and symmetric, persymmetric in the rows through its largest
+    # diagonal entries but not in rows 0 and 1: the screen passes, the
+    # turned matrix has an imaginary part far above the ceiling, and M is
+    # solved as (Re M + Re M^T) / 2, not in complex.
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((8, 8))
+    m = 0.25 * (a + a.T + a[::-1, ::-1] + a.T[::-1, ::-1]) + 10.0 * np.eye(8)
+    m[3, 3] = m[4, 4] = 12.0
+    m[0, 1] = m[1, 0] = m[0, 1] + 0.5
+    assert numerics._mirrored(m, HERMITICITY_TOL * np.max(np.abs(m)))
+    solved = solved_matrices(monkeypatch)
+    bounds = eigen_bounds(m)
+    assert_solved_as_the_symmetric_real_part(solved, m)
+    assert_bracketed_like_the_eigh_oracle(bounds, m)
+
+
+@pytest.mark.parametrize("nodes", [60, 61])
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+def test_a_frame_operator_on_a_symmetric_node_set_splits(nodes, weighted, eigvalsh_dtypes):
+    # The midpoint nodes of a box are symmetric in their order and the bump
+    # is symmetric about the box's centre: with centred frequencies the
+    # operator is real and persymmetric, so it is solved in two halves.
+    domain = make_domain([Box(0.1, 0.9)])
+    weight = bump_window(domain, 1.0, nodes)
+    if not weighted:
+        weight = constant_weight(domain, 1.0, rule=weight.rule)
+    centred, placed = centred_frame_operator(domain, lattice_truncation(-30, 9), weight)
+    bounds = eigen_bounds(centred)
+    assert eigvalsh_dtypes == [np.float64] * 2
+    assert_bracketed_like_the_eigh_oracle(bounds, placed)
 
 
 def move_extreme(monkeypatch, end=0, shift=None, order=None):

@@ -449,10 +449,10 @@ SHIFTED_UNIT = make_domain([Box(0.375, 1.375)])
 
 # Solves, each with the kind of every matrix eigvalsh receives (f on a real
 # route, c on the complex one) and the number of matrices it solves. A
-# Gram on a symmetric frequency range is solved in its reflection's
-# even/odd basis: as two real halves when its domain and weight are
-# symmetric too, else as one real matrix. Frame operators carry no
-# reflection.
+# Gram on a symmetric frequency range, and a frame operator on a symmetric
+# node set, is centrohermitian and solved in the reversal's even/odd
+# basis: as two real halves when its domain and weight are symmetric too,
+# else as one real matrix.
 SOLVES = [
     pytest.param(lambda: riesz_bounds(exp_gram(SHIFTED_UNIT, lattice_truncation(-40, 23))),
                  "ff", 1, id="single-box"),
@@ -464,7 +464,7 @@ SOLVES = [
         "ffff", 2, id="constant-transfer"),
     pytest.param(lambda: verify_frame_transfer(
         make_domain([Box(0.1, 0.9)]), lattice_truncation(-30, 9),
-        bump_window(make_domain([Box(0.1, 0.9)]), 1.0, 60)), "ff", 2,
+        bump_window(make_domain([Box(0.1, 0.9)]), 1.0, 60)), "ffff", 2,
         id="bump-frame-operators"),
     pytest.param(lambda: riesz_bounds(exp_gram(
         make_domain([Box(-0.25, 0.75), Box(1.0, 1.375)]), lattice_truncation(-40, 23))),

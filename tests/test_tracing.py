@@ -115,9 +115,10 @@ def test_a_traced_gabor_records_its_grams_and_solves_nothing(tmp_path):
 
 
 def test_a_traced_box_union_records_one_solve_of_the_full_order(tmp_path):
-    # The union's Gram on a symmetric range is solved as one real matrix in
-    # the even/odd basis of the range's reflection: one eigen_bounds span,
-    # with the order of the Gram, not of a half.
+    # The union's Gram on a symmetric range is centrohermitian, and
+    # eigen_bounds solves it as one real matrix in the reversal's even/odd
+    # basis: one eigen_bounds span, with the order of the Gram, not of a
+    # half.
     scenario = tmp_path / "union.json"
     scenario.write_text(json.dumps({
         "name": "union", "command": "bounds",
