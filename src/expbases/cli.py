@@ -590,6 +590,17 @@ def _cube_group(v, s) -> GroupInstance:
     return group
 
 
+def _complement_parameters(v, s) -> dict:
+    # A sampled complement search draws order // k indices per candidate,
+    # bounded as in the search, so that the rejection names the pattern.
+    group, k = v["moduli"], len(v["pattern"])
+    if (v["samples"] and not v["force_exhaustive"] and group.order % k == 0
+            and group.order // k > GROUP_ORDER_CAP):
+        raise ValueError(f"scenario.parameters.pattern: a sampled complement of "
+                         f"{group.order // k} elements exceeds the cap {GROUP_ORDER_CAP}")
+    return v
+
+
 _PATTERN = {"moduli": _GROUP, "pattern": _group_indices("pattern")}
 _CHECK_CANDIDATE = {**_PATTERN, "candidate": _group_indices("candidate")}
 _SEARCH = {**_PATTERN, "samples": (_at_least(1), None), "force_exhaustive": (_BOOL, False)}
@@ -620,7 +631,7 @@ COMMANDS = {
     "tiling": _Command(_run_tiling, _Tagged("mode", {
         "check_tiling": (_CHECK_CANDIDATE, None),
         "check_spectrum": (_CHECK_CANDIDATE, None),
-        "search_complements": (_SEARCH, None),
+        "search_complements": (_SEARCH, _complement_parameters),
         "search_spectra": (_SEARCH, None),
     }), {
         "check_tiling": ("is_tiling",),

@@ -35,30 +35,23 @@ def _unit_measure(base_domain: Domain) -> Domain:
     return base_domain
 
 
-def _product_grams(base_domain: Domain, modulations: FrequencySet,
-                   translations: FrequencySet, window: SpectralWeight):
-    # The modulation Gram, the translation Gram and their Kronecker product:
-    # (D1 G1 D1*) kron (D2 G2 D2*) = (D1 kron D2)(G1 kron G2)(D1 kron D2)*.
+def gabor_gram(base_domain: Domain, modulations: FrequencySet,
+               translations: FrequencySet, window: SpectralWeight) -> GramMatrix:
+    """Gram of the product system, one row per (translation, modulation) pair.
+
+    Row r pairs translation r % n_translations with modulation
+    r // n_translations, matching np.kron(modulation_gram, translation_gram):
+    (D1 G1 D1*) kron (D2 G2 D2*) = (D1 kron D2)(G1 kron G2)(D1 kron D2)*.
+    """
     order = modulations.size * translations.size
     if order > SYSTEM_SIZE_CAP:
         raise ValueError(f"system order {order} exceeds the cap {SYSTEM_SIZE_CAP}")
     mod_gram = exp_gram(base_domain, modulations)
     trans_gram = translation_gram(window.domain, translations, window)
     closed = mod_gram.provenance == "closed_form" and trans_gram.provenance == "closed_form"
-    return mod_gram, trans_gram, GramMatrix(
-        np.kron(mod_gram.centred, trans_gram.centred),
-        provenance="closed_form" if closed else "quadrature",
-        phase=np.kron(mod_gram.phase, trans_gram.phase))
-
-
-def gabor_gram(base_domain: Domain, modulations: FrequencySet,
-               translations: FrequencySet, window: SpectralWeight) -> GramMatrix:
-    """Gram of the product system, one row per (translation, modulation) pair.
-
-    Row r pairs translation r % n_translations with modulation
-    r // n_translations, matching np.kron(modulation_gram, translation_gram).
-    """
-    return _product_grams(base_domain, modulations, translations, window)[2]
+    return GramMatrix(np.kron(mod_gram.centred, trans_gram.centred),
+                      provenance="closed_form" if closed else "quadrature",
+                      phase=np.kron(mod_gram.phase, trans_gram.phase))
 
 
 @dataclass(frozen=True)
@@ -82,8 +75,11 @@ def vv_onb_check(base_domain: Domain, modulations: FrequencySet,
     impossible otherwise); the window's normalization is reported, not
     required.
     """
-    mod_gram, trans_gram, full = _product_grams(_unit_measure(base_domain), modulations,
-                                                 translations, window)
+    # The product's verdict reads the Kronecker product gabor_gram forms;
+    # each factor's reads that factor's own Gram.
+    full = gabor_gram(_unit_measure(base_domain), modulations, translations, window)
+    mod_gram = exp_gram(base_domain, modulations)
+    trans_gram = translation_gram(window.domain, translations, window)
     mod_v = is_orthonormal_system(mod_gram, tol)
     trans_v = is_orthonormal_system(trans_gram, tol)
     gabor_v = is_orthonormal_system(full, tol)

@@ -7,12 +7,13 @@ bounds are reported. Test suites hold it against an independent power
 iteration oracle and an eigenvector residual oracle, so the routes never
 share code.
 
-A matrix that is real within the Hermiticity ceiling is solved in real
-arithmetic, with the dropped part's Frobenius norm added to the margin
-(Weyl's inequality); any other matrix is solved in complex. Which
-matrices are real is settled where they are built: spectra integrates
-every Gram about its domain's centre, and paley_wiener centres the
-frequencies of its frame operators. A centrohermitian matrix,
+A matrix keeps its dtype (integers become float64). A float64 matrix is
+solved in real arithmetic throughout; a complex one that is real within
+the Hermiticity ceiling is solved in real arithmetic with the dropped
+part's Frobenius norm added to the margin (Weyl's inequality), and any
+other in complex. Which matrices are real is settled where they are built:
+spectra integrates every Gram about its domain's centre, and paley_wiener
+centres the frequencies of its frame operators. A centrohermitian matrix,
 J M J = conj(M) with J the reversal (a Gram on an integer range in
 lexicographic order; a frame operator whose nodes and weight are
 symmetric in their order), is real in J's even/odd basis, and is solved
@@ -56,7 +57,8 @@ class EigenBounds:
 
 
 def _as_square(matrix) -> np.ndarray:
-    m = np.asarray(matrix, dtype=complex)
+    m = np.asarray(matrix)
+    m = m.astype(np.result_type(m, float), copy=False)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
@@ -79,11 +81,7 @@ def hermitian_defect(matrix) -> tuple[float, tuple[int, int]]:
     for start in range(0, n, rows):
         upper = m[start:start + rows, start:]
         lower = m[start:, start:start + rows].T
-        # M[i,j] - conj(M[j,i]), formed part by part without conjugating.
-        block = np.empty(upper.shape, dtype=complex)
-        np.subtract(upper.real, lower.real, out=block.real)
-        np.add(upper.imag, lower.imag, out=block.imag)
-        block = np.abs(block)
+        block = np.abs(upper - lower.conj())
         k = int(np.argmax(block))
         value = block.flat[k]
         # A strict comparison keeps the earliest row; a NaN wins as in argmax.
@@ -137,22 +135,21 @@ def _turned(m: np.ndarray) -> tuple[np.ndarray, int, float]:
     the odd half.
 
     The basis is (e_k + e_Jk)/sqrt(2) for k < Jk = n - 1 - k and e_f for
-    the middle index f when n is odd, then i (e_k - e_Jk)/sqrt(2): sums
-    and differences of mirrored rows, then of mirrored columns, the odd
-    ones turned by -i and i. T is real when J M J = conj(M).
+    the middle index f when n is odd, then (e_k - e_Jk)/sqrt(2), times i
+    when M is complex: sums and differences of mirrored rows, then of
+    mirrored columns, and then the two coupling blocks times i and -i. T is
+    real when J M J = conj(M).
     """
     n = m.shape[0]
     pairs = n // 2
     q = n - pairs
     rows, u = np.empty_like(m), np.empty_like(m)
-    np.add(m[:q], m[::-1][:q], out=rows[:q])
-    # -i (a - b) = (Im a - Im b) + i (Re b - Re a)
-    np.subtract(m.imag[:pairs], m.imag[::-1][:pairs], out=rows.real[q:])
-    np.subtract(m.real[::-1][:pairs], m.real[:pairs], out=rows.imag[q:])
-    np.add(rows[:, :q], rows[:, ::-1][:, :q], out=u[:, :q])
-    # i (a - b) = (Im b - Im a) + i (Re a - Re b)
-    np.subtract(rows.imag[:, ::-1][:, :pairs], rows.imag[:, :pairs], out=u.real[:, q:])
-    np.subtract(rows.real[:, :pairs], rows.real[:, ::-1][:, :pairs], out=u.imag[:, q:])
+    for src, out in ((m, rows), (rows.T, u.T)):
+        np.add(src[:q], src[::-1][:q], out=out[:q])
+        np.subtract(src[:pairs], src[::-1][:pairs], out=out[q:])
+    if np.iscomplexobj(u):
+        u[:q, q:] *= 1j
+        u[q:, :q] *= -1j
     if q > pairs:
         # The middle row and column were added to themselves.
         u[pairs] *= np.sqrt(0.5)
@@ -203,9 +200,9 @@ def eigen_bounds(matrix, *, scan: Optional[tuple] = None) -> EigenBounds:
     converge, or a margin that would exceed RESIDUAL_CAP * max |M| * order,
     raises instead of returning a partial answer.
 
-    The solved matrices are real (_real_halves) whenever the parts of M
-    that must vanish are within that Hermiticity ceiling, measured on the
-    routes below in turn. When M passes the O(n) screen for
+    The solved matrices are real (_real_halves) whenever M is float64 or
+    the parts of M that must vanish are within that Hermiticity ceiling,
+    measured on the routes below in turn. When M passes the O(n) screen for
     J M J = conj(M), J the reversal (_mirrored), M is turned into J's
     even/odd basis: two real symmetric halves of orders about n / 2, or
     one real matrix of order n when the halves couple; the margin also

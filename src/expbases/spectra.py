@@ -16,14 +16,15 @@ Every Gram is integrated about its centre c, the centre of the bounding
 box of the domain's cells: moving the domain by -c multiplies each
 exponential by exp(-2 pi i <a, c>), so G = D G_0 D* with G_0 the centred
 Gram and D that unimodular diagonal. G_0 has G's spectrum and the same
-|G_ij - delta_ij|, so every reader here works on G_0; it is real when the
-domain and |weight|^2 are symmetric about c, and eigen_bounds then solves
-it in real arithmetic. Entries that depend only on differences make the
-Gram of a set symmetric through its centre, listed in lexicographic order
-(every integer range), centrohermitian: eigen_bounds finds that in G_0
-itself and solves it in real even/odd halves. Distinct frequencies are
-proved by a sort (one axis, or integer coordinates) before any pairwise
-scan runs.
+|G_ij - delta_ij|, so every reader here works on G_0. Its dtype follows
+its integral: float64 on a single box (_closed_form), else complex, real
+within rounding when the domain and |weight|^2 are symmetric about c;
+eigen_bounds solves either in real arithmetic. Entries that depend only
+on differences make the Gram of a set symmetric through its centre,
+listed in lexicographic order (every integer range), centrohermitian:
+eigen_bounds finds that in G_0 itself and solves it in real even/odd
+halves. Distinct frequencies are proved by a sort (one axis, or integer
+coordinates) before any pairwise scan runs.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .domain import Domain, QuadratureRule, quadrature
-from .numerics import eigen_bounds, hermitian_scan, hermiticity_ceiling
+from .numerics import _as_square, eigen_bounds, hermitian_scan, hermiticity_ceiling
 
 # Largest frequency-set size a Gram matrix will be assembled for.
 SYSTEM_SIZE_CAP = 512
@@ -49,10 +50,6 @@ _GAP_BLOCK_ENTRIES = SYSTEM_SIZE_CAP ** 2
 
 # Entries per block of nodes in a Toeplitz quadrature Gram's folded table.
 _TABLE_BLOCK_ENTRIES = SYSTEM_SIZE_CAP ** 2
-
-# Below this phase scale the closed-form axis factor switches to its
-# zero-frequency branch.
-DELTA_ZERO_TOL = 1e-12
 
 # Integer coordinates below this magnitude have exact float differences.
 _EXACT_INTEGER_BOUND = 2.0 ** 52
@@ -165,9 +162,7 @@ class GramMatrix:
     def __init__(self, centred, provenance="closed_form", phase=None):
         if provenance not in _HERMITICITY_TOL:
             raise ValueError(f"unknown provenance {provenance!r}")
-        m = np.asarray(centred, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"Gram matrix must be square, got shape {m.shape}")
+        m = _as_square(centred)
         scan = hermitian_scan(m)
         top, defect, (i, j) = scan
         tol = hermiticity_ceiling(top, _HERMITICITY_TOL[provenance])
@@ -202,31 +197,27 @@ class GramMatrix:
         return self.centred.shape[0]
 
 
-def _axis_factor(delta: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    # Integral of exp(-2 pi i delta x) over [lo, hi], stable through delta = 0.
-    delta = np.asarray(delta, dtype=float)
-    small = np.abs(delta) < DELTA_ZERO_TOL
-    safe = np.where(small, 1.0, delta)
-    coef = -2j * np.pi * safe
-    out = (np.exp(coef * hi) - np.exp(coef * lo)) / coef
-    return np.where(small, hi - lo, out)
+def _axis_factor(delta, width: float, offset: float) -> np.ndarray:
+    # Integral of exp(-2 pi i delta x) over an interval of that width whose
+    # midpoint lies offset from the centre; real when offset is 0.
+    factor = width * np.sinc(np.multiply(delta, width))
+    return factor if offset == 0.0 else factor * np.exp(-2j * np.pi * offset * delta)
 
 
 def _closed_form(domain: Domain, deltas, centre) -> np.ndarray:
     # Integral of exp(-2 pi i <delta, x>) over the box union moved by
-    # -centre, for per-axis arrays of differences deltas[j] that broadcast
-    # together: per box, the product of the axis factors. The new factor is
-    # the left operand, as in numpy's in-place product on a large
-    # temporary: a complex product rounds by operand order, and tables and
-    # pairwise arrays must agree.
-    shape = np.broadcast_shapes(*(np.shape(delta) for delta in deltas))
-    total = np.zeros(shape, dtype=complex)
-    for box in domain.boxes:
-        lower, upper = np.subtract(box.lower, centre), np.subtract(box.upper, centre)
-        factor = np.ones(shape, dtype=complex)
+    # -centre, for per-axis arrays of differences deltas[j] of one shape:
+    # per box, the product of the axis factors, the new factor the left
+    # operand (a complex product rounds by operand order, and tables and
+    # pairwise arrays must agree). A box's offset is box_centre of its cell
+    # less the centre, so a single box has offset 0 on every axis.
+    total = 0.0
+    for lower, widths, _ in domain.cells():
+        offsets = box_centre(np.stack([lower, lower + widths])) - centre
+        factor = 1.0
         for j, delta in enumerate(deltas):
-            factor = _axis_factor(delta, lower[j], upper[j]) * factor
-        total += factor
+            factor = _axis_factor(delta, widths[j], offsets[j]) * factor
+        total = total + factor
     return total
 
 
@@ -448,7 +439,7 @@ def riesz_bounds(gram: GramMatrix) -> BoundsReport:
 
 def frame_bounds_of_operator(matrix) -> BoundsReport:
     """Frame bounds from a frame operator; Riesz property is not examined."""
-    return _bounds_from_matrix(np.asarray(matrix, dtype=complex), frame_route=True)
+    return _bounds_from_matrix(matrix, frame_route=True)
 
 
 @dataclass(frozen=True)

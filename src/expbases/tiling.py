@@ -296,6 +296,9 @@ def _sampled_search(group: GroupInstance, pat_idx: np.ndarray,
     rng = rng if rng is not None else Pcg32(0)
     k = pat_idx.size
     size = group.order // k if mode == "tiling" else k
+    # No larger than a group an exhaustive search may walk, before any draw.
+    if size > GROUP_ORDER_CAP:
+        raise ValueError(f"a sampled candidate of {size} elements exceeds the cap {GROUP_ORDER_CAP}")
     pattern = tuple(int(i) for i in pat_idx)
     found: set[tuple[int, ...]] = set()
     for _ in range(int(samples)):

@@ -7,8 +7,11 @@ must pass a residual test. The product-system Gram is assembled one member
 pair at a time from its own per-axis integral (box_integral) or a plain
 node sum, so it shares no code with the closed form in spectra, nor the
 Gram assembly, the centring or the Kronecker layout of gabor_gram. The
-quadrature Gram is one product of the full node-by-frequency phase matrix
-with its weighted conjugate, with no table of frequency differences.
+closed-form axis integral of a whole array (interval_integral) is a
+difference of exponentials with its own zero case, where the library
+takes a sinc. The quadrature Gram is one product of the full
+node-by-frequency phase matrix with its weighted conjugate, with no table
+of frequency differences.
 """
 
 from itertools import combinations
@@ -73,6 +76,17 @@ def eigh_extreme_eigenvalues(matrix) -> tuple[float, float]:
     if residual > EIGH_RESIDUAL_CAP:
         raise AssertionError(f"eigh residual {residual:.3e} exceeds {EIGH_RESIDUAL_CAP}")
     return float(w[0]), float(w[-1])
+
+
+def interval_integral(delta, lo: float, hi: float) -> np.ndarray:
+    """Integral of exp(-2 pi i delta x) over [lo, hi] for an array of delta,
+    as a difference of exponentials: (exp(-2 pi i delta hi) -
+    exp(-2 pi i delta lo)) / (-2 pi i delta), and hi - lo where delta is
+    exactly 0."""
+    delta = np.asarray(delta, dtype=float)
+    zero = delta == 0.0
+    coef = -2j * np.pi * np.where(zero, 1.0, delta)
+    return np.where(zero, hi - lo, (np.exp(coef * hi) - np.exp(coef * lo)) / coef)
 
 
 def box_integral(boxes, delta) -> complex:

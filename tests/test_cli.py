@@ -713,6 +713,20 @@ def test_huge_groups_end_promptly_without_a_traceback(tmp_path, capsys, command,
         assert results == {"uncovered": 2 ** 40 - 1, "collisions": 0}
 
 
+def test_a_sampled_complement_past_the_cap_is_rejected_naming_the_pattern(tmp_path, capsys):
+    # A complement of a 2-element pattern in Z_{2^40} has 2^39 elements,
+    # which each sample would draw.
+    start = time.perf_counter()
+    code, err = run_main(tmp_path, capsys, {"name": "huge", "command": "tiling", "parameters": {
+        "moduli": [2 ** 40], "mode": "search_complements", "pattern": [0, 1], "samples": 1}},
+                         "tiling")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert ("scenario.parameters (scenario.parameters.pattern: a sampled complement of "
+            f"{2 ** 39} elements exceeds the cap {GROUP_ORDER_CAP})") in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("moduli, side", [([2 ** 31], 2 ** 31), ([64, 65], 1)])
 def test_a_cube_check_group_above_the_order_cap_is_rejected_before_a_search(tmp_path, capsys,
                                                                             moduli, side):

@@ -416,11 +416,22 @@ def test_a_centrohermitian_matrix_is_solved_in_real_halves_unasked(n, real, eigv
     assert bounds.margin >= 3.0 * n * np.finfo(float).eps * np.max(np.abs(m))
 
 
-def test_a_matrix_that_passes_the_screen_only_takes_the_unturned_real_route(monkeypatch):
+def even_odd_basis(n):
+    """The orthonormal even/odd basis of the reversal, as columns: the even
+    vectors (with the middle one for odd n), then the odd ones."""
+    eye, pairs = np.eye(n), n // 2
+    even = [(eye[k] + eye[n - 1 - k]) / np.sqrt(2.0) for k in range(pairs)]
+    odd = [(eye[k] - eye[n - 1 - k]) / np.sqrt(2.0) for k in range(pairs)]
+    return np.array(even + ([eye[pairs]] if n % 2 else []) + odd).T
+
+
+def test_a_real_matrix_that_passes_the_screen_and_couples_is_solved_turned_and_whole(
+        monkeypatch):
     # Real and symmetric, persymmetric in the rows through its largest
-    # diagonal entries but not in rows 0 and 1: the screen passes, the
-    # turned matrix has an imaginary part far above the ceiling, and M is
-    # solved as (Re M + Re M^T) / 2, not in complex.
+    # diagonal entries but not in rows 0 and 1: the screen passes, and the
+    # turned matrix is real, but its even and odd halves couple far above
+    # the ceiling. It is solved whole, in the even/odd basis, with the basis
+    # change's rounding in the margin.
     rng = np.random.default_rng(5)
     a = rng.standard_normal((8, 8))
     m = 0.25 * (a + a.T + a[::-1, ::-1] + a.T[::-1, ::-1]) + 10.0 * np.eye(8)
@@ -429,8 +440,11 @@ def test_a_matrix_that_passes_the_screen_only_takes_the_unturned_real_route(monk
     assert numerics._mirrored(m, HERMITICITY_TOL * np.max(np.abs(m)))
     solved = solved_matrices(monkeypatch)
     bounds = eigen_bounds(m)
-    assert_solved_as_the_symmetric_real_part(solved, m)
+    basis = even_odd_basis(8)
+    assert len(solved) == 1 and solved[0].dtype == np.float64
+    assert np.max(np.abs(solved[0] - basis.T @ m @ basis)) <= 1e-14 * np.max(np.abs(m))
     assert_bracketed_like_the_eigh_oracle(bounds, m)
+    assert bounds.margin >= 3.0 * 8 * np.finfo(float).eps * np.max(np.abs(m))
 
 
 @pytest.mark.parametrize("nodes", [60, 61])

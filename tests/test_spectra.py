@@ -1,5 +1,6 @@
 """Exponential Gram matrices: closed form, quadrature, and the bounds verdicts."""
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,8 @@ from expbases import (
     constant_weight,
     exp_gram,
     exp_inner_closed,
+    gabor_gram,
+    indicator_weight,
     is_orthonormal_system,
     lattice_truncation,
     make_domain,
@@ -35,6 +38,8 @@ UNIT = make_domain([Box(0.0, 1.0)])
 # Frozen: |integral of exp(pi i x) over [0, 1]| = 2/pi, checked against a
 # 2e6-node midpoint rule (difference 6.6e-14) before freezing.
 TWO_OVER_PI = 0.6366197723675814
+
+EPS = np.finfo(float).eps
 
 
 def test_frequency_set_shapes():
@@ -129,14 +134,14 @@ def test_gram_entries_are_the_pairwise_closed_form_exactly():
 
 
 def broadcast_gram(domain, points):
-    """The closed-form Gram from every pairwise difference, one axis factor
-    per box and axis, multiplied and summed in the library's order."""
+    """The closed-form Gram from every pairwise difference: per box, the
+    product of the oracle's interval integrals over the axes."""
     delta = points[:, np.newaxis, :] - points[np.newaxis, :, :]
     total = np.zeros(delta.shape[:-1], dtype=complex)
     for box in domain.boxes:
         factor = np.ones(delta.shape[:-1], dtype=complex)
         for j in range(domain.dimension):
-            factor = spectra._axis_factor(delta[..., j], box.lower[j], box.upper[j]) * factor
+            factor *= oracles.interval_integral(delta[..., j], box.lower[j], box.upper[j])
         total += factor
     return total
 
@@ -185,10 +190,15 @@ SPARSE_2D = np.random.default_rng(7).choice(401, size=(20, 2), replace=False) - 
                  id="box-count-past-int64"),
 ])
 def test_integer_axes_gather_a_difference_table_bitwise(monkeypatch, domain, points, table):
-    points = np.asarray(points, dtype=float)
-    gram, gathers = gathered_grams(monkeypatch, lambda: exp_gram(domain, FrequencySet(points)))
+    # The gathered table is the pairwise closed form to the last bit, and
+    # both are within a few eps of the oracle's difference of exponentials.
+    freqs = FrequencySet(np.asarray(points, dtype=float))
+    gram, gathers = gathered_grams(monkeypatch, lambda: exp_gram(domain, freqs))
     assert gathers == int(table)
-    assert gram.centred.tobytes() == broadcast_gram(moved_to_its_centre(domain), points).tobytes()
+    monkeypatch.setattr(spectra, "_difference_box", lambda points: None)
+    assert gram.centred.tobytes() == exp_gram(domain, freqs).centred.tobytes()
+    want = broadcast_gram(moved_to_its_centre(domain), freqs.points)
+    assert np.max(np.abs(gram.centred - want)) <= 8 * EPS * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("points,table", [
@@ -517,3 +527,82 @@ def test_a_quadrature_gram_between_the_two_ceilings_is_rejected_by_the_eigen_gat
     assert str(carried.value) == str(direct.value)
     assert str(direct.value) == ("matrix is not Hermitian: |M[0,1] - conj(M[1,0])| = 1.000e-10 "
                                  "exceeds 1e-12")
+
+
+def complex_squares(build, n):
+    """build() and the names of the spectra and numerics functions that
+    held or returned a complex array of at least n * n entries, read from
+    their locals as each returns."""
+    files = {spectra.__file__, numerics.__file__}
+    held = set()
+
+    def hook(frame, event, value):
+        if event == "return" and frame.f_code.co_filename in files:
+            for v in [*frame.f_locals.values(), value]:
+                v = getattr(v, "centred", v)
+                if isinstance(v, np.ndarray) and v.dtype.kind == "c" and v.size >= n * n:
+                    held.add(frame.f_code.co_name)
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        result = build()
+    finally:
+        sys.setprofile(previous)
+    return result, held
+
+
+SQUARE_BOX = make_domain([Box([0.25, -0.5], [1.25, 0.5])])
+
+# Single boxes in closed form, each (domain, frequencies): ranges and
+# scattered sets in one and two dimensions.
+SINGLE_BOXES = {
+    "1d-range": (SHIFTED_UNIT, lattice_truncation(-40, 23)),
+    "1d-kadec": (make_domain([Box(-0.375, 0.625)]),
+                 FrequencySet(np.arange(-20, 20) + Pcg32(3).uniforms(40, -0.2, 0.2))),
+    "2d-range": (make_domain([Box([-0.125, 0.5], [0.875, 1.5])]), lattice_truncation(-5, 4, 2)),
+    "2d-scattered": (SQUARE_BOX, FrequencySet(
+        np.stack(np.meshgrid(np.arange(-4.0, 4.0), np.arange(-3.0, 5.0)), -1).reshape(-1, 2)
+        + Pcg32(6).uniforms(128, -0.08, 0.08).reshape(-1, 2))),
+}
+
+
+def assert_bracketed_by_the_placed_gram(bounds, gram):
+    lo, hi = oracles.eigh_extreme_eigenvalues(gram.matrix)
+    assert abs(bounds.lower - lo) <= 1e-12 * max(1.0, abs(hi))
+    assert abs(bounds.upper - hi) <= 1e-12 * max(1.0, abs(hi))
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "constant-weight"])
+@pytest.mark.parametrize("case", SINGLE_BOXES)
+def test_a_single_box_gram_stays_float64_from_assembly_to_eigvalsh(case, weighted,
+                                                                   eigvalsh_dtypes):
+    # Every axis factor of a box about its own centre is a real sinc: the
+    # Gram is assembled in float64, and nothing between its assembly and
+    # eigvalsh holds a complex n x n array.
+    domain, freqs = SINGLE_BOXES[case]
+    weight = constant_weight(domain, 0.6 + 0.8j) if weighted else None
+    (gram, bounds), held = complex_squares(
+        lambda: (g := exp_gram(domain, freqs, weight=weight), riesz_bounds(g)), freqs.size)
+    assert gram.provenance == "closed_form"
+    assert gram.centred.dtype == np.float64
+    assert eigvalsh_dtypes and set(eigvalsh_dtypes) == {np.dtype(np.float64)}
+    assert held == set()
+    assert_bracketed_by_the_placed_gram(bounds, gram)
+
+
+@pytest.mark.parametrize("window", ["indicator", "constant"])
+def test_a_product_of_single_boxes_is_float64(window):
+    base = make_domain([Box(-0.5, 0.5)])
+    weight = indicator_weight(base) if window == "indicator" else constant_weight(base, 1j)
+    gram = gabor_gram(base, lattice_truncation(-3, 2), lattice_truncation(-4, 4), weight)
+    assert gram.provenance == "closed_form"
+    assert gram.centred.dtype == np.float64
+
+
+def test_an_off_centre_union_gives_a_complex_gram():
+    # The boxes' midpoints lie off the union's centre, so their axis
+    # factors carry a phase.
+    gram = exp_gram(make_domain([Box(-0.25, 0.75), Box(1.0, 1.375)]), lattice_truncation(-8, 8))
+    assert gram.provenance == "closed_form"
+    assert gram.centred.dtype == np.complex128
+    assert np.max(np.abs(gram.centred.imag)) > 1e-3

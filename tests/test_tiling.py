@@ -181,6 +181,22 @@ def test_sampled_search_reports_no_guarantee():
         search_complements(big, (0, 1), samples=0)
 
 
+def test_a_sampled_candidate_is_bounded_before_any_draw(monkeypatch):
+    # A 2-element pattern in Z_{2^40} has complements of 2^39 elements.
+    def draw(self, bound, k):
+        raise AssertionError("drew a candidate")
+    monkeypatch.setattr(Pcg32, "distinct_indices", draw)
+    with pytest.raises(ValueError, match=f"candidate of {2 ** 39} elements exceeds the cap"):
+        search_complements(GroupInstance([2 ** 40]), (0, 1), samples=1)
+    wide = GroupInstance([8200])
+    with pytest.raises(ValueError, match="candidate of 4100 elements exceeds the cap"):
+        search_spectra(wide, tuple(range(4100)), samples=1)
+    monkeypatch.undo()
+    # The largest candidates the benchmark and the tests above draw.
+    assert search_complements(GroupInstance([72, 72]), (0, 1, 72, 73), samples=1).examined == 1
+    assert search_complements(GroupInstance([5000]), (0, 1), samples=1).examined == 1
+
+
 def test_force_exhaustive_overrides_pattern_cap():
     # 13 columns in Z_26: the only spectrum is the even residues
     wide = GroupInstance([26])
