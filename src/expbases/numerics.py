@@ -7,6 +7,14 @@ bounds are reported. Test suites hold it against an independent power
 iteration oracle and an eigenvector residual oracle, so the routes never
 share code.
 
+A matrix that is diagonal to rounding (the Gram of an orthonormal system,
+or |c|^2 times one) needs no solve. The Hermiticity scan also bounds the
+Gershgorin radii of the Hermitian part, from the |M| it forms anyway;
+when they are within the margin the eigensolver route would start from,
+the least and largest real diagonal entries are the bounds and the
+largest radius is their margin. The gate is that starting margin, so it
+adds no tolerance, and a NaN or an infinity takes the eigensolver route.
+
 A matrix keeps its dtype (integers become float64). A float64 matrix is
 solved in real arithmetic throughout; a complex one that is real within
 the Hermiticity ceiling is solved in real arithmetic with the dropped
@@ -92,12 +100,26 @@ def hermitian_defect(matrix) -> tuple[float, tuple[int, int]]:
     return defect, at
 
 
-def hermitian_scan(matrix) -> tuple[float, float, tuple[int, int]]:
-    """(max |M|, defect, (i, j)): what every Hermiticity gate reads, the
-    largest entry modulus and hermitian_defect, from one call."""
+def hermitian_scan(matrix) -> tuple[float, float, tuple[int, int], float]:
+    """(max |M|, defect, (i, j), radius): what every Hermiticity gate and
+    the disc route of eigen_bounds read, from one call and one |M|.
+
+    defect and (i, j) are hermitian_defect's. radius bounds every
+    Gershgorin radius of the Hermitian part (M + M*) / 2 from above: the
+    largest half sum of the off-diagonal moduli in a row and in its column,
+    summed with the diagonal zeroed (a full row sum less |M[i,i]| would
+    cancel) and rounded up for the summation.
+    """
     m = _as_square(matrix)
+    n = m.shape[0]
     defect, at = hermitian_defect(m)
-    return float(np.max(np.abs(m))), defect, at
+    mods = np.abs(m)
+    top = float(np.max(mods))
+    mods.flat[::n + 1] = 0.0
+    # Each modulus and each of the at most n additions behind a row plus
+    # column sum rounds by a relative eps at most.
+    radius = 0.5 * float(np.max(mods.sum(axis=0) + mods.sum(axis=1)))
+    return top, defect, at, radius * (1.0 + 2.0 * n * np.finfo(float).eps)
 
 
 def hermiticity_ceiling(top: float, tol: float) -> float:
@@ -129,61 +151,75 @@ def _mirrored(m: np.ndarray, ceiling: float) -> bool:
     return float(np.max(np.abs(m[n - 1 - r, ::-1] - m[r].conj()))) <= ceiling
 
 
-def _turned(m: np.ndarray) -> tuple[np.ndarray, int, float]:
-    """(U, pairs, scale): M in the even/odd basis of the reversal J,
-    T = scale U, with the even half first; pairs = n // 2 is the order of
-    the odd half.
+def _turned(m: np.ndarray) -> list[list[np.ndarray]]:
+    """The blocks [[E, B], [C, O]] of U, where T = U / 2 is M in the
+    even/odd basis of the reversal J with the even half first: E and O are
+    the even and odd halves, of orders q = n - n // 2 and n // 2, and B and
+    C couple them.
 
     The basis is (e_k + e_Jk)/sqrt(2) for k < Jk = n - 1 - k and e_f for
     the middle index f when n is odd, then (e_k - e_Jk)/sqrt(2), times i
-    when M is complex: sums and differences of mirrored rows, then of
-    mirrored columns, and then the two coupling blocks times i and -i. T is
-    real when J M J = conj(M).
+    when M is complex: sums and differences of mirrored rows into a q x n
+    and an n // 2 x n array, then of their mirrored columns into the four
+    blocks, and then B times i and C times -i. T is real when
+    J M J = conj(M).
     """
     n = m.shape[0]
     pairs = n // 2
     q = n - pairs
-    rows, u = np.empty_like(m), np.empty_like(m)
-    for src, out in ((m, rows), (rows.T, u.T)):
-        np.add(src[:q], src[::-1][:q], out=out[:q])
-        np.subtract(src[:pairs], src[::-1][:pairs], out=out[q:])
-    if np.iscomplexobj(u):
-        u[:q, q:] *= 1j
-        u[q:, :q] *= -1j
+    flipped = m[::-1]
+    blocks = [[rows[:, :q] + rows[:, ::-1][:, :q], rows[:, :pairs] - rows[:, ::-1][:, :pairs]]
+              for rows in (m[:q] + flipped[:q], m[:pairs] - flipped[:pairs])]
+    (even, upper), (lower, _) = blocks
+    if np.iscomplexobj(m):
+        upper *= 1j
+        lower *= -1j
     if q > pairs:
         # The middle row and column were added to themselves.
-        u[pairs] *= np.sqrt(0.5)
-        u[:, pairs] *= np.sqrt(0.5)
-    return u, pairs, 0.5
+        for part in (even[pairs], upper[pairs], even[:, pairs], lower[:, pairs]):
+            part *= np.sqrt(0.5)
+    return blocks
 
 
-def _real_halves(u: np.ndarray, pairs: int, scale: float,
+def _real_halves(blocks: list[list[np.ndarray]], scale: float,
                  ceiling: float) -> Optional[tuple[list, float]]:
     """The real symmetric matrices whose joint spectrum stands for that of
     the Hermitian part of T = scale U, and the Frobenius norm of what was
     dropped to get them; None when T is not real within the ceiling.
 
-    T is M itself (pairs = 0, scale = 1) or M turned by _turned. Its
+    U is [[M]] (scale = 1) or the blocks of M turned by _turned. Its
     imaginary part is measured, gated at the Hermiticity ceiling and
     dropped, and the symmetric real part of T is solved: its even and odd
     halves apart when the coupling between them is within the ceiling too
     (and is dropped), else whole. Each dropped part moves no eigenvalue by
     more than its Frobenius norm (Weyl).
     """
-    dropped = np.abs(u.imag).ravel()
-    # Written so that a NaN takes the complex route, as it always has.
-    if not scale * float(dropped.max()) <= ceiling:
-        return None
-    slack = scale ** 2 * float(np.dot(dropped, dropped))
-    herm = u.real + u.real.T
-    herm *= 0.5 * scale
-    q = u.shape[0] - pairs
-    coupling = herm[:q, q:]
-    if not pairs or not float(np.abs(coupling).max()) <= ceiling:
-        return [herm], math.sqrt(slack)
-    # The coupling sits above and below the diagonal.
-    slack += 2.0 * float(np.vdot(coupling, coupling))
-    return [herm[:q, :q], herm[q:, q:]], math.sqrt(slack)
+    slack = 0.0
+    if np.iscomplexobj(blocks[0][0]):
+        dropped = [np.abs(block.imag).ravel() for row in blocks for block in row]
+        # Written so that a NaN takes the complex route, as it always has.
+        if not scale * float(np.max([np.max(d, initial=0.0) for d in dropped])) <= ceiling:
+            return None
+        slack = scale ** 2 * sum(float(np.dot(d, d)) for d in dropped)
+    diagonal = [row[k] for k, row in enumerate(blocks)]
+    halves = out = [np.empty(block.shape) for block in diagonal]
+    if len(blocks) == 2:
+        (even, upper), (lower, odd) = blocks
+        coupling = upper.real + lower.real.T
+        coupling *= 0.5 * scale
+        if coupling.size and float(np.abs(coupling).max()) <= ceiling:
+            # The coupling sits above and below the diagonal.
+            slack += 2.0 * float(np.vdot(coupling, coupling))
+        else:
+            q = even.shape[0]
+            whole = np.empty((q + odd.shape[0],) * 2)
+            whole[:q, q:] = coupling
+            whole[q:, :q] = coupling.T
+            halves, out = [whole], [whole[:q, :q], whole[q:, q:]]
+    for block, half in zip(diagonal, out):
+        np.add(block.real, block.real.T, out=half)
+        half *= 0.5 * scale
+    return halves, math.sqrt(slack)
 
 
 def eigen_bounds(matrix, *, scan: Optional[tuple] = None) -> EigenBounds:
@@ -191,7 +227,19 @@ def eigen_bounds(matrix, *, scan: Optional[tuple] = None) -> EigenBounds:
 
     Rejects non-square input, orders above ORDER_CAP, and matrices whose
     Hermitian defect exceeds HERMITICITY_TOL * max(1, max |M|) (the
-    offending entry is named). eigvalsh gives lambda_min and lambda_max;
+    offending entry is named).
+
+    A matrix that is diagonal to rounding is certified by discs, with no
+    eigen solve. Every eigenvalue of H = (M + M*) / 2 lies in a Gershgorin
+    disc about some H[i,i] = Re M[i,i] of radius at most the scan's radius
+    r, and the Rayleigh quotients e_i^T H e_i = Re M[i,i] put lambda_min at
+    or below their minimum and lambda_max at or above their maximum. So
+    when r is no larger than order * eps * max |M|, the margin the dense
+    route starts from, the bounds are the least and largest Re M[i,i] with
+    margin r. Any other matrix, and any with a NaN or infinite entry, takes
+    the dense route.
+
+    On the dense route eigvalsh gives lambda_min and lambda_max;
     Cholesky factorizations of H - (lambda_min - margin) I and
     (lambda_max + margin) I - H then show that no eigenvalue of each
     solved matrix H lies outside the reported range by more than margin.
@@ -222,7 +270,7 @@ def eigen_bounds(matrix, *, scan: Optional[tuple] = None) -> EigenBounds:
     n = m.shape[0]
     if n > ORDER_CAP:
         raise ValueError(f"order {n} exceeds the dense-solver cap {ORDER_CAP}; shrink the truncation")
-    top, defect, (i, j) = hermitian_scan(m) if scan is None else scan
+    top, defect, (i, j), radius = hermitian_scan(m) if scan is None else scan
     ceiling = hermiticity_ceiling(top, HERMITICITY_TOL)
     if defect > ceiling:
         raise ValueError(
@@ -232,12 +280,16 @@ def eigen_bounds(matrix, *, scan: Optional[tuple] = None) -> EigenBounds:
     if scale == 0.0:
         return EigenBounds(0.0, 0.0, 0.0)
     eps = np.finfo(float).eps
+    # Written so that NaN or infinite values take the dense route.
+    if radius <= eps * scale < np.inf:
+        diagonal = m.diagonal().real
+        return EigenBounds(float(diagonal.min()), float(diagonal.max()), radius)
     # The eigensolver and both certificates read the same matrices; slack
     # is the Weyl distance from their joint spectrum to that of M's
     # Hermitian part.
     real = None
     if _mirrored(m, ceiling):
-        real = _real_halves(*_turned(m), ceiling)
+        real = _real_halves(_turned(m), 0.5, ceiling)
         if real is not None:
             # The basis change rounds: an entry of T is half a sum of four
             # entries of M, within 2 sqrt(2) eps max |M| of its value, or in
@@ -245,7 +297,7 @@ def eigen_bounds(matrix, *, scan: Optional[tuple] = None) -> EigenBounds:
             # 3 n eps max |M| in Frobenius norm.
             real = real[0], real[1] + 3.0 * n * eps * top
     if real is None:
-        real = _real_halves(m, 0, 1.0, ceiling)
+        real = _real_halves([[m]], 1.0, ceiling)
     halves, slack = real if real is not None else ([0.5 * (m + m.conj().T)], 0.0)
     try:
         spectra = [np.linalg.eigvalsh(h) for h in halves]

@@ -19,8 +19,8 @@ import numpy as np
 from .domain import Box, Domain, QuadratureRule, quadrature
 from .numerics import ORDER_CAP
 from .spectra import (BoundsReport, FrequencySet, GramMatrix, OnbVerdict,
-                      box_centre, exp_gram, frame_bounds_of_operator,
-                      is_orthonormal_system, riesz_bounds)
+                      _pairwise_quadrature, box_centre, exp_gram,
+                      frame_bounds_of_operator, is_orthonormal_system, riesz_bounds)
 
 # Node values at or below this modulus count as outside the support.
 SUPPORT_TOL = 1e-12
@@ -299,7 +299,8 @@ def verify_frame_transfer(domain: Domain, freqs: FrequencySet,
     frequencies moved by -m, m the centre of their bounding box
     (spectra.box_centre): that only rotates each operator by a unimodular
     diagonal, and makes it real when the frequencies are symmetric about m
-    and the weight is real.
+    and the weight is real. Both are scalings of one node kernel, built in
+    real arithmetic.
     """
     if weight.domain != domain:
         raise ValueError("weight was sampled on a different domain")
@@ -312,13 +313,16 @@ def verify_frame_transfer(domain: Domain, freqs: FrequencySet,
     nodes = weight.rule.nodes[mask]
     wts = weight.rule.weights[mask]
     vals = weight.values[mask]
-    droot = np.sqrt(wts)
     centred = freqs.points - box_centre(freqs.points)
-    phases = np.exp(-2j * np.pi * (nodes @ centred.T))
-    v_plain = droot[:, np.newaxis] * phases
-    v_weighted = (droot * vals)[:, np.newaxis] * phases
-    unweighted = frame_bounds_of_operator(v_plain @ v_plain.conj().T)
-    weighted = frame_bounds_of_operator(v_weighted @ v_weighted.conj().T)
+    # With P the node-by-frequency phase matrix, each operator is V V* for
+    # V = diag(u) P, that is outer(u, conj(u)) times the node kernel P P*,
+    # which is the pairwise quadrature of the nodes' differences against the
+    # frequencies.
+    kernel = _pairwise_quadrature(centred, np.ones(freqs.size), nodes)
+    droot = np.sqrt(wts)
+    scaled = droot * vals
+    unweighted = frame_bounds_of_operator(np.outer(droot, droot) * kernel)
+    weighted = frame_bounds_of_operator(np.outer(scaled, scaled.conj()) * kernel)
     mods_sq = np.abs(vals) ** 2
     floor_sq = float(mods_sq.min())
     ceil_sq = float(mods_sq.max())

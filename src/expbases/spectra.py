@@ -10,7 +10,8 @@ entry depends only on the difference of two frequencies, so integer
 frequencies whose box of differences has at most n^2 points
 (_difference_box) are integrated once per difference vector and gathered
 (_gather): the Gram is Toeplitz. Other sets take every pairwise
-difference, or the node-by-frequency phase-matrix product.
+difference, or the node-by-frequency phase-matrix product, built in real
+arithmetic from cos and sin tables (_pairwise_quadrature).
 
 Every Gram is integrated about its centre c, the centre of the bounding
 box of the domain's cells: moving the domain by -c multiplies each
@@ -19,7 +20,9 @@ Gram and D that unimodular diagonal. G_0 has G's spectrum and the same
 |G_ij - delta_ij|, so every reader here works on G_0. Its dtype follows
 its integral: float64 on a single box (_closed_form), else complex, real
 within rounding when the domain and |weight|^2 are symmetric about c;
-eigen_bounds solves either in real arithmetic. Entries that depend only
+eigen_bounds solves either in real arithmetic, and certifies the Gram of
+an orthonormal system, the identity to rounding, by Gershgorin discs from
+the scan the Gram carries, with no solve at all. Entries that depend only
 on differences make the Gram of a set symmetric through its centre,
 listed in lexicographic order (every integer range), centrohermitian:
 eigen_bounds finds that in G_0 itself and solves it in real even/odd
@@ -150,21 +153,21 @@ class GramMatrix:
     spectrum and the same |G_ij - delta_ij|, so the library reads only
     G_0; matrix forms G on demand for callers that want the Gram of the
     domain where it sits. scan is G_0's one hermitian_scan, taken for the
-    provenance gate here and handed to eigen_bounds' own gate; G_0 is
-    read-only, so it cannot go stale.
+    provenance gate here and handed to eigen_bounds' own gate and disc
+    route; G_0 is read-only, so it cannot go stale.
     """
 
     centred: np.ndarray
     provenance: str
     phase: Optional[np.ndarray]
-    scan: tuple[float, float, tuple[int, int]]
+    scan: tuple[float, float, tuple[int, int], float]
 
     def __init__(self, centred, provenance="closed_form", phase=None):
         if provenance not in _HERMITICITY_TOL:
             raise ValueError(f"unknown provenance {provenance!r}")
         m = _as_square(centred)
         scan = hermitian_scan(m)
-        top, defect, (i, j) = scan
+        top, defect, (i, j), _ = scan
         tol = hermiticity_ceiling(top, _HERMITICITY_TOL[provenance])
         if defect > tol:
             raise ValueError(
@@ -313,6 +316,29 @@ def _quadrature_table(nodes: np.ndarray, coeff: np.ndarray, spans: list[int]) ->
     return table.reshape(sizes[:-1] + [q * b])[..., :sizes[-1]]
 
 
+def _pairwise_quadrature(nodes: np.ndarray, coeff: np.ndarray,
+                         points: np.ndarray) -> np.ndarray:
+    """G[r, c] = sum_k coeff[k] exp(-2 pi i <a_r - a_c, x_k>) for the rows
+    a of points and x of nodes, in real arithmetic.
+
+    With C and S the cos and sin of 2 pi <x_k, a_r>, each row k times
+    sqrt(coeff[k]), Re G = C^T C + S^T S is one symmetric product of the
+    stacked table [C; S], and Im G = X - X^T with X = C^T S: no complex
+    exponential or product, and G is Hermitian to the last bit.
+    """
+    angles = (2.0 * np.pi) * (nodes @ points.T)
+    table = np.empty((2,) + angles.shape)
+    np.cos(angles, out=table[0])
+    np.sin(angles, out=table[1])
+    table *= np.sqrt(coeff)[:, np.newaxis]
+    cross = table[0].T @ table[1]
+    table = table.reshape(-1, angles.shape[1])
+    gram = np.empty((points.shape[0],) * 2, dtype=complex)
+    gram.real = table.T @ table
+    gram.imag = cross - cross.T
+    return gram
+
+
 def box_centre(points: np.ndarray) -> np.ndarray:
     """Centre of the bounding box of the rows of points.
 
@@ -338,7 +364,7 @@ def exp_gram(domain: Domain, freqs: FrequencySet, weight=None,
     nodes_per_axis rule. Either way a set with a small box of integer
     differences (_difference_box) is integrated once per difference and
     gathered (_gather); any other set takes every pairwise difference or
-    the phase-matrix product.
+    the phase-matrix product, in real arithmetic (_pairwise_quadrature).
 
     Every route integrates about the centre c of the bounding box of
     domain.cells(): box bounds and quadrature nodes are moved by -c (the
@@ -379,8 +405,7 @@ def exp_gram(domain: Domain, freqs: FrequencySet, weight=None,
         coeff = rule.weights if wsq is None else rule.weights * wsq
         nodes = rule.nodes - centre
         if spans is None:
-            phases = np.exp(-2j * np.pi * (nodes @ points.T))
-            table = phases.T @ (coeff[:, np.newaxis] * np.conj(phases))
+            table = _pairwise_quadrature(nodes, coeff, points)
         else:
             table = _quadrature_table(nodes, coeff, spans)
     centred = table if spans is None else _gather(table, points, spans)

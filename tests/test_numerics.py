@@ -159,11 +159,14 @@ def centred_frame_operator(domain, freqs, weight):
 KADEC_448 = FrequencySet(np.arange(-230, 218) + Pcg32(5).uniforms(448, -0.2, 0.2))
 
 # (centred, placed) of each dense benchmark shape whose domain, weight or
-# frequencies are symmetric about a centre, at the benchmark's sizes.
+# frequencies are symmetric about a centre, at the benchmark's sizes. The
+# lattice shapes sit on boxes and masks 3/4 wide per axis: on unit ones
+# their Grams are diagonal to rounding and need no solve
+# (DIAGONAL_MATRICES).
 CENTRED_SHAPES = {
-    "1d-lattice-512": lambda: centred_gram(make_domain([Box(0.125, 1.125)]),
+    "1d-lattice-512": lambda: centred_gram(make_domain([Box(0.125, 0.875)]),
                                            lattice_truncation(-300, 211)),
-    "2d-lattice-484": lambda: centred_gram(make_domain([Box([-0.125, 0.5], [0.875, 1.5])]),
+    "2d-lattice-484": lambda: centred_gram(make_domain([Box([-0.125, 0.5], [0.625, 1.25])]),
                                            lattice_truncation(-11, 10, 2)),
     "1d-kadec-448": lambda: centred_gram(make_domain([Box(-0.375, 0.625)]), KADEC_448),
     "2d-kadec-400": lambda: centred_gram(make_domain([Box([0.25, -0.5], [1.25, 0.5])]),
@@ -175,11 +178,11 @@ CENTRED_SHAPES = {
         make_mask_domain([-0.375], [5], [0.25], [True] * 5), lattice_truncation(-256, 255),
         nodes_per_axis=256),
     "2d-full-mask-484": lambda: centred_gram(
-        make_mask_domain([-0.625, 0.0], [2, 2], [0.5, 0.5], [True] * 4),
+        make_mask_domain([-0.625, 0.0], [2, 2], [0.375, 0.375], [True] * 4),
         lattice_truncation(-12, 9, 2), nodes_per_axis=24),
     "1d-constant-transfer-512": lambda: centred_gram(
-        make_domain([Box(0.5, 1.5)]), lattice_truncation(-290, 221),
-        weight=constant_weight(make_domain([Box(0.5, 1.5)]), 1.25 - 0.75j)),
+        make_domain([Box(0.5, 1.25)]), lattice_truncation(-290, 221),
+        weight=constant_weight(make_domain([Box(0.5, 1.25)]), 1.25 - 0.75j)),
     "frame-operator-bump-400": lambda: centred_frame_operator(
         make_domain([Box(0.1, 0.9)]), lattice_truncation(-160, 159),
         bump_window(make_domain([Box(0.1, 0.9)]), 1.0, 400)),
@@ -289,6 +292,9 @@ def symmetric_subset(seed, shuffled=False):
 
 UNION_2D = make_domain([Box([0.0, 0.0], [1.0, 1.0]), Box([1.25, 0.0], [1.75, 0.5])])
 SQUARE = make_domain([Box([0.25, -0.5], [1.25, 0.5])])
+# 3/4 of SQUARE per axis: on SQUARE itself the Gram of integer frequencies
+# is diagonal to rounding.
+SMALL_SQUARE = make_domain([Box([0.25, -0.5], [1.0, 0.25])])
 
 # Grams of a symmetric set, each with the kinds of the matrices eigvalsh
 # receives: two real halves when the domain and weight are symmetric too,
@@ -300,7 +306,7 @@ REFLECTED_GRAMS = {
         freqs, nodes_per_axis=8), "f"),
     "affine-weight": (lambda freqs: translation_gram(
         SQUARE, freqs, affine_weight(SQUARE, 2.5, [0.75, -0.5], nodes_per_axis=12)), "f"),
-    "symmetric-box": (lambda freqs: exp_gram(SQUARE, freqs), "ff"),
+    "symmetric-box": (lambda freqs: exp_gram(SMALL_SQUARE, freqs), "ff"),
 }
 
 
@@ -332,8 +338,8 @@ def test_a_reflected_solve_matches_the_eigh_oracle(seed, kind, eigvalsh_dtypes):
 def test_a_shuffled_symmetric_set_is_solved_unsplit(seed, kind, eigvalsh_dtypes):
     # The reflection no longer reverses the order, so the Gram is not
     # centrohermitian as it stands: one matrix is solved. (On the unit
-    # square the Gram of integer frequencies is I, which splits in any
-    # order.)
+    # square the Gram of integer frequencies is I to rounding, which is
+    # certified by discs in any order.)
     gram = REFLECTED_GRAMS[kind][0](symmetric_subset(seed, shuffled=True))
     bounds = eigen_bounds(gram.centred)
     assert len(eigvalsh_dtypes) == 1
@@ -399,19 +405,20 @@ def test_without_a_reflection_the_solved_matrix_is_the_symmetric_real_part(monke
     assert_solved_as_the_symmetric_real_part(solved, gram.centred)
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 8])
+@pytest.mark.parametrize("n", [2, 7, 8])
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
 def test_a_centrohermitian_matrix_is_solved_in_real_halves_unasked(n, real, eigvalsh_dtypes):
     # J M J = conj(M) in the order M comes in: a real (centrosymmetric) M
     # splits into two real halves, a complex one is solved as one real
     # matrix, since its imaginary part couples the halves. The margin
-    # carries the basis change's rounding term.
+    # carries the basis change's rounding term. (Order 1 is diagonal:
+    # DIAGONAL_MATRICES.)
     m = centrohermitian(n, seed=n)
     if real:
         m = m.real
     bounds = eigen_bounds(m)
     kinds = "".join(dtype.kind for dtype in eigvalsh_dtypes)
-    assert kinds == ("f" if n == 1 or not real else "ff")
+    assert kinds == ("ff" if real else "f")
     assert_bracketed_like_the_eigh_oracle(bounds, m)
     assert bounds.margin >= 3.0 * n * np.finfo(float).eps * np.max(np.abs(m))
 
@@ -461,6 +468,124 @@ def test_a_frame_operator_on_a_symmetric_node_set_splits(nodes, weighted, eigval
     bounds = eigen_bounds(centred)
     assert eigvalsh_dtypes == [np.float64] * 2
     assert_bracketed_like_the_eigh_oracle(bounds, placed)
+
+
+def dense_calls(monkeypatch):
+    """The names of the np.linalg.eigvalsh and np.linalg.cholesky calls
+    made from here on, in call order."""
+    calls = []
+    for name in ("eigvalsh", "cholesky"):
+        def spy(a, *args, _name=name, _true=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _true(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    return calls
+
+
+def assert_within_the_margin(bounds, lo, hi, shift=0.0):
+    # Each extreme eigenvalue, less shift, lies within the margin of the
+    # reported one less shift, on both sides.
+    for got, want in ((bounds.lambda_min, lo), (bounds.lambda_max, hi)):
+        assert got - shift - bounds.margin <= want <= got - shift + bounds.margin
+
+
+# Matrices that are diagonal to rounding: Grams of orthonormal systems, the
+# Gram of translates under a unimodular window times |c|^2 (|c|^2 I), and
+# matrices of order 1.
+DIAGONAL_MATRICES = {
+    "1d-lattice-512": lambda: exp_gram(make_domain([Box(0.125, 1.125)]),
+                                       lattice_truncation(-300, 211)).centred,
+    "2d-lattice-484": lambda: exp_gram(make_domain([Box([-0.125, 0.5], [0.875, 1.5])]),
+                                       lattice_truncation(-11, 10, 2)).centred,
+    "2d-full-mask-484": lambda: exp_gram(
+        make_mask_domain([-0.625, 0.0], [2, 2], [0.5, 0.5], [True] * 4),
+        lattice_truncation(-12, 9, 2), nodes_per_axis=24).centred,
+    "1d-constant-translation-512": lambda: translation_gram(
+        make_domain([Box(0.5, 1.5)]), lattice_truncation(-290, 221),
+        constant_weight(make_domain([Box(0.5, 1.5)]), 1.25 - 0.75j)).centred,
+    "symmetric-subset-on-the-unit-square": lambda: exp_gram(SQUARE,
+                                                            symmetric_subset(3)).centred,
+    "1x1-real": lambda: centrohermitian(1, seed=1).real,
+    "1x1-complex": lambda: centrohermitian(1, seed=1),
+}
+
+
+@pytest.mark.parametrize("case", DIAGONAL_MATRICES)
+def test_a_matrix_diagonal_to_rounding_is_certified_by_discs(case, monkeypatch):
+    m = DIAGONAL_MATRICES[case]()
+    calls = dense_calls(monkeypatch)
+    bounds = eigen_bounds(m)
+    assert calls == []
+    diagonal = np.diagonal(m).real
+    assert (bounds.lambda_min, bounds.lambda_max) == (diagonal.min(), diagonal.max())
+    assert bounds.margin <= m.shape[0] * np.finfo(float).eps * np.max(np.abs(m))
+    # eigh on H - c I, H = (M + M*) / 2 and c = H[0,0]: every diagonal
+    # entry is within a factor of two of c, so the shift is exact, and it
+    # leaves entries of the order of the margin, whose eigenvalues eigh
+    # finds far more closely than the margin (it rounds relative to the
+    # largest entry).
+    shift = diagonal[0]
+    w = np.linalg.eigh(0.5 * (m + m.conj().T) - shift * np.eye(m.shape[0]))[0]
+    assert_within_the_margin(bounds, w[0], w[-1], shift)
+
+
+@pytest.mark.parametrize("factor", [0.9, 1.1], ids=["below-the-gate", "above-the-gate"])
+@pytest.mark.parametrize("phase", [1.0, np.exp(0.3j)], ids=["real", "complex"])
+def test_a_planted_pair_just_past_the_gate_takes_the_dense_route(factor, phase, monkeypatch):
+    # A diagonal with its least entry doubled at 0 and 1, and a Hermitian
+    # pair coupling them at a multiple of the gate n eps max |M|. The pair
+    # moves the least eigenvalue to 1 - |M[0,1]| exactly, so the disc
+    # margin must cover it.
+    n = 64
+    diagonal = np.linspace(1.0, 2.0, n)
+    diagonal[1] = 1.0
+    m = np.diag(diagonal).astype(np.result_type(phase, float))
+    coupling = factor * n * np.finfo(float).eps * 2.0
+    m[0, 1], m[1, 0] = coupling * phase, coupling * np.conj(phase)
+    calls = dense_calls(monkeypatch)
+    bounds = eigen_bounds(m)
+    if factor < 1.0:
+        assert calls == []
+        assert (bounds.lambda_min, bounds.lambda_max) == (1.0, 2.0)
+        assert bounds.margin >= coupling
+    else:
+        assert calls[0] == "eigvalsh" and "cholesky" in calls
+    assert_within_the_margin(bounds, 1.0 - abs(m[0, 1]), 2.0)
+
+
+def test_an_asymmetric_column_within_the_hermiticity_ceiling_takes_the_dense_route(
+        monkeypatch):
+    # The identity with s, a quarter of the gate n eps, in column 0 below
+    # the diagonal and row 0 left at zero: Hermitian within the ceiling,
+    # and no row's off-diagonal sum exceeds s. Column 0 sums to (n - 1) s,
+    # about 16 gates, and the Hermitian part's extreme eigenvalues are
+    # 1 +- (n - 1)^(1/2) s / 2, about a gate from 1, which discs from the
+    # rows alone would not cover.
+    n = 64
+    m = np.eye(n)
+    s = 0.25 * n * np.finfo(float).eps
+    m[1:, 0] = s
+    calls = dense_calls(monkeypatch)
+    bounds = eigen_bounds(m)
+    assert "eigvalsh" in calls
+    split = 0.5 * np.sqrt(n - 1) * s
+    assert_within_the_margin(bounds, 1.0 - split, 1.0 + split)
+
+
+@pytest.mark.parametrize("at", [(0, 0), (3, 3), (0, 5), (5, 0)])
+@pytest.mark.parametrize("value", [np.nan, complex(0.0, np.nan), np.inf],
+                         ids=["nan", "imaginary-nan", "inf"])
+def test_a_nan_or_an_infinity_anywhere_takes_the_dense_route_and_is_an_error(
+        at, value, monkeypatch):
+    # A diagonal matrix takes the disc route unless an entry is not finite;
+    # then the eigensolver or the margin gate fails, as without the discs.
+    m = np.diag(np.linspace(1.0, 2.0, 8)).astype(type(value))
+    m[at] = value
+    calls = dense_calls(monkeypatch)
+    with pytest.raises(RuntimeError, match="did not converge|certificate margin nan"):
+        with np.errstate(invalid="ignore"):
+            eigen_bounds(m)
+    assert calls[:1] == ["eigvalsh"]
 
 
 def move_extreme(monkeypatch, end=0, shift=None, order=None):

@@ -30,7 +30,7 @@ from expbases import (
     verify_frame_transfer,
     verify_riesz_transfer,
 )
-from expbases import numerics, spectra
+from expbases import numerics, paley_wiener, spectra
 from expbases.spectra import _GAP_BLOCK_ENTRIES
 
 UNIT = make_domain([Box(0.0, 1.0)])
@@ -294,11 +294,61 @@ DENSE_ROUTE = {
 
 @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "affine"])
 @pytest.mark.parametrize("case", DENSE_ROUTE)
-def test_other_frequency_sets_keep_the_phase_matrix_product(case, weighted):
+def test_other_frequency_sets_keep_the_phase_matrix_product(case, weighted, monkeypatch):
+    # The pairwise route forms the product from real cos and sin tables, so
+    # it rounds apart from the complex oracle, and is Hermitian to the
+    # last bit.
+    routes = []
+    pairwise = spectra._pairwise_quadrature
+    monkeypatch.setattr(spectra, "_pairwise_quadrature",
+                        lambda *args: routes.append("pairwise") or pairwise(*args))
     domain, nodes, points = DENSE_ROUTE[case]
     gram, want = quadrature_gram_and_oracle(domain, nodes, FrequencySet(points), weighted,
                                             centred=True)
-    assert gram.centred.tobytes() == want.tobytes()
+    assert routes == ["pairwise"]
+    assert np.max(np.abs(gram.centred - want)) <= 8 * EPS * np.max(np.abs(want))
+    assert np.array_equal(gram.centred, gram.centred.conj().T)
+
+
+def complex_shapes(build):
+    """build() and the shapes of the complex arrays that spectra and
+    paley_wiener functions held or returned, read from their locals as
+    each returns."""
+    files = {spectra.__file__, paley_wiener.__file__}
+    shapes = set()
+
+    def hook(frame, event, value):
+        if event == "return" and frame.f_code.co_filename in files:
+            for v in [*frame.f_locals.values(), value]:
+                if isinstance(v, np.ndarray) and v.dtype.kind == "c":
+                    shapes.add(v.shape)
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        result = build()
+    finally:
+        sys.setprofile(previous)
+    return result, shapes
+
+
+def test_the_pairwise_and_frame_routes_form_no_complex_phase_matrix(monkeypatch):
+    # The pairwise quadrature Gram and the frame operators come from real
+    # cos and sin tables: no complex array has a node axis and a frequency
+    # axis. The frame transfer forms one node kernel for both operators.
+    freqs = FrequencySet(np.arange(-20.0, 20.0) + Pcg32(3).uniforms(40, -0.2, 0.2))
+    rule = quadrature(UNIT, 64)
+    gram, shapes = complex_shapes(lambda: exp_gram(UNIT, freqs, rule=rule))
+    assert gram.provenance == "quadrature"
+    assert shapes <= {(40, 40), (40,)}
+    kernels = []
+    pairwise = spectra._pairwise_quadrature
+    monkeypatch.setattr(paley_wiener, "_pairwise_quadrature",
+                        lambda *args: kernels.append(args[2].shape) or pairwise(*args))
+    domain = make_domain([Box(0.1, 0.9)])
+    _, shapes = complex_shapes(lambda: verify_frame_transfer(
+        domain, lattice_truncation(-30, 9), bump_window(domain, 1.0, 60)))
+    assert kernels == [(60, 1)]
+    assert not any({40, 60} <= set(shape) for shape in shapes)
 
 
 def test_a_lattice_quadrature_gram_never_forms_the_phase_matrix():
@@ -455,6 +505,10 @@ def test_a_gram_phase_of_the_wrong_length_is_rejected():
 
 
 SHIFTED_UNIT = make_domain([Box(0.375, 1.375)])
+# 3/4 as wide: on SHIFTED_UNIT the Gram of integer frequencies is the
+# identity to rounding, which eigen_bounds certifies with no solve
+# (UNIT_WIDTH_LATTICES).
+SHIFTED_NARROW = make_domain([Box(0.375, 1.125)])
 
 
 # Solves, each with the kind of every matrix eigvalsh receives (f on a real
@@ -464,14 +518,14 @@ SHIFTED_UNIT = make_domain([Box(0.375, 1.375)])
 # basis: as two real halves when its domain and weight are symmetric too,
 # else as one real matrix.
 SOLVES = [
-    pytest.param(lambda: riesz_bounds(exp_gram(SHIFTED_UNIT, lattice_truncation(-40, 23))),
+    pytest.param(lambda: riesz_bounds(exp_gram(SHIFTED_NARROW, lattice_truncation(-40, 23))),
                  "ff", 1, id="single-box"),
     pytest.param(lambda: riesz_bounds(exp_gram(
-        make_mask_domain([0.25, -0.5], [2, 2], [0.5, 0.5], [True] * 4),
+        make_mask_domain([0.25, -0.5], [2, 2], [0.375, 0.375], [True] * 4),
         lattice_truncation(-5, 3, 2), nodes_per_axis=12)), "ff", 1, id="full-mask"),
     pytest.param(lambda: verify_riesz_transfer(
-        SHIFTED_UNIT, lattice_truncation(-40, 23), constant_weight(SHIFTED_UNIT, 0.6 + 0.8j)),
-        "ffff", 2, id="constant-transfer"),
+        SHIFTED_NARROW, lattice_truncation(-40, 23),
+        constant_weight(SHIFTED_NARROW, 0.6 + 0.8j)), "ffff", 2, id="constant-transfer"),
     pytest.param(lambda: verify_frame_transfer(
         make_domain([Box(0.1, 0.9)]), lattice_truncation(-30, 9),
         bump_window(make_domain([Box(0.1, 0.9)]), 1.0, 60)), "ffff", 2,
@@ -491,6 +545,36 @@ def test_the_solve_route_follows_the_measured_imaginary_part(eigvalsh_dtypes, so
                                                              solved):
     solve()
     assert "".join(dtype.kind for dtype in eigvalsh_dtypes) == kinds
+
+
+# The unit-width inputs SOLVES and SINGLE_BOXES had before their boxes
+# narrowed: the Gram of integer frequencies on a unit box or a full unit
+# mask, and |c|^2 times it, is the identity times a constant to rounding.
+# It is certified by discs, with no eigenvalue solve.
+UNIT_WIDTH_LATTICES = {
+    "single-box": lambda: riesz_bounds(exp_gram(SHIFTED_UNIT, lattice_truncation(-40, 23))),
+    "2d-single-box": lambda: riesz_bounds(exp_gram(
+        make_domain([Box([-0.125, 0.5], [0.875, 1.5])]), lattice_truncation(-5, 4, 2))),
+    "full-mask": lambda: riesz_bounds(exp_gram(
+        make_mask_domain([0.25, -0.5], [2, 2], [0.5, 0.5], [True] * 4),
+        lattice_truncation(-5, 3, 2), nodes_per_axis=12)),
+    "constant-transfer": lambda: verify_riesz_transfer(
+        SHIFTED_UNIT, lattice_truncation(-40, 23), constant_weight(SHIFTED_UNIT, 0.6 + 0.8j)),
+}
+
+
+@pytest.mark.parametrize("case", UNIT_WIDTH_LATTICES)
+def test_a_unit_width_lattice_gram_is_certified_with_no_solve(case, eigvalsh_dtypes):
+    report = UNIT_WIDTH_LATTICES[case]()
+    assert eigvalsh_dtypes == []
+    if case == "constant-transfer":
+        assert report.sandwich_holds
+    reports = ([report.exp_bounds, report.translation_bounds] if case == "constant-transfer"
+               else [report])
+    for bounds in reports:
+        assert bounds.verdict == "riesz_basis"
+        assert bounds.condition == pytest.approx(1.0, abs=1e-13)
+        assert 0.0 <= bounds.margin <= 1e-13 * bounds.upper
 
 
 @pytest.mark.parametrize("solve,kinds,solved", SOLVES)
@@ -556,10 +640,10 @@ SQUARE_BOX = make_domain([Box([0.25, -0.5], [1.25, 0.5])])
 # Single boxes in closed form, each (domain, frequencies): ranges and
 # scattered sets in one and two dimensions.
 SINGLE_BOXES = {
-    "1d-range": (SHIFTED_UNIT, lattice_truncation(-40, 23)),
+    "1d-range": (SHIFTED_NARROW, lattice_truncation(-40, 23)),
     "1d-kadec": (make_domain([Box(-0.375, 0.625)]),
                  FrequencySet(np.arange(-20, 20) + Pcg32(3).uniforms(40, -0.2, 0.2))),
-    "2d-range": (make_domain([Box([-0.125, 0.5], [0.875, 1.5])]), lattice_truncation(-5, 4, 2)),
+    "2d-range": (make_domain([Box([-0.125, 0.5], [0.625, 1.25])]), lattice_truncation(-5, 4, 2)),
     "2d-scattered": (SQUARE_BOX, FrequencySet(
         np.stack(np.meshgrid(np.arange(-4.0, 4.0), np.arange(-3.0, 5.0)), -1).reshape(-1, 2)
         + Pcg32(6).uniforms(128, -0.08, 0.08).reshape(-1, 2))),
