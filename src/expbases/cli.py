@@ -358,11 +358,26 @@ def _hyp(name: str, passed: bool, measured, tolerance) -> dict:
             "tolerance": tolerance}
 
 
-def _nowhere_zero(weight) -> bool:
+def _nowhere_zero(weight) -> dict:
     # Node samples can straddle a zero; the exact infimum, where the profile
-    # knows it, cannot.
+    # knows it, cannot. The floor judged is the floor reported.
     floor = weight.exact_inf if weight.exact_inf is not None else weight.inf_mod
-    return floor > SUPPORT_TOL
+    return _hyp("weight_nowhere_zero", floor > SUPPORT_TOL, floor, SUPPORT_TOL)
+
+
+def _fields(report, *names) -> dict:
+    """The named fields of a library report, each under its own name."""
+    return {name: getattr(report, name) for name in names}
+
+
+def _bounds(prefix: str, bounds) -> dict:
+    """A BoundsReport's two bounds and certificate margin, keys prefixed."""
+    return {prefix + "lower": bounds.lower, prefix + "upper": bounds.upper,
+            prefix + "certificate_margin": bounds.margin}
+
+
+# What both transfer reports carry of their sandwich.
+_SANDWICH = ("predicted_lower", "predicted_upper", "lower_margin", "upper_margin")
 
 
 def _run_bounds(p, rng, tol):
@@ -371,11 +386,8 @@ def _run_bounds(p, rng, tol):
     bounds = riesz_bounds(gram)
     onb = is_orthonormal_system(gram, tol if tol is not None else ABSOLUTE_TOL)
     results = {
-        "lower": bounds.lower,
-        "upper": bounds.upper,
-        "condition": bounds.condition,
-        "verdict": bounds.verdict,
-        "certificate_margin": bounds.margin,
+        **_bounds("", bounds),
+        **_fields(bounds, "condition", "verdict"),
         "onb_deviation": onb.deviation,
         "provenance": gram.provenance,
         "system_size": freqs.size,
@@ -391,19 +403,10 @@ def _run_bounds(p, rng, tol):
 
 def _run_transfer(p, rng, tol):
     report = verify_riesz_transfer(p["domain"], p["freqs"], p["weight"])
-    hyps = [_hyp("weight_nowhere_zero", _nowhere_zero(p["weight"]), report.inf_mod,
-                 SUPPORT_TOL)]
     results = {
-        "exp_lower": report.exp_bounds.lower,
-        "exp_upper": report.exp_bounds.upper,
-        "exp_certificate_margin": report.exp_bounds.margin,
-        "translation_lower": report.translation_bounds.lower,
-        "translation_upper": report.translation_bounds.upper,
-        "translation_certificate_margin": report.translation_bounds.margin,
-        "predicted_lower": report.predicted_lower,
-        "predicted_upper": report.predicted_upper,
-        "lower_margin": report.lower_margin,
-        "upper_margin": report.upper_margin,
+        **_bounds("exp_", report.exp_bounds),
+        **_bounds("translation_", report.translation_bounds),
+        **_fields(report, *_SANDWICH),
         "inf_modulus": report.inf_mod,
         "sup_modulus": report.sup_mod,
         "resolution_flagged": report.weight_resolution_flagged,
@@ -412,31 +415,18 @@ def _run_transfer(p, rng, tol):
         "sandwich_holds": bool(report.sandwich_holds),
         "translation_degenerate": report.translation_bounds.verdict == "degenerate",
     }
-    return hyps, results, verdicts
+    return [_nowhere_zero(p["weight"])], results, verdicts
 
 
 def _run_frame_transfer(p, rng, tol):
     report = verify_frame_transfer(p["domain"], p["freqs"], p["weight"])
     results = {
-        "weighted_lower": report.weighted_bounds.lower,
-        "weighted_upper": report.weighted_bounds.upper,
-        "weighted_certificate_margin": report.weighted_bounds.margin,
-        "unweighted_lower": report.unweighted_bounds.lower,
-        "unweighted_upper": report.unweighted_bounds.upper,
-        "unweighted_certificate_margin": report.unweighted_bounds.margin,
-        "predicted_lower": report.predicted_lower,
-        "predicted_upper": report.predicted_upper,
-        "lower_margin": report.lower_margin,
-        "upper_margin": report.upper_margin,
-        "weight_floor_sq": report.weight_floor_sq,
-        "weight_ceil_sq": report.weight_ceil_sq,
-        "space_dim": report.space_dim,
-        "n_vectors": report.n_vectors,
-        "support_is_proper": report.support_is_proper,
-        "note": report.note,
+        **_bounds("weighted_", report.weighted_bounds),
+        **_bounds("unweighted_", report.unweighted_bounds),
+        **_fields(report, *_SANDWICH, "weight_floor_sq", "weight_ceil_sq", "space_dim",
+                  "n_vectors", "support_is_proper", "note"),
     }
-    verdicts = {"sandwich_holds": bool(report.sandwich_holds)}
-    return [], results, verdicts
+    return [], results, {"sandwich_holds": bool(report.sandwich_holds)}
 
 
 def _run_tiling(p, rng, tol):
@@ -444,23 +434,18 @@ def _run_tiling(p, rng, tol):
     mode, pattern = p["mode"], p["pattern"]
     if mode == "check_tiling":
         verdict = tiles(group, pattern, p["candidate"])
-        results = {"uncovered": verdict.uncovered, "collisions": verdict.collisions}
+        results = _fields(verdict, "uncovered", "collisions")
         verdicts = {"is_tiling": bool(verdict.is_tiling)}
     elif mode == "check_spectrum":
         verdict = is_spectrum(group, pattern, p["candidate"])
-        results = {"defect": verdict.defect, "tolerance": verdict.tolerance,
-                   "sizes_match": verdict.sizes_match}
+        results = _fields(verdict, "defect", "tolerance", "sizes_match")
         verdicts = {"is_spectrum": bool(verdict.is_spectrum)}
     else:
         search = search_complements if mode == "search_complements" else search_spectra
         found = search(group, pattern, force_exhaustive=p["force_exhaustive"],
                        samples=p["samples"], rng=rng)
-        results = {
-            "found": [list(s) for s in found.found],
-            "n_found": len(found.found),
-            "examined": found.examined,
-            "note": found.note,
-        }
+        results = {"found": [list(s) for s in found.found], "n_found": len(found.found),
+                   **_fields(found, "examined", "note")}
         verdicts = {"exhaustive": bool(found.exhaustive),
                     "found_any": len(found.found) > 0}
     return [], results, verdicts
@@ -477,8 +462,7 @@ def _run_cube_check(p, rng, tol):
     results = {
         "side": list(report.side),
         "dual_side": list(report.dual_side),
-        "n_complements": report.n_complements,
-        "n_spectra": report.n_spectra,
+        **_fields(report, "n_complements", "n_spectra"),
         "complements": [list(s) for s in report.complements.found],
         "spectra": [list(s) for s in report.spectra.found],
     }
@@ -516,20 +500,13 @@ def _run_gabor(p, rng, tol):
     base, modulations, translations = p["base_domain"], p["modulations"], p["translations"]
     report = vv_onb_check(base, modulations, translations, p["window"]["weight"],
                           tol if tol is not None else ABSOLUTE_TOL)
-    results = {
-        "gabor_deviation": report.gabor.deviation,
-        "modulation_deviation": report.modulation.deviation,
-        "translation_deviation": report.translation.deviation,
-        "window_normalized": report.window_normalized,
-        "system_order": modulations.size * translations.size,
-        "note": report.note,
-    }
-    verdicts = {
-        "gabor_is_onb": bool(report.gabor.is_onb),
-        "modulation_is_onb": bool(report.modulation.is_onb),
-        "translation_is_onb": bool(report.translation.is_onb),
-        "equivalent": bool(report.equivalent),
-    }
+    results = {**_fields(report, "window_normalized", "note"),
+               "system_order": modulations.size * translations.size}
+    verdicts = {}
+    for part in ("gabor", "modulation", "translation"):
+        results[f"{part}_deviation"] = getattr(report, part).deviation
+        verdicts[f"{part}_is_onb"] = bool(getattr(report, part).is_onb)
+    verdicts["equivalent"] = bool(report.equivalent)
     return [], results, verdicts
 
 
@@ -537,13 +514,7 @@ def _run_periodization(p, rng, tol):
     report = zd_periodization(p["profile"], resolution=p["resolution"],
                               tol=tol if tol is not None else 1e-8,
                               gram_nodes=p["gram_nodes"])
-    results = {
-        "sup_deviation": report.sup_deviation,
-        "gram_deviation": report.gram_deviation,
-        "tol": report.tol,
-        "gram_tol": report.gram_tol,
-        "resolution": report.resolution,
-    }
+    results = _fields(report, "sup_deviation", "gram_deviation", "tol", "gram_tol", "resolution")
     verdicts = {
         "is_onb": bool(report.is_onb),
         "gram_is_onb": bool(report.gram_is_onb),
@@ -553,20 +524,13 @@ def _run_periodization(p, rng, tol):
 
 
 def _run_factorization(p, rng, tol):
-    weight = p["weight"]
-    report = convolution_factorization_check(p["domain"], weight, p["signal"])
-    hyps = [_hyp("weight_nowhere_zero", _nowhere_zero(weight), weight.inf_mod, SUPPORT_TOL)]
-    results = {
-        "residual": report.residual,
-        "quotient_norm": report.quotient_norm,
-        "norm_bound": report.norm_bound,
-        "signal_norm": report.signal_norm,
-    }
+    report = convolution_factorization_check(p["domain"], p["weight"], p["signal"])
+    results = _fields(report, "residual", "quotient_norm", "norm_bound", "signal_norm")
     verdicts = {
         "roundtrip_exact": report.residual <= (tol if tol is not None else 1e-12),
         "bound_holds": bool(report.bound_holds),
     }
-    return hyps, results, verdicts
+    return [_nowhere_zero(p["weight"])], results, verdicts
 
 
 def _group_indices(label: str):
@@ -581,8 +545,8 @@ _GROUP = (_Built([_at_least(1)], lambda v, s: GroupInstance(v)), _REQ)
 
 
 def _cube_group(v, s) -> GroupInstance:
-    """The cube-check group: its searches override the exhaustive caps and
-    allocate per group element, so its order is bounded here instead."""
+    """The cube-check group, its order bounded where the moduli are read so
+    that the rejection names them."""
     group = GroupInstance(v)
     if group.order > GROUP_ORDER_CAP:
         raise ValueError(f"moduli {v} give group order {group.order}, "
@@ -593,9 +557,10 @@ def _cube_group(v, s) -> GroupInstance:
 def _complement_parameters(v, s) -> dict:
     # A sampled complement search draws order // k indices per candidate,
     # bounded as in the search, so that the rejection names the pattern.
+    # order // k above the cap puts the order above it, so the search is
+    # sampled, forced or not.
     group, k = v["moduli"], len(v["pattern"])
-    if (v["samples"] and not v["force_exhaustive"] and group.order % k == 0
-            and group.order // k > GROUP_ORDER_CAP):
+    if v["samples"] and group.order % k == 0 and group.order // k > GROUP_ORDER_CAP:
         raise ValueError(f"scenario.parameters.pattern: a sampled complement of "
                          f"{group.order // k} elements exceeds the cap {GROUP_ORDER_CAP}")
     return v

@@ -3,9 +3,9 @@
 A translation system is modeled by the modulus profile of its window on
 the frequency domain. Its Gram is a weighted exponential Gram, so
 two-sided bound transfer between the exponential system and the
-translates reduces to eigenvalue sandwiches that this module verifies,
-on the full domain when the weight never vanishes and on the weight's
-support otherwise.
+translates is one eigenvalue sandwich (_sandwich), verified for Riesz
+bounds on the full domain when the weight never vanishes and for frame
+bounds on the weight's support otherwise.
 """
 
 from __future__ import annotations
@@ -29,10 +29,6 @@ SUPPORT_TOL = 1e-12
 # an absolute floor for bounds at eigensolver noise scale.
 SANDWICH_RTOL = 1e-8
 SANDWICH_ATOL = 1e-10
-
-
-def _sandwich_slack(predicted: float) -> float:
-    return max(SANDWICH_RTOL * abs(predicted), SANDWICH_ATOL)
 
 # Node-sample versus exact profile extremes are flagged above this gap.
 PROFILE_MISMATCH_TOL = 1e-9
@@ -210,6 +206,19 @@ def translation_gram(domain: Domain, freqs: FrequencySet, weight: SpectralWeight
     return exp_gram(domain, freqs, weight=weight)
 
 
+def _sandwich(outer: BoundsReport, inner: BoundsReport, floor_sq: float,
+              ceil_sq: float) -> dict:
+    """The transfer rule, for Riesz and frame bounds alike: inner's bounds lie
+    within outer's scaled by floor_sq and ceil_sq, up to the sandwich slack.
+    Returns the sandwich's fields of either transfer report."""
+    lower, upper = floor_sq * outer.lower, ceil_sq * outer.upper
+    holds = (inner.lower >= lower - max(SANDWICH_RTOL * abs(lower), SANDWICH_ATOL)
+             and inner.upper <= upper + max(SANDWICH_RTOL * abs(upper), SANDWICH_ATOL))
+    return {"predicted_lower": lower, "predicted_upper": upper,
+            "lower_margin": inner.lower - lower, "upper_margin": upper - inner.upper,
+            "sandwich_holds": holds}
+
+
 @dataclass(frozen=True)
 class TransferReport:
     """Outcome of the Riesz bound transfer between exponentials and translates."""
@@ -247,20 +256,12 @@ def verify_riesz_transfer(domain: Domain, freqs: FrequencySet,
                      rule=None if g_trans.provenance == "closed_form" else weight.rule)
     exp_b = riesz_bounds(g_exp)
     trans_b = riesz_bounds(g_trans)
-    predicted_lower = weight.inf_mod ** 2 * exp_b.lower
-    predicted_upper = weight.sup_mod ** 2 * exp_b.upper
-    holds = (trans_b.lower >= predicted_lower - _sandwich_slack(predicted_lower)
-             and trans_b.upper <= predicted_upper + _sandwich_slack(predicted_upper))
     return TransferReport(
         exp_bounds=exp_b,
         translation_bounds=trans_b,
         inf_mod=weight.inf_mod,
         sup_mod=weight.sup_mod,
-        predicted_lower=predicted_lower,
-        predicted_upper=predicted_upper,
-        lower_margin=trans_b.lower - predicted_lower,
-        upper_margin=predicted_upper - trans_b.upper,
-        sandwich_holds=holds,
+        **_sandwich(exp_b, trans_b, weight.inf_mod ** 2, weight.sup_mod ** 2),
         weight_resolution_flagged=weight.profile_mismatch > PROFILE_MISMATCH_TOL,
     )
 
@@ -326,20 +327,12 @@ def verify_frame_transfer(domain: Domain, freqs: FrequencySet,
     mods_sq = np.abs(vals) ** 2
     floor_sq = float(mods_sq.min())
     ceil_sq = float(mods_sq.max())
-    predicted_lower = floor_sq * unweighted.lower
-    predicted_upper = ceil_sq * unweighted.upper
-    holds = (weighted.lower >= predicted_lower - _sandwich_slack(predicted_lower)
-             and weighted.upper <= predicted_upper + _sandwich_slack(predicted_upper))
     return FrameTransferReport(
         weighted_bounds=weighted,
         unweighted_bounds=unweighted,
         weight_floor_sq=floor_sq,
         weight_ceil_sq=ceil_sq,
-        predicted_lower=predicted_lower,
-        predicted_upper=predicted_upper,
-        lower_margin=weighted.lower - predicted_lower,
-        upper_margin=predicted_upper - weighted.upper,
-        sandwich_holds=holds,
+        **_sandwich(unweighted, weighted, floor_sq, ceil_sq),
         space_dim=n_support,
         n_vectors=freqs.size,
         support_is_proper=not bool(mask.all()),

@@ -39,7 +39,8 @@ from typing import Optional
 import numpy as np
 
 from .domain import Domain, QuadratureRule, quadrature
-from .numerics import _as_square, eigen_bounds, hermitian_scan, hermiticity_ceiling
+from .numerics import (HERMITICITY_TOL, _as_square, eigen_bounds, hermitian_scan,
+                       hermiticity_ceiling)
 
 # Largest frequency-set size a Gram matrix will be assembled for.
 SYSTEM_SIZE_CAP = 512
@@ -59,8 +60,6 @@ _EXACT_INTEGER_BOUND = 2.0 ** 52
 
 # A lower bound at or below this fraction of the upper bound is degenerate.
 DEGENERACY_RTOL = 1e-9
-
-_HERMITICITY_TOL = {"closed_form": 1e-12, "quadrature": 1e-8}
 
 
 @dataclass(frozen=True, init=False)
@@ -153,7 +152,8 @@ class GramMatrix:
     spectrum and the same |G_ij - delta_ij|, so the library reads only
     G_0; matrix forms G on demand for callers that want the Gram of the
     domain where it sits. scan is G_0's one hermitian_scan, taken for the
-    provenance gate here and handed to eigen_bounds' own gate and disc
+    Hermiticity gate here, which is eigen_bounds' own (HERMITICITY_TOL,
+    whatever the provenance), and handed to eigen_bounds' gate and disc
     route; G_0 is read-only, so it cannot go stale.
     """
 
@@ -163,12 +163,12 @@ class GramMatrix:
     scan: tuple[float, float, tuple[int, int], float]
 
     def __init__(self, centred, provenance="closed_form", phase=None):
-        if provenance not in _HERMITICITY_TOL:
+        if provenance not in ("closed_form", "quadrature"):
             raise ValueError(f"unknown provenance {provenance!r}")
         m = _as_square(centred)
         scan = hermitian_scan(m)
         top, defect, (i, j), _ = scan
-        tol = hermiticity_ceiling(top, _HERMITICITY_TOL[provenance])
+        tol = hermiticity_ceiling(top, HERMITICITY_TOL)
         if defect > tol:
             raise ValueError(
                 f"Gram matrix is not Hermitian within {tol:g}: defect {defect:.3e} at ({i},{j})")

@@ -18,7 +18,8 @@ import numpy as np
 
 from .numerics import Pcg32
 
-# Exhaustive search caps; force_exhaustive overrides both.
+# Exhaustive search caps. force_exhaustive lifts the pattern cap only:
+# every exhaustive walk allocates per group element.
 GROUP_ORDER_CAP = 4096
 PATTERN_SIZE_CAP = 12
 
@@ -174,16 +175,16 @@ def _spend(work: int, cost: int, what: str) -> int:
 def _check_caps(group: GroupInstance, size: int, force: bool, samples,
                 what: str) -> Optional[str]:
     # Returns None when exhaustive search may run, else the refusal reason.
-    if force:
-        return None
     if group.order > GROUP_ORDER_CAP:
         reason = f"group order {group.order} exceeds the exhaustive cap {GROUP_ORDER_CAP}"
-    elif size > PATTERN_SIZE_CAP:
+        remedy = "a sample budget"
+    elif size > PATTERN_SIZE_CAP and not force:
         reason = f"pattern size {size} exceeds the exhaustive cap {PATTERN_SIZE_CAP}"
+        remedy = "force_exhaustive=True or a sample budget"
     else:
         return None
     if samples is None:
-        raise ValueError(f"{reason} for {what}; pass force_exhaustive=True or a sample budget")
+        raise ValueError(f"{reason} for {what}; pass {remedy}")
     return reason
 
 
@@ -331,8 +332,12 @@ def cube_equivalence_check(group: GroupInstance, side) -> CubeReport:
 
     The dual cube has per-axis side modulus/side, so the side must divide
     every modulus. Both searches run exhaustively; the cube structure
-    keeps them shallow, so the caps are overridden.
+    keeps them shallow, so the pattern cap is lifted. The group order cap
+    is not, and a larger group is refused before a cube is built.
     """
+    if group.order > GROUP_ORDER_CAP:
+        raise ValueError(f"group order {group.order} exceeds the cube-check cap "
+                         f"{GROUP_ORDER_CAP}")
     sides = tuple(int(s) for s in np.broadcast_to(
         np.atleast_1d(np.asarray(side, dtype=int)), (group.dimension,)))
     for s, m in zip(sides, group.moduli):

@@ -58,21 +58,24 @@ def extreme_eigenvalues(matrix, seed: int = 123) -> tuple[float, float]:
     return lam_min, lam_max
 
 
-# Ceiling on max_i ||M v_i - w_i v_i|| scaled by (max |M| entry) * order.
+# Ceiling on max_i ||H v_i - w_i v_i|| scaled by (max |H| entry) * order.
 EIGH_RESIDUAL_CAP = 1e-8
 
 
 def eigh_extreme_eigenvalues(matrix) -> tuple[float, float]:
     """(smallest, largest) eigenvalues from a full eigendecomposition.
 
-    Every computed eigenpair must leave a residual below EIGH_RESIDUAL_CAP,
-    so the pairs are accurate; the eigenvalue-only library route shares
-    neither the eigenvectors nor this test.
+    The decomposed matrix is the Hermitian part H = (M + M*) / 2, and every
+    computed eigenpair must leave a residual against H below
+    EIGH_RESIDUAL_CAP, so the pairs are accurate; the eigenvalue-only
+    library route shares neither the eigenvectors nor this test.
     """
     m = np.asarray(matrix, dtype=complex)
-    w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
-    scale = float(np.max(np.abs(m))) * m.shape[0]
-    residual = float(np.max(np.linalg.norm(m @ v - v * w, axis=0))) / scale
+    h = 0.5 * (m + m.conj().T)
+    w, v = np.linalg.eigh(h)
+    # A zero H leaves a zero residual, measured unscaled.
+    scale = float(np.max(np.abs(h))) * m.shape[0] or 1.0
+    residual = float(np.max(np.linalg.norm(h @ v - v * w, axis=0))) / scale
     if residual > EIGH_RESIDUAL_CAP:
         raise AssertionError(f"eigh residual {residual:.3e} exceeds {EIGH_RESIDUAL_CAP}")
     return float(w[0]), float(w[-1])

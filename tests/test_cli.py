@@ -155,21 +155,63 @@ def benchmark_scenarios():
     return out
 
 
-def test_every_runner_returns_exactly_its_declared_verdicts():
-    scenarios = benchmark_scenarios()
-    assert {s["name"] for s in scenarios} >= {json.loads(p.read_text())["name"] for p in SHIPPED}
-    kinds = set()
-    for scenario in scenarios:
+@pytest.fixture(scope="module")
+def report_of_each_kind():
+    """(scenario, report) for the first benchmark scenario of each command
+    and tiling mode. Verdict and results names depend only on those, so
+    one solve of each kind the benchmark runs is enough."""
+    reports = {}
+    for scenario in benchmark_scenarios():
         kind = (scenario["command"], scenario["parameters"].get("mode"))
-        # Verdict names depend only on the command and the tiling mode, so
-        # one solve of each kind the benchmark runs is enough.
-        if kind in kinds:
-            continue
-        kinds.add(kind)
-        report = run_scenario(scenario, scenario["command"])
+        if kind not in reports:
+            reports[kind] = (scenario, run_scenario(scenario, scenario["command"]))
+    return reports
+
+
+def test_every_runner_returns_exactly_its_declared_verdicts(report_of_each_kind):
+    names = {s["name"] for s in benchmark_scenarios()}
+    assert names >= {json.loads(p.read_text())["name"] for p in SHIPPED}
+    for scenario, report in report_of_each_kind.values():
         assert tuple(report["verdicts"]) == declared_verdicts(scenario), scenario["name"]
-    assert kinds == {(c, None) for c in COMMANDS if c != "tiling"} | {
+    assert set(report_of_each_kind) == {(c, None) for c in COMMANDS if c != "tiling"} | {
         ("tiling", mode) for mode in COMMANDS["tiling"].verdicts}
+
+
+SANDWICH_KEYS = {"predicted_lower", "predicted_upper", "lower_margin", "upper_margin"}
+SEARCH_KEYS = {"found", "n_found", "examined", "note"}
+
+# The results keys of each command and tiling mode, as the reports have
+# always carried them.
+RESULTS_KEYS = {
+    ("bounds", None): {"lower", "upper", "certificate_margin", "condition", "verdict",
+                       "onb_deviation", "provenance", "system_size", "domain_measure"},
+    ("transfer", None): SANDWICH_KEYS | {
+        "exp_lower", "exp_upper", "exp_certificate_margin", "translation_lower",
+        "translation_upper", "translation_certificate_margin", "inf_modulus", "sup_modulus",
+        "resolution_flagged"},
+    ("frame-transfer", None): SANDWICH_KEYS | {
+        "weighted_lower", "weighted_upper", "weighted_certificate_margin", "unweighted_lower",
+        "unweighted_upper", "unweighted_certificate_margin", "weight_floor_sq",
+        "weight_ceil_sq", "space_dim", "n_vectors", "support_is_proper", "note"},
+    ("tiling", "check_tiling"): {"uncovered", "collisions"},
+    ("tiling", "check_spectrum"): {"defect", "tolerance", "sizes_match"},
+    ("tiling", "search_complements"): SEARCH_KEYS,
+    ("tiling", "search_spectra"): SEARCH_KEYS,
+    ("cube-check", None): {"side", "dual_side", "n_complements", "n_spectra", "complements",
+                           "spectra"},
+    ("sample", None): {"signal_energy", "truncations"},
+    ("gabor", None): {"gabor_deviation", "modulation_deviation", "translation_deviation",
+                      "window_normalized", "system_order", "note"},
+    ("periodization", None): {"sup_deviation", "gram_deviation", "tol", "gram_tol",
+                              "resolution"},
+    ("factorization", None): {"residual", "quotient_norm", "norm_bound", "signal_norm"},
+}
+
+
+def test_every_runner_returns_exactly_its_listed_results_keys(report_of_each_kind):
+    assert set(report_of_each_kind) == set(RESULTS_KEYS)
+    for kind, (scenario, report) in report_of_each_kind.items():
+        assert set(report["results"]) == RESULTS_KEYS[kind], scenario["name"]
 
 
 def test_reports_carry_the_certificate_margins():
@@ -727,6 +769,31 @@ def test_a_sampled_complement_past_the_cap_is_rejected_naming_the_pattern(tmp_pa
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("mode", ["search_complements", "search_spectra"])
+def test_a_forced_search_above_the_order_cap_exits_2_and_a_batch_goes_on(tmp_path, capsys,
+                                                                         mode):
+    # Forcing lifts the pattern cap only: with no sample budget, a search
+    # in Z_{2^40} is rejected before it lays the group out element by element.
+    forced = {"name": "forced", "command": "tiling", "parameters": {
+        "moduli": [2 ** 40], "mode": mode, "pattern": [0, 1], "force_exhaustive": True}}
+    start = time.perf_counter()
+    code, err = run_main(tmp_path, capsys, forced, "tiling")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert (f"group order {2 ** 40} exceeds the exhaustive cap {GROUP_ORDER_CAP}" in err
+            and err.rstrip().endswith("pass a sample budget"))
+    assert "Traceback" not in err
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    write_scenario(runs / "01_forced.json", forced)
+    write_scenario(runs / "02_ok.json", bounds_scenario())
+    out_dir = tmp_path / "out"
+    assert main(["batch", "--dir", str(runs), "--out-dir", str(out_dir)]) == 2
+    rows = (out_dir / "summary.csv").read_text().splitlines()
+    assert rows[1].startswith("01_forced,,error,") and "pass a sample budget" in rows[1]
+    assert rows[2].startswith("02_ok,bounds,true")
+
+
 @pytest.mark.parametrize("moduli, side", [([2 ** 31], 2 ** 31), ([64, 65], 1)])
 def test_a_cube_check_group_above_the_order_cap_is_rejected_before_a_search(tmp_path, capsys,
                                                                             moduli, side):
@@ -786,7 +853,8 @@ def test_weight_nowhere_zero_is_judged_on_the_exact_infimum(command, extra):
     check = next(h for h in report["hypothesis_checks"]
                  if h["name"] == "weight_nowhere_zero")
     assert check["passed"] is False
-    assert check["measured"] > 0.0
+    # The floor reported is the floor judged, not the node samples' minimum.
+    assert check["measured"] == 0.0
     assert report["passed"] is False
 
 

@@ -519,14 +519,30 @@ def test_a_matrix_diagonal_to_rounding_is_certified_by_discs(case, monkeypatch):
     diagonal = np.diagonal(m).real
     assert (bounds.lambda_min, bounds.lambda_max) == (diagonal.min(), diagonal.max())
     assert bounds.margin <= m.shape[0] * np.finfo(float).eps * np.max(np.abs(m))
-    # eigh on H - c I, H = (M + M*) / 2 and c = H[0,0]: every diagonal
-    # entry is within a factor of two of c, so the shift is exact, and it
-    # leaves entries of the order of the margin, whose eigenvalues eigh
-    # finds far more closely than the margin (it rounds relative to the
-    # largest entry).
+    # The eigh oracle on M - c I, c = H[0,0] for H = (M + M*) / 2: every
+    # diagonal entry is within a factor of two of c, so the shift is exact,
+    # and it leaves entries of the order of the margin, whose eigenvalues
+    # eigh finds far more closely than the margin (it rounds relative to
+    # the largest entry).
     shift = diagonal[0]
-    w = np.linalg.eigh(0.5 * (m + m.conj().T) - shift * np.eye(m.shape[0]))[0]
-    assert_within_the_margin(bounds, w[0], w[-1], shift)
+    lo, hi = oracles.eigh_extreme_eigenvalues(m - shift * np.eye(m.shape[0]))
+    assert_within_the_margin(bounds, lo, hi, shift)
+
+
+def test_the_eigh_oracle_measures_its_residual_against_the_matrix_it_decomposes():
+    # G - I for the full unit-mask quadrature Gram: entries of order 1e-15
+    # whose anti-Hermitian rounding is not small against max |M| n, so the
+    # eigenpairs of H = (M + M*) / 2 leave a residual against M far above
+    # the cap, and one against H far below it.
+    m = DIAGONAL_MATRICES["2d-full-mask-484"]()
+    m = m - np.eye(m.shape[0])
+    h = 0.5 * (m + m.conj().T)
+    w, v = np.linalg.eigh(h)
+    scale = float(np.max(np.abs(m))) * m.shape[0]
+    assert np.max(np.linalg.norm(m @ v - v * w, axis=0)) / scale > oracles.EIGH_RESIDUAL_CAP
+    lo, hi = oracles.eigh_extreme_eigenvalues(m)
+    for got, want in ((lo, w[0]), (hi, w[-1])):
+        assert abs(got - want) <= scale * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("factor", [0.9, 1.1], ids=["below-the-gate", "above-the-gate"])

@@ -594,21 +594,17 @@ def test_each_solved_matrix_is_scanned_for_hermiticity_once(monkeypatch, solve, 
     assert len(scanned) == solved
 
 
-def test_a_quadrature_gram_between_the_two_ceilings_is_rejected_by_the_eigen_gate():
-    # A defect of 1e-10 passes the quadrature ceiling of GramMatrix (1e-8)
-    # but not the eigen route's (1e-12): the carried scan must keep it out,
-    # with the message of a direct eigen_bounds call.
+@pytest.mark.parametrize("provenance", ["closed_form", "quadrature"])
+def test_a_gram_past_the_hermiticity_ceiling_is_rejected_when_built(provenance):
+    # One ceiling, eigen_bounds' own, gates a Gram as it is built, whatever
+    # its provenance; eigen_bounds on the raw matrix keeps its own message.
     matrix = np.eye(4, dtype=complex)
     matrix[0, 1] = 1e-10
-    gram = spectra.GramMatrix(matrix, provenance="quadrature")
-    assert gram.scan == numerics.hermitian_scan(matrix)
-    with pytest.raises(ValueError, match="Gram matrix is not Hermitian within 1e-12"):
-        spectra.GramMatrix(matrix, provenance="closed_form")
+    with pytest.raises(ValueError, match=r"^Gram matrix is not Hermitian within 1e-12: "
+                                         r"defect 1\.000e-10 at \(0,1\)$"):
+        spectra.GramMatrix(matrix, provenance=provenance)
     with pytest.raises(ValueError) as direct:
         numerics.eigen_bounds(matrix)
-    with pytest.raises(ValueError) as carried:
-        riesz_bounds(gram)
-    assert str(carried.value) == str(direct.value)
     assert str(direct.value) == ("matrix is not Hermitian: |M[0,1] - conj(M[1,0])| = 1.000e-10 "
                                  "exceeds 1e-12")
 

@@ -16,6 +16,7 @@ from expbases import (
     search_complements,
     search_spectra,
     tiles,
+    tiling,
 )
 
 # Frozen search results, confirmed against the subset-enumeration oracle.
@@ -163,12 +164,42 @@ def test_singleton_pattern_edge_cases():
 
 
 def test_exhaustive_caps_demand_explicit_choice():
+    # Forcing lifts the pattern cap only, so it is the remedy named for
+    # that cap alone.
     big = GroupInstance([5000])
-    with pytest.raises(ValueError, match="force_exhaustive=True or a sample budget"):
+    with pytest.raises(ValueError, match="exhaustive cap 4096 for complement search; "
+                                         "pass a sample budget$"):
         search_complements(big, (0, 1))
     wide = GroupInstance([26])
-    with pytest.raises(ValueError, match="pattern size 13"):
+    with pytest.raises(ValueError, match="pattern size 13 .*; pass force_exhaustive=True "
+                                         "or a sample budget$"):
         search_spectra(wide, tuple(range(13)))
+
+
+@pytest.mark.parametrize("search", [search_complements, search_spectra])
+def test_a_forced_search_above_the_order_cap_is_refused_before_it_allocates(search,
+                                                                            monkeypatch):
+    # An exhaustive walk lays the group out element by element: in
+    # Z_{2^40}, 2^40 coordinate rows before its budget is ever spent.
+    def coords(self, indices):
+        raise AssertionError("allocated per group element")
+    monkeypatch.setattr(GroupInstance, "coords", coords)
+    with pytest.raises(ValueError, match=f"group order {2 ** 40} exceeds the exhaustive cap "
+                                         "4096 for .*; pass a sample budget$"):
+        search(GroupInstance([2 ** 40]), (0, 1), force_exhaustive=True)
+    monkeypatch.undo()
+    # With a sample budget the forced search is sampled.
+    res = search(GroupInstance([5000]), (0, 1), force_exhaustive=True, samples=2)
+    assert not res.exhaustive and res.examined == 2
+    assert "group order 5000 exceeds the exhaustive cap 4096" in res.note
+
+
+def test_a_cube_check_above_the_order_cap_is_refused_before_a_cube_is_built(monkeypatch):
+    def cube(group, side):
+        raise AssertionError("built a cube")
+    monkeypatch.setattr(tiling, "cube_set", cube)
+    with pytest.raises(ValueError, match=f"group order {2 ** 40} exceeds the cube-check cap 4096"):
+        cube_equivalence_check(GroupInstance([2 ** 40]), 2)
 
 
 def test_sampled_search_reports_no_guarantee():
