@@ -365,19 +365,17 @@ def _nowhere_zero(weight) -> dict:
     return _hyp("weight_nowhere_zero", floor > SUPPORT_TOL, floor, SUPPORT_TOL)
 
 
-def _fields(report, *names) -> dict:
-    """The named fields of a library report, each under its own name."""
-    return {name: getattr(report, name) for name in names}
-
-
 def _bounds(prefix: str, bounds) -> dict:
     """A BoundsReport's two bounds and certificate margin, keys prefixed."""
     return {prefix + "lower": bounds.lower, prefix + "upper": bounds.upper,
             prefix + "certificate_margin": bounds.margin}
 
 
-# What both transfer reports carry of their sandwich.
-_SANDWICH = ("predicted_lower", "predicted_upper", "lower_margin", "upper_margin")
+def _sandwich(report) -> dict:
+    """What both transfer reports carry of their sandwich."""
+    return {"predicted_lower": report.predicted_lower,
+            "predicted_upper": report.predicted_upper,
+            "lower_margin": report.lower_margin, "upper_margin": report.upper_margin}
 
 
 def _run_bounds(p, rng, tol):
@@ -387,7 +385,8 @@ def _run_bounds(p, rng, tol):
     onb = is_orthonormal_system(gram, tol if tol is not None else ABSOLUTE_TOL)
     results = {
         **_bounds("", bounds),
-        **_fields(bounds, "condition", "verdict"),
+        "condition": bounds.condition,
+        "verdict": bounds.verdict,
         "onb_deviation": onb.deviation,
         "provenance": gram.provenance,
         "system_size": freqs.size,
@@ -406,7 +405,7 @@ def _run_transfer(p, rng, tol):
     results = {
         **_bounds("exp_", report.exp_bounds),
         **_bounds("translation_", report.translation_bounds),
-        **_fields(report, *_SANDWICH),
+        **_sandwich(report),
         "inf_modulus": report.inf_mod,
         "sup_modulus": report.sup_mod,
         "resolution_flagged": report.weight_resolution_flagged,
@@ -423,8 +422,13 @@ def _run_frame_transfer(p, rng, tol):
     results = {
         **_bounds("weighted_", report.weighted_bounds),
         **_bounds("unweighted_", report.unweighted_bounds),
-        **_fields(report, *_SANDWICH, "weight_floor_sq", "weight_ceil_sq", "space_dim",
-                  "n_vectors", "support_is_proper", "note"),
+        **_sandwich(report),
+        "weight_floor_sq": report.weight_floor_sq,
+        "weight_ceil_sq": report.weight_ceil_sq,
+        "space_dim": report.space_dim,
+        "n_vectors": report.n_vectors,
+        "support_is_proper": report.support_is_proper,
+        "note": report.note,
     }
     return [], results, {"sandwich_holds": bool(report.sandwich_holds)}
 
@@ -434,18 +438,19 @@ def _run_tiling(p, rng, tol):
     mode, pattern = p["mode"], p["pattern"]
     if mode == "check_tiling":
         verdict = tiles(group, pattern, p["candidate"])
-        results = _fields(verdict, "uncovered", "collisions")
+        results = {"uncovered": verdict.uncovered, "collisions": verdict.collisions}
         verdicts = {"is_tiling": bool(verdict.is_tiling)}
     elif mode == "check_spectrum":
         verdict = is_spectrum(group, pattern, p["candidate"])
-        results = _fields(verdict, "defect", "tolerance", "sizes_match")
+        results = {"defect": verdict.defect, "tolerance": verdict.tolerance,
+                   "sizes_match": verdict.sizes_match}
         verdicts = {"is_spectrum": bool(verdict.is_spectrum)}
     else:
         search = search_complements if mode == "search_complements" else search_spectra
         found = search(group, pattern, force_exhaustive=p["force_exhaustive"],
                        samples=p["samples"], rng=rng)
         results = {"found": [list(s) for s in found.found], "n_found": len(found.found),
-                   **_fields(found, "examined", "note")}
+                   "examined": found.examined, "note": found.note}
         verdicts = {"exhaustive": bool(found.exhaustive),
                     "found_any": len(found.found) > 0}
     return [], results, verdicts
@@ -458,11 +463,15 @@ def _run_cube_check(p, rng, tol):
     if not divides:
         # No dual cube exists, so neither family is searched.
         return hyps, {}, {"families_equal": None}
-    report = cube_equivalence_check(group, side)
+    try:
+        report = cube_equivalence_check(group, side)
+    except ValueError as exc:  # the group-order cap: no cube is built
+        raise SchemaError([f"scenario.parameters.moduli ({exc})"]) from None
     results = {
         "side": list(report.side),
         "dual_side": list(report.dual_side),
-        **_fields(report, "n_complements", "n_spectra"),
+        "n_complements": report.n_complements,
+        "n_spectra": report.n_spectra,
         "complements": [list(s) for s in report.complements.found],
         "spectra": [list(s) for s in report.spectra.found],
     }
@@ -500,13 +509,20 @@ def _run_gabor(p, rng, tol):
     base, modulations, translations = p["base_domain"], p["modulations"], p["translations"]
     report = vv_onb_check(base, modulations, translations, p["window"]["weight"],
                           tol if tol is not None else ABSOLUTE_TOL)
-    results = {**_fields(report, "window_normalized", "note"),
-               "system_order": modulations.size * translations.size}
-    verdicts = {}
-    for part in ("gabor", "modulation", "translation"):
-        results[f"{part}_deviation"] = getattr(report, part).deviation
-        verdicts[f"{part}_is_onb"] = bool(getattr(report, part).is_onb)
-    verdicts["equivalent"] = bool(report.equivalent)
+    results = {
+        "gabor_deviation": report.gabor.deviation,
+        "modulation_deviation": report.modulation.deviation,
+        "translation_deviation": report.translation.deviation,
+        "window_normalized": report.window_normalized,
+        "system_order": modulations.size * translations.size,
+        "note": report.note,
+    }
+    verdicts = {
+        "gabor_is_onb": bool(report.gabor.is_onb),
+        "modulation_is_onb": bool(report.modulation.is_onb),
+        "translation_is_onb": bool(report.translation.is_onb),
+        "equivalent": bool(report.equivalent),
+    }
     return [], results, verdicts
 
 
@@ -514,7 +530,8 @@ def _run_periodization(p, rng, tol):
     report = zd_periodization(p["profile"], resolution=p["resolution"],
                               tol=tol if tol is not None else 1e-8,
                               gram_nodes=p["gram_nodes"])
-    results = _fields(report, "sup_deviation", "gram_deviation", "tol", "gram_tol", "resolution")
+    results = {"sup_deviation": report.sup_deviation, "gram_deviation": report.gram_deviation,
+               "tol": report.tol, "gram_tol": report.gram_tol, "resolution": report.resolution}
     verdicts = {
         "is_onb": bool(report.is_onb),
         "gram_is_onb": bool(report.gram_is_onb),
@@ -525,7 +542,8 @@ def _run_periodization(p, rng, tol):
 
 def _run_factorization(p, rng, tol):
     report = convolution_factorization_check(p["domain"], p["weight"], p["signal"])
-    results = _fields(report, "residual", "quotient_norm", "norm_bound", "signal_norm")
+    results = {"residual": report.residual, "quotient_norm": report.quotient_norm,
+               "norm_bound": report.norm_bound, "signal_norm": report.signal_norm}
     verdicts = {
         "roundtrip_exact": report.residual <= (tol if tol is not None else 1e-12),
         "bound_holds": bool(report.bound_holds),
@@ -542,16 +560,6 @@ def _group_indices(label: str):
 
 # The group is built, and its order checked, where its moduli are read.
 _GROUP = (_Built([_at_least(1)], lambda v, s: GroupInstance(v)), _REQ)
-
-
-def _cube_group(v, s) -> GroupInstance:
-    """The cube-check group, its order bounded where the moduli are read so
-    that the rejection names them."""
-    group = GroupInstance(v)
-    if group.order > GROUP_ORDER_CAP:
-        raise ValueError(f"moduli {v} give group order {group.order}, "
-                         f"above the cube-check cap {GROUP_ORDER_CAP}")
-    return group
 
 
 def _complement_parameters(v, s) -> dict:
@@ -605,7 +613,7 @@ COMMANDS = {
         "search_spectra": _SEARCH_VERDICTS,
     }),
     "cube-check": _Command(_run_cube_check, _Obj({
-        "moduli": (_Built([_at_least(1)], _cube_group), _REQ),
+        "moduli": _GROUP,
         "side": (_at_least(1), _REQ),
     }), ("families_equal",)),
     "sample": _Command(_run_sample, _Obj({

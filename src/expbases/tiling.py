@@ -336,8 +336,8 @@ def cube_equivalence_check(group: GroupInstance, side) -> CubeReport:
     is not, and a larger group is refused before a cube is built.
     """
     if group.order > GROUP_ORDER_CAP:
-        raise ValueError(f"group order {group.order} exceeds the cube-check cap "
-                         f"{GROUP_ORDER_CAP}")
+        raise ValueError(f"moduli {list(group.moduli)} give group order {group.order}, "
+                         f"above the cube-check cap {GROUP_ORDER_CAP}")
     sides = tuple(int(s) for s in np.broadcast_to(
         np.atleast_1d(np.asarray(side, dtype=int)), (group.dimension,)))
     for s, m in zip(sides, group.moduli):

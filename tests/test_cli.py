@@ -797,9 +797,10 @@ def test_a_forced_search_above_the_order_cap_exits_2_and_a_batch_goes_on(tmp_pat
 @pytest.mark.parametrize("moduli, side", [([2 ** 31], 2 ** 31), ([64, 65], 1)])
 def test_a_cube_check_group_above_the_order_cap_is_rejected_before_a_search(tmp_path, capsys,
                                                                             moduli, side):
-    # Both searches override the exhaustive caps and allocate per group
-    # element, so the order is bounded where the moduli are read: Z_{2^31}
-    # would need 16 GiB before either search examined anything.
+    # Both searches lift the pattern cap and allocate per group element, so
+    # the check refuses the order before it builds a cube, and the rejection
+    # names the moduli: Z_{2^31} would need 16 GiB before either search
+    # examined anything.
     start = time.perf_counter()
     code, err = run_main(tmp_path, capsys, {"name": "huge", "command": "cube-check",
                                            "parameters": {"moduli": moduli, "side": side}},

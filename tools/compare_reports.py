@@ -1,14 +1,12 @@
 """Compare the reports two expbases source trees write for the same scenarios.
 
-    python3 tools/compare_reports.py BASE_SRC NEW_SRC [--round SPEC ...]
+    python3 tools/compare_reports.py BASE_SRC NEW_SRC
 
 BASE_SRC and NEW_SRC are ``src`` directories, each holding an ``expbases``
-package. A round SPEC is ``scenarios`` (the shipped directory) or
-``<workload>:<seed>``, one round written by ``perfbench/workloads.py``
-and seeded as ``perfbench/run.py`` seeds it; the default rounds are the
-shipped scenarios, dense_grams seeds 1 and 2, small_scenarios seed 1 and
-tiling_search seed 1. Each round runs through ``expbases batch`` once per
-tree, in a fresh interpreter with one BLAS thread.
+package. The rounds are the shipped scenarios and the ``perfbench/run.py``
+rounds listed in ROUNDS (generated by its ``generate``); edit ROUNDS to
+compare others. Each round runs through ``expbases batch`` once per tree,
+in a fresh interpreter with the BLAS thread settings of ``perfbench/run.py``.
 
 For each report that differs apart from ``wall_time_s``, the script
 prints every differing key (list positions folded into ``[]``) with the
@@ -25,7 +23,6 @@ import argparse
 import json
 import math
 import os
-import random
 import re
 import subprocess
 import sys
@@ -35,34 +32,27 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SHIPPED = os.path.join(ROOT, "scenarios")
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
-import workloads  # noqa: E402
+import run  # noqa: E402
 
-DEFAULT_ROUNDS = ("scenarios", "dense_grams:1", "dense_grams:2", "small_scenarios:1",
-                  "tiling_search:1")
+ROUNDS = ("scenarios", ("dense_grams", 1), ("dense_grams", 2), ("small_scenarios", 1),
+          ("tiling_search", 1))
 
 _MISSING = object()
 
 
-def write_round(spec: str, directory: str) -> str:
+def write_round(spec, directory: str) -> str:
     """The directory of the round's scenario files, written to directory."""
     if spec == "scenarios":
         return SHIPPED
-    workload, seed = spec.split(":")
-    rng = random.Random(f"{workload}:{seed}")
-    if workload == "small_scenarios":
-        scenarios = workloads.small_scenarios(rng, SHIPPED)
-    else:
-        scenarios = getattr(workloads, workload)(rng)
     os.makedirs(directory)
-    for i, scenario in enumerate(scenarios):
+    for i, scenario in enumerate(run.generate(*spec)):
         with open(os.path.join(directory, f"{i:02d}_{scenario['name']}.json"), "w") as handle:
             json.dump(scenario, handle, indent=1)
     return directory
 
 
 def run_batch(src: str, scenarios: str, out: str) -> int:
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     done = subprocess.run([sys.executable, "-m", "expbases.cli", "batch", "--dir", scenarios,
                            "--out-dir", out], env=env, cwd=os.path.dirname(out),
                           capture_output=True, text=True)
@@ -108,10 +98,6 @@ def report_changes(base: dict, new: dict) -> dict:
     return changes
 
 
-def _strip_wall_time(text: str) -> str:
-    return "\n".join(line for line in text.splitlines() if "wall_time_s" not in line)
-
-
 def _read(path: str):
     if not os.path.exists(path):
         return None
@@ -119,9 +105,10 @@ def _read(path: str):
         return handle.read()
 
 
-def compare_round(spec: str, base_src: str, new_src: str, work: str) -> tuple[bool, bool]:
+def compare_round(spec, base_src: str, new_src: str, work: str) -> tuple[bool, bool]:
     """(reports identical, verdicts and summary identical) for one round, printed."""
-    here = os.path.join(work, spec.replace(":", "-"))
+    label = spec if spec == "scenarios" else "{}:{}".format(*spec)
+    here = os.path.join(work, label.replace(":", "-"))
     os.makedirs(here)
     scenarios = write_round(spec, os.path.join(here, "scenarios"))
     outs = [os.path.join(here, side) for side in ("base", "new")]
@@ -140,7 +127,7 @@ def compare_round(spec: str, base_src: str, new_src: str, work: str) -> tuple[bo
         base, new = (json.loads(text) for text in texts)
         verdicts_same &= base["verdicts"] == new["verdicts"]
         changes = report_changes(base, new)
-        if not changes and _strip_wall_time(texts[0]) != _strip_wall_time(texts[1]):
+        if not changes and run._strip_digest(texts[0]) != run._strip_digest(texts[1]):
             changes = {"(bytes only)": 0.0}
         if changes:
             differing += 1
@@ -149,7 +136,7 @@ def compare_round(spec: str, base_src: str, new_src: str, work: str) -> tuple[bo
                 print(f"    {key}: largest relative change {change:.3g}")
     summaries = [_read(os.path.join(out, "summary.csv")) for out in outs]
     summary_same = summaries[0] is not None and summaries[0] == summaries[1]
-    print(f"{spec}: {len(names) - differing} of {len(names)} reports identical apart from "
+    print(f"{label}: {len(names) - differing} of {len(names)} reports identical apart from "
           f"wall_time_s; verdicts {'identical' if verdicts_same else 'DIFFER'}; "
           f"batch exit status {codes[0]} vs {codes[1]}; "
           f"summary.csv {'identical' if summary_same else 'DIFFERS'}")
@@ -160,15 +147,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base_src", help="src directory of the reference tree")
     parser.add_argument("new_src", help="src directory of the tree under comparison")
-    parser.add_argument("--round", action="append", dest="rounds",
-                        help="scenarios or <workload>:<seed>; repeat for several")
     args = parser.parse_args(argv)
     for src in (args.base_src, args.new_src):
         if not os.path.isfile(os.path.join(src, "expbases", "cli.py")):
             parser.error(f"no expbases package under {src}")
     identical = consistent = True
     with tempfile.TemporaryDirectory(prefix="compare-reports-") as work:
-        for spec in args.rounds or DEFAULT_ROUNDS:
+        for spec in ROUNDS:
             same, agree = compare_round(spec, args.base_src, args.new_src, work)
             identical &= same
             consistent &= agree
