@@ -42,7 +42,10 @@ class SpectralWeight:
 
     inf_mod and sup_mod are taken from the node samples (inf over the
     support only). Named profiles additionally carry exact extremes so
-    that under-resolved sampling can be flagged.
+    that under-resolved sampling can be flagged. An affine profile, and
+    only it, carries affine = (offset, gradient), the weight offset +
+    <gradient, x> its samples come from, which exp_gram integrates in
+    closed form on box domains.
     """
 
     domain: Domain
@@ -54,10 +57,14 @@ class SpectralWeight:
     sup_mod: float
     exact_inf: Optional[float]
     exact_sup: Optional[float]
+    affine: Optional[tuple[float, np.ndarray]]
 
-    def __init__(self, domain, rule, values, profile="table", exact_inf=None, exact_sup=None):
+    def __init__(self, domain, rule, values, profile="table", exact_inf=None, exact_sup=None,
+                 affine=None):
         if profile not in _NAMED_PROFILES:
             raise ValueError(f"unknown profile {profile!r}")
+        if (profile == "affine") != (affine is not None):
+            raise ValueError("an affine profile carries its offset and gradient, and only it")
         vals = np.ascontiguousarray(np.asarray(values, dtype=complex))
         if vals.shape != (rule.n_nodes,):
             raise ValueError(f"need one value per node, got shape {vals.shape} for {rule.n_nodes} nodes")
@@ -77,6 +84,7 @@ class SpectralWeight:
         object.__setattr__(self, "sup_mod", float(mods.max()))
         object.__setattr__(self, "exact_inf", None if exact_inf is None else float(exact_inf))
         object.__setattr__(self, "exact_sup", None if exact_sup is None else float(exact_sup))
+        object.__setattr__(self, "affine", affine)
 
     @property
     def profile_mismatch(self) -> float:
@@ -142,8 +150,11 @@ def affine_weight(domain: Domain, offset: float, gradient,
     rule = _default_rule(domain, rule, nodes_per_axis)
     values = offset + rule.nodes @ gradient
     exact_inf, exact_sup = _affine_extremes(domain, float(offset), gradient)
+    gradient = gradient.copy()
+    gradient.setflags(write=False)
     return SpectralWeight(domain, rule, values.astype(complex), profile="affine",
-                          exact_inf=exact_inf, exact_sup=exact_sup)
+                          exact_inf=exact_inf, exact_sup=exact_sup,
+                          affine=(float(offset), gradient))
 
 
 def bump_values(x, steepness: float = 1.0) -> np.ndarray:
@@ -200,8 +211,8 @@ def table_weight(domain: Domain, rule: QuadratureRule, values) -> SpectralWeight
 def translation_gram(domain: Domain, freqs: FrequencySet, weight: SpectralWeight) -> GramMatrix:
     """Gram of the translation system: the |weight|^2-weighted exponential Gram.
 
-    exp_gram picks the route: the closed form for indicator and constant
-    profiles on box domains, the weight's quadrature rule otherwise.
+    exp_gram picks the route: the closed form for indicator, constant and
+    affine profiles on box domains, the weight's quadrature rule otherwise.
     """
     return exp_gram(domain, freqs, weight=weight)
 
@@ -243,6 +254,13 @@ def verify_riesz_transfer(domain: Domain, freqs: FrequencySet,
     squared modulus extremes of the weight. Both Gram matrices are built
     with matching provenance (one shared rule, or both closed form), so
     the sandwich holds at the discrete level up to SANDWICH_RTOL slack.
+    The window is scaled by the extremes of what the translation Gram
+    integrates: the weight's samples on its rule; their one modulus on the
+    closed form of an indicator or constant weight; the weight itself on
+    the closed form of an affine weight, so its exact extremes, which can
+    lie outside its samples. The report's inf_mod and sup_mod are the
+    samples' either way, and weight_resolution_flagged compares them with
+    the exact ones.
     """
     if weight.domain != domain:
         raise ValueError("weight was sampled on a different domain")
@@ -252,16 +270,18 @@ def verify_riesz_transfer(domain: Domain, freqs: FrequencySet,
             f"spectral weight vanishes at {missing} of {weight.rule.n_nodes} nodes; "
             "the Riesz transfer needs a nowhere-zero weight, use verify_frame_transfer")
     g_trans = translation_gram(domain, freqs, weight)
-    g_exp = exp_gram(domain, freqs,
-                     rule=None if g_trans.provenance == "closed_form" else weight.rule)
+    closed = g_trans.provenance == "closed_form"
+    g_exp = exp_gram(domain, freqs, rule=None if closed else weight.rule)
     exp_b = riesz_bounds(g_exp)
     trans_b = riesz_bounds(g_trans)
+    floor, ceil = ((weight.exact_inf, weight.exact_sup) if closed and weight.affine is not None
+                   else (weight.inf_mod, weight.sup_mod))
     return TransferReport(
         exp_bounds=exp_b,
         translation_bounds=trans_b,
         inf_mod=weight.inf_mod,
         sup_mod=weight.sup_mod,
-        **_sandwich(exp_b, trans_b, weight.inf_mod ** 2, weight.sup_mod ** 2),
+        **_sandwich(exp_b, trans_b, floor ** 2, ceil ** 2),
         weight_resolution_flagged=weight.profile_mismatch > PROFILE_MISMATCH_TOL,
     )
 

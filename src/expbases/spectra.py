@@ -3,9 +3,10 @@
 The exponential attached to a frequency a is x -> exp(-2 pi i <x, a>), and
 all Gram entries are integrals of products of such exponentials over the
 domain, optionally against a spectral weight. exp_gram alone decides how a
-Gram is integrated: box domains get a product of closed-form axis
-factors (one routine, _closed_form, for a single pair, a whole matrix or
-a table); everything else goes through midpoint quadrature. Either way an
+Gram is integrated: box domains, unweighted or under a weight of constant
+modulus or an affine weight, get products of closed-form axis moments
+(one routine, _closed_form, for a single pair, a whole matrix or a
+table); everything else goes through midpoint quadrature. Either way an
 entry depends only on the difference of two frequencies, so integer
 frequencies whose box of differences has at most n^2 points
 (_difference_box) are integrated once per difference vector and gathered
@@ -18,11 +19,12 @@ box of the domain's cells: moving the domain by -c multiplies each
 exponential by exp(-2 pi i <a, c>), so G = D G_0 D* with G_0 the centred
 Gram and D that unimodular diagonal. G_0 has G's spectrum and the same
 |G_ij - delta_ij|, so every reader here works on G_0. Its dtype follows
-its integral: float64 on a single box (_closed_form), else complex, real
-within rounding when the domain and |weight|^2 are symmetric about c;
-eigen_bounds solves either in real arithmetic, and certifies the Gram of
-an orthonormal system, the identity to rounding, by Gershgorin discs from
-the scan the Gram carries, with no solve at all. Entries that depend only
+its integral: float64 on a single box, unweighted or under a weight of
+constant modulus (_closed_form), else complex, real within rounding when
+the domain and |weight|^2 are symmetric about c; eigen_bounds solves
+either in real arithmetic, and certifies the Gram of an orthonormal
+system, the identity to rounding, by Gershgorin discs from the scan the
+Gram carries, with no solve at all. Entries that depend only
 on differences make the Gram of a set symmetric through its centre,
 listed in lexicographic order (every integer range), centrohermitian:
 eigen_bounds finds that in G_0 itself and solves it in real even/odd
@@ -200,26 +202,82 @@ class GramMatrix:
         return self.centred.shape[0]
 
 
-def _axis_factor(delta, width: float, offset: float) -> np.ndarray:
-    # Integral of exp(-2 pi i delta x) over an interval of that width whose
-    # midpoint lies offset from the centre; real when offset is 0.
-    factor = width * np.sinc(np.multiply(delta, width))
-    return factor if offset == 0.0 else factor * np.exp(-2j * np.pi * offset * delta)
+def _axis_moments(delta, width: float, degree: int) -> list[np.ndarray]:
+    """Moments of an interval of that width about its own midpoint: the
+    integrals of u^k exp(-2 pi i delta u) over [-width/2, width/2] for
+    k <= degree (0 or 2), each a real array.
+
+    With t = pi delta and theta = t width, M_0 = sin(theta) / t, exactly
+    width where delta is 0. M_1 is imaginary and listed as i M_1 =
+    (M_0 - width cos(theta)) / (2 t), the integral of u sin(2 pi delta u),
+    and M_2 = width^2 M_0 / 4 - i M_1 / t. Both cancel to a relative error
+    of about 6 eps / theta^2, so where |theta| < 1 they are summed from ten
+    terms of their Taylor series in theta instead, the first term left out
+    far below eps there; at delta = 0 that gives i M_1 = 0 and M_2 =
+    width^3 / 12.
+    """
+    turn = np.multiply(np.pi, delta)
+    theta = np.multiply(turn, width)
+    m0 = np.sin(theta) if degree else np.sin(theta, out=theta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(m0, turn, out=m0)
+        m0[delta == 0.0] = width
+        if degree == 0:
+            return [m0]
+        m1 = (m0 - width * np.cos(theta)) / (2.0 * turn)
+        m2 = (0.25 * width ** 2) * m0 - m1 / turn
+    small = np.abs(theta) < 1.0
+    if small.any():
+        theta = theta[small]
+        step = -theta ** 2
+        odd = even = 0.0
+        for n in range(10, 0, -1):
+            scale = math.factorial(2 * n + 1)
+            odd = odd * step + 2 * n / scale
+            even = even * step + 2 * n * (2 * n - 1) / scale
+        m1[small] = (0.5 * width ** 2) * theta * odd
+        m2[small] = (0.25 * width ** 3) * even
+    return [m0, m1, m2]
 
 
-def _closed_form(domain: Domain, deltas, centre) -> np.ndarray:
-    # Integral of exp(-2 pi i <delta, x>) over the box union moved by
+def _closed_form(domain: Domain, deltas, centre, affine=None) -> np.ndarray:
+    # Integral of |w|^2 exp(-2 pi i <delta, x>) over the box union moved by
     # -centre, for per-axis arrays of differences deltas[j] of one shape:
-    # per box, the product of the axis factors, the new factor the left
-    # operand (a complex product rounds by operand order, and tables and
-    # pairwise arrays must agree). A box's offset is box_centre of its cell
-    # less the centre, so a single box has offset 0 on every axis.
+    # w = 1, or w(x) = offset + <gradient, x> in the domain's coordinates
+    # for affine = (offset, gradient). Per box, about its midpoint m, from
+    # the axis moments (_axis_moments); then the phase exp(-2 pi i delta_j
+    # o_j) of every axis whose offset o_j = m_j - centre_j is not 0 (a
+    # single box has none), the new factor the left operand (a complex
+    # product rounds by operand order, and tables and pairwise arrays must
+    # agree).
     total = 0.0
     for lower, widths, _ in domain.cells():
-        offsets = box_centre(np.stack([lower, lower + widths])) - centre
-        factor = 1.0
-        for j, delta in enumerate(deltas):
-            factor = _axis_factor(delta, widths[j], offsets[j]) * factor
+        middle = box_centre(np.stack([lower, lower + widths]))
+        if affine is None:
+            factor = 1.0
+            for j, delta in enumerate(deltas):
+                factor = _axis_moments(delta, widths[j], 0)[0] * factor
+        else:
+            # With u = x - m and level = w(m), |w|^2 = level^2 + 2 level
+            # <g, u> + <g, u>^2. The integrals p_k of <g, u>^k over the axes
+            # so far follow the binomial rule, axis by axis; the imaginary
+            # p_1 is held as i p_1, so all three are real.
+            gradient = affine[1]
+            level = affine[0] + float(middle @ gradient)
+            for j, delta in enumerate(deltas):
+                m0, m1, m2 = _axis_moments(delta, widths[j], 2)
+                g = gradient[j]
+                if j == 0:
+                    p0, p1, p2 = m0, g * m1, g * g * m2
+                else:
+                    p0, p1, p2 = (p0 * m0, p1 * m0 + g * p0 * m1,
+                                  p2 * m0 - 2.0 * g * p1 * m1 + g * g * p0 * m2)
+            factor = np.empty(p0.shape, dtype=complex)
+            factor.real = level ** 2 * p0 + p2
+            factor.imag = -2.0 * level * p1
+        for j, offset in enumerate(middle - centre):
+            if offset != 0.0:
+                factor = np.exp(-2j * np.pi * offset * deltas[j]) * factor
         total = total + factor
     return total
 
@@ -265,7 +323,7 @@ def exp_inner_closed(domain: Domain, a, b) -> complex:
     if av.shape != (domain.dimension,) or bv.shape != (domain.dimension,):
         raise ValueError(
             f"frequencies must have dimension {domain.dimension}, got {av.shape} and {bv.shape}")
-    return complex(_closed_form(domain, av - bv, 0.0))
+    return complex(_closed_form(domain, (av - bv)[:, np.newaxis], 0.0)[0])
 
 
 def _coarse_fine(size: int) -> tuple[int, int]:
@@ -357,11 +415,17 @@ def exp_gram(domain: Domain, freqs: FrequencySet, weight=None,
 
     A weight contributes |weight|^2 inside the integral. This is the one
     place that picks how a Gram is integrated: a box domain with no
-    explicit rule, unweighted or under a weight of constant modulus
-    (indicator or constant profile), gets the closed form scaled by
-    sup|weight|^2; every other case uses midpoint quadrature, on the
-    weight's rule when there is a weight, else on rule or a fresh
-    nodes_per_axis rule. Either way a set with a small box of integer
+    explicit rule gets the closed form (_closed_form) when it is
+    unweighted or under a weight of constant modulus (indicator or
+    constant profile), scaled by sup|weight|^2, and under an affine
+    weight, whose |weight|^2 is a polynomial of degree 2 integrated from
+    the axis moments; there the weight's rule serves only its sampled
+    extremes. Every other case (mask domains, bump and table weights, an
+    explicit rule) uses midpoint quadrature, on the weight's rule when
+    there is a weight, else on rule or a fresh nodes_per_axis rule. A
+    weighted Gram's diagonal must stay within measure * sup|weight|^2,
+    the affine closed form's sup taken from the weight's exact extremes.
+    Either way a set with a small box of integer
     differences (_difference_box) is integrated once per difference and
     gathered (_gather); any other set takes every pairwise difference or
     the phase-matrix product, in real arithmetic (_pairwise_quadrature).
@@ -384,34 +448,37 @@ def exp_gram(domain: Domain, freqs: FrequencySet, weight=None,
     centre = box_centre(np.concatenate(
         [(lower, lower + widths) for lower, widths, _ in domain.cells()]))
     spans = _difference_box(points)
-    wsq = None
+    ceiling = None
     if (rule is None and domain.boxes
-            and (weight is None or weight.profile in ("indicator", "constant"))):
+            and (weight is None or weight.profile in ("indicator", "constant", "affine"))):
         provenance = "closed_form"
         if spans is None:
             deltas = [col[:, np.newaxis] - col[np.newaxis, :] for col in points.T]
         else:
             deltas = np.meshgrid(*(np.arange(-span, span + 1, dtype=float) for span in spans),
                                  indexing="ij")
-        table = _closed_form(domain, deltas, centre)
-        if weight is not None and weight.sup_mod != 1.0:
+        affine = None if weight is None else weight.affine
+        table = _closed_form(domain, deltas, centre, affine)
+        if affine is not None:
+            ceiling = weight.exact_sup ** 2
+        elif weight is not None and weight.sup_mod != 1.0:
             table = table * weight.sup_mod ** 2
     else:
         provenance = "quadrature"
         if weight is not None:
             rule, wsq = weight.rule, np.abs(weight.values) ** 2
-        elif rule is None:
-            rule = quadrature(domain, nodes_per_axis)
-        coeff = rule.weights if wsq is None else rule.weights * wsq
+            coeff, ceiling = rule.weights * wsq, float(np.max(wsq))
+        else:
+            rule = rule if rule is not None else quadrature(domain, nodes_per_axis)
+            coeff = rule.weights
         nodes = rule.nodes - centre
         if spans is None:
             table = _pairwise_quadrature(nodes, coeff, points)
         else:
             table = _quadrature_table(nodes, coeff, spans)
     centred = table if spans is None else _gather(table, points, spans)
-    if wsq is not None:
-        cap = domain.measure * float(np.max(wsq))
-        if float(np.max(np.diagonal(centred).real)) > cap * (1.0 + 1e-9):
+    if ceiling is not None:
+        if float(np.max(np.diagonal(centred).real)) > domain.measure * ceiling * (1.0 + 1e-9):
             raise RuntimeError("weighted Gram diagonal exceeds measure * sup|weight|^2")
     # <a, c> turns, less the nearest whole turn: 2 pi times a large <a, c>
     # would round by |<a, c>| eps, and matrix would carry that into every

@@ -9,9 +9,12 @@ node sum, so it shares no code with the closed form in spectra, nor the
 Gram assembly, the centring or the Kronecker layout of gabor_gram. The
 closed-form axis integral of a whole array (interval_integral) is a
 difference of exponentials with its own zero case, where the library
-takes a sinc. The quadrature Gram is one product of the full
-node-by-frequency phase matrix with its weighted conjugate, with no table
-of frequency differences.
+takes sin(pi delta w) / (pi delta). The quadrature Gram is one product of
+the full node-by-frequency phase matrix with its weighted conjugate, with
+no table of frequency differences. The Gram under an affine weight (affine_gram)
+is composite Gauss-Legendre quadrature of the weight's monomials in the
+domain's own coordinates, where the library sums closed-form moments
+about each box's midpoint.
 """
 
 from itertools import combinations
@@ -104,25 +107,83 @@ def box_integral(boxes, delta) -> complex:
     return total
 
 
+# Gauss-Legendre nodes per panel of affine_gram; a panel spans at most
+# one period of every exponential it integrates.
+LEGENDRE_NODES = 16
+
+
+def legendre_axis(lo: float, hi: float, top: float) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre nodes and weights on [lo, hi], in panels
+    no longer than 1 / top."""
+    panels = int(np.ceil((hi - lo) * top)) + 1
+    x, w = np.polynomial.legendre.leggauss(LEGENDRE_NODES)
+    edges = np.linspace(lo, hi, panels + 1)
+    half = 0.5 * np.diff(edges)[:, np.newaxis]
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, np.newaxis]
+    return (mid + half * x).reshape(-1), (half * w).reshape(-1)
+
+
+def affine_gram(boxes, offset: float, gradient, points) -> np.ndarray:
+    """G[r, c] = integral of (offset + <gradient, x>)^2 exp(-2 pi i <a_r -
+    a_c, x>) over a union of boxes, for the rows a of points.
+
+    The square is expanded into monomials prod_j x_j^k_j (sum of k_j at
+    most 2). Over a box, each is a product over axes of one-axis Gauss-
+    Legendre sums P^T diag(w x^k) conj(P), P the node-by-frequency phase
+    matrix of the axis, whose panels span at most one period of the
+    largest difference on it.
+    """
+    points = np.asarray(points, dtype=float).reshape(len(points), -1)
+    dim = points.shape[1]
+    gradient = np.atleast_1d(np.asarray(gradient, dtype=float))
+    terms = {(0,) * dim: offset ** 2}
+    for j in range(dim):
+        terms[tuple(int(i == j) for i in range(dim))] = 2.0 * offset * gradient[j]
+        for k in range(j, dim):
+            powers = tuple(int(i == j) + int(i == k) for i in range(dim))
+            terms[powers] = (1.0 if j == k else 2.0) * gradient[j] * gradient[k]
+    out = np.zeros((points.shape[0],) * 2, dtype=complex)
+    for box in boxes:
+        moments = []
+        for j in range(dim):
+            col = points[:, j]
+            x, w = legendre_axis(box.lower[j], box.upper[j], max(float(np.ptp(col)), 1.0))
+            phases = np.exp(-2j * np.pi * np.outer(x, col))
+            moments.append([phases.T @ ((w * x ** k)[:, np.newaxis] * phases.conj())
+                            for k in range(3)])
+        for powers, coeff in terms.items():
+            term = coeff
+            for j, k in enumerate(powers):
+                term = term * moments[j][k]
+            out += term
+    return out
+
+
 def product_system_gram(base_domain, modulations, translations, window) -> np.ndarray:
     """Gram of the product system, one entry per pair of members.
 
     Row r is modulation r // n_translations with translation
     r % n_translations. The modulation entry is box_integral on the base
     domain. The translation entry is sup|window|^2 times box_integral for
-    an indicator or constant window on boxes,
-    else an explicit sum over the window's nodes. No Kronecker product
-    and no factor matrix is formed.
+    an indicator or constant window on boxes, affine_gram's for an affine
+    window on boxes, else an explicit sum over the window's nodes. No
+    Kronecker product and no factor matrix is formed.
     """
     n_t = translations.size
     order = modulations.size * n_t
-    closed = bool(window.domain.boxes) and window.profile in ("indicator", "constant")
+    boxes = window.domain.boxes
+    closed = bool(boxes) and window.profile in ("indicator", "constant")
+    affine = (affine_gram(boxes, window.affine[0], window.affine[1], translations.points)
+              if boxes and window.profile == "affine" else None)
     nodes = window.rule.nodes
     coeff = window.rule.weights * np.abs(window.values) ** 2
 
-    def translation_entry(a, b):
+    def translation_entry(r, c):
+        a, b = translations.points[r], translations.points[c]
         if closed:
-            return window.sup_mod ** 2 * box_integral(window.domain.boxes, a - b)
+            return window.sup_mod ** 2 * box_integral(boxes, a - b)
+        if affine is not None:
+            return affine[r, c]
         return complex(np.sum(coeff * np.exp(-2j * np.pi * (nodes @ (a - b)))))
 
     out = np.empty((order, order), dtype=complex)
@@ -130,8 +191,7 @@ def product_system_gram(base_domain, modulations, translations, window) -> np.nd
         for c in range(order):
             mod = box_integral(base_domain.boxes,
                                modulations.points[r // n_t] - modulations.points[c // n_t])
-            out[r, c] = mod * translation_entry(translations.points[r % n_t],
-                                                translations.points[c % n_t])
+            out[r, c] = mod * translation_entry(r % n_t, c % n_t)
     return out
 
 

@@ -10,7 +10,8 @@ import generators
 import oracles
 from expbases import (Box, FrequencySet, Pcg32, affine_weight, bump_window, constant_weight,
                       eigen_bounds, exp_gram, hermitian_defect, lattice_truncation,
-                      make_domain, make_mask_domain, numerics, riesz_bounds, translation_gram)
+                      make_domain, make_mask_domain, numerics, quadrature, riesz_bounds,
+                      table_weight, translation_gram)
 from expbases.cli import main
 from expbases.numerics import HERMITICITY_TOL, RESIDUAL_CAP
 from expbases.spectra import box_centre
@@ -292,6 +293,7 @@ def symmetric_subset(seed, shuffled=False):
 
 UNION_2D = make_domain([Box([0.0, 0.0], [1.0, 1.0]), Box([1.25, 0.0], [1.75, 0.5])])
 SQUARE = make_domain([Box([0.25, -0.5], [1.25, 0.5])])
+SQUARE_RULE = quadrature(SQUARE, 12)
 # 3/4 of SQUARE per axis: on SQUARE itself the Gram of integer frequencies
 # is diagonal to rounding.
 SMALL_SQUARE = make_domain([Box([0.25, -0.5], [1.0, 0.25])])
@@ -306,6 +308,9 @@ REFLECTED_GRAMS = {
         freqs, nodes_per_axis=8), "f"),
     "affine-weight": (lambda freqs: translation_gram(
         SQUARE, freqs, affine_weight(SQUARE, 2.5, [0.75, -0.5], nodes_per_axis=12)), "f"),
+    # The same node values as a table: the weighted quadrature route.
+    "table-weight": (lambda freqs: translation_gram(SQUARE, freqs, table_weight(
+        SQUARE, SQUARE_RULE, 2.5 + SQUARE_RULE.nodes @ np.array([0.75, -0.5]))), "f"),
     "symmetric-box": (lambda freqs: exp_gram(SMALL_SQUARE, freqs), "ff"),
 }
 
@@ -334,7 +339,7 @@ def test_a_reflected_solve_matches_the_eigh_oracle(seed, kind, eigvalsh_dtypes):
 
 
 @pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("kind", ["box-union", "mask", "affine-weight"])
+@pytest.mark.parametrize("kind", ["box-union", "mask", "affine-weight", "table-weight"])
 def test_a_shuffled_symmetric_set_is_solved_unsplit(seed, kind, eigvalsh_dtypes):
     # The reflection no longer reverses the order, so the Gram is not
     # centrohermitian as it stands: one matrix is solved. (On the unit

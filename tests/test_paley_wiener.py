@@ -30,6 +30,7 @@ from expbases import (
     verify_riesz_transfer,
     zd_periodization,
 )
+from expbases import spectra
 
 UNIT = make_domain([Box(0.0, 1.0)])
 BAND = make_domain([Box(-0.5, 0.5)])
@@ -356,3 +357,39 @@ def test_periodization_resolution_validated():
 def test_periodization_profile_rejects_parameters_of_other_kinds():
     with pytest.raises(TypeError, match="scale"):
         periodization_profile("triangle", lower=0.0, upper=2.0, scale=2.0)
+
+
+@pytest.mark.parametrize("nodes", [1, 2])
+def test_an_exact_transfer_predicts_from_the_exact_extremes(nodes):
+    # 1 + x ranges over [1, 2] on the unit interval, and its samples at one
+    # or two midpoints lie strictly inside. Both Grams are exact, and the
+    # translation bounds spread past the samples' window: only the exact
+    # extremes predict a sandwich that holds.
+    weight = affine_weight(UNIT, 1.0, [1.0], nodes_per_axis=nodes)
+    assert (weight.exact_inf, weight.exact_sup) == (1.0, 2.0)
+    assert 1.0 < weight.inf_mod <= weight.sup_mod < 2.0
+    rep = verify_riesz_transfer(UNIT, lattice_truncation(-20, 20), weight)
+    exp_b, trans_b = rep.exp_bounds, rep.translation_bounds
+    assert rep.sandwich_holds
+    assert (rep.predicted_lower, rep.predicted_upper) == (exp_b.lower, 4.0 * exp_b.upper)
+    assert trans_b.lower < weight.inf_mod ** 2 * exp_b.lower * (1.0 - 1e-2)
+    assert trans_b.upper > weight.sup_mod ** 2 * exp_b.upper * (1.0 + 1e-2)
+    # The report keeps the samples' extremes, and flags them.
+    assert (rep.inf_mod, rep.sup_mod) == (weight.inf_mod, weight.sup_mod)
+    assert rep.weight_resolution_flagged
+
+
+def test_affine_transfers_on_boxes_take_no_quadrature(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an affine Gram on boxes took a quadrature route")
+    monkeypatch.setattr(spectra, "_pairwise_quadrature", refuse)
+    monkeypatch.setattr(spectra, "_quadrature_table", refuse)
+    union = make_domain([Box([0.0, 0.0], [1.0, 1.0]), Box([1.25, 0.0], [1.75, 0.5])])
+    for domain, freqs, gradient in (
+            (UNIT, FrequencySet(np.arange(-20.0, 20.0) + Pcg32(3).uniforms(40, -0.2, 0.2)), [0.7]),
+            (UNIT, lattice_truncation(-20, 20), [0.7]),
+            (make_domain([Box([0.0, 0.0], [1.0, 1.0])]), lattice_truncation(-4, 3, 2),
+             [0.6, -0.4]),
+            (union, lattice_truncation(-4, 3, 2), [0.6, -0.4])):
+        rep = verify_riesz_transfer(domain, freqs, affine_weight(domain, 2.5, gradient, 32))
+        assert rep.sandwich_holds

@@ -26,6 +26,7 @@ from expbases import (
     make_mask_domain,
     quadrature,
     riesz_bounds,
+    table_weight,
     translation_gram,
     verify_frame_transfer,
     verify_riesz_transfer,
@@ -255,12 +256,18 @@ TABLE_ROUTE = {
 }
 
 
+def affine_table_weight(domain, nodes, offset, gradient):
+    """The table weight with the node values of affine_weight(domain,
+    offset, gradient, nodes): the same samples, on the quadrature route."""
+    rule = quadrature(domain, nodes)
+    return table_weight(domain, rule, offset + rule.nodes @ np.asarray(gradient, dtype=float))
+
+
 def quadrature_gram_and_oracle(domain, nodes, freqs, weighted, centred=False):
     """The library's quadrature Gram and the phase-matrix oracle's, on the
     rule moved by minus the domain's centre when centred is set."""
     if weighted:
-        weight = affine_weight(domain, 3.0, [0.5, -0.25, 0.75][:domain.dimension],
-                               nodes_per_axis=nodes)
+        weight = affine_table_weight(domain, nodes, 3.0, [0.5, -0.25, 0.75][:domain.dimension])
         rule, weight_sq = weight.rule, np.abs(weight.values) ** 2
         gram = exp_gram(domain, freqs, weight=weight)
     else:
@@ -271,7 +278,7 @@ def quadrature_gram_and_oracle(domain, nodes, freqs, weighted, centred=False):
     return gram, oracles.dense_quadrature_gram(rule, freqs, weight_sq)
 
 
-@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "affine"])
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "table-weight"])
 @pytest.mark.parametrize("case", TABLE_ROUTE)
 def test_integer_quadrature_grams_match_the_phase_matrix_product(case, weighted):
     domain, nodes, points = TABLE_ROUTE[case]
@@ -292,7 +299,7 @@ DENSE_ROUTE = {
 }
 
 
-@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "affine"])
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "table-weight"])
 @pytest.mark.parametrize("case", DENSE_ROUTE)
 def test_other_frequency_sets_keep_the_phase_matrix_product(case, weighted, monkeypatch):
     # The pairwise route forms the product from real cos and sin tables, so
@@ -481,7 +488,8 @@ def test_every_gram_route_carries_the_centre_phase():
     want = np.exp(-2j * np.pi * (freqs.points @ centre))
     weight = affine_weight(union, 3.0, [0.5, -0.25], nodes_per_axis=6)
     for gram in (exp_gram(union, freqs), exp_gram(union, freqs, nodes_per_axis=6),
-                 exp_gram(union, freqs, weight=weight)):
+                 exp_gram(union, freqs, weight=weight),
+                 exp_gram(union, freqs, weight=affine_table_weight(union, 6, 3.0, [0.5, -0.25]))):
         assert np.max(np.abs(gram.phase - want)) <= 1e-14
     mask = make_mask_domain([-0.5, 0.25], [3, 2], [0.5, 0.5],
                             [False, True, True, True, True, False])
@@ -537,6 +545,10 @@ SOLVES = [
         SHIFTED_UNIT, lattice_truncation(-40, 23),
         affine_weight(SHIFTED_UNIT, 2.0, [1.0], nodes_per_axis=128))), "f", 1,
         id="affine-translation-gram"),
+    pytest.param(lambda: riesz_bounds(translation_gram(
+        SHIFTED_UNIT, lattice_truncation(-40, 23),
+        affine_table_weight(SHIFTED_UNIT, 128, 2.0, [1.0]))), "f", 1,
+        id="table-translation-gram"),
 ]
 
 
@@ -686,3 +698,77 @@ def test_an_off_centre_union_gives_a_complex_gram():
     assert gram.provenance == "closed_form"
     assert gram.centred.dtype == np.complex128
     assert np.max(np.abs(gram.centred.imag)) > 1e-3
+
+
+AFFINE_UNION = make_domain([Box([0.0, 0.0], [1.0, 1.0]), Box([1.25, 0.0], [1.75, 0.5])])
+OFF_CENTRE = make_domain([Box(0.375, 1.625)])
+
+# Affine weights offset + <gradient, x> on boxes: (domain, frequencies,
+# offset, gradient, whether the Gram is Toeplitz). Differences down to
+# 1e-9 take the moments' series branch.
+AFFINE_GRAMS = {
+    "1d-centred-box-scattered": (make_domain([Box(-0.5, 0.5)]),
+                                 np.arange(-8.0, 9.0) * 0.73, 1.5, [0.9], False),
+    "1d-off-centre-box-range": (OFF_CENTRE, lattice_truncation(-8, 8).points, 1.0, [-0.6], True),
+    "1d-off-centre-box-scattered": (OFF_CENTRE, np.arange(-6.0, 7.0)
+                                    + Pcg32(9).uniforms(13, -0.2, 0.2), 1.0, [-0.6], False),
+    "2d-box-cross-term": (make_domain([Box([0.25, -0.5], [1.25, 0.75])]),
+                          lattice_truncation(-3, 3, 2).points, 2.0, [0.7, -0.9], True),
+    "2d-union-range": (AFFINE_UNION, lattice_truncation(-4, 3, 2).points, 2.8, [0.6, -0.4], True),
+    "2d-union-scattered": (AFFINE_UNION, lattice_truncation(-3, 2, 2).points * 0.87 + 0.1,
+                           2.8, [0.6, -0.4], False),
+    "1d-small-differences": (OFF_CENTRE, [0.0, 1e-9, 3e-9, 2e-7, 1e-4, 0.05, 0.31, 1.7],
+                             1.0, [-0.6], False),
+    "2d-small-differences": (AFFINE_UNION, [[0.0, 0.0], [1e-9, 0.0], [0.0, 2e-9], [3e-9, -1e-9],
+                                            [1e-4, 0.2], [0.4, 1e-7]], 2.8, [0.6, -0.4], False),
+}
+
+
+@pytest.mark.parametrize("case", AFFINE_GRAMS)
+def test_affine_grams_on_boxes_match_the_gauss_legendre_oracle(case):
+    domain, points, offset, gradient, toeplitz = AFFINE_GRAMS[case]
+    freqs = FrequencySet(points)
+    assert (spectra._difference_box(freqs.points) is not None) == toeplitz
+    gram = exp_gram(domain, freqs, weight=affine_weight(domain, offset, gradient, 3))
+    want = oracles.affine_gram(domain.boxes, offset, gradient, freqs.points)
+    assert gram.provenance == "closed_form"
+    assert np.max(np.abs(gram.matrix - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+# The three affine transfer shapes of the dense_grams benchmark workload:
+# (domain, frequencies, offset, gradient, nodes per axis).
+BENCHMARK_AFFINE_SHAPES = {
+    "1d-kadec-320": (make_domain([Box(0.0, 1.0)]),
+                     np.arange(-160.0, 160.0) + Pcg32(7).uniforms(320, -0.2, 0.2),
+                     2.3, [0.7], 1024),
+    "2d-range-484-box": (make_domain([Box([0.0, 0.0], [1.0, 1.0])]),
+                         lattice_truncation(-11, 10, 2).points, 2.8, [0.6, -0.4], 45),
+    "2d-range-484-union": (AFFINE_UNION, lattice_truncation(-11, 10, 2).points,
+                           2.8, [0.6, -0.4], 32),
+}
+
+
+@pytest.mark.parametrize("case", BENCHMARK_AFFINE_SHAPES)
+def test_the_benchmark_affine_translation_grams_match_the_oracle(case):
+    domain, points, offset, gradient, nodes = BENCHMARK_AFFINE_SHAPES[case]
+    freqs = FrequencySet(points)
+    gram = translation_gram(domain, freqs, affine_weight(domain, offset, gradient, nodes))
+    want = oracles.affine_gram(domain.boxes, offset, gradient, freqs.points)
+    assert np.max(np.abs(gram.matrix - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+def test_the_affine_closed_form_checks_its_diagonal_against_the_exact_supremum():
+    weight = affine_weight(OFF_CENTRE, 2.0, [0.1], 4)
+    freqs = FrequencySet([0.0, 0.5])
+    assert exp_gram(OFF_CENTRE, freqs, weight=weight).provenance == "closed_form"
+    object.__setattr__(weight, "exact_sup", 0.9 * weight.exact_sup)
+    with pytest.raises(RuntimeError, match="measure"):
+        exp_gram(OFF_CENTRE, freqs, weight=weight)
+
+
+def test_an_affine_profile_carries_its_coefficients():
+    rule = quadrature(UNIT, 4)
+    with pytest.raises(ValueError, match="affine profile"):
+        paley_wiener.SpectralWeight(UNIT, rule, np.ones(4), profile="affine")
+    with pytest.raises(ValueError, match="affine profile"):
+        paley_wiener.SpectralWeight(UNIT, rule, np.ones(4), affine=(1.0, np.zeros(1)))
