@@ -67,8 +67,9 @@ class SchemaError(Exception):
 # The scenario schema: specs are data, and _check walks a JSON value
 # against one. The forms are
 #   _Leaf(what, test, convert): a value that passes test, converted if a
-#     converter is given (_INT, _NUM for any number, _STR, _BOOL, _COMPLEX
-#     for a number or [re, im], _at_least(n) for an int of at least n);
+#     converter is given (_INT, _NUM for any finite number, _STR, _BOOL,
+#     _COMPLEX for a finite number or [re, im], _at_least(n) for an int of
+#     at least n);
 #   [item]: a nonempty list of items; (a, b, ...): a list, one spec per place;
 #   _Array(leaf, rank): a leaf, or nonempty lists nested at most rank deep
 #     around leaves (any depth when rank is None);
@@ -101,7 +102,9 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    # json.load reads NaN, Infinity and -Infinity as floats; no field takes them.
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and (isinstance(value, int) or math.isfinite(value)))
 
 
 def _at_least(lo: int) -> _Leaf:
@@ -109,11 +112,11 @@ def _at_least(lo: int) -> _Leaf:
 
 
 _INT = _Leaf("int", _is_int)
-_NUM = _Leaf("number", _is_number)
+_NUM = _Leaf("finite number", _is_number)
 _STR = _Leaf("str", lambda v: isinstance(v, str))
 _BOOL = _Leaf("bool", lambda v: isinstance(v, bool))
 _COMPLEX = _Leaf(
-    "a number or [re, im]",
+    "a finite number or [re, im]",
     lambda v: _is_number(v) or (isinstance(v, list) and len(v) == 2
                                 and all(map(_is_number, v))),
     lambda v: complex(*v) if isinstance(v, list) else complex(v))

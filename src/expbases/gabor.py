@@ -83,7 +83,7 @@ def vv_onb_check(base_domain: Domain, modulations: FrequencySet,
     mod_v = is_orthonormal_system(mod_gram, tol)
     trans_v = is_orthonormal_system(trans_gram, tol)
     gabor_v = is_orthonormal_system(full, tol)
-    diag = np.real(np.diag(trans_gram.centred))
+    diag = trans_gram.operand.diagonal().real
     window_normalized = bool(np.max(np.abs(diag - 1.0)) <= tol)
     return VvOnbReport(
         gabor=gabor_v,

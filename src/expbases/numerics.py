@@ -26,17 +26,30 @@ J M J = conj(M) with J the reversal (a Gram on an integer range in
 lexicographic order; a frame operator whose nodes and weight are
 symmetric in their order), is real in J's even/odd basis, and is solved
 there, in two halves when the halves do not couple. No caller says that
-a matrix has this structure: eigen_bounds screens one row against its
+an array has this structure: eigen_bounds screens one row against its
 mirror, and measures every part that must vanish.
+
+A Gram on frequencies that are a whole integer box in lexicographic order
+(every integer range) is held as its difference table t, M[r, c] =
+t(a_r - a_c), in a _ToeplitzSection, and is never formed as an n x n
+array on the way to eigvalsh. Every difference of the box occurs in M,
+so the scan reads the table: max |M|, the Hermitian defect and the
+largest off-diagonal modulus to the last bit, the Gershgorin radii from
+windowed sums of |t|. The reversal maps the box onto itself, so the
+Hermitian part of M is centrohermitian exactly, and its even and odd
+halves and their coupling are gathered as real arrays straight from the
+table of (t(delta) + conj t(-delta)) / 2. Both routes end in the same
+solve and certificate (_certified).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 # Largest matrix order the dense solver accepts.
 ORDER_CAP = 512
@@ -100,26 +113,47 @@ def hermitian_defect(matrix) -> tuple[float, tuple[int, int]]:
     return defect, at
 
 
-def hermitian_scan(matrix) -> tuple[float, float, tuple[int, int], float]:
-    """(max |M|, defect, (i, j), radius): what every Hermiticity gate and
-    the disc route of eigen_bounds read, from one call and one |M|.
+class HermitianScan(NamedTuple):
+    """What every Hermiticity gate, the disc route of eigen_bounds and an
+    orthonormality check read of a matrix M, from one scan of it.
 
-    defect and (i, j) are hermitian_defect's. radius bounds every
-    Gershgorin radius of the Hermitian part (M + M*) / 2 from above: the
-    largest half sum of the off-diagonal moduli in a row and in its column,
-    summed with the diagonal zeroed (a full row sum less |M[i,i]| would
-    cancel) and rounded up for the summation.
+    top is max |M|; defect and at are hermitian_defect's value and entry;
+    radius bounds every Gershgorin radius of the Hermitian part
+    (M + M*) / 2 from above; off_diagonal is the largest modulus off the
+    diagonal (0 for order 1).
+    """
+
+    top: float
+    defect: float
+    at: tuple[int, int]
+    radius: float
+    off_diagonal: float
+
+
+def _rounded_up_radius(half_sums: float, n: int) -> float:
+    # Each modulus and each of the at most n additions behind a row plus
+    # column sum of moduli rounds by a relative eps at most.
+    return half_sums * (1.0 + 2.0 * n * np.finfo(float).eps)
+
+
+def hermitian_scan(matrix) -> HermitianScan:
+    """One pass of |M| for the scan: the row and column sums behind radius
+    are taken with the diagonal zeroed (a full row sum less |M[i,i]| would
+    cancel), and the largest half sum of a row and its column is rounded
+    up for the summation. The same zeroed |M| gives off_diagonal, and top
+    is the larger of it and the diagonal's moduli.
     """
     m = _as_square(matrix)
     n = m.shape[0]
     defect, at = hermitian_defect(m)
     mods = np.abs(m)
-    top = float(np.max(mods))
+    diagonal = float(np.max(mods.diagonal()))
     mods.flat[::n + 1] = 0.0
-    # Each modulus and each of the at most n additions behind a row plus
-    # column sum rounds by a relative eps at most.
+    off = float(np.max(mods))
+    # np.max keeps a NaN on either side, as the max over all of |M| would.
+    top = float(np.max([off, diagonal]))
     radius = 0.5 * float(np.max(mods.sum(axis=0) + mods.sum(axis=1)))
-    return top, defect, at, radius * (1.0 + 2.0 * n * np.finfo(float).eps)
+    return HermitianScan(top, defect, at, _rounded_up_radius(radius, n), off)
 
 
 def hermiticity_ceiling(top: float, tol: float) -> float:
@@ -181,6 +215,28 @@ def _turned(m: np.ndarray) -> list[list[np.ndarray]]:
     return blocks
 
 
+def _arranged(orders: tuple, coupling: Optional[np.ndarray],
+              ceiling: float) -> tuple[list, list, float]:
+    """(halves, out, dropped): the matrices to solve for diagonal blocks of
+    the given orders, and the buffers the caller writes those blocks into.
+
+    With no coupling each block is a matrix of its own. A coupling between
+    two blocks within the ceiling is dropped, and dropped is its squared
+    Frobenius norm, counted above and below the diagonal; any other
+    coupling joins the blocks into one whole matrix, written off its
+    diagonal here.
+    """
+    if coupling is None or (coupling.size and float(np.abs(coupling).max()) <= ceiling):
+        halves = [np.empty((k, k)) for k in orders]
+        dropped = 0.0 if coupling is None else 2.0 * float(np.vdot(coupling, coupling))
+        return halves, halves, dropped
+    q = orders[0]
+    whole = np.empty((sum(orders),) * 2)
+    whole[:q, q:] = coupling
+    whole[q:, :q] = coupling.T
+    return [whole], [whole[:q, :q], whole[q:, q:]], 0.0
+
+
 def _real_halves(blocks: list[list[np.ndarray]], scale: float,
                  ceiling: float) -> Optional[tuple[list, float]]:
     """The real symmetric matrices whose joint spectrum stands for that of
@@ -191,8 +247,8 @@ def _real_halves(blocks: list[list[np.ndarray]], scale: float,
     imaginary part is measured, gated at the Hermiticity ceiling and
     dropped, and the symmetric real part of T is solved: its even and odd
     halves apart when the coupling between them is within the ceiling too
-    (and is dropped), else whole. Each dropped part moves no eigenvalue by
-    more than its Frobenius norm (Weyl).
+    (and is dropped, _arranged), else whole. Each dropped part moves no
+    eigenvalue by more than its Frobenius norm (Weyl).
     """
     slack = 0.0
     if np.iscomplexobj(blocks[0][0]):
@@ -202,103 +258,157 @@ def _real_halves(blocks: list[list[np.ndarray]], scale: float,
             return None
         slack = scale ** 2 * sum(float(np.dot(d, d)) for d in dropped)
     diagonal = [row[k] for k, row in enumerate(blocks)]
-    halves = out = [np.empty(block.shape) for block in diagonal]
+    coupling = None
     if len(blocks) == 2:
-        (even, upper), (lower, odd) = blocks
+        (_, upper), (lower, _) = blocks
         coupling = upper.real + lower.real.T
         coupling *= 0.5 * scale
-        if coupling.size and float(np.abs(coupling).max()) <= ceiling:
-            # The coupling sits above and below the diagonal.
-            slack += 2.0 * float(np.vdot(coupling, coupling))
-        else:
-            q = even.shape[0]
-            whole = np.empty((q + odd.shape[0],) * 2)
-            whole[:q, q:] = coupling
-            whole[q:, :q] = coupling.T
-            halves, out = [whole], [whole[:q, :q], whole[q:, q:]]
+    halves, out, dropped = _arranged(tuple(block.shape[0] for block in diagonal), coupling,
+                                     ceiling)
     for block, half in zip(diagonal, out):
         np.add(block.real, block.real.T, out=half)
         half *= 0.5 * scale
-    return halves, math.sqrt(slack)
+    return halves, math.sqrt(slack + dropped)
 
 
-def eigen_bounds(matrix, *, scan: Optional[tuple] = None) -> EigenBounds:
-    """Extreme eigenvalues, certified by Sylvester's law of inertia.
+def _matrix_halves(m: np.ndarray, ceiling: float, top: float) -> tuple[list, float]:
+    """The matrices eigen_bounds solves for a Hermitian M, and the Weyl
+    distance from their joint spectrum to that of M's Hermitian part.
 
-    Rejects non-square input, orders above ORDER_CAP, and matrices whose
-    Hermitian defect exceeds HERMITICITY_TOL * max(1, max |M|) (the
-    offending entry is named).
-
-    A matrix that is diagonal to rounding is certified by discs, with no
-    eigen solve. Every eigenvalue of H = (M + M*) / 2 lies in a Gershgorin
-    disc about some H[i,i] = Re M[i,i] of radius at most the scan's radius
-    r, and the Rayleigh quotients e_i^T H e_i = Re M[i,i] put lambda_min at
-    or below their minimum and lambda_max at or above their maximum. So
-    when r is no larger than order * eps * max |M|, the margin the dense
-    route starts from, the bounds are the least and largest Re M[i,i] with
-    margin r. Any other matrix, and any with a NaN or infinite entry, takes
-    the dense route.
-
-    On the dense route eigvalsh gives lambda_min and lambda_max;
-    Cholesky factorizations of H - (lambda_min - margin) I and
-    (lambda_max + margin) I - H then show that no eigenvalue of each
-    solved matrix H lies outside the reported range by more than margin.
-    The margin starts at order * eps * max(|lambda_min|, |lambda_max|) and
-    doubles after a failed factorization. An eigensolver that fails to
-    converge, or a margin that would exceed RESIDUAL_CAP * max |M| * order,
-    raises instead of returning a partial answer.
-
-    The solved matrices are real (_real_halves) whenever M is float64 or
-    the parts of M that must vanish are within that Hermiticity ceiling,
-    measured on the routes below in turn. When M passes the O(n) screen for
-    J M J = conj(M), J the reversal (_mirrored), M is turned into J's
-    even/odd basis: two real symmetric halves of orders about n / 2, or
-    one real matrix of order n when the halves couple; the margin also
-    carries 3 n eps max |M| for the rounding of the basis change. When M
-    fails the screen, or the turned matrix is not real, the route is
-    (Re M + Re M^T) / 2. By Weyl's inequality the Hermitian part of M
-    differs from the solved matrices in each eigenvalue by at most the
-    Frobenius norm of the dropped parts, which is added to the certified
-    margin. Otherwise the Hermitian part (M + M*) / 2 is solved in
-    complex arithmetic.
-
-    scan is hermitian_scan(matrix) when the caller already holds it for
-    this very matrix (a GramMatrix carries its own), so the matrix is not
-    scanned twice; without it the scan runs here. The gate is the same.
+    When M passes the screen for J M J = conj(M) (_mirrored) and turns
+    into a real matrix in J's even/odd basis (_turned, _real_halves), that
+    matrix or its two halves, with the basis change's rounding in the
+    slack: an entry of T is half a sum of four entries of M, within
+    2 sqrt(2) eps max |M| of its value, or in the middle row or column
+    within 3 eps max |M|; so T is within 3 n eps max |M| in Frobenius norm.
+    Else (Re M + Re M^T) / 2 when M is real within the ceiling, and else
+    the Hermitian part (M + M*) / 2 in complex arithmetic.
     """
-    m = _as_square(matrix)
-    n = m.shape[0]
-    if n > ORDER_CAP:
-        raise ValueError(f"order {n} exceeds the dense-solver cap {ORDER_CAP}; shrink the truncation")
-    top, defect, (i, j), radius = hermitian_scan(m) if scan is None else scan
-    ceiling = hermiticity_ceiling(top, HERMITICITY_TOL)
-    if defect > ceiling:
-        raise ValueError(
-            f"matrix is not Hermitian: |M[{i},{j}] - conj(M[{j},{i}])| = {defect:.3e} "
-            f"exceeds {ceiling:g}")
-    scale = top * n
-    if scale == 0.0:
-        return EigenBounds(0.0, 0.0, 0.0)
-    eps = np.finfo(float).eps
-    # Written so that NaN or infinite values take the dense route.
-    if radius <= eps * scale < np.inf:
-        diagonal = m.diagonal().real
-        return EigenBounds(float(diagonal.min()), float(diagonal.max()), radius)
-    # The eigensolver and both certificates read the same matrices; slack
-    # is the Weyl distance from their joint spectrum to that of M's
-    # Hermitian part.
-    real = None
     if _mirrored(m, ceiling):
         real = _real_halves(_turned(m), 0.5, ceiling)
         if real is not None:
-            # The basis change rounds: an entry of T is half a sum of four
-            # entries of M, within 2 sqrt(2) eps max |M| of its value, or in
-            # the middle row or column within 3 eps max |M|; so T is within
-            # 3 n eps max |M| in Frobenius norm.
-            real = real[0], real[1] + 3.0 * n * eps * top
-    if real is None:
-        real = _real_halves([[m]], 1.0, ceiling)
-    halves, slack = real if real is not None else ([0.5 * (m + m.conj().T)], 0.0)
+            return real[0], real[1] + 3.0 * m.shape[0] * np.finfo(float).eps * top
+    real = _real_halves([[m]], 1.0, ceiling)
+    return real if real is not None else ([0.5 * (m + m.conj().T)], 0.0)
+
+
+class _ToeplitzSection:
+    """The matrix M[r, c] = t(a_r - a_c) on the integer box
+    prod_j [0, s_j], its n points a_r listed in lexicographic order, held
+    as the C-order difference table t of shape 2 s + 1 (t(delta) at
+    delta + s) and never formed unless dense() is called.
+
+    Every difference of the box occurs in M, so the maximum over M of any
+    function of the pair (t(delta), t(-delta)) is its maximum over the
+    table: scan() gives hermitian_scan's top, defect and off_diagonal to
+    the last bit. Row r of |M| is the window of |t| at a_r, and column r
+    the window at s - a_r, so the Gershgorin radii come from windowed sums
+    of |t|. The reversal J maps a_r to s - a_r, which makes the Hermitian
+    part of M centrohermitian exactly, and halves() builds its even and odd
+    halves straight from the table.
+    """
+
+    def __init__(self, table: np.ndarray):
+        table = np.array(table, dtype=np.result_type(table, float), order="C")
+        table.setflags(write=False)
+        self.table = table
+        self.box = tuple((size + 1) // 2 for size in table.shape)
+        n = math.prod(self.box)
+        self.shape = (n, n)
+        # The flat table index of each point, and of the difference 0.
+        self.keys = np.ravel_multi_index(np.indices(self.box).reshape(table.ndim, -1),
+                                         table.shape)
+        self.zero = int(np.ravel_multi_index([b - 1 for b in self.box], table.shape))
+
+    def _mirror(self) -> np.ndarray:
+        # t(-delta) at delta + s.
+        return self.table[(slice(None, None, -1),) * self.table.ndim]
+
+    def dense(self) -> np.ndarray:
+        """M, formed."""
+        return self.table.reshape(-1)[np.subtract.outer(self.keys, self.keys) + self.zero]
+
+    def diagonal(self) -> np.ndarray:
+        """M's constant diagonal t(0), as a read-only view of length n."""
+        return np.broadcast_to(self.table.flat[self.zero], self.shape[:1])
+
+    def scan(self) -> HermitianScan:
+        """hermitian_scan(self.dense()) with no n x n array.
+
+        The defect's entry (i, j) is the first row-major pair at the
+        table's first largest |t(delta) - conj t(-delta)|: a_i = max(delta,
+        0) and a_j = a_i - delta, axis by axis. The radius is half the
+        largest sum of the windows of |t| (t(0) zeroed) at a_r and s - a_r,
+        each window summed one axis at a time, rounded up as the matrix
+        scan rounds.
+        """
+        t = self.table
+        gaps = np.abs(t - self._mirror().conj())
+        k = int(np.argmax(gaps))
+        delta = np.array(np.unravel_index(k, t.shape)) - (np.array(self.box) - 1)
+        at = (int(np.ravel_multi_index(np.maximum(delta, 0), self.box)),
+              int(np.ravel_multi_index(np.maximum(-delta, 0), self.box)))
+        mods = np.abs(t)
+        top = float(np.max(mods))
+        mods.flat[self.zero] = 0.0
+        off = float(np.max(mods))
+        for axis, size in enumerate(self.box):
+            mods = sliding_window_view(mods, size, axis=axis).sum(axis=-1)
+        radius = 0.5 * float(np.max(mods + mods[(slice(None, None, -1),) * t.ndim]))
+        return HermitianScan(top, float(gaps.flat[k]), at,
+                             _rounded_up_radius(radius, self.shape[0]), off)
+
+    def halves(self, ceiling: float, top: float) -> tuple[list, float]:
+        """_matrix_halves(self.dense(), ...), built from the table.
+
+        With t_h(delta) = (t(delta) + conj t(-delta)) / 2, the table of the
+        Hermitian part H, and for k, l below q = n - n // 2,
+        near = a_k - a_l and far = a_k - a_Jl = a_k + a_l - s: the even half
+        is Re t_h[near] + Re t_h[far], the odd half (k, l below n // 2)
+        Re t_h[near] - Re t_h[far], and the coupling Im t_h[far] -
+        Im t_h[near]; for odd n the middle row and column of the even half,
+        and the middle row of the coupling, carry a further sqrt(1/2).
+        That is H in J's even/odd basis, the odd vectors times i, exactly
+        real. Each entry is within 3 eps max |t| of its value (two halved
+        sums and a product for the middle ones), so the solved matrices are
+        within 3 n eps max |M| in Frobenius norm, the matrix route's
+        basis-change term; a dropped coupling adds its own norm
+        (_arranged).
+        """
+        n = self.shape[0]
+        pairs = n // 2
+        q = n - pairs
+        keys = self.keys[:q]
+        near = np.subtract.outer(keys, keys)
+        near += self.zero
+        far = np.add.outer(keys, keys)
+        hermitian = self.table + self._mirror().conj()
+        hermitian *= 0.5
+        real = hermitian.real.ravel()
+        if np.iscomplexobj(hermitian):
+            imag = hermitian.imag.ravel()
+            coupling = imag[far[:, :pairs]] - imag[near[:, :pairs]]
+        else:
+            coupling = np.zeros((q, pairs))
+        middle = q > pairs
+        if middle:
+            coupling[pairs] *= np.sqrt(0.5)
+        halves, (even, odd), dropped = _arranged((q, pairs), coupling, ceiling)
+        close, across = real[near], real[far]
+        np.add(close, across, out=even)
+        np.subtract(close[:pairs, :pairs], across[:pairs, :pairs], out=odd)
+        if middle:
+            even[pairs] *= np.sqrt(0.5)
+            even[:, pairs] *= np.sqrt(0.5)
+        return halves, math.sqrt(dropped) + 3.0 * n * np.finfo(float).eps * top
+
+
+def _certified(halves: list, slack: float, top: float, n: int) -> EigenBounds:
+    """Extreme eigenvalues of the real symmetric halves, certified by
+    Cholesky factorizations, with slack added to the margin: the solve and
+    certificate of eigen_bounds, for both of its routes."""
+    eps = np.finfo(float).eps
+    scale = top * n
     try:
         spectra = [np.linalg.eigvalsh(h) for h in halves]
     except np.linalg.LinAlgError as exc:
@@ -323,6 +433,69 @@ def eigen_bounds(matrix, *, scan: Optional[tuple] = None) -> EigenBounds:
         if not below and not above:
             return EigenBounds(lo, hi, margin + slack)
         margin *= 2.0
+
+
+def eigen_bounds(matrix, *, scan: Optional[HermitianScan] = None) -> EigenBounds:
+    """Extreme eigenvalues, certified by Sylvester's law of inertia.
+
+    matrix is a square array, or the _ToeplitzSection that a GramMatrix on
+    an integer box holds, read through its difference table with no n x n
+    complex array. Rejects non-square input, orders above ORDER_CAP, and
+    matrices whose Hermitian defect exceeds HERMITICITY_TOL * max(1, max |M|)
+    (the offending entry is named).
+
+    A matrix that is diagonal to rounding is certified by discs, with no
+    eigen solve. Every eigenvalue of H = (M + M*) / 2 lies in a Gershgorin
+    disc about some H[i,i] = Re M[i,i] of radius at most the scan's radius
+    r, and the Rayleigh quotients e_i^T H e_i = Re M[i,i] put lambda_min at
+    or below their minimum and lambda_max at or above their maximum. So
+    when r is no larger than order * eps * max |M|, the margin the dense
+    route starts from, the bounds are the least and largest Re M[i,i] with
+    margin r. Any other matrix, and any with a NaN or infinite entry, takes
+    the dense route.
+
+    On the dense route the matrix is first reduced to real symmetric
+    matrices whose joint spectrum is within a slack of that of H: for an
+    array, the halves in the reversal's even/odd basis, one real matrix,
+    or H itself in complex (_matrix_halves); for a section, its even and
+    odd halves, or one real matrix when they couple (halves()). Then
+    eigvalsh gives lambda_min and lambda_max; Cholesky factorizations of
+    H - (lambda_min - margin) I and (lambda_max + margin) I - H show that
+    no eigenvalue of each solved matrix H lies outside the reported range
+    by more than margin (_certified). The margin starts at
+    order * eps * max(|lambda_min|, |lambda_max|) and doubles after a
+    failed factorization; the slack is added to it. An eigensolver that
+    fails to converge, or a margin that would exceed
+    RESIDUAL_CAP * max |M| * order, raises instead of returning a partial
+    answer.
+
+    scan is the HermitianScan of this very matrix when the caller already
+    holds it (a GramMatrix carries its own), so the matrix is not scanned
+    twice; without it the scan runs here. The gate is the same.
+    """
+    section = isinstance(matrix, _ToeplitzSection)
+    m = matrix if section else _as_square(matrix)
+    n = m.shape[0]
+    if n > ORDER_CAP:
+        raise ValueError(f"order {n} exceeds the dense-solver cap {ORDER_CAP}; shrink the truncation")
+    if scan is None:
+        scan = m.scan() if section else hermitian_scan(m)
+    top = scan.top
+    ceiling = hermiticity_ceiling(top, HERMITICITY_TOL)
+    if scan.defect > ceiling:
+        i, j = scan.at
+        raise ValueError(
+            f"matrix is not Hermitian: |M[{i},{j}] - conj(M[{j},{i}])| = {scan.defect:.3e} "
+            f"exceeds {ceiling:g}")
+    scale = top * n
+    if scale == 0.0:
+        return EigenBounds(0.0, 0.0, 0.0)
+    # Written so that NaN or infinite values take the dense route.
+    if scan.radius <= np.finfo(float).eps * scale < np.inf:
+        diagonal = m.diagonal().real
+        return EigenBounds(float(diagonal.min()), float(diagonal.max()), scan.radius)
+    halves, slack = m.halves(ceiling, top) if section else _matrix_halves(m, ceiling, top)
+    return _certified(halves, slack, top, n)
 
 
 class Pcg32:

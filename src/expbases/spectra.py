@@ -10,7 +10,11 @@ table); everything else goes through midpoint quadrature. Either way an
 entry depends only on the difference of two frequencies, so integer
 frequencies whose box of differences has at most n^2 points
 (_difference_box) are integrated once per difference vector and gathered
-(_gather): the Gram is Toeplitz. Other sets take every pairwise
+(_gather): the Gram is Toeplitz. When the frequencies are a whole box in
+lexicographic order (every integer range), the table itself is kept, as
+a _ToeplitzSection, and every reader here takes what it needs from it;
+the n x n Gram is formed only for a caller that asks for it (centred,
+matrix). Other sets take every pairwise
 difference, or the node-by-frequency phase-matrix product, built in real
 arithmetic from cos and sin tables (_pairwise_quadrature).
 
@@ -26,23 +30,24 @@ either in real arithmetic, and certifies the Gram of an orthonormal
 system, the identity to rounding, by Gershgorin discs from the scan the
 Gram carries, with no solve at all. Entries that depend only
 on differences make the Gram of a set symmetric through its centre,
-listed in lexicographic order (every integer range), centrohermitian:
-eigen_bounds finds that in G_0 itself and solves it in real even/odd
-halves. Distinct frequencies are proved by a sort (one axis, or integer
-coordinates) before any pairwise scan runs.
+listed in lexicographic order, centrohermitian: eigen_bounds solves it in
+real even/odd halves, built from the table for a box and found in G_0
+itself for any other set. Distinct frequencies are proved by a sort (one
+axis, or integer coordinates) before any pairwise scan runs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
 from .domain import Domain, QuadratureRule, quadrature
-from .numerics import (HERMITICITY_TOL, _as_square, eigen_bounds, hermitian_scan,
-                       hermiticity_ceiling)
+from .numerics import (HERMITICITY_TOL, HermitianScan, _as_square, _ToeplitzSection, eigen_bounds,
+                       hermitian_scan, hermiticity_ceiling)
 
 # Largest frequency-set size a Gram matrix will be assembled for.
 SYSTEM_SIZE_CAP = 512
@@ -149,32 +154,36 @@ def lattice_truncation(lo: int, hi: int, dimension: int = 1) -> FrequencySet:
 class GramMatrix:
     """Hermitian Gram matrix G = D G_0 D*, held as G_0, with a provenance tag.
 
-    centred is G_0, the Gram integrated about the domain's centre, and
-    phase the unimodular diagonal of D (none: D = I). G_0 has G's
-    spectrum and the same |G_ij - delta_ij|, so the library reads only
-    G_0; matrix forms G on demand for callers that want the Gram of the
-    domain where it sits. scan is G_0's one hermitian_scan, taken for the
-    Hermiticity gate here, which is eigen_bounds' own (HERMITICITY_TOL,
-    whatever the provenance), and handed to eigen_bounds' gate and disc
-    route; G_0 is read-only, so it cannot go stale.
+    operand is G_0, the Gram integrated about the domain's centre: a dense
+    array, or for frequencies that are a whole integer box in
+    lexicographic order a _ToeplitzSection, its difference table, which
+    the library reads as it stands. phase is the unimodular diagonal of D
+    (none: D = I). G_0 has G's spectrum and the same |G_ij - delta_ij|, so
+    the library reads only G_0; centred forms it as an array, and matrix
+    forms G, on demand for callers that want them. scan is G_0's one
+    HermitianScan, taken for the Hermiticity gate here, which is
+    eigen_bounds' own (HERMITICITY_TOL, whatever the provenance), and
+    handed to eigen_bounds' gate and disc route and to
+    is_orthonormal_system; G_0 is read-only, so it cannot go stale.
     """
 
-    centred: np.ndarray
+    operand: Union[np.ndarray, _ToeplitzSection]
     provenance: str
     phase: Optional[np.ndarray]
-    scan: tuple[float, float, tuple[int, int], float]
+    scan: HermitianScan
 
     def __init__(self, centred, provenance="closed_form", phase=None):
         if provenance not in ("closed_form", "quadrature"):
             raise ValueError(f"unknown provenance {provenance!r}")
-        m = _as_square(centred)
-        scan = hermitian_scan(m)
-        top, defect, (i, j), _ = scan
-        tol = hermiticity_ceiling(top, HERMITICITY_TOL)
-        if defect > tol:
-            raise ValueError(
-                f"Gram matrix is not Hermitian within {tol:g}: defect {defect:.3e} at ({i},{j})")
-        diag = np.diagonal(m)
+        section = isinstance(centred, _ToeplitzSection)
+        m = centred if section else _as_square(centred)
+        scan = m.scan() if section else hermitian_scan(m)
+        tol = hermiticity_ceiling(scan.top, HERMITICITY_TOL)
+        if scan.defect > tol:
+            i, j = scan.at
+            raise ValueError(f"Gram matrix is not Hermitian within {tol:g}: "
+                             f"defect {scan.defect:.3e} at ({i},{j})")
+        diag = m.diagonal()
         if np.min(diag.real) <= 0.0:
             k = int(np.argmin(diag.real))
             raise ValueError(f"Gram diagonal entry {k} is not positive: {diag.real[k]}")
@@ -183,12 +192,22 @@ class GramMatrix:
             if phase.shape != (m.shape[0],):
                 raise ValueError(f"phase must have shape ({m.shape[0]},), got {phase.shape}")
             phase.setflags(write=False)
-        m = np.ascontiguousarray(m)
-        m.setflags(write=False)
-        object.__setattr__(self, "centred", m)
+        if not section:
+            m = np.ascontiguousarray(m)
+            m.setflags(write=False)
+        object.__setattr__(self, "operand", m)
         object.__setattr__(self, "provenance", provenance)
         object.__setattr__(self, "phase", phase)
         object.__setattr__(self, "scan", scan)
+
+    @functools.cached_property
+    def centred(self) -> np.ndarray:
+        """G_0 as an array, formed on the first call for a section."""
+        if isinstance(self.operand, np.ndarray):
+            return self.operand
+        m = self.operand.dense()
+        m.setflags(write=False)
+        return m
 
     @property
     def matrix(self) -> np.ndarray:
@@ -199,7 +218,7 @@ class GramMatrix:
 
     @property
     def order(self) -> int:
-        return self.centred.shape[0]
+        return self.operand.shape[0]
 
 
 def _axis_moments(delta, width: float, degree: int) -> list[np.ndarray]:
@@ -306,10 +325,17 @@ def _difference_box(points: np.ndarray) -> Optional[list[int]]:
     return spans
 
 
-def _gather(table: np.ndarray, points: np.ndarray, spans: list[int]) -> np.ndarray:
+def _gather(table: np.ndarray, points: np.ndarray,
+            spans: list[int]) -> Union[np.ndarray, _ToeplitzSection]:
     """G[r, c] = table[points[r] - points[c] + spans] from a C-order table
-    of shape 2 spans + 1."""
+    of shape 2 spans + 1: the table itself as a _ToeplitzSection when the
+    points are the whole box of their spans in lexicographic order (their
+    keys into the table are exactly the section's), else G gathered."""
     key = np.ravel_multi_index((points - np.min(points, axis=0)).astype(np.int64).T, table.shape)
+    if key.size == math.prod(span + 1 for span in spans):
+        section = _ToeplitzSection(table)
+        if np.array_equal(key, section.keys):
+            return section
     zero = np.ravel_multi_index(spans, table.shape)
     return table.reshape(-1)[np.subtract.outer(key, key) + zero]
 
@@ -427,7 +453,8 @@ def exp_gram(domain: Domain, freqs: FrequencySet, weight=None,
     the affine closed form's sup taken from the weight's exact extremes.
     Either way a set with a small box of integer
     differences (_difference_box) is integrated once per difference and
-    gathered (_gather); any other set takes every pairwise difference or
+    gathered (_gather), or held as that table when it is a whole box in
+    lexicographic order; any other set takes every pairwise difference or
     the phase-matrix product, in real arithmetic (_pairwise_quadrature).
 
     Every route integrates about the centre c of the bounding box of
@@ -478,7 +505,7 @@ def exp_gram(domain: Domain, freqs: FrequencySet, weight=None,
             table = _quadrature_table(nodes, coeff, spans)
     centred = table if spans is None else _gather(table, points, spans)
     if ceiling is not None:
-        if float(np.max(np.diagonal(centred).real)) > domain.measure * ceiling * (1.0 + 1e-9):
+        if float(np.max(centred.diagonal().real)) > domain.measure * ceiling * (1.0 + 1e-9):
             raise RuntimeError("weighted Gram diagonal exceeds measure * sup|weight|^2")
     # <a, c> turns, less the nearest whole turn: 2 pi times a large <a, c>
     # would round by |<a, c>| eps, and matrix would carry that into every
@@ -505,8 +532,8 @@ class BoundsReport:
     margin: float
 
 
-def _bounds_from_matrix(matrix: np.ndarray, frame_route: bool,
-                        scan: Optional[tuple] = None) -> BoundsReport:
+def _bounds_from_matrix(matrix, frame_route: bool,
+                        scan: Optional[HermitianScan] = None) -> BoundsReport:
     eb = eigen_bounds(matrix, scan=scan)
     upper = max(eb.lambda_max, 0.0)
     lower = eb.lambda_min
@@ -525,8 +552,8 @@ def _bounds_from_matrix(matrix: np.ndarray, frame_route: bool,
 
 def riesz_bounds(gram: GramMatrix) -> BoundsReport:
     """Riesz bounds of the finite section: extreme eigenvalues of the
-    centred Gram, with the scan the Gram carries."""
-    return _bounds_from_matrix(gram.centred, frame_route=False, scan=gram.scan)
+    centred Gram, as the Gram holds it, with the scan the Gram carries."""
+    return _bounds_from_matrix(gram.operand, frame_route=False, scan=gram.scan)
 
 
 def frame_bounds_of_operator(matrix) -> BoundsReport:
@@ -541,6 +568,8 @@ class OnbVerdict:
 
 
 def is_orthonormal_system(gram: GramMatrix, tol: float = 1e-10) -> OnbVerdict:
-    """Max-abs deviation of the Gram from the identity, judged against tol."""
-    dev = float(np.max(np.abs(gram.centred - np.eye(gram.order))))
+    """Max-abs deviation of the Gram from the identity, judged against tol:
+    the larger of the scan's largest off-diagonal modulus and the
+    diagonal's distance from 1, which is max |G_0 - I| to the last bit."""
+    dev = float(np.max(np.abs(gram.operand.diagonal() - 1.0), initial=gram.scan.off_diagonal))
     return OnbVerdict(dev <= tol, dev)

@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -591,6 +592,54 @@ def test_oversize_frequency_sets_are_rejected_before_they_are_built(
     assert code == 2
     assert f"scenario.parameters.{path} (" in err and "system cap 512" in err
     assert "Traceback" not in err
+
+
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("command,parameters,path", [
+    pytest.param("transfer", {"domain": UNIT_BAND, "freqs": {"range": [-3, 3]},
+                              "weight": {"profile": "affine", "offset": INF, "gradient": [1.0]}},
+                 "weight.offset", id="affine-offset-infinity"),
+    pytest.param("transfer", {"domain": UNIT_BAND, "freqs": {"range": [-3, 3]},
+                              "weight": {"profile": "affine", "offset": 1.0,
+                                         "gradient": [-INF]}},
+                 "weight.gradient[0]", id="affine-gradient-minus-infinity"),
+    pytest.param("transfer", {"domain": UNIT_BAND, "freqs": {"range": [-3, 3]},
+                              "weight": {"profile": "constant", "value": NAN}},
+                 "weight.value", id="constant-value-nan"),
+    pytest.param("transfer", {"domain": UNIT_BAND, "freqs": {"range": [-3, 3]},
+                              "weight": {"profile": "constant", "value": [1.0, INF]}},
+                 "weight.value", id="constant-value-imaginary-infinity"),
+    pytest.param("frame-transfer", {"domain": UNIT_BAND, "freqs": {"range": [-3, 3]},
+                                    "weight": {"profile": "table", "values": [1.0, NAN, 1.0],
+                                               "nodes_per_axis": 3}},
+                 "weight.values[1]", id="table-value-nan"),
+    pytest.param("frame-transfer", {"domain": UNIT_BAND, "freqs": {"range": [-3, 3]},
+                                    "weight": {"profile": "bump", "steepness": NAN}},
+                 "weight.steepness", id="bump-steepness-nan"),
+    pytest.param("bounds", {"domain": {"boxes": [[-0.5, INF]]}, "freqs": {"range": [-3, 3]}},
+                 "domain.boxes[0][1]", id="box-bound-infinity"),
+    pytest.param("bounds", {"domain": UNIT_BAND, "freqs": {"points": [0.0, NAN, 2.0]}},
+                 "freqs.points[1]", id="frequency-nan"),
+    pytest.param("sample", {"domain": UNIT_BAND, "nodes_per_axis": 129,
+                            "signal": {"kind": "indicator"}, "n_terms": [16],
+                            "eval_points": {"grid": [-3.0, INF, 61]}},
+                 "eval_points.grid[1]", id="grid-end-infinity"),
+])
+def test_non_finite_numbers_are_rejected_naming_their_path(command, parameters, path,
+                                                          tmp_path, capsys):
+    # json.load reads NaN and +-Infinity; the schema rejects them where it
+    # reads the number, before any library code sees one.
+    scenario = {"name": "non-finite", "command": command, "parameters": parameters}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err = run_main(tmp_path, capsys, scenario, command)
+    assert code == 2
+    assert f"scenario.parameters.{path} (expected " in err and "finite number" in err
+    assert "Traceback" not in err
+    assert [str(w.message) for w in caught] == []
+    assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize("command,parameters,rejection", [

@@ -1,5 +1,6 @@
 """Exponential Gram matrices: closed form, quadrature, and the bounds verdicts."""
 
+import re
 import sys
 import tracemalloc
 
@@ -594,14 +595,22 @@ def test_each_solved_matrix_is_scanned_for_hermiticity_once(monkeypatch, solve, 
     # A Gram is scanned when it is built and carries the scan to its solve;
     # a frame operator is scanned by eigen_bounds. Every binding of
     # hermitian_defect is counted, wherever a module imported the name.
+    # A Gram on an integer box is scanned through its difference table,
+    # and that scan is counted the same way.
     scanned = []
     true_defect = numerics.hermitian_defect
+    true_scan = numerics._ToeplitzSection.scan
 
     def hermitian_defect(matrix):
         scanned.append(np.shape(matrix))
         return true_defect(matrix)
+
+    def scan(section):
+        scanned.append(section.shape)
+        return true_scan(section)
     for module in (numerics, spectra):
         monkeypatch.setattr(module, "hermitian_defect", hermitian_defect, raising=False)
+    monkeypatch.setattr(numerics._ToeplitzSection, "scan", scan)
     solve()
     assert len(scanned) == solved
 
@@ -621,17 +630,169 @@ def test_a_gram_past_the_hermiticity_ceiling_is_rejected_when_built(provenance):
                                  "exceeds 1e-12")
 
 
+OFF_CENTRE_UNION = make_domain([Box(-0.25, 0.75), Box(1.0, 1.375)])
+SYMMETRIC_UNION = make_domain([Box(0.0, 0.3), Box(0.7, 1.0)])
+AFFINE_UNION = make_domain([Box([0.0, 0.0], [1.0, 1.0]), Box([1.25, 0.0], [1.75, 0.5])])
+OFF_CENTRE = make_domain([Box(0.375, 1.625)])
+SHIFTED_MASK = make_mask_domain([-0.5, 0.25], [3, 2], [0.5, 0.5],
+                                [True, False, True, True, True, False])
+
+# Grams of frequencies that are a whole integer box in lexicographic order,
+# held as their difference table, each with the kinds of the matrices
+# eigvalsh receives (as for the matrix route): even and odd n, real and
+# complex tables, symmetric and off-centre unions, the affine closed form,
+# quadrature on a mask and under a weight, and a Gram diagonal to rounding.
+BOX_GRAMS = {
+    "1d-box-16": (lambda: exp_gram(SHIFTED_NARROW, lattice_truncation(-8, 7)), "ff"),
+    "1d-box-17": (lambda: exp_gram(SHIFTED_NARROW, lattice_truncation(-8, 8)), "ff"),
+    "1d-symmetric-union-17": (lambda: exp_gram(SYMMETRIC_UNION, lattice_truncation(-8, 8)),
+                              "ff"),
+    "1d-off-centre-union-17": (lambda: exp_gram(OFF_CENTRE_UNION, lattice_truncation(-8, 8)),
+                               "f"),
+    "1d-off-centre-union-512": (
+        lambda: exp_gram(OFF_CENTRE_UNION, lattice_truncation(-256, 255)), "f"),
+    "2d-box-20^2": (lambda: exp_gram(make_domain([Box([-0.125, 0.5], [0.625, 1.25])]),
+                                     lattice_truncation(-10, 9, 2)), "ff"),
+    "2d-off-centre-union-21^2": (lambda: exp_gram(AFFINE_UNION, lattice_truncation(-10, 10, 2)),
+                                 "f"),
+    "affine-1d-off-centre-17": (lambda: translation_gram(
+        OFF_CENTRE, lattice_truncation(-8, 8),
+        affine_weight(OFF_CENTRE, 1.0, [-0.6], 3)), "f"),
+    "affine-2d-union-21^2": (lambda: translation_gram(
+        AFFINE_UNION, lattice_truncation(-10, 10, 2), affine_weight(AFFINE_UNION, 2.8, [0.6, -0.4], 3)),
+        "f"),
+    "mask-quadrature-9^2": (lambda: exp_gram(SHIFTED_MASK, lattice_truncation(-4, 4, 2),
+                                             nodes_per_axis=8), "f"),
+    "table-weight-17": (lambda: translation_gram(
+        SHIFTED_NARROW, lattice_truncation(-8, 8),
+        affine_table_weight(SHIFTED_NARROW, 64, 2.0, [1.0])), "f"),
+    "1d-unit-box-17-discs": (lambda: exp_gram(SHIFTED_UNIT, lattice_truncation(-8, 8)), ""),
+}
+
+
+@pytest.mark.parametrize("case", BOX_GRAMS)
+def test_a_box_gram_is_solved_from_its_table_as_its_matrix_is(case, eigvalsh_dtypes):
+    build, kinds = BOX_GRAMS[case]
+    gram = build()
+    assert isinstance(gram.operand, numerics._ToeplitzSection)
+    table = numerics.eigen_bounds(gram.operand)
+    assert "".join(dtype.kind for dtype in eigvalsh_dtypes) == kinds
+    report = riesz_bounds(gram)
+    assert (report.upper, report.margin) == (table.lambda_max, table.margin)
+    del eigvalsh_dtypes[:]
+    # The matrix route on the same G_0, formed and scanned afresh.
+    dense = numerics.eigen_bounds(gram.centred)
+    assert "".join(dtype.kind for dtype in eigvalsh_dtypes) == kinds
+    scale = max(abs(dense.lambda_min), abs(dense.lambda_max))
+    for got, want in ((table.lambda_min, dense.lambda_min),
+                      (table.lambda_max, dense.lambda_max)):
+        assert abs(got - want) <= 1e-14 * scale
+        assert abs(got - want) <= min(table.margin, dense.margin)
+    if not kinds:
+        assert table.margin == pytest.approx(dense.margin, rel=1e-12)
+
+
+@pytest.mark.parametrize("case", BOX_GRAMS)
+def test_a_box_gram_scans_its_table_to_the_matrix_scan_bits(case):
+    # Every difference of the box occurs in G_0, so the largest modulus,
+    # the Hermitian defect and the ONB deviation are the matrix scan's to
+    # the last bit; the entry named for the defect attains it; the radius
+    # bounds the same sums, added in another order.
+    gram = BOX_GRAMS[case][0]()
+    scan = gram.scan
+    deviation = is_orthonormal_system(gram).deviation
+    matrix = gram.centred
+    want = numerics.hermitian_scan(matrix)
+    assert (scan.top, scan.defect, scan.off_diagonal) == (want.top, want.defect,
+                                                           want.off_diagonal)
+    assert deviation == float(np.max(np.abs(matrix - np.eye(gram.order))))
+    i, j = scan.at
+    assert abs(matrix[i, j] - np.conj(matrix[j, i])) == scan.defect
+    assert scan.radius == pytest.approx(want.radius, rel=1e-12)
+
+
+def test_a_planted_non_hermitian_table_entry_is_named_where_its_difference_occurs():
+    # t(delta) off its conjugate mirror by 1e-10 at delta = (2, -3): the
+    # Gram is rejected as it is built, naming a pair of frequencies at that
+    # difference (or its negative), and eigen_bounds names the same pair.
+    freqs = lattice_truncation(-3, 2, 2)
+    gram = exp_gram(make_domain([Box([0.25, -0.5], [1.0, 0.25])]), freqs)
+    table = np.array(gram.operand.table, dtype=complex)
+    table[2 + 5, -3 + 5] += 1e-10j
+    section = numerics._ToeplitzSection(table)
+    with pytest.raises(ValueError, match=r"^Gram matrix is not Hermitian within 1e-12: "
+                                         r"defect 1\.000e-10 at \((\d+),(\d+)\)$") as info:
+        spectra.GramMatrix(section)
+    i, j = (int(k) for k in re.search(r"at \((\d+),(\d+)\)$", str(info.value)).groups())
+    assert tuple(np.abs(freqs.points[i] - freqs.points[j])) == (2.0, 3.0)
+    matrix = section.dense()
+    assert abs(matrix[i, j] - np.conj(matrix[j, i])) == section.scan().defect
+    with pytest.raises(ValueError, match=rf"^matrix is not Hermitian: \|M\[{i},{j}\] - "
+                                         rf"conj\(M\[{j},{i}\]\)\| = 1\.000e-10 exceeds 1e-12$"):
+        numerics.eigen_bounds(section)
+
+
+# Integer sets whose differences fill a small table but which are not a
+# whole box in lexicographic order: their Grams are gathered into a matrix
+# and take the matrix route.
+NON_BOX_INTEGER_SETS = {
+    "1d-0-1-3-7": [0.0, 1.0, 3.0, 7.0],
+    "1d-range-with-a-hole": np.delete(np.arange(-8.0, 9.0), 5),
+    "1d-reversed-range": np.arange(8.0, -9.0, -1.0),
+    "2d-box-by-columns": lattice_truncation(-3, 3, 2).points[:, ::-1],
+}
+
+
+@pytest.mark.parametrize("case", NON_BOX_INTEGER_SETS)
+def test_an_integer_set_that_is_not_a_whole_box_keeps_the_matrix_route(case):
+    freqs = FrequencySet(NON_BOX_INTEGER_SETS[case])
+    domain = OFF_CENTRE_UNION if freqs.dimension == 1 else AFFINE_UNION
+    assert spectra._difference_box(freqs.points) is not None
+    gram = exp_gram(domain, freqs)
+    assert isinstance(gram.operand, np.ndarray) and gram.centred is gram.operand
+    assert gram.scan == numerics.hermitian_scan(gram.centred)
+    want = numerics.eigen_bounds(gram.centred)
+    report = riesz_bounds(gram)
+    assert (report.upper, report.margin) == (want.lambda_max, want.margin)
+
+
+MATRIX_HELD_GRAMS = {
+    "real-kadec": lambda: exp_gram(make_domain([Box(-0.375, 0.625)]), FrequencySet(
+        np.arange(-20, 20) + Pcg32(3).uniforms(40, -0.2, 0.2))),
+    "complex-kadec": lambda: exp_gram(OFF_CENTRE_UNION, FrequencySet(
+        np.arange(-20, 20) + Pcg32(3).uniforms(40, -0.2, 0.2))),
+    "gabor-product": lambda: gabor_gram(make_domain([Box(-0.5, 0.5)]), lattice_truncation(-3, 2),
+                                        lattice_truncation(-4, 4),
+                                        affine_weight(make_domain([Box(-0.5, 0.5)]), 1.5,
+                                                      [0.5], 8)),
+    "nan-entry": lambda: spectra.GramMatrix(np.array([[1.0, np.nan], [np.nan, 1.0]])),
+}
+
+
+@pytest.mark.parametrize("case", MATRIX_HELD_GRAMS)
+def test_the_onb_deviation_of_a_matrix_held_gram_comes_from_its_scan(case, monkeypatch):
+    # max |G_0 - I| from the scan's off-diagonal maximum and the diagonal,
+    # to the last bit, with no second pass over G_0.
+    gram = MATRIX_HELD_GRAMS[case]()
+    assert isinstance(gram.operand, np.ndarray)
+    want = np.max(np.abs(gram.centred - np.eye(gram.order)))
+    monkeypatch.setattr(np, "eye", None)
+    got = is_orthonormal_system(gram).deviation
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 def complex_squares(build, n):
     """build() and the names of the spectra and numerics functions that
     held or returned a complex array of at least n * n entries, read from
-    their locals as each returns."""
+    their locals as each returns. A Gram is read through what it holds, so
+    reading it forms no array."""
     files = {spectra.__file__, numerics.__file__}
     held = set()
 
     def hook(frame, event, value):
         if event == "return" and frame.f_code.co_filename in files:
             for v in [*frame.f_locals.values(), value]:
-                v = getattr(v, "centred", v)
+                v = getattr(v, "operand", v)
                 if isinstance(v, np.ndarray) and v.dtype.kind == "c" and v.size >= n * n:
                     held.add(frame.f_code.co_name)
     previous = sys.getprofile()
@@ -682,6 +843,36 @@ def test_a_single_box_gram_stays_float64_from_assembly_to_eigvalsh(case, weighte
     assert_bracketed_by_the_placed_gram(bounds, gram)
 
 
+# Box sets whose Grams are complex: off-centre unions, affine weights,
+# quadrature on a mask.
+COMPLEX_BOX_GRAMS = {
+    "1d-off-centre-union": (OFF_CENTRE_UNION, lattice_truncation(-32, 31), {}),
+    "2d-off-centre-union": (AFFINE_UNION, lattice_truncation(-10, 10, 2), {}),
+    "affine-1d-off-centre": (OFF_CENTRE, lattice_truncation(-32, 32),
+                             {"weight": affine_weight(OFF_CENTRE, 1.0, [-0.6], 3)}),
+    "affine-2d-union": (AFFINE_UNION, lattice_truncation(-10, 10, 2),
+                        {"weight": affine_weight(AFFINE_UNION, 2.8, [0.6, -0.4], 3)}),
+    "mask-quadrature": (SHIFTED_MASK, lattice_truncation(-10, 10, 2), {"nodes_per_axis": 8}),
+}
+
+
+@pytest.mark.parametrize("case", COMPLEX_BOX_GRAMS)
+def test_a_complex_box_gram_holds_no_complex_square_from_assembly_to_eigvalsh(
+        case, eigvalsh_dtypes):
+    # The Gram is held as its difference table; its scan, bounds and ONB
+    # deviation read the table, and the matrix is never formed.
+    domain, freqs, kwargs = COMPLEX_BOX_GRAMS[case]
+    (gram, _, _), held = complex_squares(
+        lambda: (g := exp_gram(domain, freqs, **kwargs), riesz_bounds(g),
+                 is_orthonormal_system(g)), freqs.size)
+    assert isinstance(gram.operand, numerics._ToeplitzSection)
+    assert gram.operand.table.dtype == np.complex128
+    assert np.max(np.abs(gram.operand.table.imag)) > 1e-3
+    assert eigvalsh_dtypes and set(eigvalsh_dtypes) == {np.dtype(np.float64)}
+    assert held == set()
+    assert "centred" not in vars(gram)
+
+
 @pytest.mark.parametrize("window", ["indicator", "constant"])
 def test_a_product_of_single_boxes_is_float64(window):
     base = make_domain([Box(-0.5, 0.5)])
@@ -700,8 +891,6 @@ def test_an_off_centre_union_gives_a_complex_gram():
     assert np.max(np.abs(gram.centred.imag)) > 1e-3
 
 
-AFFINE_UNION = make_domain([Box([0.0, 0.0], [1.0, 1.0]), Box([1.25, 0.0], [1.75, 0.5])])
-OFF_CENTRE = make_domain([Box(0.375, 1.625)])
 
 # Affine weights offset + <gradient, x> on boxes: (domain, frequencies,
 # offset, gradient, whether the Gram is Toeplitz). Differences down to
