@@ -102,9 +102,15 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    # json.load reads NaN, Infinity and -Infinity as floats; no field takes them.
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and (isinstance(value, int) or math.isfinite(value)))
+    # json.load reads NaN, Infinity and -Infinity as floats, and an integer
+    # literal of any length as an int; no field takes a number that is not
+    # a finite float.
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _at_least(lo: int) -> _Leaf:

@@ -49,7 +49,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 # Largest matrix order the dense solver accepts.
 ORDER_CAP = 512
@@ -141,8 +140,11 @@ def hermitian_scan(matrix) -> HermitianScan:
     are taken with the diagonal zeroed (a full row sum less |M[i,i]| would
     cancel), and the largest half sum of a row and its column is rounded
     up for the summation. The same zeroed |M| gives off_diagonal, and top
-    is the larger of it and the diagonal's moduli.
+    is the larger of it and the diagonal's moduli. A _ToeplitzSection is
+    scanned through its table.
     """
+    if isinstance(matrix, _ToeplitzSection):
+        return matrix.scan()
     m = _as_square(matrix)
     n = m.shape[0]
     defect, at = hermitian_defect(m)
@@ -252,11 +254,11 @@ def _real_halves(blocks: list[list[np.ndarray]], scale: float,
     """
     slack = 0.0
     if np.iscomplexobj(blocks[0][0]):
-        dropped = [np.abs(block.imag).ravel() for row in blocks for block in row]
+        imaginary = [np.abs(block.imag).ravel() for row in blocks for block in row]
         # Written so that a NaN takes the complex route, as it always has.
-        if not scale * float(np.max([np.max(d, initial=0.0) for d in dropped])) <= ceiling:
+        if not scale * float(np.max([np.max(d, initial=0.0) for d in imaginary])) <= ceiling:
             return None
-        slack = scale ** 2 * sum(float(np.dot(d, d)) for d in dropped)
+        slack = scale ** 2 * sum(float(np.dot(d, d)) for d in imaginary)
     diagonal = [row[k] for k, row in enumerate(blocks)]
     coupling = None
     if len(blocks) == 2:
@@ -309,28 +311,25 @@ class _ToeplitzSection:
     """
 
     def __init__(self, table: np.ndarray):
-        table = np.array(table, dtype=np.result_type(table, float), order="C")
+        table = np.array(table, order="C")
         table.setflags(write=False)
         self.table = table
         self.box = tuple((size + 1) // 2 for size in table.shape)
         n = math.prod(self.box)
         self.shape = (n, n)
-        # The flat table index of each point, and of the difference 0.
+        # The flat table index of each point; the last point, s, has the
+        # index of the difference 0.
         self.keys = np.ravel_multi_index(np.indices(self.box).reshape(table.ndim, -1),
                                          table.shape)
-        self.zero = int(np.ravel_multi_index([b - 1 for b in self.box], table.shape))
-
-    def _mirror(self) -> np.ndarray:
-        # t(-delta) at delta + s.
-        return self.table[(slice(None, None, -1),) * self.table.ndim]
+        self.zero = int(self.keys[-1])
 
     def dense(self) -> np.ndarray:
         """M, formed."""
         return self.table.reshape(-1)[np.subtract.outer(self.keys, self.keys) + self.zero]
 
     def diagonal(self) -> np.ndarray:
-        """M's constant diagonal t(0), as a read-only view of length n."""
-        return np.broadcast_to(self.table.flat[self.zero], self.shape[:1])
+        """M's diagonal, t(0) n times."""
+        return np.full(self.shape[0], self.table.flat[self.zero])
 
     def scan(self) -> HermitianScan:
         """hermitian_scan(self.dense()) with no n x n array.
@@ -339,23 +338,28 @@ class _ToeplitzSection:
         table's first largest |t(delta) - conj t(-delta)|: a_i = max(delta,
         0) and a_j = a_i - delta, axis by axis. The radius is half the
         largest sum of the windows of |t| (t(0) zeroed) at a_r and s - a_r,
-        each window summed one axis at a time, rounded up as the matrix
-        scan rounds.
+        each window summed one axis at a time (np.add.reduceat over the
+        window starts and ends), rounded up as the matrix scan rounds.
         """
         t = self.table
-        gaps = np.abs(t - self._mirror().conj())
-        k = int(np.argmax(gaps))
-        delta = np.array(np.unravel_index(k, t.shape)) - (np.array(self.box) - 1)
-        at = (int(np.ravel_multi_index(np.maximum(delta, 0), self.box)),
-              int(np.ravel_multi_index(np.maximum(-delta, 0), self.box)))
+        # np.flip reverses every axis: t(-delta) at delta + s.
+        gaps = np.abs(t - np.flip(t).conj())
+        k = int(gaps.argmax())
+        i = j = 0
+        for index, size in zip(np.unravel_index(k, t.shape), self.box):
+            delta = int(index) - (size - 1)
+            i, j = i * size + max(delta, 0), j * size + max(-delta, 0)
         mods = np.abs(t)
-        top = float(np.max(mods))
+        top = float(mods.max())
         mods.flat[self.zero] = 0.0
-        off = float(np.max(mods))
+        off = float(mods.max())
         for axis, size in enumerate(self.box):
-            mods = sliding_window_view(mods, size, axis=axis).sum(axis=-1)
-        radius = 0.5 * float(np.max(mods + mods[(slice(None, None, -1),) * t.ndim]))
-        return HermitianScan(top, float(gaps.flat[k]), at,
+            ends = np.arange(size)
+            ends = np.stack([ends, ends + size], -1).ravel()[:-1]
+            mods = np.add.reduceat(mods, ends, axis=axis)
+            mods = mods[(slice(None),) * axis + (slice(None, None, 2),)]
+        radius = 0.5 * float((mods + np.flip(mods)).max())
+        return HermitianScan(top, float(gaps.flat[k]), (i, j),
                              _rounded_up_radius(radius, self.shape[0]), off)
 
     def halves(self, ceiling: float, top: float) -> tuple[list, float]:
@@ -382,7 +386,7 @@ class _ToeplitzSection:
         near = np.subtract.outer(keys, keys)
         near += self.zero
         far = np.add.outer(keys, keys)
-        hermitian = self.table + self._mirror().conj()
+        hermitian = self.table + np.flip(self.table).conj()
         hermitian *= 0.5
         real = hermitian.real.ravel()
         if np.iscomplexobj(hermitian):
@@ -479,7 +483,7 @@ def eigen_bounds(matrix, *, scan: Optional[HermitianScan] = None) -> EigenBounds
     if n > ORDER_CAP:
         raise ValueError(f"order {n} exceeds the dense-solver cap {ORDER_CAP}; shrink the truncation")
     if scan is None:
-        scan = m.scan() if section else hermitian_scan(m)
+        scan = hermitian_scan(m)
     top = scan.top
     ceiling = hermiticity_ceiling(top, HERMITICITY_TOL)
     if scan.defect > ceiling:

@@ -46,8 +46,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .domain import Domain, QuadratureRule, quadrature
-from .numerics import (HERMITICITY_TOL, HermitianScan, _as_square, _ToeplitzSection, eigen_bounds,
-                       hermitian_scan, hermiticity_ceiling)
+from .numerics import (HERMITICITY_TOL, HermitianScan, _as_square, _ToeplitzSection,
+                       eigen_bounds, hermitian_scan, hermiticity_ceiling)
 
 # Largest frequency-set size a Gram matrix will be assembled for.
 SYSTEM_SIZE_CAP = 512
@@ -177,7 +177,7 @@ class GramMatrix:
             raise ValueError(f"unknown provenance {provenance!r}")
         section = isinstance(centred, _ToeplitzSection)
         m = centred if section else _as_square(centred)
-        scan = m.scan() if section else hermitian_scan(m)
+        scan = hermitian_scan(m)
         tol = hermiticity_ceiling(scan.top, HERMITICITY_TOL)
         if scan.defect > tol:
             i, j = scan.at

@@ -620,6 +620,8 @@ INF, NAN = float("inf"), float("nan")
                  "weight.steepness", id="bump-steepness-nan"),
     pytest.param("bounds", {"domain": {"boxes": [[-0.5, INF]]}, "freqs": {"range": [-3, 3]}},
                  "domain.boxes[0][1]", id="box-bound-infinity"),
+    pytest.param("bounds", {"domain": {"boxes": [[-0.5, 10 ** 400]]}, "freqs": {"range": [-3, 3]}},
+                 "domain.boxes[0][1]", id="box-bound-past-float-range"),
     pytest.param("bounds", {"domain": UNIT_BAND, "freqs": {"points": [0.0, NAN, 2.0]}},
                  "freqs.points[1]", id="frequency-nan"),
     pytest.param("sample", {"domain": UNIT_BAND, "nodes_per_axis": 129,
@@ -629,8 +631,9 @@ INF, NAN = float("inf"), float("nan")
 ])
 def test_non_finite_numbers_are_rejected_naming_their_path(command, parameters, path,
                                                           tmp_path, capsys):
-    # json.load reads NaN and +-Infinity; the schema rejects them where it
-    # reads the number, before any library code sees one.
+    # json.load reads NaN and +-Infinity, and integer literals of any
+    # length; the schema rejects a number that is no finite float where it
+    # reads it, before any library code sees one.
     scenario = {"name": "non-finite", "command": command, "parameters": parameters}
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -688,7 +688,11 @@ def test_a_box_gram_is_solved_from_its_table_as_its_matrix_is(case, eigvalsh_dty
                       (table.lambda_max, dense.lambda_max)):
         assert abs(got - want) <= 1e-14 * scale
         assert abs(got - want) <= min(table.margin, dense.margin)
-    if not kinds:
+    if kinds:
+        # The rounding of the halves built from the table, as the matrix
+        # route carries its basis change.
+        assert table.margin >= 3.0 * gram.order * EPS * gram.scan.top
+    else:
         assert table.margin == pytest.approx(dense.margin, rel=1e-12)
 
 
