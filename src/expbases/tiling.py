@@ -6,6 +6,9 @@ judged against a size-scaled tolerance). Searches are exhaustive
 depth-first walks of an explicit stack up to the documented caps and a
 work budget, with a seeded sampling fallback beyond the caps; the
 spectrum search tabulates differences among admissible elements only.
+A finished walk canonicalizes each orbit it found once; sampled
+candidates are checked in bounded stacks, one verdict path with the
+single-candidate checks.
 """
 
 from __future__ import annotations
@@ -27,9 +30,16 @@ PATTERN_SIZE_CAP = 12
 CHARACTER_TOL = 1e-9
 
 # Work an exhaustive walk may spend: one unit per node, plus n * n // 16
-# per found set of n members (its canonicalization table; 16 entries cost
-# about one node). The caps bound the group and pattern, not the work.
+# per found set of n members (the size of a canonicalization table; 16
+# entries cost about one node). Only one set per orbit is canonicalized,
+# but every found set is charged, so the budget stops a walk at the node
+# it always has. The caps bound the group and pattern, not the work.
 SEARCH_BUDGET = 2_000_000
+
+# Pattern-by-candidate entries per stack of sampled candidates checked at
+# once (each entry is a sum or a character value), so memory does not grow
+# with the sample budget.
+_SAMPLE_STACK_ENTRIES = 2 ** 14
 
 
 @dataclass(frozen=True, init=False)
@@ -100,14 +110,25 @@ class TilingVerdict:
     collisions: int
 
 
+def _cover_counts(group: GroupInstance, pat: np.ndarray,
+                  cands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # (uncovered, collisions) of pattern + candidate per candidate, from
+    # coordinate rows: pat (p, d), cands (m, n, d). Each row of sums is
+    # sorted, so the counts need no table the size of the group.
+    sums = np.sort(group.index(pat[np.newaxis, :, np.newaxis, :]
+                               + cands[:, np.newaxis, :, :]).reshape(cands.shape[0], -1), axis=1)
+    repeat = sums[:, 1:] == sums[:, :-1]
+    uncovered = group.order - sums.shape[1] + repeat.sum(axis=1)
+    # One collision per run of equal sums: each repeat not after a repeat.
+    collisions = repeat[:, :1].sum(axis=1) + (repeat[:, 1:] & ~repeat[:, :-1]).sum(axis=1)
+    return uncovered, collisions
+
+
 def tiles(group: GroupInstance, pattern, candidate) -> TilingVerdict:
     """Exact check that pattern + candidate covers the group once each."""
     pat = group.coords(_distinct_indices(group, pattern, "pattern"))
     cand = group.coords(_distinct_indices(group, candidate, "candidate"))
-    sums = group.index((pat[:, np.newaxis, :] + cand[np.newaxis, :, :]).reshape(-1, group.dimension))
-    counts = np.unique(sums, return_counts=True)[1]
-    uncovered = group.order - counts.size
-    collisions = int((counts > 1).sum())
+    uncovered, collisions = (int(c[0]) for c in _cover_counts(group, pat, cand[np.newaxis]))
     return TilingVerdict(uncovered == 0 and collisions == 0, uncovered, collisions)
 
 
@@ -125,6 +146,16 @@ def _character_table(group: GroupInstance, freq_coords: np.ndarray,
     return np.exp(2j * np.pi * (freq_coords @ scaled.T))
 
 
+def _character_defects(group: GroupInstance, pat: np.ndarray, cands: np.ndarray) -> np.ndarray:
+    # The largest off-diagonal character sum modulus per candidate, from
+    # coordinate rows: pat (p, d), cands (m, n, d).
+    m, n, d = cands.shape
+    table = _character_table(group, cands.reshape(m * n, d), pat).reshape(m, n, -1)
+    gram = table @ table.conj().transpose(0, 2, 1)
+    gram[:, np.arange(n), np.arange(n)] = 0
+    return np.abs(gram).max(axis=(1, 2))
+
+
 def is_spectrum(group: GroupInstance, pattern, candidate) -> SpectrumVerdict:
     """Check that the candidate characters are orthogonal and complete on the pattern.
 
@@ -134,10 +165,7 @@ def is_spectrum(group: GroupInstance, pattern, candidate) -> SpectrumVerdict:
     """
     pat = group.coords(_distinct_indices(group, pattern, "pattern"))
     cand = group.coords(_distinct_indices(group, candidate, "candidate"))
-    table = _character_table(group, cand, pat)
-    gram = table @ table.conj().T
-    off = np.abs(gram - np.diag(np.diag(gram)))
-    defect = float(off.max()) if off.size else 0.0
+    defect = float(_character_defects(group, pat, cand[np.newaxis])[0])
     tolerance = CHARACTER_TOL * pat.shape[0]
     sizes_match = cand.shape[0] == pat.shape[0]
     return SpectrumVerdict(sizes_match and defect <= tolerance, defect, tolerance, sizes_match)
@@ -153,17 +181,35 @@ class SearchResult:
     note: str
 
 
-def _canonical(group: GroupInstance, indices: np.ndarray) -> tuple[int, ...]:
+def _canonical(group: GroupInstance, indices: np.ndarray,
+               pending: Optional[set] = None) -> tuple[int, ...]:
     # Each row is the set translated so that one member sits at 0; the
     # orbit minimum is the least sorted row. Rows come in blocks of 256 so
-    # the broadcast stays linear in the set size.
+    # the broadcast stays linear in the set size. The rows are the orbit's
+    # sets through 0, struck from pending when it is given.
     coords = group.coords(indices)
     keys = []
     for start in range(0, coords.shape[0], 256):
         origins = coords[start:start + 256, np.newaxis, :]
         rows = np.sort(group.index(coords[np.newaxis, :, :] - origins), axis=1)
         keys.append(tuple(rows[np.lexsort(rows.T[::-1])[0]].tolist()))
+        if pending is not None:
+            pending.difference_update(map(tuple, rows.tolist()))
     return min(keys)
+
+
+def _orbit_minima(group: GroupInstance, hits: list) -> tuple[tuple[int, ...], ...]:
+    """The orbit minima of the sets through 0 that a finished walk found.
+
+    Both exhaustive walks find every set through 0 in the orbit of each set
+    they find, and canonicalizing one strikes all of them, so each orbit
+    costs one _canonical call and nothing is kept beyond the found sets.
+    """
+    pending = {tuple(sorted(hit)) for hit in hits}
+    minima = []
+    while pending:
+        minima.append(_canonical(group, np.asarray(pending.pop()), pending))
+    return tuple(sorted(minima))
 
 
 def _spend(work: int, cost: int, what: str) -> int:
@@ -216,7 +262,7 @@ def search_complements(group: GroupInstance, pattern, *,
     # starters[e] lists the b values whose translate reaches element e.
     starters = group.index(all_coords[:, np.newaxis, :] - pat_coords[np.newaxis, :, :]).tolist()
 
-    found: set[tuple[int, ...]] = set()
+    hits = []
     examined = work = 0
     stack = [(0, ())]
     while stack:
@@ -225,14 +271,16 @@ def search_complements(group: GroupInstance, pattern, *,
         if covered == full:
             examined += 1
             work = _spend(work, len(chosen) ** 2 // 16, "complement search")
-            found.add(_canonical(group, np.asarray(chosen)))
+            # Each orbit's sets through 0 are found too; they suffice.
+            if 0 in chosen:
+                hits.append(chosen)
             continue
         free = (~covered) & full
         least = (free & -free).bit_length() - 1
         for b in starters[least]:
             if not cover[b] & covered:
                 stack.append((covered | cover[b], chosen + (b,)))
-    return SearchResult(tuple(sorted(found)), True, examined, "")
+    return SearchResult(_orbit_minima(group, hits), True, examined, "")
 
 
 def search_spectra(group: GroupInstance, pattern, *,
@@ -268,8 +316,8 @@ def search_spectra(group: GroupInstance, pattern, *,
     extends = [int.from_bytes(np.packbits(col, bitorder="little").tobytes(), "little")
                for col in diff_ok.T]
 
-    found: set[tuple[int, ...]] = set()
-    examined = work = 0
+    hits = []
+    work = 0
     # Each entry is a clique and the bitset of admissible positions that may
     # extend it: the lowest is tried first, then the clique without it.
     stack = [((0,), (1 << len(admissible)) - 1)]
@@ -278,15 +326,14 @@ def search_spectra(group: GroupInstance, pattern, *,
         members, candidates = stack.pop()
         needed = k - len(members)
         if needed == 0:
-            examined += 1
             work = _spend(work, k * k // 16, "spectrum search")
-            found.add(_canonical(group, np.asarray(members)))
+            hits.append(members)
         elif candidates.bit_count() >= needed:
             low = candidates & -candidates
             c = low.bit_length() - 1
             stack.append((members, candidates ^ low))
             stack.append((members + (admissible[c],), (candidates ^ low) & extends[c]))
-    return SearchResult(tuple(sorted(found)), True, examined, "")
+    return SearchResult(_orbit_minima(group, hits), True, len(hits), "")
 
 
 def _sampled_search(group: GroupInstance, pat_idx: np.ndarray,
@@ -300,18 +347,25 @@ def _sampled_search(group: GroupInstance, pat_idx: np.ndarray,
     # No larger than a group an exhaustive search may walk, before any draw.
     if size > GROUP_ORDER_CAP:
         raise ValueError(f"a sampled candidate of {size} elements exceeds the cap {GROUP_ORDER_CAP}")
-    pattern = tuple(int(i) for i in pat_idx)
+    samples = int(samples)
+    pat = group.coords(pat_idx)
+    # Candidates are checked in stacks drawn in order, of at most
+    # _SAMPLE_STACK_ENTRIES pattern-by-candidate entries.
+    stack = max(1, _SAMPLE_STACK_ENTRIES // (k * size))
     found: set[tuple[int, ...]] = set()
-    for _ in range(int(samples)):
-        candidate = rng.distinct_indices(group.order, size)
+    for start in range(0, samples, stack):
+        cands = np.array([rng.distinct_indices(group.order, size)
+                          for _ in range(min(stack, samples - start))])
+        coords = group.coords(cands)
         if mode == "tiling":
-            hit = tiles(group, pattern, candidate).is_tiling
+            uncovered, collisions = _cover_counts(group, pat, coords)
+            hits = (uncovered == 0) & (collisions == 0)
         else:
-            hit = is_spectrum(group, pattern, candidate).is_spectrum
-        if hit:
-            found.add(_canonical(group, np.asarray(candidate)))
-    note = f"{reason}; sampled {int(samples)} candidate sets, no exhaustive guarantee"
-    return SearchResult(tuple(sorted(found)), False, int(samples), note)
+            hits = _character_defects(group, pat, coords) <= CHARACTER_TOL * k
+        for cand in cands[hits]:
+            found.add(_canonical(group, cand))
+    note = f"{reason}; sampled {samples} candidate sets, no exhaustive guarantee"
+    return SearchResult(tuple(sorted(found)), False, samples, note)
 
 
 @dataclass(frozen=True)

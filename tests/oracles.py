@@ -265,3 +265,30 @@ def canonical_translate(group, indices) -> tuple[int, ...]:
         if best is None or key < best:
             best = key
     return best
+
+
+def pcg32_distinct_draws(seed: int, bound: int, k: int) -> tuple[list[int], int, int]:
+    """k distinct values in [0, bound) from a PCG32 stream, one state at a time.
+
+    The stream is restated from its published definition (64-bit LCG,
+    XSH-RR output, rejection below the largest multiple of bound under
+    2^32, repeats skipped), in plain Python integers. Returns the values,
+    the state after them and the stream's next 32-bit output.
+    """
+    mult, inc, mask = 6364136223846793005, 1442695040888963407, (1 << 64) - 1
+    state = (inc + (seed & mask)) & mask
+    state = (state * mult + inc) & mask
+
+    def output(s: int) -> int:
+        word = (((s >> 18) ^ s) >> 27) & 0xFFFFFFFF
+        turn = s >> 59
+        return ((word >> turn) | (word << (32 - turn))) & 0xFFFFFFFF
+
+    ceiling = (2 ** 32 // bound) * bound
+    values: list[int] = []
+    while len(values) < k:
+        word = output(state)
+        state = (state * mult + inc) & mask
+        if word < ceiling and word % bound not in values:
+            values.append(word % bound)
+    return values, state, output(state)

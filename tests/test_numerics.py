@@ -727,3 +727,46 @@ def test_distinct_indices_exhaust_and_sample():
     assert len(set(part)) == 5
     with pytest.raises(ValueError, match="distinct"):
         Pcg32(3).distinct_indices(4, 5)
+
+
+def _draws_equal_the_scalar_reference(seed, bound, k):
+    rng = Pcg32(seed)
+    values, state, following = oracles.pcg32_distinct_draws(seed, bound, k)
+    assert rng.distinct_indices(bound, k) == values
+    assert rng._state == state
+    assert rng.next_u32() == following
+
+
+@pytest.mark.parametrize("seed,bound,k,blocks", [
+    (1, 10, 0, 0),
+    (2, 10, 10, 0),
+    (3, 5184, numerics._BLOCK_DRAW_MIN - 1, 0),
+    (4, 5184, numerics._BLOCK_DRAW_MIN, 1),
+    (5, 5184, 1296, 1),
+    (6, 2 ** 31 + 1, 300, 1),  # about half of all outputs rejected
+    (11, 2 ** 31 + 1, 300, 2),
+    (7, 2 ** 32, 300, 1),
+    (0, 64, 64, 2),
+    (8, 200, 200, 4),
+])
+def test_distinct_indices_equal_a_scalar_reference(monkeypatch, seed, bound, k, blocks):
+    # The block path must give the scalar walk's values and leave the
+    # stream where it would, also when a block falls short.
+    states = Pcg32._states
+    calls = []
+
+    def counted(self, count):
+        calls.append(count)
+        return states(self, count)
+    monkeypatch.setattr(Pcg32, "_states", counted)
+    _draws_equal_the_scalar_reference(seed, bound, k)
+    assert len(calls) == blocks
+
+
+def test_distinct_indices_equal_a_scalar_reference_on_seeded_cases():
+    picks = Pcg32(2026)
+    for seed in range(60):
+        bound = (picks.randint(300) + 1, picks.randint(6000) + 1,
+                 (1 << 32) - picks.randint(1 << 31))[seed % 3]
+        k = picks.randint(min(bound, 400) + 1)
+        _draws_equal_the_scalar_reference(seed, bound, k)

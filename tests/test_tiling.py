@@ -1,6 +1,8 @@
 """Finite abelian group translational covers and orthogonal character sets."""
 
 import gc
+import hashlib
+import json
 import re
 import tracemalloc
 
@@ -99,6 +101,85 @@ def test_tiles_counts_match_a_count_per_element(moduli):
         candidate = rng.distinct_indices(group.order, 1 + trial % 6)
         verdict = tiles(group, pattern, candidate)
         assert (verdict.uncovered, verdict.collisions) == bincount_tiles(group, pattern, candidate)
+
+
+@pytest.mark.parametrize("moduli,side", [((12,), 3), ((4, 6), (2, 3)), ((3, 3, 2), (3, 1, 2))])
+def test_stacked_checks_equal_the_single_candidate_checks(moduli, side):
+    # Sampled searches check a stack of candidates at once; each row must
+    # get the verdict and counts the public check gives it alone. Found
+    # complements and spectra of a cube lead its stacks, so both verdicts
+    # occur; a seeded pattern's stacks follow.
+    group = GroupInstance(moduli)
+    rng = Pcg32(29)
+    hits = {search_complements: 0, search_spectra: 0}
+    for pattern in (cube_set(group, side), tuple(sorted(rng.distinct_indices(group.order, 3)))):
+        pat = group.coords(np.asarray(pattern))
+        for search, n in ((search_complements, group.order // len(pattern)),
+                          (search_spectra, len(pattern))):
+            found = search(group, pattern).found
+            cands = np.array([*found, *(rng.distinct_indices(group.order, n) for _ in range(12))])
+            coords = group.coords(cands)
+            if search is search_complements:
+                stacked = zip(*tiling._cover_counts(group, pat, coords))
+                for cand, counts in zip(cands, stacked):
+                    verdict = tiles(group, pattern, cand)
+                    assert (verdict.uncovered, verdict.collisions) == counts
+                    assert counts == bincount_tiles(group, pattern, cand)
+                    assert verdict.is_tiling == (oracles.canonical_translate(group, cand) in found)
+                    hits[search] += verdict.is_tiling
+            else:
+                defects = tiling._character_defects(group, pat, coords)
+                for cand, defect in zip(cands, defects):
+                    verdict = is_spectrum(group, pattern, cand)
+                    assert verdict.is_spectrum == (defect <= verdict.tolerance)
+                    assert defect == pytest.approx(verdict.defect, rel=1e-12, abs=1e-12)
+                    assert verdict.is_spectrum == (oracles.canonical_translate(group, cand) in found)
+                    hits[search] += verdict.is_spectrum
+    assert min(hits.values()) > 0
+
+
+def test_sampled_searches_that_find_sets_keep_their_results():
+    # Values recorded before sampled candidates were drawn in blocks and
+    # checked in stacks, with the stream's next output after the search.
+    # Any pair at an odd distance is a spectrum of {0, 2050} in Z_4100, and
+    # {0, 2050} is the one complement of {0, ..., 2049} up to translation.
+    group = GroupInstance([4100])
+    rng = Pcg32(1)
+    spec = search_spectra(group, (0, 2050), samples=300, rng=rng)
+    assert (len(spec.found), spec.examined) == (144, 300)
+    assert all(a == 0 and d % 2 == 1 and d < 2050 for a, d in spec.found)
+    assert hashlib.sha256(json.dumps(spec.found).encode()).hexdigest() == (
+        "024fcb3f43ee304827f9fede92f0fee40faeb4977b59162899c4f070e59cef72")
+    assert rng.next_u32() == 4051017673
+    for seed, found, following in ((5, ((0, 2050),), 843016471), (4, (), 1385166840)):
+        rng = Pcg32(seed)
+        comp = search_complements(group, tuple(range(2050)), samples=1000, rng=rng)
+        assert (comp.found, comp.examined) == (found, 1000)
+        assert rng.next_u32() == following
+
+
+@pytest.mark.parametrize("search,moduli,found,examined,digest", [
+    (search_complements, [16, 16], 39, 1020,
+     "de4d8fe3703796ba4f507203bac0f7e0a6a2270eedaae2b8b5dda62716136eb1"),
+    (search_spectra, [64, 64], 33, 63,
+     "990033d8d3799fccf3f74ce3adeb6f574a25705983354902cda5f5cd90da06c8"),
+])
+def test_an_exhaustive_walk_canonicalizes_each_orbit_once(monkeypatch, search, moduli, found,
+                                                          examined, digest):
+    # Found sets and counts as recorded when every found set was
+    # canonicalized (1,020 and 63 _canonical calls).
+    canonical = tiling._canonical
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return canonical(*args)
+    monkeypatch.setattr(tiling, "_canonical", counted)
+    group = GroupInstance(moduli)
+    res = search(group, cube_set(group, 2))
+    assert (len(res.found), res.examined) == (found, examined)
+    assert hashlib.sha256(json.dumps(res.found).encode()).hexdigest() == digest
+    assert len(calls) == found
 
 
 def test_is_spectrum_verdicts():

@@ -35,7 +35,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import run  # noqa: E402
 
 ROUNDS = ("scenarios", ("dense_grams", 1), ("dense_grams", 2), ("small_scenarios", 1),
-          ("tiling_search", 1))
+          ("tiling_search", 1), ("tiling_search", 2))
 
 _MISSING = object()
 
