@@ -21,13 +21,8 @@ the Hermiticity ceiling is solved in real arithmetic with the dropped
 part's Frobenius norm added to the margin (Weyl's inequality), and any
 other in complex. Which matrices are real is settled where they are built:
 spectra integrates every Gram about its domain's centre, and paley_wiener
-centres the frequencies of its frame operators. A centrohermitian matrix,
-J M J = conj(M) with J the reversal (a Gram on an integer range in
-lexicographic order; a frame operator whose nodes and weight are
-symmetric in their order), is real in J's even/odd basis, and is solved
-there, in two halves when the halves do not couple. No caller says that
-an array has this structure: eigen_bounds screens one row against its
-mirror, and measures every part that must vanish.
+centres the frequencies of its frame operators. An array is solved as
+one matrix, as it comes; only a box's difference table is split.
 
 A Gram on frequencies that are a whole integer box in lexicographic order
 (every integer range) is held as its difference table t, M[r, c] =
@@ -180,123 +175,23 @@ def _positive_definite(matrix: np.ndarray, shift: float) -> bool:
     return True
 
 
-def _mirrored(m: np.ndarray, ceiling: float) -> bool:
-    """Whether M may satisfy J M J = conj(M), J the reversal: the row
-    through its largest diagonal entry matches the conjugate of its mirror
-    within the ceiling, in O(n). Row 0 would not do: under a window that
-    vanishes at the edges it is nearly zero and matches anything. This is
-    only a screen; _real_halves measures the whole of what it assumes.
-    """
-    n = m.shape[0]
-    r = int(np.argmax(m.diagonal().real))
-    return float(np.max(np.abs(m[n - 1 - r, ::-1] - m[r].conj()))) <= ceiling
-
-
-def _turned(m: np.ndarray) -> list[list[np.ndarray]]:
-    """The blocks [[E, B], [C, O]] of U, where T = U / 2 is M in the
-    even/odd basis of the reversal J with the even half first: E and O are
-    the even and odd halves, of orders q = n - n // 2 and n // 2, and B and
-    C couple them.
-
-    The basis is (e_k + e_Jk)/sqrt(2) for k < Jk = n - 1 - k and e_f for
-    the middle index f when n is odd, then (e_k - e_Jk)/sqrt(2), times i
-    when M is complex: sums and differences of mirrored rows into a q x n
-    and an n // 2 x n array, then of their mirrored columns into the four
-    blocks, and then B times i and C times -i. T is real when
-    J M J = conj(M).
-    """
-    n = m.shape[0]
-    pairs = n // 2
-    q = n - pairs
-    flipped = m[::-1]
-    blocks = [[rows[:, :q] + rows[:, ::-1][:, :q], rows[:, :pairs] - rows[:, ::-1][:, :pairs]]
-              for rows in (m[:q] + flipped[:q], m[:pairs] - flipped[:pairs])]
-    (even, upper), (lower, _) = blocks
-    if np.iscomplexobj(m):
-        upper *= 1j
-        lower *= -1j
-    if q > pairs:
-        # The middle row and column were added to themselves.
-        for part in (even[pairs], upper[pairs], even[:, pairs], lower[:, pairs]):
-            part *= np.sqrt(0.5)
-    return blocks
-
-
-def _arranged(orders: tuple, coupling: Optional[np.ndarray],
-              ceiling: float) -> tuple[list, list, float]:
-    """(halves, out, dropped): the matrices to solve for diagonal blocks of
-    the given orders, and the buffers the caller writes those blocks into.
-
-    With no coupling each block is a matrix of its own. A coupling between
-    two blocks within the ceiling is dropped, and dropped is its squared
-    Frobenius norm, counted above and below the diagonal; any other
-    coupling joins the blocks into one whole matrix, written off its
-    diagonal here.
-    """
-    if coupling is None or (coupling.size and float(np.abs(coupling).max()) <= ceiling):
-        halves = [np.empty((k, k)) for k in orders]
-        dropped = 0.0 if coupling is None else 2.0 * float(np.vdot(coupling, coupling))
-        return halves, halves, dropped
-    q = orders[0]
-    whole = np.empty((sum(orders),) * 2)
-    whole[:q, q:] = coupling
-    whole[q:, :q] = coupling.T
-    return [whole], [whole[:q, :q], whole[q:, q:]], 0.0
-
-
-def _real_halves(blocks: list[list[np.ndarray]], scale: float,
-                 ceiling: float) -> Optional[tuple[list, float]]:
-    """The real symmetric matrices whose joint spectrum stands for that of
-    the Hermitian part of T = scale U, and the Frobenius norm of what was
-    dropped to get them; None when T is not real within the ceiling.
-
-    U is [[M]] (scale = 1) or the blocks of M turned by _turned. Its
-    imaginary part is measured, gated at the Hermiticity ceiling and
-    dropped, and the symmetric real part of T is solved: its even and odd
-    halves apart when the coupling between them is within the ceiling too
-    (and is dropped, _arranged), else whole. Each dropped part moves no
-    eigenvalue by more than its Frobenius norm (Weyl).
+def _matrix_halves(m: np.ndarray, ceiling: float) -> tuple[list, float]:
+    """The matrix eigen_bounds solves for a Hermitian M, and the Weyl
+    distance from its spectrum to that of M's Hermitian part: the
+    symmetric real part (Re M + Re M^T) / 2 when M is real within the
+    ceiling, with the dropped imaginary part's Frobenius norm, else
+    (M + M*) / 2 in complex arithmetic.
     """
     slack = 0.0
-    if np.iscomplexobj(blocks[0][0]):
-        imaginary = [np.abs(block.imag).ravel() for row in blocks for block in row]
+    if np.iscomplexobj(m):
+        imaginary = np.abs(m.imag).ravel()
         # Written so that a NaN takes the complex route, as it always has.
-        if not scale * float(np.max([np.max(d, initial=0.0) for d in imaginary])) <= ceiling:
-            return None
-        slack = scale ** 2 * sum(float(np.dot(d, d)) for d in imaginary)
-    diagonal = [row[k] for k, row in enumerate(blocks)]
-    coupling = None
-    if len(blocks) == 2:
-        (_, upper), (lower, _) = blocks
-        coupling = upper.real + lower.real.T
-        coupling *= 0.5 * scale
-    halves, out, dropped = _arranged(tuple(block.shape[0] for block in diagonal), coupling,
-                                     ceiling)
-    for block, half in zip(diagonal, out):
-        np.add(block.real, block.real.T, out=half)
-        half *= 0.5 * scale
-    return halves, math.sqrt(slack + dropped)
-
-
-def _matrix_halves(m: np.ndarray, ceiling: float, top: float) -> tuple[list, float]:
-    """The matrices eigen_bounds solves for a Hermitian M, and the Weyl
-    distance from their joint spectrum to that of M's Hermitian part.
-
-    When M passes the screen for J M J = conj(M) (_mirrored) and turns
-    into a real matrix in J's even/odd basis (_turned, _real_halves), that
-    matrix or its two halves, with the basis change's rounding in the
-    slack: an entry of T is half a sum of four entries of M, within
-    2 sqrt(2) eps max |M| of its value, or in the middle row or column
-    within 3 eps max |M|; so T is within 3 n eps max |M| in Frobenius norm.
-    Else (Re M + Re M^T) / 2 when M is real within the ceiling, and else
-    the Hermitian part (M + M*) / 2 in complex arithmetic.
-    """
-    if _mirrored(m, ceiling):
-        real = _real_halves(_turned(m), 0.5, ceiling)
-        if real is not None:
-            return real[0], real[1] + 3.0 * m.shape[0] * np.finfo(float).eps * top
-    real = _real_halves([[m]], 1.0, ceiling)
-    return real if real is not None else ([0.5 * (m + m.conj().T)], 0.0)
+        if not float(np.max(imaginary, initial=0.0)) <= ceiling:
+            return [0.5 * (m + m.conj().T)], 0.0
+        slack = float(np.dot(imaginary, imaginary))
+    half = m.real + m.real.T
+    half *= 0.5
+    return [half], math.sqrt(slack)
 
 
 class _ToeplitzSection:
@@ -368,21 +263,24 @@ class _ToeplitzSection:
                              _rounded_up_radius(radius, self.shape[0]), off)
 
     def halves(self, ceiling: float, top: float) -> tuple[list, float]:
-        """_matrix_halves(self.dense(), ...), built from the table.
+        """The real symmetric matrices eigen_bounds solves for the Hermitian
+        part H of M, and the Weyl distance from their joint spectrum to
+        H's, built from the table.
 
-        With t_h(delta) = (t(delta) + conj t(-delta)) / 2, the table of the
-        Hermitian part H, and for k, l below q = n - n // 2,
-        near = a_k - a_l and far = a_k - a_Jl = a_k + a_l - s: the even half
-        is Re t_h[near] + Re t_h[far], the odd half (k, l below n // 2)
-        Re t_h[near] - Re t_h[far], and the coupling Im t_h[far] -
-        Im t_h[near]; for odd n the middle row and column of the even half,
-        and the middle row of the coupling, carry a further sqrt(1/2).
-        That is H in J's even/odd basis, the odd vectors times i, exactly
-        real. Each entry is within 3 eps max |t| of its value (two halved
-        sums and a product for the middle ones), so the solved matrices are
-        within 3 n eps max |M| in Frobenius norm, the matrix route's
-        basis-change term; a dropped coupling adds its own norm
-        (_arranged).
+        With t_h(delta) = (t(delta) + conj t(-delta)) / 2, the table of H,
+        and for k, l below q = n - n // 2, near = a_k - a_l and
+        far = a_k - a_Jl = a_k + a_l - s: the even half is Re t_h[near] +
+        Re t_h[far], the odd half (k, l below n // 2) Re t_h[near] -
+        Re t_h[far], and the coupling Im t_h[far] - Im t_h[near]; for odd n
+        the middle row and column of the even half, and the middle row of
+        the coupling, carry a further sqrt(1/2). That is H in J's even/odd
+        basis, the odd vectors times i, exactly real. Each entry is within
+        3 eps max |t| of its value (two halved sums and a product for the
+        middle ones), so the solved matrices are within 3 n eps max |M| in
+        Frobenius norm. A coupling within the ceiling is dropped, its
+        Frobenius norm (counted above and below the diagonal) added, and
+        the halves are solved apart; any other coupling joins them into
+        one whole matrix.
         """
         n = self.shape[0]
         pairs = n // 2
@@ -402,7 +300,14 @@ class _ToeplitzSection:
         middle = q > pairs
         if middle:
             coupling[pairs] *= np.sqrt(0.5)
-        halves, (even, odd), dropped = _arranged((q, pairs), coupling, ceiling)
+        if coupling.size and float(np.abs(coupling).max()) <= ceiling:
+            even, odd = halves = [np.empty((q, q)), np.empty((pairs, pairs))]
+            dropped = 2.0 * float(np.vdot(coupling, coupling))
+        else:
+            whole = np.empty((n, n))
+            whole[:q, q:] = coupling
+            whole[q:, :q] = coupling.T
+            halves, even, odd, dropped = [whole], whole[:q, :q], whole[q:, q:], 0.0
         close, across = real[near], real[far]
         np.add(close, across, out=even)
         np.subtract(close[:pairs, :pairs], across[:pairs, :pairs], out=odd)
@@ -465,13 +370,13 @@ def eigen_bounds(matrix, *, scan: Optional[HermitianScan] = None) -> EigenBounds
 
     On the dense route the matrix is first reduced to real symmetric
     matrices whose joint spectrum is within a slack of that of H: for an
-    array, the halves in the reversal's even/odd basis, one real matrix,
-    or H itself in complex (_matrix_halves); for a section, its even and
-    odd halves, or one real matrix when they couple (halves()). Then
-    eigvalsh gives lambda_min and lambda_max; Cholesky factorizations of
-    H - (lambda_min - margin) I and (lambda_max + margin) I - H show that
-    no eigenvalue of each solved matrix H lies outside the reported range
-    by more than margin (_certified). The margin starts at
+    array, one real matrix, or H itself in complex (_matrix_halves); for a
+    section, its even and odd halves, or one real matrix when they couple
+    (halves()). Then eigvalsh gives lambda_min and lambda_max; Cholesky
+    factorizations of H - (lambda_min - margin) I and
+    (lambda_max + margin) I - H show that no eigenvalue of each solved
+    matrix H lies outside the reported range by more than margin
+    (_certified). The margin starts at
     order * eps * max(|lambda_min|, |lambda_max|) and doubles after a
     failed factorization; the slack is added to it. An eigensolver that
     fails to converge, or a margin that would exceed
@@ -503,7 +408,7 @@ def eigen_bounds(matrix, *, scan: Optional[HermitianScan] = None) -> EigenBounds
     if scan.radius <= np.finfo(float).eps * scale < np.inf:
         diagonal = m.diagonal().real
         return EigenBounds(float(diagonal.min()), float(diagonal.max()), scan.radius)
-    halves, slack = m.halves(ceiling, top) if section else _matrix_halves(m, ceiling, top)
+    halves, slack = m.halves(ceiling, top) if section else _matrix_halves(m, ceiling)
     return _certified(halves, slack, top, n)
 
 

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .domain import Box, Domain, QuadratureRule, quadrature
-from .numerics import ORDER_CAP
+from .numerics import ORDER_CAP, eigen_bounds
 from .spectra import (BoundsReport, FrequencySet, GramMatrix, OnbVerdict,
                       _pairwise_quadrature, box_centre, exp_gram,
                       frame_bounds_of_operator, is_orthonormal_system, riesz_bounds)
@@ -309,41 +309,65 @@ _FRAME_NOTE = ("frame bounds are certified on the quadrature model of the weight
                "the weight vanishes")
 
 
+def _rank_deficient_bounds(gram: GramMatrix) -> BoundsReport:
+    """Frame bounds of an operator V V* on more nodes than the n frequencies,
+    from its Gram V* V, which has the same nonzero spectrum: V V* has rank
+    at most n, so its lower bound is 0 (degenerate) by rank, not by a
+    solve, and its upper bound is the Gram's certified largest eigenvalue,
+    with that Gram's margin."""
+    bounds = eigen_bounds(gram.operand, scan=gram.scan)
+    return BoundsReport(0.0, bounds.lambda_max, None, "degenerate", bounds.margin)
+
+
 def verify_frame_transfer(domain: Domain, freqs: FrequencySet,
                           weight: SpectralWeight) -> FrameTransferReport:
     """Frame-bound sandwich for weights that may vanish on part of the domain.
 
-    The model space keeps only the quadrature nodes inside the support.
+    The model space keeps only the N quadrature nodes inside the support.
     Both frame operators (weighted and unweighted exponentials) act there,
     and the weighted bounds must sit inside the unweighted ones scaled by
-    the extreme squared moduli over the support. Both are built from the
-    frequencies moved by -m, m the centre of their bounding box
-    (spectra.box_centre): that only rotates each operator by a unimodular
-    diagonal, and makes it real when the frequencies are symmetric about m
-    and the weight is real. Both are scalings of one node kernel, built in
-    real arithmetic.
+    the extreme squared moduli over the support. Each operator is V V* for
+    V = diag(u) P, with P the node-by-frequency phase matrix and u the
+    square roots of the node weights, times the weight's values for the
+    weighted one. Each is solved on its smaller side, so only when both N
+    and the n frequencies exceed ORDER_CAP is the transfer refused.
+
+    With N > n, the n x n Gram V* V stands for V V* (_rank_deficient_bounds):
+    the Gram on the support's rule, weighted by |weight|^2 for the weighted
+    operator, which exp_gram integrates about the domain's centre (a
+    difference table on a range), and no N x N operator is formed. With
+    N <= n, V V* is formed from the frequencies moved by -m, m the centre
+    of their bounding box (spectra.box_centre): that only rotates each
+    operator by a unimodular diagonal, and makes it real when the
+    frequencies are symmetric about m and the weight is real. Both are
+    scalings of one node kernel, built in real arithmetic.
     """
     if weight.domain != domain:
         raise ValueError("weight was sampled on a different domain")
     mask = weight.support_mask
     n_support = int(mask.sum())
-    if n_support > ORDER_CAP:
+    if min(n_support, freqs.size) > ORDER_CAP:
         raise ValueError(
-            f"{n_support} support nodes exceed the dense-solver cap {ORDER_CAP}; "
-            "coarsen the rule")
+            f"{n_support} support nodes and {freqs.size} frequencies both exceed the "
+            f"dense-solver cap {ORDER_CAP}; coarsen the rule")
     nodes = weight.rule.nodes[mask]
     wts = weight.rule.weights[mask]
     vals = weight.values[mask]
-    centred = freqs.points - box_centre(freqs.points)
-    # With P the node-by-frequency phase matrix, each operator is V V* for
-    # V = diag(u) P, that is outer(u, conj(u)) times the node kernel P P*,
-    # which is the pairwise quadrature of the nodes' differences against the
-    # frequencies.
-    kernel = _pairwise_quadrature(centred, np.ones(freqs.size), nodes)
-    droot = np.sqrt(wts)
-    scaled = droot * vals
-    unweighted = frame_bounds_of_operator(np.outer(droot, droot) * kernel)
-    weighted = frame_bounds_of_operator(np.outer(scaled, scaled.conj()) * kernel)
+    if n_support > freqs.size:
+        support = QuadratureRule(nodes, wts)
+        unweighted = _rank_deficient_bounds(exp_gram(domain, freqs, rule=support))
+        weighted = _rank_deficient_bounds(
+            exp_gram(domain, freqs, weight=table_weight(domain, support, vals)))
+    else:
+        centred = freqs.points - box_centre(freqs.points)
+        # Each operator is outer(u, conj(u)) times the node kernel P P*,
+        # which is the pairwise quadrature of the nodes' differences against
+        # the frequencies.
+        kernel = _pairwise_quadrature(centred, np.ones(freqs.size), nodes)
+        droot = np.sqrt(wts)
+        scaled = droot * vals
+        unweighted = frame_bounds_of_operator(np.outer(droot, droot) * kernel)
+        weighted = frame_bounds_of_operator(np.outer(scaled, scaled.conj()) * kernel)
     mods_sq = np.abs(vals) ** 2
     floor_sq = float(mods_sq.min())
     ceil_sq = float(mods_sq.max())

@@ -29,11 +29,10 @@ the domain and |weight|^2 are symmetric about c; eigen_bounds solves
 either in real arithmetic, and certifies the Gram of an orthonormal
 system, the identity to rounding, by Gershgorin discs from the scan the
 Gram carries, with no solve at all. Entries that depend only
-on differences make the Gram of a set symmetric through its centre,
-listed in lexicographic order, centrohermitian: eigen_bounds solves it in
-real even/odd halves, built from the table for a box and found in G_0
-itself for any other set. Distinct frequencies are proved by a sort (one
-axis, or integer coordinates) before any pairwise scan runs.
+on differences make the Gram of a whole integer box centrohermitian:
+eigen_bounds solves it in real even/odd halves built from its table.
+Distinct frequencies are proved by a sort (one axis, or integer
+coordinates) before any pairwise scan runs.
 """
 
 from __future__ import annotations
@@ -59,7 +58,8 @@ DISTINCTNESS_TOL = 1e-12
 # SYSTEM_SIZE_CAP is one block.
 _GAP_BLOCK_ENTRIES = SYSTEM_SIZE_CAP ** 2
 
-# Entries per block of nodes in a Toeplitz quadrature Gram's folded table.
+# Entries per block of nodes in a Toeplitz quadrature Gram's folded table,
+# and in the cos and sin tables of the pairwise quadrature route.
 _TABLE_BLOCK_ENTRIES = SYSTEM_SIZE_CAP ** 2
 
 # Integer coordinates below this magnitude have exact float differences.
@@ -408,17 +408,28 @@ def _pairwise_quadrature(nodes: np.ndarray, coeff: np.ndarray,
     With C and S the cos and sin of 2 pi <x_k, a_r>, each row k times
     sqrt(coeff[k]), Re G = C^T C + S^T S is one symmetric product of the
     stacked table [C; S], and Im G = X - X^T with X = C^T S: no complex
-    exponential or product, and G is Hermitian to the last bit.
+    exponential or product, and G is Hermitian to the last bit. Nodes go
+    in blocks of about _TABLE_BLOCK_ENTRIES table entries, whose products
+    are summed; one block when there are fewer entries.
     """
-    angles = (2.0 * np.pi) * (nodes @ points.T)
-    table = np.empty((2,) + angles.shape)
-    np.cos(angles, out=table[0])
-    np.sin(angles, out=table[1])
-    table *= np.sqrt(coeff)[:, np.newaxis]
-    cross = table[0].T @ table[1]
-    table = table.reshape(-1, angles.shape[1])
-    gram = np.empty((points.shape[0],) * 2, dtype=complex)
-    gram.real = table.T @ table
+    n = points.shape[0]
+    rows = max(1, _TABLE_BLOCK_ENTRIES // n)
+    real = cross = None
+    for start in range(0, nodes.shape[0], rows):
+        angles = (2.0 * np.pi) * (nodes[start:start + rows] @ points.T)
+        table = np.empty((2,) + angles.shape)
+        np.cos(angles, out=table[0])
+        np.sin(angles, out=table[1])
+        table *= np.sqrt(coeff[start:start + rows])[:, np.newaxis]
+        block = table[0].T @ table[1]
+        table = table.reshape(-1, n)
+        if real is None:
+            real, cross = table.T @ table, block
+        else:
+            real += table.T @ table
+            cross += block
+    gram = np.empty((n, n), dtype=complex)
+    gram.real = real
     gram.imag = cross - cross.T
     return gram
 

@@ -84,6 +84,15 @@ def eigh_extreme_eigenvalues(matrix) -> tuple[float, float]:
     return float(w[0]), float(w[-1])
 
 
+def even_odd_basis(n):
+    """The orthonormal even/odd basis of the reversal, as columns: the even
+    vectors (with the middle one for odd n), then the odd ones."""
+    eye, pairs = np.eye(n), n // 2
+    even = [(eye[k] + eye[n - 1 - k]) / np.sqrt(2.0) for k in range(pairs)]
+    odd = [(eye[k] - eye[n - 1 - k]) / np.sqrt(2.0) for k in range(pairs)]
+    return np.array(even + ([eye[pairs]] if n % 2 else []) + odd).T
+
+
 def interval_integral(delta, lo: float, hi: float) -> np.ndarray:
     """Integral of exp(-2 pi i delta x) over [lo, hi] for an array of delta,
     as a difference of exponentials: (exp(-2 pi i delta hi) -

@@ -656,9 +656,11 @@ def test_non_finite_numbers_are_rejected_naming_their_path(command, parameters, 
     pytest.param("gabor", {**gabor_parameters({"range": [0, 1]}, {"range": [0, 1]}),
                            "base_domain": {"boxes": [[0.0, 2.0]]}},
                  "base domain measure 2.0 is not 1", id="unit_base_measure"),
-    pytest.param("frame-transfer", {"domain": {"boxes": [[0.0, 1.0]]}, "freqs": {"range": [0, 1]},
+    pytest.param("frame-transfer", {"domain": {"boxes": [[0.0, 1.0]]},
+                                    "freqs": {"range": [0, 512]},
                                     "weight": {"profile": "constant", "nodes_per_axis": 513}},
-                 "513 support nodes exceed the dense-solver cap 512", id="support_within_cap"),
+                 "513 support nodes and 513 frequencies both exceed the dense-solver cap 512",
+                 id="support_within_cap"),
     pytest.param("periodization", {"profile": {"kind": "indicator", "lower": [0.0],
                                                "upper": [1.0]}, "resolution": 1},
                  "scenario.parameters.resolution (expected int >= 2)",
@@ -757,6 +759,35 @@ def test_frame_transfer_vector_count_has_no_cap(tmp_path, capsys):
     assert code == 0 and err == ""
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["results"]["n_vectors"] == 600
+
+
+def test_a_frame_transfer_past_the_cap_on_one_side_runs(tmp_path, capsys):
+    # 513 support nodes and 2 frequencies: the operator is solved as its
+    # 2 x 2 Gram.
+    scenario = {"name": "tall", "command": "frame-transfer",
+                "parameters": {"domain": {"boxes": [[0.0, 1.0]]}, "freqs": {"range": [0, 1]},
+                               "weight": {"profile": "constant", "nodes_per_axis": 513}}}
+    code, err = run_main(tmp_path, capsys, scenario, "frame-transfer")
+    assert code == 0 and err == ""
+    results = json.loads((tmp_path / "report.json").read_text())["results"]
+    assert (results["space_dim"], results["n_vectors"]) == (513, 2)
+
+
+def test_a_range_frame_transfer_on_2048_nodes_has_a_rank_proved_zero_lower_bound(
+        tmp_path, capsys):
+    scenario = {"name": "fine-bump", "command": "frame-transfer",
+                "parameters": {"domain": {"boxes": [[0.1, 0.9]]}, "freqs": {"range": [-16, 15]},
+                               "weight": {"profile": "bump", "nodes_per_axis": 2048}}}
+    code, err = run_main(tmp_path, capsys, scenario, "frame-transfer")
+    assert code == 0 and err == ""
+    report = json.loads((tmp_path / "report.json").read_text())
+    results = report["results"]
+    assert results["space_dim"] == 2048 and results["n_vectors"] == 32
+    for side in ("weighted_", "unweighted_"):
+        assert results[side + "lower"] == 0.0
+        assert results[side + "upper"] > 0.0
+        assert 0.0 < results[side + "certificate_margin"] <= 1e-12 * results[side + "upper"]
+    assert report["verdicts"]["sandwich_holds"] is True
 
 
 def test_transfer_with_a_large_weight_passes_the_hermiticity_gates(tmp_path, capsys):

@@ -11,7 +11,7 @@ import oracles
 from expbases import (Box, FrequencySet, Pcg32, affine_weight, bump_window, constant_weight,
                       eigen_bounds, exp_gram, hermitian_defect, lattice_truncation,
                       make_domain, make_mask_domain, numerics, quadrature, riesz_bounds,
-                      table_weight, translation_gram)
+                      table_weight, translation_gram, verify_frame_transfer)
 from expbases.cli import main
 from expbases.numerics import HERMITICITY_TOL, RESIDUAL_CAP
 from expbases.spectra import box_centre
@@ -194,19 +194,14 @@ CENTRED_SHAPES = {
 CLOSED_FORM_SHAPES = ["1d-lattice-512", "2d-lattice-484", "1d-kadec-448", "2d-kadec-400",
                       "1d-constant-transfer-512"]
 
-# The shapes above whose frequencies (or, for the frame operator, nodes)
-# are symmetric in their order: real and persymmetric, so they split.
-PERSYMMETRIC_SHAPES = ["1d-lattice-512", "2d-lattice-484", "1d-full-mask-512",
-                       "2d-full-mask-484", "1d-constant-transfer-512", "frame-operator-bump-400"]
-
-
 @pytest.mark.parametrize("shape", CENTRED_SHAPES)
 def test_the_real_route_agrees_with_the_complex_route(shape, eigvalsh_dtypes):
     # The complex route is the eigh oracle on the Gram or operator where it
-    # sits, which has the spectrum of the centred one.
+    # sits, which has the spectrum of the centred one. An array is solved
+    # as one real matrix, whatever symmetry its order has.
     centred, placed = CENTRED_SHAPES[shape]()
     real = eigen_bounds(centred)
-    assert eigvalsh_dtypes == [np.float64] * (2 if shape in PERSYMMETRIC_SHAPES else 1)
+    assert eigvalsh_dtypes == [np.float64]
     lo, hi = oracles.eigh_extreme_eigenvalues(placed)
     tol = 1e-12 * max(1.0, abs(hi))
     assert abs(real.lambda_min - lo) <= tol
@@ -298,20 +293,21 @@ SQUARE_RULE = quadrature(SQUARE, 12)
 # is diagonal to rounding.
 SMALL_SQUARE = make_domain([Box([0.25, -0.5], [1.0, 0.25])])
 
-# Grams of a symmetric set, each with the kinds of the matrices eigvalsh
-# receives: two real halves when the domain and weight are symmetric too,
-# else one real matrix.
+# Grams of a symmetric set that is no whole box, each with the kind of the
+# one matrix eigvalsh receives: real when the domain and weight are
+# symmetric too, else complex. An array is never split, whatever symmetry
+# its order has.
 REFLECTED_GRAMS = {
-    "box-union": (lambda freqs: exp_gram(UNION_2D, freqs), "f"),
+    "box-union": (lambda freqs: exp_gram(UNION_2D, freqs), "c"),
     "mask": (lambda freqs: exp_gram(
         make_mask_domain([-0.5, 0.0], [3, 2], [0.5, 0.5], [True, True, False, True, True, True]),
-        freqs, nodes_per_axis=8), "f"),
+        freqs, nodes_per_axis=8), "c"),
     "affine-weight": (lambda freqs: translation_gram(
-        SQUARE, freqs, affine_weight(SQUARE, 2.5, [0.75, -0.5], nodes_per_axis=12)), "f"),
+        SQUARE, freqs, affine_weight(SQUARE, 2.5, [0.75, -0.5], nodes_per_axis=12)), "c"),
     # The same node values as a table: the weighted quadrature route.
     "table-weight": (lambda freqs: translation_gram(SQUARE, freqs, table_weight(
-        SQUARE, SQUARE_RULE, 2.5 + SQUARE_RULE.nodes @ np.array([0.75, -0.5]))), "f"),
-    "symmetric-box": (lambda freqs: exp_gram(SMALL_SQUARE, freqs), "ff"),
+        SQUARE, SQUARE_RULE, 2.5 + SQUARE_RULE.nodes @ np.array([0.75, -0.5]))), "c"),
+    "symmetric-box": (lambda freqs: exp_gram(SMALL_SQUARE, freqs), "f"),
 }
 
 
@@ -341,13 +337,13 @@ def test_a_reflected_solve_matches_the_eigh_oracle(seed, kind, eigvalsh_dtypes):
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("kind", ["box-union", "mask", "affine-weight", "table-weight"])
 def test_a_shuffled_symmetric_set_is_solved_unsplit(seed, kind, eigvalsh_dtypes):
-    # The reflection no longer reverses the order, so the Gram is not
-    # centrohermitian as it stands: one matrix is solved. (On the unit
-    # square the Gram of integer frequencies is I to rounding, which is
-    # certified by discs in any order.)
+    # In any order the Gram is one matrix, of the same kind as in
+    # lexicographic order. (On the unit square the Gram of integer
+    # frequencies is I to rounding, which is certified by discs in any
+    # order.)
     gram = REFLECTED_GRAMS[kind][0](symmetric_subset(seed, shuffled=True))
     bounds = eigen_bounds(gram.centred)
-    assert len(eigvalsh_dtypes) == 1
+    assert "".join(dtype.kind for dtype in eigvalsh_dtypes) == REFLECTED_GRAMS[kind][1]
     assert_bracketed_like_the_eigh_oracle(bounds, gram.matrix)
 
 
@@ -363,21 +359,24 @@ def centrohermitian(n, seed):
 @pytest.mark.parametrize("broken", [0.0, 0.5, 4.0])
 def test_a_broken_reflection_above_the_ceiling_takes_the_complex_route(n, broken,
                                                                        eigvalsh_dtypes):
-    # An imaginary entry pair that the reflection does not map to its
-    # conjugate, at a multiple of the ceiling; the basis change spreads it
-    # over entries of half its size. Below the ceiling the real route drops
-    # it into the margin, above it the matrix is solved in complex.
-    m = centrohermitian(n, seed=n)
+    # A real centrosymmetric matrix with an imaginary entry pair planted at
+    # a multiple of the ceiling, which the reflection does not map to its
+    # conjugate. The symmetry plays no part: below the ceiling the real
+    # route drops the pair into the margin, above it the matrix is solved
+    # in complex.
+    m = centrohermitian(n, seed=n).real.astype(complex)
     ceiling = HERMITICITY_TOL * np.max(np.abs(m))
     m[0, 1] += 1j * broken * ceiling
     m[1, 0] -= 1j * broken * ceiling
     bounds = eigen_bounds(m)
     kinds = "".join(dtype.kind for dtype in eigvalsh_dtypes)
-    assert kinds == ("c" if broken > 2.0 else "f")
+    assert kinds == ("c" if broken > 1.0 else "f")
     lo, hi = oracles.eigh_extreme_eigenvalues(m)
     assert bounds.lambda_min - bounds.margin <= lo
     assert hi <= bounds.lambda_max + bounds.margin
     assert abs(bounds.lambda_max - hi) <= 1e-12 * max(1.0, abs(hi))
+    if kinds == "f":
+        assert bounds.margin >= np.sqrt(2.0) * broken * ceiling
 
 
 def solved_matrices(monkeypatch):
@@ -401,8 +400,8 @@ def assert_solved_as_the_symmetric_real_part(solved, m):
 
 
 def test_without_a_reflection_the_solved_matrix_is_the_symmetric_real_part(monkeypatch):
-    # A real Gram on a Kadec set, which no reflection maps onto itself,
-    # fails the screen for J M J = conj(M).
+    # A real Gram on a Kadec set, which no reflection maps onto itself: the
+    # one route an array has solves its symmetric real part.
     gram = exp_gram(make_domain([Box(-0.375, 0.625)]),
                     FrequencySet(np.arange(-8, 8) + Pcg32(3).uniforms(16, -0.2, 0.2)))
     solved = solved_matrices(monkeypatch)
@@ -413,66 +412,48 @@ def test_without_a_reflection_the_solved_matrix_is_the_symmetric_real_part(monke
 @pytest.mark.parametrize("n", [2, 7, 8])
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
 def test_a_centrohermitian_matrix_is_solved_in_real_halves_unasked(n, real, eigvalsh_dtypes):
-    # J M J = conj(M) in the order M comes in: a real (centrosymmetric) M
-    # splits into two real halves, a complex one is solved as one real
-    # matrix, since its imaginary part couples the halves. The margin
-    # carries the basis change's rounding term. (Order 1 is diagonal:
-    # DIAGONAL_MATRICES.)
-    m = centrohermitian(n, seed=n)
-    if real:
-        m = m.real
-    bounds = eigen_bounds(m)
+    # The Toeplitz matrix of a Hermitian table t(-delta) = conj t(delta) is
+    # centrohermitian, and no caller says so: a real table splits into two
+    # real halves, a complex one is solved as one real matrix, since its
+    # imaginary part couples the halves. The margin carries the rounding
+    # term of the halves. (Order 1 is diagonal: DIAGONAL_MATRICES.) The
+    # same matrix as an array is solved whole.
+    rng = np.random.default_rng(n)
+    t = rng.standard_normal(2 * n - 1) + (0.0 if real else 1j) * rng.standard_normal(2 * n - 1)
+    t = 0.5 * (t + t[::-1].conj())
+    section = numerics._ToeplitzSection(t)
+    m = section.dense()
+    bounds = eigen_bounds(section)
     kinds = "".join(dtype.kind for dtype in eigvalsh_dtypes)
     assert kinds == ("ff" if real else "f")
     assert_bracketed_like_the_eigh_oracle(bounds, m)
     assert bounds.margin >= 3.0 * n * np.finfo(float).eps * np.max(np.abs(m))
-
-
-def even_odd_basis(n):
-    """The orthonormal even/odd basis of the reversal, as columns: the even
-    vectors (with the middle one for odd n), then the odd ones."""
-    eye, pairs = np.eye(n), n // 2
-    even = [(eye[k] + eye[n - 1 - k]) / np.sqrt(2.0) for k in range(pairs)]
-    odd = [(eye[k] - eye[n - 1 - k]) / np.sqrt(2.0) for k in range(pairs)]
-    return np.array(even + ([eye[pairs]] if n % 2 else []) + odd).T
-
-
-def test_a_real_matrix_that_passes_the_screen_and_couples_is_solved_turned_and_whole(
-        monkeypatch):
-    # Real and symmetric, persymmetric in the rows through its largest
-    # diagonal entries but not in rows 0 and 1: the screen passes, and the
-    # turned matrix is real, but its even and odd halves couple far above
-    # the ceiling. It is solved whole, in the even/odd basis, with the basis
-    # change's rounding in the margin.
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((8, 8))
-    m = 0.25 * (a + a.T + a[::-1, ::-1] + a.T[::-1, ::-1]) + 10.0 * np.eye(8)
-    m[3, 3] = m[4, 4] = 12.0
-    m[0, 1] = m[1, 0] = m[0, 1] + 0.5
-    assert numerics._mirrored(m, HERMITICITY_TOL * np.max(np.abs(m)))
-    solved = solved_matrices(monkeypatch)
-    bounds = eigen_bounds(m)
-    basis = even_odd_basis(8)
-    assert len(solved) == 1 and solved[0].dtype == np.float64
-    assert np.max(np.abs(solved[0] - basis.T @ m @ basis)) <= 1e-14 * np.max(np.abs(m))
-    assert_bracketed_like_the_eigh_oracle(bounds, m)
-    assert bounds.margin >= 3.0 * 8 * np.finfo(float).eps * np.max(np.abs(m))
+    del eigvalsh_dtypes[:]
+    assert_bracketed_like_the_eigh_oracle(eigen_bounds(m), m)
+    assert "".join(dtype.kind for dtype in eigvalsh_dtypes) == ("f" if real else "c")
 
 
 @pytest.mark.parametrize("nodes", [60, 61])
 @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
 def test_a_frame_operator_on_a_symmetric_node_set_splits(nodes, weighted, eigvalsh_dtypes):
-    # The midpoint nodes of a box are symmetric in their order and the bump
-    # is symmetric about the box's centre: with centred frequencies the
-    # operator is real and persymmetric, so it is solved in two halves.
+    # With more nodes than frequencies the frame transfer solves each
+    # operator's Gram on the support's rule, a difference table on the
+    # range. The midpoint nodes of a box are symmetric and the bump is
+    # symmetric about the box's centre, so each table is real and its
+    # halves split: two operators, two real halves each. The upper bounds
+    # are the operators' own, and the lower bounds 0 by rank.
     domain = make_domain([Box(0.1, 0.9)])
     weight = bump_window(domain, 1.0, nodes)
     if not weighted:
         weight = constant_weight(domain, 1.0, rule=weight.rule)
-    centred, placed = centred_frame_operator(domain, lattice_truncation(-30, 9), weight)
-    bounds = eigen_bounds(centred)
-    assert eigvalsh_dtypes == [np.float64] * 2
-    assert_bracketed_like_the_eigh_oracle(bounds, placed)
+    report = verify_frame_transfer(domain, lattice_truncation(-30, 9), weight)
+    assert eigvalsh_dtypes == [np.float64] * 4
+    _, placed = centred_frame_operator(domain, lattice_truncation(-30, 9), weight)
+    _, hi = oracles.eigh_extreme_eigenvalues(placed)
+    bounds = report.weighted_bounds
+    assert bounds.lower == 0.0
+    assert abs(bounds.upper - hi) <= 1e-12 * max(1.0, abs(hi))
+    assert hi <= bounds.upper + bounds.margin
 
 
 def dense_calls(monkeypatch):

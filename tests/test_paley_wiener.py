@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import generators
+import oracles
 from expbases import (
     BandlimitedSignal,
     Box,
@@ -30,7 +31,7 @@ from expbases import (
     verify_riesz_transfer,
     zd_periodization,
 )
-from expbases import spectra
+from expbases import paley_wiener, spectra
 
 UNIT = make_domain([Box(0.0, 1.0)])
 BAND = make_domain([Box(-0.5, 0.5)])
@@ -393,3 +394,78 @@ def test_affine_transfers_on_boxes_take_no_quadrature(monkeypatch):
             (union, lattice_truncation(-4, 3, 2), [0.6, -0.4])):
         rep = verify_riesz_transfer(domain, freqs, affine_weight(domain, 2.5, gradient, 32))
         assert rep.sandwich_holds
+
+
+def node_side_operators(domain, freqs, weight):
+    """The weighted and the unweighted frame operator V V* on the weight's
+    support, V = diag(u) P, formed from the complex phase matrix P."""
+    mask = weight.support_mask
+    phases = np.exp(-2j * np.pi * (weight.rule.nodes[mask] @ freqs.points.T))
+    root = np.sqrt(weight.rule.weights[mask])
+    return [v @ v.conj().T for v in ((root * weight.values[mask])[:, np.newaxis] * phases,
+                                     root[:, np.newaxis] * phases)]
+
+
+FRAME_DOMAIN = make_domain([Box(0.1, 0.9)])
+# Frequency sets of 40 members: a range, whose Grams are difference tables,
+# and a Kadec set, whose Grams take the pairwise route.
+FRAME_FREQS = {
+    "range": lattice_truncation(-20, 19),
+    "kadec": FrequencySet(np.arange(-20.0, 20.0) + Pcg32(3).uniforms(40, -0.2, 0.2)),
+}
+
+
+@pytest.mark.parametrize("freqs", FRAME_FREQS)
+def test_a_frame_transfer_with_more_nodes_than_frequencies_forms_no_node_operator(
+        freqs, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a frame transfer with more nodes than frequencies took the "
+                             "node side")
+    # The node kernel and the operator solve; a range's Grams are tables,
+    # so they take no pairwise route either.
+    monkeypatch.setattr(paley_wiener, "_pairwise_quadrature", refuse)
+    monkeypatch.setattr(paley_wiener, "frame_bounds_of_operator", refuse)
+    if freqs == "range":
+        monkeypatch.setattr(spectra, "_pairwise_quadrature", refuse)
+    rep = verify_frame_transfer(FRAME_DOMAIN, FRAME_FREQS[freqs],
+                                bump_window(FRAME_DOMAIN, 1.0, 41))
+    assert rep.space_dim == 41 and rep.n_vectors == 40
+    assert rep.sandwich_holds
+    assert rep.weighted_bounds.lower == rep.unweighted_bounds.lower == 0.0
+
+
+@pytest.mark.parametrize("freqs", FRAME_FREQS)
+@pytest.mark.parametrize("profile", ["bump", "constant"])
+def test_one_node_past_the_frequencies_the_bounds_are_the_node_operators(freqs, profile):
+    # N = n + 1: V V* has rank at most n < N, so both lower bounds are 0
+    # exactly, by rank; the upper bounds are those of the N x N operators.
+    bump = bump_window(FRAME_DOMAIN, 1.0, 41)
+    weight = bump if profile == "bump" else constant_weight(FRAME_DOMAIN, 0.6 - 0.8j,
+                                                            rule=bump.rule)
+    rep = verify_frame_transfer(FRAME_DOMAIN, FRAME_FREQS[freqs], weight)
+    operators = node_side_operators(FRAME_DOMAIN, FRAME_FREQS[freqs], weight)
+    for bounds, operator in zip((rep.weighted_bounds, rep.unweighted_bounds), operators):
+        _, hi = oracles.eigh_extreme_eigenvalues(operator)
+        assert bounds.lower == 0.0
+        assert bounds.verdict == "degenerate" and bounds.condition is None
+        assert abs(bounds.upper - hi) <= 1e-12 * max(1.0, hi)
+        assert hi <= bounds.upper + bounds.margin
+
+
+@pytest.mark.parametrize("freqs", FRAME_FREQS)
+def test_as_many_nodes_as_frequencies_keep_the_node_side(freqs, monkeypatch):
+    kernels, solved = [], []
+    pairwise, of_operator = paley_wiener._pairwise_quadrature, paley_wiener.frame_bounds_of_operator
+    monkeypatch.setattr(paley_wiener, "_pairwise_quadrature",
+                        lambda *args: kernels.append(args[2].shape) or pairwise(*args))
+    monkeypatch.setattr(paley_wiener, "frame_bounds_of_operator",
+                        lambda m: solved.append(m.shape) or of_operator(m))
+    weight = bump_window(FRAME_DOMAIN, 1.0, 40)
+    rep = verify_frame_transfer(FRAME_DOMAIN, FRAME_FREQS[freqs], weight)
+    assert kernels == [(40, 1)] and solved == [(40, 40)] * 2
+    operators = node_side_operators(FRAME_DOMAIN, FRAME_FREQS[freqs], weight)
+    for bounds, operator in zip((rep.weighted_bounds, rep.unweighted_bounds), operators):
+        lo, hi = oracles.eigh_extreme_eigenvalues(operator)
+        assert abs(bounds.upper - hi) <= 1e-12 * max(1.0, hi)
+        assert bounds.lower - bounds.margin <= max(lo, 0.0) <= bounds.lower + bounds.margin
+

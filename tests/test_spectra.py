@@ -342,7 +342,8 @@ def complex_shapes(build):
 def test_the_pairwise_and_frame_routes_form_no_complex_phase_matrix(monkeypatch):
     # The pairwise quadrature Gram and the frame operators come from real
     # cos and sin tables: no complex array has a node axis and a frequency
-    # axis. The frame transfer forms one node kernel for both operators.
+    # axis. With no more nodes than frequencies the frame transfer forms one
+    # node kernel for both operators.
     freqs = FrequencySet(np.arange(-20.0, 20.0) + Pcg32(3).uniforms(40, -0.2, 0.2))
     rule = quadrature(UNIT, 64)
     gram, shapes = complex_shapes(lambda: exp_gram(UNIT, freqs, rule=rule))
@@ -354,9 +355,9 @@ def test_the_pairwise_and_frame_routes_form_no_complex_phase_matrix(monkeypatch)
                         lambda *args: kernels.append(args[2].shape) or pairwise(*args))
     domain = make_domain([Box(0.1, 0.9)])
     _, shapes = complex_shapes(lambda: verify_frame_transfer(
-        domain, lattice_truncation(-30, 9), bump_window(domain, 1.0, 60)))
+        domain, lattice_truncation(-36, 35), bump_window(domain, 1.0, 60)))
     assert kernels == [(60, 1)]
-    assert not any({40, 60} <= set(shape) for shape in shapes)
+    assert not any({72, 60} <= set(shape) for shape in shapes)
 
 
 def test_a_lattice_quadrature_gram_never_forms_the_phase_matrix():
@@ -373,6 +374,27 @@ def test_a_lattice_quadrature_gram_never_forms_the_phase_matrix():
     assert gram.provenance == "quadrature"
     assert is_orthonormal_system(gram).is_onb
     assert peak < 16e6
+
+
+@pytest.mark.parametrize("entries", [40 * 37, 40 * 64, 40 * 3000])
+def test_the_pairwise_route_sums_blocks_of_nodes(entries, monkeypatch):
+    # 64 nodes against 40 frequencies, in blocks of entries // 40 nodes: a
+    # short last block, whole blocks, or one block, which is the one
+    # product of the tables to the last bit. Summed blocks round apart
+    # from it, and stay Hermitian to the last bit.
+    nodes = quadrature(UNIT, 64).nodes - 0.5
+    coeff = 1.0 + Pcg32(9).uniforms(64)
+    points = (np.arange(-20.0, 20.0) + Pcg32(3).uniforms(40, -0.2, 0.2))[:, np.newaxis]
+    whole = spectra._pairwise_quadrature(nodes, coeff, points)
+    monkeypatch.setattr(spectra, "_TABLE_BLOCK_ENTRIES", entries)
+    blocked = spectra._pairwise_quadrature(nodes, coeff, points)
+    assert np.array_equal(blocked, blocked.conj().T)
+    if entries >= 40 * 64:
+        assert blocked.tobytes() == whole.tobytes()
+    else:
+        assert np.max(np.abs(blocked - whole)) <= 8 * EPS * np.max(np.abs(whole))
+    assert np.max(np.abs(whole - oracles.dense_quadrature_gram(
+        QuadratureRule(nodes, coeff), FrequencySet(points)))) <= 8 * EPS * np.max(np.abs(whole))
 
 
 def test_two_dim_gram_factorizes_over_axes():
@@ -522,10 +544,11 @@ SHIFTED_NARROW = make_domain([Box(0.375, 1.125)])
 
 # Solves, each with the kind of every matrix eigvalsh receives (f on a real
 # route, c on the complex one) and the number of matrices it solves. A
-# Gram on a symmetric frequency range, and a frame operator on a symmetric
-# node set, is centrohermitian and solved in the reversal's even/odd
-# basis: as two real halves when its domain and weight are symmetric too,
-# else as one real matrix.
+# Gram on a frequency range is centrohermitian and solved in the
+# reversal's even/odd basis: as two real halves when its domain and weight
+# are symmetric too, else as one real matrix. The bump frame transfer has
+# more nodes than frequencies, so its operators are solved as their Grams
+# on the support's rule, each on the range.
 SOLVES = [
     pytest.param(lambda: riesz_bounds(exp_gram(SHIFTED_NARROW, lattice_truncation(-40, 23))),
                  "ff", 1, id="single-box"),
@@ -639,40 +662,41 @@ SHIFTED_MASK = make_mask_domain([-0.5, 0.25], [3, 2], [0.5, 0.5],
 
 # Grams of frequencies that are a whole integer box in lexicographic order,
 # held as their difference table, each with the kinds of the matrices
-# eigvalsh receives (as for the matrix route): even and odd n, real and
-# complex tables, symmetric and off-centre unions, the affine closed form,
-# quadrature on a mask and under a weight, and a Gram diagonal to rounding.
+# eigvalsh receives from the table and from the Gram formed as an array,
+# which is never split: even and odd n, real and complex tables, symmetric
+# and off-centre unions, the affine closed form, quadrature on a mask and
+# under a weight, and a Gram diagonal to rounding.
 BOX_GRAMS = {
-    "1d-box-16": (lambda: exp_gram(SHIFTED_NARROW, lattice_truncation(-8, 7)), "ff"),
-    "1d-box-17": (lambda: exp_gram(SHIFTED_NARROW, lattice_truncation(-8, 8)), "ff"),
+    "1d-box-16": (lambda: exp_gram(SHIFTED_NARROW, lattice_truncation(-8, 7)), "ff", "f"),
+    "1d-box-17": (lambda: exp_gram(SHIFTED_NARROW, lattice_truncation(-8, 8)), "ff", "f"),
     "1d-symmetric-union-17": (lambda: exp_gram(SYMMETRIC_UNION, lattice_truncation(-8, 8)),
-                              "ff"),
+                              "ff", "f"),
     "1d-off-centre-union-17": (lambda: exp_gram(OFF_CENTRE_UNION, lattice_truncation(-8, 8)),
-                               "f"),
+                               "f", "c"),
     "1d-off-centre-union-512": (
-        lambda: exp_gram(OFF_CENTRE_UNION, lattice_truncation(-256, 255)), "f"),
+        lambda: exp_gram(OFF_CENTRE_UNION, lattice_truncation(-256, 255)), "f", "c"),
     "2d-box-20^2": (lambda: exp_gram(make_domain([Box([-0.125, 0.5], [0.625, 1.25])]),
-                                     lattice_truncation(-10, 9, 2)), "ff"),
+                                     lattice_truncation(-10, 9, 2)), "ff", "f"),
     "2d-off-centre-union-21^2": (lambda: exp_gram(AFFINE_UNION, lattice_truncation(-10, 10, 2)),
-                                 "f"),
+                                 "f", "c"),
     "affine-1d-off-centre-17": (lambda: translation_gram(
         OFF_CENTRE, lattice_truncation(-8, 8),
-        affine_weight(OFF_CENTRE, 1.0, [-0.6], 3)), "f"),
+        affine_weight(OFF_CENTRE, 1.0, [-0.6], 3)), "f", "c"),
     "affine-2d-union-21^2": (lambda: translation_gram(
         AFFINE_UNION, lattice_truncation(-10, 10, 2), affine_weight(AFFINE_UNION, 2.8, [0.6, -0.4], 3)),
-        "f"),
+        "f", "c"),
     "mask-quadrature-9^2": (lambda: exp_gram(SHIFTED_MASK, lattice_truncation(-4, 4, 2),
-                                             nodes_per_axis=8), "f"),
+                                             nodes_per_axis=8), "f", "c"),
     "table-weight-17": (lambda: translation_gram(
         SHIFTED_NARROW, lattice_truncation(-8, 8),
-        affine_table_weight(SHIFTED_NARROW, 64, 2.0, [1.0])), "f"),
-    "1d-unit-box-17-discs": (lambda: exp_gram(SHIFTED_UNIT, lattice_truncation(-8, 8)), ""),
+        affine_table_weight(SHIFTED_NARROW, 64, 2.0, [1.0])), "f", "c"),
+    "1d-unit-box-17-discs": (lambda: exp_gram(SHIFTED_UNIT, lattice_truncation(-8, 8)), "", ""),
 }
 
 
 @pytest.mark.parametrize("case", BOX_GRAMS)
 def test_a_box_gram_is_solved_from_its_table_as_its_matrix_is(case, eigvalsh_dtypes):
-    build, kinds = BOX_GRAMS[case]
+    build, kinds, dense_kinds = BOX_GRAMS[case]
     gram = build()
     assert isinstance(gram.operand, numerics._ToeplitzSection)
     table = numerics.eigen_bounds(gram.operand)
@@ -680,20 +704,38 @@ def test_a_box_gram_is_solved_from_its_table_as_its_matrix_is(case, eigvalsh_dty
     report = riesz_bounds(gram)
     assert (report.upper, report.margin) == (table.lambda_max, table.margin)
     del eigvalsh_dtypes[:]
-    # The matrix route on the same G_0, formed and scanned afresh.
+    # The unsplit matrix route on the same G_0, formed and scanned afresh.
     dense = numerics.eigen_bounds(gram.centred)
-    assert "".join(dtype.kind for dtype in eigvalsh_dtypes) == kinds
+    assert "".join(dtype.kind for dtype in eigvalsh_dtypes) == dense_kinds
     scale = max(abs(dense.lambda_min), abs(dense.lambda_max))
     for got, want in ((table.lambda_min, dense.lambda_min),
                       (table.lambda_max, dense.lambda_max)):
         assert abs(got - want) <= 1e-14 * scale
         assert abs(got - want) <= min(table.margin, dense.margin)
     if kinds:
-        # The rounding of the halves built from the table, as the matrix
-        # route carries its basis change.
+        # The rounding of the halves built from the table.
         assert table.margin >= 3.0 * gram.order * EPS * gram.scan.top
     else:
         assert table.margin == pytest.approx(dense.margin, rel=1e-12)
+
+
+@pytest.mark.parametrize("case", BOX_GRAMS)
+def test_a_box_gram_is_split_in_the_even_odd_basis_of_the_reversal(case):
+    # The halves and their coupling, gathered from the table (here kept
+    # whole by a ceiling nothing is within), are the Hermitian part H of
+    # G_0 in the reversal's even/odd basis B, the odd vectors times i: the
+    # oracle's B* H B, exactly real, within the halves' rounding term.
+    gram = BOX_GRAMS[case][0]()
+    n = gram.order
+    basis = oracles.even_odd_basis(n).astype(complex)
+    basis[:, n - n // 2:] *= 1j
+    m = gram.centred
+    want = basis.conj().T @ (0.5 * (m + m.conj().T)) @ basis
+    top = gram.scan.top
+    (whole,), slack = gram.operand.halves(-np.inf, top)
+    assert slack == 3.0 * n * EPS * top
+    assert np.max(np.abs(want.imag)) <= 3.0 * n * EPS * top
+    assert np.max(np.abs(whole - want.real)) <= 3.0 * n * EPS * top
 
 
 @pytest.mark.parametrize("case", BOX_GRAMS)
