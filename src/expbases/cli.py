@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .domain import Box, Domain, MaskGrid, QuadratureRule, quadrature
 from .gabor import _unit_measure, vv_onb_check
-from .numerics import Pcg32
+from .numerics import ORDER_CAP, Pcg32
 from .paley_wiener import (PERIODIZATION_KINDS, SUPPORT_TOL, BandlimitedSignal,
                            _cardinal_band, _truncation, affine_weight, bump_window, constant_weight,
                            convolution_factorization_check,
@@ -571,15 +571,27 @@ def _group_indices(label: str):
 _GROUP = (_Built([_at_least(1)], lambda v, s: GroupInstance(v)), _REQ)
 
 
-def _complement_parameters(v, s) -> dict:
-    # A sampled complement search draws order // k indices per candidate,
-    # bounded as in the search, so that the rejection names the pattern.
-    # order // k above the cap puts the order above it, so the search is
-    # sampled, forced or not.
+def _search_parameters(v, s) -> dict:
+    # A sampled candidate holds order // k indices for a complement (none is
+    # drawn when k does not divide the order) and k for a spectrum; checked
+    # as in the search, so that the rejection names the pattern.
     group, k = v["moduli"], len(v["pattern"])
-    if v["samples"] and group.order % k == 0 and group.order // k > GROUP_ORDER_CAP:
-        raise ValueError(f"scenario.parameters.pattern: a sampled complement of "
-                         f"{group.order // k} elements exceeds the cap {GROUP_ORDER_CAP}")
+    complement = v["mode"] == "search_complements"
+    size = group.order // k if complement else k
+    if v["samples"] and size > GROUP_ORDER_CAP and not (complement and group.order % k):
+        kind = "complement" if complement else "spectrum"
+        raise ValueError(f"scenario.parameters.pattern: a sampled {kind} of {size} "
+                         f"elements exceeds the cap {GROUP_ORDER_CAP}")
+    return v
+
+
+def _frame_parameters(v, s) -> dict:
+    # Refused, as in the transfer, only when the support nodes and the
+    # frequencies both pass the solver cap, naming the key that sets the nodes.
+    n_support, n = int(v["weight"].support_mask.sum()), v["freqs"].size
+    if min(n_support, n) > ORDER_CAP:
+        raise ValueError(f"scenario.parameters.weight.nodes_per_axis: {n_support} support "
+                         f"nodes and {n} frequencies both exceed the dense-solver cap {ORDER_CAP}")
     return v
 
 
@@ -608,13 +620,14 @@ COMMANDS = {
     }, _bounds_parameters), ("is_onb", "is_riesz_basis", "degenerate")),
     "transfer": _Command(_run_transfer, _transfer(_FREQS),
                          ("sandwich_holds", "translation_degenerate")),
-    "frame-transfer": _Command(_run_frame_transfer, _transfer(_FRAME_FREQS),
+    "frame-transfer": _Command(_run_frame_transfer,
+                               _transfer(_FRAME_FREQS)._replace(build=_frame_parameters),
                                ("sandwich_holds",)),
     "tiling": _Command(_run_tiling, _Tagged("mode", {
         "check_tiling": (_CHECK_CANDIDATE, None),
         "check_spectrum": (_CHECK_CANDIDATE, None),
-        "search_complements": (_SEARCH, _complement_parameters),
-        "search_spectra": (_SEARCH, None),
+        "search_complements": (_SEARCH, _search_parameters),
+        "search_spectra": (_SEARCH, _search_parameters),
     }), {
         "check_tiling": ("is_tiling",),
         "check_spectrum": ("is_spectrum",),

@@ -620,13 +620,6 @@ class PeriodizationReport:
     gram_tol: float
 
 
-def _integer_cover(support: Box) -> list[np.ndarray]:
-    ranges = []
-    for lo, hi in zip(support.lower, support.upper):
-        ranges.append(np.arange(int(np.floor(lo)) - 1, int(np.ceil(hi)) + 1))
-    return ranges
-
-
 def zd_periodization(profile: PeriodizationProfile, resolution: int = 64,
                      tol: float = 1e-8,
                      gram_nodes: Optional[int] = None) -> PeriodizationReport:
@@ -642,10 +635,11 @@ def zd_periodization(profile: PeriodizationProfile, resolution: int = 64,
         raise ValueError(f"resolution must be at least 2, got {resolution}")
     d = profile.support.dimension
     axes = [(np.arange(resolution) + 0.5) / resolution] * d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    grid = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
     total = np.zeros(grid.shape[0])
-    ranges = _integer_cover(profile.support)
+    # The integer shifts that move some of the support into the unit cube.
+    ranges = [np.arange(int(np.floor(lo)) - 1, int(np.ceil(hi)) + 1)
+              for lo, hi in zip(profile.support.lower, profile.support.upper)]
     for shift in product(*[r.tolist() for r in ranges]):
         total += np.abs(profile.fn(grid + np.asarray(shift, dtype=float))) ** 2
     sup_dev = float(np.max(np.abs(total - 1.0)))
@@ -655,9 +649,7 @@ def zd_periodization(profile: PeriodizationProfile, resolution: int = 64,
     support_domain = Domain(boxes=[profile.support])
     rule = quadrature(support_domain, gram_nodes)
     weight = table_weight(support_domain, rule, profile.fn(rule.nodes))
-    lattice_axes = [np.asarray(r, dtype=float) for r in ranges]
-    lattice_mesh = np.meshgrid(*lattice_axes, indexing="ij")
-    lattice = FrequencySet(np.stack([m.reshape(-1) for m in lattice_mesh], axis=-1))
+    lattice = FrequencySet(np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, d))
     gram = translation_gram(support_domain, lattice, weight)
     span = max(hi - lo for lo, hi in zip(profile.support.lower, profile.support.upper))
     h = span / gram_nodes

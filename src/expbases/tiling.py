@@ -79,16 +79,20 @@ class GroupInstance:
         return np.ravel_multi_index(tuple(np.moveaxis(c, -1, 0)), self.moduli)
 
 
-def cube_set(group: GroupInstance, side) -> tuple[int, ...]:
-    """Linear indices of the axis-aligned cube with the given side(s)."""
-    sides = np.broadcast_to(np.atleast_1d(np.asarray(side, dtype=int)),
-                            (group.dimension,))
+def _cube_sides(group: GroupInstance, side) -> tuple[int, ...]:
+    """One cube side per axis, from a side or a side per axis, each in [1, m]."""
+    sides = tuple(int(s) for s in np.broadcast_to(
+        np.atleast_1d(np.asarray(side, dtype=int)), (group.dimension,)))
     for s, m in zip(sides, group.moduli):
         if not 1 <= s <= m:
             raise ValueError(f"cube side {s} must lie in [1, {m}]")
-    axes = [np.arange(s) for s in sides]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    coords = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+    return sides
+
+
+def cube_set(group: GroupInstance, side) -> tuple[int, ...]:
+    """Linear indices of the axis-aligned cube with the given side(s)."""
+    axes = [np.arange(s) for s in _cube_sides(group, side)]
+    coords = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, group.dimension)
     return tuple(int(i) for i in group.index(coords))
 
 
@@ -392,11 +396,8 @@ def cube_equivalence_check(group: GroupInstance, side) -> CubeReport:
     if group.order > GROUP_ORDER_CAP:
         raise ValueError(f"moduli {list(group.moduli)} give group order {group.order}, "
                          f"above the cube-check cap {GROUP_ORDER_CAP}")
-    sides = tuple(int(s) for s in np.broadcast_to(
-        np.atleast_1d(np.asarray(side, dtype=int)), (group.dimension,)))
+    sides = _cube_sides(group, side)
     for s, m in zip(sides, group.moduli):
-        if not 1 <= s <= m:
-            raise ValueError(f"cube side {s} must lie in [1, {m}]")
         if m % s != 0:
             raise ValueError(f"cube side {s} must divide the modulus {m}")
     dual = tuple(m // s for s, m in zip(sides, group.moduli))

@@ -690,6 +690,15 @@ def test_inputs_outside_a_hypothesis_are_rejected_before_a_report(
                             "candidate": [0, 4]}, "candidate", id="candidate-outside-the-group"),
     pytest.param("tiling", {"moduli": [4], "mode": "search_spectra", "pattern": [1, 1]},
                  "pattern", id="repeated-pattern"),
+    pytest.param("tiling", {"moduli": [5000], "mode": "search_spectra",
+                            "pattern": list(range(4097)), "samples": 1},
+                 "pattern: a sampled spectrum of 4097 elements exceeds the cap 4096",
+                 id="sampled-spectrum-above-the-cap"),
+    pytest.param("frame-transfer", {"domain": {"boxes": [[0.0, 1.0]]},
+                                    "freqs": {"range": [0, 599]},
+                                    "weight": {"profile": "bump", "nodes_per_axis": 700}},
+                 "weight.nodes_per_axis: 648 support nodes and 600 frequencies both exceed",
+                 id="frame-support-and-frequencies-above-the-cap"),
     pytest.param("gabor", {**gabor_parameters({"range": [0, 1]}, {"range": [0, 1]}),
                            "base_domain": {"boxes": [[0.0, 2.0]]}},
                  "base_domain", id="base-measure-not-one"),

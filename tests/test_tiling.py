@@ -345,6 +345,19 @@ def test_cube_equivalence_rejects_side_out_of_range():
         cube_equivalence_check(GroupInstance([6]), 0)
 
 
+@pytest.mark.parametrize("side,message", [
+    (0, "cube side 0 must lie in [1, 4]"),
+    (5, "cube side 5 must lie in [1, 4]"),
+    ([2, 7], "cube side 7 must lie in [1, 6]"),
+])
+def test_cube_set_and_the_cube_check_state_one_side_rule(side, message):
+    group = GroupInstance([4, 6])
+    for build in (cube_set, cube_equivalence_check):
+        with pytest.raises(ValueError) as rejected:
+            build(group, side)
+        assert str(rejected.value) == message
+
+
 def test_cube_equivalence_z6_families():
     rep = cube_equivalence_check(GroupInstance([6]), 2)
     assert rep.dual_side == (3,)

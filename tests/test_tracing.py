@@ -105,13 +105,12 @@ def test_a_traced_frame_transfer_records_its_eigen_solves_with_their_order(tmp_p
 
 
 def test_a_traced_gabor_records_its_grams_and_solves_nothing(tmp_path):
-    # vv_onb_check judges orthonormality from the Grams' entries: the
-    # product Gram comes from gabor_gram, traced with its order, the factor
-    # Grams are traced with their sizes, and no eigen solve runs.
+    # vv_onb_check judges orthonormality from the Grams' entries: gabor_gram,
+    # traced with the product's order, builds the factor Grams, traced with
+    # their sizes, and no eigen solve runs.
     spans = traced_spans(tmp_path, "gabor", "11_gabor_wsk.json")
-    # The modulation and translation Grams of the ranges -1..1, built by
-    # gabor_gram for the product and by vv_onb_check for each factor.
-    assert [span[5]["n"] for span in spans if span[0] == "spectra.exp_gram"] == [3, 3, 3, 3]
+    # The modulation and translation Grams of the ranges -1..1, built once.
+    assert [span[5]["n"] for span in spans if span[0] == "spectra.exp_gram"] == [3, 3]
     assert "gabor.vv_onb_check" in {span[0] for span in spans}
     assert [span[5] for span in spans if span[0] == "gabor.gabor_gram"] == [{"order": 9}]
     assert TRACING["layer_metrics"](spans, 1, 1.0, 1.0)["gabor.order_sum"] == 9
