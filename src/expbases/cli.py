@@ -27,20 +27,21 @@ from typing import Any, Optional
 import numpy as np
 
 from . import __version__
-from .domain import Box, Domain, MaskGrid, QuadratureRule, quadrature
+from .domain import Box, Domain, MaskGrid, QuadratureRule, _grid_size, _rule_nodes, quadrature
 from .gabor import _unit_measure, vv_onb_check
-from .numerics import ORDER_CAP, Pcg32
+from .numerics import Pcg32
 from .paley_wiener import (PERIODIZATION_KINDS, SUPPORT_TOL, BandlimitedSignal,
-                           _cardinal_band, _truncation, affine_weight, bump_window, constant_weight,
-                           convolution_factorization_check,
+                           _cardinal_band, _frame_support, _nowhere_vanishing, _resolves,
+                           _shift_lattice, _truncation, affine_weight, bump_window,
+                           constant_weight, convolution_factorization_check,
                            indicator_signal, indicator_weight,
                            periodization_profile, random_signal,
                            shannon_reconstruct, smooth_random_signal,
                            table_weight, verify_frame_transfer, verify_riesz_transfer,
                            zd_periodization)
-from .spectra import (SYSTEM_SIZE_CAP, FrequencySet, exp_gram,
+from .spectra import (FrequencySet, _system_size, exp_gram,
                       is_orthonormal_system, lattice_truncation, riesz_bounds)
-from .tiling import (GROUP_ORDER_CAP, GroupInstance, _distinct_indices,
+from .tiling import (GroupInstance, _cube_group, _distinct_indices, _search_route,
                      cube_equivalence_check, is_spectrum, search_complements,
                      search_spectra, tiles)
 
@@ -76,7 +77,8 @@ class SchemaError(Exception):
 #   _Verdicts(names): an object of bools keyed by verdict names, a tuple
 #     of names or a function of scope that gives one (None: any name);
 #   _Obj(fields, build): an object with exactly the keys of fields, each
-#     mapped to (spec, default), where a default of None also accepts null;
+#     mapped to (spec, default), where a default of None also accepts null
+#     and any other default is checked against spec as a given value is;
 #     a function in place of (spec, default) computes a value from the
 #     fields before it and is never read from the scenario.
 #     build(values, scope) makes the object from its checked values;
@@ -207,12 +209,12 @@ def _check(spec, value, path: str, walk: _Walk, scope: dict):
         sub = f"{path}.{key}"
         if callable(field):
             got = walk.build(sub, field, inner)
-        elif key not in value:
-            got = walk.fail(sub, "missing") if field[1] is _REQ else field[1]
-        elif value[key] is None and field[1] is None:
+        elif (given := value.get(key, field[1])) is _REQ:
+            got = walk.fail(sub, "missing")
+        elif given is None and field[1] is None:
             got = None
         else:
-            got = _check(field[0], value[key], sub, walk, inner)
+            got = _check(field[0], given, sub, walk, inner)
         if got is not _BAD:
             out[key] = inner[key] = got
     if unknown or len(out) < len(spec.fields):
@@ -244,12 +246,9 @@ _DOMAIN = _Obj({
 }, _domain)
 
 
-def _freqs(domain_of, cap: Optional[int] = SYSTEM_SIZE_CAP) -> _Obj:
-    """Frequencies as points or an integer range, on the domain domain_of(scope).
-
-    A set of more than cap points (None: no cap) is rejected before it is
-    built, because building it compares every pair of points.
-    """
+def _freqs(domain_of, capped: bool = True) -> _Obj:
+    """Frequencies as points or an integer range, on the domain domain_of(scope);
+    a capped set is sized by the system cap before building compares its pairs."""
     def build(v, s) -> FrequencySet:
         variant = _only(v)
         dimension = domain_of(s).dimension
@@ -257,8 +256,8 @@ def _freqs(domain_of, cap: Optional[int] = SYSTEM_SIZE_CAP) -> _Obj:
             count = max(v["range"][1] - v["range"][0] + 1, 0) ** dimension
         else:
             count = len(v["points"]) if isinstance(v["points"], list) else 1
-        if cap is not None and count > cap:
-            raise ValueError(f"{count} points exceed the system cap {cap}")
+        if capped:
+            _system_size(count)
         if variant == "range":
             freqs = lattice_truncation(v["range"][0], v["range"][1], dimension)
         else:
@@ -272,7 +271,10 @@ def _freqs(domain_of, cap: Optional[int] = SYSTEM_SIZE_CAP) -> _Obj:
 
 _FREQS = _freqs(lambda s: s["domain"])
 # A frame may be overcomplete, so its vector count has no cap.
-_FRAME_FREQS = _freqs(lambda s: s["domain"], cap=None)
+_FRAME_FREQS = _freqs(lambda s: s["domain"], capped=False)
+
+# A node count per axis, bounded where it is read by the rule it sets.
+_NODES = _Built(_at_least(1), lambda v, s: _rule_nodes(s["domain"], v))
 
 
 def _shared_rule(v, s) -> Optional[QuadratureRule]:
@@ -288,7 +290,7 @@ def _shared_rule(v, s) -> Optional[QuadratureRule]:
 
 def _weight(nodes, bump_nodes) -> _Tagged:
     """Spectral weights by profile, with these node-count defaults."""
-    n = (_at_least(1), nodes)
+    n = (_NODES, nodes)
     return _Tagged("profile", {
         "indicator": ({"nodes_per_axis": n}, lambda v, s: indicator_weight(
             s["domain"], v["nodes_per_axis"], _shared_rule(v, s))),
@@ -298,7 +300,7 @@ def _weight(nodes, bump_nodes) -> _Tagged:
         "affine": ({"offset": (_NUM, _REQ), "gradient": (_VECTOR, _REQ), "nodes_per_axis": n},
                    lambda v, s: affine_weight(s["domain"], v["offset"], v["gradient"],
                                               v["nodes_per_axis"], _shared_rule(v, s))),
-        "bump": ({"steepness": (_NUM, 1.0), "nodes_per_axis": (_at_least(1), bump_nodes)},
+        "bump": ({"steepness": (_NUM, 1.0), "nodes_per_axis": (_NODES, bump_nodes)},
                  lambda v, s: bump_window(s["domain"], v["steepness"], v["nodes_per_axis"],
                                           _shared_rule(v, s))),
         "table": ({"values": ([_COMPLEX], _REQ), "nodes_per_axis": n},
@@ -329,10 +331,15 @@ _PERIODIZATION_PROFILE = _Tagged("kind", {
     for kind, make in PERIODIZATION_KINDS.items()})
 
 
+def _profile_grid(v, s) -> int:
+    return _grid_size(v, s["profile"].support.dimension)
+
+
 def _eval_points(v, s) -> np.ndarray:
     if _only(v) == "grid":
         lo, hi, count = v["grid"]
         return np.linspace(float(lo), float(hi), count)
+    _grid_size(len(v["points"]))
     return np.asarray(v["points"], dtype=float)
 
 
@@ -341,25 +348,26 @@ def _command_rule(s) -> QuadratureRule:
 
 
 def _bounds_parameters(v, s) -> dict:
-    # exp_gram reads a node count only for an unweighted Gram on a domain
-    # without boxes; anywhere else a given one would be ignored.
+    # exp_gram reads a node count, 32 unless given, only for an unweighted
+    # Gram on a domain without boxes; anywhere else a given one is refused.
+    ruled = not v["domain"].boxes and v["weight"] is None
     if v["nodes_per_axis"] is None:
-        return {**v, "nodes_per_axis": 32}
-    if v["domain"].boxes or v["weight"] is not None:
+        return {**v, "nodes_per_axis": _rule_nodes(v["domain"], 32) if ruled else 32}
+    if not ruled:
         raise ValueError("scenario.parameters.nodes_per_axis applies only to an "
                          "unweighted Gram on a mask domain")
     return v
 
 
-def _sample_parameters(v, s) -> dict:
-    # shannon_reconstruct needs more nodes than series terms; rejected here,
-    # the message names the key that sets the node count.
-    terms = v["n_terms"]
-    nodes = v["rule"].n_nodes
-    if nodes <= 2 * max(terms):
-        raise ValueError(f"scenario.parameters.nodes_per_axis {v['nodes_per_axis']}: "
-                         f"{nodes} nodes cannot resolve {2 * max(terms) + 1} series terms")
-    return v
+def _blaming(key: str, check):
+    """A parameters build that runs check(values), a library precondition, naming key."""
+    def build(v, s) -> dict:
+        try:
+            check(v)
+        except ValueError as exc:
+            raise ValueError(f"scenario.parameters.{key}: {exc}") from None
+        return v
+    return build
 
 
 def _hyp(name: str, passed: bool, measured, tolerance) -> dict:
@@ -472,10 +480,7 @@ def _run_cube_check(p, rng, tol):
     if not divides:
         # No dual cube exists, so neither family is searched.
         return hyps, {}, {"families_equal": None}
-    try:
-        report = cube_equivalence_check(group, side)
-    except ValueError as exc:  # the group-order cap: no cube is built
-        raise SchemaError([f"scenario.parameters.moduli ({exc})"]) from None
+    report = cube_equivalence_check(group, side)
     results = {
         "side": list(report.side),
         "dual_side": list(report.dual_side),
@@ -570,38 +575,12 @@ def _group_indices(label: str):
 # The group is built, and its order checked, where its moduli are read.
 _GROUP = (_Built([_at_least(1)], lambda v, s: GroupInstance(v)), _REQ)
 
-
-def _search_parameters(v, s) -> dict:
-    # A sampled candidate holds order // k indices for a complement (none is
-    # drawn when k does not divide the order) and k for a spectrum; checked
-    # as in the search, so that the rejection names the pattern.
-    group, k = v["moduli"], len(v["pattern"])
-    complement = v["mode"] == "search_complements"
-    size = group.order // k if complement else k
-    if v["samples"] and size > GROUP_ORDER_CAP and not (complement and group.order % k):
-        kind = "complement" if complement else "spectrum"
-        raise ValueError(f"scenario.parameters.pattern: a sampled {kind} of {size} "
-                         f"elements exceeds the cap {GROUP_ORDER_CAP}")
-    return v
-
-
-def _frame_parameters(v, s) -> dict:
-    # Refused, as in the transfer, only when the support nodes and the
-    # frequencies both pass the solver cap, naming the key that sets the nodes.
-    n_support, n = int(v["weight"].support_mask.sum()), v["freqs"].size
-    if min(n_support, n) > ORDER_CAP:
-        raise ValueError(f"scenario.parameters.weight.nodes_per_axis: {n_support} support "
-                         f"nodes and {n} frequencies both exceed the dense-solver cap {ORDER_CAP}")
-    return v
-
-
 _PATTERN = {"moduli": _GROUP, "pattern": _group_indices("pattern")}
 _CHECK_CANDIDATE = {**_PATTERN, "candidate": _group_indices("candidate")}
 _SEARCH = {**_PATTERN, "samples": (_at_least(1), None), "force_exhaustive": (_BOOL, False)}
-
-
-def _transfer(freqs) -> _Obj:
-    return _Obj({"domain": (_DOMAIN, _REQ), "freqs": (freqs, _REQ), "weight": (_WEIGHT, _REQ)})
+_SEARCH_ROUTE = _blaming("pattern", lambda v: _search_route(
+    v["moduli"], len(v["pattern"]), v["mode"] == "search_complements",
+    v["force_exhaustive"], v["samples"]))
 
 
 _Command = namedtuple("_Command", "run params verdicts")
@@ -616,18 +595,21 @@ COMMANDS = {
         "domain": (_DOMAIN, _REQ),
         "freqs": (_FREQS, _REQ),
         "weight": (_WEIGHT, None),
-        "nodes_per_axis": (_at_least(1), None),
+        "nodes_per_axis": (_NODES, None),
     }, _bounds_parameters), ("is_onb", "is_riesz_basis", "degenerate")),
-    "transfer": _Command(_run_transfer, _transfer(_FREQS),
-                         ("sandwich_holds", "translation_degenerate")),
-    "frame-transfer": _Command(_run_frame_transfer,
-                               _transfer(_FRAME_FREQS)._replace(build=_frame_parameters),
-                               ("sandwich_holds",)),
+    "transfer": _Command(_run_transfer, _Obj({
+        "domain": (_DOMAIN, _REQ), "freqs": (_FREQS, _REQ),
+        "weight": (_Built(_WEIGHT, lambda v, s: _nowhere_vanishing(v)), _REQ),
+    }), ("sandwich_holds", "translation_degenerate")),
+    "frame-transfer": _Command(_run_frame_transfer, _Obj({
+        "domain": (_DOMAIN, _REQ), "freqs": (_FRAME_FREQS, _REQ), "weight": (_WEIGHT, _REQ),
+    }, _blaming("weight.nodes_per_axis", lambda v: _frame_support(v["weight"], v["freqs"]))),
+        ("sandwich_holds",)),
     "tiling": _Command(_run_tiling, _Tagged("mode", {
         "check_tiling": (_CHECK_CANDIDATE, None),
         "check_spectrum": (_CHECK_CANDIDATE, None),
-        "search_complements": (_SEARCH, _search_parameters),
-        "search_spectra": (_SEARCH, _search_parameters),
+        "search_complements": (_SEARCH, _SEARCH_ROUTE),
+        "search_spectra": (_SEARCH, _SEARCH_ROUTE),
     }), {
         "check_tiling": ("is_tiling",),
         "check_spectrum": ("is_spectrum",),
@@ -635,19 +617,21 @@ COMMANDS = {
         "search_spectra": _SEARCH_VERDICTS,
     }),
     "cube-check": _Command(_run_cube_check, _Obj({
-        "moduli": _GROUP,
+        "moduli": (_Built([_at_least(1)], lambda v, s: _cube_group(GroupInstance(v))), _REQ),
         "side": (_at_least(1), _REQ),
     }), ("families_equal",)),
     "sample": _Command(_run_sample, _Obj({
         "domain": (_Built(_DOMAIN, lambda v, s: _cardinal_band(v)), _REQ),
-        "nodes_per_axis": (_at_least(1), 129),
+        "nodes_per_axis": (_NODES, 129),
         "rule": _command_rule,
         "signal": (_SIGNAL, _REQ),
         "n_terms": (_Built(_Array(_at_least(0), 1), lambda v, s: [
             _truncation(n) for n in (v if isinstance(v, list) else [v])]), _REQ),
-        "eval_points": (_Obj({"grid": ((_NUM, _NUM, _at_least(2)), None),
-                              "points": ([_NUM], None)}, _eval_points), _REQ),
-    }, _sample_parameters), ("parseval_ok", "energy_monotone")),
+        "eval_points": (_Obj({
+            "grid": ((_NUM, _NUM, _Built(_at_least(2), lambda v, s: _grid_size(v))), None),
+            "points": ([_NUM], None)}, _eval_points), _REQ),
+    }, _blaming("nodes_per_axis", lambda v: _resolves(v["rule"], max(v["n_terms"])))),
+        ("parseval_ok", "energy_monotone")),
     "gabor": _Command(_run_gabor, _Obj({
         "base_domain": (_Built(_DOMAIN, lambda v, s: _unit_measure(v)), _REQ),
         "window": (_Obj({"domain": (_DOMAIN, _REQ), "weight": (_WEIGHT, _REQ)}), _REQ),
@@ -656,14 +640,15 @@ COMMANDS = {
     }), ("gabor_is_onb", "modulation_is_onb", "translation_is_onb", "equivalent")),
     "periodization": _Command(_run_periodization, _Obj({
         "profile": (_PERIODIZATION_PROFILE, _REQ),
-        "resolution": (_at_least(2), 64),
-        "gram_nodes": (_at_least(1), None),
-    }), ("is_onb", "gram_is_onb", "routes_agree")),
+        "resolution": (_Built(_at_least(2), _profile_grid), 64),
+        "gram_nodes": (_Built(_at_least(1), _profile_grid), None),
+    }, _blaming("profile", lambda v: _shift_lattice(v["profile"]))),
+        ("is_onb", "gram_is_onb", "routes_agree")),
     "factorization": _Command(_run_factorization, _Obj({
         "domain": (_DOMAIN, _REQ),
-        "nodes_per_axis": (_at_least(1), 64),
+        "nodes_per_axis": (_NODES, 64),
         "rule": _command_rule,
-        "weight": (_WEIGHT_ON_RULE, _REQ),
+        "weight": (_Built(_WEIGHT_ON_RULE, lambda v, s: _nowhere_vanishing(v)), _REQ),
         "signal": (_SIGNAL, _REQ),
     }), ("roundtrip_exact", "bound_holds")),
 }
@@ -732,61 +717,38 @@ def run_scenario(scenario, command: str, seed_override: Optional[int] = None,
     }
 
 
-def _float_token(x: float) -> str:
-    if not np.isfinite(x):
-        return "null"
-    return f"{x:.17g}"
-
-
 def _emit(value, out, indent: int) -> None:
-    pad = " " * indent
-    inner = " " * (indent + 2)
-    if isinstance(value, dict):
+    if isinstance(value, (dict, list, tuple)):
+        keyed = isinstance(value, dict)
         if not value:
-            out.write("{}")
+            out.write("{}" if keyed else "[]")
             return
-        out.write("{\n")
-        keys = sorted(str(k) for k in value)
+        inner = " " * (indent + 2)
+        out.write("{\n" if keyed else "[\n")
+        keys = sorted(str(k) for k in value) if keyed else range(len(value))
+        last = len(keys) - 1
         for i, key in enumerate(keys):
-            out.write(f'{inner}"{key}": ')
+            out.write(f'{inner}"{key}": ' if keyed else inner)
             _emit(value[key], out, indent + 2)
-            out.write(",\n" if i + 1 < len(keys) else "\n")
-        out.write(pad + "}")
-        return
-    if isinstance(value, (list, tuple)):
-        seq = list(value)
-        if not seq:
-            out.write("[]")
-            return
-        out.write("[\n")
-        for i, item in enumerate(seq):
-            out.write(inner)
-            _emit(item, out, indent + 2)
-            out.write(",\n" if i + 1 < len(seq) else "\n")
-        out.write(pad + "]")
-        return
-    if isinstance(value, str):
+            out.write(",\n" if i < last else "\n")
+        out.write(" " * indent + ("}" if keyed else "]"))
+    elif isinstance(value, str):
         out.write(json.dumps(value, ensure_ascii=True))
-        return
-    if isinstance(value, (bool, np.bool_)):
+    elif isinstance(value, (bool, np.bool_)):
         out.write("true" if value else "false")
-        return
-    if value is None:
+    elif value is None:
         out.write("null")
-        return
-    if isinstance(value, (int, np.integer)):
+    elif isinstance(value, (int, np.integer)):
         out.write(str(int(value)))
-        return
-    if isinstance(value, (float, np.floating)):
-        out.write(_float_token(float(value)))
-        return
-    if isinstance(value, (complex, np.complexfloating)):
+    elif isinstance(value, (float, np.floating)):
+        value = float(value)
+        out.write(f"{value:.17g}" if np.isfinite(value) else "null")
+    elif isinstance(value, (complex, np.complexfloating)):
         _emit({"im": float(value.imag), "re": float(value.real)}, out, indent)
-        return
-    if isinstance(value, np.ndarray):
+    elif isinstance(value, np.ndarray):
         _emit(value.tolist(), out, indent)
-        return
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+    else:
+        raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def dumps_report(report: dict) -> str:

@@ -10,16 +10,17 @@ bounds on the weight's support otherwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Optional
 
 import numpy as np
 
-from .domain import Box, Domain, QuadratureRule, quadrature
+from .domain import Box, Domain, QuadratureRule, _grid_size, quadrature
 from .numerics import ORDER_CAP, eigen_bounds
 from .spectra import (BoundsReport, FrequencySet, GramMatrix, OnbVerdict,
-                      _pairwise_quadrature, box_centre, exp_gram,
+                      _pairwise_quadrature, _system_size, box_centre, exp_gram,
                       frame_bounds_of_operator, is_orthonormal_system, riesz_bounds)
 
 # Node values at or below this modulus count as outside the support.
@@ -97,14 +98,10 @@ class SpectralWeight:
         return max(gaps, default=0.0)
 
 
-def _default_rule(domain: Domain, rule: Optional[QuadratureRule], nodes_per_axis: int) -> QuadratureRule:
-    return rule if rule is not None else quadrature(domain, nodes_per_axis)
-
-
 def indicator_weight(domain: Domain, nodes_per_axis: int = 32,
                      rule: Optional[QuadratureRule] = None) -> SpectralWeight:
     """Weight identically one on the domain."""
-    rule = _default_rule(domain, rule, nodes_per_axis)
+    rule = rule or quadrature(domain, nodes_per_axis)
     return SpectralWeight(domain, rule, np.ones(rule.n_nodes), profile="indicator",
                           exact_inf=1.0, exact_sup=1.0)
 
@@ -115,14 +112,9 @@ def constant_weight(domain: Domain, value, nodes_per_axis: int = 32,
     value = complex(value)
     if value == 0:
         raise ValueError("constant weight must be nonzero")
-    rule = _default_rule(domain, rule, nodes_per_axis)
+    rule = rule or quadrature(domain, nodes_per_axis)
     return SpectralWeight(domain, rule, np.full(rule.n_nodes, value), profile="constant",
                           exact_inf=abs(value), exact_sup=abs(value))
-
-
-def _box_corner_values(lower, upper, offset: float, gradient: np.ndarray) -> np.ndarray:
-    corners = np.array(list(product(*zip(lower, upper))))
-    return offset + corners @ gradient
 
 
 def _affine_extremes(domain: Domain, offset: float, gradient: np.ndarray) -> tuple[float, float]:
@@ -131,7 +123,7 @@ def _affine_extremes(domain: Domain, offset: float, gradient: np.ndarray) -> tup
     inf_abs = np.inf
     sup_abs = 0.0
     for lower, widths, _ in domain.cells():
-        vals = _box_corner_values(lower, lower + widths, offset, gradient)
+        vals = offset + np.array(list(product(*zip(lower, lower + widths)))) @ gradient
         if vals.min() <= 0.0 <= vals.max():
             inf_abs = 0.0
         else:
@@ -147,7 +139,7 @@ def affine_weight(domain: Domain, offset: float, gradient,
     gradient = np.atleast_1d(np.asarray(gradient, dtype=float))
     if gradient.shape != (domain.dimension,):
         raise ValueError(f"gradient must have dimension {domain.dimension}")
-    rule = _default_rule(domain, rule, nodes_per_axis)
+    rule = rule or quadrature(domain, nodes_per_axis)
     values = offset + rule.nodes @ gradient
     exact_inf, exact_sup = _affine_extremes(domain, float(offset), gradient)
     gradient = gradient.copy()
@@ -196,7 +188,7 @@ def bump_window(domain: Domain, steepness: float = 1.0, nodes_per_axis: int = 64
     hi = max(lower[0] + widths[0] for lower, widths, _ in cells)
     if lo < -SUPPORT_TOL or hi > 1.0 + SUPPORT_TOL:
         raise ValueError(f"bump support is [0, 1]; domain spans [{lo}, {hi}]")
-    rule = _default_rule(domain, rule, nodes_per_axis)
+    rule = rule or quadrature(domain, nodes_per_axis)
     values = bump_values(rule.nodes[:, 0], steepness)
     exact_inf, exact_sup = _bump_extremes(domain, steepness)
     return SpectralWeight(domain, rule, values.astype(complex), profile="bump",
@@ -215,6 +207,16 @@ def translation_gram(domain: Domain, freqs: FrequencySet, weight: SpectralWeight
     affine profiles on box domains, the weight's quadrature rule otherwise.
     """
     return exp_gram(domain, freqs, weight=weight)
+
+
+def _nowhere_vanishing(weight: SpectralWeight) -> SpectralWeight:
+    """weight, if it vanishes at no node, as the Riesz transfer and the factorization need."""
+    if not bool(weight.support_mask.all()):
+        raise ValueError(f"spectral weight vanishes at {int((~weight.support_mask).sum())} of "
+                         f"{weight.rule.n_nodes} nodes; a nowhere-zero weight is needed (for "
+                         "frame bounds on its support use verify_frame_transfer or the "
+                         "frame-transfer command)")
+    return weight
 
 
 def _sandwich(outer: BoundsReport, inner: BoundsReport, floor_sq: float,
@@ -264,11 +266,7 @@ def verify_riesz_transfer(domain: Domain, freqs: FrequencySet,
     """
     if weight.domain != domain:
         raise ValueError("weight was sampled on a different domain")
-    if not bool(weight.support_mask.all()):
-        missing = int((~weight.support_mask).sum())
-        raise ValueError(
-            f"spectral weight vanishes at {missing} of {weight.rule.n_nodes} nodes; "
-            "the Riesz transfer needs a nowhere-zero weight, use verify_frame_transfer")
+    _nowhere_vanishing(weight)
     g_trans = translation_gram(domain, freqs, weight)
     closed = g_trans.provenance == "closed_form"
     g_exp = exp_gram(domain, freqs, rule=None if closed else weight.rule)
@@ -319,6 +317,15 @@ def _rank_deficient_bounds(gram: GramMatrix) -> BoundsReport:
     return BoundsReport(0.0, bounds.lambda_max, None, "degenerate", bounds.margin)
 
 
+def _frame_support(weight: SpectralWeight, freqs: FrequencySet) -> int:
+    """The support node count, unless it and the frequency count both exceed ORDER_CAP."""
+    n_support = int(weight.support_mask.sum())
+    if min(n_support, freqs.size) > ORDER_CAP:
+        raise ValueError(f"{n_support} support nodes and {freqs.size} frequencies both exceed "
+                         f"the dense-solver cap {ORDER_CAP}; coarsen the rule")
+    return n_support
+
+
 def verify_frame_transfer(domain: Domain, freqs: FrequencySet,
                           weight: SpectralWeight) -> FrameTransferReport:
     """Frame-bound sandwich for weights that may vanish on part of the domain.
@@ -344,12 +351,8 @@ def verify_frame_transfer(domain: Domain, freqs: FrequencySet,
     """
     if weight.domain != domain:
         raise ValueError("weight was sampled on a different domain")
+    n_support = _frame_support(weight, freqs)
     mask = weight.support_mask
-    n_support = int(mask.sum())
-    if min(n_support, freqs.size) > ORDER_CAP:
-        raise ValueError(
-            f"{n_support} support nodes and {freqs.size} frequencies both exceed the "
-            f"dense-solver cap {ORDER_CAP}; coarsen the rule")
     nodes = weight.rule.nodes[mask]
     wts = weight.rule.weights[mask]
     vals = weight.values[mask]
@@ -451,8 +454,7 @@ def convolution_factorization_check(domain: Domain, psi: SpectralWeight,
         raise ValueError("weight and signal must live on the given domain")
     if not np.array_equal(psi.rule.nodes, signal.rule.nodes):
         raise ValueError("weight and signal must share one quadrature rule")
-    if not bool(psi.support_mask.all()):
-        raise ValueError("factorization needs a nowhere-zero weight on the domain")
+    _nowhere_vanishing(psi)
     w = signal.rule.weights
     signal_norm = float(np.sqrt(np.sum(w * np.abs(signal.coeffs) ** 2)))
     if signal_norm == 0.0:
@@ -503,6 +505,13 @@ def _truncation(n_terms) -> int:
     return n_terms
 
 
+def _resolves(rule: QuadratureRule, n_terms: int) -> int:
+    """n_terms, if rule has more nodes than the cardinal series has terms."""
+    if rule.n_nodes <= 2 * n_terms:
+        raise ValueError(f"{rule.n_nodes} nodes cannot resolve {2 * n_terms + 1} series terms")
+    return n_terms
+
+
 def shannon_reconstruct(signal: BandlimitedSignal, n_terms: int,
                         eval_points) -> WskReport:
     """Reconstruct from integer samples with a truncated cardinal series.
@@ -512,15 +521,13 @@ def shannon_reconstruct(signal: BandlimitedSignal, n_terms: int,
     truncation (more nodes than series terms).
     """
     _cardinal_band(signal.domain)
-    n_terms = _truncation(n_terms)
-    if signal.rule.n_nodes <= 2 * n_terms:
-        raise ValueError(
-            f"{signal.rule.n_nodes} nodes cannot resolve {2 * n_terms + 1} series terms")
+    n_terms = _resolves(signal.rule, _truncation(n_terms))
     orders = np.arange(-n_terms, n_terms + 1)
     xi = signal.rule.nodes[:, 0]
     inverse_phases = np.exp(2j * np.pi * orders[:, np.newaxis] * xi[np.newaxis, :])
     samples = inverse_phases @ (signal.rule.weights * signal.coeffs)
     pts = np.atleast_1d(np.asarray(eval_points, dtype=float))
+    _grid_size(pts.size)
     cardinal = np.sinc(pts[np.newaxis, :] - orders[:, np.newaxis])
     values = samples @ cardinal
     coeff_energy = float(np.sum(np.abs(samples) ** 2))
@@ -542,13 +549,12 @@ def _indicator_profile(lower, upper, scale=1.0) -> PeriodizationProfile:
     lo = np.atleast_1d(np.asarray(lower, dtype=float))
     hi = np.atleast_1d(np.asarray(upper, dtype=float))
     scale = float(scale)
-    box = Box(lo, hi)
 
     def fn(x: np.ndarray) -> np.ndarray:
         inside = np.all((x >= lo) & (x < hi), axis=-1)
         return scale * inside.astype(float)
 
-    return PeriodizationProfile("indicator", box, fn)
+    return PeriodizationProfile("indicator", Box(lo, hi), fn)
 
 
 def _triangle_profile(lower, upper, height=1.0) -> PeriodizationProfile:
@@ -557,35 +563,32 @@ def _triangle_profile(lower, upper, height=1.0) -> PeriodizationProfile:
     height = float(height)
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    box = Box([lo], [hi])
 
     def fn(x: np.ndarray) -> np.ndarray:
         t = 1.0 - np.abs(x[..., 0] - mid) / half
         return height * np.maximum(t, 0.0)
 
-    return PeriodizationProfile("triangle", box, fn)
+    return PeriodizationProfile("triangle", Box([lo], [hi]), fn)
 
 
 def _cosine_profile(center=0.5) -> PeriodizationProfile:
     center = float(center)
-    box = Box([center - 1.0], [center + 1.0])
 
     def fn(x: np.ndarray) -> np.ndarray:
         t = x[..., 0] - center
         return np.where(np.abs(t) <= 1.0, np.cos(0.5 * np.pi * t), 0.0)
 
-    return PeriodizationProfile("cosine", box, fn)
+    return PeriodizationProfile("cosine", Box([center - 1.0], [center + 1.0]), fn)
 
 
 def _bump_profile(steepness=1.0, scale=1.0) -> PeriodizationProfile:
     steepness = float(steepness)
     scale = float(scale)
-    box = Box([0.0], [1.0])
 
     def fn(x: np.ndarray) -> np.ndarray:
         return scale * bump_values(x[..., 0], steepness)
 
-    return PeriodizationProfile("bump", box, fn)
+    return PeriodizationProfile("bump", Box([0.0], [1.0]), fn)
 
 
 # Constructor of each named profile; its keyword parameters and their
@@ -620,6 +623,14 @@ class PeriodizationReport:
     gram_tol: float
 
 
+def _shift_lattice(profile: PeriodizationProfile) -> list[np.ndarray]:
+    """Integer shifts per axis moving some of the support into the unit cube, capped."""
+    ends = [(math.floor(lo) - 1, math.ceil(hi) + 1)
+            for lo, hi in zip(profile.support.lower, profile.support.upper)]
+    _system_size(math.prod(hi - lo for lo, hi in ends))
+    return [np.arange(lo, hi) for lo, hi in ends]
+
+
 def zd_periodization(profile: PeriodizationProfile, resolution: int = 64,
                      tol: float = 1e-8,
                      gram_nodes: Optional[int] = None) -> PeriodizationReport:
@@ -630,16 +641,14 @@ def zd_periodization(profile: PeriodizationProfile, resolution: int = 64,
     quadrature on the profile support, judged at the tolerance
     max(1e-8, h^2) of the rule's node spacing h.
     """
-    resolution = int(resolution)
-    if resolution < 2:
+    if int(resolution) < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution}")
     d = profile.support.dimension
+    resolution = _grid_size(resolution, d)
+    ranges = _shift_lattice(profile)
     axes = [(np.arange(resolution) + 0.5) / resolution] * d
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
     total = np.zeros(grid.shape[0])
-    # The integer shifts that move some of the support into the unit cube.
-    ranges = [np.arange(int(np.floor(lo)) - 1, int(np.ceil(hi)) + 1)
-              for lo, hi in zip(profile.support.lower, profile.support.upper)]
     for shift in product(*[r.tolist() for r in ranges]):
         total += np.abs(profile.fn(grid + np.asarray(shift, dtype=float))) ** 2
     sup_dev = float(np.max(np.abs(total - 1.0)))

@@ -434,6 +434,13 @@ def _pairwise_quadrature(nodes: np.ndarray, coeff: np.ndarray,
     return gram
 
 
+def _system_size(count: int) -> int:
+    """count, if a Gram of that many frequencies may be assembled."""
+    if count > SYSTEM_SIZE_CAP:
+        raise ValueError(f"{count} frequencies exceed the system cap {SYSTEM_SIZE_CAP}")
+    return count
+
+
 def box_centre(points: np.ndarray) -> np.ndarray:
     """Centre of the bounding box of the rows of points.
 
@@ -475,8 +482,7 @@ def exp_gram(domain: Domain, freqs: FrequencySet, weight=None,
     a, under which G_0 rotates to the Gram of the domain where it sits. A
     domain and |weight|^2 symmetric about c give a real G_0.
     """
-    if freqs.size > SYSTEM_SIZE_CAP:
-        raise ValueError(f"{freqs.size} frequencies exceed the system cap {SYSTEM_SIZE_CAP}")
+    _system_size(freqs.size)
     if freqs.dimension != domain.dimension:
         raise ValueError(
             f"frequency dimension {freqs.dimension} does not match domain dimension {domain.dimension}")

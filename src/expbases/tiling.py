@@ -222,19 +222,32 @@ def _spend(work: int, cost: int, what: str) -> int:
     return work + cost
 
 
-def _check_caps(group: GroupInstance, size: int, force: bool, samples,
-                what: str) -> Optional[str]:
-    # Returns None when exhaustive search may run, else the refusal reason.
+_NO_COMPLEMENT = "pattern size does not divide the group order"
+
+
+def _search_route(group: GroupInstance, k: int, complement: bool, force: bool,
+                  samples: Optional[int]) -> Optional[str]:
+    """_NO_COMPLEMENT, None (walk exhaustively) or the caps' reason to sample;
+    refused past a cap with no budget, or for a sampled candidate (order // k
+    elements for a complement, k for a spectrum) above GROUP_ORDER_CAP."""
+    kind = "complement" if complement else "spectrum"
+    if complement and group.order % k:
+        return _NO_COMPLEMENT
     if group.order > GROUP_ORDER_CAP:
         reason = f"group order {group.order} exceeds the exhaustive cap {GROUP_ORDER_CAP}"
         remedy = "a sample budget"
-    elif size > PATTERN_SIZE_CAP and not force:
-        reason = f"pattern size {size} exceeds the exhaustive cap {PATTERN_SIZE_CAP}"
-        remedy = "force_exhaustive=True or a sample budget"
+    elif k > PATTERN_SIZE_CAP and not force:
+        reason = f"pattern size {k} exceeds the exhaustive cap {PATTERN_SIZE_CAP}"
+        remedy = "force_exhaustive or a sample budget"
     else:
         return None
     if samples is None:
-        raise ValueError(f"{reason} for {what}; pass {remedy}")
+        raise ValueError(f"{reason} for {kind} search; pass {remedy}")
+    if samples < 1:
+        raise ValueError(f"sample budget must be positive, got {samples}")
+    size = group.order // k if complement else k
+    if size > GROUP_ORDER_CAP:
+        raise ValueError(f"a sampled {kind} of {size} elements exceeds the cap {GROUP_ORDER_CAP}")
     return reason
 
 
@@ -250,12 +263,11 @@ def search_complements(group: GroupInstance, pattern, *,
     """
     pat_idx = _distinct_indices(group, pattern, "pattern")
     order = group.order
-    k = pat_idx.size
-    if order % k != 0:
-        return SearchResult((), True, 0, "pattern size does not divide the group order")
-    reason = _check_caps(group, k, force_exhaustive, samples, "complement search")
-    if reason is not None:
-        return _sampled_search(group, pat_idx, samples, rng, reason, mode="tiling")
+    route = _search_route(group, pat_idx.size, True, force_exhaustive, samples)
+    if route == _NO_COMPLEMENT:
+        return SearchResult((), True, 0, route)
+    if route is not None:
+        return _sampled_search(group, pat_idx, samples, rng, route, mode="tiling")
 
     pat_coords = group.coords(pat_idx)
     all_coords = group.coords(np.arange(order))
@@ -301,9 +313,9 @@ def search_spectra(group: GroupInstance, pattern, *,
     pat_idx = _distinct_indices(group, pattern, "pattern")
     order = group.order
     k = pat_idx.size
-    reason = _check_caps(group, k, force_exhaustive, samples, "spectrum search")
-    if reason is not None:
-        return _sampled_search(group, pat_idx, samples, rng, reason, mode="spectrum")
+    route = _search_route(group, k, False, force_exhaustive, samples)
+    if route is not None:
+        return _sampled_search(group, pat_idx, samples, rng, route, mode="spectrum")
 
     pat_coords = group.coords(pat_idx)
     all_coords = group.coords(np.arange(order))
@@ -343,14 +355,10 @@ def search_spectra(group: GroupInstance, pattern, *,
 def _sampled_search(group: GroupInstance, pat_idx: np.ndarray,
                     samples: int, rng: Optional[Pcg32], reason: str,
                     mode: str) -> SearchResult:
-    if samples < 1:
-        raise ValueError(f"sample budget must be positive, got {samples}")
+    # The route (_search_route) bounded the budget and the candidate size.
     rng = rng if rng is not None else Pcg32(0)
     k = pat_idx.size
     size = group.order // k if mode == "tiling" else k
-    # No larger than a group an exhaustive search may walk, before any draw.
-    if size > GROUP_ORDER_CAP:
-        raise ValueError(f"a sampled candidate of {size} elements exceeds the cap {GROUP_ORDER_CAP}")
     samples = int(samples)
     pat = group.coords(pat_idx)
     # Candidates are checked in stacks drawn in order, of at most
@@ -385,6 +393,14 @@ class CubeReport:
     n_spectra: int
 
 
+def _cube_group(group: GroupInstance) -> GroupInstance:
+    """group, if both searches of a cube check may walk it exhaustively."""
+    if group.order > GROUP_ORDER_CAP:
+        raise ValueError(f"moduli {list(group.moduli)} give group order {group.order}, "
+                         f"above the cube-check cap {GROUP_ORDER_CAP}")
+    return group
+
+
 def cube_equivalence_check(group: GroupInstance, side) -> CubeReport:
     """Match the cube's tiling complements against the dual cube's spectra.
 
@@ -393,9 +409,7 @@ def cube_equivalence_check(group: GroupInstance, side) -> CubeReport:
     keeps them shallow, so the pattern cap is lifted. The group order cap
     is not, and a larger group is refused before a cube is built.
     """
-    if group.order > GROUP_ORDER_CAP:
-        raise ValueError(f"moduli {list(group.moduli)} give group order {group.order}, "
-                         f"above the cube-check cap {GROUP_ORDER_CAP}")
+    _cube_group(group)
     sides = _cube_sides(group, side)
     for s, m in zip(sides, group.moduli):
         if m % s != 0:

@@ -28,6 +28,7 @@ from expbases.cli import (
     run_scenario,
     write_text_atomic,
 )
+from expbases.domain import NODE_CAP
 from expbases.tiling import GROUP_ORDER_CAP, SEARCH_BUDGET
 
 
@@ -714,6 +715,20 @@ def test_inputs_outside_a_hypothesis_are_rejected_before_a_report(
                             "signal": {"kind": "indicator"}, "n_terms": [8],
                             "eval_points": {"points": [0.0]}},
                  "domain", id="band-not-the-unit-band"),
+    pytest.param("tiling", {"moduli": [5000], "mode": "search_spectra", "pattern": [0, 1]},
+                 "pattern", id="search-above-the-order-cap-with-no-budget"),
+    pytest.param("tiling", {"moduli": [26], "mode": "search_complements",
+                            "pattern": list(range(13))},
+                 "pattern", id="search-above-the-pattern-cap-unforced"),
+    pytest.param("transfer", {"domain": {"boxes": [[0.0, 1.0]]}, "freqs": {"range": [-3, 3]},
+                              "weight": {"profile": "bump"}},
+                 "weight", id="transfer-weight-vanishing-at-a-node"),
+    pytest.param("factorization", {"domain": {"boxes": [[0.0, 1.0]]},
+                                   "weight": {"profile": "bump"}, "signal": {"kind": "random"}},
+                 "weight", id="factorization-weight-vanishing-at-a-node"),
+    pytest.param("periodization", {"profile": {"kind": "indicator", "lower": [0.0],
+                                               "upper": [600.0]}},
+                 "profile", id="shift-lattice-above-the-system-cap"),
 ])
 def test_runtime_rejections_name_their_scenario_path(command, parameters, path, tmp_path,
                                                      capsys):
@@ -723,6 +738,43 @@ def test_runtime_rejections_name_their_scenario_path(command, parameters, path, 
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert f"scenario.parameters.{path}" in err
+    assert "Traceback" not in err
+
+
+SQUARE_2D = {"boxes": [[[0.0, 0.0], [1.0, 1.0]]]}
+PROFILE_2D = {"kind": "indicator", "lower": [0.0, 0.0], "upper": [1.0, 1.0]}
+
+
+@pytest.mark.parametrize("command,parameters,path", [
+    pytest.param("periodization", {"profile": PROFILE_2D, "resolution": 2 ** 23},
+                 "resolution", id="periodization-resolution"),
+    pytest.param("periodization", {"profile": PROFILE_2D, "gram_nodes": 2 ** 23},
+                 "gram_nodes", id="periodization-gram-nodes"),
+    pytest.param("bounds", {"domain": SQUARE_2D, "freqs": {"range": [0, 1]},
+                            "weight": {"profile": "constant", "nodes_per_axis": 2 ** 23}},
+                 "weight.nodes_per_axis", id="bounds-2d-weight-nodes"),
+    pytest.param("bounds", {"domain": {"mask": {"origin": [0.0, 0.0], "counts": [1, 1],
+                                                "widths": [1.0, 1.0], "included": [True]}},
+                            "freqs": {"range": [0, 1]}, "nodes_per_axis": 2 ** 23},
+                 "nodes_per_axis", id="bounds-2d-mask-nodes"),
+    pytest.param("transfer", {"domain": UNIT_BAND, "freqs": {"range": [-3, 3]},
+                              "weight": {"profile": "constant", "nodes_per_axis": 2 ** 45}},
+                 "weight.nodes_per_axis", id="transfer-1d-weight-nodes"),
+    pytest.param("sample", {"domain": UNIT_BAND, "signal": {"kind": "indicator"}, "n_terms": 8,
+                            "eval_points": {"grid": [-1.0, 1.0, 2 ** 45]}},
+                 "eval_points.grid[2]", id="sample-grid-count"),
+])
+def test_sizes_past_the_node_cap_are_rejected_before_an_array(command, parameters, path,
+                                                              tmp_path, capsys):
+    # Each size would ask for a first array above 2^47 bytes, more than a
+    # process can map; the schema bounds it, through the library's check,
+    # where it reads it.
+    start = time.perf_counter()
+    code, err = run_main(tmp_path, capsys, {"name": "huge", "command": command,
+                                           "parameters": parameters}, command)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert f"scenario.parameters.{path} (" in err and f"exceed the cap {NODE_CAP}" in err
     assert "Traceback" not in err
 
 
@@ -865,15 +917,16 @@ def test_a_sampled_complement_past_the_cap_is_rejected_naming_the_pattern(tmp_pa
 def test_a_forced_search_above_the_order_cap_exits_2_and_a_batch_goes_on(tmp_path, capsys,
                                                                          mode):
     # Forcing lifts the pattern cap only: with no sample budget, a search
-    # in Z_{2^40} is rejected before it lays the group out element by element.
+    # in Z_{2^40} is rejected in the schema, naming the pattern, before it
+    # lays the group out element by element.
     forced = {"name": "forced", "command": "tiling", "parameters": {
         "moduli": [2 ** 40], "mode": mode, "pattern": [0, 1], "force_exhaustive": True}}
     start = time.perf_counter()
     code, err = run_main(tmp_path, capsys, forced, "tiling")
     assert time.perf_counter() - start < 1.0
     assert code == 2
-    assert (f"group order {2 ** 40} exceeds the exhaustive cap {GROUP_ORDER_CAP}" in err
-            and err.rstrip().endswith("pass a sample budget"))
+    assert (f"scenario.parameters.pattern: group order {2 ** 40} exceeds the exhaustive cap "
+            f"{GROUP_ORDER_CAP}" in err and err.rstrip().endswith("pass a sample budget)"))
     assert "Traceback" not in err
     runs = tmp_path / "runs"
     runs.mkdir()

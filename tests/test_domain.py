@@ -180,6 +180,19 @@ def test_quadrature_rejects_zero_nodes():
         quadrature(make_domain([Box(0.0, 1.0)]), 0)
 
 
+def test_quadrature_counts_its_nodes_over_every_piece_before_it_allocates():
+    # 725 nodes per axis on each of two squares are 1,051,250 nodes, past the
+    # cap of 2^20 that one square holds; 2^45 per axis would ask for 2^91
+    # nodes, and is refused as promptly.
+    from expbases.domain import NODE_CAP
+    two = make_domain([Box([0.0, 0.0], [1.0, 1.0]), Box([1.0, 0.0], [2.0, 1.0])])
+    with pytest.raises(ValueError, match=f"1051250 grid points exceed the cap {NODE_CAP}"):
+        quadrature(two, 725)
+    assert quadrature(make_domain([Box(0.0, 1.0)]), NODE_CAP).n_nodes == NODE_CAP
+    with pytest.raises(ValueError, match=f"{2 ** 91} grid points exceed the cap"):
+        quadrature(two, 2 ** 45)
+
+
 def test_rule_rejects_nonpositive_weights():
     with pytest.raises(ValueError, match="strictly positive"):
         QuadratureRule(np.zeros((2, 1)), np.array([0.5, 0.0]))

@@ -253,7 +253,7 @@ def test_exhaustive_caps_demand_explicit_choice():
                                          "pass a sample budget$"):
         search_complements(big, (0, 1))
     wide = GroupInstance([26])
-    with pytest.raises(ValueError, match="pattern size 13 .*; pass force_exhaustive=True "
+    with pytest.raises(ValueError, match="pattern size 13 .*; pass force_exhaustive "
                                          "or a sample budget$"):
         search_spectra(wide, tuple(range(13)))
 
@@ -300,10 +300,10 @@ def test_a_sampled_candidate_is_bounded_before_any_draw(monkeypatch):
     def draw(self, bound, k):
         raise AssertionError("drew a candidate")
     monkeypatch.setattr(Pcg32, "distinct_indices", draw)
-    with pytest.raises(ValueError, match=f"candidate of {2 ** 39} elements exceeds the cap"):
+    with pytest.raises(ValueError, match=f"complement of {2 ** 39} elements exceeds the cap"):
         search_complements(GroupInstance([2 ** 40]), (0, 1), samples=1)
     wide = GroupInstance([8200])
-    with pytest.raises(ValueError, match="candidate of 4100 elements exceeds the cap"):
+    with pytest.raises(ValueError, match="spectrum of 4100 elements exceeds the cap"):
         search_spectra(wide, tuple(range(4100)), samples=1)
     monkeypatch.undo()
     # The largest candidates the benchmark and the tests above draw.
