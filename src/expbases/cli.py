@@ -31,16 +31,16 @@ from .domain import Box, Domain, MaskGrid, QuadratureRule, _grid_size, _rule_nod
 from .gabor import _unit_measure, vv_onb_check
 from .numerics import Pcg32
 from .paley_wiener import (PERIODIZATION_KINDS, SUPPORT_TOL, BandlimitedSignal,
-                           _cardinal_band, _frame_support, _nowhere_vanishing, _resolves,
-                           _shift_lattice, _truncation, affine_weight, bump_window,
+                           _cardinal_band, _frame_support, _gram_inputs, _nowhere_vanishing,
+                           _resolves, _truncation, affine_weight, bump_window,
                            constant_weight, convolution_factorization_check,
                            indicator_signal, indicator_weight,
                            periodization_profile, random_signal,
                            shannon_reconstruct, smooth_random_signal,
                            table_weight, verify_frame_transfer, verify_riesz_transfer,
                            zd_periodization)
-from .spectra import (FrequencySet, _system_size, exp_gram,
-                      is_orthonormal_system, lattice_truncation, riesz_bounds)
+from .spectra import (FrequencySet, _closed_form_applies, _on_domain, _rule_free, _system_size,
+                      exp_gram, is_orthonormal_system, lattice_truncation, riesz_bounds)
 from .tiling import (GroupInstance, _cube_group, _distinct_indices, _search_route,
                      cube_equivalence_check, is_spectrum, search_complements,
                      search_spectra, tiles)
@@ -246,32 +246,25 @@ _DOMAIN = _Obj({
 }, _domain)
 
 
-def _freqs(domain_of, capped: bool = True) -> _Obj:
-    """Frequencies as points or an integer range, on the domain domain_of(scope);
-    a capped set is sized by the system cap before building compares its pairs."""
+def _freqs(domain_of, cap=_system_size) -> _Obj:
+    """Frequencies as points or an integer range, on the domain domain_of(scope),
+    their count passed to cap before building allocates or compares pairs."""
     def build(v, s) -> FrequencySet:
-        variant = _only(v)
-        dimension = domain_of(s).dimension
-        if variant == "range":
-            count = max(v["range"][1] - v["range"][0] + 1, 0) ** dimension
+        domain = domain_of(s)
+        if _only(v) == "range":
+            lo, hi = v["range"]
+            cap(max(hi - lo + 1, 0) ** domain.dimension)
+            freqs = lattice_truncation(lo, hi, domain.dimension)
         else:
-            count = len(v["points"]) if isinstance(v["points"], list) else 1
-        if capped:
-            _system_size(count)
-        if variant == "range":
-            freqs = lattice_truncation(v["range"][0], v["range"][1], dimension)
-        else:
+            cap(len(v["points"]) if isinstance(v["points"], list) else 1)
             freqs = FrequencySet(v["points"])
-        if freqs.dimension != dimension:
-            raise ValueError(f"{freqs.dimension}-dimensional frequencies on a "
-                             f"{dimension}-dimensional domain")
-        return freqs
+        return _on_domain(domain, freqs)
     return _Obj({"points": (_Array(_NUM, 2), None), "range": ((_INT, _INT), None)}, build)
 
 
 _FREQS = _freqs(lambda s: s["domain"])
-# A frame may be overcomplete, so its vector count has no cap.
-_FRAME_FREQS = _freqs(lambda s: s["domain"], capped=False)
+# A frame may be overcomplete: its vectors are bounded as a grid is.
+_FRAME_FREQS = _freqs(lambda s: s["domain"], _grid_size)
 
 # A node count per axis, bounded where it is read by the rule it sets.
 _NODES = _Built(_at_least(1), lambda v, s: _rule_nodes(s["domain"], v))
@@ -348,12 +341,11 @@ def _command_rule(s) -> QuadratureRule:
 
 
 def _bounds_parameters(v, s) -> dict:
-    # exp_gram reads a node count, 32 unless given, only for an unweighted
-    # Gram on a domain without boxes; anywhere else a given one is refused.
-    ruled = not v["domain"].boxes and v["weight"] is None
-    if v["nodes_per_axis"] is None:
-        return {**v, "nodes_per_axis": _rule_nodes(v["domain"], 32) if ruled else 32}
-    if not ruled:
+    # A rule of nodes_per_axis, 32 unless given, only where exp_gram has
+    # neither a weight's rule nor a closed form; elsewhere it is refused.
+    if v["weight"] is None and not _closed_form_applies(v["domain"]):
+        return {**v, "nodes_per_axis": _rule_nodes(v["domain"], v["nodes_per_axis"] or 32)}
+    if v["nodes_per_axis"] is not None:
         raise ValueError("scenario.parameters.nodes_per_axis applies only to an "
                          "unweighted Gram on a mask domain")
     return v
@@ -396,8 +388,9 @@ def _sandwich(report) -> dict:
 
 
 def _run_bounds(p, rng, tol):
-    domain, freqs = p["domain"], p["freqs"]
-    gram = exp_gram(domain, freqs, weight=p["weight"], nodes_per_axis=p["nodes_per_axis"])
+    domain, freqs, nodes = p["domain"], p["freqs"], p["nodes_per_axis"]
+    rule = None if nodes is None else quadrature(domain, nodes)
+    gram = exp_gram(domain, freqs, p["weight"], rule)
     bounds = riesz_bounds(gram)
     onb = is_orthonormal_system(gram, tol if tol is not None else ABSOLUTE_TOL)
     results = {
@@ -633,7 +626,7 @@ COMMANDS = {
     }, _blaming("nodes_per_axis", lambda v: _resolves(v["rule"], max(v["n_terms"])))),
         ("parseval_ok", "energy_monotone")),
     "gabor": _Command(_run_gabor, _Obj({
-        "base_domain": (_Built(_DOMAIN, lambda v, s: _unit_measure(v)), _REQ),
+        "base_domain": (_Built(_DOMAIN, lambda v, s: _unit_measure(_rule_free(v))), _REQ),
         "window": (_Obj({"domain": (_DOMAIN, _REQ), "weight": (_WEIGHT, _REQ)}), _REQ),
         "modulations": (_freqs(lambda s: s["base_domain"]), _REQ),
         "translations": (_freqs(lambda s: s["window"]["domain"]), _REQ),
@@ -642,7 +635,8 @@ COMMANDS = {
         "profile": (_PERIODIZATION_PROFILE, _REQ),
         "resolution": (_Built(_at_least(2), _profile_grid), 64),
         "gram_nodes": (_Built(_at_least(1), _profile_grid), None),
-    }, _blaming("profile", lambda v: _shift_lattice(v["profile"]))),
+    }, _blaming("profile", lambda v: _gram_inputs(v["profile"], v["resolution"],
+                                                  v["gram_nodes"]))),
         ("is_onb", "gram_is_onb", "routes_agree")),
     "factorization": _Command(_run_factorization, _Obj({
         "domain": (_DOMAIN, _REQ),

@@ -45,7 +45,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-# Largest matrix order the dense solver accepts.
+# Largest matrix order the dense solver accepts: the most frequencies of a Gram.
 ORDER_CAP = 512
 
 # Ceiling on |M - M*| entries before a matrix counts as Hermitian: absolute
@@ -158,10 +158,16 @@ def hermitian_scan(matrix) -> HermitianScan:
     return HermitianScan(top, defect, at, _rounded_up_radius(radius, n), off)
 
 
-def hermiticity_ceiling(top: float, tol: float) -> float:
-    """tol scaled to a matrix whose largest entry has modulus top: absolute
-    below unit magnitude, relative otherwise."""
-    return tol * max(1.0, top)
+def hermiticity_gate(scan: HermitianScan) -> float:
+    """The one Hermiticity gate: the scanned matrix's HERMITICITY_TOL ceiling,
+    if its Hermitian defect is within it; else raises naming the entry."""
+    ceiling = HERMITICITY_TOL * max(1.0, scan.top)
+    if scan.defect > ceiling:
+        i, j = scan.at
+        raise ValueError(
+            f"matrix is not Hermitian: |M[{i},{j}] - conj(M[{j},{i}])| = {scan.defect:.3e} "
+            f"exceeds {ceiling:g}")
+    return ceiling
 
 
 def _positive_definite(matrix: np.ndarray, shift: float) -> bool:
@@ -355,8 +361,7 @@ def eigen_bounds(matrix, *, scan: Optional[HermitianScan] = None) -> EigenBounds
     matrix is a square array, or the _ToeplitzSection that a GramMatrix on
     an integer box holds, read through its difference table with no n x n
     complex array. Rejects non-square input, orders above ORDER_CAP, and
-    matrices whose Hermitian defect exceeds HERMITICITY_TOL * max(1, max |M|)
-    (the offending entry is named).
+    matrices past the Hermiticity gate (hermiticity_gate).
 
     A matrix that is diagonal to rounding is certified by discs, with no
     eigen solve. Every eigenvalue of H = (M + M*) / 2 lies in a Gershgorin
@@ -394,22 +399,16 @@ def eigen_bounds(matrix, *, scan: Optional[HermitianScan] = None) -> EigenBounds
         raise ValueError(f"order {n} exceeds the dense-solver cap {ORDER_CAP}; shrink the truncation")
     if scan is None:
         scan = hermitian_scan(m)
-    top = scan.top
-    ceiling = hermiticity_ceiling(top, HERMITICITY_TOL)
-    if scan.defect > ceiling:
-        i, j = scan.at
-        raise ValueError(
-            f"matrix is not Hermitian: |M[{i},{j}] - conj(M[{j},{i}])| = {scan.defect:.3e} "
-            f"exceeds {ceiling:g}")
-    scale = top * n
+    ceiling = hermiticity_gate(scan)
+    scale = scan.top * n
     if scale == 0.0:
         return EigenBounds(0.0, 0.0, 0.0)
     # Written so that NaN or infinite values take the dense route.
     if scan.radius <= np.finfo(float).eps * scale < np.inf:
         diagonal = m.diagonal().real
         return EigenBounds(float(diagonal.min()), float(diagonal.max()), scan.radius)
-    halves, slack = m.halves(ceiling, top) if section else _matrix_halves(m, ceiling)
-    return _certified(halves, slack, top, n)
+    halves, slack = m.halves(ceiling, scan.top) if section else _matrix_halves(m, ceiling)
+    return _certified(halves, slack, scan.top, n)
 
 
 class Pcg32:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .domain import Box, Domain, QuadratureRule, _grid_size, quadrature
 from .numerics import ORDER_CAP, eigen_bounds
-from .spectra import (BoundsReport, FrequencySet, GramMatrix, OnbVerdict,
+from .spectra import (BoundsReport, FrequencySet, GramMatrix, OnbVerdict, _on_domain,
                       _pairwise_quadrature, _system_size, box_centre, exp_gram,
                       frame_bounds_of_operator, is_orthonormal_system, riesz_bounds)
 
@@ -201,11 +201,8 @@ def table_weight(domain: Domain, rule: QuadratureRule, values) -> SpectralWeight
 
 
 def translation_gram(domain: Domain, freqs: FrequencySet, weight: SpectralWeight) -> GramMatrix:
-    """Gram of the translation system: the |weight|^2-weighted exponential Gram.
-
-    exp_gram picks the route: the closed form for indicator, constant and
-    affine profiles on box domains, the weight's quadrature rule otherwise.
-    """
+    """Gram of the translation system: the |weight|^2-weighted exponential
+    Gram, in closed form or on the weight's rule as exp_gram decides."""
     return exp_gram(domain, freqs, weight=weight)
 
 
@@ -264,8 +261,6 @@ def verify_riesz_transfer(domain: Domain, freqs: FrequencySet,
     samples' either way, and weight_resolution_flagged compares them with
     the exact ones.
     """
-    if weight.domain != domain:
-        raise ValueError("weight was sampled on a different domain")
     _nowhere_vanishing(weight)
     g_trans = translation_gram(domain, freqs, weight)
     closed = g_trans.provenance == "closed_form"
@@ -349,8 +344,7 @@ def verify_frame_transfer(domain: Domain, freqs: FrequencySet,
     frequencies are symmetric about m and the weight is real. Both are
     scalings of one node kernel, built in real arithmetic.
     """
-    if weight.domain != domain:
-        raise ValueError("weight was sampled on a different domain")
+    _on_domain(domain, freqs, weight)
     n_support = _frame_support(weight, freqs)
     mask = weight.support_mask
     nodes = weight.rule.nodes[mask]
@@ -623,12 +617,20 @@ class PeriodizationReport:
     gram_tol: float
 
 
-def _shift_lattice(profile: PeriodizationProfile) -> list[np.ndarray]:
-    """Integer shifts per axis moving some of the support into the unit cube, capped."""
+def _gram_inputs(profile: PeriodizationProfile, resolution: int,
+                 gram_nodes: Optional[int]) -> tuple[list[np.ndarray], SpectralWeight, int]:
+    """What zd_periodization's Gram integrates, checked before it is built:
+    the integer shifts per axis moving some of the support into the unit
+    cube (capped), the profile as a weight on gram_nodes (resolution unless
+    given) midpoint nodes per axis over its support, and that count."""
     ends = [(math.floor(lo) - 1, math.ceil(hi) + 1)
             for lo, hi in zip(profile.support.lower, profile.support.upper)]
     _system_size(math.prod(hi - lo for lo, hi in ends))
-    return [np.arange(lo, hi) for lo, hi in ends]
+    gram_nodes = resolution if gram_nodes is None else int(gram_nodes)
+    support = Domain(boxes=[profile.support])
+    rule = quadrature(support, gram_nodes)
+    weight = table_weight(support, rule, profile.fn(rule.nodes))
+    return [np.arange(lo, hi) for lo, hi in ends], weight, gram_nodes
 
 
 def zd_periodization(profile: PeriodizationProfile, resolution: int = 64,
@@ -645,7 +647,7 @@ def zd_periodization(profile: PeriodizationProfile, resolution: int = 64,
         raise ValueError(f"resolution must be at least 2, got {resolution}")
     d = profile.support.dimension
     resolution = _grid_size(resolution, d)
-    ranges = _shift_lattice(profile)
+    ranges, weight, gram_nodes = _gram_inputs(profile, resolution, gram_nodes)
     axes = [(np.arange(resolution) + 0.5) / resolution] * d
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
     total = np.zeros(grid.shape[0])
@@ -654,12 +656,8 @@ def zd_periodization(profile: PeriodizationProfile, resolution: int = 64,
     sup_dev = float(np.max(np.abs(total - 1.0)))
     verdict = sup_dev <= tol
 
-    gram_nodes = resolution if gram_nodes is None else int(gram_nodes)
-    support_domain = Domain(boxes=[profile.support])
-    rule = quadrature(support_domain, gram_nodes)
-    weight = table_weight(support_domain, rule, profile.fn(rule.nodes))
     lattice = FrequencySet(np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, d))
-    gram = translation_gram(support_domain, lattice, weight)
+    gram = translation_gram(weight.domain, lattice, weight)
     span = max(hi - lo for lo, hi in zip(profile.support.lower, profile.support.upper))
     h = span / gram_nodes
     gram_tol = max(1e-8, h * h)

@@ -44,23 +44,20 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .domain import Domain, QuadratureRule, quadrature
-from .numerics import (HERMITICITY_TOL, HermitianScan, _as_square, _ToeplitzSection,
-                       eigen_bounds, hermitian_scan, hermiticity_ceiling)
-
-# Largest frequency-set size a Gram matrix will be assembled for.
-SYSTEM_SIZE_CAP = 512
+from .domain import Domain, QuadratureRule
+from .numerics import (ORDER_CAP, HermitianScan, _as_square, _ToeplitzSection, eigen_bounds,
+                       hermitian_scan, hermiticity_gate)
 
 # Frequencies closer than this in sup norm count as duplicates.
 DISTINCTNESS_TOL = 1e-12
 
 # Pairwise gaps per block of the distinctness check; a set within
-# SYSTEM_SIZE_CAP is one block.
-_GAP_BLOCK_ENTRIES = SYSTEM_SIZE_CAP ** 2
+# ORDER_CAP is one block.
+_GAP_BLOCK_ENTRIES = ORDER_CAP ** 2
 
 # Entries per block of nodes in a Toeplitz quadrature Gram's folded table,
 # and in the cos and sin tables of the pairwise quadrature route.
-_TABLE_BLOCK_ENTRIES = SYSTEM_SIZE_CAP ** 2
+_TABLE_BLOCK_ENTRIES = ORDER_CAP ** 2
 
 # Integer coordinates below this magnitude have exact float differences.
 _EXACT_INTEGER_BOUND = 2.0 ** 52
@@ -161,10 +158,10 @@ class GramMatrix:
     (none: D = I). G_0 has G's spectrum and the same |G_ij - delta_ij|, so
     the library reads only G_0; centred forms it as an array, and matrix
     forms G, on demand for callers that want them. scan is G_0's one
-    HermitianScan, taken for the Hermiticity gate here, which is
-    eigen_bounds' own (HERMITICITY_TOL, whatever the provenance), and
-    handed to eigen_bounds' gate and disc route and to
-    is_orthonormal_system; G_0 is read-only, so it cannot go stale.
+    HermitianScan, taken for the Hermiticity gate here (hermiticity_gate,
+    eigen_bounds' own, whatever the provenance), and handed to
+    eigen_bounds' gate and disc route and to is_orthonormal_system; G_0
+    is read-only, so it cannot go stale.
     """
 
     operand: Union[np.ndarray, _ToeplitzSection]
@@ -178,11 +175,7 @@ class GramMatrix:
         section = isinstance(centred, _ToeplitzSection)
         m = centred if section else _as_square(centred)
         scan = hermitian_scan(m)
-        tol = hermiticity_ceiling(scan.top, HERMITICITY_TOL)
-        if scan.defect > tol:
-            i, j = scan.at
-            raise ValueError(f"Gram matrix is not Hermitian within {tol:g}: "
-                             f"defect {scan.defect:.3e} at ({i},{j})")
+        hermiticity_gate(scan)
         diag = m.diagonal()
         if np.min(diag.real) <= 0.0:
             k = int(np.argmin(diag.real))
@@ -342,8 +335,7 @@ def _gather(table: np.ndarray, points: np.ndarray,
 
 def exp_inner_closed(domain: Domain, a, b) -> complex:
     """Closed-form inner product of two exponentials over a box union."""
-    if not domain.boxes:
-        raise ValueError("closed form needs a box representation; use the quadrature path")
+    _rule_free(domain)
     av = np.atleast_1d(np.asarray(a, dtype=float))
     bv = np.atleast_1d(np.asarray(b, dtype=float))
     if av.shape != (domain.dimension,) or bv.shape != (domain.dimension,):
@@ -435,10 +427,34 @@ def _pairwise_quadrature(nodes: np.ndarray, coeff: np.ndarray,
 
 
 def _system_size(count: int) -> int:
-    """count, if a Gram of that many frequencies may be assembled."""
-    if count > SYSTEM_SIZE_CAP:
-        raise ValueError(f"{count} frequencies exceed the system cap {SYSTEM_SIZE_CAP}")
+    """count, if a Gram of that many frequencies may be assembled and solved."""
+    if count > ORDER_CAP:
+        raise ValueError(f"{count} frequencies exceed the dense-solver cap {ORDER_CAP}")
     return count
+
+
+def _on_domain(domain: Domain, freqs: FrequencySet, weight=None) -> FrequencySet:
+    """freqs, if they have the domain's dimension and any weight was sampled on it."""
+    if freqs.dimension != domain.dimension:
+        raise ValueError(f"{freqs.dimension}-dimensional frequencies on a "
+                         f"{domain.dimension}-dimensional domain")
+    if weight is not None and weight.domain != domain:
+        raise ValueError("weight was sampled on a different domain")
+    return freqs
+
+
+def _closed_form_applies(domain: Domain, weight=None) -> bool:
+    """Whether exp_gram, given no rule, integrates in closed form: on a box
+    domain, unweighted or under an indicator, constant or affine weight."""
+    return bool(domain.boxes) and (weight is None
+                                   or weight.profile in ("indicator", "constant", "affine"))
+
+
+def _rule_free(domain: Domain) -> Domain:
+    """domain, if exp_gram integrates an unweighted Gram on it with no rule."""
+    if not _closed_form_applies(domain):
+        raise ValueError("an unweighted Gram on a mask domain needs a quadrature rule")
+    return domain
 
 
 def box_centre(points: np.ndarray) -> np.ndarray:
@@ -453,22 +469,18 @@ def box_centre(points: np.ndarray) -> np.ndarray:
 
 
 def exp_gram(domain: Domain, freqs: FrequencySet, weight=None,
-             rule: Optional[QuadratureRule] = None,
-             nodes_per_axis: int = 32) -> GramMatrix:
+             rule: Optional[QuadratureRule] = None) -> GramMatrix:
     """Gram matrix of the exponential system, optionally weighted.
 
-    A weight contributes |weight|^2 inside the integral. This is the one
-    place that picks how a Gram is integrated: a box domain with no
-    explicit rule gets the closed form (_closed_form) when it is
-    unweighted or under a weight of constant modulus (indicator or
-    constant profile), scaled by sup|weight|^2, and under an affine
-    weight, whose |weight|^2 is a polynomial of degree 2 integrated from
-    the axis moments; there the weight's rule serves only its sampled
-    extremes. Every other case (mask domains, bump and table weights, an
-    explicit rule) uses midpoint quadrature, on the weight's rule when
-    there is a weight, else on rule or a fresh nodes_per_axis rule. A
-    weighted Gram's diagonal must stay within measure * sup|weight|^2,
-    the affine closed form's sup taken from the weight's exact extremes.
+    A weight contributes |weight|^2 inside the integral and brings its own
+    rule, so rule is for unweighted Grams, and a mask domain needs one.
+    This is the one place that picks how a Gram is integrated: with no
+    rule, in closed form where _closed_form_applies (_closed_form), scaled
+    by sup|weight|^2 under a weight of constant modulus; an affine
+    weight's |weight|^2, of degree 2, is integrated from the axis moments,
+    its rule serving only its sampled extremes, and the Gram's diagonal
+    must stay within measure * exact sup|weight|^2. Every other Gram takes
+    midpoint quadrature, on the weight's rule or on rule.
     Either way a set with a small box of integer
     differences (_difference_box) is integrated once per difference and
     gathered (_gather), or held as that table when it is a whole box in
@@ -483,18 +495,17 @@ def exp_gram(domain: Domain, freqs: FrequencySet, weight=None,
     domain and |weight|^2 symmetric about c give a real G_0.
     """
     _system_size(freqs.size)
-    if freqs.dimension != domain.dimension:
-        raise ValueError(
-            f"frequency dimension {freqs.dimension} does not match domain dimension {domain.dimension}")
-    if weight is not None and weight.domain != domain:
-        raise ValueError("weight was sampled on a different domain")
+    _on_domain(domain, freqs, weight)
+    if weight is not None and rule is not None:
+        raise ValueError("a weighted Gram integrates on its weight's rule; pass no rule with it")
+    if weight is None and rule is None:
+        _rule_free(domain)
     points = freqs.points
     centre = box_centre(np.concatenate(
         [(lower, lower + widths) for lower, widths, _ in domain.cells()]))
     spans = _difference_box(points)
-    ceiling = None
-    if (rule is None and domain.boxes
-            and (weight is None or weight.profile in ("indicator", "constant", "affine"))):
+    affine = None
+    if rule is None and _closed_form_applies(domain, weight):
         provenance = "closed_form"
         if spans is None:
             deltas = [col[:, np.newaxis] - col[np.newaxis, :] for col in points.T]
@@ -503,27 +514,24 @@ def exp_gram(domain: Domain, freqs: FrequencySet, weight=None,
                                  indexing="ij")
         affine = None if weight is None else weight.affine
         table = _closed_form(domain, deltas, centre, affine)
-        if affine is not None:
-            ceiling = weight.exact_sup ** 2
-        elif weight is not None and weight.sup_mod != 1.0:
+        if weight is not None and affine is None and weight.sup_mod != 1.0:
             table = table * weight.sup_mod ** 2
     else:
         provenance = "quadrature"
         if weight is not None:
-            rule, wsq = weight.rule, np.abs(weight.values) ** 2
-            coeff, ceiling = rule.weights * wsq, float(np.max(wsq))
-        else:
-            rule = rule if rule is not None else quadrature(domain, nodes_per_axis)
-            coeff = rule.weights
+            rule = weight.rule
+        coeff = rule.weights if weight is None else rule.weights * np.abs(weight.values) ** 2
         nodes = rule.nodes - centre
         if spans is None:
             table = _pairwise_quadrature(nodes, coeff, points)
         else:
             table = _quadrature_table(nodes, coeff, spans)
     centred = table if spans is None else _gather(table, points, spans)
-    if ceiling is not None:
-        if float(np.max(centred.diagonal().real)) > domain.measure * ceiling * (1.0 + 1e-9):
-            raise RuntimeError("weighted Gram diagonal exceeds measure * sup|weight|^2")
+    # The affine moments against the weight's exact supremum, from its
+    # corners: a route that shares nothing with _axis_moments.
+    if affine is not None and (float(np.max(centred.diagonal().real))
+                               > domain.measure * weight.exact_sup ** 2 * (1.0 + 1e-9)):
+        raise RuntimeError("affine-weighted Gram diagonal exceeds measure * sup|weight|^2")
     # <a, c> turns, less the nearest whole turn: 2 pi times a large <a, c>
     # would round by |<a, c>| eps, and matrix would carry that into every
     # entry.

@@ -591,7 +591,7 @@ def test_oversize_frequency_sets_are_rejected_before_they_are_built(
     scenario = {"name": "big", "command": command, "parameters": parameters}
     code, err = run_main(tmp_path, capsys, scenario, command)
     assert code == 2
-    assert f"scenario.parameters.{path} (" in err and "system cap 512" in err
+    assert f"scenario.parameters.{path} (" in err and "dense-solver cap 512" in err
     assert "Traceback" not in err
 
 
@@ -729,6 +729,20 @@ def test_inputs_outside_a_hypothesis_are_rejected_before_a_report(
     pytest.param("periodization", {"profile": {"kind": "indicator", "lower": [0.0],
                                                "upper": [600.0]}},
                  "profile", id="shift-lattice-above-the-system-cap"),
+    pytest.param("periodization", {"profile": {"kind": "indicator", "lower": [0.0],
+                                               "upper": [1.0], "scale": 0.0}},
+                 "profile: weight vanishes at every node", id="profile-zero-at-every-node"),
+    pytest.param("periodization", {"profile": {"kind": "bump", "steepness": 1e6}},
+                 "profile: weight vanishes at every node", id="profile-underflows-at-every-node"),
+    pytest.param("frame-transfer", {"domain": {"boxes": [[0.0, 1.0]]},
+                                    "freqs": {"range": [-2 ** 40, 2 ** 40]},
+                                    "weight": {"profile": "bump"}},
+                 f"freqs ({2 ** 41 + 1} grid points exceed the cap {2 ** 20})",
+                 id="frame-frequencies-above-the-node-cap"),
+    pytest.param("gabor", {**gabor_parameters({"range": [0, 1]}, {"range": [0, 1]}),
+                           "base_domain": MASK_BAND},
+                 "base_domain (an unweighted Gram on a mask domain needs a quadrature rule)",
+                 id="base-domain-with-no-closed-form"),
 ])
 def test_runtime_rejections_name_their_scenario_path(command, parameters, path, tmp_path,
                                                      capsys):

@@ -122,9 +122,9 @@ DENSE_SHAPES = {
                                      lattice_truncation(-256, 255)).matrix,
     "1d-kadec-448": lambda: exp_gram(make_domain([Box(0.0, 1.0)]), FrequencySet(
         np.arange(-224, 224) + Pcg32(5).uniforms(448, -0.2, 0.2))).matrix,
-    "1d-mask-quadrature-512": lambda: exp_gram(
+    "1d-mask-quadrature-512": lambda: ruled_gram(
         make_mask_domain([-0.375], [5], [0.25], [True] * 5), lattice_truncation(-256, 255),
-        nodes_per_axis=256).matrix,
+        256).matrix,
     "2d-lattice-484": lambda: exp_gram(make_domain([Box([-0.125, 0.5], [0.875, 1.5])]),
                                        lattice_truncation(-11, 10, 2)).matrix,
     "2d-union-484": lambda: exp_gram(
@@ -143,9 +143,16 @@ def test_eigen_bounds_match_the_eigh_oracle_on_dense_gram_shapes(shape):
     assert_certified_like_the_eigh_oracle(DENSE_SHAPES[shape]())
 
 
-def centred_gram(domain, freqs, **kwargs):
-    # G_0 and the Gram G = D G_0 D* of the domain where it sits.
-    gram = exp_gram(domain, freqs, **kwargs)
+def ruled_gram(domain, freqs, nodes_per_axis):
+    # An unweighted Gram on the domain's midpoint rule, as a mask domain needs.
+    return exp_gram(domain, freqs, rule=quadrature(domain, nodes_per_axis))
+
+
+def centred_gram(domain, freqs, nodes_per_axis=None, **kwargs):
+    # G_0 and the Gram G = D G_0 D* of the domain where it sits, on its
+    # midpoint rule of nodes_per_axis when one is given.
+    gram = (exp_gram(domain, freqs, **kwargs) if nodes_per_axis is None
+            else ruled_gram(domain, freqs, nodes_per_axis))
     return gram.centred, gram.matrix
 
 
@@ -299,9 +306,9 @@ SMALL_SQUARE = make_domain([Box([0.25, -0.5], [1.0, 0.25])])
 # its order has.
 REFLECTED_GRAMS = {
     "box-union": (lambda freqs: exp_gram(UNION_2D, freqs), "c"),
-    "mask": (lambda freqs: exp_gram(
+    "mask": (lambda freqs: ruled_gram(
         make_mask_domain([-0.5, 0.0], [3, 2], [0.5, 0.5], [True, True, False, True, True, True]),
-        freqs, nodes_per_axis=8), "c"),
+        freqs, 8), "c"),
     "affine-weight": (lambda freqs: translation_gram(
         SQUARE, freqs, affine_weight(SQUARE, 2.5, [0.75, -0.5], nodes_per_axis=12)), "c"),
     # The same node values as a table: the weighted quadrature route.
@@ -483,9 +490,9 @@ DIAGONAL_MATRICES = {
                                        lattice_truncation(-300, 211)).centred,
     "2d-lattice-484": lambda: exp_gram(make_domain([Box([-0.125, 0.5], [0.875, 1.5])]),
                                        lattice_truncation(-11, 10, 2)).centred,
-    "2d-full-mask-484": lambda: exp_gram(
+    "2d-full-mask-484": lambda: ruled_gram(
         make_mask_domain([-0.625, 0.0], [2, 2], [0.5, 0.5], [True] * 4),
-        lattice_truncation(-12, 9, 2), nodes_per_axis=24).centred,
+        lattice_truncation(-12, 9, 2), 24).centred,
     "1d-constant-translation-512": lambda: translation_gram(
         make_domain([Box(0.5, 1.5)]), lattice_truncation(-290, 221),
         constant_weight(make_domain([Box(0.5, 1.5)]), 1.25 - 0.75j)).centred,

@@ -191,11 +191,16 @@ def test_riesz_transfer_sandwich_on_random_scenarios(seed):
     assert rep.exp_bounds.upper > 0.0
 
 
-def test_riesz_transfer_rejects_foreign_weight():
-    other = make_domain([Box(0.0, 2.0)])
-    w = indicator_weight(other, nodes_per_axis=8)
-    with pytest.raises(ValueError, match="different domain"):
-        verify_riesz_transfer(UNIT, FrequencySet([0.0]), w)
+def test_both_transfers_reject_a_foreign_weight_and_foreign_frequencies():
+    # The one spectra check: a weight sampled elsewhere, or frequencies of
+    # another dimension, are refused with the schema's own messages.
+    w = indicator_weight(make_domain([Box(0.0, 2.0)]), nodes_per_axis=8)
+    for verify in (verify_riesz_transfer, verify_frame_transfer):
+        with pytest.raises(ValueError, match="^weight was sampled on a different domain$"):
+            verify(UNIT, FrequencySet([0.0]), w)
+        with pytest.raises(ValueError, match="^2-dimensional frequencies on a 1-dimensional "
+                                             "domain$"):
+            verify(UNIT, FrequencySet([[0.0, 0.0]]), indicator_weight(UNIT, nodes_per_axis=8))
 
 
 def test_frame_transfer_on_vanishing_weight():

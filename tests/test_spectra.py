@@ -1,5 +1,6 @@
 """Exponential Gram matrices: closed form, quadrature, and the bounds verdicts."""
 
+import inspect
 import re
 import sys
 import tracemalloc
@@ -101,13 +102,35 @@ def test_quadrature_gram_approaches_closed_form():
     assert np.max(np.abs(closed.matrix - sampled.matrix)) < 1e-6
 
 
+def ruled_gram(domain, freqs, nodes_per_axis):
+    # An unweighted Gram on the domain's midpoint rule, as a mask domain needs.
+    return exp_gram(domain, freqs, rule=quadrature(domain, nodes_per_axis))
+
+
 def test_mask_domain_uses_quadrature_route():
     domain = make_mask_domain([0.0], [4], [0.25], [True, True, False, True])
-    gram = exp_gram(domain, FrequencySet([0.0, 1.0]), nodes_per_axis=200)
+    gram = exp_gram(domain, FrequencySet([0.0, 1.0]), rule=quadrature(domain, 200))
     assert gram.provenance == "quadrature"
-    with pytest.raises(ValueError, match="quadrature path"):
+    with pytest.raises(ValueError, match="needs a quadrature rule"):
         exp_inner_closed(make_mask_domain([0.0], [2], [0.5], [True, True]),
                          [0.0], [1.0])
+
+
+def test_exp_gram_takes_its_integration_one_way():
+    # No node count of its own: a weighted Gram integrates on its weight's
+    # rule, so a rule beside a weight is refused rather than dropped, and an
+    # unweighted mask Gram needs a rule.
+    freqs = FrequencySet([0.0, 0.5])
+    assert list(inspect.signature(exp_gram).parameters) == ["domain", "freqs", "weight", "rule"]
+    with pytest.raises(TypeError, match="nodes_per_axis"):
+        exp_gram(UNIT, freqs, nodes_per_axis=6)
+    weight = table_weight(UNIT, quadrature(UNIT, 6), np.full(6, 2.0))
+    with pytest.raises(ValueError, match="^a weighted Gram integrates on its weight's rule"):
+        exp_gram(UNIT, freqs, weight=weight, rule=quadrature(UNIT, 40))
+    mask = make_mask_domain([0.0], [4], [0.25], [True, True, False, True])
+    with pytest.raises(ValueError, match="^an unweighted Gram on a mask domain needs a "
+                                         "quadrature rule$"):
+        exp_gram(mask, freqs)
 
 
 def centre_of(domain):
@@ -510,14 +533,16 @@ def test_every_gram_route_carries_the_centre_phase():
     centre = np.array([1.25, 0.5])
     want = np.exp(-2j * np.pi * (freqs.points @ centre))
     weight = affine_weight(union, 3.0, [0.5, -0.25], nodes_per_axis=6)
-    for gram in (exp_gram(union, freqs), exp_gram(union, freqs, nodes_per_axis=6),
-                 exp_gram(union, freqs, weight=weight),
-                 exp_gram(union, freqs, weight=affine_table_weight(union, 6, 3.0, [0.5, -0.25]))):
+    grams = (exp_gram(union, freqs), exp_gram(union, freqs, rule=quadrature(union, 6)),
+             exp_gram(union, freqs, weight=weight),
+             exp_gram(union, freqs, weight=affine_table_weight(union, 6, 3.0, [0.5, -0.25])))
+    assert [gram.provenance for gram in grams] == ["closed_form", "quadrature"] * 2
+    for gram in grams:
         assert np.max(np.abs(gram.phase - want)) <= 1e-14
     mask = make_mask_domain([-0.5, 0.25], [3, 2], [0.5, 0.5],
                             [False, True, True, True, True, False])
     want = np.exp(-2j * np.pi * (freqs.points @ np.array([0.25, 0.75])))
-    assert np.max(np.abs(exp_gram(mask, freqs, nodes_per_axis=4).phase - want)) <= 1e-14
+    assert np.max(np.abs(exp_gram(mask, freqs, rule=quadrature(mask, 4)).phase - want)) <= 1e-14
 
 
 def test_the_phase_keeps_the_gram_of_far_frequencies_accurate():
@@ -552,9 +577,9 @@ SHIFTED_NARROW = make_domain([Box(0.375, 1.125)])
 SOLVES = [
     pytest.param(lambda: riesz_bounds(exp_gram(SHIFTED_NARROW, lattice_truncation(-40, 23))),
                  "ff", 1, id="single-box"),
-    pytest.param(lambda: riesz_bounds(exp_gram(
+    pytest.param(lambda: riesz_bounds(ruled_gram(
         make_mask_domain([0.25, -0.5], [2, 2], [0.375, 0.375], [True] * 4),
-        lattice_truncation(-5, 3, 2), nodes_per_axis=12)), "ff", 1, id="full-mask"),
+        lattice_truncation(-5, 3, 2), 12)), "ff", 1, id="full-mask"),
     pytest.param(lambda: verify_riesz_transfer(
         SHIFTED_NARROW, lattice_truncation(-40, 23),
         constant_weight(SHIFTED_NARROW, 0.6 + 0.8j)), "ffff", 2, id="constant-transfer"),
@@ -591,9 +616,9 @@ UNIT_WIDTH_LATTICES = {
     "single-box": lambda: riesz_bounds(exp_gram(SHIFTED_UNIT, lattice_truncation(-40, 23))),
     "2d-single-box": lambda: riesz_bounds(exp_gram(
         make_domain([Box([-0.125, 0.5], [0.875, 1.5])]), lattice_truncation(-5, 4, 2))),
-    "full-mask": lambda: riesz_bounds(exp_gram(
+    "full-mask": lambda: riesz_bounds(ruled_gram(
         make_mask_domain([0.25, -0.5], [2, 2], [0.5, 0.5], [True] * 4),
-        lattice_truncation(-5, 3, 2), nodes_per_axis=12)),
+        lattice_truncation(-5, 3, 2), 12)),
     "constant-transfer": lambda: verify_riesz_transfer(
         SHIFTED_UNIT, lattice_truncation(-40, 23), constant_weight(SHIFTED_UNIT, 0.6 + 0.8j)),
 }
@@ -640,17 +665,16 @@ def test_each_solved_matrix_is_scanned_for_hermiticity_once(monkeypatch, solve, 
 
 @pytest.mark.parametrize("provenance", ["closed_form", "quadrature"])
 def test_a_gram_past_the_hermiticity_ceiling_is_rejected_when_built(provenance):
-    # One ceiling, eigen_bounds' own, gates a Gram as it is built, whatever
-    # its provenance; eigen_bounds on the raw matrix keeps its own message.
+    # One gate, eigen_bounds' own, rejects a Gram as it is built, whatever
+    # its provenance, with the message eigen_bounds gives the raw matrix.
     matrix = np.eye(4, dtype=complex)
     matrix[0, 1] = 1e-10
-    with pytest.raises(ValueError, match=r"^Gram matrix is not Hermitian within 1e-12: "
-                                         r"defect 1\.000e-10 at \(0,1\)$"):
-        spectra.GramMatrix(matrix, provenance=provenance)
-    with pytest.raises(ValueError) as direct:
-        numerics.eigen_bounds(matrix)
-    assert str(direct.value) == ("matrix is not Hermitian: |M[0,1] - conj(M[1,0])| = 1.000e-10 "
-                                 "exceeds 1e-12")
+    want = "matrix is not Hermitian: |M[0,1] - conj(M[1,0])| = 1.000e-10 exceeds 1e-12"
+    for build in (lambda: spectra.GramMatrix(matrix, provenance=provenance),
+                  lambda: numerics.eigen_bounds(matrix)):
+        with pytest.raises(ValueError) as rejected:
+            build()
+        assert str(rejected.value) == want
 
 
 OFF_CENTRE_UNION = make_domain([Box(-0.25, 0.75), Box(1.0, 1.375)])
@@ -686,7 +710,7 @@ BOX_GRAMS = {
         AFFINE_UNION, lattice_truncation(-10, 10, 2), affine_weight(AFFINE_UNION, 2.8, [0.6, -0.4], 3)),
         "f", "c"),
     "mask-quadrature-9^2": (lambda: exp_gram(SHIFTED_MASK, lattice_truncation(-4, 4, 2),
-                                             nodes_per_axis=8), "f", "c"),
+                                             rule=quadrature(SHIFTED_MASK, 8)), "f", "c"),
     "table-weight-17": (lambda: translation_gram(
         SHIFTED_NARROW, lattice_truncation(-8, 8),
         affine_table_weight(SHIFTED_NARROW, 64, 2.0, [1.0])), "f", "c"),
@@ -766,10 +790,11 @@ def test_a_planted_non_hermitian_table_entry_is_named_where_its_difference_occur
     table = np.array(gram.operand.table, dtype=complex)
     table[2 + 5, -3 + 5] += 1e-10j
     section = numerics._ToeplitzSection(table)
-    with pytest.raises(ValueError, match=r"^Gram matrix is not Hermitian within 1e-12: "
-                                         r"defect 1\.000e-10 at \((\d+),(\d+)\)$") as info:
+    with pytest.raises(ValueError, match=r"^matrix is not Hermitian: \|M\[(\d+),(\d+)\] - "
+                                         r"conj\(M\[\2,\1\]\)\| = 1\.000e-10 "
+                                         r"exceeds 1e-12$") as info:
         spectra.GramMatrix(section)
-    i, j = (int(k) for k in re.search(r"at \((\d+),(\d+)\)$", str(info.value)).groups())
+    i, j = (int(k) for k in re.search(r"\|M\[(\d+),(\d+)\]", str(info.value)).groups())
     assert tuple(np.abs(freqs.points[i] - freqs.points[j])) == (2.0, 3.0)
     matrix = section.dense()
     assert abs(matrix[i, j] - np.conj(matrix[j, i])) == section.scan().defect
@@ -894,7 +919,8 @@ COMPLEX_BOX_GRAMS = {
                              {"weight": affine_weight(OFF_CENTRE, 1.0, [-0.6], 3)}),
     "affine-2d-union": (AFFINE_UNION, lattice_truncation(-10, 10, 2),
                         {"weight": affine_weight(AFFINE_UNION, 2.8, [0.6, -0.4], 3)}),
-    "mask-quadrature": (SHIFTED_MASK, lattice_truncation(-10, 10, 2), {"nodes_per_axis": 8}),
+    "mask-quadrature": (SHIFTED_MASK, lattice_truncation(-10, 10, 2),
+                        {"rule": quadrature(SHIFTED_MASK, 8)}),
 }
 
 

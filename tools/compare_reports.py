@@ -34,8 +34,9 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import run  # noqa: E402
 
-ROUNDS = ("scenarios", ("dense_grams", 1), ("dense_grams", 2), ("small_scenarios", 1),
-          ("tiling_search", 1), ("tiling_search", 2))
+ROUNDS = ("scenarios", ("dense_grams", 1), ("dense_grams", 2), ("dense_grams", 3),
+          ("small_scenarios", 1), ("small_scenarios", 2), ("small_scenarios", 3),
+          ("tiling_search", 1), ("tiling_search", 2), ("tiling_search", 3))
 
 _MISSING = object()
 
