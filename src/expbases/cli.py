@@ -5,6 +5,12 @@ operation, and writes a report whose bytes depend only on the scenario
 and the seed (wall_time_s is the single exception). Exit status: 0 all
 checks passed, 1 a verdict failed, 2 the scenario or invocation was
 rejected before any verdict.
+
+COMMANDS holds what each command decides: its runner, the schema of its
+parameters, the names of its verdicts and the tolerance it judges at,
+which --tol replaces (a command that judges at none takes no --tol). The
+schema builds each input once, checked by the library rule that owns it,
+and the runner reads what was built.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from .gabor import _unit_measure, vv_onb_check
 from .numerics import Pcg32
 from .paley_wiener import (PERIODIZATION_KINDS, SUPPORT_TOL, BandlimitedSignal,
                            _cardinal_band, _frame_support, _gram_inputs, _nowhere_vanishing,
-                           _resolves, _truncation, affine_weight, bump_window,
+                           _periodize, _resolves, _truncation, affine_weight, bump_window,
                            constant_weight, convolution_factorization_check,
                            indicator_signal, indicator_weight,
                            periodization_profile, random_signal,
@@ -41,18 +47,15 @@ from .paley_wiener import (PERIODIZATION_KINDS, SUPPORT_TOL, BandlimitedSignal,
                            zd_periodization)
 from .spectra import (FrequencySet, _closed_form_applies, _on_domain, _rule_free, _system_size,
                       exp_gram, is_orthonormal_system, lattice_truncation, riesz_bounds)
-from .tiling import (GroupInstance, _cube_group, _distinct_indices, _search_route,
+from .tiling import (GroupInstance, _cube_group, _distinct_coords, _dual_sides, _search_route,
                      cube_equivalence_check, is_spectrum, search_complements,
                      search_spectra, tiles)
 
 # Judgement scales echoed into every report: absolute for magnitudes at
 # or below one, relative otherwise.
-ABSOLUTE_TOL = 1e-10
-RELATIVE_TOL = 1e-9
-
 _TOLERANCE_POLICY = {
-    "absolute": ABSOLUTE_TOL,
-    "relative": RELATIVE_TOL,
+    "absolute": 1e-10,
+    "relative": 1e-9,
     "rule": "absolute below unit magnitude, relative otherwise",
 }
 
@@ -74,8 +77,9 @@ class SchemaError(Exception):
 #   [item]: a nonempty list of items; (a, b, ...): a list, one spec per place;
 #   _Array(leaf, rank): a leaf, or nonempty lists nested at most rank deep
 #     around leaves (any depth when rank is None);
-#   _Verdicts(names): an object of bools keyed by verdict names, a tuple
-#     of names or a function of scope that gives one (None: any name);
+#   _Verdicts(names): an object of bools keyed by verdict names: a tuple of
+#     names, or a dict of them by the mode of the parameters built before it
+#     (any name when the parameters were rejected);
 #   _Obj(fields, build): an object with exactly the keys of fields, each
 #     mapped to (spec, default), where a default of None also accepts null
 #     and any other default is checked against spec as a given value is;
@@ -87,7 +91,7 @@ class SchemaError(Exception):
 #   _Built(spec, build): a value that passes spec, made into build(value, scope).
 # scope maps the names of the values built so far in the enclosing objects
 # (the innermost wins), so a builder finds its domain, rule or seeded stream;
-# it starts with the seed override and the scenario as given.
+# it starts with the seed override.
 _Leaf = namedtuple("_Leaf", "what test convert", defaults=(None,))
 _Array = namedtuple("_Array", "leaf rank")
 _Verdicts = namedtuple("_Verdicts", "names")
@@ -182,7 +186,9 @@ def _check(spec, value, path: str, walk: _Walk, scope: dict):
     if not isinstance(value, dict):
         return walk.fail(path, "expected an object")
     if isinstance(spec, _Verdicts):
-        names = spec.names(scope) if callable(spec.names) else spec.names
+        names = spec.names
+        if isinstance(names, dict):
+            names = names[scope["parameters"]["mode"]] if "parameters" in scope else None
         out = {}
         for key, v in value.items():
             if names is None or key in names:
@@ -281,14 +287,26 @@ def _shared_rule(v, s) -> Optional[QuadratureRule]:
     return rule
 
 
-def _weight(nodes, bump_nodes) -> _Tagged:
-    """Spectral weights by profile, with these node-count defaults."""
+def _closed_form_nodes(v, s) -> int:
+    # exp_gram integrates an indicator or constant weight on a box domain in
+    # closed form, and its samples, all one value, do not depend on the count.
+    nodes = _rule_nodes(s["domain"], v)
+    if _closed_form_applies(s["domain"]):
+        raise ValueError("an indicator or constant weight on a domain of boxes is integrated "
+                         "in closed form, on no nodes")
+    return nodes
+
+
+def _weight(nodes, bump_nodes, flat=_NODES) -> _Tagged:
+    """Spectral weights by profile, with these node-count defaults; flat is
+    the spec of an indicator or constant weight's node count."""
     n = (_NODES, nodes)
     return _Tagged("profile", {
-        "indicator": ({"nodes_per_axis": n}, lambda v, s: indicator_weight(
-            s["domain"], v["nodes_per_axis"], _shared_rule(v, s))),
-        "constant": ({"value": (_COMPLEX, 1.0), "nodes_per_axis": n},
-                     lambda v, s: constant_weight(s["domain"], v["value"], v["nodes_per_axis"],
+        "indicator": ({"nodes_per_axis": (flat, None)}, lambda v, s: indicator_weight(
+            s["domain"], v["nodes_per_axis"] or nodes, _shared_rule(v, s))),
+        "constant": ({"value": (_COMPLEX, 1.0), "nodes_per_axis": (flat, None)},
+                     lambda v, s: constant_weight(s["domain"], v["value"],
+                                                  v["nodes_per_axis"] or nodes,
                                                   _shared_rule(v, s))),
         "affine": ({"offset": (_NUM, _REQ), "gradient": (_VECTOR, _REQ), "nodes_per_axis": n},
                    lambda v, s: affine_weight(s["domain"], v["offset"], v["gradient"],
@@ -303,7 +321,10 @@ def _weight(nodes, bump_nodes) -> _Tagged:
     })
 
 
-_WEIGHT = _weight(32, 64)
+# Where the Gram of a weight is integrated in closed form if it can be.
+_WEIGHT = _weight(32, 64, _Built(_at_least(1), _closed_form_nodes))
+# Where the weight's samples are read.
+_SAMPLED_WEIGHT = _weight(32, 64)
 # On a shared rule the weight's node count is the rule's: given, it must match.
 _WEIGHT_ON_RULE = _weight(None, None)
 
@@ -351,14 +372,15 @@ def _bounds_parameters(v, s) -> dict:
     return v
 
 
-def _blaming(key: str, check):
-    """A parameters build that runs check(values), a library precondition, naming key."""
+def _blaming(key: str, check, into: Optional[str] = None):
+    """A parameters build that runs check(values), a library precondition,
+    naming key; what check returns is kept as into, if given."""
     def build(v, s) -> dict:
         try:
-            check(v)
+            got = check(v)
         except ValueError as exc:
             raise ValueError(f"scenario.parameters.{key}: {exc}") from None
-        return v
+        return v if into is None else {**v, into: got}
     return build
 
 
@@ -392,7 +414,7 @@ def _run_bounds(p, rng, tol):
     rule = None if nodes is None else quadrature(domain, nodes)
     gram = exp_gram(domain, freqs, p["weight"], rule)
     bounds = riesz_bounds(gram)
-    onb = is_orthonormal_system(gram, tol if tol is not None else ABSOLUTE_TOL)
+    onb = is_orthonormal_system(gram, tol)
     results = {
         **_bounds("", bounds),
         "condition": bounds.condition,
@@ -468,7 +490,7 @@ def _run_tiling(p, rng, tol):
 
 def _run_cube_check(p, rng, tol):
     group, side = p["moduli"], p["side"]
-    divides = all(m % side == 0 for m in group.moduli)
+    divides = _dual_sides(group, [side] * group.dimension) is not None
     hyps = [_hyp("side_divides_moduli", divides, side, min(group.moduli))]
     if not divides:
         # No dual cube exists, so neither family is searched.
@@ -514,8 +536,7 @@ def _run_sample(p, rng, tol):
 
 def _run_gabor(p, rng, tol):
     base, modulations, translations = p["base_domain"], p["modulations"], p["translations"]
-    report = vv_onb_check(base, modulations, translations, p["window"]["weight"],
-                          tol if tol is not None else ABSOLUTE_TOL)
+    report = vv_onb_check(base, modulations, translations, p["window"]["weight"], tol)
     results = {
         "gabor_deviation": report.gabor.deviation,
         "modulation_deviation": report.modulation.deviation,
@@ -534,9 +555,7 @@ def _run_gabor(p, rng, tol):
 
 
 def _run_periodization(p, rng, tol):
-    report = zd_periodization(p["profile"], resolution=p["resolution"],
-                              tol=tol if tol is not None else 1e-8,
-                              gram_nodes=p["gram_nodes"])
+    report = _periodize(p["profile"], p["resolution"], tol, p["gram_inputs"])
     results = {"sup_deviation": report.sup_deviation, "gram_deviation": report.gram_deviation,
                "tol": report.tol, "gram_tol": report.gram_tol, "resolution": report.resolution}
     verdicts = {
@@ -552,7 +571,7 @@ def _run_factorization(p, rng, tol):
     results = {"residual": report.residual, "quotient_norm": report.quotient_norm,
                "norm_bound": report.norm_bound, "signal_norm": report.signal_norm}
     verdicts = {
-        "roundtrip_exact": report.residual <= (tol if tol is not None else 1e-12),
+        "roundtrip_exact": report.residual <= tol,
         "bound_holds": bool(report.bound_holds),
     }
     return [_nowhere_zero(p["weight"])], results, verdicts
@@ -561,7 +580,8 @@ def _run_factorization(p, rng, tol):
 def _group_indices(label: str):
     """Distinct indices of the group built from moduli, checked where read."""
     def build(v, s) -> list:
-        return _distinct_indices(s["moduli"], v, label).tolist()
+        _distinct_coords(s["moduli"], v, label)
+        return v
     return (_Built([_at_least(0)], build), _REQ)
 
 
@@ -576,26 +596,35 @@ _SEARCH_ROUTE = _blaming("pattern", lambda v: _search_route(
     v["force_exhaustive"], v["samples"]))
 
 
-_Command = namedtuple("_Command", "run params verdicts")
+_Command = namedtuple("_Command", "run params verdicts tol", defaults=(None,))
 
 _SEARCH_VERDICTS = ("exhaustive", "found_any")
 
-# Each command: its runner, the spec of its parameters and the names of
-# the verdicts the runner returns (per mode for tiling). README.md lists
-# the same keys.
+
+def _default_tol(verdict) -> float:
+    """The tolerance a library verdict judges at unless it is given one."""
+    return inspect.signature(verdict).parameters["tol"].default
+
+
+# Each command: its runner, the spec of its parameters, the names of the
+# verdicts the runner returns (per mode for tiling) and the tolerance it
+# judges at unless --tol is given (None: it judges at none, and takes no
+# --tol). README.md lists the same keys.
 COMMANDS = {
     "bounds": _Command(_run_bounds, _Obj({
         "domain": (_DOMAIN, _REQ),
         "freqs": (_FREQS, _REQ),
         "weight": (_WEIGHT, None),
         "nodes_per_axis": (_NODES, None),
-    }, _bounds_parameters), ("is_onb", "is_riesz_basis", "degenerate")),
+    }, _bounds_parameters), ("is_onb", "is_riesz_basis", "degenerate"),
+        _default_tol(is_orthonormal_system)),
     "transfer": _Command(_run_transfer, _Obj({
         "domain": (_DOMAIN, _REQ), "freqs": (_FREQS, _REQ),
         "weight": (_Built(_WEIGHT, lambda v, s: _nowhere_vanishing(v)), _REQ),
     }), ("sandwich_holds", "translation_degenerate")),
     "frame-transfer": _Command(_run_frame_transfer, _Obj({
-        "domain": (_DOMAIN, _REQ), "freqs": (_FRAME_FREQS, _REQ), "weight": (_WEIGHT, _REQ),
+        "domain": (_DOMAIN, _REQ), "freqs": (_FRAME_FREQS, _REQ),
+        "weight": (_SAMPLED_WEIGHT, _REQ),
     }, _blaming("weight.nodes_per_axis", lambda v: _frame_support(v["weight"], v["freqs"]))),
         ("sandwich_holds",)),
     "tiling": _Command(_run_tiling, _Tagged("mode", {
@@ -630,67 +659,52 @@ COMMANDS = {
         "window": (_Obj({"domain": (_DOMAIN, _REQ), "weight": (_WEIGHT, _REQ)}), _REQ),
         "modulations": (_freqs(lambda s: s["base_domain"]), _REQ),
         "translations": (_freqs(lambda s: s["window"]["domain"]), _REQ),
-    }), ("gabor_is_onb", "modulation_is_onb", "translation_is_onb", "equivalent")),
+    }), ("gabor_is_onb", "modulation_is_onb", "translation_is_onb", "equivalent"),
+        _default_tol(vv_onb_check)),
     "periodization": _Command(_run_periodization, _Obj({
         "profile": (_PERIODIZATION_PROFILE, _REQ),
         "resolution": (_Built(_at_least(2), _profile_grid), 64),
         "gram_nodes": (_Built(_at_least(1), _profile_grid), None),
     }, _blaming("profile", lambda v: _gram_inputs(v["profile"], v["resolution"],
-                                                  v["gram_nodes"]))),
-        ("is_onb", "gram_is_onb", "routes_agree")),
+                                                  v["gram_nodes"]), "gram_inputs")),
+        ("is_onb", "gram_is_onb", "routes_agree"), _default_tol(zd_periodization)),
     "factorization": _Command(_run_factorization, _Obj({
         "domain": (_DOMAIN, _REQ),
         "nodes_per_axis": (_NODES, 64),
         "rule": _command_rule,
         "weight": (_Built(_WEIGHT_ON_RULE, lambda v, s: _nowhere_vanishing(v)), _REQ),
         "signal": (_SIGNAL, _REQ),
-    }), ("roundtrip_exact", "bound_holds")),
+    }), ("roundtrip_exact", "bound_holds"), 1e-12),
 }
-
-
-def _expect_names(verdicts):
-    """The names an expect block may use: verdicts, or a function of scope
-    giving those of the scenario's mode.
-
-    expect is walked before the parameters are built, so the mode is read
-    from the scenario as given; a mode that is missing or unknown allows
-    any name, and the parameters walk rejects the mode.
-    """
-    if not isinstance(verdicts, dict):
-        return verdicts
-
-    def of_mode(scope):
-        parameters = scope["scenario"].get("parameters")
-        mode = parameters.get("mode") if isinstance(parameters, dict) else None
-        return verdicts.get(mode) if isinstance(mode, str) else None
-    return of_mode
 
 
 _SCENARIO = _Tagged("command", {
     command: ({
         "name": (_STR, _REQ),
         "seed": (_INT, 0),
-        "expect": (_Verdicts(_expect_names(spec.verdicts)), {}),
         "effective_seed": lambda s: (s["seed"] if s["seed_override"] is None
                                      else s["seed_override"]),
         "rng": lambda s: Pcg32(s["effective_seed"]),
         "parameters": (spec.params, _REQ),
+        "expect": (_Verdicts(spec.verdicts), {}),
     }, None)
     for command, spec in COMMANDS.items()})
 
 
 def run_scenario(scenario, command: str, seed_override: Optional[int] = None,
                  tol_override: Optional[float] = None) -> dict:
-    """Validate and execute one scenario dict, returning the report dict."""
+    """Validate and execute one scenario dict, returning the report dict;
+    tol_override replaces the tolerance of a command that judges at one."""
     started = time.perf_counter()
     walk = _Walk()
-    top = _check(_SCENARIO, scenario, "scenario", walk,
-                 {"seed_override": seed_override, "scenario": scenario})
+    top = _check(_SCENARIO, scenario, "scenario", walk, {"seed_override": seed_override})
     if top is not _BAD and top["command"] != command:
         walk.fail("scenario.command", f"declares {top['command']!r}, invoked as {command!r}")
     if walk.errors:
         raise SchemaError(walk.errors)
-    hyps, results, verdicts = COMMANDS[command].run(top["parameters"], top["rng"], tol_override)
+    spec = COMMANDS[command]
+    tol = spec.tol if tol_override is None or spec.tol is None else tol_override
+    hyps, results, verdicts = spec.run(top["parameters"], top["rng"], tol)
     wall = time.perf_counter() - started
     expect = dict(top["expect"])
     passed = (all(h["passed"] for h in hyps)
@@ -804,7 +818,7 @@ def _load_json(path: str) -> Any:
 
 def _main_single(args) -> int:
     scenario = _load_json(args.scenario)
-    report = run_scenario(scenario, args.command, args.seed, args.tol)
+    report = run_scenario(scenario, args.command, args.seed, getattr(args, "tol", None))
     text = dumps_report(report) if args.format == "json" else report_csv(report)
     if args.out:
         write_text_atomic(args.out, text)
@@ -861,18 +875,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in COMMANDS:
+    for command, spec in COMMANDS.items():
         sp = sub.add_parser(command, help=f"run a {command} scenario")
         sp.add_argument("--scenario", required=True, help="scenario JSON file")
         sp.add_argument("--out", help="report path (stdout when omitted)")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--seed", type=int, help="override the scenario seed")
-        sp.add_argument("--tol", type=_tolerance, help="override the judgement tolerance")
+        if spec.tol is not None:
+            sp.add_argument("--tol", type=_tolerance, help="override the judgement tolerance")
     batch = sub.add_parser("batch", help="run every scenario in a directory")
     batch.add_argument("--dir", required=True, help="directory of scenario files")
     batch.add_argument("--out-dir", required=True, help="directory for reports")
     batch.add_argument("--seed", type=int, help="override every scenario seed")
-    batch.add_argument("--tol", type=_tolerance, help="override the judgement tolerance")
+    batch.add_argument("--tol", type=_tolerance, help="override each judgement tolerance")
     return parser
 
 

@@ -6,6 +6,12 @@ two-sided bound transfer between the exponential system and the
 translates is one eigenvalue sandwich (_sandwich), verified for Riesz
 bounds on the full domain when the weight never vanishes and for frame
 bounds on the weight's support otherwise.
+
+The cardinal series and the integer-translate periodization criterion
+live here too. shannon_reconstruct sums its tables over bounded blocks,
+so its memory does not grow with the node or point count; the
+periodization check runs on inputs (_gram_inputs) built once, by
+zd_periodization or by the scenario schema that checked them.
 """
 
 from __future__ import annotations
@@ -19,8 +25,8 @@ import numpy as np
 
 from .domain import Box, Domain, QuadratureRule, _grid_size, quadrature
 from .numerics import ORDER_CAP, eigen_bounds
-from .spectra import (BoundsReport, FrequencySet, GramMatrix, OnbVerdict, _on_domain,
-                      _pairwise_quadrature, _system_size, box_centre, exp_gram,
+from .spectra import (_TABLE_BLOCK_ENTRIES, BoundsReport, FrequencySet, GramMatrix, OnbVerdict,
+                      _on_domain, _pairwise_quadrature, _system_size, box_centre, exp_gram,
                       frame_bounds_of_operator, is_orthonormal_system, riesz_bounds)
 
 # Node values at or below this modulus count as outside the support.
@@ -444,9 +450,8 @@ def convolution_factorization_check(domain: Domain, psi: SpectralWeight,
     The quotient norm must respect signal norm / inf_mod. A zero signal
     reports residual zero by convention.
     """
-    if psi.domain != domain or signal.domain != domain:
-        raise ValueError("weight and signal must live on the given domain")
-    if not np.array_equal(psi.rule.nodes, signal.rule.nodes):
+    _on_domain(domain, None, psi)
+    if signal.domain != psi.domain or not np.array_equal(psi.rule.nodes, signal.rule.nodes):
         raise ValueError("weight and signal must share one quadrature rule")
     _nowhere_vanishing(psi)
     w = signal.rule.weights
@@ -512,18 +517,27 @@ def shannon_reconstruct(signal: BandlimitedSignal, n_terms: int,
 
     The band must be [-1/2, 1/2]. Samples come from quadrature of the
     inverse transform on the signal's own rule, which must oversample the
-    truncation (more nodes than series terms).
+    truncation (more nodes than series terms). The phase table is summed
+    over blocks of nodes, and the sinc table formed over blocks of points,
+    of about _TABLE_BLOCK_ENTRIES entries each: one block when there are
+    fewer entries.
     """
     _cardinal_band(signal.domain)
     n_terms = _resolves(signal.rule, _truncation(n_terms))
     orders = np.arange(-n_terms, n_terms + 1)
+    block = max(1, _TABLE_BLOCK_ENTRIES // orders.size)
     xi = signal.rule.nodes[:, 0]
-    inverse_phases = np.exp(2j * np.pi * orders[:, np.newaxis] * xi[np.newaxis, :])
-    samples = inverse_phases @ (signal.rule.weights * signal.coeffs)
+    weighted = signal.rule.weights * signal.coeffs
+    samples = None
+    for start in range(0, xi.size, block):
+        part = (np.exp(2j * np.pi * orders[:, np.newaxis] * xi[np.newaxis, start:start + block])
+                @ weighted[start:start + block])
+        samples = part if samples is None else samples + part
     pts = np.atleast_1d(np.asarray(eval_points, dtype=float))
     _grid_size(pts.size)
-    cardinal = np.sinc(pts[np.newaxis, :] - orders[:, np.newaxis])
-    values = samples @ cardinal
+    values = np.concatenate([
+        samples @ np.sinc(pts[np.newaxis, start:start + block] - orders[:, np.newaxis])
+        for start in range(0, pts.size, block)])
     coeff_energy = float(np.sum(np.abs(samples) ** 2))
     signal_energy = signal.norm_sq
     parseval_ok = coeff_energy <= signal_energy * (1.0 + SANDWICH_RTOL) + 1e-15
@@ -645,9 +659,15 @@ def zd_periodization(profile: PeriodizationProfile, resolution: int = 64,
     """
     if int(resolution) < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution}")
+    resolution = _grid_size(resolution, profile.support.dimension)
+    return _periodize(profile, resolution, tol, _gram_inputs(profile, resolution, gram_nodes))
+
+
+def _periodize(profile: PeriodizationProfile, resolution: int, tol: float,
+               inputs: tuple[list[np.ndarray], SpectralWeight, int]) -> PeriodizationReport:
+    """zd_periodization at a checked resolution, on the _gram_inputs built for it."""
+    ranges, weight, gram_nodes = inputs
     d = profile.support.dimension
-    resolution = _grid_size(resolution, d)
-    ranges, weight, gram_nodes = _gram_inputs(profile, resolution, gram_nodes)
     axes = [(np.arange(resolution) + 0.5) / resolution] * d
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
     total = np.zeros(grid.shape[0])

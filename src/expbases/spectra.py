@@ -336,11 +336,8 @@ def _gather(table: np.ndarray, points: np.ndarray,
 def exp_inner_closed(domain: Domain, a, b) -> complex:
     """Closed-form inner product of two exponentials over a box union."""
     _rule_free(domain)
-    av = np.atleast_1d(np.asarray(a, dtype=float))
-    bv = np.atleast_1d(np.asarray(b, dtype=float))
-    if av.shape != (domain.dimension,) or bv.shape != (domain.dimension,):
-        raise ValueError(
-            f"frequencies must have dimension {domain.dimension}, got {av.shape} and {bv.shape}")
+    av, bv = (_on_domain(domain, FrequencySet(np.atleast_1d(v)[np.newaxis])).points[0]
+              for v in (a, b))
     return complex(_closed_form(domain, (av - bv)[:, np.newaxis], 0.0)[0])
 
 
@@ -433,9 +430,10 @@ def _system_size(count: int) -> int:
     return count
 
 
-def _on_domain(domain: Domain, freqs: FrequencySet, weight=None) -> FrequencySet:
-    """freqs, if they have the domain's dimension and any weight was sampled on it."""
-    if freqs.dimension != domain.dimension:
+def _on_domain(domain: Domain, freqs: Optional[FrequencySet],
+               weight=None) -> Optional[FrequencySet]:
+    """freqs, if any have the domain's dimension and any weight was sampled on it."""
+    if freqs is not None and freqs.dimension != domain.dimension:
         raise ValueError(f"{freqs.dimension}-dimensional frequencies on a "
                          f"{domain.dimension}-dimensional domain")
     if weight is not None and weight.domain != domain:

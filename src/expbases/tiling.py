@@ -68,15 +68,19 @@ class GroupInstance:
 
     def coords(self, indices) -> np.ndarray:
         """Linear indices to coordinate rows, C order."""
-        idx = np.asarray(indices, dtype=int)
-        if idx.size and (idx.min() < 0 or idx.max() >= self.order):
-            raise ValueError(f"indices must lie in [0, {self.order})")
-        return np.stack(np.unravel_index(idx, self.moduli), axis=-1)
+        return _coords(self, np.asarray(indices, dtype=int), "indices")
 
     def index(self, coords) -> np.ndarray:
         """Coordinate rows to linear indices, reducing mod the moduli."""
         c = np.asarray(coords, dtype=int) % np.asarray(self.moduli)
         return np.ravel_multi_index(tuple(np.moveaxis(c, -1, 0)), self.moduli)
+
+
+def _coords(group: GroupInstance, idx: np.ndarray, what: str) -> np.ndarray:
+    """Coordinate rows of the linear indices idx, named what if one lies outside the group."""
+    if idx.size and (idx.min() < 0 or idx.max() >= group.order):
+        raise ValueError(f"{what} must lie in [0, {group.order})")
+    return np.stack(np.unravel_index(idx, group.moduli), axis=-1)
 
 
 def _cube_sides(group: GroupInstance, side) -> tuple[int, ...]:
@@ -96,15 +100,14 @@ def cube_set(group: GroupInstance, side) -> tuple[int, ...]:
     return tuple(int(i) for i in group.index(coords))
 
 
-def _distinct_indices(group: GroupInstance, elements, label: str) -> np.ndarray:
+def _distinct_coords(group: GroupInstance, elements, label: str) -> np.ndarray:
+    """Coordinate rows of elements, distinct linear indices into the group."""
     arr = np.asarray(list(elements), dtype=int)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{label} must be a nonempty flat index collection")
-    if arr.min() < 0 or arr.max() >= group.order:
-        raise ValueError(f"{label} indices must lie in [0, {group.order})")
     if len(set(arr.tolist())) != arr.size:
         raise ValueError(f"{label} contains repeated elements")
-    return arr
+    return _coords(group, arr, f"{label} indices")
 
 
 @dataclass(frozen=True)
@@ -130,8 +133,8 @@ def _cover_counts(group: GroupInstance, pat: np.ndarray,
 
 def tiles(group: GroupInstance, pattern, candidate) -> TilingVerdict:
     """Exact check that pattern + candidate covers the group once each."""
-    pat = group.coords(_distinct_indices(group, pattern, "pattern"))
-    cand = group.coords(_distinct_indices(group, candidate, "candidate"))
+    pat = _distinct_coords(group, pattern, "pattern")
+    cand = _distinct_coords(group, candidate, "candidate")
     uncovered, collisions = (int(c[0]) for c in _cover_counts(group, pat, cand[np.newaxis]))
     return TilingVerdict(uncovered == 0 and collisions == 0, uncovered, collisions)
 
@@ -167,8 +170,8 @@ def is_spectrum(group: GroupInstance, pattern, candidate) -> SpectrumVerdict:
     size. Orthogonality defect is the largest off-diagonal character sum
     modulus, judged against CHARACTER_TOL times the pattern size.
     """
-    pat = group.coords(_distinct_indices(group, pattern, "pattern"))
-    cand = group.coords(_distinct_indices(group, candidate, "candidate"))
+    pat = _distinct_coords(group, pattern, "pattern")
+    cand = _distinct_coords(group, candidate, "candidate")
     defect = float(_character_defects(group, pat, cand[np.newaxis])[0])
     tolerance = CHARACTER_TOL * pat.shape[0]
     sizes_match = cand.shape[0] == pat.shape[0]
@@ -261,15 +264,14 @@ def search_complements(group: GroupInstance, pattern, *,
     every complement is enumerated, then canonicalized to its orbit
     minimum. A walk past SEARCH_BUDGET raises ValueError.
     """
-    pat_idx = _distinct_indices(group, pattern, "pattern")
+    pat_coords = _distinct_coords(group, pattern, "pattern")
     order = group.order
-    route = _search_route(group, pat_idx.size, True, force_exhaustive, samples)
+    route = _search_route(group, len(pat_coords), True, force_exhaustive, samples)
     if route == _NO_COMPLEMENT:
         return SearchResult((), True, 0, route)
     if route is not None:
-        return _sampled_search(group, pat_idx, samples, rng, route, mode="tiling")
+        return _sampled_search(group, pat_coords, samples, rng, route, mode="tiling")
 
-    pat_coords = group.coords(pat_idx)
     all_coords = group.coords(np.arange(order))
     shifted = group.index(pat_coords[np.newaxis, :, :] + all_coords[:, np.newaxis, :])
     full = (1 << order) - 1
@@ -310,14 +312,13 @@ def search_spectra(group: GroupInstance, pattern, *,
     difference set, anchored at zero. A walk past SEARCH_BUDGET raises
     ValueError.
     """
-    pat_idx = _distinct_indices(group, pattern, "pattern")
+    pat_coords = _distinct_coords(group, pattern, "pattern")
     order = group.order
-    k = pat_idx.size
+    k = len(pat_coords)
     route = _search_route(group, k, False, force_exhaustive, samples)
     if route is not None:
-        return _sampled_search(group, pat_idx, samples, rng, route, mode="spectrum")
+        return _sampled_search(group, pat_coords, samples, rng, route, mode="spectrum")
 
-    pat_coords = group.coords(pat_idx)
     all_coords = group.coords(np.arange(order))
     sums = np.abs(_character_table(group, all_coords, pat_coords).sum(axis=1))
     ok = sums <= CHARACTER_TOL * k
@@ -352,15 +353,14 @@ def search_spectra(group: GroupInstance, pattern, *,
     return SearchResult(_orbit_minima(group, hits), True, len(hits), "")
 
 
-def _sampled_search(group: GroupInstance, pat_idx: np.ndarray,
+def _sampled_search(group: GroupInstance, pat: np.ndarray,
                     samples: int, rng: Optional[Pcg32], reason: str,
                     mode: str) -> SearchResult:
     # The route (_search_route) bounded the budget and the candidate size.
     rng = rng if rng is not None else Pcg32(0)
-    k = pat_idx.size
+    k = len(pat)
     size = group.order // k if mode == "tiling" else k
     samples = int(samples)
-    pat = group.coords(pat_idx)
     # Candidates are checked in stacks drawn in order, of at most
     # _SAMPLE_STACK_ENTRIES pattern-by-candidate entries.
     stack = max(1, _SAMPLE_STACK_ENTRIES // (k * size))
@@ -401,6 +401,14 @@ def _cube_group(group: GroupInstance) -> GroupInstance:
     return group
 
 
+def _dual_sides(group: GroupInstance, sides) -> Optional[tuple[int, ...]]:
+    """The dual cube's sides, modulus // side per axis, or None unless each
+    side divides its axis modulus."""
+    if any(m % s for s, m in zip(sides, group.moduli)):
+        return None
+    return tuple(m // s for s, m in zip(sides, group.moduli))
+
+
 def cube_equivalence_check(group: GroupInstance, side) -> CubeReport:
     """Match the cube's tiling complements against the dual cube's spectra.
 
@@ -411,10 +419,9 @@ def cube_equivalence_check(group: GroupInstance, side) -> CubeReport:
     """
     _cube_group(group)
     sides = _cube_sides(group, side)
-    for s, m in zip(sides, group.moduli):
-        if m % s != 0:
-            raise ValueError(f"cube side {s} must divide the modulus {m}")
-    dual = tuple(m // s for s, m in zip(sides, group.moduli))
+    dual = _dual_sides(group, sides)
+    if dual is None:
+        raise ValueError(f"cube sides {list(sides)} must divide the moduli {list(group.moduli)}")
     complements = search_complements(group, cube_set(group, sides), force_exhaustive=True)
     spectra = search_spectra(group, cube_set(group, dual), force_exhaustive=True)
     return CubeReport(

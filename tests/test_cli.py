@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import expbases
-from expbases import cli
+from expbases import cli, paley_wiener
 from expbases.cli import (
     COMMANDS,
     SchemaError,
@@ -132,13 +132,24 @@ def test_tiling_expect_names_depend_on_the_mode():
         run_scenario(scenario, "tiling")
     scenario["parameters"]["mode"] = "check_spectrum"
     assert run_scenario(scenario, "tiling")["verdicts"] == {"is_spectrum": False}
-    # With no readable mode the names cannot be known; the mode is what is named.
+    scenario["expect"] = {"is_spectrum": True, "bogus": False}
+    with pytest.raises(SchemaError) as rejected:
+        run_scenario(scenario, "tiling")
+    assert rejected.value.paths == (
+        "scenario.expect.bogus (unknown verdict, expected one of is_spectrum)",)
+    # Parameters that are rejected build no mode, so the names cannot be
+    # known and any passes; what is named is the parameter.
     scenario["parameters"]["mode"] = ["check_spectrum"]
     with pytest.raises(SchemaError) as rejected:
         run_scenario(scenario, "tiling")
     assert rejected.value.paths == (
         "scenario.parameters.mode (unknown mode ['check_spectrum'], expected one of "
         "check_tiling, check_spectrum, search_complements, search_spectra)",)
+    scenario["parameters"].update(mode="check_spectrum", pattern=[0, 7])
+    with pytest.raises(SchemaError) as rejected:
+        run_scenario(scenario, "tiling")
+    assert rejected.value.paths == (
+        "scenario.parameters.pattern (pattern indices must lie in [0, 4))",)
 
 
 def declared_verdicts(scenario):
@@ -426,6 +437,49 @@ def test_build_parser_returns_a_new_parser_that_main_does_not_share(capsys):
             parse(argv)
         assert stop.value.code == 2
         assert "unrecognized arguments: --extra=1" in capsys.readouterr().err
+
+
+TOL_COMMANDS = ("bounds", "gabor", "periodization", "factorization")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_tol_is_offered_exactly_where_a_command_judges_at_one(command, capsys):
+    assert (COMMANDS[command].tol is not None) == (command in TOL_COMMANDS)
+    argv = [command, "--scenario", "s.json", "--tol", "1e-3"]
+    if command in TOL_COMMANDS:
+        assert cli.build_parser().parse_args(argv).tol == 1e-3
+        return
+    with pytest.raises(SystemExit) as stop:
+        cli.build_parser().parse_args(argv)
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --tol 1e-3" in err and "Traceback" not in err
+
+
+def test_batch_tol_applies_to_the_commands_that_judge_at_one(tmp_path, capsys):
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    transfer = {"name": "t", "command": "transfer",
+                "parameters": {"domain": UNIT_BAND, "freqs": {"range": [-2, 2]},
+                               "weight": {"profile": "constant", "value": 2.0}}}
+    write_scenario(runs / "transfer.json", transfer)
+    kadec = bounds_scenario(expect={})
+    kadec["parameters"]["freqs"] = {"points": [-1.1, 0.0, 1.2]}
+    write_scenario(runs / "bounds.json", kadec)
+    with pytest.raises(SystemExit) as stop:
+        main(["transfer", "--scenario", str(runs / "transfer.json"), "--tol", "1e-3"])
+    assert stop.value.code == 2 and "Traceback" not in capsys.readouterr().err
+    reports = {}
+    for tol in ([], ["--tol", "10"]):
+        out = tmp_path / f"out{len(tol)}"
+        assert main(["batch", "--dir", str(runs), "--out-dir", str(out), *tol]) == 0
+        reports[len(tol)] = {name: json.loads((out / f"{name}.json").read_text())
+                             for name in ("transfer", "bounds")}
+    for report in (reports[0]["transfer"], reports[2]["transfer"]):
+        report.pop("wall_time_s")
+    assert reports[0]["transfer"] == reports[2]["transfer"]
+    assert reports[0]["bounds"]["verdicts"]["is_onb"] is False
+    assert reports[2]["bounds"]["verdicts"]["is_onb"] is True
 
 
 def test_a_zero_tol_is_accepted(tmp_path):
@@ -790,6 +844,97 @@ def test_sizes_past_the_node_cap_are_rejected_before_an_array(command, parameter
     assert code == 2
     assert f"scenario.parameters.{path} (" in err and f"exceed the cap {NODE_CAP}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,parameters,path", [
+    pytest.param("bounds", {"domain": UNIT_BAND, "freqs": {"range": [-2, 2]},
+                            "weight": {"profile": "indicator", "nodes_per_axis": 4}},
+                 "weight.nodes_per_axis", id="bounds-indicator"),
+    pytest.param("transfer", {"domain": UNIT_BAND, "freqs": {"range": [-2, 2]},
+                              "weight": {"profile": "constant", "value": 2.0,
+                                         "nodes_per_axis": 64}},
+                 "weight.nodes_per_axis", id="transfer-constant"),
+    pytest.param("gabor", {**gabor_parameters({"range": [0, 1]}, {"range": [0, 1]}),
+                           "window": {"domain": UNIT_BAND,
+                                      "weight": {"profile": "indicator", "nodes_per_axis": 4}}},
+                 "window.weight.nodes_per_axis", id="gabor-indicator"),
+])
+def test_a_weight_node_count_that_no_gram_reads_is_refused(command, parameters, path, tmp_path,
+                                                           capsys):
+    code, err = run_main(tmp_path, capsys, {"name": "n", "command": command,
+                                           "parameters": parameters}, command)
+    assert code == 2
+    assert (f"scenario.parameters.{path} (an indicator or constant weight on a domain of "
+            "boxes is integrated in closed form, on no nodes)") in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,parameters", [
+    pytest.param("bounds", {"domain": UNIT_BAND, "freqs": {"range": [-2, 2]},
+                            "weight": {"profile": "affine", "offset": 2.0, "gradient": [1.0],
+                                       "nodes_per_axis": 4}}, id="bounds-affine"),
+    pytest.param("bounds", {"domain": MASK_BAND, "freqs": {"range": [-1, 1]},
+                            "weight": {"profile": "constant", "nodes_per_axis": 4}},
+                 id="bounds-mask"),
+    pytest.param("frame-transfer", {"domain": UNIT_BAND, "freqs": {"range": [-2, 2]},
+                                    "weight": {"profile": "indicator", "nodes_per_axis": 8}},
+                 id="frame-transfer-indicator"),
+    pytest.param("factorization", {"domain": UNIT_BAND, "nodes_per_axis": 8,
+                                   "weight": {"profile": "constant", "nodes_per_axis": 8},
+                                   "signal": {"kind": "random"}}, id="factorization-constant"),
+])
+def test_a_weight_node_count_that_is_read_is_accepted(command, parameters):
+    report = run_scenario({"name": "n", "command": command, "parameters": parameters}, command)
+    assert report["scenario"]["parameters"] == parameters
+
+
+@pytest.mark.parametrize("profile", [
+    {"kind": "indicator", "lower": [0.0], "upper": [1.0]},
+    {"kind": "indicator", "lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+])
+def test_a_periodization_builds_its_gram_rule_once(profile, monkeypatch):
+    # The schema builds the Gram's rule and weight to check the profile,
+    # and the run integrates on what it built.
+    calls = []
+    build = paley_wiener.quadrature
+
+    def quadrature(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+    monkeypatch.setattr(paley_wiener, "quadrature", quadrature)
+    report = run_scenario({"name": "p", "command": "periodization",
+                           "parameters": {"profile": profile, "resolution": 8}},
+                          "periodization")
+    assert report["verdicts"] == {"is_onb": True, "gram_is_onb": True, "routes_agree": True}
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("nodes,eval_points", [
+    pytest.param(131072, {"points": [0.0, 0.5]}, id="phase-table"),
+    pytest.param(1025, {"grid": [-4.0, 4.0, 2 ** 20]}, id="sinc-table"),
+])
+def test_a_sample_at_its_caps_runs_in_bounded_memory(nodes, eval_points, tmp_path):
+    # Formed whole, the phase table of the first scenario is a (1025, 131072)
+    # complex array (2 GiB) and the sinc table of the second a (1025, 2^20)
+    # float one (8 GiB). Summed in blocks, both run with the child's
+    # address space limited to 1 GiB.
+    resource = pytest.importorskip("resource")
+    scenario = tmp_path / "sample.json"
+    write_scenario(scenario, {"name": "big", "command": "sample", "parameters": {
+        "domain": UNIT_BAND, "signal": {"kind": "indicator"}, "n_terms": [512],
+        "nodes_per_axis": nodes, "eval_points": eval_points}})
+    src = Path(expbases.__file__).resolve().parent.parent
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    done = subprocess.run([sys.executable, "-m", "expbases.cli", "sample", "--scenario",
+                           str(scenario), "--out", str(tmp_path / "report.json")],
+                          env=env, preexec_fn=limit, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert json.loads((tmp_path / "report.json").read_text())["passed"] is True
 
 
 def test_the_runtime_does_not_import_scipy():

@@ -265,6 +265,9 @@ def test_factorization_requires_shared_rule():
     w = indicator_weight(UNIT, nodes_per_axis=16)
     with pytest.raises(ValueError, match="share one quadrature rule"):
         convolution_factorization_check(UNIT, w, sig)
+    # A weight sampled elsewhere is refused with the transfers' one message.
+    with pytest.raises(ValueError, match="^weight was sampled on a different domain$"):
+        convolution_factorization_check(BAND, indicator_weight(UNIT, nodes_per_axis=8), sig)
 
 
 def test_factorization_requires_nowhere_zero_weight():
@@ -299,6 +302,20 @@ def test_shannon_flat_spectrum_reconstructs_sinc():
     assert np.max(np.abs(rep.values - np.sinc(pts))) < 1e-12
     assert rep.parseval_ok
     assert rep.coeff_energy == pytest.approx(1.0, rel=1e-12)
+
+
+def test_shannon_blocks_agree_with_one_block(monkeypatch):
+    # Every shipped shape is one block; a block of 22 columns sums the phase
+    # table over 12 blocks of nodes and forms the sinc table over 4 blocks
+    # of points, which reorders the sums only.
+    sig = smooth_random_signal(BAND, quadrature(BAND, 257), Pcg32(4))
+    pts = np.linspace(-4.0, 4.0, 81)
+    whole = shannon_reconstruct(sig, 16, pts)
+    monkeypatch.setattr(paley_wiener, "_TABLE_BLOCK_ENTRIES", 33 * 22)
+    blocked = shannon_reconstruct(sig, 16, pts)
+    np.testing.assert_allclose(blocked.samples, whole.samples, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(blocked.values, whole.values, rtol=0, atol=1e-13)
+    assert blocked.coeff_energy == pytest.approx(whole.coeff_energy, rel=1e-14)
 
 
 def test_shannon_energy_grows_with_truncation():

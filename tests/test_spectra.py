@@ -114,6 +114,9 @@ def test_mask_domain_uses_quadrature_route():
     with pytest.raises(ValueError, match="needs a quadrature rule"):
         exp_inner_closed(make_mask_domain([0.0], [2], [0.5], [True, True]),
                          [0.0], [1.0])
+    # On a box domain each vector is held to the one dimension rule.
+    with pytest.raises(ValueError, match="^2-dimensional frequencies on a 1-dimensional domain$"):
+        exp_inner_closed(UNIT, [0.0], [1.0, 0.0])
 
 
 def test_exp_gram_takes_its_integration_one_way():

@@ -336,8 +336,12 @@ def test_cube_equivalence_small_cyclic():
 
 
 def test_cube_equivalence_requires_divisor_side():
-    with pytest.raises(ValueError, match="divide"):
-        cube_equivalence_check(GroupInstance([6]), 4)
+    with pytest.raises(ValueError, match=re.escape("cube sides [2, 4] must divide the moduli "
+                                                   "[4, 6]")):
+        cube_equivalence_check(GroupInstance([4, 6]), [2, 4])
+    # The one rule the command line reports as side_divides_moduli.
+    assert tiling._dual_sides(GroupInstance([4, 6]), [2, 4]) is None
+    assert tiling._dual_sides(GroupInstance([4, 6]), [2, 3]) == (2, 2)
 
 
 def test_cube_equivalence_rejects_side_out_of_range():
