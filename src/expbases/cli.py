@@ -38,8 +38,8 @@ from .gabor import _unit_measure, vv_onb_check
 from .numerics import Pcg32
 from .paley_wiener import (PERIODIZATION_KINDS, SUPPORT_TOL, BandlimitedSignal,
                            _cardinal_band, _frame_support, _gram_inputs, _nowhere_vanishing,
-                           _periodize, _resolves, _truncation, affine_weight, bump_window,
-                           constant_weight, convolution_factorization_check,
+                           _periodize, _resolves, _signal_orders, _truncation, affine_weight,
+                           bump_window, constant_weight, convolution_factorization_check,
                            indicator_signal, indicator_weight,
                            periodization_profile, random_signal,
                            shannon_reconstruct, smooth_random_signal,
@@ -331,7 +331,8 @@ _WEIGHT_ON_RULE = _weight(None, None)
 _SIGNAL = _Tagged("kind", {
     "indicator": ({}, lambda v, s: indicator_signal(s["domain"], s["rule"])),
     "random": ({}, lambda v, s: random_signal(s["domain"], s["rule"], s["rng"])),
-    "smooth_random": ({"max_order": (_at_least(0), 3)}, lambda v, s: smooth_random_signal(
+    "smooth_random": ({"max_order": (_Built(_at_least(0), lambda v, s: _signal_orders(
+        s["rule"], v)), 3)}, lambda v, s: smooth_random_signal(
         s["domain"], s["rule"], s["rng"], max_order=v["max_order"])),
     "table": ({"values": ([_COMPLEX], _REQ)},
               lambda v, s: BandlimitedSignal(s["domain"], s["rule"], v["values"])),

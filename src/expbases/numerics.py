@@ -58,10 +58,16 @@ RESIDUAL_CAP = 1e-8
 # Entries per block of rows in the Hermitian defect scan.
 _DEFECT_BLOCK_ENTRIES = 2 ** 16
 
-# Pcg32.distinct_indices draws this many values or more from blocks of
-# states, fewer one state at a time: near 48 values both take about 90 us
-# (bounds 5,184 and 2^32, on a 2-core Xeon VM).
+# Pcg32.distinct_indices cuts rows of this many values or more from its
+# blocks of accepted draws with array operations, and shorter rows in plain
+# Python: near 48 values a row both take 11-17 us, and Python is faster
+# below (30-row stacks, bounds 5,184 and 2^32, on a 2-core Xeon VM).
 _BLOCK_DRAW_MIN = 48
+
+# The long rows are deduped with a seen-array over [0, bound) while bound is
+# at most this many times the draws expected for the whole stack, so its
+# memory stays within a few times the draws'; larger bounds use np.unique.
+_SEEN_SPAN = 4
 
 
 @dataclass(frozen=True)
@@ -503,42 +509,112 @@ class Pcg32:
             if x < limit:
                 return x % bound
 
-    def distinct_indices(self, bound: int, k: int) -> list[int]:
-        """k distinct integers in [0, bound), in draw order.
+    def distinct_indices(self, bound: int, k: int, rows: Optional[int] = None) -> np.ndarray:
+        """k distinct integers in [0, bound), in draw order, as int64; given
+        rows, a (rows, k) array of such draws made one after another.
 
-        The values are those of repeated randint(bound) with repeats
-        skipped. From _BLOCK_DRAW_MIN values on they come from blocks of
-        states, and the stream is set back to just past the last state
-        used, so the values and the state after are the same.
+        Each row holds the values of repeated randint(bound) with repeats
+        skipped, from where the row before it stopped. The rows are cut
+        from blocks of states, and the stream is set back to just past the
+        last state used, so the values and the state after are those of
+        the one-value-at-a-time walk.
         """
         if k > bound:
             raise ValueError(f"cannot draw {k} distinct values from {bound}")
+        count = 1 if rows is None else int(rows)
+        out = np.empty((count, k), dtype=np.int64)
+        if k and count:
+            _Draws(self, bound, k, count).fill(out)
+        return out[0] if rows is None else out
+
+
+class _Draws:
+    """Accepted values of a Pcg32 stream, drawn in blocks and cut into rows
+    of k distinct values (Pcg32.distinct_indices).
+
+    Below _BLOCK_DRAW_MIN values a row is cut in plain Python. Above it a
+    window of values is marked at each value's first occurrence: by a
+    seen-array over [0, bound) while bound is at most _SEEN_SPAN times the
+    draws expected for all rows, else by np.unique. A short window is
+    doubled; past the end of the values another block is drawn.
+    """
+
+    def __init__(self, rng: Pcg32, bound: int, k: int, rows: int):
+        self.rng, self.bound, self.k = rng, bound, k
+        self.limit = rng._limit(bound)
+        self.values = np.empty(0, dtype=np.int64)
+        self.states = np.empty(0, dtype=np.uint64)
+        self.listed: list[int] = []
+        self.per_row = self.expected(0)
+        self.seen = (np.empty(bound, dtype=np.intp)
+                     if k >= _BLOCK_DRAW_MIN and bound <= _SEEN_SPAN * rows * self.per_row
+                     else None)
+        self.extend(rows * self.per_row)
+
+    def expected(self, have: int) -> float:
+        # Accepted draws expected for the next k - have distinct values,
+        # bound * (H(bound - have) - H(bound - k)) with H(m) ~ ln(m + 1/2).
+        return self.bound * (math.log(self.bound - have + 0.5)
+                             - math.log(self.bound - self.k + 0.5))
+
+    def extend(self, draws: float) -> None:
+        # States for that many accepted draws over the acceptance rate,
+        # with a margin.
+        states = self.rng._states(int(1.05 * draws * (1 << 32) / self.limit) + 16)
+        outputs = self.rng._outputs(states)
+        kept = outputs < self.limit
+        values = (outputs[kept] % np.uint64(self.bound)).astype(np.int64)
+        self.values = np.concatenate([self.values, values])
+        self.states = np.concatenate([self.states, states[kept]])
+        if self.k < _BLOCK_DRAW_MIN:
+            self.listed += values.tolist()
+
+    def fill(self, out: np.ndarray) -> None:
+        pos = 0
+        for r in range(out.shape[0]):
+            got = self.cut(pos)
+            while isinstance(got, int):
+                self.extend(self.expected(got) + (out.shape[0] - r - 1) * self.per_row)
+                got = self.cut(pos)
+            out[r], pos = got
+        last = int(self.states[pos - 1])
+        self.rng._state = (last * Pcg32._MULT + Pcg32._INC) & Pcg32._M64
+
+    def cut(self, pos: int):
+        """(row, end): the k distinct values from pos on and the position
+        just past the last; or, when the values run out first, how many
+        distinct values they held."""
+        k = self.k
         if k < _BLOCK_DRAW_MIN:
             seen: set[int] = set()
-            out: list[int] = []
-            while len(out) < k:
-                x = self.randint(bound)
+            row: list[int] = []
+            for end in range(pos, len(self.listed)):
+                x = self.listed[end]
                 if x not in seen:
                     seen.add(x)
-                    out.append(x)
-            return out
-        limit = self._limit(bound)
-        values = np.empty(0, dtype=np.uint64)
-        have = 0
+                    row.append(x)
+                    if len(row) == k:
+                        return row, end + 1
+            return len(row)
+        width = int(1.05 * self.per_row) + 16
         while True:
-            # Accepted draws expected for the next k - have distinct values,
-            # bound * (H(bound - have) - H(bound - k)) with H(m) ~ ln(m + 1/2),
-            # over the acceptance rate, with a margin; a short block is
-            # followed by another.
-            expected = bound * (math.log(bound - have + 0.5) - math.log(bound - k + 0.5))
-            states = self._states(int(1.05 * expected * (1 << 32) / limit) + 16)
-            outputs = self._outputs(states)
-            kept = np.flatnonzero(outputs < limit)
-            earlier = values.size
-            values = np.concatenate([values, outputs[kept] % np.uint64(bound)])
-            first = np.sort(np.unique(values, return_index=True)[1])
-            have = first.size
-            if have >= k:
-                last = int(states[kept[first[k - 1] - earlier]])
-                self._state = (last * self._MULT + self._INC) & self._M64
-                return values[first[:k]].tolist()
+            window = self.values[pos:pos + width]
+            first = self.firsts(window)
+            # The k-th first occurrence ends the row.
+            end = int(np.searchsorted(np.cumsum(first), k)) + 1
+            if end <= window.size:
+                return window[:end][first[:end]], pos + end
+            if pos + width >= self.values.size:
+                return int(first.sum())
+            width *= 2
+
+    def firsts(self, window: np.ndarray) -> np.ndarray:
+        """True where a value of window occurs for the first time."""
+        if self.seen is None:
+            first = np.zeros(window.size, dtype=bool)
+            first[np.unique(window, return_index=True)[1]] = True
+            return first
+        at = np.arange(window.size)
+        # Assigned in reverse, the last write to each value is its first place.
+        self.seen[window[::-1]] = at[::-1]
+        return self.seen[window] == at

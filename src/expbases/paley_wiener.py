@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .domain import Box, Domain, QuadratureRule, _grid_size, quadrature
+from .domain import NODE_CAP, Box, Domain, QuadratureRule, _grid_size, quadrature
 from .numerics import ORDER_CAP, eigen_bounds
 from .spectra import (_TABLE_BLOCK_ENTRIES, BoundsReport, FrequencySet, GramMatrix, OnbVerdict,
                       _on_domain, _pairwise_quadrature, _system_size, box_centre, exp_gram,
@@ -419,11 +419,25 @@ def random_signal(domain: Domain, rule: QuadratureRule, rng) -> BandlimitedSigna
     return BandlimitedSignal(domain, rule, re + 1j * im)
 
 
+def _signal_orders(rule: QuadratureRule, max_order) -> int:
+    """max_order as an int, if 2 max_order + 1 exponentials over rule's nodes
+    take at most NODE_CAP values."""
+    max_order = int(max_order)
+    if max_order < 0:
+        raise ValueError(f"max_order must be at least 0, got {max_order}")
+    values = (2 * max_order + 1) * rule.n_nodes
+    if values > NODE_CAP:
+        raise ValueError(f"{values} values of {2 * max_order + 1} exponentials over "
+                         f"{rule.n_nodes} nodes exceed the cap {NODE_CAP}")
+    return max_order
+
+
 def smooth_random_signal(domain: Domain, rule: QuadratureRule, rng,
                          max_order: int = 3) -> BandlimitedSignal:
     """Random trigonometric polynomial profile with decaying coefficients."""
     if domain.dimension != 1:
         raise ValueError("smooth random signals are one-dimensional")
+    max_order = _signal_orders(rule, max_order)
     xi = rule.nodes[:, 0]
     coeffs = np.zeros(rule.n_nodes, dtype=complex)
     for k in range(-max_order, max_order + 1):

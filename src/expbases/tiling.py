@@ -6,9 +6,11 @@ judged against a size-scaled tolerance). Searches are exhaustive
 depth-first walks of an explicit stack up to the documented caps and a
 work budget, with a seeded sampling fallback beyond the caps; the
 spectrum search tabulates differences among admissible elements only.
-A finished walk canonicalizes each orbit it found once; sampled
-candidates are checked in bounded stacks, one verdict path with the
-single-candidate checks.
+A finished walk canonicalizes each orbit it found once. Sampled
+candidates are drawn a stack at a time (one Pcg32.distinct_indices call,
+the same values and stream as one draw per candidate) and checked in
+bounded stacks, one verdict path with the single-candidate checks. Sums
+and differences of elements are indexed without a modulo (_sum_index).
 """
 
 from __future__ import annotations
@@ -102,12 +104,40 @@ def cube_set(group: GroupInstance, side) -> tuple[int, ...]:
 
 def _distinct_coords(group: GroupInstance, elements, label: str) -> np.ndarray:
     """Coordinate rows of elements, distinct linear indices into the group."""
-    arr = np.asarray(list(elements), dtype=int)
+    try:
+        arr = np.asarray(list(elements), dtype=int)
+    except OverflowError:
+        # An index past int64 lies outside any group.
+        raise ValueError(f"{label} indices must lie in [0, {group.order})") from None
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{label} must be a nonempty flat index collection")
     if len(set(arr.tolist())) != arr.size:
         raise ValueError(f"{label} contains repeated elements")
     return _coords(group, arr, f"{label} indices")
+
+
+def _sum_index(group: GroupInstance, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Linear indices of a + b, for coordinate rows a and b reduced into the
+    group and broadcast against each other.
+
+    Per axis, m is taken off the sums at or above m, and the axes are folded
+    with their moduli in C order: no modulo and no ravel_multi_index.
+    """
+    index = None
+    for axis, m in enumerate(group.moduli):
+        s = a[..., axis] + b[..., axis]
+        s -= m * (s >= m)
+        if index is None:
+            index = s
+        else:
+            index *= m
+            index += s
+    return index
+
+
+def _negated(group: GroupInstance, coords: np.ndarray) -> np.ndarray:
+    """Coordinate rows of the negated elements, reduced into the group."""
+    return -coords % np.asarray(group.moduli)
 
 
 @dataclass(frozen=True)
@@ -122,8 +152,8 @@ def _cover_counts(group: GroupInstance, pat: np.ndarray,
     # (uncovered, collisions) of pattern + candidate per candidate, from
     # coordinate rows: pat (p, d), cands (m, n, d). Each row of sums is
     # sorted, so the counts need no table the size of the group.
-    sums = np.sort(group.index(pat[np.newaxis, :, np.newaxis, :]
-                               + cands[:, np.newaxis, :, :]).reshape(cands.shape[0], -1), axis=1)
+    sums = np.sort(_sum_index(group, pat[np.newaxis, :, np.newaxis, :],
+                              cands[:, np.newaxis, :, :]).reshape(cands.shape[0], -1), axis=1)
     repeat = sums[:, 1:] == sums[:, :-1]
     uncovered = group.order - sums.shape[1] + repeat.sum(axis=1)
     # One collision per run of equal sums: each repeat not after a repeat.
@@ -197,8 +227,8 @@ def _canonical(group: GroupInstance, indices: np.ndarray,
     coords = group.coords(indices)
     keys = []
     for start in range(0, coords.shape[0], 256):
-        origins = coords[start:start + 256, np.newaxis, :]
-        rows = np.sort(group.index(coords[np.newaxis, :, :] - origins), axis=1)
+        origins = _negated(group, coords[start:start + 256, np.newaxis, :])
+        rows = np.sort(_sum_index(group, coords[np.newaxis, :, :], origins), axis=1)
         keys.append(tuple(rows[np.lexsort(rows.T[::-1])[0]].tolist()))
         if pending is not None:
             pending.difference_update(map(tuple, rows.tolist()))
@@ -219,9 +249,14 @@ def _orbit_minima(group: GroupInstance, hits: list) -> tuple[tuple[int, ...], ..
     return tuple(sorted(minima))
 
 
+def _over_budget(what: str) -> ValueError:
+    return ValueError(f"{what} passed its budget of {SEARCH_BUDGET} work units unfinished")
+
+
 def _spend(work: int, cost: int, what: str) -> int:
+    # The walks charge their nodes inline, and a found set through here.
     if work + cost > SEARCH_BUDGET:
-        raise ValueError(f"{what} passed its budget of {SEARCH_BUDGET} work units unfinished")
+        raise _over_budget(what)
     return work + cost
 
 
@@ -273,18 +308,22 @@ def search_complements(group: GroupInstance, pattern, *,
         return _sampled_search(group, pat_coords, samples, rng, route, mode="tiling")
 
     all_coords = group.coords(np.arange(order))
-    shifted = group.index(pat_coords[np.newaxis, :, :] + all_coords[:, np.newaxis, :])
+    shifted = _sum_index(group, pat_coords[np.newaxis, :, :], all_coords[:, np.newaxis, :])
     full = (1 << order) - 1
     # Translates are bijections, so a sum of distinct bits is their union.
     cover = [sum(1 << s for s in row) for row in shifted.tolist()]
     # starters[e] lists the b values whose translate reaches element e.
-    starters = group.index(all_coords[:, np.newaxis, :] - pat_coords[np.newaxis, :, :]).tolist()
+    starters = _sum_index(group, all_coords[:, np.newaxis, :],
+                          _negated(group, pat_coords)[np.newaxis, :, :]).tolist()
 
     hits = []
     examined = work = 0
+    budget = SEARCH_BUDGET
     stack = [(0, ())]
     while stack:
-        work = _spend(work, 1, "complement search")
+        work += 1
+        if work > budget:
+            raise _over_budget("complement search")
         covered, chosen = stack.pop()
         if covered == full:
             examined += 1
@@ -329,17 +368,21 @@ def search_spectra(group: GroupInstance, pattern, *,
     # admissible[r] - admissible[c] is admissible.
     admissible = np.flatnonzero(ok).tolist()
     adm_coords = all_coords[admissible]
-    diff_ok = ok[group.index(adm_coords[:, np.newaxis, :] - adm_coords[np.newaxis, :, :])]
+    diff_ok = ok[_sum_index(group, adm_coords[:, np.newaxis, :],
+                            _negated(group, adm_coords)[np.newaxis, :, :])]
     extends = [int.from_bytes(np.packbits(col, bitorder="little").tobytes(), "little")
                for col in diff_ok.T]
 
     hits = []
     work = 0
+    budget = SEARCH_BUDGET
     # Each entry is a clique and the bitset of admissible positions that may
     # extend it: the lowest is tried first, then the clique without it.
     stack = [((0,), (1 << len(admissible)) - 1)]
     while stack:
-        work = _spend(work, 1, "spectrum search")
+        work += 1
+        if work > budget:
+            raise _over_budget("spectrum search")
         members, candidates = stack.pop()
         needed = k - len(members)
         if needed == 0:
@@ -366,8 +409,7 @@ def _sampled_search(group: GroupInstance, pat: np.ndarray,
     stack = max(1, _SAMPLE_STACK_ENTRIES // (k * size))
     found: set[tuple[int, ...]] = set()
     for start in range(0, samples, stack):
-        cands = np.array([rng.distinct_indices(group.order, size)
-                          for _ in range(min(stack, samples - start))])
+        cands = rng.distinct_indices(group.order, size, min(stack, samples - start))
         coords = group.coords(cands)
         if mode == "tiling":
             uncovered, collisions = _cover_counts(group, pat, coords)

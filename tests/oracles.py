@@ -18,6 +18,7 @@ about each box's midpoint.
 """
 
 from itertools import combinations
+from typing import Optional
 
 import numpy as np
 
@@ -276,13 +277,15 @@ def canonical_translate(group, indices) -> tuple[int, ...]:
     return best
 
 
-def pcg32_distinct_draws(seed: int, bound: int, k: int) -> tuple[list[int], int, int]:
+def pcg32_distinct_draws(seed: int, bound: int, k: int,
+                         rows: Optional[int] = None) -> tuple[list, int, int]:
     """k distinct values in [0, bound) from a PCG32 stream, one state at a time.
 
     The stream is restated from its published definition (64-bit LCG,
     XSH-RR output, rejection below the largest multiple of bound under
-    2^32, repeats skipped), in plain Python integers. Returns the values,
-    the state after them and the stream's next 32-bit output.
+    2^32, repeats skipped), in plain Python integers. Returns the values
+    (given rows, that many such draws, one after another, as a list of
+    lists), the state after them and the stream's next 32-bit output.
     """
     mult, inc, mask = 6364136223846793005, 1442695040888963407, (1 << 64) - 1
     state = (inc + (seed & mask)) & mask
@@ -294,10 +297,15 @@ def pcg32_distinct_draws(seed: int, bound: int, k: int) -> tuple[list[int], int,
         return ((word >> turn) | (word << (32 - turn))) & 0xFFFFFFFF
 
     ceiling = (2 ** 32 // bound) * bound
-    values: list[int] = []
-    while len(values) < k:
-        word = output(state)
-        state = (state * mult + inc) & mask
-        if word < ceiling and word % bound not in values:
-            values.append(word % bound)
-    return values, state, output(state)
+    draws: list[list[int]] = []
+    for _ in range(1 if rows is None else rows):
+        values: list[int] = []
+        seen: set[int] = set()
+        while len(values) < k:
+            word = output(state)
+            state = (state * mult + inc) & mask
+            if word < ceiling and word % bound not in seen:
+                seen.add(word % bound)
+                values.append(word % bound)
+        draws.append(values)
+    return draws[0] if rows is None else draws, state, output(state)

@@ -745,6 +745,12 @@ def test_inputs_outside_a_hypothesis_are_rejected_before_a_report(
                             "candidate": [0, 4]}, "candidate", id="candidate-outside-the-group"),
     pytest.param("tiling", {"moduli": [4], "mode": "search_spectra", "pattern": [1, 1]},
                  "pattern", id="repeated-pattern"),
+    pytest.param("tiling", {"moduli": [25], "mode": "check_tiling", "pattern": [0, 10 ** 23],
+                            "candidate": [0, 1]},
+                 "pattern (pattern indices must lie in [0, 25))", id="pattern-past-int64"),
+    pytest.param("tiling", {"moduli": [25], "mode": "check_spectrum", "pattern": [0, 1],
+                            "candidate": [10 ** 23, 0]},
+                 "candidate (candidate indices must lie in [0, 25))", id="candidate-past-int64"),
     pytest.param("tiling", {"moduli": [5000], "mode": "search_spectra",
                             "pattern": list(range(4097)), "samples": 1},
                  "pattern: a sampled spectrum of 4097 elements exceeds the cap 4096",
@@ -831,6 +837,10 @@ PROFILE_2D = {"kind": "indicator", "lower": [0.0, 0.0], "upper": [1.0, 1.0]}
     pytest.param("sample", {"domain": UNIT_BAND, "signal": {"kind": "indicator"}, "n_terms": 8,
                             "eval_points": {"grid": [-1.0, 1.0, 2 ** 45]}},
                  "eval_points.grid[2]", id="sample-grid-count"),
+    pytest.param("sample", {"domain": UNIT_BAND, "nodes_per_axis": 129, "n_terms": 8,
+                            "signal": {"kind": "smooth_random", "max_order": 10 ** 9},
+                            "eval_points": {"points": [0.0]}},
+                 "signal.max_order", id="sample-signal-order"),
 ])
 def test_sizes_past_the_node_cap_are_rejected_before_an_array(command, parameters, path,
                                                               tmp_path, capsys):

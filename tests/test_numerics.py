@@ -710,25 +710,30 @@ def test_randint_rejects_bad_bound():
 
 def test_distinct_indices_exhaust_and_sample():
     full = Pcg32(3).distinct_indices(10, 10)
-    assert sorted(full) == list(range(10))
+    assert full.dtype == np.int64 and sorted(full.tolist()) == list(range(10))
     part = Pcg32(3).distinct_indices(50, 5)
-    assert len(set(part)) == 5
+    assert len(set(part.tolist())) == 5
+    assert Pcg32(3).distinct_indices(50, 5, 4).shape == (4, 5)
+    assert Pcg32(3).distinct_indices(50, 0, 4).shape == (4, 0)
     with pytest.raises(ValueError, match="distinct"):
         Pcg32(3).distinct_indices(4, 5)
 
 
-def _draws_equal_the_scalar_reference(seed, bound, k):
+def _draws_equal_the_scalar_reference(seed, bound, k, rows=None):
     rng = Pcg32(seed)
-    values, state, following = oracles.pcg32_distinct_draws(seed, bound, k)
-    assert rng.distinct_indices(bound, k) == values
+    values, state, following = oracles.pcg32_distinct_draws(seed, bound, k, rows)
+    got = rng.distinct_indices(bound, k, rows)
+    assert got.dtype == np.int64 and got.tolist() == values
     assert rng._state == state
     assert rng.next_u32() == following
 
 
+# blocks counts the _states calls of one draw: rows shorter than
+# _BLOCK_DRAW_MIN are cut from a block too, so they take one.
 @pytest.mark.parametrize("seed,bound,k,blocks", [
     (1, 10, 0, 0),
-    (2, 10, 10, 0),
-    (3, 5184, numerics._BLOCK_DRAW_MIN - 1, 0),
+    (2, 10, 10, 1),
+    (3, 5184, numerics._BLOCK_DRAW_MIN - 1, 1),
     (4, 5184, numerics._BLOCK_DRAW_MIN, 1),
     (5, 5184, 1296, 1),
     (6, 2 ** 31 + 1, 300, 1),  # about half of all outputs rejected
@@ -749,6 +754,41 @@ def test_distinct_indices_equal_a_scalar_reference(monkeypatch, seed, bound, k, 
     monkeypatch.setattr(Pcg32, "_states", counted)
     _draws_equal_the_scalar_reference(seed, bound, k)
     assert len(calls) == blocks
+
+
+# route: how rows are deduped, by a seen-array over [0, bound), by
+# np.unique (bound far above the draws) or in Python (k < _BLOCK_DRAW_MIN).
+@pytest.mark.parametrize("bound,k,rows,route", [
+    (5184, 1296, 67, "seen"),
+    (5184, 4, 1000, "python"),
+    (2 ** 32, 4, 50, "python"),
+    (4096, 4096, 2, "seen"),
+    (5000, 2500, 7, "seen"),
+    (7, 7, 4, "python"),
+    (5184, numerics._BLOCK_DRAW_MIN, 30, "seen"),
+    (5184, numerics._BLOCK_DRAW_MIN - 1, 30, "python"),
+    (2 ** 32, 300, 5, "unique"),
+    (2 ** 31 + 1, 300, 3, "unique"),
+    (64, 64, 5, "seen"),  # blocks fall short
+])
+def test_stacked_draws_equal_repeated_single_draws(monkeypatch, bound, k, rows, route):
+    # A stack of rows is the draws one call per row would make, in order,
+    # and leaves the stream where the last of them would.
+    unique = np.unique
+    uniques = []
+
+    def counted(*args, **kwargs):
+        uniques.append(1)
+        return unique(*args, **kwargs)
+    monkeypatch.setattr(np, "unique", counted)
+    for seed in (0, 1, 2):
+        single = Pcg32(seed)
+        singles = [single.distinct_indices(bound, k).tolist() for _ in range(rows)]
+        uniques.clear()
+        _draws_equal_the_scalar_reference(seed, bound, k, rows)
+        assert bool(uniques) == (route == "unique")
+        assert oracles.pcg32_distinct_draws(seed, bound, k, rows)[0] == singles
+    assert (k >= numerics._BLOCK_DRAW_MIN) == (route != "python")
 
 
 def test_distinct_indices_equal_a_scalar_reference_on_seeded_cases():

@@ -241,6 +241,20 @@ def test_smooth_random_signal_one_dimensional_only():
         smooth_random_signal(square, rule, Pcg32(0))
 
 
+def test_smooth_random_signal_orders_are_capped_before_a_draw():
+    # 2 max_order + 1 exponentials over 129 nodes: 8,127 of them fit in
+    # NODE_CAP values, 8,129 do not.
+    rule = quadrature(UNIT, 129)
+    rng = Pcg32(0)
+    with pytest.raises(ValueError, match=f"1048641 values of 8129 exponentials over 129 nodes "
+                                         f"exceed the cap {2 ** 20}"):
+        smooth_random_signal(UNIT, rule, rng, max_order=4064)
+    with pytest.raises(ValueError, match="max_order must be at least 0"):
+        smooth_random_signal(UNIT, rule, rng, max_order=-1)
+    assert rng.next_u32() == Pcg32(0).next_u32()
+    assert smooth_random_signal(UNIT, rule, rng, max_order=4063).coeffs.shape == (129,)
+
+
 def test_factorization_constant_weight_norms():
     rule = quadrature(UNIT, 32)
     sig = random_signal(UNIT, rule, Pcg32(5))

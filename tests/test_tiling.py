@@ -295,6 +295,27 @@ def test_sampled_search_reports_no_guarantee():
         search_complements(big, (0, 1), samples=0)
 
 
+@pytest.mark.parametrize("search,check,verdict,pattern", [
+    (search_complements, tiles, "is_tiling", tuple(range(0, 4098, 2))),
+    (search_spectra, is_spectrum, "is_spectrum", (0, 2049)),
+])
+def test_sampled_searches_with_hits_agree_with_the_checks(search, check, verdict, pattern):
+    # In Z_4098 a pair tiles with the even elements, and is a spectrum of
+    # {0, 2049}, exactly when its difference is odd: about half the drawn
+    # candidates are hits. Each drawn candidate, redrawn one at a time from
+    # the same stream, gets the public check's verdict; the search finds the
+    # orbits of the hits and leaves the stream where those draws do.
+    group = GroupInstance([4098])
+    rng, redraw = Pcg32(7), Pcg32(7)
+    res = search(group, pattern, samples=40, rng=rng)
+    cands = [redraw.distinct_indices(group.order, 2) for _ in range(40)]
+    hits = {oracles.canonical_translate(group, cand) for cand in cands
+            if getattr(check(group, pattern, cand), verdict)}
+    assert hits and set(res.found) == hits and res.examined == 40
+    assert all((int(b) - int(a)) % 2 == 1 for a, b in res.found)
+    assert rng._state == redraw._state
+
+
 def test_a_sampled_candidate_is_bounded_before_any_draw(monkeypatch):
     # A 2-element pattern in Z_{2^40} has complements of 2^39 elements.
     def draw(self, bound, k):
@@ -309,6 +330,34 @@ def test_a_sampled_candidate_is_bounded_before_any_draw(monkeypatch):
     # The largest candidates the benchmark and the tests above draw.
     assert search_complements(GroupInstance([72, 72]), (0, 1, 72, 73), samples=1).examined == 1
     assert search_complements(GroupInstance([5000]), (0, 1), samples=1).examined == 1
+
+
+@pytest.mark.parametrize("search,side,work", [
+    (search_complements, 2, 1629),
+    (search_spectra, 4, 18985),
+])
+def test_a_walk_one_unit_over_budget_stops_where_it_did(monkeypatch, search, side, work):
+    # The work a whole walk of a Z8^2 cube spends, counted when every node
+    # was charged through _spend: the walk finishes on exactly that budget
+    # and raises one unit short of it, so the inline charge stops at the
+    # same node.
+    group = GroupInstance([8, 8])
+    pattern = cube_set(group, side)
+    monkeypatch.setattr(tiling, "SEARCH_BUDGET", work)
+    assert len(search(group, pattern, force_exhaustive=True).found) == 7
+    monkeypatch.setattr(tiling, "SEARCH_BUDGET", work - 1)
+    kind = "complement" if search is search_complements else "spectrum"
+    with pytest.raises(ValueError, match=f"^{kind} search passed its budget of {work - 1} "
+                                         "work units unfinished$"):
+        search(group, pattern, force_exhaustive=True)
+
+
+def test_indices_past_int64_are_refused_by_label():
+    group = GroupInstance([25])
+    with pytest.raises(ValueError, match=re.escape("pattern indices must lie in [0, 25)")):
+        tiles(group, [0, 10 ** 23], [0, 1])
+    with pytest.raises(ValueError, match=re.escape("candidate indices must lie in [0, 25)")):
+        is_spectrum(group, [0, 1], [-10 ** 23, 0])
 
 
 def test_force_exhaustive_overrides_pattern_cap():

@@ -137,3 +137,23 @@ def test_a_traced_box_union_records_one_solve_of_the_full_order(tmp_path):
     assert code == 0
     solves = [span[5] for span in tracer.spans if span[0] == "numerics.eigen_bounds"]
     assert solves == [{"n": 15}]
+
+
+def test_a_traced_sampled_tiling_search_records_its_draws(tmp_path):
+    # The sampler draws each stack of candidates in one distinct_indices
+    # call, which the tracer still wraps by name and reads k from.
+    scenario = tmp_path / "sampled.json"
+    scenario.write_text(json.dumps({
+        "name": "sampled", "command": "tiling",
+        "parameters": {"moduli": [5000], "mode": "search_complements",
+                       "pattern": [0, 1], "samples": 3}}))
+    tracer = TRACING["Tracer"]()
+    tracer.install()
+    try:
+        code = cli.main(["tiling", "--scenario", str(scenario),
+                         "--out", str(tmp_path / "report.json")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    draws = [span[5] for span in tracer.spans if span[0] == "numerics.Pcg32.distinct_indices"]
+    assert draws and all(attrs == {"values": 2500} for attrs in draws)
