@@ -769,9 +769,11 @@ def dumps_report(report: dict) -> str:
 
 
 def _compact_token(value) -> str:
+    # _emit's only layout is each newline and the indentation after it (a
+    # string's own newlines are escaped), so each becomes one space.
     out = io.StringIO()
     _emit(value, out, 0)
-    return " ".join(out.getvalue().split())
+    return " ".join(line.lstrip(" ") for line in out.getvalue().split("\n"))
 
 
 def report_csv(report: dict) -> str:

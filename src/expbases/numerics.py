@@ -342,9 +342,12 @@ def _certified(halves: list, slack: float, top: float, n: int) -> EigenBounds:
     lo = min(float(w[0]) for w in spectra)
     hi = max(float(w[-1]) for w in spectra)
     # max |M| <= max |lambda| for a Hermitian M; top only keeps the margin
-    # positive should the solver return zeros for a nonzero M. np.max
-    # propagates a NaN, which the gate below then rejects.
-    margin = float(n * eps * np.max(np.abs([lo, hi, top])))
+    # positive should the solver return zeros for a nonzero M. Below the
+    # normal range that product can underflow to 0, which doubling would
+    # never move, so the margin starts at least at the least positive
+    # float. np.maximum propagates a NaN, which the gate below then rejects.
+    margin = float(np.maximum(n * eps * np.max(np.abs([lo, hi, top])),
+                              np.finfo(float).smallest_subnormal))
     below, above = halves, halves
     while True:
         # Written so that NaN or infinite values fail the gate too.
@@ -388,8 +391,9 @@ def eigen_bounds(matrix, *, scan: Optional[HermitianScan] = None) -> EigenBounds
     (lambda_max + margin) I - H show that no eigenvalue of each solved
     matrix H lies outside the reported range by more than margin
     (_certified). The margin starts at
-    order * eps * max(|lambda_min|, |lambda_max|) and doubles after a
-    failed factorization; the slack is added to it. An eigensolver that
+    order * eps * max(|lambda_min|, |lambda_max|), or the least positive
+    float should that underflow, and doubles after a failed
+    factorization; the slack is added to it. An eigensolver that
     fails to converge, or a margin that would exceed
     RESIDUAL_CAP * max |M| * order, raises instead of returning a partial
     answer.
@@ -515,106 +519,78 @@ class Pcg32:
 
         Each row holds the values of repeated randint(bound) with repeats
         skipped, from where the row before it stopped. The rows are cut
-        from blocks of states, and the stream is set back to just past the
-        last state used, so the values and the state after are those of
-        the one-value-at-a-time walk.
+        (_cut) from a block of states sized for all of them; should it
+        fall short, another is drawn for the rows still to cut. The stream
+        is set back to just past the last state used, so the values and
+        the state after are those of the one-value-at-a-time walk.
         """
         if k > bound:
             raise ValueError(f"cannot draw {k} distinct values from {bound}")
         count = 1 if rows is None else int(rows)
         out = np.empty((count, k), dtype=np.int64)
         if k and count:
-            _Draws(self, bound, k, count).fill(out)
+            limit = self._limit(bound)
+            # Accepted draws expected for one row of k distinct values,
+            # bound * (H(bound) - H(bound - k)) with H(m) ~ ln(m + 1/2).
+            per_row = bound * (math.log(bound + 0.5) - math.log(bound - k + 0.5))
+            seen = (np.empty(bound, dtype=np.intp)
+                    if k >= _BLOCK_DRAW_MIN and bound <= _SEEN_SPAN * count * per_row else None)
+            accepted = np.empty(0, dtype=np.int64)
+            states = np.empty(0, dtype=np.uint64)
+            pos = r = 0
+            while r < count:
+                # States for the accepted draws of the rows left over the
+                # acceptance rate, with a margin.
+                draws = (count - r) * per_row
+                block = self._states(int(1.05 * draws * (1 << 32) / limit) + 16)
+                outputs = self._outputs(block)
+                kept = outputs < limit
+                accepted = np.concatenate(
+                    [accepted, (outputs[kept] % np.uint64(bound)).astype(np.int64)])
+                states = np.concatenate([states, block[kept]])
+                values = accepted.tolist() if k < _BLOCK_DRAW_MIN else accepted
+                while r < count and (got := _cut(values, pos, k, per_row, seen)) is not None:
+                    out[r], pos = got
+                    r += 1
+            self._state = (int(states[pos - 1]) * self._MULT + self._INC) & self._M64
         return out[0] if rows is None else out
 
 
-class _Draws:
-    """Accepted values of a Pcg32 stream, drawn in blocks and cut into rows
-    of k distinct values (Pcg32.distinct_indices).
+def _cut(values, pos: int, k: int, per_row: float, seen: Optional[np.ndarray]):
+    """(row, end): the k distinct values of values from pos on, in order,
+    and the position just past the last; None when the values run out first.
 
-    Below _BLOCK_DRAW_MIN values a row is cut in plain Python. Above it a
-    window of values is marked at each value's first occurrence: by a
-    seen-array over [0, bound) while bound is at most _SEEN_SPAN times the
-    draws expected for all rows, else by np.unique. A short window is
-    doubled; past the end of the values another block is drawn.
+    A list of values (rows below _BLOCK_DRAW_MIN) is cut in plain Python.
+    An array is cut from a window marked at each value's first occurrence:
+    by seen, an array over [0, bound), or else by np.unique. A short
+    window is doubled.
     """
-
-    def __init__(self, rng: Pcg32, bound: int, k: int, rows: int):
-        self.rng, self.bound, self.k = rng, bound, k
-        self.limit = rng._limit(bound)
-        self.values = np.empty(0, dtype=np.int64)
-        self.states = np.empty(0, dtype=np.uint64)
-        self.listed: list[int] = []
-        self.per_row = self.expected(0)
-        self.seen = (np.empty(bound, dtype=np.intp)
-                     if k >= _BLOCK_DRAW_MIN and bound <= _SEEN_SPAN * rows * self.per_row
-                     else None)
-        self.extend(rows * self.per_row)
-
-    def expected(self, have: int) -> float:
-        # Accepted draws expected for the next k - have distinct values,
-        # bound * (H(bound - have) - H(bound - k)) with H(m) ~ ln(m + 1/2).
-        return self.bound * (math.log(self.bound - have + 0.5)
-                             - math.log(self.bound - self.k + 0.5))
-
-    def extend(self, draws: float) -> None:
-        # States for that many accepted draws over the acceptance rate,
-        # with a margin.
-        states = self.rng._states(int(1.05 * draws * (1 << 32) / self.limit) + 16)
-        outputs = self.rng._outputs(states)
-        kept = outputs < self.limit
-        values = (outputs[kept] % np.uint64(self.bound)).astype(np.int64)
-        self.values = np.concatenate([self.values, values])
-        self.states = np.concatenate([self.states, states[kept]])
-        if self.k < _BLOCK_DRAW_MIN:
-            self.listed += values.tolist()
-
-    def fill(self, out: np.ndarray) -> None:
-        pos = 0
-        for r in range(out.shape[0]):
-            got = self.cut(pos)
-            while isinstance(got, int):
-                self.extend(self.expected(got) + (out.shape[0] - r - 1) * self.per_row)
-                got = self.cut(pos)
-            out[r], pos = got
-        last = int(self.states[pos - 1])
-        self.rng._state = (last * Pcg32._MULT + Pcg32._INC) & Pcg32._M64
-
-    def cut(self, pos: int):
-        """(row, end): the k distinct values from pos on and the position
-        just past the last; or, when the values run out first, how many
-        distinct values they held."""
-        k = self.k
-        if k < _BLOCK_DRAW_MIN:
-            seen: set[int] = set()
-            row: list[int] = []
-            for end in range(pos, len(self.listed)):
-                x = self.listed[end]
-                if x not in seen:
-                    seen.add(x)
-                    row.append(x)
-                    if len(row) == k:
-                        return row, end + 1
-            return len(row)
-        width = int(1.05 * self.per_row) + 16
-        while True:
-            window = self.values[pos:pos + width]
-            first = self.firsts(window)
-            # The k-th first occurrence ends the row.
-            end = int(np.searchsorted(np.cumsum(first), k)) + 1
-            if end <= window.size:
-                return window[:end][first[:end]], pos + end
-            if pos + width >= self.values.size:
-                return int(first.sum())
-            width *= 2
-
-    def firsts(self, window: np.ndarray) -> np.ndarray:
-        """True where a value of window occurs for the first time."""
-        if self.seen is None:
+    if k < _BLOCK_DRAW_MIN:
+        found: set[int] = set()
+        row: list[int] = []
+        for end in range(pos, len(values)):
+            x = values[end]
+            if x not in found:
+                found.add(x)
+                row.append(x)
+                if len(row) == k:
+                    return row, end + 1
+        return None
+    width = int(1.05 * per_row) + 16
+    while True:
+        window = values[pos:pos + width]
+        if seen is None:
             first = np.zeros(window.size, dtype=bool)
             first[np.unique(window, return_index=True)[1]] = True
-            return first
-        at = np.arange(window.size)
-        # Assigned in reverse, the last write to each value is its first place.
-        self.seen[window[::-1]] = at[::-1]
-        return self.seen[window] == at
+        else:
+            at = np.arange(window.size)
+            # Assigned in reverse, the last write to each value is its first place.
+            seen[window[::-1]] = at[::-1]
+            first = seen[window] == at
+        # The k-th first occurrence ends the row.
+        end = int(np.searchsorted(np.cumsum(first), k)) + 1
+        if end <= window.size:
+            return window[:end][first[:end]], pos + end
+        if pos + width >= values.size:
+            return None
+        width *= 2

@@ -53,6 +53,9 @@ class SpectralWeight:
     only it, carries affine = (offset, gradient), the weight offset +
     <gradient, x> its samples come from, which exp_gram integrates in
     closed form on box domains.
+
+    Every Gram of a weight squares its moduli, so a weight whose largest
+    modulus, sampled or exact, has no finite float square is refused.
     """
 
     domain: Domain
@@ -79,6 +82,11 @@ class SpectralWeight:
         mask = mods > SUPPORT_TOL
         if not mask.any():
             raise ValueError("weight vanishes at every node")
+        sup_mod = float(mods.max())
+        for largest in (sup_mod, exact_sup):
+            # A NaN has no finite square either.
+            if largest is not None and not math.isfinite(largest * largest):
+                raise ValueError(f"weight modulus {largest:g} has no finite square")
         vals.setflags(write=False)
         mask = np.ascontiguousarray(mask)
         mask.setflags(write=False)
@@ -88,7 +96,7 @@ class SpectralWeight:
         object.__setattr__(self, "profile", profile)
         object.__setattr__(self, "support_mask", mask)
         object.__setattr__(self, "inf_mod", float(mods[mask].min()))
-        object.__setattr__(self, "sup_mod", float(mods.max()))
+        object.__setattr__(self, "sup_mod", sup_mod)
         object.__setattr__(self, "exact_inf", None if exact_inf is None else float(exact_inf))
         object.__setattr__(self, "exact_sup", None if exact_sup is None else float(exact_sup))
         object.__setattr__(self, "affine", affine)

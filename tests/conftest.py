@@ -1,7 +1,12 @@
 # Keeps tests/ on sys.path so the shared oracle and generator helpers import.
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import expbases
 
 
 @pytest.fixture
@@ -16,3 +21,12 @@ def eigvalsh_dtypes(monkeypatch):
         return true_eigvalsh(a, *args, **kwargs)
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
     return dtypes
+
+
+@pytest.fixture
+def child_env():
+    """The environment of a child interpreter that imports the expbases
+    package these tests import."""
+    src = Path(expbases.__file__).resolve().parent.parent
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}

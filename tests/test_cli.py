@@ -3,7 +3,6 @@
 import copy
 import json
 import math
-import os
 import random
 import runpy
 import shutil
@@ -290,6 +289,12 @@ def test_dumps_report_special_values():
 @settings(max_examples=200, deadline=None)
 def test_float_serialization_round_trips(x):
     assert json.loads(dumps_report({"x": x}))["x"] == x
+
+
+def test_csv_keeps_whitespace_runs_inside_strings():
+    report = run_scenario(bounds_scenario(name="unit   band\tlattice"), "bounds")
+    assert 'meta,name,"""unit   band\\tlattice"""' in report_csv(report).splitlines()
+    assert json.loads(dumps_report(report))["name"] == "unit   band\tlattice"
 
 
 def test_report_csv_header_and_meta():
@@ -618,6 +623,10 @@ def test_factorization_weight_nodes_must_match_the_shared_rule(tmp_path, capsys)
 
 UNIT_BAND = {"boxes": [[-0.5, 0.5]]}
 
+# Every Gram of a weight squares its moduli; past about 1.3e154 the square
+# is no float.
+OVERFLOWING = "weight modulus 1e+200 has no finite square"
+
 
 def gabor_parameters(modulations, translations):
     return {"base_domain": UNIT_BAND, "modulations": modulations,
@@ -803,6 +812,20 @@ def test_inputs_outside_a_hypothesis_are_rejected_before_a_report(
                            "base_domain": MASK_BAND},
                  "base_domain (an unweighted Gram on a mask domain needs a quadrature rule)",
                  id="base-domain-with-no-closed-form"),
+    pytest.param("transfer", {"domain": UNIT_BAND, "freqs": {"range": [-3, 3]},
+                              "weight": {"profile": "constant", "value": 1e200}},
+                 f"weight ({OVERFLOWING})", id="transfer-constant-weight-overflows"),
+    pytest.param("bounds", {"domain": UNIT_BAND, "freqs": {"range": [-3, 3]},
+                            "weight": {"profile": "constant", "value": 1e200}},
+                 f"weight ({OVERFLOWING})", id="bounds-constant-weight-overflows"),
+    pytest.param("transfer", {"domain": UNIT_BAND, "freqs": {"range": [-3, 3]},
+                              "weight": {"profile": "affine", "offset": 1e200,
+                                         "gradient": [1.0]}},
+                 f"weight ({OVERFLOWING})", id="transfer-affine-offset-overflows"),
+    pytest.param("gabor", {**gabor_parameters({"range": [0, 1]}, {"range": [0, 1]}),
+                           "window": {"domain": UNIT_BAND,
+                                      "weight": {"profile": "constant", "value": 1e200}}},
+                 f"window.weight ({OVERFLOWING})", id="gabor-window-weight-overflows"),
 ])
 def test_runtime_rejections_name_their_scenario_path(command, parameters, path, tmp_path,
                                                      capsys):
@@ -923,7 +946,8 @@ def test_a_periodization_builds_its_gram_rule_once(profile, monkeypatch):
     pytest.param(131072, {"points": [0.0, 0.5]}, id="phase-table"),
     pytest.param(1025, {"grid": [-4.0, 4.0, 2 ** 20]}, id="sinc-table"),
 ])
-def test_a_sample_at_its_caps_runs_in_bounded_memory(nodes, eval_points, tmp_path):
+def test_a_sample_at_its_caps_runs_in_bounded_memory(nodes, eval_points, tmp_path,
+                                                      child_env):
     # Formed whole, the phase table of the first scenario is a (1025, 131072)
     # complex array (2 GiB) and the sinc table of the second a (1025, 2^20)
     # float one (8 GiB). Summed in blocks, both run with the child's
@@ -933,10 +957,8 @@ def test_a_sample_at_its_caps_runs_in_bounded_memory(nodes, eval_points, tmp_pat
     write_scenario(scenario, {"name": "big", "command": "sample", "parameters": {
         "domain": UNIT_BAND, "signal": {"kind": "indicator"}, "n_terms": [512],
         "nodes_per_axis": nodes, "eval_points": eval_points}})
-    src = Path(expbases.__file__).resolve().parent.parent
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-           "MKL_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    env = {**child_env, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1"}
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
@@ -947,19 +969,16 @@ def test_a_sample_at_its_caps_runs_in_bounded_memory(nodes, eval_points, tmp_pat
     assert json.loads((tmp_path / "report.json").read_text())["passed"] is True
 
 
-def test_the_runtime_does_not_import_scipy():
+def test_the_runtime_does_not_import_scipy(child_env):
     # numpy is the one runtime dependency; scipy may be installed all the same.
-    src = Path(expbases.__file__).resolve().parent.parent
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     probe = ("import sys, expbases, expbases.cli; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env=env, check=True)
+                          env=child_env, check=True)
     assert done.stdout.strip() == "[]"
 
 
-def test_a_bump_touching_the_boundary_leaves_stderr_empty(tmp_path):
+def test_a_bump_touching_the_boundary_leaves_stderr_empty(tmp_path, child_env):
     # The trimmed support is in the report; a Python warning on stderr
     # would only be noise outside the "error: ..." form.
     scenario = {"name": "bump-boundary", "command": "frame-transfer",
@@ -969,12 +988,9 @@ def test_a_bump_touching_the_boundary_leaves_stderr_empty(tmp_path):
     path = tmp_path / "scenario.json"
     write_scenario(path, scenario)
     out = tmp_path / "report.json"
-    src = Path(expbases.__file__).resolve().parent.parent
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-m", "expbases.cli", "frame-transfer",
                            "--scenario", str(path), "--out", str(out)],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=child_env)
     assert done.returncode == 0
     assert done.stderr == ""
     assert json.loads(out.read_text())["results"]["support_is_proper"] is True
@@ -1174,6 +1190,54 @@ def test_weight_nowhere_zero_is_judged_on_the_exact_infimum(command, extra):
 
 
 SHIPPED = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.json"))
+
+
+def test_shipped_csvs_equal_the_rendering_that_collapsed_every_whitespace_run(monkeypatch):
+    # No string of a shipped report holds a run of whitespace, so keeping
+    # such runs changes none of their CSV bytes.
+    reports = [run_scenario(scenario, scenario["command"])
+               for scenario in (json.loads(path.read_text()) for path in SHIPPED)]
+    kept = [report_csv(report) for report in reports]
+    monkeypatch.setattr(cli, "_compact_token", lambda value: " ".join(dumps_report(value).split()))
+    assert [report_csv(report) for report in reports] == kept
+
+
+# The unit square with its upper x end at 1e-320: a Gram of subnormal
+# entries, whose certificate margin can never clear its ceiling. A margin
+# that underflows to 0 would double forever here.
+SUBNORMAL_SQUARE = {"name": "subnormal", "command": "bounds", "parameters": {
+    "domain": {"boxes": [[[0.0, 0.0], [1e-320, 1.0]]]}, "freqs": {"range": [-1, 1]}}}
+
+# Seconds a child process may take before a test counts it as hung.
+CHILD_TIMEOUT_S = 60
+
+
+def run_child(env, *args):
+    """The expbases command line on args, in a child process that a hang
+    fails (subprocess.TimeoutExpired) instead of stalling the suite."""
+    return subprocess.run([sys.executable, "-m", "expbases.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=CHILD_TIMEOUT_S)
+
+
+def test_a_subnormal_gram_is_refused_within_the_timeout(tmp_path, child_env):
+    path = tmp_path / "subnormal.json"
+    write_scenario(path, SUBNORMAL_SQUARE)
+    done = run_child(child_env, "bounds", "--scenario", str(path))
+    assert done.returncode == 2
+    assert "eigen certificate margin" in done.stderr and "Traceback" not in done.stderr
+
+
+def test_a_batch_runs_past_a_subnormal_gram(tmp_path, child_env):
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    write_scenario(runs / "01_subnormal.json", SUBNORMAL_SQUARE)
+    write_scenario(runs / "02_ok.json", bounds_scenario())
+    out_dir = tmp_path / "out"
+    assert run_child(child_env, "batch", "--dir", str(runs), "--out-dir", str(out_dir)).returncode == 2
+    rows = (out_dir / "summary.csv").read_text().splitlines()
+    assert rows[1].startswith("01_subnormal,,error,") and "eigen certificate margin" in rows[1]
+    assert rows[2].startswith("02_ok,bounds,true")
+    assert json.loads((out_dir / "02_ok.json").read_text())["passed"] is True
 
 # Keys with a default; dropping one leaves a valid scenario.
 OPTIONAL_KEYS = {"seed", "expect", "nodes_per_axis", "value", "steepness", "resolution"}

@@ -126,6 +126,19 @@ def test_table_weight_validation():
         table_weight(UNIT, rule, np.zeros(8))
 
 
+def test_a_weight_whose_largest_modulus_has_no_finite_square_is_refused():
+    rule = quadrature(UNIT, 8)
+    with pytest.raises(ValueError, match="no finite square"):
+        table_weight(UNIT, rule, np.full(8, 1e200))
+    with pytest.raises(ValueError, match="no finite square"):
+        constant_weight(UNIT, 1e200j, rule=rule)
+    # Exact only: the nodes reach 15/16 of the corner value 1.4e154, whose
+    # square alone overflows.
+    with pytest.raises(ValueError, match="no finite square"):
+        affine_weight(UNIT, 0.0, [1.4e154], rule=rule)
+    assert constant_weight(UNIT, 1e154, rule=rule).sup_mod == 1e154
+
+
 def test_translation_gram_constant_weight_scales_exactly():
     freqs = FrequencySet([-1.0, 0.0, 2.5])
     base = exp_gram(UNIT, freqs)

@@ -11,15 +11,18 @@ in a fresh interpreter with the BLAS thread settings of ``perfbench/run.py``.
 For each report that differs apart from ``wall_time_s``, the script
 prints every differing key (list positions folded into ``[]``) with the
 largest relative change of its numbers, then says per round whether the
-verdicts, the batch exit status and ``summary.csv`` are identical. Exit
-status: 0 every report identical apart from wall_time_s, 1 reports
-differ but every verdict, exit status and summary.csv is identical, 2
-something of those differs.
+verdicts, the batch exit status and ``summary.csv`` are identical. The
+shipped scenarios are also rendered one by one with ``--format csv`` on
+both trees, and every line of a CSV that differs is printed. Exit
+status: 0 every report and CSV identical apart from wall_time_s, 1
+reports or CSVs differ but every verdict, exit status and summary.csv is
+identical, 2 something of those differs.
 """
 
 from __future__ import annotations
 
 import argparse
+import difflib
 import json
 import math
 import os
@@ -58,6 +61,34 @@ def run_batch(src: str, scenarios: str, out: str) -> int:
                            "--out-dir", out], env=env, cwd=os.path.dirname(out),
                           capture_output=True, text=True)
     return done.returncode
+
+
+def render_csv(src: str, path: str) -> str:
+    """The CSV of the scenario at path, rendered by the tree at src (its
+    error message when the scenario is rejected)."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    with open(path) as handle:
+        command = json.load(handle)["command"]
+    done = subprocess.run([sys.executable, "-m", "expbases.cli", command, "--scenario", path,
+                           "--format", "csv"], env=env, capture_output=True, text=True)
+    return done.stdout + done.stderr
+
+
+def compare_csv(base_src: str, new_src: str) -> bool:
+    """Whether every shipped scenario renders the same CSV on both trees, printed."""
+    names = sorted(name for name in os.listdir(SHIPPED) if name.endswith(".json"))
+    differing = 0
+    for name in names:
+        path = os.path.join(SHIPPED, name)
+        base, new = (render_csv(src, path) for src in (base_src, new_src))
+        if base != new:
+            differing += 1
+            print(f"  {name} --format csv:")
+            for line in difflib.unified_diff(base.splitlines(), new.splitlines(), "base", "new",
+                                             lineterm="", n=0):
+                print(f"    {line}")
+    print(f"scenarios --format csv: {len(names) - differing} of {len(names)} identical")
+    return differing == 0
 
 
 def leaves(value, path: str = "") -> dict:
@@ -158,6 +189,7 @@ def main(argv=None) -> int:
             same, agree = compare_round(spec, args.base_src, args.new_src, work)
             identical &= same
             consistent &= agree
+    identical &= compare_csv(args.base_src, args.new_src)
     return 0 if identical else 1 if consistent else 2
 
 
