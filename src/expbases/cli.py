@@ -592,9 +592,15 @@ _GROUP = (_Built([_at_least(1)], lambda v, s: GroupInstance(v)), _REQ)
 _PATTERN = {"moduli": _GROUP, "pattern": _group_indices("pattern")}
 _CHECK_CANDIDATE = {**_PATTERN, "candidate": _group_indices("candidate")}
 _SEARCH = {**_PATTERN, "samples": (_at_least(1), None), "force_exhaustive": (_BOOL, False)}
-_SEARCH_ROUTE = _blaming("pattern", lambda v: _search_route(
-    v["moduli"], len(v["pattern"]), v["mode"] == "search_complements",
-    v["force_exhaustive"], v["samples"]))
+
+
+def _search_route_named(v, s) -> dict:
+    # The route's caps name the pattern, and then a sampled route's work
+    # names samples.
+    args = (v["moduli"], len(v["pattern"]), v["mode"] == "search_complements",
+            v["force_exhaustive"], v["samples"])
+    _blaming("pattern", lambda v: _search_route(*args, charge=False))(v, s)
+    return _blaming("samples", lambda v: _search_route(*args))(v, s)
 
 
 _Command = namedtuple("_Command", "run params verdicts tol", defaults=(None,))
@@ -631,8 +637,8 @@ COMMANDS = {
     "tiling": _Command(_run_tiling, _Tagged("mode", {
         "check_tiling": (_CHECK_CANDIDATE, None),
         "check_spectrum": (_CHECK_CANDIDATE, None),
-        "search_complements": (_SEARCH, _SEARCH_ROUTE),
-        "search_spectra": (_SEARCH, _SEARCH_ROUTE),
+        "search_complements": (_SEARCH, _search_route_named),
+        "search_spectra": (_SEARCH, _search_route_named),
     }), {
         "check_tiling": ("is_tiling",),
         "check_spectrum": ("is_spectrum",),

@@ -4,7 +4,9 @@ Every inner product in the toolkit is an integral over one of these
 domains, evaluated either in closed form (box unions) or with the
 midpoint quadrature rules constructed here. Domain.cells is the one walk
 over a domain's pieces (its boxes, or its included mask cells) that the
-quadrature rule and the exact weight extremes share.
+quadrature rule, the Gram's centre and the exact weight extremes share:
+three arrays, the lower corners and widths (m, d) and the volumes (m,) of
+its m pieces, so each of them is one array expression.
 """
 
 from __future__ import annotations
@@ -53,11 +55,6 @@ class Box:
     @property
     def volume(self) -> float:
         return float(np.prod([b - a for a, b in zip(self.lower, self.upper)]))
-
-
-def _interiors_overlap(a: Box, b: Box) -> bool:
-    return all(la < ub and lb < ua
-               for la, ua, lb, ub in zip(a.lower, a.upper, b.lower, b.upper))
 
 
 @dataclass(frozen=True, init=False)
@@ -133,12 +130,16 @@ class Domain:
         if len(dims) != 1:
             raise ValueError(f"mixed dimensions in domain parts: {sorted(dims)}")
         dim = dims.pop()
-        for i in range(len(boxes)):
-            for j in range(i + 1, len(boxes)):
-                if _interiors_overlap(boxes[i], boxes[j]):
-                    raise ValueError(
-                        f"boxes {i} and {j} have overlapping interiors: "
-                        f"{boxes[i].lower}..{boxes[i].upper} vs {boxes[j].lower}..{boxes[j].upper}")
+        lows = np.array([b.lower for b in boxes])
+        highs = np.array([b.upper for b in boxes])
+        for i in range(len(boxes) - 1):
+            # Interiors meet when they overlap on every axis.
+            hit = np.all((lows[i] < highs[i + 1:]) & (lows[i + 1:] < highs[i]), axis=1)
+            if hit.any():
+                j = i + 1 + int(np.argmax(hit))
+                raise ValueError(
+                    f"boxes {i} and {j} have overlapping interiors: "
+                    f"{boxes[i].lower}..{boxes[i].upper} vs {boxes[j].lower}..{boxes[j].upper}")
         measure = sum(b.volume for b in boxes) if boxes else mask.n_included * mask.cell_volume
         if not (np.isfinite(measure) and measure > 0):
             raise ValueError(f"domain measure must be positive and finite, got {measure}")
@@ -147,21 +148,21 @@ class Domain:
         object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "measure", float(measure))
 
-    def cells(self) -> list[tuple[np.ndarray, np.ndarray, float]]:
-        """(lower, widths, volume) of every piece an integral walks.
+    def cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(lowers, widths, volumes) of the pieces an integral walks:
+        lower corners and widths of shape (m, d), volumes of shape (m,).
 
         The pieces are the boxes in their stored order, or the included
         mask cells in lexicographic order.
         """
         if self.boxes:
-            lowers = [np.asarray(b.lower) for b in self.boxes]
-            return [(lo, np.asarray(b.upper) - lo, b.volume)
-                    for lo, b in zip(lowers, self.boxes)]
-        mask = self.mask
-        origin = np.asarray(mask.origin)
-        widths = np.asarray(mask.widths)
-        volume = mask.cell_volume
-        return [(origin + idx * widths, widths, volume) for idx in mask.included_cells()]
+            lowers = np.array([b.lower for b in self.boxes])
+            return (lowers, np.array([b.upper for b in self.boxes]) - lowers,
+                    np.array([b.volume for b in self.boxes]))
+        idx = self.mask.included_cells()
+        widths = np.asarray(self.mask.widths)
+        return (np.asarray(self.mask.origin) + idx * widths, np.broadcast_to(widths, idx.shape),
+                np.full(len(idx), self.mask.cell_volume))
 
 
 def make_domain(boxes: Sequence[Box]) -> Domain:
@@ -240,7 +241,7 @@ def quadrature(domain: Domain, nodes_per_axis: int) -> QuadratureRule:
     is the volume of its subcell.
     """
     n = _rule_nodes(domain, nodes_per_axis)
-    lower, widths, volume = (np.array(part) for part in zip(*domain.cells()))
+    lower, widths, volume = domain.cells()
     # Subcell multi-indices in lexicographic order, one row per node of a piece.
     sub = np.stack(np.unravel_index(np.arange(n ** domain.dimension),
                                     (n,) * domain.dimension), axis=-1)

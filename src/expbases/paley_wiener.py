@@ -55,7 +55,9 @@ class SpectralWeight:
     closed form on box domains.
 
     Every Gram of a weight squares its moduli, so a weight whose largest
-    modulus, sampled or exact, has no finite float square is refused.
+    modulus, sampled or exact, has no finite float square is refused, and
+    so is an affine weight with a gradient component that has none (the
+    closed form squares each).
     """
 
     domain: Domain
@@ -87,6 +89,10 @@ class SpectralWeight:
             # A NaN has no finite square either.
             if largest is not None and not math.isfinite(largest * largest):
                 raise ValueError(f"weight modulus {largest:g} has no finite square")
+        if affine is not None:
+            for g in affine[1].tolist():
+                if not math.isfinite(g * g):
+                    raise ValueError(f"affine gradient component {g:g} has no finite square")
         vals.setflags(write=False)
         mask = np.ascontiguousarray(mask)
         mask.setflags(write=False)
@@ -133,17 +139,16 @@ def constant_weight(domain: Domain, value, nodes_per_axis: int = 32,
 
 def _affine_extremes(domain: Domain, offset: float, gradient: np.ndarray) -> tuple[float, float]:
     # An affine map attains its extremes at cell corners; the modulus
-    # infimum is zero whenever a single convex piece changes sign.
-    inf_abs = np.inf
-    sup_abs = 0.0
-    for lower, widths, _ in domain.cells():
-        vals = offset + np.array(list(product(*zip(lower, lower + widths)))) @ gradient
-        if vals.min() <= 0.0 <= vals.max():
-            inf_abs = 0.0
-        else:
-            inf_abs = min(inf_abs, float(np.min(np.abs(vals))))
-        sup_abs = max(sup_abs, float(np.max(np.abs(vals))))
-    return float(inf_abs), float(sup_abs)
+    # infimum is zero whenever a single convex piece changes sign. Each
+    # cell's 2^d corners take the lower or upper end per axis, first axis
+    # slowest.
+    lowers, widths, _ = domain.cells()
+    upper = np.array(list(product((False, True), repeat=domain.dimension)))
+    corners = np.where(upper, (lowers + widths)[:, np.newaxis], lowers[:, np.newaxis])
+    vals = (offset + corners.reshape(-1, domain.dimension) @ gradient).reshape(len(lowers), -1)
+    mods = np.abs(vals)
+    inf_abs = 0.0 if np.any((vals.min(axis=1) <= 0.0) & (vals.max(axis=1) >= 0.0)) else mods.min()
+    return float(inf_abs), float(mods.max())
 
 
 def affine_weight(domain: Domain, offset: float, gradient,
@@ -174,15 +179,13 @@ def bump_values(x, steepness: float = 1.0) -> np.ndarray:
 
 
 def _bump_extremes(domain: Domain, steepness: float) -> tuple[float, float]:
-    inf_abs = np.inf
-    sup_abs = 0.0
-    for lower, widths, _ in domain.cells():
-        lo, hi = lower[0], lower[0] + widths[0]
-        edge = bump_values(np.array([lo, hi]), steepness)
-        inf_abs = min(inf_abs, float(edge.min()))
-        peak = bump_values(np.array([0.5]), steepness) if lo <= 0.5 <= hi else edge
-        sup_abs = max(sup_abs, float(peak.max()))
-    return float(inf_abs), float(sup_abs)
+    # The bump is least at a cell's ends and greatest at 0.5, or at an end
+    # of a cell without it.
+    lowers, widths, _ = domain.cells()
+    lo, hi = lowers[:, 0], lowers[:, 0] + widths[:, 0]
+    edge = bump_values(np.stack([lo, hi], axis=1), steepness)
+    peak = np.where((lo <= 0.5) & (0.5 <= hi), bump_values(0.5, steepness), edge.max(axis=1))
+    return float(edge.min()), float(peak.max())
 
 
 def bump_window(domain: Domain, steepness: float = 1.0, nodes_per_axis: int = 64,
@@ -197,9 +200,8 @@ def bump_window(domain: Domain, steepness: float = 1.0, nodes_per_axis: int = 64
         raise ValueError("bump windows are one-dimensional")
     if steepness <= 0:
         raise ValueError(f"steepness must be positive, got {steepness}")
-    cells = domain.cells()
-    lo = min(lower[0] for lower, _, _ in cells)
-    hi = max(lower[0] + widths[0] for lower, widths, _ in cells)
+    lowers, widths, _ = domain.cells()
+    lo, hi = lowers[:, 0].min(), (lowers[:, 0] + widths[:, 0]).max()
     if lo < -SUPPORT_TOL or hi > 1.0 + SUPPORT_TOL:
         raise ValueError(f"bump support is [0, 1]; domain spans [{lo}, {hi}]")
     rule = rule or quadrature(domain, nodes_per_axis)

@@ -31,8 +31,8 @@ system, the identity to rounding, by Gershgorin discs from the scan the
 Gram carries, with no solve at all. Entries that depend only
 on differences make the Gram of a whole integer box centrohermitian:
 eigen_bounds solves it in real even/odd halves built from its table.
-Distinct frequencies are proved by a sort (one axis, or integer
-coordinates) before any pairwise scan runs.
+Distinct frequencies are proved by sorting, axis by axis
+(_distinct_by_sorting), before any pairwise scan runs.
 """
 
 from __future__ import annotations
@@ -100,18 +100,20 @@ class FrequencySet:
 def _distinct_by_sorting(pts: np.ndarray) -> bool:
     """True when a sort proves every sup-norm gap exceeds DISTINCTNESS_TOL.
 
-    One axis: the adjacent gaps of the sorted values. Integer coordinates
-    below _EXACT_INTEGER_BOUND: no two int64 rows are equal after a
-    lexsort, so every gap is at least one. Any other set, or a failed
-    proof, is left to _closest_pair.
+    Axis by axis, the rows are sorted within their clusters, and a cluster
+    splits wherever adjacent values lie more than DISTINCTNESS_TOL apart:
+    two rows within the tolerance of each other share every cluster. The
+    set is distinct when every row ends alone. A failed proof is left to
+    _closest_pair.
     """
-    if pts.shape[1] == 1:
-        return pts.shape[0] < 2 or float(np.min(np.diff(np.sort(pts[:, 0])))) > DISTINCTNESS_TOL
-    if all(_integer_span(col) is not None for col in pts.T):
-        rows = pts.astype(np.int64)
-        rows = rows[np.lexsort(rows.T)]
-        return not bool(np.any(np.all(rows[1:] == rows[:-1], axis=1)))
-    return False
+    cluster = np.zeros(pts.shape[0], dtype=np.int64)
+    for col in pts.T:
+        order = np.lexsort((col, cluster))
+        split = (np.diff(col[order]) > DISTINCTNESS_TOL) | (np.diff(cluster[order]) != 0)
+        # The first row in order is in cluster 0 and stays there; the
+        # last is in the greatest cluster.
+        cluster[order[1:]] = np.cumsum(split)
+    return bool(cluster[order[-1]] == pts.shape[0] - 1)
 
 
 def _closest_pair(pts: np.ndarray) -> tuple[float, int, int]:
@@ -263,7 +265,7 @@ def _closed_form(domain: Domain, deltas, centre, affine=None) -> np.ndarray:
     # product rounds by operand order, and tables and pairwise arrays must
     # agree).
     total = 0.0
-    for lower, widths, _ in domain.cells():
+    for lower, widths, _ in zip(*domain.cells()):
         middle = box_centre(np.stack([lower, lower + widths]))
         if affine is None:
             factor = 1.0
@@ -499,8 +501,8 @@ def exp_gram(domain: Domain, freqs: FrequencySet, weight=None,
     if weight is None and rule is None:
         _rule_free(domain)
     points = freqs.points
-    centre = box_centre(np.concatenate(
-        [(lower, lower + widths) for lower, widths, _ in domain.cells()]))
+    lowers, widths, _ = domain.cells()
+    centre = box_centre(np.concatenate([lowers, lowers + widths]))
     spans = _difference_box(points)
     affine = None
     if rule is None and _closed_form_applies(domain, weight):

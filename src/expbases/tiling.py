@@ -4,7 +4,8 @@ Elements of Z_{n_1} x ... x Z_{n_d} are addressed by C-order linear
 index. Verdicts are exact (integer coverage counts, character sums
 judged against a size-scaled tolerance). Searches are exhaustive
 depth-first walks of an explicit stack up to the documented caps and a
-work budget, with a seeded sampling fallback beyond the caps; the
+work budget, with a seeded sampling fallback beyond the caps, charged
+against the same budget before any draw; the
 spectrum search tabulates differences among admissible elements only.
 A finished walk canonicalizes each orbit it found once. Sampled
 candidates are drawn a stack at a time (one Pcg32.distinct_indices call,
@@ -35,7 +36,9 @@ CHARACTER_TOL = 1e-9
 # per found set of n members (the size of a canonicalization table; 16
 # entries cost about one node). Only one set per orbit is canonicalized,
 # but every found set is charged, so the budget stops a walk at the node
-# it always has. The caps bound the group and pattern, not the work.
+# it always has. The caps bound the group and pattern, not the work. A
+# sampled search is charged at the same rate for its pattern-by-candidate
+# entries, all before it draws.
 SEARCH_BUDGET = 2_000_000
 
 # Pattern-by-candidate entries per stack of sampled candidates checked at
@@ -264,10 +267,13 @@ _NO_COMPLEMENT = "pattern size does not divide the group order"
 
 
 def _search_route(group: GroupInstance, k: int, complement: bool, force: bool,
-                  samples: Optional[int]) -> Optional[str]:
+                  samples: Optional[int], charge: bool = True) -> Optional[str]:
     """_NO_COMPLEMENT, None (walk exhaustively) or the caps' reason to sample;
-    refused past a cap with no budget, or for a sampled candidate (order // k
-    elements for a complement, k for a spectrum) above GROUP_ORDER_CAP."""
+    refused past a cap with no budget, for a sampled candidate (order // k
+    elements for a complement, k for a spectrum) above GROUP_ORDER_CAP, or,
+    unless charge is off, for samples whose work passes SEARCH_BUDGET: one
+    unit per 16 pattern-by-candidate entries, as a canonicalization is
+    charged."""
     kind = "complement" if complement else "spectrum"
     if complement and group.order % k:
         return _NO_COMPLEMENT
@@ -286,6 +292,9 @@ def _search_route(group: GroupInstance, k: int, complement: bool, force: bool,
     size = group.order // k if complement else k
     if size > GROUP_ORDER_CAP:
         raise ValueError(f"a sampled {kind} of {size} elements exceeds the cap {GROUP_ORDER_CAP}")
+    if charge and samples * k * size // 16 > SEARCH_BUDGET:
+        raise ValueError(f"sample budget {samples} costs {samples * k * size // 16} work units "
+                         f"on {size}-element candidates, past the budget of {SEARCH_BUDGET}")
     return reason
 
 

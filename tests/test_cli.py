@@ -627,6 +627,11 @@ UNIT_BAND = {"boxes": [[-0.5, 0.5]]}
 # is no float.
 OVERFLOWING = "weight modulus 1e+200 has no finite square"
 
+# An affine weight small on a tiny box, whose gradient the closed form squares.
+STEEP_ON_A_SLIVER = {"domain": {"boxes": [[0.0, 1e-200]]},
+                     "weight": {"profile": "affine", "offset": 1.0, "gradient": [1e200]}}
+STEEP = "affine gradient component 1e+200 has no finite square"
+
 
 def gabor_parameters(modulations, translations):
     return {"base_domain": UNIT_BAND, "modulations": modulations,
@@ -826,6 +831,13 @@ def test_inputs_outside_a_hypothesis_are_rejected_before_a_report(
                            "window": {"domain": UNIT_BAND,
                                       "weight": {"profile": "constant", "value": 1e200}}},
                  f"window.weight ({OVERFLOWING})", id="gabor-window-weight-overflows"),
+    pytest.param("transfer", {**STEEP_ON_A_SLIVER, "freqs": {"range": [-2, 2]}},
+                 f"weight ({STEEP})", id="transfer-affine-gradient-overflows"),
+    pytest.param("bounds", {**STEEP_ON_A_SLIVER, "freqs": {"range": [-2, 2]}},
+                 f"weight ({STEEP})", id="bounds-affine-gradient-overflows"),
+    pytest.param("gabor", {**gabor_parameters({"range": [0, 1]}, {"range": [0, 1]}),
+                           "window": STEEP_ON_A_SLIVER},
+                 f"window.weight ({STEEP})", id="gabor-window-affine-gradient-overflows"),
 ])
 def test_runtime_rejections_name_their_scenario_path(command, parameters, path, tmp_path,
                                                      capsys):
@@ -967,6 +979,55 @@ def test_a_sample_at_its_caps_runs_in_bounded_memory(nodes, eval_points, tmp_pat
                           env=env, preexec_fn=limit, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert json.loads((tmp_path / "report.json").read_text())["passed"] is True
+
+
+# 2^20 cells, each taking one node: inside every cap.
+FULL_MASK_1024 = {"mask": {"origin": [0.0, 0.0], "counts": [1024, 1024],
+                           "widths": [1 / 1024, 1 / 1024], "included": [[True] * 1024] * 1024}}
+SAMPLE_BUDGET_PASSED = "scenario.parameters.samples: sample budget"
+
+
+@pytest.mark.parametrize("command,parameters,code,message", [
+    pytest.param("bounds", {"domain": FULL_MASK_1024, "freqs": {"range": [0, 3]},
+                            "nodes_per_axis": 1}, 0, None, id="bounds-on-a-full-1024-mask"),
+    pytest.param("transfer", {"domain": FULL_MASK_1024, "freqs": {"range": [0, 3]},
+                              "weight": {"profile": "affine", "offset": 2.0,
+                                         "gradient": [0.5, -0.25], "nodes_per_axis": 1}},
+                 0, None, id="affine-transfer-on-a-full-1024-mask"),
+    pytest.param("tiling", {"moduli": [72, 72], "mode": "search_spectra",
+                            "pattern": list(range(16)), "samples": 10 ** 12},
+                 2, SAMPLE_BUDGET_PASSED, id="spectrum-search-of-1e12-samples"),
+    pytest.param("tiling", {"moduli": [2 ** 28], "mode": "search_complements",
+                            "pattern": list(range(2 ** 16)), "samples": 1},
+                 2, SAMPLE_BUDGET_PASSED, id="sampled-complement-of-4096-elements"),
+    # No numpy overflow warning precedes the error line.
+    pytest.param("transfer", {**STEEP_ON_A_SLIVER, "freqs": {"range": [-2, 2]}},
+                 2, f"scenario.parameters.weight ({STEEP})", id="affine-gradient-overflows"),
+])
+def test_scenarios_at_the_caps_end_in_bounded_memory(command, parameters, code, message,
+                                                     tmp_path, child_env):
+    # With the child's address space limited to 1 GiB, each ends within a
+    # minute in exit 0 and an empty stderr, or exit 2 and one error line:
+    # a piece-by-piece walk of the mask took 738 MB and 37 s, the spectrum
+    # search would have run for months, and the complement's cover counts
+    # would have asked for 2 GiB.
+    resource = pytest.importorskip("resource")
+    scenario = tmp_path / "scenario.json"
+    write_scenario(scenario, {"name": "edge", "command": command, "parameters": parameters})
+    env = {**child_env, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1"}
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    done = subprocess.run([sys.executable, "-m", "expbases.cli", command, "--scenario",
+                           str(scenario), "--out", str(tmp_path / "report.json")],
+                          env=env, preexec_fn=limit, capture_output=True, text=True, timeout=60)
+    assert done.returncode == code, done.stderr
+    if message is None:
+        assert done.stderr == ""
+    else:
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert message in done.stderr
 
 
 def test_the_runtime_does_not_import_scipy(child_env):
@@ -1143,11 +1204,30 @@ def test_a_cube_check_group_above_the_order_cap_is_rejected_before_a_search(tmp_
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("command, parameters", [
-    ("tiling", {"moduli": [64, 64], "mode": "search_complements", "pattern": [0, 1, 64, 65]}),
-    ("cube-check", {"moduli": [64, 64], "side": 2}),
+WALK_PAST_ITS_BUDGET = f"complement search passed its budget of {SEARCH_BUDGET} work units"
+
+
+@pytest.mark.parametrize("command, parameters, rejection", [
+    pytest.param("tiling", {"moduli": [64, 64], "mode": "search_complements",
+                            "pattern": [0, 1, 64, 65]}, WALK_PAST_ITS_BUDGET,
+                 id="tiling-parameters0"),
+    pytest.param("cube-check", {"moduli": [64, 64], "side": 2}, WALK_PAST_ITS_BUDGET,
+                 id="cube-check-parameters1"),
+    # Sampled: about 250 days of candidates, and one candidate whose cover
+    # counts would take 2 GiB; each is charged before any draw.
+    pytest.param("tiling", {"moduli": [72, 72], "mode": "search_spectra",
+                            "pattern": list(range(16)), "samples": 10 ** 12},
+                 f"scenario.parameters.samples: sample budget {10 ** 12} costs {10 ** 12 * 16} "
+                 f"work units on 16-element candidates, past the budget of {SEARCH_BUDGET}",
+                 id="spectrum-samples-past-the-budget"),
+    pytest.param("tiling", {"moduli": [2 ** 28], "mode": "search_complements",
+                            "pattern": list(range(2 ** 16)), "samples": 1},
+                 f"scenario.parameters.samples: sample budget 1 costs {2 ** 24} work units on "
+                 f"4096-element candidates, past the budget of {SEARCH_BUDGET}",
+                 id="complement-sample-past-the-budget"),
 ])
-def test_search_past_its_work_budget_exits_promptly(tmp_path, capsys, command, parameters):
+def test_search_past_its_work_budget_exits_promptly(tmp_path, capsys, command, parameters,
+                                                    rejection):
     # The 2x2 cube in Z64^2 is within the caps but has astronomically many
     # complements; the walk must stop at its budget, not run until killed.
     start = time.perf_counter()
@@ -1155,7 +1235,7 @@ def test_search_past_its_work_budget_exits_promptly(tmp_path, capsys, command, p
                                            "parameters": parameters}, command)
     assert time.perf_counter() - start < 30.0
     assert code == 2
-    assert f"complement search passed its budget of {SEARCH_BUDGET} work units" in err
+    assert rejection in err
     assert "Traceback" not in err
 
 

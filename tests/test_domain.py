@@ -55,6 +55,17 @@ def test_union_measure_adds_volumes():
 def test_overlapping_boxes_rejected():
     with pytest.raises(ValueError, match="overlap"):
         make_domain([Box(0.0, 1.0), Box(0.5, 1.5)])
+    # Pairs (1, 2), (1, 3) and (0, 3) overlap; the first in (i, j > i)
+    # order is named, though pair (1, 2) has the smaller j. In 2-D, a box
+    # meeting another on one axis only does not overlap it.
+    with pytest.raises(ValueError) as info:
+        make_domain([Box(0.0, 1.0), Box(2.0, 3.0), Box(2.5, 4.0), Box(0.5, 2.2)])
+    assert str(info.value) == ("boxes 0 and 3 have overlapping interiors: "
+                               "(0.0,)..(1.0,) vs (0.5,)..(2.2,)")
+    with pytest.raises(ValueError) as info:
+        make_domain([Box([0.0, 0.0], [1.0, 1.0]), Box([0.5, 2.0], [1.5, 3.0]),
+                     Box([0.0, 1.0], [1.0, 2.0]), Box([0.9, 1.5], [2.0, 2.5])])
+    assert str(info.value).startswith("boxes 1 and 3 have overlapping interiors: ")
 
 
 def test_touching_boxes_allowed():
@@ -128,7 +139,7 @@ def test_quadrature_covers_mask_cells():
 def _per_cell_quadrature(domain, n):
     # Reference: one meshgrid of subcell midpoints per piece, concatenated.
     nodes, weights = [], []
-    for lower, widths, volume in domain.cells():
+    for lower, widths, volume in zip(*domain.cells()):
         axes = [lower[j] + (np.arange(n) + 0.5) * (widths[j] / n) for j in range(lower.size)]
         mesh = np.meshgrid(*axes, indexing="ij")
         nodes.append(np.stack([m.reshape(-1) for m in mesh], axis=-1))
@@ -158,7 +169,7 @@ def test_quadrature_matches_the_per_cell_midpoints_bitwise(domain, n):
 
 def test_cells_of_a_box_union_keep_the_stored_order():
     domain = make_domain([Box([2.0, 0.0], [3.0, 0.5]), Box([0.0, 0.0], [1.5, 2.0])])
-    cells = domain.cells()
+    cells = list(zip(*domain.cells()))
     assert [c[0].tolist() for c in cells] == [[2.0, 0.0], [0.0, 0.0]]
     assert [c[1].tolist() for c in cells] == [[1.0, 0.5], [1.5, 2.0]]
     assert [c[2] for c in cells] == [0.5, 3.0]
@@ -167,7 +178,7 @@ def test_cells_of_a_box_union_keep_the_stored_order():
 def test_cells_of_a_mask_skip_excluded_cells_lexicographically():
     included = [[True, False], [False, True], [True, True]]
     domain = make_mask_domain([1.0, -1.0], [3, 2], [0.5, 0.25], included)
-    cells = domain.cells()
+    cells = list(zip(*domain.cells()))
     assert [c[0].tolist() for c in cells] == [
         [1.0, -1.0], [1.5, -0.75], [2.0, -1.0], [2.0, -0.75]]
     assert all(c[1].tolist() == [0.5, 0.25] for c in cells)

@@ -1,5 +1,7 @@
 """Weights, bound transfer, cardinal series, and integer-translate criteria."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,62 @@ def test_affine_sign_change_gives_zero_infimum():
     assert w.inf_mod > 0.0
 
 
+def _per_cell_affine_extremes(domain, offset, gradient):
+    # Reference: the corners of one cell at a time, as itertools.product
+    # lists them, folded into running extremes.
+    inf_abs, sup_abs = np.inf, 0.0
+    for lower, widths, _ in zip(*domain.cells()):
+        vals = offset + np.array(list(itertools.product(*zip(lower, lower + widths)))) @ gradient
+        if vals.min() <= 0.0 <= vals.max():
+            inf_abs = 0.0
+        else:
+            inf_abs = min(inf_abs, float(np.min(np.abs(vals))))
+        sup_abs = max(sup_abs, float(np.max(np.abs(vals))))
+    return float(inf_abs), float(sup_abs)
+
+
+def _per_cell_bump_extremes(domain, steepness):
+    inf_abs, sup_abs = np.inf, 0.0
+    for lower, widths, _ in zip(*domain.cells()):
+        lo, hi = lower[0], lower[0] + widths[0]
+        edge = paley_wiener.bump_values(np.array([lo, hi]), steepness)
+        inf_abs = min(inf_abs, float(edge.min()))
+        peak = paley_wiener.bump_values(np.array([0.5]), steepness) if lo <= 0.5 <= hi else edge
+        sup_abs = max(sup_abs, float(peak.max()))
+    return float(inf_abs), float(sup_abs)
+
+
+def _random_domain(rng, dimension, lower, upper):
+    # A union of up to 6 disjoint boxes in [lower, upper] (slabs along the
+    # first axis), or a mask of up to 6 cells per axis over that range,
+    # alternately.
+    if rng.random() < 0.5:
+        cuts = np.sort(rng.uniform(lower, upper, 2 * int(rng.integers(1, 7))))
+        boxes = []
+        for lo, hi in cuts.reshape(-1, 2):
+            rest = np.sort(rng.uniform(lower, upper, (2, dimension - 1)), axis=0)
+            boxes.append(Box([lo, *rest[0]], [hi, *rest[1]]))
+        return make_domain(boxes)
+    counts = rng.integers(1, 7, dimension)
+    included = rng.random(int(np.prod(counts))) < 0.6
+    included[rng.integers(included.size)] = True
+    return make_mask_domain(np.full(dimension, lower), counts,
+                            (upper - lower) / counts, included)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_weight_extremes_equal_a_per_cell_reference_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    domain = _random_domain(rng, int(rng.integers(1, 4)), -2.0, 3.0)
+    offset, gradient = float(rng.normal()), rng.normal(size=domain.dimension) * 2.0
+    assert (paley_wiener._affine_extremes(domain, offset, gradient)
+            == _per_cell_affine_extremes(domain, offset, gradient))
+    line = _random_domain(rng, 1, 0.0, 1.0)
+    steepness = float(rng.uniform(0.1, 3.0))
+    assert (paley_wiener._bump_extremes(line, steepness)
+            == _per_cell_bump_extremes(line, steepness))
+
+
 def test_affine_gradient_dimension_checked():
     with pytest.raises(ValueError, match="dimension"):
         affine_weight(UNIT, 1.0, [1.0, 2.0])
@@ -137,6 +195,9 @@ def test_a_weight_whose_largest_modulus_has_no_finite_square_is_refused():
     with pytest.raises(ValueError, match="no finite square"):
         affine_weight(UNIT, 0.0, [1.4e154], rule=rule)
     assert constant_weight(UNIT, 1e154, rule=rule).sup_mod == 1e154
+    # Small on its domain, but the closed form squares the gradient.
+    with pytest.raises(ValueError, match="gradient component 1e\\+200 has no finite square"):
+        affine_weight(make_domain([Box(0.0, 1e-200)]), 1.0, [1e200], nodes_per_axis=4)
 
 
 def test_translation_gram_constant_weight_scales_exactly():

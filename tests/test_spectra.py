@@ -139,7 +139,7 @@ def test_exp_gram_takes_its_integration_one_way():
 def centre_of(domain):
     """Centre of the bounding box of the domain's cells."""
     return spectra.box_centre(np.concatenate([(lower, lower + widths)
-                                              for lower, widths, _ in domain.cells()]))
+                                              for lower, widths, _ in zip(*domain.cells())]))
 
 
 def moved_to_its_centre(domain):
@@ -504,6 +504,13 @@ def first_closest_pair(points):
     pytest.param(seeded_rows(lattice_truncation(-6, 5, 2).points, 2), id="2d-lattice"),
     pytest.param(seeded_rows(lattice_truncation(-2, 2, 3).points, 3), id="3d-lattice"),
     pytest.param(np.arange(-20.0, 20.0) + Pcg32(3).uniforms(40, -0.2, 0.2), id="1d-kadec"),
+    # At the frame-transfer cap, where the scan would take about an hour.
+    pytest.param(np.random.default_rng(4).uniform(-512.0, 512.0, (2 ** 20, 2)),
+                 id="2d-scattered"),
+    pytest.param(np.random.default_rng(5).normal(size=(20000, 3)), id="3d-scattered"),
+    pytest.param(seeded_rows(np.stack(np.meshgrid(0.37 * np.arange(64), 0.61 * np.arange(64),
+                                                  indexing="ij"), axis=-1).reshape(-1, 2), 6),
+                 id="2d-non-integer-grid"),
 ])
 def test_sorting_proves_distinctness_without_the_pairwise_scan(monkeypatch, points):
     def scan(pts):

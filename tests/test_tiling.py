@@ -326,6 +326,13 @@ def test_a_sampled_candidate_is_bounded_before_any_draw(monkeypatch):
     wide = GroupInstance([8200])
     with pytest.raises(ValueError, match="spectrum of 4100 elements exceeds the cap"):
         search_spectra(wide, tuple(range(4100)), samples=1)
+    # Each sample of 16 elements against 16 costs 16 units: 125,000 spend
+    # the budget exactly.
+    z72sq = GroupInstance([72, 72])
+    with pytest.raises(ValueError, match="sample budget 125001 costs 2000016 work units on "
+                                         "16-element candidates, past the budget of 2000000"):
+        search_spectra(z72sq, tuple(range(16)), samples=125001)
+    assert tiling._search_route(z72sq, 16, False, False, 125000) is not None
     monkeypatch.undo()
     # The largest candidates the benchmark and the tests above draw.
     assert search_complements(GroupInstance([72, 72]), (0, 1, 72, 73), samples=1).examined == 1
