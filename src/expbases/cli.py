@@ -37,14 +37,13 @@ from .domain import Box, Domain, MaskGrid, QuadratureRule, _grid_size, _rule_nod
 from .gabor import _unit_measure, vv_onb_check
 from .numerics import Pcg32
 from .paley_wiener import (PERIODIZATION_KINDS, SUPPORT_TOL, BandlimitedSignal,
-                           _cardinal_band, _frame_support, _gram_inputs, _nowhere_vanishing,
-                           _periodize, _resolves, _signal_orders, _truncation, affine_weight,
-                           bump_window, constant_weight, convolution_factorization_check,
-                           indicator_signal, indicator_weight,
-                           periodization_profile, random_signal,
-                           shannon_reconstruct, smooth_random_signal,
-                           table_weight, verify_frame_transfer, verify_riesz_transfer,
-                           zd_periodization)
+                           _cardinal_band, _cardinal_points, _frame_support, _gram_inputs,
+                           _nowhere_vanishing, _periodize, _resolves, _signal_orders,
+                           _truncation, affine_weight, bump_window, constant_weight,
+                           convolution_factorization_check, indicator_signal, indicator_weight,
+                           periodization_profile, random_signal, shannon_reconstruct,
+                           smooth_random_signal, table_weight, verify_frame_transfer,
+                           verify_riesz_transfer, zd_periodization)
 from .spectra import (FrequencySet, _closed_form_applies, _on_domain, _rule_free, _system_size,
                       exp_gram, is_orthonormal_system, lattice_truncation, riesz_bounds)
 from .tiling import (GroupInstance, _cube_group, _distinct_coords, _dual_sides, _search_route,
@@ -351,11 +350,12 @@ def _profile_grid(v, s) -> int:
 
 
 def _eval_points(v, s) -> np.ndarray:
+    # A grid's ends bound its points, and are checked before np.linspace
+    # forms their span.
     if _only(v) == "grid":
-        lo, hi, count = v["grid"]
-        return np.linspace(float(lo), float(hi), count)
-    _grid_size(len(v["points"]))
-    return np.asarray(v["points"], dtype=float)
+        *ends, count = v["grid"]
+        return np.linspace(*_cardinal_points(ends, max(s["n_terms"])), count)
+    return _cardinal_points(v["points"], max(s["n_terms"]))
 
 
 def _command_rule(s) -> QuadratureRule:

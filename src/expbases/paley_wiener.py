@@ -8,8 +8,11 @@ bounds on the full domain when the weight never vanishes and for frame
 bounds on the weight's support otherwise.
 
 The cardinal series and the integer-translate periodization criterion
-live here too. shannon_reconstruct sums its tables over bounded blocks,
-so its memory does not grow with the node or point count; the
+live here too. The integer samples of the cardinal series are the band's
+Fourier coefficients, so shannon_reconstruct reads them from the
+quadrature table the integer-frequency Grams use (_quadrature_table);
+that table and the sinc table are summed and formed over bounded blocks,
+so its memory does not grow with the node or point count. The
 periodization check runs on inputs (_gram_inputs) built once, by
 zd_periodization or by the scenario schema that checked them.
 """
@@ -26,8 +29,9 @@ import numpy as np
 from .domain import NODE_CAP, Box, Domain, QuadratureRule, _grid_size, quadrature
 from .numerics import ORDER_CAP, eigen_bounds
 from .spectra import (_TABLE_BLOCK_ENTRIES, BoundsReport, FrequencySet, GramMatrix, OnbVerdict,
-                      _on_domain, _pairwise_quadrature, _system_size, box_centre, exp_gram,
-                      frame_bounds_of_operator, is_orthonormal_system, riesz_bounds)
+                      _on_domain, _pairwise_quadrature, _quadrature_table, _system_size,
+                      box_centre, exp_gram, frame_bounds_of_operator, is_orthonormal_system,
+                      riesz_bounds)
 
 # Node values at or below this modulus count as outside the support.
 SUPPORT_TOL = 1e-12
@@ -479,7 +483,7 @@ def convolution_factorization_check(domain: Domain, psi: SpectralWeight,
         raise ValueError("weight and signal must share one quadrature rule")
     _nowhere_vanishing(psi)
     w = signal.rule.weights
-    signal_norm = float(np.sqrt(np.sum(w * np.abs(signal.coeffs) ** 2)))
+    signal_norm = math.sqrt(signal.norm_sq)
     if signal_norm == 0.0:
         return FactorizationReport(0.0, 0.0, 0.0, True, 0.0)
     quotient = signal.coeffs / psi.values
@@ -535,30 +539,37 @@ def _resolves(rule: QuadratureRule, n_terms: int) -> int:
     return n_terms
 
 
+def _cardinal_points(points, n_terms: int) -> np.ndarray:
+    """points as a float array within the cap, if every point t is finite
+    and so is pi (|t| + n_terms), the largest argument the sinc table of a
+    series of n_terms terms takes at t."""
+    pts = np.atleast_1d(np.asarray(points, dtype=float))
+    _grid_size(pts.size)
+    with np.errstate(over="ignore"):
+        if not np.all(np.isfinite(np.pi * (np.abs(pts) + n_terms))):
+            raise ValueError(f"evaluation points t must keep pi (|t| + {n_terms}) finite")
+    return pts
+
+
 def shannon_reconstruct(signal: BandlimitedSignal, n_terms: int,
                         eval_points) -> WskReport:
     """Reconstruct from integer samples with a truncated cardinal series.
 
-    The band must be [-1/2, 1/2]. Samples come from quadrature of the
-    inverse transform on the signal's own rule, which must oversample the
-    truncation (more nodes than series terms). The phase table is summed
-    over blocks of nodes, and the sinc table formed over blocks of points,
-    of about _TABLE_BLOCK_ENTRIES entries each: one block when there are
-    fewer entries.
+    The band must be [-1/2, 1/2]. The sample f(m) is the band's Fourier
+    coefficient sum_k w_k c_k exp(2 pi i m x_k) on the signal's own rule,
+    which must oversample the truncation (more nodes than series terms):
+    the quadrature table of the integer-frequency Grams (_quadrature_table)
+    read at -m, which costs q + b exponentials per node and sums over
+    blocks of nodes. The sinc table is formed over blocks of points of
+    about _TABLE_BLOCK_ENTRIES entries: one block when there are fewer.
     """
     _cardinal_band(signal.domain)
     n_terms = _resolves(signal.rule, _truncation(n_terms))
+    pts = _cardinal_points(eval_points, n_terms)
     orders = np.arange(-n_terms, n_terms + 1)
     block = max(1, _TABLE_BLOCK_ENTRIES // orders.size)
-    xi = signal.rule.nodes[:, 0]
-    weighted = signal.rule.weights * signal.coeffs
-    samples = None
-    for start in range(0, xi.size, block):
-        part = (np.exp(2j * np.pi * orders[:, np.newaxis] * xi[np.newaxis, start:start + block])
-                @ weighted[start:start + block])
-        samples = part if samples is None else samples + part
-    pts = np.atleast_1d(np.asarray(eval_points, dtype=float))
-    _grid_size(pts.size)
+    samples = _quadrature_table(signal.rule.nodes, signal.rule.weights * signal.coeffs,
+                                [n_terms])[::-1]
     values = np.concatenate([
         samples @ np.sinc(pts[np.newaxis, start:start + block] - orders[:, np.newaxis])
         for start in range(0, pts.size, block)])

@@ -51,12 +51,10 @@ from .numerics import (ORDER_CAP, HermitianScan, _as_square, _ToeplitzSection, e
 # Frequencies closer than this in sup norm count as duplicates.
 DISTINCTNESS_TOL = 1e-12
 
-# Pairwise gaps per block of the distinctness check; a set within
-# ORDER_CAP is one block.
-_GAP_BLOCK_ENTRIES = ORDER_CAP ** 2
-
 # Entries per block of nodes in a Toeplitz quadrature Gram's folded table,
-# and in the cos and sin tables of the pairwise quadrature route.
+# and in the cos and sin tables of the pairwise quadrature route; pairwise
+# gaps per block of rows of the distinctness check, where a set within
+# ORDER_CAP is one block.
 _TABLE_BLOCK_ENTRIES = ORDER_CAP ** 2
 
 # Integer coordinates below this magnitude have exact float differences.
@@ -125,7 +123,7 @@ def _closest_pair(pts: np.ndarray) -> tuple[float, int, int]:
     on ties.
     """
     n = pts.shape[0]
-    rows = max(1, _GAP_BLOCK_ENTRIES // n)
+    rows = max(1, _TABLE_BLOCK_ENTRIES // n)
     closest, i, j = np.inf, 0, 0
     for start in range(0, n, rows):
         block = pts[start:start + rows]

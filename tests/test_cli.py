@@ -985,6 +985,9 @@ def test_a_sample_at_its_caps_runs_in_bounded_memory(nodes, eval_points, tmp_pat
 FULL_MASK_1024 = {"mask": {"origin": [0.0, 0.0], "counts": [1024, 1024],
                            "widths": [1 / 1024, 1 / 1024], "included": [[True] * 1024] * 1024}}
 SAMPLE_BUDGET_PASSED = "scenario.parameters.samples: sample budget"
+CARDINAL_REACH = "evaluation points t must keep pi (|t| + 48) finite"
+# The support of the bump window.
+UNIT_INTERVAL = {"boxes": [[0.0, 1.0]]}
 
 
 @pytest.mark.parametrize("command,parameters,code,message", [
@@ -1003,6 +1006,30 @@ SAMPLE_BUDGET_PASSED = "scenario.parameters.samples: sample budget"
     # No numpy overflow warning precedes the error line.
     pytest.param("transfer", {**STEEP_ON_A_SLIVER, "freqs": {"range": [-2, 2]}},
                  2, f"scenario.parameters.weight ({STEEP})", id="affine-gradient-overflows"),
+    # pi (t - m) would overflow in the sinc table, and a grid's span in
+    # np.linspace.
+    *(pytest.param("sample", {"domain": UNIT_BAND, "signal": {"kind": "indicator"},
+                              "n_terms": [4, 48], "eval_points": points}, 2,
+                   f"scenario.parameters.eval_points ({CARDINAL_REACH})", id=name)
+      for name, points in [("eval-point-1e308", {"points": [1e308]}),
+                           ("eval-point-minus-1e308", {"points": [-1e308, 0.5]}),
+                           ("eval-grid-of-span-2e308", {"grid": [1e308, -1e308, 3]})]),
+    pytest.param("factorization", {"domain": UNIT_BAND, "nodes_per_axis": 2 ** 20,
+                                   "weight": {"profile": "affine", "offset": 2.0,
+                                              "gradient": [1.0]},
+                                   "signal": {"kind": "random"}},
+                 0, None, id="factorization-on-2^20-nodes"),
+    pytest.param("gabor", {**gabor_parameters({"range": [0, 511]}, {"range": [0, 511]}),
+                           "window": {"domain": UNIT_INTERVAL,
+                                      "weight": {"profile": "bump", "nodes_per_axis": 2 ** 20}}},
+                 0, None, id="gabor-512x512-with-a-2^20-node-bump"),
+    pytest.param("periodization", {"profile": {"kind": "cosine"}, "resolution": 2 ** 20},
+                 0, None, id="cosine-periodization-at-2^20"),
+    pytest.param("frame-transfer", {"domain": UNIT_INTERVAL, "freqs": {"range": [0, 511]},
+                                    "weight": {"profile": "bump", "nodes_per_axis": 2 ** 20}},
+                 0, None, id="frame-transfer-of-512-on-2^20-bump-nodes"),
+    pytest.param("cube-check", {"moduli": [4096], "side": 2}, 0, None,
+                 id="cube-check-on-z4096"),
 ])
 def test_scenarios_at_the_caps_end_in_bounded_memory(command, parameters, code, message,
                                                      tmp_path, child_env):
@@ -1010,7 +1037,8 @@ def test_scenarios_at_the_caps_end_in_bounded_memory(command, parameters, code, 
     # minute in exit 0 and an empty stderr, or exit 2 and one error line:
     # a piece-by-piece walk of the mask took 738 MB and 37 s, the spectrum
     # search would have run for months, and the complement's cover counts
-    # would have asked for 2 GiB.
+    # would have asked for 2 GiB. The 2^20-node and Z_4096 cases take at
+    # most 5 s and 300 MB each.
     resource = pytest.importorskip("resource")
     scenario = tmp_path / "scenario.json"
     write_scenario(scenario, {"name": "edge", "command": command, "parameters": parameters})

@@ -393,17 +393,61 @@ def test_shannon_flat_spectrum_reconstructs_sinc():
 
 
 def test_shannon_blocks_agree_with_one_block(monkeypatch):
-    # Every shipped shape is one block; a block of 22 columns sums the phase
-    # table over 12 blocks of nodes and forms the sinc table over 4 blocks
-    # of points, which reorders the sums only.
+    # Every shipped shape is one block. Blocks of 22 columns sum the phase
+    # table, whose 33 orders take 6 coarse rows, over 12 blocks of nodes and
+    # form the sinc table over 4 blocks of points, which reorders the sums
+    # only.
     sig = smooth_random_signal(BAND, quadrature(BAND, 257), Pcg32(4))
     pts = np.linspace(-4.0, 4.0, 81)
     whole = shannon_reconstruct(sig, 16, pts)
     monkeypatch.setattr(paley_wiener, "_TABLE_BLOCK_ENTRIES", 33 * 22)
+    monkeypatch.setattr(spectra, "_TABLE_BLOCK_ENTRIES", 6 * 22)
     blocked = shannon_reconstruct(sig, 16, pts)
     np.testing.assert_allclose(blocked.samples, whole.samples, rtol=0, atol=1e-14)
     np.testing.assert_allclose(blocked.values, whole.values, rtol=0, atol=1e-13)
     assert blocked.coeff_energy == pytest.approx(whole.coeff_energy, rel=1e-14)
+
+
+@pytest.mark.parametrize("nodes,n_terms,bound", [(129, 48, 1e-14), (257, 100, 1.5e-14),
+                                                  (1025, 512, 1e-13)])
+def test_shannon_samples_match_a_long_double_sum(nodes, n_terms, bound):
+    # f(m) = sum_k w_k c_k exp(2 pi i m x_k), summed directly in long
+    # double; the error is relative to max |f(m)|.
+    if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+        pytest.skip("long double is no wider than double here")
+    rule = quadrature(BAND, nodes)
+    sig = random_signal(BAND, rule, Pcg32(3))
+    rep = shannon_reconstruct(sig, n_terms, [0.0])
+    x, weights = (np.asarray(a, dtype=np.longdouble) for a in (rule.nodes[:, 0], rule.weights))
+    angles = 2 * np.arccos(np.longdouble(-1)) * np.multiply.outer(
+        np.arange(-n_terms, n_terms + 1), x)
+    cos, sin = np.cos(angles), np.sin(angles)
+    re, im = weights * sig.coeffs.real, weights * sig.coeffs.imag
+    real, imag = cos @ re - sin @ im, cos @ im + sin @ re
+    error = np.hypot((rep.samples.real - real).astype(float),
+                     (rep.samples.imag - imag).astype(float))
+    assert np.max(error) <= bound * float(np.max(np.hypot(real, imag)))
+
+
+def test_shannon_samples_are_the_bands_quadrature_table(monkeypatch):
+    # One table over the rule's nodes, of the orders -n_terms..n_terms.
+    calls = []
+    table = paley_wiener._quadrature_table
+
+    def recorded(nodes, coeff, spans):
+        calls.append(spans)
+        return table(nodes, coeff, spans)
+    monkeypatch.setattr(paley_wiener, "_quadrature_table", recorded)
+    shannon_reconstruct(indicator_signal(BAND, quadrature(BAND, 129)), 48, [0.5])
+    assert calls == [[48]]
+
+
+@pytest.mark.parametrize("points", [[1e308], [-1e308, 0.5], [np.inf], [np.nan]])
+def test_shannon_refuses_points_past_the_sinc_kernels_range(points):
+    sig = indicator_signal(BAND, quadrature(BAND, 129))
+    with pytest.raises(ValueError, match=r"pi \(\|t\| \+ 16\) finite"):
+        shannon_reconstruct(sig, 16, points)
+    assert np.isfinite(shannon_reconstruct(sig, 16, [5e307]).values).all()
 
 
 def test_shannon_energy_grows_with_truncation():

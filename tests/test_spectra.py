@@ -34,7 +34,7 @@ from expbases import (
     verify_riesz_transfer,
 )
 from expbases import numerics, paley_wiener, spectra
-from expbases.spectra import _GAP_BLOCK_ENTRIES
+from expbases.spectra import _TABLE_BLOCK_ENTRIES
 
 UNIT = make_domain([Box(0.0, 1.0)])
 
@@ -449,7 +449,7 @@ def test_coinciding_frequencies_rejected_at_construction():
 
 def test_coinciding_pair_across_a_block_boundary_is_named():
     n = 1000
-    rows = _GAP_BLOCK_ENTRIES // n
+    rows = _TABLE_BLOCK_ENTRIES // n
     assert rows < n
     points = np.arange(n, dtype=float)
     points[rows] = points[rows - 1] + 1e-13
