@@ -33,7 +33,8 @@ from typing import Any, Optional
 import numpy as np
 
 from . import __version__
-from .domain import Box, Domain, MaskGrid, QuadratureRule, _grid_size, _rule_nodes, quadrature
+from .domain import (Box, Domain, MaskGrid, QuadratureRule, _flags, _grid_size, _rule_nodes,
+                     quadrature)
 from .gabor import _unit_measure, vv_onb_check
 from .numerics import Pcg32
 from .paley_wiener import (PERIODIZATION_KINDS, SUPPORT_TOL, BandlimitedSignal,
@@ -46,9 +47,9 @@ from .paley_wiener import (PERIODIZATION_KINDS, SUPPORT_TOL, BandlimitedSignal,
                            verify_riesz_transfer, zd_periodization)
 from .spectra import (FrequencySet, _closed_form_applies, _on_domain, _rule_free, _system_size,
                       exp_gram, is_orthonormal_system, lattice_truncation, riesz_bounds)
-from .tiling import (GroupInstance, _cube_group, _distinct_coords, _dual_sides, _search_route,
-                     cube_equivalence_check, is_spectrum, search_complements,
-                     search_spectra, tiles)
+from .tiling import (_NO_COMPLEMENT, GroupInstance, _cube_group, _distinct_coords, _dual_sides,
+                     _sample_work, _search_route, cube_equivalence_check, is_spectrum,
+                     search_complements, search_spectra, tiles)
 
 # Judgement scales echoed into every report: absolute for magnitudes at
 # or below one, relative otherwise.
@@ -75,7 +76,7 @@ class SchemaError(Exception):
 #     at least n);
 #   [item]: a nonempty list of items; (a, b, ...): a list, one spec per place;
 #   _Array(leaf, rank): a leaf, or nonempty lists nested at most rank deep
-#     around leaves (any depth when rank is None);
+#     around leaves;
 #   _Verdicts(names): an object of bools keyed by verdict names: a tuple of
 #     names, or a dict of them by the mode of the parameters built before it
 #     (any name when the parameters were rejected);
@@ -165,10 +166,9 @@ def _check(spec, value, path: str, walk: _Walk, scope: dict):
         got = _check(spec.spec, value, path, walk, scope)
         return _BAD if got is _BAD else walk.build(path, spec.build, got, scope)
     if isinstance(spec, _Array):
-        if not isinstance(value, list) or spec.rank == 0:
+        if not isinstance(value, list):
             return _check(spec.leaf, value, path, walk, scope)
-        inner = [spec.leaf if spec.rank == 1 else
-                 _Array(spec.leaf, None if spec.rank is None else spec.rank - 1)]
+        inner = [spec.leaf if spec.rank == 1 else _Array(spec.leaf, spec.rank - 1)]
         return _BAD if _check(inner, value, path, walk, scope) is _BAD else value
     if type(spec) in (list, tuple):
         many = type(spec) is list
@@ -242,11 +242,14 @@ def _domain(v, s) -> Domain:
 
 
 _VECTOR = _Array(_NUM, 1)  # a number, or one number per axis
+# Mask flags, nested lists of bools of any depth, checked by the rule that
+# MaskGrid applies rather than one flag at a time.
+_FLAGS = _Built(_Leaf("a list of bools", lambda v: isinstance(v, list)), lambda v, s: _flags(v))
 
 _DOMAIN = _Obj({
     "boxes": ([(_VECTOR, _VECTOR)], None),
     "mask": (_Obj({"origin": (_VECTOR, _REQ), "counts": (_Array(_at_least(1), 1), _REQ),
-                   "widths": (_VECTOR, _REQ), "included": (_Array(_BOOL, None), _REQ)},
+                   "widths": (_VECTOR, _REQ), "included": (_FLAGS, _REQ)},
                   lambda v, s: MaskGrid(**v)), None),
 }, _domain)
 
@@ -597,10 +600,12 @@ _SEARCH = {**_PATTERN, "samples": (_at_least(1), None), "force_exhaustive": (_BO
 def _search_route_named(v, s) -> dict:
     # The route's caps name the pattern, and then a sampled route's work
     # names samples.
-    args = (v["moduli"], len(v["pattern"]), v["mode"] == "search_complements",
-            v["force_exhaustive"], v["samples"])
-    _blaming("pattern", lambda v: _search_route(*args, charge=False))(v, s)
-    return _blaming("samples", lambda v: _search_route(*args))(v, s)
+    args = (v["moduli"], len(v["pattern"]), v["mode"] == "search_complements")
+    route = _blaming("pattern", lambda v: _search_route(
+        *args, v["force_exhaustive"], v["samples"]), "route")(v, s)["route"]
+    if route in (None, _NO_COMPLEMENT):
+        return v
+    return _blaming("samples", lambda v: _sample_work(*args, v["samples"]))(v, s)
 
 
 _Command = namedtuple("_Command", "run params verdicts tol", defaults=(None,))

@@ -57,12 +57,24 @@ class Box:
         return float(np.prod([b - a for a, b in zip(self.lower, self.upper)]))
 
 
+def _flags(included) -> np.ndarray:
+    """included as a bool array, if it holds bools only, nested in lists of
+    equal length."""
+    try:
+        flags = np.asarray(included)
+    except ValueError:
+        raise ValueError("included must nest its flags in lists of equal length") from None
+    if flags.dtype != bool:
+        raise ValueError(f"included flags must be bools, got {flags.dtype} values")
+    return flags
+
+
 @dataclass(frozen=True, init=False)
 class MaskGrid:
     """Uniform grid with a boolean inclusion flag per cell.
 
     Cells are indexed lexicographically (first axis slowest), matching the
-    C-order flattening of ``included``.
+    C-order flattening of ``included``, whose flags must be bools (_flags).
     """
 
     origin: tuple[float, ...]
@@ -80,7 +92,7 @@ class MaskGrid:
             raise ValueError(f"cell counts must be positive, got {cnt}")
         if any(w <= 0 for w in wid):
             raise ValueError(f"cell widths must be positive, got {wid}")
-        inc = np.asarray(included, dtype=bool)
+        inc = _flags(included)
         n_cells = int(np.prod(cnt))
         if inc.shape == tuple(cnt):
             inc = inc.reshape(-1)
@@ -91,7 +103,7 @@ class MaskGrid:
         object.__setattr__(self, "origin", org)
         object.__setattr__(self, "counts", cnt)
         object.__setattr__(self, "widths", wid)
-        object.__setattr__(self, "included", tuple(bool(x) for x in inc))
+        object.__setattr__(self, "included", tuple(inc.tolist()))
 
     @property
     def dimension(self) -> int:

@@ -1,12 +1,16 @@
 """Tilings and spectra of patterns in finite abelian groups.
 
 Elements of Z_{n_1} x ... x Z_{n_d} are addressed by C-order linear
-index. Verdicts are exact (integer coverage counts, character sums
-judged against a size-scaled tolerance). Searches are exhaustive
-depth-first walks of an explicit stack up to the documented caps and a
-work budget, with a seeded sampling fallback beyond the caps, charged
-against the same budget before any draw; the
-spectrum search tabulates differences among admissible elements only.
+index. Tiling verdicts are exact (integer coverage counts); spectrum
+verdicts judge float character sums against CHARACTER_TOL times the
+pattern size. Searches are exhaustive depth-first walks of an explicit
+stack up to the documented caps and a work budget, with a seeded
+sampling fallback beyond the caps, charged against the same budget
+before any draw. Both walks are anchored at 0 and find only the sets
+through 0, which is all that translation leaves to find: the complement
+walk covers the pattern's translate through 0 from offset 0, and the
+spectrum walk extends cliques from 0, tabulating differences among
+admissible elements only.
 A finished walk canonicalizes each orbit it found once. Sampled
 candidates are drawn a stack at a time (one Pcg32.distinct_indices call,
 the same values and stream as one draw per candidate) and checked in
@@ -35,10 +39,12 @@ CHARACTER_TOL = 1e-9
 # Work an exhaustive walk may spend: one unit per node, plus n * n // 16
 # per found set of n members (the size of a canonicalization table; 16
 # entries cost about one node). Only one set per orbit is canonicalized,
-# but every found set is charged, so the budget stops a walk at the node
-# it always has. The caps bound the group and pattern, not the work. A
-# sampled search is charged at the same rate for its pattern-by-candidate
-# entries, all before it draws.
+# but every found set is charged. The walks find only sets through 0: a
+# complement walk charges 1 in k of the complements and walks the part of
+# a walk over every translate below its first choice, so it never spends
+# more than that walk did. The caps bound the group and pattern, not the
+# work. A sampled search is charged at the same rate for its
+# pattern-by-candidate entries, all before it draws.
 SEARCH_BUDGET = 2_000_000
 
 # Pattern-by-candidate entries per stack of sampled candidates checked at
@@ -241,9 +247,10 @@ def _canonical(group: GroupInstance, indices: np.ndarray,
 def _orbit_minima(group: GroupInstance, hits: list) -> tuple[tuple[int, ...], ...]:
     """The orbit minima of the sets through 0 that a finished walk found.
 
-    Both exhaustive walks find every set through 0 in the orbit of each set
-    they find, and canonicalizing one strikes all of them, so each orbit
-    costs one _canonical call and nothing is kept beyond the found sets.
+    Both exhaustive walks are anchored at 0 and find every set through 0,
+    so they find all of each orbit's sets through 0 and no other set.
+    Canonicalizing one strikes all of them, so each orbit costs one
+    _canonical call and nothing is kept beyond the found sets.
     """
     pending = {tuple(sorted(hit)) for hit in hits}
     minima = []
@@ -267,13 +274,11 @@ _NO_COMPLEMENT = "pattern size does not divide the group order"
 
 
 def _search_route(group: GroupInstance, k: int, complement: bool, force: bool,
-                  samples: Optional[int], charge: bool = True) -> Optional[str]:
+                  samples: Optional[int]) -> Optional[str]:
     """_NO_COMPLEMENT, None (walk exhaustively) or the caps' reason to sample;
-    refused past a cap with no budget, for a sampled candidate (order // k
-    elements for a complement, k for a spectrum) above GROUP_ORDER_CAP, or,
-    unless charge is off, for samples whose work passes SEARCH_BUDGET: one
-    unit per 16 pattern-by-candidate entries, as a canonicalization is
-    charged."""
+    refused past a cap with no budget, or for a sampled candidate (order // k
+    elements for a complement, k for a spectrum) above GROUP_ORDER_CAP. The
+    work of the samples is _sample_work's to bound."""
     kind = "complement" if complement else "spectrum"
     if complement and group.order % k:
         return _NO_COMPLEMENT
@@ -292,10 +297,18 @@ def _search_route(group: GroupInstance, k: int, complement: bool, force: bool,
     size = group.order // k if complement else k
     if size > GROUP_ORDER_CAP:
         raise ValueError(f"a sampled {kind} of {size} elements exceeds the cap {GROUP_ORDER_CAP}")
-    if charge and samples * k * size // 16 > SEARCH_BUDGET:
+    return reason
+
+
+def _sample_work(group: GroupInstance, k: int, complement: bool, samples: int) -> int:
+    """The candidate size, if samples candidates cost at most SEARCH_BUDGET:
+    one unit per 16 pattern-by-candidate entries, as a canonicalization is
+    charged."""
+    size = group.order // k if complement else k
+    if samples * k * size // 16 > SEARCH_BUDGET:
         raise ValueError(f"sample budget {samples} costs {samples * k * size // 16} work units "
                          f"on {size}-element candidates, past the budget of {SEARCH_BUDGET}")
-    return reason
+    return size
 
 
 def search_complements(group: GroupInstance, pattern, *,
@@ -304,9 +317,12 @@ def search_complements(group: GroupInstance, pattern, *,
                        rng: Optional[Pcg32] = None) -> SearchResult:
     """All tiling complements of the pattern, up to translation.
 
-    Exact-cover depth-first search keyed on the least uncovered element;
-    every complement is enumerated, then canonicalized to its orbit
-    minimum. A walk past SEARCH_BUDGET raises ValueError.
+    Exact-cover depth-first search keyed on the least uncovered element,
+    of the pattern's translate through 0 with offset 0 chosen: it
+    enumerates the complements through 0, one orbit's worth of each, and
+    canonicalizes each orbit to its minimum. examined counts every
+    complement, k for each one through 0 for a pattern of k elements. A
+    walk past SEARCH_BUDGET raises ValueError.
     """
     pat_coords = _distinct_coords(group, pattern, "pattern")
     order = group.order
@@ -316,6 +332,9 @@ def search_complements(group: GroupInstance, pattern, *,
     if route is not None:
         return _sampled_search(group, pat_coords, samples, rng, route, mode="tiling")
 
+    # A translate of the pattern has the same complements: walk the one
+    # through 0, whose offset 0 covers element 0.
+    pat_coords = (pat_coords - pat_coords[0]) % np.asarray(group.moduli)
     all_coords = group.coords(np.arange(order))
     shifted = _sum_index(group, pat_coords[np.newaxis, :, :], all_coords[:, np.newaxis, :])
     full = (1 << order) - 1
@@ -326,27 +345,27 @@ def search_complements(group: GroupInstance, pattern, *,
                           _negated(group, pat_coords)[np.newaxis, :, :]).tolist()
 
     hits = []
-    examined = work = 0
+    work = 0
     budget = SEARCH_BUDGET
-    stack = [(0, ())]
+    stack = [(cover[0], (0,))]
     while stack:
         work += 1
         if work > budget:
             raise _over_budget("complement search")
         covered, chosen = stack.pop()
         if covered == full:
-            examined += 1
             work = _spend(work, len(chosen) ** 2 // 16, "complement search")
-            # Each orbit's sets through 0 are found too; they suffice.
-            if 0 in chosen:
-                hits.append(chosen)
+            hits.append(chosen)
             continue
-        free = (~covered) & full
-        least = (free & -free).bit_length() - 1
+        least = (~covered & (covered + 1)).bit_length() - 1
         for b in starters[least]:
             if not cover[b] & covered:
                 stack.append((covered | cover[b], chosen + (b,)))
-    return SearchResult(_orbit_minima(group, hits), True, examined, "")
+    # Translates of a complement are complements, so each element lies in as
+    # many complements as 0 does. Each complement has order // k members, so
+    # counting memberships, order times that number is order // k times the
+    # number of complements: there are k complements for each one through 0.
+    return SearchResult(_orbit_minima(group, hits), True, len(pat_coords) * len(hits), "")
 
 
 def search_spectra(group: GroupInstance, pattern, *,
@@ -361,13 +380,12 @@ def search_spectra(group: GroupInstance, pattern, *,
     ValueError.
     """
     pat_coords = _distinct_coords(group, pattern, "pattern")
-    order = group.order
     k = len(pat_coords)
     route = _search_route(group, k, False, force_exhaustive, samples)
     if route is not None:
         return _sampled_search(group, pat_coords, samples, rng, route, mode="spectrum")
 
-    all_coords = group.coords(np.arange(order))
+    all_coords = group.coords(np.arange(group.order))
     sums = np.abs(_character_table(group, all_coords, pat_coords).sum(axis=1))
     ok = sums <= CHARACTER_TOL * k
     ok[0] = False
@@ -408,11 +426,12 @@ def search_spectra(group: GroupInstance, pattern, *,
 def _sampled_search(group: GroupInstance, pat: np.ndarray,
                     samples: int, rng: Optional[Pcg32], reason: str,
                     mode: str) -> SearchResult:
-    # The route (_search_route) bounded the budget and the candidate size.
-    rng = rng if rng is not None else Pcg32(0)
+    # The route (_search_route) bounded the candidate size; the work is
+    # bounded here, before any draw.
     k = len(pat)
-    size = group.order // k if mode == "tiling" else k
     samples = int(samples)
+    size = _sample_work(group, k, mode == "tiling", samples)
+    rng = rng if rng is not None else Pcg32(0)
     # Candidates are checked in stacks drawn in order, of at most
     # _SAMPLE_STACK_ENTRIES pattern-by-candidate entries.
     stack = max(1, _SAMPLE_STACK_ENTRIES // (k * size))

@@ -243,6 +243,65 @@ def brute_force_complements(group, pattern) -> set[tuple[int, ...]]:
     return found
 
 
+def every_complement(group, pattern) -> set[tuple[int, ...]]:
+    """Every complement of the pattern, translates included, by a plain
+    backtracking exact cover.
+
+    The least uncovered element is covered by the translates that reach it,
+    tried in turn; a cell list marks what is covered, undone on the way back.
+    """
+    order = group.order
+    if order % len(pattern) != 0:
+        return set()
+    pat = [group.coords(p) for p in pattern]
+    covers = [[int(group.index([(a + b) % m for a, b, m in zip(group.coords(t), p,
+                                                                group.moduli)]))
+               for p in pat] for t in range(order)]
+    reaching = [[] for _ in range(order)]
+    for t, cells in enumerate(covers):
+        for c in cells:
+            reaching[c].append(t)
+    covered = [False] * order
+    chosen: list[int] = []
+    found = set()
+
+    def walk(least: int) -> None:
+        while least < order and covered[least]:
+            least += 1
+        if least == order:
+            found.add(tuple(sorted(chosen)))
+            return
+        for t in reaching[least]:
+            cells = covers[t]
+            if not any(covered[c] for c in cells):
+                for c in cells:
+                    covered[c] = True
+                chosen.append(t)
+                walk(least)
+                chosen.pop()
+                for c in cells:
+                    covered[c] = False
+
+    walk(0)
+    return found
+
+
+def orbit_minima(group, sets) -> set[tuple[int, ...]]:
+    """The least member of each translation orbit of a collection of sets
+    that holds every translate of each of its sets: the least translate,
+    which has a member at 0, as canonical_translate picks it."""
+    coords = group.coords(np.arange(group.order))
+    add = group.index(coords[:, np.newaxis, :] + coords[np.newaxis, :, :]).tolist()
+    remaining = set(sets)
+    minima = set()
+    while remaining:
+        members = remaining.pop()
+        orbit = {tuple(sorted(row[x] for x in members)) for row in add}
+        remaining -= orbit
+        minima.add(min(orbit))
+    return minima
+
+
 def brute_force_spectra(group, pattern, tol: float = 1e-9) -> set[tuple[int, ...]]:
     """Every canonical spectrum by testing all candidate subsets directly."""
     order = group.order

@@ -570,6 +570,22 @@ def run_main(tmp_path, capsys, scenario, command):
     return code, capsys.readouterr().err
 
 
+@pytest.mark.parametrize("included,why", [
+    (["no", "no"], "included flags must be bools, got <U2 values"),
+    ([2, 0], "included flags must be bools, got int64 values"),
+    ([0.5, 0.0], "included flags must be bools, got float64 values"),
+    ([[True], [True, False]], "included must nest its flags in lists of equal length"),
+    ("yes", "expected a list of bools"),
+])
+def test_mask_flags_that_are_not_bools_exit_2_naming_included(included, why, tmp_path, capsys):
+    scenario = bounds_scenario()
+    scenario["parameters"]["domain"] = {"mask": {**MASK_BAND["mask"], "included": included}}
+    code, err = run_main(tmp_path, capsys, scenario, "bounds")
+    assert code == 2
+    assert f"scenario.parameters.domain.mask.included ({why})" in err
+    assert "Traceback" not in err
+
+
 def test_cube_check_side_zero_is_rejected_with_its_path(tmp_path, capsys):
     scenario = {"name": "c", "command": "cube-check",
                 "parameters": {"moduli": [6], "side": 0}}

@@ -1,6 +1,7 @@
 """Domain construction, masks, and midpoint quadrature."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -101,6 +102,19 @@ def test_mask_needs_one_included_cell():
 def test_mask_shape_mismatch_rejected():
     with pytest.raises(ValueError, match="included"):
         MaskGrid([0.0], [3], [0.5], [True, False])
+
+
+@pytest.mark.parametrize("included,message", [
+    (["no", "no"], "included flags must be bools, got <U2 values"),
+    ([2, 0], "included flags must be bools, got int64 values"),
+    ([0.5, 0.0], "included flags must be bools, got float64 values"),
+    ([True, 1], "included flags must be bools, got int64 values"),
+    ([[True], [True, False]], "included must nest its flags in lists of equal length"),
+])
+def test_mask_flags_must_be_bools(included, message):
+    # Flags are not read by truthiness, by which ["no", "no"] includes both cells.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make_mask_domain([0.0], [2], [1.0], included)
 
 
 def test_normalize_rescales_to_unit_measure():

@@ -182,6 +182,49 @@ def test_an_exhaustive_walk_canonicalizes_each_orbit_once(monkeypatch, search, m
     assert len(calls) == found
 
 
+def _off_0_cube(moduli, side, offset):
+    group = GroupInstance(moduli)
+    return tuple(int(i) for i in group.index(group.coords(cube_set(group, side)) + offset))
+
+
+@pytest.mark.parametrize("moduli,pattern", [
+    pytest.param([16, 16], (155, 156, 171, 172), id="benchmark-z16sq-cube"),
+    pytest.param([12], (5, 6, 7), id="z12-interval"),
+    pytest.param([4, 16], _off_0_cube([4, 16], 4, [1, 5]), id="z4xz16-cube-side-4"),
+])
+def test_a_complement_walk_off_0_matches_its_translate_and_the_oracle(moduli, pattern):
+    # The walk covers the pattern's translate through 0 and counts k
+    # complements for each complement through 0 it finds; the oracle counts
+    # every complement, translates included.
+    group = GroupInstance(moduli)
+    k = len(pattern)
+    coords = group.coords(pattern)
+    through_0 = tuple(sorted(int(i) for i in group.index(coords - coords[0])))
+    assert 0 not in pattern and 0 in through_0
+    res = search_complements(group, pattern, force_exhaustive=True)
+    moved = search_complements(group, through_0, force_exhaustive=True)
+    every = oracles.every_complement(group, pattern)
+    assert (res.found, res.examined) == (moved.found, moved.examined)
+    assert set(res.found) == oracles.orbit_minima(group, every)
+    assert res.examined == len(every) == k * sum(0 in c for c in every)
+    if group.order <= 16:
+        assert set(res.found) == oracles.brute_force_complements(group, pattern)
+
+
+def test_a_complement_walk_charges_each_complement_through_0_once(monkeypatch):
+    # The Z16^2 cube has 1,020 complements, 255 of them through 0: a walk
+    # over every translate charged all 1,020 through _spend.
+    spend, calls = tiling._spend, []
+
+    def counted(*args):
+        calls.append(1)
+        return spend(*args)
+    monkeypatch.setattr(tiling, "_spend", counted)
+    group = GroupInstance([16, 16])
+    res = search_complements(group, cube_set(group, 2))
+    assert (len(res.found), res.examined, len(calls)) == (39, 1020, 255)
+
+
 def test_is_spectrum_verdicts():
     g = GroupInstance([6])
     yes = is_spectrum(g, (0, 1, 2), (0, 2, 4))
@@ -340,12 +383,13 @@ def test_a_sampled_candidate_is_bounded_before_any_draw(monkeypatch):
 
 
 @pytest.mark.parametrize("search,side,work", [
-    (search_complements, 2, 1629),
+    (search_complements, 2, 407),
     (search_spectra, 4, 18985),
 ])
 def test_a_walk_one_unit_over_budget_stops_where_it_did(monkeypatch, search, side, work):
-    # The work a whole walk of a Z8^2 cube spends, counted when every node
-    # was charged through _spend: the walk finishes on exactly that budget
+    # The work a whole walk of a Z8^2 cube spends: for spectra as counted
+    # when every node was charged through _spend, for complements as counted
+    # for the walk anchored at 0. The walk finishes on exactly that budget
     # and raises one unit short of it, so the inline charge stops at the
     # same node.
     group = GroupInstance([8, 8])
