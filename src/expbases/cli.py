@@ -744,6 +744,11 @@ def _emit(value, out, indent: int) -> None:
             out.write("{}" if keyed else "[]")
             return
         inner = " " * (indent + 2)
+        if not keyed and all(type(item) in (int, float) for item in value):
+            # Plain numbers, written as the loop below writes them, in one join.
+            out.write("[\n" + inner + (",\n" + inner).join(map(_number, value))
+                      + "\n" + " " * indent + "]")
+            return
         out.write("{\n" if keyed else "[\n")
         keys = sorted(str(k) for k in value) if keyed else range(len(value))
         last = len(keys) - 1
@@ -761,14 +766,20 @@ def _emit(value, out, indent: int) -> None:
     elif isinstance(value, (int, np.integer)):
         out.write(str(int(value)))
     elif isinstance(value, (float, np.floating)):
-        value = float(value)
-        out.write(f"{value:.17g}" if np.isfinite(value) else "null")
+        out.write(_number(float(value)))
     elif isinstance(value, (complex, np.complexfloating)):
         _emit({"im": float(value.imag), "re": float(value.real)}, out, indent)
     elif isinstance(value, np.ndarray):
         _emit(value.tolist(), out, indent)
     else:
         raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _number(value) -> str:
+    """A plain int or float as _emit writes it."""
+    if type(value) is int:
+        return str(value)
+    return f"{value:.17g}" if math.isfinite(value) else "null"
 
 
 def dumps_report(report: dict) -> str:

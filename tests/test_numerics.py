@@ -784,11 +784,14 @@ def test_distinct_indices_equal_a_scalar_reference(monkeypatch, seed, bound, k, 
 
 
 # route: how rows are deduped, by a seen-array over [0, bound), by
-# np.unique (bound far above the draws) or in Python (k < _BLOCK_DRAW_MIN).
+# np.unique (bound far above the draws), or, for k < _BLOCK_DRAW_MIN, a
+# window of whole k-value slices at a time ("batched": at least
+# _CLEAN_RUN_MIN rows expected before a repeat, bound / (k (k - 1) / 2)) or
+# in Python (repeat-heavy shapes, and every row with a repeat).
 @pytest.mark.parametrize("bound,k,rows,route", [
     (5184, 1296, 67, "seen"),
-    (5184, 4, 1000, "python"),
-    (2 ** 32, 4, 50, "python"),
+    (5184, 4, 1000, "batched"),
+    (2 ** 32, 4, 50, "batched"),
     (4096, 4096, 2, "seen"),
     (5000, 2500, 7, "seen"),
     (7, 7, 4, "python"),
@@ -797,25 +800,79 @@ def test_distinct_indices_equal_a_scalar_reference(monkeypatch, seed, bound, k, 
     (2 ** 32, 300, 5, "unique"),
     (2 ** 31 + 1, 300, 3, "unique"),
     (64, 64, 5, "seen"),  # blocks fall short
+    (50, 40, 500, "python"),
+    (200, 12, 2000, "python"),
+    (17, 2, 2000, "batched"),
+    (15, 2, 2000, "python"),
+    (5184, 1, 1000, "batched"),
 ])
 def test_stacked_draws_equal_repeated_single_draws(monkeypatch, bound, k, rows, route):
     # A stack of rows is the draws one call per row would make, in order,
     # and leaves the stream where the last of them would.
-    unique = np.unique
-    uniques = []
+    unique, clean_rows = np.unique, numerics._clean_rows
+    calls = []
 
-    def counted(*args, **kwargs):
-        uniques.append(1)
-        return unique(*args, **kwargs)
-    monkeypatch.setattr(np, "unique", counted)
+    def counted(what, call):
+        def wrapped(*args, **kwargs):
+            calls.append(what)
+            return call(*args, **kwargs)
+        return wrapped
+    monkeypatch.setattr(np, "unique", counted("unique", unique))
+    monkeypatch.setattr(numerics, "_clean_rows", counted("batched", clean_rows))
     for seed in (0, 1, 2):
         single = Pcg32(seed)
         singles = [single.distinct_indices(bound, k).tolist() for _ in range(rows)]
-        uniques.clear()
+        calls.clear()
         _draws_equal_the_scalar_reference(seed, bound, k, rows)
-        assert bool(uniques) == (route == "unique")
+        assert set(calls) == ({route} if route in ("unique", "batched") else set())
         assert oracles.pcg32_distinct_draws(seed, bound, k, rows)[0] == singles
-    assert (k >= numerics._BLOCK_DRAW_MIN) == (route != "python")
+    assert (k >= numerics._BLOCK_DRAW_MIN) == (route in ("seen", "unique"))
+
+
+def _repeat_rows(seed, bound, k, rows):
+    """The rows of a stack of draws that skip a repeat, by a walk of randint."""
+    rng, skipped = Pcg32(seed), []
+    for row in range(rows):
+        drawn = [rng.randint(bound)]
+        while len(set(drawn)) < k:
+            drawn.append(rng.randint(bound))
+        if len(drawn) > k:
+            skipped.append(row)
+    return skipped
+
+
+# Bound 32 and k 2 expect 32 rows before a repeat, so they are cut 64 rows
+# (whole 2-value slices) at a time, up to the first row with a repeat; that
+# row is cut in Python and the next window starts after it.
+@pytest.mark.parametrize("seed,bound,k,rows,repeats,blocks", [
+    (74, 32, 2, 140, [0, 4, 14, 25, 63, 88, 100], 1),  # a repeat in the first row
+    (25, 32, 2, 140, [45, 54, 55, 99, 104, 127, 129, 139], 1),  # ... and in the last
+    (3, 32, 2, 140, [24, 27, 51, 52], 1),  # two adjacent rows with repeats
+    (324, 32, 2, 140, [63, 73, 138], 1),  # the last row of the first window
+    (430, 32, 2, 140, [64, 120], 1),  # the first row of the second window
+    (224, 2 ** 31 + 1, 4, 10, [], 2),  # the block falls short inside the window
+    (5, 7, 1, 20, [], 1),
+    (0, 1, 1, 3, [], 1),
+])
+def test_batched_short_rows_equal_the_scalar_reference(monkeypatch, seed, bound, k, rows,
+                                                       repeats, blocks):
+    states, clean_rows = Pcg32._states, numerics._clean_rows
+    calls, windows = [], []
+
+    def counted(self, count):
+        calls.append(count)
+        return states(self, count)
+
+    def window(values, pos, k, most):
+        windows.append(most)
+        return clean_rows(values, pos, k, most)
+    monkeypatch.setattr(Pcg32, "_states", counted)
+    monkeypatch.setattr(numerics, "_clean_rows", window)
+    assert _repeat_rows(seed, bound, k, rows) == repeats
+    calls.clear()
+    _draws_equal_the_scalar_reference(seed, bound, k, rows)
+    assert len(calls) == blocks
+    assert windows[0] == (rows if k == 1 else min(rows, 4 * bound // (k * (k - 1))))
 
 
 def test_distinct_indices_equal_a_scalar_reference_on_seeded_cases():

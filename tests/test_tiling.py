@@ -104,15 +104,26 @@ def test_tiles_counts_match_a_count_per_element(moduli):
 
 
 @pytest.mark.parametrize("moduli,side", [((12,), 3), ((4, 6), (2, 3)), ((3, 3, 2), (3, 1, 2))])
-def test_stacked_checks_equal_the_single_candidate_checks(moduli, side):
+def test_stacked_checks_equal_the_single_candidate_checks(monkeypatch, moduli, side):
     # Sampled searches check a stack of candidates at once; each row must
     # get the verdict and counts the public check gives it alone. Found
     # complements and spectra of a cube lead its stacks, so both verdicts
-    # occur; a seeded pattern's stacks follow.
+    # occur; a seeded pattern's stacks follow, then a one-element pattern's,
+    # which has no difference to screen by. The sampled route screens each
+    # complement stack by its translate by pattern[1] - pattern[0] and
+    # counts only the rows left; some of those do not tile.
     group = GroupInstance(moduli)
     rng = Pcg32(29)
     hits = {search_complements: 0, search_spectra: 0}
-    for pattern in (cube_set(group, side), tuple(sorted(rng.distinct_indices(group.order, 3)))):
+    screened = {"hits": 0, "misses": 0}
+    cover_counts, counted = tiling._cover_counts, []
+
+    def recorded(group, pat, coords):
+        counted.append(len(coords))
+        return cover_counts(group, pat, coords)
+    monkeypatch.setattr(tiling, "_cover_counts", recorded)
+    for pattern in (cube_set(group, side), tuple(sorted(rng.distinct_indices(group.order, 3))),
+                    (int(rng.randint(group.order)),)):
         pat = group.coords(np.asarray(pattern))
         for search, n in ((search_complements, group.order // len(pattern)),
                           (search_spectra, len(pattern))):
@@ -120,12 +131,19 @@ def test_stacked_checks_equal_the_single_candidate_checks(moduli, side):
             cands = np.array([*found, *(rng.distinct_indices(group.order, n) for _ in range(12))])
             coords = group.coords(cands)
             if search is search_complements:
-                stacked = zip(*tiling._cover_counts(group, pat, coords))
-                for cand, counts in zip(cands, stacked):
+                stacked = zip(*cover_counts(group, pat, coords))
+                counted.clear()
+                sampled = tiling._tile_hits(group, pat, cands)
+                kept = [len(pat) == 1 or not set(cand.tolist()) & set(
+                    group.index(group.coords(cand) + pat[1] - pat[0]).tolist()) for cand in cands]
+                assert counted == ([sum(kept)] if any(kept) else [])
+                for cand, counts, hit, left in zip(cands, stacked, sampled, kept):
                     verdict = tiles(group, pattern, cand)
                     assert (verdict.uncovered, verdict.collisions) == counts
                     assert counts == bincount_tiles(group, pattern, cand)
                     assert verdict.is_tiling == (oracles.canonical_translate(group, cand) in found)
+                    assert hit == verdict.is_tiling and (left or not hit)
+                    screened["hits" if hit else "misses"] += left
                     hits[search] += verdict.is_tiling
             else:
                 defects = tiling._character_defects(group, pat, coords)
@@ -135,7 +153,7 @@ def test_stacked_checks_equal_the_single_candidate_checks(moduli, side):
                     assert defect == pytest.approx(verdict.defect, rel=1e-12, abs=1e-12)
                     assert verdict.is_spectrum == (oracles.canonical_translate(group, cand) in found)
                     hits[search] += verdict.is_spectrum
-    assert min(hits.values()) > 0
+    assert min(hits.values()) > 0 and min(screened.values()) > 0
 
 
 def test_sampled_searches_that_find_sets_keep_their_results():
