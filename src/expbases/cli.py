@@ -744,8 +744,9 @@ def _emit(value, out, indent: int) -> None:
             out.write("{}" if keyed else "[]")
             return
         inner = " " * (indent + 2)
-        if not keyed and all(type(item) in (int, float) for item in value):
-            # Plain numbers, written as the loop below writes them, in one join.
+        if not keyed and all(type(item) in (int, float, bool) for item in value):
+            # Plain numbers and bools, written as the loop below writes
+            # them, in one join.
             out.write("[\n" + inner + (",\n" + inner).join(map(_number, value))
                       + "\n" + " " * indent + "]")
             return
@@ -776,9 +777,11 @@ def _emit(value, out, indent: int) -> None:
 
 
 def _number(value) -> str:
-    """A plain int or float as _emit writes it."""
+    """A plain int, float or bool as _emit writes it."""
     if type(value) is int:
         return str(value)
+    if type(value) is bool:
+        return "true" if value else "false"
     return f"{value:.17g}" if math.isfinite(value) else "null"
 
 

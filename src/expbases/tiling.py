@@ -10,7 +10,10 @@ before any draw. Both walks are anchored at 0 and find only the sets
 through 0, which is all that translation leaves to find: the complement
 walk covers the pattern's translate through 0 from offset 0, and the
 spectrum walk extends cliques from 0, tabulating differences among
-admissible elements only.
+admissible elements only. It orders them by their count of admissible
+differences, fewest first, extends each clique directly by each candidate
+after its last member, and pushes a child only if enough candidates remain
+to finish it.
 A finished walk canonicalizes each orbit it found once. Sampled
 candidates are drawn a stack at a time (one Pcg32.distinct_indices call,
 the same values and stream as one draw per candidate) and checked in
@@ -39,7 +42,8 @@ PATTERN_SIZE_CAP = 12
 # Character sums below this fraction of the pattern size count as zero.
 CHARACTER_TOL = 1e-9
 
-# Work an exhaustive walk may spend: one unit per node, plus n * n // 16
+# Work an exhaustive walk may spend: one unit per node of the complement
+# walk and per candidate the spectrum walk tries, plus n * n // 16
 # per found set of n members (the size of a canonicalization table; 16
 # entries cost about one node). Only one set per orbit is canonicalized,
 # but every found set is charged. The walks find only sets through 0: a
@@ -98,6 +102,11 @@ def _coords(group: GroupInstance, idx: np.ndarray, what: str) -> np.ndarray:
     """Coordinate rows of the linear indices idx, named what if one lies outside the group."""
     if idx.size and (idx.min() < 0 or idx.max() >= group.order):
         raise ValueError(f"{what} must lie in [0, {group.order})")
+    return _unravel(group, idx)
+
+
+def _unravel(group: GroupInstance, idx: np.ndarray) -> np.ndarray:
+    """Coordinate rows of linear indices known to lie in the group."""
     return np.stack(np.unravel_index(idx, group.moduli), axis=-1)
 
 
@@ -178,8 +187,8 @@ def _cover_counts(group: GroupInstance, pat: np.ndarray,
 
 
 def _tile_hits(group: GroupInstance, pat: np.ndarray, cands: np.ndarray) -> np.ndarray:
-    """Which rows of cands, linear indices (m, n), tile with pat, coordinate
-    rows (p, d).
+    """Which rows of cands, linear indices (m, n) drawn inside the group,
+    tile with pat, coordinate rows (p, d).
 
     A row that meets its translate by pat[1] - pat[0] has two equal sums,
     c + pat[1] = c' + pat[0], so it cannot tile: one gather over marks of
@@ -187,7 +196,7 @@ def _tile_hits(group: GroupInstance, pat: np.ndarray, cands: np.ndarray) -> np.n
     verdict, as tiles() gives it. The marks hold m * order = m * p * n
     entries, as many as the sums.
     """
-    coords = group.coords(cands)
+    coords = _unravel(group, cands)
     left = np.ones(len(cands), dtype=bool)
     if len(pat) > 1:
         rows = np.arange(len(cands))[:, np.newaxis]
@@ -407,9 +416,12 @@ def search_spectra(group: GroupInstance, pattern, *,
     """All spectra of the pattern, up to translation.
 
     Differences within a spectrum must annihilate the pattern's character
-    sum, so the search extends index-ascending cliques of the admissible
-    difference set, anchored at zero. A walk past SEARCH_BUDGET raises
-    ValueError.
+    sum, so the search lists the cliques of the admissible difference set
+    through zero. The admissible elements are ordered by their count of
+    admissible differences, fewest first, and a clique is extended by each
+    candidate after its last member in turn; a child that has too few
+    candidates left to finish is not pushed. Each candidate tried costs a
+    unit; a walk past SEARCH_BUDGET raises ValueError.
     """
     pat_coords = _distinct_coords(group, pattern, "pattern")
     k = len(pat_coords)
@@ -424,34 +436,42 @@ def search_spectra(group: GroupInstance, pattern, *,
 
     # Every member of a spectrum anchored at 0 is admissible, so the table
     # needs admissible elements only; bit r of extends[c] is set when
-    # admissible[r] - admissible[c] is admissible.
-    admissible = np.flatnonzero(ok).tolist()
+    # admissible[r] - admissible[c] is admissible. A clique is extended only
+    # by positions after its last member, so the positions run by ascending
+    # count of admissible differences (ties in index order): the sparse
+    # elements come first, and their small candidate sets cut the walk early.
+    admissible = np.flatnonzero(ok)
     adm_coords = all_coords[admissible]
     diff_ok = ok[_sum_index(group, adm_coords[:, np.newaxis, :],
                             _negated(group, adm_coords)[np.newaxis, :, :])]
+    position = np.argsort(diff_ok.sum(axis=0), kind="stable")
+    admissible = admissible[position].tolist()
     extends = [int.from_bytes(np.packbits(col, bitorder="little").tobytes(), "little")
-               for col in diff_ok.T]
+               for col in diff_ok[np.ix_(position, position)].T]
 
     hits = []
     work = 0
     budget = SEARCH_BUDGET
     # Each entry is a clique and the bitset of admissible positions that may
-    # extend it: the lowest is tried first, then the clique without it.
+    # extend it.
     stack = [((0,), (1 << len(admissible)) - 1)]
     while stack:
-        work += 1
-        if work > budget:
-            raise _over_budget("spectrum search")
         members, candidates = stack.pop()
         needed = k - len(members)
         if needed == 0:
             work = _spend(work, k * k // 16, "spectrum search")
             hits.append(members)
-        elif candidates.bit_count() >= needed:
+            continue
+        while candidates.bit_count() >= needed:
+            work += 1
+            if work > budget:
+                raise _over_budget("spectrum search")
             low = candidates & -candidates
+            candidates ^= low
             c = low.bit_length() - 1
-            stack.append((members, candidates ^ low))
-            stack.append((members + (admissible[c],), (candidates ^ low) & extends[c]))
+            rest = candidates & extends[c]
+            if rest.bit_count() >= needed - 1:
+                stack.append((members + (admissible[c],), rest))
     return SearchResult(_orbit_minima(group, hits), True, len(hits), "")
 
 
@@ -470,10 +490,11 @@ def _sampled_search(group: GroupInstance, pat: np.ndarray,
     found: set[tuple[int, ...]] = set()
     for start in range(0, samples, stack):
         cands = rng.distinct_indices(group.order, size, min(stack, samples - start))
+        # Drawn inside [0, order), so the indices need no range check.
         if mode == "tiling":
             hits = _tile_hits(group, pat, cands)
         else:
-            hits = _character_defects(group, pat, group.coords(cands)) <= CHARACTER_TOL * k
+            hits = _character_defects(group, pat, _unravel(group, cands)) <= CHARACTER_TOL * k
         for cand in cands[hits]:
             found.add(_canonical(group, cand))
     note = f"{reason}; sampled {samples} candidate sets, no exhaustive guarantee"

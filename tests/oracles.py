@@ -322,6 +322,54 @@ def brute_force_spectra(group, pattern, tol: float = 1e-9) -> set[tuple[int, ...
     return found
 
 
+def difference_table(group) -> list[list[int]]:
+    """diff[a][b], the index of a - b, for every pair of group elements."""
+    coords = group.coords(np.arange(group.order))
+    return group.index(coords[:, np.newaxis, :] - coords[np.newaxis, :, :]).tolist()
+
+
+def admissible_elements(group, pattern, tol: float = 1e-9) -> list[int]:
+    """The nonzero elements whose character sum on the pattern vanishes,
+    ascending: each summed one character at a time."""
+    points = group.coords(np.arange(group.order)) / np.asarray(group.moduli, dtype=float)
+    pat = group.coords(np.asarray(pattern))
+    admissible = []
+    for x in range(1, group.order):
+        total = sum(np.exp(2j * np.pi * float(p @ points[x])) for p in pat)
+        if abs(total) <= tol * len(pattern):
+            admissible.append(x)
+    return admissible
+
+
+def brute_force_cliques(diff, admissible, k: int) -> set[tuple[int, ...]]:
+    """Every k-set through 0 whose differences (diff, difference_table's)
+    all lie in admissible: each (k - 1)-subset of the admissible elements
+    is tried with 0, its differences looked up one pair at a time."""
+    ok = set(admissible)
+    return {(0,) + rest for rest in combinations(admissible, k - 1)
+            if all(diff[a][b] in ok for a, b in combinations(rest, 2))}
+
+
+def include_exclude_spectrum_work(diff, admissible, k: int) -> int:
+    """The work units of a spectrum walk that extends cliques from 0 in
+    ascending index order and pushes two children at every node, the
+    clique with its lowest candidate and the clique without it: one per
+    node popped, plus k * k // 16 per k-clique found."""
+    ok = set(admissible)
+    stack = [(1, admissible)]
+    work = 0
+    while stack:
+        work += 1
+        size, candidates = stack.pop()
+        if size == k:
+            work += k * k // 16
+        elif len(candidates) >= k - size:
+            c, rest = candidates[0], candidates[1:]
+            stack.append((size, rest))
+            stack.append((size + 1, [r for r in rest if diff[r][c] in ok]))
+    return work
+
+
 def canonical_translate(group, indices) -> tuple[int, ...]:
     """Lexicographically least translate of the set, matching the library rule."""
     pts = [group.coords(i) for i in indices]

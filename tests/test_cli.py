@@ -272,14 +272,19 @@ def test_dumps_report_layout():
 
 
 def test_plain_number_lists_are_written_as_the_items_one_by_one():
-    # A list of plain ints and floats is joined in one write; numpy scalars
-    # and bools take the item-by-item path, which must give the same bytes.
-    assert dumps_report({"a": [1, -2.5, float("nan")]}) == (
-        '{\n  "a": [\n    1,\n    -2.5,\n    null\n  ]\n}\n')
+    # A list of plain ints, floats and bools is joined in one write; numpy
+    # scalars take the item-by-item path, which must give the same bytes.
+    assert dumps_report({"a": [1, -2.5, float("nan")], "b": [True, False]}) == (
+        '{\n  "a": [\n    1,\n    -2.5,\n    null\n  ],\n  "b": [\n    true,\n    false\n  ]\n}\n')
     values = [0, -7, 2 ** 70, 0.1, -0.0, 1e300, 5e-324, float("inf"), float("-inf"), float("nan")]
     each = [(np.int64(v) if abs(v) < 2 ** 63 else v) if type(v) is int else np.float64(v)
             for v in values]
-    for plain, numpy_items in ((values, each), ([3], [np.int64(3)]), ((1.5, 2), (np.float64(1.5), 2))):
+    flags = [True, False, False, True]
+    mixed = [True, 0, -2.5, False, 7]
+    for plain, numpy_items in ((values, each), ([3], [np.int64(3)]), ((1.5, 2), (np.float64(1.5), 2)),
+                               (flags, [np.bool_(v) for v in flags]),
+                               (mixed, [np.bool_(True), np.int64(0), np.float64(-2.5),
+                                        np.bool_(False), 7])):
         nested = {"x": {"y": plain}, "z": [plain, plain]}
         assert dumps_report(nested) == dumps_report(
             {"x": {"y": numpy_items}, "z": [numpy_items, numpy_items]})

@@ -377,6 +377,28 @@ def test_sampled_searches_with_hits_agree_with_the_checks(search, check, verdict
     assert rng._state == redraw._state
 
 
+def test_sampled_stacks_are_drawn_inside_the_group(monkeypatch):
+    # A sampled search unravels each drawn stack with no range check, so
+    # every stack it draws must lie in [0, order): cyclic and rank-2 groups,
+    # past the order cap and past the pattern cap, both kinds of search.
+    draws = []
+    distinct_indices = Pcg32.distinct_indices
+
+    def recorded(self, bound, k, rows=None):
+        stack = distinct_indices(self, bound, k, rows)
+        draws.append((bound, stack))
+        return stack
+    monkeypatch.setattr(Pcg32, "distinct_indices", recorded)
+    for moduli, pattern in (((5000,), (0, 1)), ((72, 72), (0, 1, 72, 73)),
+                            ((13, 3), tuple(range(13))), ((3, 5, 7), tuple(range(0, 105, 7)))):
+        group = GroupInstance(moduli)
+        for search in (search_complements, search_spectra):
+            draws.clear()
+            search(group, pattern, samples=60, rng=Pcg32(group.order))
+            assert draws and all(bound == group.order and stack.size for bound, stack in draws)
+            assert all(0 <= stack.min() and stack.max() < group.order for _, stack in draws)
+
+
 def test_a_sampled_candidate_is_bounded_before_any_draw(monkeypatch):
     # A 2-element pattern in Z_{2^40} has complements of 2^39 elements.
     def draw(self, bound, k):
@@ -402,14 +424,14 @@ def test_a_sampled_candidate_is_bounded_before_any_draw(monkeypatch):
 
 @pytest.mark.parametrize("search,side,work", [
     (search_complements, 2, 407),
-    (search_spectra, 4, 18985),
+    (search_spectra, 4, 1320),
 ])
 def test_a_walk_one_unit_over_budget_stops_where_it_did(monkeypatch, search, side, work):
     # The work a whole walk of a Z8^2 cube spends: for spectra as counted
-    # when every node was charged through _spend, for complements as counted
-    # for the walk anchored at 0. The walk finishes on exactly that budget
-    # and raises one unit short of it, so the inline charge stops at the
-    # same node.
+    # one unit per candidate tried in degree order, for complements as
+    # counted for the walk anchored at 0. The walk finishes on exactly that
+    # budget and raises one unit short of it, so the inline charge stops at
+    # the same node.
     group = GroupInstance([8, 8])
     pattern = cube_set(group, side)
     monkeypatch.setattr(tiling, "SEARCH_BUDGET", work)
@@ -419,6 +441,48 @@ def test_a_walk_one_unit_over_budget_stops_where_it_did(monkeypatch, search, sid
     with pytest.raises(ValueError, match=f"^{kind} search passed its budget of {work - 1} "
                                          "work units unfinished$"):
         search(group, pattern, force_exhaustive=True)
+
+
+def _spectrum_walk_family():
+    # Cyclic Z_6..Z_24 and rank-2 groups up to order 64, each with its
+    # divisor cubes of 2 to 4 elements (the cyclic ones of every size) and
+    # seeded patterns: sizes the combinations oracle enumerates quickly.
+    rng = Pcg32(33)
+    groups = [(n,) for n in range(6, 25)] + [(a, b) for a in range(2, 9)
+                                               for b in range(a, 64 // a + 1)]
+    for moduli in groups:
+        group = GroupInstance(moduli)
+        sides = np.meshgrid(*[[s for s in range(1, m + 1) if m % s == 0] for m in moduli],
+                            indexing="ij")
+        for side in np.stack(sides, axis=-1).reshape(-1, len(moduli)):
+            if 1 < side.prod() < group.order and (len(moduli) == 1 or side.prod() <= 4):
+                yield group, cube_set(group, side)
+        for size in ((2, 3, 4, 5) if len(moduli) == 1 else (3, 4)):
+            yield group, tuple(sorted(rng.distinct_indices(group.order, size).tolist()))
+
+
+def test_the_spectrum_walk_finds_the_brute_force_cliques_for_no_more_work(monkeypatch):
+    # The walk in degree order finds the k-sets through 0 with admissible
+    # differences that combinations of the admissible elements find, and
+    # finishes within the work of the walk in index order that pushed an
+    # include and an exclude child at every node. Some elements share a
+    # count of admissible differences, so the order's tie rule is run.
+    ties = cliques_found = 0
+    for group, pattern in _spectrum_walk_family():
+        k = len(pattern)
+        diff = oracles.difference_table(group)
+        admissible = oracles.admissible_elements(group, pattern)
+        cliques = oracles.brute_force_cliques(diff, admissible, k)
+        monkeypatch.setattr(tiling, "SEARCH_BUDGET",
+                            oracles.include_exclude_spectrum_work(diff, admissible, k))
+        res = search_spectra(group, pattern, force_exhaustive=True)
+        assert res.examined == len(cliques), (group, pattern)
+        assert set(res.found) == oracles.orbit_minima(group, cliques), (group, pattern)
+        ok = set(admissible)
+        degrees = [sum(diff[r][c] in ok for r in admissible) for c in admissible]
+        ties += len(set(degrees)) < len(degrees)
+        cliques_found += len(cliques)
+    assert ties > 0 and cliques_found > 0
 
 
 def test_indices_past_int64_are_refused_by_label():
