@@ -3,7 +3,10 @@
 Elements of Z_{n_1} x ... x Z_{n_d} are addressed by C-order linear
 index. Tiling verdicts are exact (integer coverage counts); spectrum
 verdicts judge float character sums against CHARACTER_TOL times the
-pattern size. Searches are exhaustive depth-first walks of an explicit
+pattern size. is_spectrum forms the candidate's character Gram; the
+spectrum searches read one table instead, the modulus of the group DFT of
+the pattern's indicator, whose zeros are the admissible differences
+(Fuglede). Searches are exhaustive depth-first walks of an explicit
 stack up to the documented caps and a work budget, with a seeded
 sampling fallback beyond the caps, charged against the same budget
 before any draw. Both walks are anchored at 0 and find only the sets
@@ -19,9 +22,10 @@ candidates are drawn a stack at a time (one Pcg32.distinct_indices call,
 the same values and stream as one draw per candidate) and checked in
 bounded stacks. A sampled complement that meets its own translate by
 pattern[1] - pattern[0] has two equal sums and is dropped by one gather;
-the rest, and every sampled spectrum, go through the verdict path of the
-single-candidate checks. Sums and differences of elements are indexed
-without a modulo (_sum_index).
+the rest go through the verdict path of tiles(). A sampled spectrum is
+judged by the table at the differences of its pairs, or, in a group
+larger than a stack, by is_spectrum's Gram. Sums and differences of
+elements are indexed without a modulo (_sum_index).
 """
 
 from __future__ import annotations
@@ -56,7 +60,9 @@ SEARCH_BUDGET = 2_000_000
 
 # Pattern-by-candidate entries per stack of sampled candidates drawn and
 # checked at once (each entry is a sum, a member mark or a character
-# value), so memory does not grow with the sample budget. The sampled Z72^2
+# value), so memory does not grow with the sample budget. A sampled
+# spectrum search reads a table of one character sum per group element
+# only in groups of at most this many elements. The sampled Z72^2
 # complement search (200 candidates of 1,296 against a 4-element pattern)
 # took a median 21.4 ms at 2^14 (3 rows a stack), 18.0 at 2^15, 17.5 at
 # 2^16 and 25.1 at 2^17 (2-core Xeon VM), where the blocks of states
@@ -233,6 +239,18 @@ def _character_table(group: GroupInstance, freq_coords: np.ndarray,
     return np.exp(2j * np.pi * (freq_coords @ scaled.T))
 
 
+def _character_sums(group: GroupInstance, pat: np.ndarray) -> np.ndarray:
+    """|sum over a in pat of chi_x(a)| for every element x, in C order.
+
+    The modulus of the group DFT of the pattern's 0/1 indicator (np.fft,
+    imported on first use): O(order log order) time and O(order) memory,
+    whatever the pattern size. A spectrum's differences are its zeros.
+    """
+    indicator = np.zeros(group.moduli)
+    indicator[tuple(pat.T)] = 1.0
+    return np.abs(np.fft.fftn(indicator)).ravel()
+
+
 def _character_defects(group: GroupInstance, pat: np.ndarray, cands: np.ndarray) -> np.ndarray:
     # The largest off-diagonal character sum modulus per candidate, from
     # coordinate rows: pat (p, d), cands (m, n, d).
@@ -241,6 +259,26 @@ def _character_defects(group: GroupInstance, pat: np.ndarray, cands: np.ndarray)
     gram = table @ table.conj().transpose(0, 2, 1)
     gram[:, np.arange(n), np.arange(n)] = 0
     return np.abs(gram).max(axis=(1, 2))
+
+
+def _spectrum_hits(group: GroupInstance, pat: np.ndarray, cands: np.ndarray,
+                   sums: Optional[np.ndarray]) -> np.ndarray:
+    """Which rows of cands, linear indices (m, k) drawn inside the group, are
+    spectra of pat, coordinate rows (k, d).
+
+    The Gram entry of members c_i and c_j is the character sum at c_i - c_j,
+    so with sums, _character_sums's table, a row's defect is the largest
+    entry at the differences of its k(k-1)/2 pairs. Without it each row
+    forms its character Gram, as is_spectrum does.
+    """
+    coords = _unravel(group, cands)
+    if sums is None:
+        defects = _character_defects(group, pat, coords)
+    else:
+        i, j = np.triu_indices(len(pat), 1)
+        defects = sums[_sum_index(group, coords[:, i], _negated(group, coords[:, j]))].max(
+            axis=1, initial=0.0)
+    return defects <= CHARACTER_TOL * len(pat)
 
 
 def is_spectrum(group: GroupInstance, pattern, candidate) -> SpectrumVerdict:
@@ -274,7 +312,7 @@ def _canonical(group: GroupInstance, indices: np.ndarray,
     # orbit minimum is the least sorted row. Rows come in blocks of 256 so
     # the broadcast stays linear in the set size. The rows are the orbit's
     # sets through 0, struck from pending when it is given.
-    coords = group.coords(indices)
+    coords = _unravel(group, indices)
     keys = []
     for start in range(0, coords.shape[0], 256):
         origins = _negated(group, coords[start:start + 256, np.newaxis, :])
@@ -416,12 +454,16 @@ def search_spectra(group: GroupInstance, pattern, *,
     """All spectra of the pattern, up to translation.
 
     Differences within a spectrum must annihilate the pattern's character
-    sum, so the search lists the cliques of the admissible difference set
-    through zero. The admissible elements are ordered by their count of
-    admissible differences, fewest first, and a clique is extended by each
-    candidate after its last member in turn; a child that has too few
-    candidates left to finish is not pushed. Each candidate tried costs a
-    unit; a walk past SEARCH_BUDGET raises ValueError.
+    sum, read from one table of every element's sum (_character_sums, the
+    group DFT of the pattern's indicator), so the search lists the cliques
+    of the admissible difference set through zero; a sampled search judges
+    each candidate's pair differences in the same table (or by the Gram of
+    is_spectrum, past a stack's entries). The admissible elements are
+    ordered by their count of admissible differences, fewest first, and a
+    clique is extended by each candidate after its last member in turn; a
+    child that has too few candidates left to finish is not pushed. Each
+    candidate tried costs a unit; a walk past SEARCH_BUDGET raises
+    ValueError.
     """
     pat_coords = _distinct_coords(group, pattern, "pattern")
     k = len(pat_coords)
@@ -429,9 +471,7 @@ def search_spectra(group: GroupInstance, pattern, *,
     if route is not None:
         return _sampled_search(group, pat_coords, samples, rng, route, mode="spectrum")
 
-    all_coords = group.coords(np.arange(group.order))
-    sums = np.abs(_character_table(group, all_coords, pat_coords).sum(axis=1))
-    ok = sums <= CHARACTER_TOL * k
+    ok = _character_sums(group, pat_coords) <= CHARACTER_TOL * k
     ok[0] = False
 
     # Every member of a spectrum anchored at 0 is admissible, so the table
@@ -441,7 +481,7 @@ def search_spectra(group: GroupInstance, pattern, *,
     # count of admissible differences (ties in index order): the sparse
     # elements come first, and their small candidate sets cut the walk early.
     admissible = np.flatnonzero(ok)
-    adm_coords = all_coords[admissible]
+    adm_coords = _unravel(group, admissible)
     diff_ok = ok[_sum_index(group, adm_coords[:, np.newaxis, :],
                             _negated(group, adm_coords)[np.newaxis, :, :])]
     position = np.argsort(diff_ok.sum(axis=0), kind="stable")
@@ -487,6 +527,8 @@ def _sampled_search(group: GroupInstance, pat: np.ndarray,
     # Candidates are checked in stacks drawn in order, of at most
     # _SAMPLE_STACK_ENTRIES pattern-by-candidate entries.
     stack = max(1, _SAMPLE_STACK_ENTRIES // (k * size))
+    sums = (_character_sums(group, pat)
+            if mode == "spectrum" and group.order <= _SAMPLE_STACK_ENTRIES else None)
     found: set[tuple[int, ...]] = set()
     for start in range(0, samples, stack):
         cands = rng.distinct_indices(group.order, size, min(stack, samples - start))
@@ -494,7 +536,7 @@ def _sampled_search(group: GroupInstance, pat: np.ndarray,
         if mode == "tiling":
             hits = _tile_hits(group, pat, cands)
         else:
-            hits = _character_defects(group, pat, _unravel(group, cands)) <= CHARACTER_TOL * k
+            hits = _spectrum_hits(group, pat, cands, sums)
         for cand in cands[hits]:
             found.add(_canonical(group, cand))
     note = f"{reason}; sampled {samples} candidate sets, no exhaustive guarantee"

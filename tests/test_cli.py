@@ -1066,6 +1066,13 @@ UNIT_INTERVAL = {"boxes": [[0.0, 1.0]]}
                  0, None, id="frame-transfer-of-512-on-2^20-bump-nodes"),
     pytest.param("cube-check", {"moduli": [4096], "side": 2}, 0, None,
                  id="cube-check-on-z4096"),
+    # 125,000 samples of 16 against 16 spend the whole budget; a 2^16-element
+    # group is judged from its character-sum table, one past it by Grams.
+    *(pytest.param("tiling", {"moduli": moduli, "mode": "search_spectra",
+                              "pattern": list(range(16)), "samples": 125_000},
+                   0, None, id=name)
+      for name, moduli in [("sampled-spectra-in-z256xz256", [256, 256]),
+                           ("sampled-spectra-in-z256xz257", [256, 257])]),
 ])
 def test_scenarios_at_the_caps_end_in_bounded_memory(command, parameters, code, message,
                                                      tmp_path, child_env):
@@ -1073,8 +1080,11 @@ def test_scenarios_at_the_caps_end_in_bounded_memory(command, parameters, code, 
     # minute in exit 0 and an empty stderr, or exit 2 and one error line:
     # a piece-by-piece walk of the mask took 738 MB and 37 s, the spectrum
     # search would have run for months, and the complement's cover counts
-    # would have asked for 2 GiB. The 2^20-node and Z_4096 cases take at
-    # most 5 s and 300 MB each.
+    # would have asked for 2 GiB. The 2^20-node cases take at most 5 s and
+    # 300 MB each. The Z_4096 cube check reads its dual's 2,048-element
+    # character sums from one DFT table, forming no order x k array of
+    # exponentials, and takes 0.8 s and 100 MB; the two sampled spectrum
+    # searches take 1-3 s and under 40 MB each.
     resource = pytest.importorskip("resource")
     scenario = tmp_path / "scenario.json"
     write_scenario(scenario, {"name": "edge", "command": command, "parameters": parameters})

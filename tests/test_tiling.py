@@ -156,6 +156,79 @@ def test_stacked_checks_equal_the_single_candidate_checks(monkeypatch, moduli, s
     assert min(hits.values()) > 0 and min(screened.values()) > 0
 
 
+def _character_sum_cases():
+    # Rank 1 to 3, a modulus-1 axis, Z_4100 (past the order cap), k = 1 and
+    # k = 12, a pattern of half the group forced past the pattern cap, and
+    # seeded patterns beside cubes with spectra.
+    rng = Pcg32(34)
+    cases = [((12,), (5,)), ((4100,), (0, 2050)), ((26,), tuple(range(13)))]
+    for moduli, side in (((1, 30), (1, 5)), ((6, 8), (3, 4)), ((2, 6, 4), (1, 3, 2))):
+        cases.append((moduli, cube_set(GroupInstance(moduli), side)))
+    for moduli, k in (((4100,), 12), ((4, 6), 12), ((3, 4, 5), 6), ((1, 9), 3)):
+        cases.append((moduli, tuple(sorted(rng.distinct_indices(int(np.prod(moduli)), k).tolist()))))
+    return cases
+
+
+def test_the_character_sum_table_agrees_with_the_gram_route():
+    # Spectrum searches read |T(x)|, the DFT of the pattern's indicator, and
+    # is_spectrum forms a Gram of exponentials. On every element the table
+    # admits what the direct character sums admit; on drawn stacks, led by
+    # the found spectra and each one with a member moved, the table's pair
+    # differences give the hits of the Gram.
+    rng = Pcg32(35)
+    hits = misses = 0
+    for moduli, pattern in _character_sum_cases():
+        group = GroupInstance(moduli)
+        pat = group.coords(np.asarray(pattern))
+        k, tol = len(pattern), tiling.CHARACTER_TOL * len(pattern)
+        sums = tiling._character_sums(group, pat)
+        direct = np.abs(tiling._character_table(
+            group, group.coords(np.arange(group.order)), pat).sum(axis=1))
+        assert np.array_equal(sums <= tol, direct <= tol), moduli
+        assert sums == pytest.approx(direct, abs=1e-9)
+        found = (search_spectra(group, pattern, force_exhaustive=True).found
+                 if group.order <= tiling.GROUP_ORDER_CAP else ())
+        moved = [(*s[:-1], (s[-1] + 1) % group.order) for s in found]
+        cands = np.array([*found, *(m for m in moved if len(set(m)) == k),
+                          *rng.distinct_indices(group.order, k, 40)])
+        table = tiling._spectrum_hits(group, pat, cands, sums)
+        gram = tiling._spectrum_hits(group, pat, cands, None)
+        assert np.array_equal(table, gram), moduli
+        assert table[:len(found)].all()
+        hits += int(table.sum())
+        misses += int((~table).sum())
+    assert hits > 0 and misses > 0
+
+
+@pytest.mark.parametrize("moduli,table", [pytest.param([256, 256], 1, id="2^16-table"),
+                                           pytest.param([256, 257], 0, id="above-gram")])
+def test_a_sampled_spectrum_search_at_the_table_edge_matches_the_gram(monkeypatch, moduli,
+                                                                       table):
+    # A group of 2^16 elements, the entries of a stack, is judged from the
+    # table; one just above it by each candidate's Gram. Either way the
+    # search finds the orbits that is_spectrum finds among the same draws
+    # and leaves the stream where they do. The pattern {0, 64, 128, 192} on
+    # the first axis admits every difference whose first coordinate is not a
+    # multiple of 4, so a candidate whose first coordinates are distinct
+    # mod 4 is a spectrum: about 1 in 11 draws.
+    group = GroupInstance(moduli)
+    pattern = tuple(int(i) for i in group.index([[a, 0] for a in (0, 64, 128, 192)]))
+    character_sums, calls = tiling._character_sums, []
+
+    def recorded(*args):
+        calls.append(1)
+        return character_sums(*args)
+    monkeypatch.setattr(tiling, "_character_sums", recorded)
+    rng, redraw = Pcg32(5), Pcg32(5)
+    res = search_spectra(group, pattern, samples=300, rng=rng)
+    cands = [redraw.distinct_indices(group.order, 4) for _ in range(300)]
+    found = {oracles.canonical_translate(group, cand) for cand in cands
+             if is_spectrum(group, pattern, cand).is_spectrum}
+    assert found and set(res.found) == found and res.examined == 300
+    assert rng.next_u32() == redraw.next_u32()
+    assert len(calls) == table
+
+
 def test_sampled_searches_that_find_sets_keep_their_results():
     # Values recorded before sampled candidates were drawn in blocks and
     # checked in stacks, with the stream's next output after the search.
