@@ -58,23 +58,10 @@ RESIDUAL_CAP = 1e-8
 # Entries per block of rows in the Hermitian defect scan.
 _DEFECT_BLOCK_ENTRIES = 2 ** 16
 
-# Pcg32.distinct_indices cuts rows of this many values or more from its
-# blocks of accepted draws with array operations, and shorter rows in plain
-# Python: near 48 values a row both take 11-17 us, and Python is faster
-# below (30-row stacks, bounds 5,184 and 2^32, on a 2-core Xeon VM).
-_BLOCK_DRAW_MIN = 48
-
-# Shorter rows are cut a window of whole k-value slices at a time, up to the
-# first slice with a repeat, when at least this many rows are expected
-# before one (bound / (k (k - 1) / 2)); the row with the repeat, and every
-# row of a shape with more repeats, is cut in Python. Rows of 2 break even
-# near 12 (8: 1.10 times the Python cut's time, 16: 0.61), rows of 8 near 6;
-# 8,000- and 2,000-row stacks on a 2-core Xeon VM.
-_CLEAN_RUN_MIN = 16
-
-# The long rows are deduped with a seen-array over [0, bound) while bound is
-# at most this many times the draws expected for the whole stack, so its
-# memory stays within a few times the draws'; larger bounds use np.unique.
+# Pcg32.distinct_indices' array cut dedupes with a seen-array over
+# [0, bound) while bound is at most this many times the draws expected for
+# the whole stack, so its memory stays within a few times the draws';
+# larger bounds use np.unique.
 _SEEN_SPAN = 4
 
 
@@ -528,11 +515,11 @@ class Pcg32:
         Each row holds the values of repeated randint(bound) with repeats
         skipped, from where the row before it stopped. The rows are cut
         from a block of states sized for all of them; should it fall
-        short, another is drawn for the rows still to cut. Rows of fewer
-        than _BLOCK_DRAW_MIN values that expect at least _CLEAN_RUN_MIN
-        rows before a repeat are cut a window at a time (_clean_rows), up
-        to the first row with a repeat, which _cut cuts; every other row
-        is cut by _cut. The stream is set back to just past the last state
+        short, another is drawn for the rows still to cut. Where a window
+        of twice the rows expected before a repeat holds at least one row,
+        rows are cut a window of whole k-value slices at a time
+        (_clean_rows), up to the first row with a repeat; that row, and
+        every row of a shape with more repeats, is cut by _cut. The stream is set back to just past the last state
         used, so the values and the state after are those of the
         one-value-at-a-time walk.
         """
@@ -546,13 +533,12 @@ class Pcg32:
             # bound * (H(bound) - H(bound - k)) with H(m) ~ ln(m + 1/2).
             per_row = bound * (math.log(bound + 0.5) - math.log(bound - k + 0.5))
             seen = (np.empty(bound, dtype=np.intp)
-                    if k >= _BLOCK_DRAW_MIN and bound <= _SEEN_SPAN * count * per_row else None)
+                    if bound <= _SEEN_SPAN * count * per_row else None)
             # A row of k draws holds a repeat with chance about k (k - 1) / 2
-            # / bound, so short rows come in runs of about run rows with no
+            # / bound, so rows come in runs of about run rows with no
             # repeat, each its next k draws; a window spans twice that.
             run = bound / (k * (k - 1) / 2) if k > 1 else math.inf
-            window = (int(min(count, 2 * run)) if k < _BLOCK_DRAW_MIN and run >= _CLEAN_RUN_MIN
-                      else 0)
+            window = int(min(count, 2 * run))
             accepted = np.empty(0, dtype=np.int64)
             states = np.empty(0, dtype=np.uint64)
             pos = r = 0
@@ -566,7 +552,6 @@ class Pcg32:
                 accepted = np.concatenate(
                     [accepted, (outputs[kept] % np.uint64(bound)).astype(np.int64)])
                 states = np.concatenate([states, block[kept]])
-                values = accepted.tolist() if k < _BLOCK_DRAW_MIN else accepted
                 while r < count:
                     if window:
                         most = min(window, count - r)
@@ -575,7 +560,7 @@ class Pcg32:
                         r, pos = r + len(clean), pos + clean.size
                         if len(clean) == most:
                             continue
-                    if (got := _cut(values, pos, k, per_row, seen)) is None:
+                    if (got := _cut(accepted, pos, k, per_row, seen)) is None:
                         break
                     out[r], pos = got
                     r += 1
@@ -593,27 +578,14 @@ def _clean_rows(values: np.ndarray, pos: int, k: int, most: int) -> np.ndarray:
     return rows[:int(repeat.argmax())] if repeat.any() else rows
 
 
-def _cut(values, pos: int, k: int, per_row: float, seen: Optional[np.ndarray]):
+def _cut(values: np.ndarray, pos: int, k: int, per_row: float, seen: Optional[np.ndarray]):
     """(row, end): the k distinct values of values from pos on, in order,
     and the position just past the last; None when the values run out first.
 
-    A list of values (rows below _BLOCK_DRAW_MIN: repeat-heavy shapes, and
-    a batched shape's rows with a repeat) is cut in plain Python. An array
-    is cut from a window marked at each value's first occurrence: by seen,
-    an array over [0, bound), or else by np.unique. A short window is
-    doubled.
+    The row is cut from a window marked at each value's first occurrence:
+    by seen, an array over [0, bound), or else by np.unique. A short window
+    is doubled.
     """
-    if k < _BLOCK_DRAW_MIN:
-        found: set[int] = set()
-        row: list[int] = []
-        for end in range(pos, len(values)):
-            x = values[end]
-            if x not in found:
-                found.add(x)
-                row.append(x)
-                if len(row) == k:
-                    return row, end + 1
-        return None
     width = int(1.05 * per_row) + 16
     while True:
         window = values[pos:pos + width]

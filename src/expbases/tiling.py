@@ -329,12 +329,13 @@ def _orbit_minima(group: GroupInstance, hits: list) -> tuple[tuple[int, ...], ..
     Both exhaustive walks are anchored at 0 and find every set through 0,
     so they find all of each orbit's sets through 0 and no other set.
     Canonicalizing one strikes all of them, so each orbit costs one
-    _canonical call and nothing is kept beyond the found sets.
+    _canonical call and nothing is kept beyond the found sets; the last
+    orbit has nothing left to strike.
     """
     pending = {tuple(sorted(hit)) for hit in hits}
     minima = []
     while pending:
-        minima.append(_canonical(group, np.asarray(pending.pop()), pending))
+        minima.append(_canonical(group, np.asarray(pending.pop()), pending or None))
     return tuple(sorted(minima))
 
 

@@ -1083,7 +1083,7 @@ def test_scenarios_at_the_caps_end_in_bounded_memory(command, parameters, code, 
     # would have asked for 2 GiB. The 2^20-node cases take at most 5 s and
     # 300 MB each. The Z_4096 cube check reads its dual's 2,048-element
     # character sums from one DFT table, forming no order x k array of
-    # exponentials, and takes 0.8 s and 100 MB; the two sampled spectrum
+    # exponentials, and takes 0.4 s and 100 MB; the two sampled spectrum
     # searches take 1-3 s and under 40 MB each.
     resource = pytest.importorskip("resource")
     scenario = tmp_path / "scenario.json"

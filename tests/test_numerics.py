@@ -1,6 +1,7 @@
 """Eigen solver contract and the seeded stream."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -755,13 +756,15 @@ def _draws_equal_the_scalar_reference(seed, bound, k, rows=None):
     assert rng.next_u32() == following
 
 
-# blocks counts the _states calls of one draw: rows shorter than
-# _BLOCK_DRAW_MIN are cut from a block too, so they take one.
+# blocks counts the _states calls of one draw: a row is cut from one block
+# by either route, windows (k up to 144 over 5,184) or the array cut (k 145).
 @pytest.mark.parametrize("seed,bound,k,blocks", [
     (1, 10, 0, 0),
     (2, 10, 10, 1),
-    (3, 5184, numerics._BLOCK_DRAW_MIN - 1, 1),
-    (4, 5184, numerics._BLOCK_DRAW_MIN, 1),
+    (3, 5184, 47, 1),
+    (4, 5184, 48, 1),
+    (12, 5184, 144, 1),
+    (13, 5184, 145, 1),
     (5, 5184, 1296, 1),
     (6, 2 ** 31 + 1, 300, 1),  # about half of all outputs rejected
     (11, 2 ** 31 + 1, 300, 2),
@@ -783,50 +786,93 @@ def test_distinct_indices_equal_a_scalar_reference(monkeypatch, seed, bound, k, 
     assert len(calls) == blocks
 
 
-# route: how rows are deduped, by a seen-array over [0, bound), by
-# np.unique (bound far above the draws), or, for k < _BLOCK_DRAW_MIN, a
-# window of whole k-value slices at a time ("batched": at least
-# _CLEAN_RUN_MIN rows expected before a repeat, bound / (k (k - 1) / 2)) or
-# in Python (repeat-heavy shapes, and every row with a repeat).
+def _routes(bound, k, rows):
+    """How a stack of draws of this shape is cut: whether by windows of
+    whole k-value slices, wherever a window of twice the rows expected
+    before a repeat (2 bound / (k (k - 1) / 2)) holds at least one row;
+    and how every other row is deduped, by a seen-array over [0, bound)
+    while bound is at most four times the draws expected for the stack,
+    else by np.unique."""
+    per_row = bound * (math.log(bound + 0.5) - math.log(bound - k + 0.5))
+    return k < 2 or 4 * bound >= k * (k - 1), "seen" if bound <= 4 * rows * per_row else "unique"
+
+
+def _counted_routes(monkeypatch):
+    """A list that records "batched" for each window and "seen" or
+    "unique" for each array cut that distinct_indices makes."""
+    clean_rows, cut = numerics._clean_rows, numerics._cut
+    calls = []
+
+    def window(*args):
+        calls.append("batched")
+        return clean_rows(*args)
+
+    def counted_cut(values, pos, k, per_row, seen):
+        calls.append("unique" if seen is None else "seen")
+        return cut(values, pos, k, per_row, seen)
+    monkeypatch.setattr(numerics, "_clean_rows", window)
+    monkeypatch.setattr(numerics, "_cut", counted_cut)
+    return calls
+
+
+# route: the first way a shape's rows are cut, by _routes: "batched" for
+# windows, which leave each row with a repeat to the array cut, else the
+# array cut's "seen" or "unique".
 @pytest.mark.parametrize("bound,k,rows,route", [
     (5184, 1296, 67, "seen"),
     (5184, 4, 1000, "batched"),
     (2 ** 32, 4, 50, "batched"),
     (4096, 4096, 2, "seen"),
     (5000, 2500, 7, "seen"),
-    (7, 7, 4, "python"),
-    (5184, numerics._BLOCK_DRAW_MIN, 30, "seen"),
-    (5184, numerics._BLOCK_DRAW_MIN - 1, 30, "python"),
-    (2 ** 32, 300, 5, "unique"),
-    (2 ** 31 + 1, 300, 3, "unique"),
+    (7, 7, 4, "seen"),
+    (5184, 47, 30, "batched"),
+    (5184, 48, 30, "batched"),
+    (5184, 144, 30, "batched"),
+    (5184, 145, 30, "seen"),
+    (2 ** 32, 300, 5, "batched"),
+    (2 ** 31 + 1, 300, 3, "batched"),
+    (2 ** 20, 1500, 2, "batched"),  # rows with a repeat reach np.unique
+    (2 ** 20, 2100, 2, "unique"),
     (64, 64, 5, "seen"),  # blocks fall short
-    (50, 40, 500, "python"),
-    (200, 12, 2000, "python"),
+    (50, 40, 500, "seen"),
+    (200, 12, 2000, "batched"),
     (17, 2, 2000, "batched"),
-    (15, 2, 2000, "python"),
+    (15, 2, 2000, "batched"),
     (5184, 1, 1000, "batched"),
 ])
 def test_stacked_draws_equal_repeated_single_draws(monkeypatch, bound, k, rows, route):
     # A stack of rows is the draws one call per row would make, in order,
     # and leaves the stream where the last of them would.
-    unique, clean_rows = np.unique, numerics._clean_rows
-    calls = []
-
-    def counted(what, call):
-        def wrapped(*args, **kwargs):
-            calls.append(what)
-            return call(*args, **kwargs)
-        return wrapped
-    monkeypatch.setattr(np, "unique", counted("unique", unique))
-    monkeypatch.setattr(numerics, "_clean_rows", counted("batched", clean_rows))
+    windows, cut = _routes(bound, k, rows)
+    assert route == ("batched" if windows else cut)
+    calls = _counted_routes(monkeypatch)
     for seed in (0, 1, 2):
         single = Pcg32(seed)
         singles = [single.distinct_indices(bound, k).tolist() for _ in range(rows)]
         calls.clear()
         _draws_equal_the_scalar_reference(seed, bound, k, rows)
-        assert set(calls) == ({route} if route in ("unique", "batched") else set())
+        assert set(calls) <= {"batched", cut} and ("batched" in calls) == windows
+        # Each row is cut, or with windows each row with a repeat; a cut
+        # that runs out of values counts too.
+        assert calls.count(cut) >= (len(_repeat_rows(seed, bound, k, rows)) if windows
+                                    else rows)
         assert oracles.pcg32_distinct_draws(seed, bound, k, rows)[0] == singles
-    assert (k >= numerics._BLOCK_DRAW_MIN) == (route in ("seen", "unique"))
+
+
+# tiling_search's sampled Z72^2 searches draw stacks of 12 rows of 1,296 of
+# the 5,184 elements (complements) and of 1,000 rows of 4 (spectra): the
+# first are cut one seen-array row at a time, the second by windows with
+# one cut for each row that holds a repeat.
+def test_the_sampled_search_shapes_keep_their_routes(monkeypatch):
+    calls = _counted_routes(monkeypatch)
+    for seed in (0, 1, 2):
+        calls.clear()
+        Pcg32(seed).distinct_indices(5184, 1296, 12)
+        assert calls == ["seen"] * 12
+        calls.clear()
+        Pcg32(seed).distinct_indices(5184, 4, 1000)
+        repeats = len(_repeat_rows(seed, 5184, 4, 1000))
+        assert repeats and calls.count("seen") == repeats and set(calls) == {"batched", "seen"}
 
 
 def _repeat_rows(seed, bound, k, rows):
@@ -843,7 +889,7 @@ def _repeat_rows(seed, bound, k, rows):
 
 # Bound 32 and k 2 expect 32 rows before a repeat, so they are cut 64 rows
 # (whole 2-value slices) at a time, up to the first row with a repeat; that
-# row is cut in Python and the next window starts after it.
+# row is cut by the array cut and the next window starts after it.
 @pytest.mark.parametrize("seed,bound,k,rows,repeats,blocks", [
     (74, 32, 2, 140, [0, 4, 14, 25, 63, 88, 100], 1),  # a repeat in the first row
     (25, 32, 2, 140, [45, 54, 55, 99, 104, 127, 129, 139], 1),  # ... and in the last
