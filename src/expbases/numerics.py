@@ -324,10 +324,12 @@ class _ToeplitzSection:
         return halves, math.sqrt(dropped) + 3.0 * n * np.finfo(float).eps * top
 
 
-def _certified(halves: list, slack: float, top: float, n: int) -> EigenBounds:
+def _certified(halves: list, slack: float, top: float, n: int, lower: bool) -> EigenBounds:
     """Extreme eigenvalues of the real symmetric halves, certified by
     Cholesky factorizations, with slack added to the margin: the solve and
-    certificate of eigen_bounds, for both of its routes."""
+    certificate of eigen_bounds, for both of its routes. Without lower,
+    lambda_min is the solver's and is not factored, so the margin doubles
+    only for lambda_max."""
     eps = np.finfo(float).eps
     scale = top * n
     try:
@@ -343,7 +345,7 @@ def _certified(halves: list, slack: float, top: float, n: int) -> EigenBounds:
     # float. np.maximum propagates a NaN, which the gate below then rejects.
     margin = float(np.maximum(n * eps * np.max(np.abs([lo, hi, top])),
                               np.finfo(float).smallest_subnormal))
-    below, above = halves, halves
+    below, above = (halves if lower else []), halves
     while True:
         # Written so that NaN or infinite values fail the gate too.
         if not margin + slack <= RESIDUAL_CAP * scale < np.inf:
@@ -397,6 +399,16 @@ def eigen_bounds(matrix, *, scan: Optional[HermitianScan] = None) -> EigenBounds
     holds it (a GramMatrix carries its own), so the matrix is not scanned
     twice; without it the scan runs here. The gate is the same.
     """
+    return _eigen_bounds(matrix, scan, lower=True)
+
+
+def _eigen_bounds(matrix, scan: Optional[HermitianScan], lower: bool) -> EigenBounds:
+    """eigen_bounds, or without lower its lambda_max and margin alone, for
+    an operator whose lower bound is known otherwise: lambda_min is then
+    the solver's, not factored, which saves one Cholesky factorization per
+    solved matrix. The margin doubles only when the upper factorization
+    fails, so it is eigen_bounds' margin wherever that never doubled, and
+    never larger."""
     section = isinstance(matrix, _ToeplitzSection)
     m = matrix if section else _as_square(matrix)
     n = m.shape[0]
@@ -413,7 +425,7 @@ def eigen_bounds(matrix, *, scan: Optional[HermitianScan] = None) -> EigenBounds
         diagonal = m.diagonal().real
         return EigenBounds(float(diagonal.min()), float(diagonal.max()), scan.radius)
     halves, slack = m.halves(ceiling, scan.top) if section else _matrix_halves(m, ceiling)
-    return _certified(halves, slack, scan.top, n)
+    return _certified(halves, slack, scan.top, n, lower)
 
 
 class Pcg32:

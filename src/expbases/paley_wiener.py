@@ -27,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .domain import NODE_CAP, Box, Domain, QuadratureRule, _grid_size, quadrature
-from .numerics import ORDER_CAP, eigen_bounds
+from .numerics import ORDER_CAP, _eigen_bounds
 from .spectra import (_TABLE_BLOCK_ENTRIES, BoundsReport, FrequencySet, GramMatrix, OnbVerdict,
                       _on_domain, _pairwise_quadrature, _quadrature_table, _system_size,
                       box_centre, exp_gram, frame_bounds_of_operator, is_orthonormal_system,
@@ -327,8 +327,8 @@ def _rank_deficient_bounds(gram: GramMatrix) -> BoundsReport:
     from its Gram V* V, which has the same nonzero spectrum: V V* has rank
     at most n, so its lower bound is 0 (degenerate) by rank, not by a
     solve, and its upper bound is the Gram's certified largest eigenvalue,
-    with that Gram's margin."""
-    bounds = eigen_bounds(gram.operand, scan=gram.scan)
+    with that Gram's margin; its lambda_min is not certified."""
+    bounds = _eigen_bounds(gram.operand, gram.scan, lower=False)
     return BoundsReport(0.0, bounds.lambda_max, None, "degenerate", bounds.margin)
 
 

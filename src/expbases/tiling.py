@@ -17,7 +17,9 @@ admissible elements only. It orders them by their count of admissible
 differences, fewest first, extends each clique directly by each candidate
 after its last member, and pushes a child only if enough candidates remain
 to finish it.
-A finished walk canonicalizes each orbit it found once. Sampled
+Found sets are canonicalized to their orbit minima a stack at a time, and
+each stack strikes the translates it forms from the sets still pending, so
+a finished walk forms translates for about one set per orbit. Sampled
 candidates are drawn a stack at a time (one Pcg32.distinct_indices call,
 the same values and stream as one draw per candidate) and checked in
 bounded stacks. A sampled complement that meets its own translate by
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -49,25 +52,27 @@ CHARACTER_TOL = 1e-9
 # Work an exhaustive walk may spend: one unit per node of the complement
 # walk and per candidate the spectrum walk tries, plus n * n // 16
 # per found set of n members (the size of a canonicalization table; 16
-# entries cost about one node). Only one set per orbit is canonicalized,
-# but every found set is charged. The walks find only sets through 0: a
-# complement walk charges 1 in k of the complements and walks the part of
-# a walk over every translate below its first choice, so it never spends
-# more than that walk did. The caps bound the group and pattern, not the
-# work. A sampled search is charged at the same rate for its
-# pattern-by-candidate entries, all before it draws.
+# entries cost about one node). Canonicalization strikes the translates it
+# forms, so most found sets form no table, but every one is charged. The
+# walks find only sets through 0: a complement walk charges 1 in k of the
+# complements and walks the part of a walk over every translate below its
+# first choice, so it never spends more than that walk did. The caps bound
+# the group and pattern, not the work. A sampled search is charged at the
+# same rate for its pattern-by-candidate entries, all before it draws.
 SEARCH_BUDGET = 2_000_000
 
-# Pattern-by-candidate entries per stack of sampled candidates drawn and
-# checked at once (each entry is a sum, a member mark or a character
-# value), so memory does not grow with the sample budget. A sampled
+# Entries per stack, so memory grows with neither the sample budget nor
+# the number or size of found sets: pattern-by-candidate entries per stack
+# of sampled candidates drawn and checked at once (each entry is a sum, a
+# member mark or a character value), and (set, origin, member) entries per
+# stack of translates formed to canonicalize found sets. A sampled
 # spectrum search reads a table of one character sum per group element
 # only in groups of at most this many elements. The sampled Z72^2
 # complement search (200 candidates of 1,296 against a 4-element pattern)
 # took a median 21.4 ms at 2^14 (3 rows a stack), 18.0 at 2^15, 17.5 at
 # 2^16 and 25.1 at 2^17 (2-core Xeon VM), where the blocks of states
 # outgrow the cache.
-_SAMPLE_STACK_ENTRIES = 2 ** 16
+_STACK_ENTRIES = 2 ** 16
 
 
 @dataclass(frozen=True, init=False)
@@ -306,37 +311,58 @@ class SearchResult:
     note: str
 
 
-def _canonical(group: GroupInstance, indices: np.ndarray,
-               pending: Optional[set] = None) -> tuple[int, ...]:
-    # Each row is the set translated so that one member sits at 0; the
-    # orbit minimum is the least sorted row. Rows come in blocks of 256 so
-    # the broadcast stays linear in the set size. The rows are the orbit's
-    # sets through 0, struck from pending when it is given.
-    coords = _unravel(group, indices)
-    keys = []
-    for start in range(0, coords.shape[0], 256):
-        origins = _negated(group, coords[start:start + 256, np.newaxis, :])
-        rows = np.sort(_sum_index(group, coords[np.newaxis, :, :], origins), axis=1)
-        keys.append(tuple(rows[np.lexsort(rows.T[::-1])[0]].tolist()))
-        if pending is not None:
-            pending.difference_update(map(tuple, rows.tolist()))
-    return min(keys)
+def _orbit_minima(group: GroupInstance, sets) -> tuple[tuple[int, ...], ...]:
+    """The translation-orbit minima of sets, rows of n distinct indices, sorted.
 
-
-def _orbit_minima(group: GroupInstance, hits: list) -> tuple[tuple[int, ...], ...]:
-    """The orbit minima of the sets through 0 that a finished walk found.
-
-    Both exhaustive walks are anchored at 0 and find every set through 0,
-    so they find all of each orbit's sets through 0 and no other set.
-    Canonicalizing one strikes all of them, so each orbit costs one
-    _canonical call and nothing is kept beyond the found sets; the last
-    orbit has nothing left to strike.
+    A set's orbit minimum is its least sorted translate, which has a member
+    at 0: the least of the n translates that move a member to 0. The sets
+    are taken a stack at a time in found order, each stack forming at most
+    _STACK_ENTRIES (set, origin, member) entries in one _sum_index; a set
+    too large for one stack has its origins split across stacks. While
+    other sets are pending, every translate formed is struck from them: an
+    exhaustive walk finds all of each orbit's sets through 0, so an orbit
+    met in one stack forms nothing in a later one. Sorted rows are compared
+    as big-endian bytes wide enough for the group's order, whose order is
+    their lexicographic order.
     """
-    pending = {tuple(sorted(hit)) for hit in hits}
-    minima = []
+    if not len(sets):
+        return ()
+    rows = np.sort(np.asarray(sets, dtype=int), axis=1)
+    n = rows.shape[1]
+    key_type = np.min_scalar_type(group.order - 1).newbyteorder(">")
+    row_type = np.dtype((np.void, n * key_type.itemsize))
+
+    def keys(block: np.ndarray) -> list:
+        # One bytes object per sorted row.
+        return block.astype(key_type).view(row_type).ravel().tolist()
+
+    # A dict keeps found order, so the stacks do not depend on hash order.
+    pending = dict(zip(keys(rows), range(len(rows))))
+    per_stack = max(1, _STACK_ENTRIES // (n * n))
+    span = min(n, max(1, _STACK_ENTRIES // n))
+    minima = set()
     while pending:
-        minima.append(_canonical(group, np.asarray(pending.pop()), pending or None))
-    return tuple(sorted(minima))
+        taken = [pending.pop(key) for key in list(islice(pending, per_stack))]
+        coords = _unravel(group, rows.take(taken, axis=0))
+        lows = []
+        for start in range(0, n, span):
+            formed = keys(_translates(group, coords, coords[:, start:start + span]))
+            # Only a stack of one set is split, so each set has span keys.
+            lows += [min(formed[i:i + span]) for i in range(0, len(formed), span)]
+            if pending:
+                for key in formed:
+                    pending.pop(key, None)
+        minima.update(lows if span == n else [min(lows)])
+    found = np.frombuffer(b"".join(sorted(minima)), dtype=key_type).reshape(-1, n)
+    return tuple(map(tuple, found.tolist()))
+
+
+def _translates(group: GroupInstance, coords: np.ndarray, origins: np.ndarray) -> np.ndarray:
+    """One stack: the translates (s, o, n) of s sets, coordinate rows (s, n, d),
+    that move each of their origins (s, o, d) to 0, each row sorted."""
+    moves = _negated(group, origins)
+    return np.sort(_sum_index(group, coords[:, np.newaxis, :, :], moves[:, :, np.newaxis, :]),
+                   axis=-1)
 
 
 def _over_budget(what: str) -> ValueError:
@@ -400,7 +426,7 @@ def search_complements(group: GroupInstance, pattern, *,
     Exact-cover depth-first search keyed on the least uncovered element,
     of the pattern's translate through 0 with offset 0 chosen: it
     enumerates the complements through 0, one orbit's worth of each, and
-    canonicalizes each orbit to its minimum. examined counts every
+    reduces them to their orbit minima (_orbit_minima). examined counts every
     complement, k for each one through 0 for a pattern of k elements. A
     walk past SEARCH_BUDGET raises ValueError.
     """
@@ -526,10 +552,10 @@ def _sampled_search(group: GroupInstance, pat: np.ndarray,
     size = _sample_work(group, k, mode == "tiling", samples)
     rng = rng if rng is not None else Pcg32(0)
     # Candidates are checked in stacks drawn in order, of at most
-    # _SAMPLE_STACK_ENTRIES pattern-by-candidate entries.
-    stack = max(1, _SAMPLE_STACK_ENTRIES // (k * size))
+    # _STACK_ENTRIES pattern-by-candidate entries.
+    stack = max(1, _STACK_ENTRIES // (k * size))
     sums = (_character_sums(group, pat)
-            if mode == "spectrum" and group.order <= _SAMPLE_STACK_ENTRIES else None)
+            if mode == "spectrum" and group.order <= _STACK_ENTRIES else None)
     found: set[tuple[int, ...]] = set()
     for start in range(0, samples, stack):
         cands = rng.distinct_indices(group.order, size, min(stack, samples - start))
@@ -538,8 +564,8 @@ def _sampled_search(group: GroupInstance, pat: np.ndarray,
             hits = _tile_hits(group, pat, cands)
         else:
             hits = _spectrum_hits(group, pat, cands, sums)
-        for cand in cands[hits]:
-            found.add(_canonical(group, cand))
+        # Reduced a stack at a time, so only distinct minima are kept.
+        found.update(_orbit_minima(group, cands[hits]))
     note = f"{reason}; sampled {samples} candidate sets, no exhaustive guarantee"
     return SearchResult(tuple(sorted(found)), False, samples, note)
 

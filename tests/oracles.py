@@ -17,6 +17,8 @@ domain's own coordinates, where the library sums closed-form moments
 about each box's midpoint.
 """
 
+import itertools
+import math
 from itertools import combinations
 from typing import Optional
 
@@ -382,6 +384,22 @@ def canonical_translate(group, indices) -> tuple[int, ...]:
         if best is None or key < best:
             best = key
     return best
+
+
+def translation_class_count(moduli, k: int) -> int:
+    """The number of k-element subsets of Z_{m_1} x ... x Z_{m_d} up to
+    translation, by Burnside's lemma: translation by t fixes a subset
+    exactly when the subset is a union of cosets of <t>, so with o the
+    order of t it fixes C(order / o, k / o) subsets when o divides k, and
+    none otherwise."""
+    order = math.prod(moduli)
+    total = 0
+    for t in itertools.product(*(range(m) for m in moduli)):
+        o = math.lcm(*(m // math.gcd(c, m) for c, m in zip(t, moduli)))
+        if k % o == 0:
+            total += math.comb(order // o, k // o)
+    assert total % order == 0
+    return total // order
 
 
 def pcg32_distinct_draws(seed: int, bound: int, k: int,

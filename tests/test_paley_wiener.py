@@ -16,6 +16,7 @@ from expbases import (
     bump_window,
     constant_weight,
     convolution_factorization_check,
+    eigen_bounds,
     exp_gram,
     indicator_signal,
     indicator_weight,
@@ -604,6 +605,30 @@ def test_one_node_past_the_frequencies_the_bounds_are_the_node_operators(freqs, 
         assert bounds.verdict == "degenerate" and bounds.condition is None
         assert abs(bounds.upper - hi) <= 1e-12 * max(1.0, hi)
         assert hi <= bounds.upper + bounds.margin
+
+
+@pytest.mark.parametrize("freqs", FRAME_FREQS)
+def test_a_rank_deficient_frame_transfer_factors_only_for_its_upper_bounds(freqs, monkeypatch):
+    # Both lower bounds are 0 by rank, so each solved matrix is factored
+    # once, for lambda_max, where eigen_bounds factors it twice; the upper
+    # bounds and margins stay eigen_bounds' own.
+    calls = {"eigvalsh": 0, "cholesky": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(np.linalg, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(np.linalg, name, counted)
+    grams = []
+    deficient = paley_wiener._rank_deficient_bounds
+    monkeypatch.setattr(paley_wiener, "_rank_deficient_bounds",
+                        lambda gram: grams.append(gram) or deficient(gram))
+    rep = verify_frame_transfer(FRAME_DOMAIN, FRAME_FREQS[freqs],
+                                bump_window(FRAME_DOMAIN, 1.0, 41))
+    assert calls["cholesky"] == calls["eigvalsh"] > 0
+    monkeypatch.undo()
+    for bounds, gram in zip((rep.unweighted_bounds, rep.weighted_bounds), grams):
+        full = eigen_bounds(gram.operand, scan=gram.scan)
+        assert (bounds.upper, bounds.margin) == (full.lambda_max, full.margin)
 
 
 @pytest.mark.parametrize("freqs", FRAME_FREQS)

@@ -2,8 +2,11 @@
 
 import gc
 import hashlib
+import itertools
 import json
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -258,19 +261,100 @@ def test_sampled_searches_that_find_sets_keep_their_results():
 def test_an_exhaustive_walk_canonicalizes_each_orbit_once(monkeypatch, search, moduli, found,
                                                           examined, digest):
     # Found sets and counts as recorded when every found set was
-    # canonicalized (1,020 and 63 _canonical calls).
-    canonical = tiling._canonical
-    calls = []
+    # canonicalized. _orbit_minima takes the sets in found order, a stack
+    # of at most _STACK_ENTRIES entries at a time, and strikes what each
+    # stack forms: 5 stacks of 16 or fewer 64-member complements form
+    # translates for 65 of the 255 sets, and one stack for all 63 spectra.
+    translates, stacks = tiling._translates, []
 
-    def counted(*args):
-        calls.append(1)
-        return canonical(*args)
-    monkeypatch.setattr(tiling, "_canonical", counted)
+    def counted(group, coords, origins):
+        stacks.append(len(coords))
+        return translates(group, coords, origins)
+    monkeypatch.setattr(tiling, "_translates", counted)
     group = GroupInstance(moduli)
     res = search(group, cube_set(group, 2))
     assert (len(res.found), res.examined) == (found, examined)
     assert hashlib.sha256(json.dumps(res.found).encode()).hexdigest() == digest
-    assert len(calls) == found
+    assert (len(stacks), sum(stacks)) == {16: (5, 65), 64: (1, 63)}[moduli[0]]
+
+
+def _drawn_sets(rng, group, n, count):
+    """count rows of n distinct elements, members in drawn order. Past 2^32
+    elements the first axis is drawn distinct and the others freely."""
+    if group.order <= 2 ** 32:
+        return rng.distinct_indices(group.order, n, count)
+    axes = [rng.distinct_indices(group.moduli[0], n, count)]
+    axes += [rng.distinct_indices(m, 1, count * n).reshape(count, n) for m in group.moduli[1:]]
+    return group.index(np.stack(axes, axis=-1))
+
+
+@pytest.mark.parametrize("moduli,n,stack_entries", [
+    ([30], 5, None),
+    ([10, 6], 7, None),
+    ([5, 4, 3], 6, None),
+    ([300, 300], 5, None),          # past 2^16 elements
+    ([2 ** 20, 2 ** 20], 4, None),  # past 2^32 elements
+    ([30], 12, 64),                 # 5 origins a stack: each set split in 3
+    ([10, 6], 9, 40),
+    ([5, 4, 3], 11, 100),
+])
+def test_orbit_minima_are_the_oracle_translates(monkeypatch, moduli, n, stack_entries):
+    # Drawn sets are rarely through 0; the translates of the first one and a
+    # repeat of it share its orbit, members in no order.
+    if stack_entries is not None:
+        monkeypatch.setattr(tiling, "_STACK_ENTRIES", stack_entries)
+    rng = Pcg32(36)
+    group = GroupInstance(moduli)
+    drawn = _drawn_sets(rng, group, n, 12)
+    shifts = group.coords(_drawn_sets(rng, group, 4, 1)[0])
+    same = [group.index(group.coords(drawn[0][::-1]) + shift) for shift in shifts]
+    sets = [*drawn, *same, drawn[0]]
+    minima = tiling._orbit_minima(group, sets)
+    assert minima == tuple(sorted({oracles.canonical_translate(group, s) for s in sets}))
+    assert len(minima) == 12 and all(type(i) is int for m in minima for i in m)
+    assert tiling._orbit_minima(group, []) == ()
+
+
+def test_the_orbit_minimum_of_a_set_past_a_stack_splits_its_origins(monkeypatch):
+    # 2,048 x 2,048 (origin, member) entries, 32 origins a stack. The
+    # oracle's rule restated for Z_m: the least of the sorted rows
+    # (s - b) mod m over the members b.
+    translates, stacks = tiling._translates, []
+    monkeypatch.setattr(tiling, "_translates",
+                        lambda group, coords, origins: stacks.append(origins.shape[:2])
+                        or translates(group, coords, origins))
+    group = GroupInstance([4096])
+    members = Pcg32(4096).distinct_indices(4096, 2048)
+    rows = np.sort((members[np.newaxis, :] - members[:, np.newaxis]) % 4096, axis=1)
+    assert tiling._orbit_minima(group, [members]) == (min(map(tuple, rows.tolist())),)
+    assert stacks == [(1, 32)] * 64
+
+
+def test_orbit_minima_do_not_depend_on_the_hash_seed(child_env):
+    # The stacks follow found order, not the hash order of the sets' keys.
+    probe = ("import hashlib, json\n"
+             "from expbases import tiling\n"
+             "from expbases.tiling import GroupInstance, cube_set\n"
+             "stacks = []\n"
+             "translates = tiling._translates\n"
+             "tiling._translates = lambda *a: stacks.append(len(a[1])) or translates(*a)\n"
+             "out = []\n"
+             "for search, moduli in ((tiling.search_complements, [16, 16]),\n"
+             "                       (tiling.search_spectra, [64, 64])):\n"
+             "    group = GroupInstance(moduli)\n"
+             "    found = search(group, cube_set(group, 2)).found\n"
+             "    out.append([stacks[:], hashlib.sha256(json.dumps(found).encode()).hexdigest()])\n"
+             "    stacks.clear()\n"
+             "print(json.dumps(out))\n")
+    outputs = []
+    for seed in ("0", "1"):
+        done = subprocess.run([sys.executable, "-c", probe],
+                              env={**child_env, "PYTHONHASHSEED": seed},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.append(json.loads(done.stdout))
+    assert outputs[0] == outputs[1]
+    assert [(len(s), sum(s)) for s, _ in outputs[0]] == [(5, 65), (1, 63)]
 
 
 def _off_0_cube(moduli, side, offset):
@@ -579,6 +663,41 @@ def test_cube_set_indices():
     assert cube_set(GroupInstance([6]), 3) == (0, 1, 2)
     with pytest.raises(ValueError, match="lie in"):
         cube_set(GroupInstance([6]), 7)
+
+
+@pytest.mark.parametrize("moduli,most", [([8], 8), ([12], 8), ([16], 8), ([3, 3], 5),
+                                         ([5, 5], 5)])
+def test_every_translation_class_tiles_exactly_when_it_is_spectral(moduli, most):
+    # Fuglede's conjecture holds in these groups: one pattern per translation
+    # class, for every size k <= most that divides the order below it. The
+    # patterns through 0 reduced to their orbit minima are one per class,
+    # as many as Burnside's count (15, 149, 935, 13 and 2,131 classes).
+    group = GroupInstance(moduli)
+    sizes = [k for k in range(1, min(most, group.order - 1) + 1) if group.order % k == 0]
+    classes = 0
+    for k in sizes:
+        patterns = tiling._orbit_minima(
+            group, [(0, *rest) for rest in itertools.combinations(range(1, group.order), k - 1)])
+        assert len(patterns) == oracles.translation_class_count(moduli, k)
+        classes += len(patterns)
+        for pattern in patterns:
+            complements = search_complements(group, pattern, force_exhaustive=True).found
+            spectra = search_spectra(group, pattern, force_exhaustive=True).found
+            assert bool(complements) == bool(spectra), (k, pattern)
+    assert classes == {8: 15, 12: 149, 16: 935, 9: 13, 25: 2131}[group.order]
+
+
+def test_taos_set_in_z3_5_is_spectral_and_tiles_nothing():
+    # 0 and the five unit vectors of Z_3^5: a spectral set of 6 elements,
+    # and 6 does not divide 243, so it has no tiling complement.
+    group = GroupInstance([3] * 5)
+    pattern = [0, 1, 3, 9, 27, 81]
+    spectra = search_spectra(group, pattern)
+    assert spectra.exhaustive and len(spectra.found) == 2
+    assert all(is_spectrum(group, pattern, s).is_spectrum for s in spectra.found)
+    complements = search_complements(group, pattern)
+    assert (complements.found, complements.note) == ((), "pattern size does not divide the "
+                                                         "group order")
 
 
 def test_cube_equivalence_small_cyclic():
